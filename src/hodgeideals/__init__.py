@@ -7,31 +7,28 @@ inequality certificates from log-resolution data and executable
 property suites for the structural theorems.
 """
 
-from .poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, Rational
+from .poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
 from .ideal import GroebnerBasis, Ideal, groebner_basis, normal_form
 from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational, \
     parse_resolution_data
 from .divisor import (
     HodgeIdealResult,
     QDivisor,
-    SupportEquation,
     periodic_reduce,
-    primed_to_unprimed,
-    round_up,
     support,
     twist_polynomial,
     validate,
 )
 from .closed_forms import (
     OrdinarySingularityModel,
+    Regime,
     WeightVector,
-    alpha_tilde_quasihomogeneous,
+    classify,
     generation_level,
     node_ideal,
     ordinary_ideal,
     smooth_support_ideal,
     snc_hodge_ideal,
-    snc_reduced_ideal,
 )
 from .recursion import (
     ChainResult,
@@ -55,15 +52,14 @@ from .certificates import (
 from .compute import MethodUnavailableError, compute_chain, compute_ideal
 
 __all__ = [
-    "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial", "Rational",
+    "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",
     "GroebnerBasis", "Ideal", "groebner_basis", "normal_form",
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",
-    "HodgeIdealResult", "QDivisor", "SupportEquation", "periodic_reduce",
-    "primed_to_unprimed", "round_up", "support", "twist_polynomial", "validate",
-    "OrdinarySingularityModel", "WeightVector", "alpha_tilde_quasihomogeneous",
-    "generation_level", "node_ideal", "ordinary_ideal", "smooth_support_ideal",
-    "snc_hodge_ideal", "snc_reduced_ideal",
+    "HodgeIdealResult", "QDivisor", "periodic_reduce", "support", "twist_polynomial",
+    "validate",
+    "OrdinarySingularityModel", "Regime", "WeightVector", "classify", "generation_level",
+    "node_ideal", "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
     "ChainResult", "GenerationCertificate", "certificate_for", "derivation_step",
     "hodge_chain", "i0_seed",
     "Decision", "ExceptionalDivisor", "MultiplicityData", "ResolutionData",

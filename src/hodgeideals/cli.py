@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 from .certificates import MultiplicityData, triviality_certificate, \
     nontriviality_symbolic_power, alpha_multiple_membership
 from .compute import METHODS, MethodUnavailableError, compute_chain
-from .divisor import QDivisor, ceil_frac, validate
-from .ideal import Ideal, groebner_basis
+from .divisor import QDivisor, periodic_reduce, validate
+from .ideal import Ideal
 from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational, \
     parse_resolution_data
-from .poly import GREVLEX, MonomialOrder, format_rational
+from .poly import MonomialOrder, format_rational
 from .recursion import CERTIFICATE_SOURCES, GenerationCertificate
 from .verify import DEFAULT_SEED, SUITES, report_ok, run_suites
 
@@ -110,16 +110,14 @@ def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
 def _ideal_lines(ideal: Optional[Ideal], order: MonomialOrder) -> Optional[list[str]]:
     if ideal is None:
         return None
-    basis = ideal.groebner().basis if order == GREVLEX else \
-        groebner_basis(ideal.generators, order)
-    return [g.to_str(order) for g in basis]
+    return [g.to_str(order) for g in ideal.groebner(order)]
 
 
 def _result_json(res, order: MonomialOrder) -> dict:
     return {
         "k": res.k,
         "exact": res.exact,
-        "primed": res.primed,
+        "primed": False,
         "method": res.method,
         "ideal": _ideal_lines(res.ideal, order),
         "notes": res.notes,
@@ -235,8 +233,8 @@ def cmd_certify(args) -> int:
         if spec.divisor is None:
             raise InputError("resolution certificates need the divisor (for its alphas)")
         res = parse_resolution_data(doc["resolution"])
-        alphas = [alpha - (ceil_frac(alpha) - 1) for alpha in spec.divisor.alphas]
-        reduced_note = [] if list(alphas) == list(spec.divisor.alphas) else \
+        alphas = periodic_reduce(spec.divisor)[0].alphas
+        reduced_note = [] if alphas == spec.divisor.alphas else \
             ["coefficients periodically reduced into (0, 1]"]
         decision = triviality_certificate(res, alphas, spec.k)
         lines = reduced_note + list(decision.lines)

@@ -1,6 +1,7 @@
 """Closed-form Hodge ideals: smooth supports, SNC/monomial divisors,
 ordinary singularities, nodal curves, and the quasi-homogeneous
-generation-level formula.
+generation-level formula; plus ``classify``, the one place that decides
+which of these regimes a divisor is in.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .divisor import HodgeIdealResult, QDivisor, ceil_frac, twist_polynomial
+from .divisor import HodgeIdealResult, QDivisor, periodic_reduce, support, twist_polynomial
 from .ideal import Ideal
 from .poly import Polynomial
 
@@ -30,11 +31,6 @@ def default_vars(n: int) -> tuple[str, ...]:
 # Smooth supports
 
 
-def _is_linear_form(f: Polynomial) -> bool:
-    deg = f.total_degree()
-    return deg == 1
-
-
 def smooth_support_ideal(divisor: QDivisor, k: int) -> HodgeIdealResult:
     """I_k of a divisor with smooth support: the twist ideal for every k >= 0.
 
@@ -46,13 +42,13 @@ def smooth_support_ideal(divisor: QDivisor, k: int) -> HodgeIdealResult:
         raise NoClosedFormError("smooth closed form wants a single component")
     f, alpha = divisor.components[0]
     notes = "smooth support"
-    if not _is_linear_form(f):
+    if f.total_degree() != 1:
         notes += f"; smoothness of {{{f} = 0}} asserted by caller (unverified)"
     if k < 0:
         return HodgeIdealResult(k=k, ideal=Ideal.zero(divisor.vars), method="smooth",
                                 exact=True, notes=notes + "; filtration vanishes below level 0")
-    e = ceil_frac(alpha) - 1
-    ideal = Ideal.principal(f ** e) if e else Ideal.unit(divisor.vars)
+    twist = twist_polynomial(divisor)
+    ideal = Ideal.unit(divisor.vars) if twist.is_constant() else Ideal.principal(twist)
     return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True, notes=notes)
 
 
@@ -88,17 +84,7 @@ def _snc_monomial_ideal(variables: Sequence[str], positions: Sequence[int], k: i
     return Ideal(variables, gens)
 
 
-def snc_reduced_ideal(r: int, k: int, variables: Sequence[str]) -> Ideal:
-    """I_k of x_1 * ... * x_r inside Q[variables] (the first r of them)."""
-    variables = tuple(variables)
-    if not 1 <= r <= len(variables):
-        raise ValueError(f"need 1 <= r <= {len(variables)}, got r={r}")
-    if k < 0:
-        return Ideal.zero(variables)
-    return _snc_monomial_ideal(variables, range(r), k)
-
-
-def _coordinate_positions(divisor: QDivisor) -> Optional[list[int]]:
+def _coordinate_positions(divisor: QDivisor) -> Optional[tuple[int, ...]]:
     """Component positions when every f_i is (a scalar multiple of) a
     distinct single variable; None otherwise."""
     positions = []
@@ -109,9 +95,7 @@ def _coordinate_positions(divisor: QDivisor) -> Optional[list[int]]:
         if sum(mono) != 1:
             return None
         positions.append(mono.index(1))
-    if len(set(positions)) != len(positions):
-        return None
-    return positions
+    return tuple(positions) if len(set(positions)) == len(positions) else None
 
 
 def snc_hodge_ideal(divisor: QDivisor, k: int) -> HodgeIdealResult:
@@ -203,7 +187,7 @@ def ordinary_ideal(model: OrdinarySingularityModel, k: int,
     if model.n == 2 and model.m == 2:
         result = node_ideal(k, model.alpha, variables)
         return result.with_note(note)
-    am = ceil_frac(model.alpha * model.m)
+    am = math.ceil(model.alpha * model.m)
     if (k - 1) * model.m + am < model.n and k <= model.n - 2:
         e = k * model.m + am - model.n
         ideal = Ideal.maximal_at_origin(variables) ** e if e > 0 else Ideal.unit(variables)
@@ -231,24 +215,6 @@ class WeightVector:
         for w in self.weights:
             if not isinstance(w, Fraction) or w <= 0:
                 raise ValueError(f"weights must be positive exact rationals, got {w!r}")
-
-
-def weighted_degree(mono: Sequence[int], weights: WeightVector) -> Fraction:
-    return sum((Fraction(e) * w for e, w in zip(mono, weights.weights)), Fraction(0))
-
-
-def alpha_tilde_quasihomogeneous(weights: WeightVector, h: Polynomial) -> Fraction:
-    """Minimal exponent of a weighted-homogeneous equation of weighted
-    degree 1 with an isolated singularity: the sum of the weights."""
-    if len(weights.weights) != len(h.vars):
-        raise ValueError(f"{len(h.vars)} variables but {len(weights.weights)} weights")
-    for mono in h.terms:
-        d = weighted_degree(mono, weights)
-        if d != 1:
-            raise ValueError(
-                f"{h} is not weighted-homogeneous of weighted degree 1: "
-                f"monomial {mono} has weighted degree {d}")
-    return sum(weights.weights, Fraction(0))
 
 
 def generation_level(n: int, alpha_tilde: Fraction, alpha: Fraction) -> int:
@@ -342,3 +308,52 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
                if not any(v != w and all(a <= b for a, b in zip(v, w)) for v in candidates)]
     gens = [Polynomial.monomial(variables, w) for w in sorted(minimal)]
     return Ideal(variables, gens)
+
+
+# ---------------------------------------------------------------------------
+# Regime classification
+
+
+@dataclass(frozen=True)
+class Regime:
+    """What the dispatch, the I_0 seed and the generation-level
+    certificate read about one divisor D, computed once by ``classify``.
+
+    ``reduced`` and ``twist`` are B and prod f_i^(ceil(alpha_i) - 1) from
+    ``periodic_reduce``; ``g`` is the support equation.  ``linear``: one
+    component cut out by a linear form.  ``positions``: every component a
+    distinct coordinate (SNC).  ``monomial``: squarefree-monomial support.
+    ``diagonal``: the exponents of a single component sum c_i x_i^(d_i).
+    ``alpha``: the common coefficient of B, if there is one.  ``ordinary``:
+    the model of a single cone component sum c_i x_i^m.
+    """
+
+    divisor: QDivisor
+    reduced: QDivisor
+    twist: Polynomial
+    g: Polynomial
+    linear: bool
+    positions: Optional[tuple[int, ...]]
+    monomial: bool
+    diagonal: Optional[tuple[int, ...]]
+    alpha: Optional[Fraction]
+    ordinary: Optional[OrdinarySingularityModel]
+
+
+def classify(divisor: QDivisor) -> Regime:
+    """The regime record of ``divisor``; no Groebner basis is computed."""
+    reduced, twist = periodic_reduce(divisor)
+    factors = divisor.factors
+    monos = [next(iter(f.terms)) for f in factors if len(f.terms) == 1]
+    monomial = len(monos) == len(factors) and all(sum(col) <= 1 for col in zip(*monos))
+    diagonal = diagonal_exponents(factors[0]) if len(factors) == 1 else None
+    alphas = set(reduced.alphas)
+    alpha = next(iter(alphas)) if len(alphas) == 1 else None
+    ordinary = None
+    if diagonal is not None and len(set(diagonal)) == 1 and diagonal[0] >= 2 \
+            and len(diagonal) >= 2:
+        ordinary = OrdinarySingularityModel(n=len(divisor.vars), m=diagonal[0], alpha=alpha)
+    return Regime(divisor=divisor, reduced=reduced, twist=twist, g=support(divisor),
+                  linear=len(factors) == 1 and factors[0].total_degree() == 1,
+                  positions=_coordinate_positions(divisor), monomial=monomial,
+                  diagonal=diagonal, alpha=alpha, ordinary=ordinary)

@@ -1,7 +1,8 @@
 """Method dispatch for Hodge-ideal computation.
 
 ``auto`` resolution order: smooth -> snc -> ordinary -> recursion with a
-generation-level certificate.  Divisors whose equations omit some
+generation-level certificate.  Each divisor is classified once and
+every branch reads that record.  Divisors whose equations omit some
 ambient variables are computed on the subring they actually use and
 extended back (smooth pullback along the projection).
 """
@@ -11,15 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from .closed_forms import (
-    OrdinarySingularityModel,
-    _coordinate_positions,
-    diagonal_exponents,
-    ordinary_ideal,
-    smooth_support_ideal,
-    snc_hodge_ideal,
-)
-from .divisor import HodgeIdealResult, QDivisor, periodic_reduce
+from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
+from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
 from .poly import Polynomial
 from .recursion import (
@@ -60,18 +54,6 @@ def _restrict_to_used(divisor: QDivisor) -> Optional[tuple[QDivisor, tuple[str, 
     return QDivisor(subvars, tuple(components)), subvars
 
 
-def _ordinary_model(divisor: QDivisor) -> Optional[OrdinarySingularityModel]:
-    """Recognize a cone sum c_i x_i^m (exactly validated ordinary model)."""
-    reduced, _ = periodic_reduce(divisor)
-    if len(reduced.components) != 1:
-        return None
-    f, alpha = reduced.components[0]
-    d = diagonal_exponents(f)
-    if d is None or len(set(d)) != 1 or d[0] < 2 or len(d) < 2:
-        return None
-    return OrdinarySingularityModel(n=len(divisor.vars), m=d[0], alpha=alpha)
-
-
 def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                   seed_ideal: Optional[Ideal] = None,
                   certificate: Optional[GenerationCertificate] = None,
@@ -95,24 +77,24 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
             out.append(replace(res, ideal=ideal).with_note(note))
         return out
 
+    regime = classify(divisor)
     if method in ("auto", "smooth"):
-        if len(divisor.components) == 1 and divisor.factors[0].total_degree() == 1:
+        if regime.linear:
             return [smooth_support_ideal(divisor, k) for k in range(k_max + 1)]
         if method == "smooth":
             raise MethodUnavailableError(
                 "smooth closed form wants a single component cut out by a linear form")
 
     if method in ("auto", "snc"):
-        if _coordinate_positions(divisor) is not None:
+        if regime.positions is not None:
             return [snc_hodge_ideal(divisor, k) for k in range(k_max + 1)]
         if method == "snc":
             raise MethodUnavailableError(
                 "SNC closed form wants distinct coordinate components")
 
     if method in ("auto", "ordinary"):
-        model = _ordinary_model(divisor)
+        model, twist = regime.ordinary, regime.twist
         if model is not None:
-            reduced, twist = periodic_reduce(divisor)
             results = [ordinary_ideal(model, k, divisor.vars) for k in range(k_max + 1)]
             if all(res.ideal is not None for res in results):
                 if not twist.is_constant():
@@ -128,14 +110,15 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                 "ordinary closed form wants a single cone component sum c_i x_i^m")
 
     # Recursion with a generation-level certificate.
-    reduced, _ = periodic_reduce(divisor)
     try:
-        seed = i0_seed(reduced, user_ideal=seed_ideal)
+        seed = i0_seed(regime, user_ideal=seed_ideal)
     except SeedUnavailableError as exc:
         raise MethodUnavailableError(str(exc)) from exc
-    cert = certificate if certificate is not None else certificate_for(divisor)
-    chain = hodge_chain(divisor, k_max, seed, cert)
-    return list(chain.results)
+    cert = certificate if certificate is not None else certificate_for(regime)
+    results = hodge_chain(regime, k_max, seed, cert).results
+    if seed_ideal is not None:
+        return [res.with_note(seed.notes) for res in results]
+    return list(results)
 
 
 def compute_ideal(divisor: QDivisor, k: int, method: str = "auto",

@@ -16,10 +16,6 @@ from .ideal import Ideal
 from .poly import Polynomial
 
 
-def ceil_frac(value: Fraction) -> int:
-    return math.ceil(value)
-
-
 @dataclass(frozen=True)
 class QDivisor:
     """Effective Q-divisor D = sum alpha_i * div(f_i) in factored form."""
@@ -60,24 +56,12 @@ class QDivisor:
         return " + ".join(f"({alpha})*div({f})" for f, alpha in self.components)
 
 
-@dataclass(frozen=True)
-class SupportEquation:
-    """The reduced support equation g = prod f_i with its factor list."""
-
-    equation: Polynomial
-    factors: tuple[Polynomial, ...]
-
-
-def support(divisor: QDivisor) -> SupportEquation:
+def support(divisor: QDivisor) -> Polynomial:
+    """The reduced support equation g = prod f_i."""
     g = Polynomial.one(divisor.vars)
     for f in divisor.factors:
         g = g * f
-    return SupportEquation(equation=g, factors=divisor.factors)
-
-
-def round_up(divisor: QDivisor) -> tuple[int, ...]:
-    """Per-component ceiling of the coefficients of D."""
-    return tuple(ceil_frac(alpha) for alpha in divisor.alphas)
+    return g
 
 
 def twist_polynomial(divisor: QDivisor) -> Polynomial:
@@ -88,7 +72,7 @@ def twist_polynomial(divisor: QDivisor) -> Polynomial:
     """
     twist = Polynomial.one(divisor.vars)
     for f, alpha in divisor.components:
-        e = ceil_frac(alpha) - 1
+        e = math.ceil(alpha) - 1
         if e:
             twist = twist * f ** e
     return twist
@@ -102,13 +86,13 @@ def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
     I_k(D) = twist * I_k(B) for every k.
     """
     reduced = tuple(
-        (f, alpha - (ceil_frac(alpha) - 1)) for f, alpha in divisor.components)
+        (f, alpha - (math.ceil(alpha) - 1)) for f, alpha in divisor.components)
     return QDivisor(divisor.vars, reduced), twist_polynomial(divisor)
 
 
 @dataclass(frozen=True)
 class HodgeIdealResult:
-    """A computed Hodge ideal I_k(D) (or primed variant) with provenance.
+    """A computed Hodge ideal I_k(D) with provenance.
 
     ``exact=False`` means the ideal, when present, is a certified lower
     bound (sub-ideal) of the true Hodge ideal; a missing ideal is a
@@ -117,7 +101,6 @@ class HodgeIdealResult:
 
     k: int
     ideal: Optional[Ideal]
-    primed: bool = False
     method: str = "recursion"  # snc | smooth | ordinary | recursion | certificate
     exact: bool = True
     notes: str = ""
@@ -125,17 +108,6 @@ class HodgeIdealResult:
     def with_note(self, note: str) -> "HodgeIdealResult":
         combined = f"{self.notes}; {note}" if self.notes else note
         return replace(self, notes=combined)
-
-
-def primed_to_unprimed(result: HodgeIdealResult, divisor: QDivisor) -> HodgeIdealResult:
-    """Convert I'_k(D) to I_k(D) by multiplying in the twist O(Z - ceil(D))."""
-    if not result.primed:
-        return result
-    if result.ideal is None:
-        return replace(result, primed=False)
-    twist = twist_polynomial(divisor)
-    ideal = result.ideal if twist.is_constant() else (twist * result.ideal)
-    return replace(result, ideal=ideal, primed=False)
 
 
 def _proportional(f: Polynomial, g: Polynomial) -> bool:

@@ -337,8 +337,7 @@ class Ideal:
         return len(basis) == 1 and basis[0].is_constant()
 
     def to_str(self, order: MonomialOrder = GREVLEX) -> str:
-        basis = self.groebner(order).basis if order == GREVLEX else groebner_basis(self.generators, order)
-        return "ideal(" + ", ".join(g.to_str(order) for g in basis) + ")"
+        return "ideal(" + ", ".join(g.to_str(order) for g in self.groebner(order)) + ")"
 
     def __str__(self) -> str:
         return self.to_str()

@@ -10,9 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-#: Exact rational scalar used throughout the package.
-Rational = Fraction
-
 #: Dense exponent vector; length equals the ambient variable count.
 Monomial = tuple[int, ...]
 

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .closed_forms import (
-    diagonal_exponents,
-    diagonal_multiplier_i0,
-    generation_level,
-    infer_weights,
-    _coordinate_positions,
-)
-from .divisor import HodgeIdealResult, QDivisor, periodic_reduce, support
+from .closed_forms import Regime, diagonal_multiplier_i0, generation_level, infer_weights
+from .divisor import HodgeIdealResult, QDivisor, support
 from .ideal import Ideal
 from .poly import Polynomial
 
@@ -79,9 +73,6 @@ class ChainResult:
     def ideal(self, k: int) -> Ideal:
         return self.result(k).ideal
 
-    def exact_results(self) -> tuple[HodgeIdealResult, ...]:
-        return tuple(res for res in self.results if res.exact)
-
 
 def _dlog_numerators(divisor: QDivisor) -> list[Polynomial]:
     """For each variable, sum_i alpha_i * d(f_i) * prod_(j != i) f_j,
@@ -120,7 +111,7 @@ def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
     if ideal.vars != divisor.vars:
         raise ValueError(f"ideal over {ideal.vars}, divisor over {divisor.vars}")
-    g = support(divisor).equation
+    g = support(divisor)
     dlog = _dlog_numerators(divisor)
     kk = Fraction(k)
     gens: list[Polynomial] = []
@@ -131,7 +122,7 @@ def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
     return Ideal(divisor.vars, gens).canonical()
 
 
-def hodge_chain(divisor: QDivisor, k_max: int, seed: HodgeIdealResult,
+def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
                 cert: GenerationCertificate) -> ChainResult:
     """Iterate the derivation step from an exact seed I_(k0)(B) up to k_max.
 
@@ -145,8 +136,8 @@ def hodge_chain(divisor: QDivisor, k_max: int, seed: HodgeIdealResult,
         raise ValueError("chain seed must be an exact Hodge ideal")
     if seed.ideal is None:
         raise ValueError("chain seed carries no ideal")
+    divisor, reduced, twist = regime.divisor, regime.reduced, regime.twist
     n = len(divisor.vars)
-    reduced, twist = periodic_reduce(divisor)
     if seed.ideal.vars != divisor.vars:
         raise ValueError(f"seed over {seed.ideal.vars}, divisor over {divisor.vars}")
     effective_level = min(cert.level, n - 1)
@@ -182,60 +173,40 @@ def hodge_chain(divisor: QDivisor, k_max: int, seed: HodgeIdealResult,
                        exact_boundary=boundary)
 
 
-def i0_seed(divisor: QDivisor, user_ideal: Optional[Ideal] = None) -> HodgeIdealResult:
-    """An exact I_0(D) in the computable regimes, with provenance notes.
+def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealResult:
+    """An exact I_0(B) of the reduced divisor B in the computable regimes,
+    with provenance notes.
 
-    Recognized regimes: SNC on coordinates (the round-up twist ideal),
-    and a single diagonal component sum c_i x_i^(d_i) through the
-    standard multiplier-ideal computation (trivial iff alpha <= sum
+    Recognized regimes: squarefree-monomial (SNC) support, where I_0(B)
+    is trivial, and a single diagonal component sum c_i x_i^(d_i) through
+    the standard multiplier-ideal computation (trivial iff alpha <= sum
     1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  A
     user-supplied ideal is trusted and recorded as such.
     """
+    variables = regime.divisor.vars
     if user_ideal is not None:
-        if user_ideal.vars != divisor.vars:
+        if user_ideal.vars != variables:
             raise ValueError("user-supplied I_0 lives in the wrong ring")
         return HodgeIdealResult(k=0, ideal=user_ideal, method="recursion", exact=True,
                                 notes="I_0 supplied by caller (trusted)")
-    reduced, twist = periodic_reduce(divisor)
-    trivial_twist = twist.is_constant()
-
-    def twisted(ideal_b: Ideal, method: str, notes: str) -> HodgeIdealResult:
-        ideal = ideal_b if trivial_twist else (twist * ideal_b).canonical()
-        if not trivial_twist:
-            notes += f"; integral twist {twist} applied"
-        return HodgeIdealResult(k=0, ideal=ideal, method=method, exact=True, notes=notes)
-
-    if _coordinate_positions(reduced) is not None or _squarefree_monomial_support(reduced):
-        return twisted(Ideal.unit(divisor.vars), "snc",
-                       "I_0 from the SNC closed form (multiplier ideal of an SNC divisor)")
-    if len(reduced.components) == 1:
-        f, alpha = reduced.components[0]
-        d = diagonal_exponents(f)
-        if d is not None:
-            ideal_b = diagonal_multiplier_i0(d, alpha, divisor.vars)
-            tilde = sum((Fraction(1, e) for e in d), Fraction(0))
-            kind = f"cone of multiplicity {d[0]}" if len(set(d)) == 1 else "diagonal equation"
-            return twisted(ideal_b, "recursion",
-                           f"I_0 as the multiplier ideal of a {kind} "
-                           f"(minimal exponent {tilde}; trivial iff alpha <= {tilde})")
+    if regime.monomial:
+        return HodgeIdealResult(
+            k=0, ideal=Ideal.unit(variables), method="snc", exact=True,
+            notes="I_0 from the SNC closed form (multiplier ideal of an SNC divisor)")
+    d = regime.diagonal
+    if d is not None:
+        tilde = sum((Fraction(1, e) for e in d), Fraction(0))
+        kind = f"cone of multiplicity {d[0]}" if len(set(d)) == 1 else "diagonal equation"
+        return HodgeIdealResult(
+            k=0, ideal=diagonal_multiplier_i0(d, regime.alpha, variables), method="recursion",
+            exact=True, notes=f"I_0 as the multiplier ideal of a {kind} "
+                              f"(minimal exponent {tilde}; trivial iff alpha <= {tilde})")
     raise SeedUnavailableError(
         "no computable I_0 regime recognized (SNC coordinates or a single diagonal "
         "equation); supply a seed ideal explicitly")
 
 
-def _squarefree_monomial_support(divisor: QDivisor) -> bool:
-    """Every component a monomial whose product is squarefree (the support
-    is then an SNC union of coordinate hyperplanes)."""
-    total = [0] * len(divisor.vars)
-    for f in divisor.factors:
-        if len(f.terms) != 1:
-            return False
-        for i, e in enumerate(next(iter(f.terms))):
-            total[i] += e
-    return all(e <= 1 for e in total)
-
-
-def certificate_for(divisor: QDivisor) -> GenerationCertificate:
+def certificate_for(regime: Regime) -> GenerationCertificate:
     """Best available generation-level certificate for the divisor.
 
     Tries the quasi-homogeneous formula floor(n - alpha_tilde - alpha)
@@ -243,25 +214,17 @@ def certificate_for(divisor: QDivisor) -> GenerationCertificate:
     singularity hypothesis is the caller's), then the surface-node
     example, then the universal n-1 bound.
     """
-    n = len(divisor.vars)
-    reduced, _ = periodic_reduce(divisor)
-    alphas = set(reduced.alphas)
-    g = support(reduced).equation
-    if len(alphas) == 1:
-        alpha = next(iter(alphas))
+    n = len(regime.divisor.vars)
+    g = regime.g
+    if regime.alpha is not None:
         weights = infer_weights(g)
         if weights is not None:
             tilde = sum(weights.weights, Fraction(0))
             return GenerationCertificate(
-                level=generation_level(n, tilde, alpha),
+                level=generation_level(n, tilde, regime.alpha),
                 source="quasihomogeneous-formula")
-        if n == 2 and g.order_at_origin() == 2 and _nondegenerate_quadratic_part(g):
+        # A node: nondegenerate quadratic part.
+        if n == 2 and g.order_at_origin() == 2 and \
+                g.coeff((1, 1)) ** 2 != 4 * g.coeff((2, 0)) * g.coeff((0, 2)):
             return GenerationCertificate(level=0, source="node-example")
     return universal_certificate(n)
-
-
-def _nondegenerate_quadratic_part(g: Polynomial) -> bool:
-    a = g.coeff((2, 0))
-    b = g.coeff((1, 1))
-    c = g.coeff((0, 2))
-    return b * b - 4 * a * c != 0

@@ -76,7 +76,7 @@ def check_chain_inclusions(results: Sequence[HodgeIdealResult],
                            divisor: QDivisor) -> list[Verdict]:
     """For exact i < j: g^(j-i) * I_i is contained in I_j; additionally
     reports, without asserting, whether I_k is contained in I_(k-1)."""
-    g = support(divisor).equation
+    g = support(divisor)
     name = divisor.describe()
     exact = [res for res in results if res.exact and res.ideal is not None]
     verdicts: list[Verdict] = []
@@ -115,8 +115,8 @@ def _disjoint_supports(d1: QDivisor, d2: QDivisor) -> bool:
 def _product_formula_sum(d1: QDivisor, d2: QDivisor, k: int,
                          joint_vars: Sequence[str]) -> Ideal:
     """sum over i+j=k of (I_i(D1)*g1^j) * (I_j(D2)*g2^i), in the joint ring."""
-    g1 = support(d1).equation
-    g2 = support(d2).equation
+    g1 = support(d1)
+    g2 = support(d2)
     total = Ideal.zero(joint_vars)
     for i in range(k + 1):
         j = k - i
@@ -155,8 +155,8 @@ def check_subadditivity(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
     if lhs is None:
         return verdicts + [Verdict(claim="subadditivity", instance=name, status=FAIL,
                                    detail="left-hand side not computable exactly")]
-    g1 = support(d1).equation
-    g2 = support(d2).equation
+    g1 = support(d1)
+    g2 = support(d2)
     middle = Ideal.zero(d1.vars)
     for i in range(k + 1):
         j = k - i
@@ -239,14 +239,15 @@ def _generic_restriction_draws(divisor: QDivisor, var_index: int, k: int,
     equality while others pass is re-drawn once and logged, not treated
     as a theorem violation; a persistent failure stays FAIL."""
     sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
-    out: list[Verdict] = []
-    results: list[tuple[Polynomial, list[Verdict]]] = []
-    for _ in range(draws):
-        coeffs = [_random_fraction(rng) for _ in sub_vars]
+
+    def draw() -> tuple[Polynomial, list[Verdict]]:
         repl = Polynomial.zero(sub_vars)
-        for name, c in zip(sub_vars, coeffs):
-            repl = repl + c * Polynomial.variable(sub_vars, name)
-        results.append((repl, check_restriction(divisor, var_index, repl, k)))
+        for name in sub_vars:
+            repl = repl + _random_fraction(rng) * Polynomial.variable(sub_vars, name)
+        return repl, check_restriction(divisor, var_index, repl, k)
+
+    out: list[Verdict] = []
+    results = [draw() for _ in range(draws)]
     failed = [i for i, (_, vs) in enumerate(results) if not report_ok(vs)]
     if failed and len(failed) < len(results):
         for i in failed:
@@ -254,11 +255,7 @@ def _generic_restriction_draws(divisor: QDivisor, var_index: int, k: int,
             out.append(Verdict(claim="restriction-redraw", instance=f"{divisor.describe()} "
                                f"[draw {i}: {repl}]", status=OBSERVED, required=False,
                                detail="single non-generic draw re-drawn and logged"))
-            coeffs = [_random_fraction(rng) for _ in sub_vars]
-            repl2 = Polynomial.zero(sub_vars)
-            for name, c in zip(sub_vars, coeffs):
-                repl2 = repl2 + c * Polynomial.variable(sub_vars, name)
-            results[i] = (repl2, check_restriction(divisor, var_index, repl2, k))
+            results[i] = draw()
     for _, vs in results:
         out.extend(vs)
     return out
@@ -352,7 +349,7 @@ def check_multiplicity_bounds(results: Sequence[HodgeIdealResult], divisor: QDiv
     """Exact chains honor the multiplicity growth bounds: step growth
     >= m - 1 past the certificate level and the absolute lower bound
     (j - n + 1)(m - 1) for j >= n."""
-    g = support(divisor).equation
+    g = support(divisor)
     m = g.order_at_origin()
     n = len(divisor.vars)
     name = divisor.describe()

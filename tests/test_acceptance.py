@@ -14,6 +14,7 @@ from hodgeideals import (
     Ideal,
     OrdinarySingularityModel,
     certificate_for,
+    classify,
     hodge_chain,
     i0_seed,
     ordinary_ideal,
@@ -74,7 +75,7 @@ def m_power(variables, e):
 def cusp_chain(alpha, k_max=2):
     d = div([{"f": "x^2+y^3", "alpha": str(alpha)}])
     seed = HodgeIdealResult(k=0, ideal=ideal("x", "y"), exact=True, method="recursion")
-    return d, hodge_chain(d, k_max, seed, GenerationCertificate(0, "user-asserted"))
+    return d, hodge_chain(classify(d), k_max, seed, GenerationCertificate(0, "user-asserted"))
 
 
 def cusp_parametric_i2(alpha):
@@ -103,10 +104,10 @@ def test_criterion_1_cusp_golden():
 def test_criterion_2_node_golden():
     with criterion(2, "node chains equal maximal-ideal powers", 1.0):
         for alpha in (F(1, 2), F(1)):
-            d = div([{"f": "x y", "alpha": str(alpha)}])
-            seed = i0_seed(d)
+            r = classify(div([{"f": "x y", "alpha": str(alpha)}]))
+            seed = i0_seed(r)
             assert seed.ideal.is_unit()
-            chain = hodge_chain(d, 4, seed, certificate_for(d))
+            chain = hodge_chain(r, 4, seed, certificate_for(r))
             for k in range(5):
                 assert chain.result(k).exact
                 assert chain.ideal(k).equals(m_power(XY, k))
@@ -129,17 +130,18 @@ def test_criterion_3_snc_cross_validation():
                 # chain-inclusion suite everywhere
                 assert report_ok(check_chain_inclusions(closed, d))
                 # recursion agrees wherever a generation-level certificate applies
+                r = classify(d)
                 if len(set(alphas)) == 1:
-                    cert = certificate_for(d)
+                    cert = certificate_for(r)
                     if cert.level == 0:
-                        chain = hodge_chain(d, 3, i0_seed(d), cert)
+                        chain = hodge_chain(r, 3, i0_seed(r), cert)
                         for k in range(4):
                             assert chain.result(k).exact
                             assert chain.ideal(k).equals(closed[k].ideal)
                 # the universal level n-1 certifies the last step for every combo
                 seed = HodgeIdealResult(k=n - 1, ideal=closed[n - 1].ideal,
                                         exact=True, method="snc")
-                chain = hodge_chain(d, 3, seed, GenerationCertificate(n - 1,
+                chain = hodge_chain(r, 3, seed, GenerationCertificate(n - 1,
                                                                       "universal-bound"))
                 for k in range(n - 1, 4):
                     assert chain.result(k).exact
@@ -161,7 +163,7 @@ def test_criterion_4_ordinary_boundary():
                     assert res.ideal.is_unit() == expected_trivial
                 else:
                     assert not expected_trivial
-        cone = div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ)
+        cone = classify(div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ))
         chain = hodge_chain(cone, 1, i0_seed(cone), certificate_for(cone))
         assert chain.result(1).exact
         assert chain.ideal(1).equals(Ideal.maximal_at_origin(XYZ))
@@ -228,13 +230,15 @@ def test_criterion_9_multiplicity_bounds():
             produced.append((list(chain.results), d, 0))
         for alpha in (F(1, 2), F(1)):
             d = div([{"f": "x y", "alpha": str(alpha)}])
-            chain = hodge_chain(d, 4, i0_seed(d), certificate_for(d))
+            r = classify(d)
+            chain = hodge_chain(r, 4, i0_seed(r), certificate_for(r))
             produced.append((list(chain.results), d, 0))
         for alphas in iproduct((F(1, 2), F(1)), repeat=2):
             d = _snc_divisor(XY, alphas)
             produced.append(([snc_hodge_ideal(d, k) for k in range(4)], d, 0))
         cone = div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ)
-        chain = hodge_chain(cone, 1, i0_seed(cone), certificate_for(cone))
+        r = classify(cone)
+        chain = hodge_chain(r, 1, i0_seed(r), certificate_for(r))
         produced.append((list(chain.results), cone, 0))
         for results, d, level in produced:
             verdicts = check_multiplicity_bounds(results, d, level)

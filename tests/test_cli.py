@@ -122,6 +122,36 @@ def test_compute_no_seed_exits_3(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_compute_caller_seed_is_noted_on_every_result(tmp_path, capsys):
+    task = {"vars": ["x", "y"],
+            "divisor": {"components": [{"f": "x^2+x*y+y^2", "alpha": "1/2"}]},
+            "task": "compute", "k": 2, "method": "recursion",
+            "options": {"i0": ["x", "y^2"]}}
+    path = write_task(tmp_path, task)
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", path)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [res["k"] for res in results] == [0, 1, 2]
+    assert all("I_0 supplied by caller (trusted)" in res["notes"] for res in results)
+    code, out, _ = run_cli(capsys, "compute", path)
+    assert code == 0
+    assert out.count("I_0 supplied by caller (trusted)") == 3
+
+
+def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_calls):
+    k = 3
+    task = {"vars": ["x", "y", "z"],
+            "divisor": {"components": [{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"},
+                                       {"f": "z", "alpha": "1/3"}]},
+            "task": "compute", "k": k}
+    path = write_task(tmp_path, task)
+    for fmt in ("text", "json"):
+        groebner_calls.clear()
+        code, _, _ = run_cli(capsys, "--order", "lex", "--format", fmt, "compute", path)
+        assert code == 0
+        assert len(groebner_calls) == k + 1
+
+
 def test_compute_bad_alpha_exits_2(tmp_path, capsys):
     task = {"vars": ["x"], "divisor": {"components": [{"f": "x", "alpha": "0"}]},
             "task": "compute", "k": 0}

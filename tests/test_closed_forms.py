@@ -11,16 +11,17 @@ from hodgeideals import (
     Ideal,
     OrdinarySingularityModel,
     Polynomial,
-    WeightVector,
-    alpha_tilde_quasihomogeneous,
+    classify,
+    compute_chain,
     generation_level,
     node_ideal,
     ordinary_ideal,
     parse_divisor,
     parse_polynomial,
+    periodic_reduce,
     smooth_support_ideal,
     snc_hodge_ideal,
-    snc_reduced_ideal,
+    support,
 )
 from hodgeideals.closed_forms import (
     diagonal_exponents,
@@ -37,6 +38,12 @@ XYZ = ("x", "y", "z")
 
 def div(components, variables=XY):
     return parse_divisor({"vars": list(variables), "components": components})
+
+
+def snc_reduced_ideal(r, k, variables):
+    """I_k of the reduced SNC divisor x_1 * ... * x_r inside Q[variables]."""
+    d = div([{"f": name, "alpha": "1"} for name in variables[:r]], variables)
+    return snc_hodge_ideal(d, k).ideal
 
 
 def m_power(variables, e):
@@ -190,26 +197,22 @@ def test_node_examples():
 
 # -- quasi-homogeneous data ----------------------------------------------------------------
 
+def alpha_tilde(text, variables):
+    """Minimal exponent of a quasi-homogeneous isolated singularity: the
+    sum of the inferred weights."""
+    return sum(infer_weights(parse_polynomial(text, variables)).weights, F(0))
+
+
 def test_alpha_tilde_triple_lines():
-    h = parse_polynomial("x y (x + y)", XY)
-    assert alpha_tilde_quasihomogeneous(WeightVector((F(1, 3), F(1, 3))), h) == F(2, 3)
+    assert alpha_tilde("x y (x + y)", XY) == F(2, 3)
 
 
 def test_alpha_tilde_cusp():
-    h = parse_polynomial("x^2 + y^3", XY)
-    assert alpha_tilde_quasihomogeneous(WeightVector((F(1, 2), F(1, 3))), h) == F(5, 6)
+    assert alpha_tilde("x^2 + y^3", XY) == F(5, 6)
 
 
 def test_alpha_tilde_cone_matches_n_over_m():
-    h = parse_polynomial("x^2 + y^2 + z^2", XYZ)
-    w = WeightVector((F(1, 2),) * 3)
-    assert alpha_tilde_quasihomogeneous(w, h) == F(3, 2) == F(3) / 2
-
-
-def test_alpha_tilde_rejects_inhomogeneous():
-    h = parse_polynomial("x^2 + y^3", XY)
-    with pytest.raises(ValueError):
-        alpha_tilde_quasihomogeneous(WeightVector((F(1, 2), F(1, 2))), h)
+    assert alpha_tilde("x^2 + y^2 + z^2", XYZ) == F(3, 2) == F(3) / 2
 
 
 def test_generation_level_examples():
@@ -282,3 +285,53 @@ def test_diagonal_i0_cone_matches_power_rule():
             computed = diagonal_multiplier_i0((m,) * n, alpha, variables)
             e = -(-(alpha * m).numerator // (alpha * m).denominator) - n
             assert computed.equals(m_power(variables, e))
+
+
+# -- regime classification ---------------------------------------------------------------------
+
+def _components(*pairs):
+    return [{"f": f, "alpha": a} for f, a in pairs]
+
+
+# (components, variables, expected fields; unlisted facts are False/None)
+CLASSIFY_TABLE = [
+    ("linear form", _components(("x + 2*y", "1/2")), XY,
+     dict(linear=True, diagonal=(1, 1), alpha=F(1, 2))),
+    ("coordinate SNC", _components(("x", "3/2"), ("y", "1/2")), XY,
+     dict(positions=(0, 1), monomial=True, alpha=F(1, 2), twist="x")),
+    ("monomial x*y", _components(("x*y", "1")), XY,
+     dict(monomial=True, alpha=F(1))),
+    ("cusp", _components(("x^2+y^3", "9/10")), XY,
+     dict(diagonal=(2, 3), alpha=F(9, 10))),
+    ("cone", _components(("x^2+y^2+z^2", "3/4")), XYZ,
+     dict(diagonal=(2, 2, 2), alpha=F(3, 4),
+          ordinary=OrdinarySingularityModel(3, 2, F(3, 4)))),
+    ("node", _components(("x^2+x*y+y^2", "1/2")), XY, dict(alpha=F(1, 2))),
+    ("two alphas", _components(("x", "1/2"), ("y", "1/3")), XY,
+     dict(positions=(0, 1), monomial=True)),
+    ("certify-parse exit 3", _components(("x^2*y+5*y^3", "1/2")), XY, dict(alpha=F(1, 2))),
+]
+
+
+@pytest.mark.parametrize("name,components,variables,expected", CLASSIFY_TABLE,
+                         ids=[row[0] for row in CLASSIFY_TABLE])
+def test_classify_table(name, components, variables, expected):
+    d = div(components, variables)
+    r = classify(d)
+    facts = dict(linear=False, positions=None, monomial=False, diagonal=None, alpha=None,
+                 ordinary=None, twist="1")
+    facts.update(expected)
+    twist = facts.pop("twist")
+    assert {key: getattr(r, key) for key in facts} == facts
+    assert r.twist == parse_polynomial(twist, variables)
+    assert r.divisor == d
+    assert (r.reduced, r.twist) == periodic_reduce(d)
+    assert r.g == support(d)
+
+
+def test_classify_without_seed_regime_runs_no_groebner_basis(groebner_calls):
+    from hodgeideals import MethodUnavailableError
+    for text in ("x^2*y+5*y^3", "x^2+x*y+y^2"):
+        with pytest.raises(MethodUnavailableError, match="no computable I_0"):
+            compute_chain(div(_components((text, "1/2"))), 2)
+    assert groebner_calls == []

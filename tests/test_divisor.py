@@ -1,4 +1,4 @@
-"""Q-divisor model: support, round-up, periodic reduction, twists."""
+"""Q-divisor model: support, periodic reduction, twists."""
 
 from fractions import Fraction as F
 
@@ -10,14 +10,11 @@ from hodgeideals import (
     parse_divisor,
     parse_polynomial,
     periodic_reduce,
-    primed_to_unprimed,
-    round_up,
     snc_hodge_ideal,
     support,
     twist_polynomial,
     validate,
 )
-from hodgeideals.divisor import HodgeIdealResult
 
 XY = ("x", "y")
 
@@ -31,15 +28,9 @@ SNC = div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}])
 
 
 def test_support_equation():
-    assert support(CUSP).equation == parse_polynomial("x^2+y^3", XY)
-    assert support(SNC).equation == parse_polynomial("x y", XY)
-    assert support(div([{"f": "x", "alpha": "2"}])).equation == parse_polynomial("x", XY)
-
-
-def test_round_up():
-    assert round_up(SNC) == (2, 1)
-    assert round_up(div([{"f": "x", "alpha": "1"}])) == (1,)
-    assert round_up(CUSP) == (1,)
+    assert support(CUSP) == parse_polynomial("x^2+y^3", XY)
+    assert support(SNC) == parse_polynomial("x y", XY)
+    assert support(div([{"f": "x", "alpha": "2"}])) == parse_polynomial("x", XY)
 
 
 def test_periodic_reduce():
@@ -82,22 +73,6 @@ def test_twist_contains_every_unprimed_result():
         res = compute_ideal(d, k)
         twist_ideal = Ideal.principal(twist_polynomial(d))
         assert twist_ideal.contains_ideal(res.ideal)
-
-
-def test_primed_to_unprimed():
-    d = div([{"f": "x", "alpha": "3/2"}])
-    primed = HodgeIdealResult(k=0, ideal=Ideal.unit(XY), primed=True, method="smooth")
-    res = primed_to_unprimed(primed, d)
-    assert not res.primed
-    assert res.ideal.equals(Ideal.spanned_by(XY, ["x"]))
-
-    reduced = div([{"f": "x", "alpha": "1"}])
-    res = primed_to_unprimed(HodgeIdealResult(k=0, ideal=Ideal.unit(XY), primed=True), reduced)
-    assert res.ideal.equals(Ideal.unit(XY))
-
-    primed_cusp = HodgeIdealResult(k=0, ideal=Ideal.spanned_by(XY, ["x", "y"]), primed=True)
-    res = primed_to_unprimed(primed_cusp, CUSP)
-    assert res.ideal.equals(Ideal.spanned_by(XY, ["x", "y"]))
 
 
 def test_validate_clean_snc():

@@ -10,6 +10,7 @@ from hodgeideals import (
     Ideal,
     OrdinarySingularityModel,
     certificate_for,
+    classify,
     derivation_step,
     hodge_chain,
     i0_seed,
@@ -80,7 +81,7 @@ def test_step_monotone_over_g_times_input():
          div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ), 1),
     ]
     for i, d, k in cases:
-        g = support(d).equation
+        g = support(d)
         assert derivation_step(i, d, k).contains_ideal(g * i)
 
 
@@ -89,7 +90,7 @@ def test_reduced_single_factor_specialization():
     # step generators are exactly g*dw - (k + alpha)*w*dg
     alpha = F(9, 10)
     d = cusp(alpha)
-    g = support(d).equation
+    g = support(d)
     dlog = _dlog_numerators(d)
     for ell in range(2):
         assert dlog[ell] == alpha * g.diff(ell)
@@ -104,33 +105,34 @@ def test_reduced_single_factor_specialization():
 
 def test_seed_snc_twist():
     d = div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}])
-    res = i0_seed(d)
-    assert res.exact and res.ideal.equals(ideal("x"))
+    # the seed is I_0(B) of B = x^(1/2) y^(1/2); hodge_chain applies the twist x
+    res = i0_seed(classify(d))
+    assert res.exact and res.ideal.is_unit()
 
 
 def test_seed_cusp_above_threshold():
-    res = i0_seed(cusp("9/10"))
+    res = i0_seed(classify(cusp("9/10")))
     assert res.ideal.equals(ideal("x", "y"))
 
 
 def test_seed_cusp_log_canonical():
-    res = i0_seed(cusp("4/5"))
+    res = i0_seed(classify(cusp("4/5")))
     assert res.ideal.is_unit()
 
 
 def test_seed_monomial_node():
-    res = i0_seed(div([{"f": "x y", "alpha": "1"}]))
+    res = i0_seed(classify(div([{"f": "x y", "alpha": "1"}])))
     assert res.ideal.is_unit()
 
 
 def test_seed_unavailable():
     with pytest.raises(SeedUnavailableError):
-        i0_seed(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}]))
+        i0_seed(classify(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}])))
 
 
 def test_seed_user_supplied():
     custom = ideal("x", "y^2")
-    res = i0_seed(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}]), user_ideal=custom)
+    res = i0_seed(classify(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}])), user_ideal=custom)
     assert res.ideal.equals(custom)
     assert "trusted" in res.notes
 
@@ -138,21 +140,22 @@ def test_seed_user_supplied():
 # -- certificates -------------------------------------------------------------------
 
 def test_certificate_sources():
-    assert certificate_for(cusp("9/10")) == GenerationCertificate(0, "quasihomogeneous-formula")
-    assert certificate_for(div([{"f": "x y", "alpha": "1/2"}])) == \
+    assert certificate_for(classify(cusp("9/10"))) == \
+        GenerationCertificate(0, "quasihomogeneous-formula")
+    assert certificate_for(classify(div([{"f": "x y", "alpha": "1/2"}]))) == \
         GenerationCertificate(0, "node-example")
-    assert certificate_for(div([{"f": "x y z", "alpha": "1/2"}], XYZ)) == \
+    assert certificate_for(classify(div([{"f": "x y z", "alpha": "1/2"}], XYZ))) == \
         GenerationCertificate(2, "universal-bound")
 
 
 def test_certificate_triple_lines_level_one():
     d = div([{"f": "x y (x + y)", "alpha": "1/4"}])
-    assert certificate_for(d) == GenerationCertificate(1, "quasihomogeneous-formula")
+    assert certificate_for(classify(d)) == GenerationCertificate(1, "quasihomogeneous-formula")
 
 
 def test_certificate_cone_small_alpha():
     d = div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ)
-    assert certificate_for(d) == GenerationCertificate(1, "quasihomogeneous-formula")
+    assert certificate_for(classify(d)) == GenerationCertificate(1, "quasihomogeneous-formula")
 
 
 def test_certificate_triple_lines_level_boundary():
@@ -160,7 +163,7 @@ def test_certificate_triple_lines_level_boundary():
     # the surface case where level 0 fails
     for alpha, level in ((F(1, 4), 1), (F(1, 3), 1), (F(1, 3) + F(1, 100), 0), (F(1), 0)):
         d = div([{"f": "x y (x + y)", "alpha": str(alpha)}])
-        assert certificate_for(d).level == level
+        assert certificate_for(classify(d)).level == level
 
 
 def test_triple_lines_chain_below_level_is_lower_bound():
@@ -169,10 +172,11 @@ def test_triple_lines_chain_below_level_is_lower_bound():
     from hodgeideals.divisor import HodgeIdealResult
     d = div([{"f": "x y (x + y)", "alpha": "1/4"}])
     seed = HodgeIdealResult(k=0, ideal=Ideal.unit(XY), exact=True, method="recursion")
-    chain = hodge_chain(d, 1, seed, certificate_for(d))
+    r = classify(d)
+    chain = hodge_chain(r, 1, seed, certificate_for(r))
     assert chain.exact_boundary == 1
     assert not chain.result(1).exact
-    g = support(d).equation
+    g = support(d)
     assert chain.ideal(1).contains_ideal(Ideal.principal(g))
 
 
@@ -196,7 +200,7 @@ def test_chain_cusp_golden_from_stated_seed():
     # the parametric ideals at each alpha sample
     for alpha in (F(81, 100), F(9, 10), F(1)):
         d = cusp(alpha)
-        chain = hodge_chain(d, 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
+        chain = hodge_chain(classify(d), 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
         assert chain.exact_boundary is None
         assert chain.ideal(0).equals(ideal("x", "y"))
         assert chain.ideal(1).equals(ideal("x^2", "x y", "y^3"))
@@ -207,8 +211,8 @@ def test_chain_cusp_true_seed_above_threshold():
     # above the log-canonical threshold 5/6 the recognized I_0 is (x, y)
     # and the full auto chain lands on the same golden ideals
     for alpha in (F(9, 10), F(1)):
-        d = cusp(alpha)
-        chain = hodge_chain(d, 2, i0_seed(d), certificate_for(d))
+        r = classify(cusp(alpha))
+        chain = hodge_chain(r, 2, i0_seed(r), certificate_for(r))
         assert chain.exact_boundary is None
         assert chain.ideal(0).equals(ideal("x", "y"))
         assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
@@ -216,18 +220,18 @@ def test_chain_cusp_true_seed_above_threshold():
 
 def test_chain_cusp_below_threshold_has_trivial_i0():
     # 81/100 < 5/6: the pair is log canonical, so the true seed is (1)
-    d = cusp(F(81, 100))
-    seed = i0_seed(d)
+    r = classify(cusp(F(81, 100)))
+    seed = i0_seed(r)
     assert seed.ideal.is_unit()
-    chain = hodge_chain(d, 1, seed, certificate_for(d))
+    chain = hodge_chain(r, 1, seed, certificate_for(r))
     assert chain.exact_boundary is None
     assert chain.ideal(1).equals(ideal("x", "y^2"))
 
 
 def test_chain_node_maximal_powers():
     for alpha in (F(1, 2), F(1)):
-        d = div([{"f": "x y", "alpha": str(alpha)}])
-        chain = hodge_chain(d, 4, i0_seed(d), certificate_for(d))
+        r = classify(div([{"f": "x y", "alpha": str(alpha)}]))
+        chain = hodge_chain(r, 4, i0_seed(r), certificate_for(r))
         assert chain.exact_boundary is None
         assert chain.ideal(0).is_unit()
         for k in range(1, 5):
@@ -235,10 +239,10 @@ def test_chain_node_maximal_powers():
 
 
 def test_chain_cone_lower_bound_not_promoted():
-    d = div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ)
-    cert = certificate_for(d)
+    r = classify(div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ))
+    cert = certificate_for(r)
     assert cert.level == 1
-    chain = hodge_chain(d, 2, i0_seed(d), cert)
+    chain = hodge_chain(r, 2, i0_seed(r), cert)
     assert chain.result(0).exact
     assert not chain.result(1).exact
     assert not chain.result(2).exact  # index 1 >= level, but the input was already a bound
@@ -253,8 +257,9 @@ def test_chain_cone_lower_bound_not_promoted():
 def test_chain_applies_integral_twist():
     d = div([{"f": "x y", "alpha": "3/2"}])
     b, twist = periodic_reduce(d)
-    chain = hodge_chain(d, 2, i0_seed(b), certificate_for(d))
-    inner = hodge_chain(b, 2, i0_seed(b), certificate_for(b))
+    r, rb = classify(d), classify(b)
+    chain = hodge_chain(r, 2, i0_seed(r), certificate_for(r))
+    inner = hodge_chain(rb, 2, i0_seed(rb), certificate_for(rb))
     for k in range(3):
         assert chain.ideal(k).equals(twist * inner.ideal(k))
 
@@ -262,8 +267,9 @@ def test_chain_applies_integral_twist():
 def test_chain_rejects_inexact_seed():
     from hodgeideals.divisor import HodgeIdealResult
     bad = HodgeIdealResult(k=0, ideal=Ideal.unit(XY), exact=False)
+    r = classify(cusp("9/10"))
     with pytest.raises(ValueError):
-        hodge_chain(cusp("9/10"), 1, bad, certificate_for(cusp("9/10")))
+        hodge_chain(r, 1, bad, certificate_for(r))
 
 
 # -- SNC lower-bound soundness grid ---------------------------------------------------
@@ -284,7 +290,7 @@ def test_snc_step_is_sound_and_exact_when_certified(r, variables):
             target = snc_hodge_ideal(d, k + 1).ideal
             assert target.contains_ideal(step)
             same_alpha = len(set(alphas)) == 1
-            certified = k >= n - 1 or (same_alpha and certificate_for(d).level <= k)
+            certified = k >= n - 1 or (same_alpha and certificate_for(classify(d)).level <= k)
             if certified:
                 assert step.equals(target)
 
@@ -293,7 +299,8 @@ def test_snc_step_is_sound_and_exact_when_certified(r, variables):
 
 def test_multiplicity_growth_cusp_and_node():
     for d, m in ((cusp("9/10"), 2), (div([{"f": "x y", "alpha": "1"}]), 2)):
-        chain = hodge_chain(d, 3, i0_seed(d), certificate_for(d))
+        r = classify(d)
+        chain = hodge_chain(r, 3, i0_seed(r), certificate_for(r))
         for k in range(1, 4):
             prev, cur = chain.ideal(k - 1), chain.ideal(k)
             if prev.is_unit() and cur.is_unit():
@@ -307,5 +314,5 @@ def test_alpha_sampling_stability_for_cusp():
     samples = (F(4, 5) + F(1, 100), F(9, 10), F(1))
     for alpha in samples:
         d = cusp(alpha)
-        chain = hodge_chain(d, 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
+        chain = hodge_chain(classify(d), 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
         assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
