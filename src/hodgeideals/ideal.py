@@ -7,6 +7,7 @@ other orders exist for diagnostics only.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -67,8 +68,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     (lmf, lcf) = f.leading(order)
     (lmg, lcg) = g.leading(order)
     lcm = mono_lcm(lmf, lmg)
-    mf = Polynomial.monomial(f.vars, mono_div(lcm, lmf), Fraction(1) / lcf)
-    mg = Polynomial.monomial(g.vars, mono_div(lcm, lmg), Fraction(1) / lcg)
+    mf = Polynomial._raw(f.vars, {mono_div(lcm, lmf): 1 / lcf})
+    mg = Polynomial._raw(g.vars, {mono_div(lcm, lmg): 1 / lcg})
     return mf * f - mg * g
 
 
@@ -83,10 +84,16 @@ def groebner_basis(generators: Iterable[Polynomial],
     """The reduced Groebner basis of the ideal spanned by ``generators``.
 
     Buchberger's algorithm with the normal selection strategy (pair of
-    smallest lcm first) and both classical pair-elimination criteria,
-    followed by inter-reduction and monic normalization.  The output is
-    the unique canonical form of the ideal for the given order, sorted
-    by leading monomial descending.  The zero ideal yields ().
+    smallest lcm first, from a heap) and the Gebauer-Moeller pair update
+    (Gebauer & Moeller, "On an installation of Buchberger's algorithm",
+    J. Symbolic Comput. 6, 1988): each new basis element has its pairs
+    pruned by the chain and coprime criteria when they are created,
+    removes the pending pairs whose lcm its leading monomial strictly
+    divides, and retires the elements whose leading monomials it divides
+    from further pairing.  Inter-reduction and monic normalization
+    follow.  The output is the unique canonical form of the ideal for
+    the given order, sorted by leading monomial descending.  The zero
+    ideal yields ().
     """
     polys = [g for g in generators if g]
     if not polys:
@@ -96,50 +103,63 @@ def groebner_basis(generators: Iterable[Polynomial],
         if g.vars != variables:
             raise AmbientMismatchError("generators must share one ambient")
     one = Polynomial.one(variables)
-    basis = sorted({g.monic(order) for g in polys}, key=lambda p: _poly_sort_key(p, order))
-    if any(p.is_constant() for p in basis):
+    inputs = sorted({g.monic(order) for g in polys}, key=lambda p: _poly_sort_key(p, order))
+    if any(p.is_constant() for p in inputs):
         return (one,)
 
-    lead = [p.leading_monomial(order) for p in basis]
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
-    done: set[tuple[int, int]] = set()
+    key = order.key
+    basis: list[Polynomial] = []
+    lead: list[Monomial] = []
+    active: list[int] = []  # basis elements still paired with new ones, and used to reduce
+    # Pending pairs (order key of lcm, i, j, lcm) with i < j; the key and
+    # then the indices decide which pair is selected first.
+    heap: list[tuple] = []
 
-    def pending(a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in pairs
-
-    while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(mono_lcm(lead[p[0]], lead[p[1]])), p))
-        pairs.discard((i, j))
-        done.add((i, j))
-        lcm = mono_lcm(lead[i], lead[j])
-        # First criterion: coprime leading monomials need no reduction.
-        if lcm == mono_mul(lead[i], lead[j]):
-            continue
-        # Chain criterion: a third basis element whose leading monomial
-        # divides the lcm and whose pairs with i and j were both handled.
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+    def update(h: Polynomial) -> None:
+        lm = h.leading_monomial(order)
+        new = len(basis)
+        basis.append(h)
+        lead.append(lm)
+        # Old pairs whose lcm lm strictly divides are redundant: the
+        # pairs with h cover them.
+        survivors = [p for p in heap
+                     if mono_div(p[3], lm) is None
+                     or mono_lcm(lead[p[1]], lm) == p[3] or mono_lcm(lead[p[2]], lm) == p[3]]
+        if len(survivors) < len(heap):
+            heap[:] = survivors
+            heapq.heapify(heap)
+        # Chain criterion on the new pairs (g, h): keep one pair per lcm,
+        # and only for lcms that no other new lcm strictly divides.
+        # Ascending order lists every divisor of an lcm before it.  An lcm
+        # shared with a coprime pair needs no pair at all (first criterion).
+        fresh = sorted((key(lcm), lcm, g)
+                       for g in active for lcm in (mono_lcm(lead[g], lm),))
+        kept_lcms: list[Monomial] = []
+        for (k, lcm), group in itertools.groupby(fresh, key=lambda t: t[:2]):
+            if any(mono_div(lcm, m) is not None for m in kept_lcms):
                 continue
-            if mono_div(lcm, lead[k]) is not None and not pending(i, k) and not pending(j, k):
-                skip = True
-                break
-        if skip:
-            continue
-        rem = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+            kept_lcms.append(lcm)
+            members = [g for _, _, g in group]
+            if not any(lcm == mono_mul(lead[g], lm) for g in members):
+                heapq.heappush(heap, (k, members[0], new, lcm))
+        active[:] = [g for g in active if mono_div(lead[g], lm) is None]
+        active.append(new)
+
+    for p in inputs:
+        update(p)
+    while heap:
+        _, i, j, _ = heapq.heappop(heap)
+        rem = normal_form(s_polynomial(basis[i], basis[j], order),
+                          [basis[t] for t in active], order)
         if rem:
             if rem.is_constant():
                 return (one,)
-            rem = rem.monic(order)
-            basis.append(rem)
-            lead.append(rem.leading_monomial(order))
-            new = len(basis) - 1
-            pairs.update((t, new) for t in range(new))
+            update(rem.monic(order))
 
     # Minimalize: keep only elements whose leading monomial is not a
     # multiple of another's.
     minimal: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda t: order.key(lead[t])):
+    for i in sorted(active, key=lambda t: key(lead[t])):
         if all(mono_div(lead[i], lead[m]) is None for m in minimal):
             minimal.append(i)
     # Inter-reduce to the reduced basis.
@@ -150,7 +170,7 @@ def groebner_basis(generators: Iterable[Polynomial],
         h = normal_form(g, others, order)
         if h:
             reduced.append(h.monic(order))
-    reduced.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
+    reduced.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
     return tuple(reduced)
 
 
@@ -335,6 +355,18 @@ class Ideal:
     def is_unit(self) -> bool:
         basis = self.groebner().basis
         return len(basis) == 1 and basis[0].is_constant()
+
+    def is_zero_dimensional(self) -> bool:
+        """True iff V(I) is a finite set of points (the empty set included).
+
+        Finiteness theorem: every variable has a pure power among the
+        leading monomials of the reduced grevlex basis (Cox, Little,
+        O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 5 Sec. 3).  The
+        constant 1 counts as a pure power of each variable.
+        """
+        leads = [g.leading_monomial() for g in self.groebner()]
+        return all(any(not any(e for j, e in enumerate(m) if j != i) for m in leads)
+                   for i in range(len(self.vars)))
 
     def to_str(self, order: MonomialOrder = GREVLEX) -> str:
         return "ideal(" + ", ".join(g.to_str(order) for g in self.groebner(order)) + ")"

@@ -92,10 +92,11 @@ class Polynomial:
     """Immutable multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples to nonzero coefficients; zero terms are
-    never stored.  All operations are pure and return new values.
+    never stored.  All operations are pure and return new values.  The
+    leading term is cached for the order it was last asked in.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_lead")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object]):
         variables = tuple(variables)
@@ -117,6 +118,7 @@ class Polynomial:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -130,6 +132,7 @@ class Polynomial:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
         return self
 
     @classmethod
@@ -341,10 +344,15 @@ class Polynomial:
         return min(sum(m) for m in self.terms)
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Fraction]:
+        cached = self._lead
+        if cached is not None and cached[0] is order:
+            return cached[1]
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        lt = (m, self.terms[m])
+        object.__setattr__(self, "_lead", (order, lt))
+        return lt
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
         return self.leading(order)[0]

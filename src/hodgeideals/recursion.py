@@ -210,15 +210,18 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     """Best available generation-level certificate for the divisor.
 
     Tries the quasi-homogeneous formula floor(n - alpha_tilde - alpha)
-    on the support equation (weights inferred exactly; the isolated
-    singularity hypothesis is the caller's), then the surface-node
-    example, then the universal n-1 bound.
+    on the support equation g (weights inferred exactly), issued only
+    when the singularity is isolated: the Jacobian ideal of g must be
+    zero-dimensional, which for a weighted-homogeneous g is the same
+    check globally as at the origin.  Then the surface-node example,
+    then the universal n-1 bound.
     """
     n = len(regime.divisor.vars)
     g = regime.g
     if regime.alpha is not None:
         weights = infer_weights(g)
-        if weights is not None:
+        if weights is not None and \
+                Ideal(g.vars, [g.diff(i) for i in range(n)]).is_zero_dimensional():
             tilde = sum(weights.weights, Fraction(0))
             return GenerationCertificate(
                 level=generation_level(n, tilde, regime.alpha),

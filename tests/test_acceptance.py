@@ -15,6 +15,7 @@ from hodgeideals import (
     OrdinarySingularityModel,
     certificate_for,
     classify,
+    compute_chain,
     hodge_chain,
     i0_seed,
     ordinary_ideal,
@@ -243,3 +244,21 @@ def test_criterion_9_multiplicity_bounds():
         for results, d, level in produced:
             verdicts = check_multiplicity_bounds(results, d, level)
             assert report_ok(verdicts), [v for v in verdicts if v.status != PASS]
+
+
+# -- Groebner engine regression guard ------------------------------------------------------------
+
+def test_three_variable_chains_within_ceiling():
+    # A generous ceiling: with a pair selection that rescans every pending
+    # pair, these chains took about 28 s (cone) and 128 s (x^2+y^3+z^5).
+    for f, alpha, method, k_max in (("x^2+y^2+z^2", "3/4", "recursion", 6),
+                                    ("x^2+y^3+z^5", "1", "auto", 5)):
+        d = div([{"f": f, "alpha": alpha}], XYZ)
+        start = time.perf_counter()
+        results = compute_chain(d, k_max, method)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"{f} to k = {k_max} took {elapsed:.2f} s"
+        assert [res.k for res in results] == list(range(k_max + 1))
+        assert all(res.exact for res in results)
+        for prev, cur in zip(results, results[1:]):
+            assert prev.ideal.contains_ideal(cur.ideal)

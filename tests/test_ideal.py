@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hodgeideals import GREVLEX, Ideal, Polynomial, groebner_basis, normal_form
+from hodgeideals import GREVLEX, GRLEX, LEX, Ideal, Polynomial, groebner_basis, normal_form
 from hodgeideals.ideal import mono_div
 from hodgeideals.parser import parse_polynomial
 
@@ -159,6 +159,19 @@ def test_ideal_text_form_uses_reduced_basis_descending():
     assert Ideal.zero(XY).to_str() == "ideal()"
 
 
+@pytest.mark.parametrize("gens,variables,expected", [
+    (["x^2", "y^3"], ("x", "y"), True),
+    (["x^2 + y^2", "x y"], ("x", "y"), True),
+    (["x y"], ("x", "y"), False),
+    (["1"], ("x", "y"), True),
+    ([], ("x", "y"), False),
+    (["3x^2 + y z", "3y^2 + x z", "x y"], ("x", "y", "z"), False),
+    (["x^2", "y^2", "z^2"], ("x", "y", "z"), True),
+])
+def test_is_zero_dimensional(gens, variables, expected):
+    assert Ideal.spanned_by(variables, gens).is_zero_dimensional() is expected
+
+
 # -- structural properties of reduced bases -------------------------------------------------
 
 SAMPLE_IDEALS = [
@@ -195,6 +208,50 @@ def test_every_s_polynomial_reduces_to_zero(gens):
 def test_groebner_is_idempotent(gens):
     basis = groebner_basis([p(t) for t in gens])
     assert groebner_basis(basis) == basis
+
+
+def _derivation_step_inputs(f, alpha, k_max, monkeypatch):
+    """The generator lists ``derivation_step`` hands to ``groebner_basis``
+    along the chain of the diagonal divisor ``alpha * (f = 0)``."""
+    import hodgeideals.ideal
+    from hodgeideals import classify, derivation_step, i0_seed, parse_divisor
+    real = hodgeideals.ideal.groebner_basis
+    seen = []
+
+    def recording(generators, order=GREVLEX):
+        seen.append(tuple(generators))
+        return real(seen[-1], order)
+
+    d = parse_divisor({"vars": ["x", "y", "z"], "components": [{"f": f, "alpha": alpha}]})
+    r = classify(d)
+    current = i0_seed(r).ideal.canonical()
+    inputs = []
+    with monkeypatch.context() as m:
+        m.setattr(hodgeideals.ideal, "groebner_basis", recording)
+        for k in range(k_max):
+            seen.clear()
+            current = derivation_step(current, r.reduced, k)
+            inputs.extend(seen)
+    return inputs
+
+
+@pytest.mark.parametrize("f,alpha,k_max", [("x^2+y^2+z^2", "3/4", 4), ("x^2+y^3+z^5", "1", 3)])
+def test_groebner_basis_ignores_generator_order(f, alpha, k_max, monkeypatch):
+    from hodgeideals.ideal import s_polynomial
+    inputs = _derivation_step_inputs(f, alpha, k_max, monkeypatch)
+    assert len(inputs) == k_max
+    rng = random.Random(5)
+    for gens in inputs:
+        for order in (GREVLEX, LEX, GRLEX):
+            basis = groebner_basis(gens, order)
+            for _ in range(2):
+                shuffled = list(gens)
+                rng.shuffle(shuffled)
+                assert groebner_basis(shuffled, order) == basis
+            assert groebner_basis(gens[::-1], order) == basis
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    assert not normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
 
 
 def test_normal_form_remainder_is_fully_reduced():

@@ -148,6 +148,22 @@ def test_certificate_sources():
         GenerationCertificate(2, "universal-bound")
 
 
+def test_certificate_needs_an_isolated_singularity():
+    # x^3+y^3+xyz is weighted-homogeneous, but it is singular along the
+    # whole z-axis, so the quasi-homogeneous formula does not apply.
+    d = div([{"f": "x^3+y^3+x*y*z", "alpha": "1/2"}], XYZ)
+    r = classify(d)
+    cert = certificate_for(r)
+    assert cert == GenerationCertificate(2, "universal-bound")
+    # A chain seeded at k = 1 stays a lower bound at k = 2.
+    from hodgeideals.divisor import HodgeIdealResult
+    seed = HodgeIdealResult(k=1, ideal=Ideal.unit(XYZ), exact=True, method="recursion")
+    assert not hodge_chain(r, 2, seed, cert).result(2).exact
+    # The isolated Fermat cubic keeps the formula.
+    fermat = div([{"f": "x^3+y^3+z^3", "alpha": "1/2"}], XYZ)
+    assert certificate_for(classify(fermat)).source == "quasihomogeneous-formula"
+
+
 def test_certificate_triple_lines_level_one():
     d = div([{"f": "x y (x + y)", "alpha": "1/4"}])
     assert certificate_for(classify(d)) == GenerationCertificate(1, "quasihomogeneous-formula")
