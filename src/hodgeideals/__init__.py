@@ -49,7 +49,7 @@ from .certificates import (
     smoothness_test,
     triviality_certificate,
 )
-from .compute import MethodUnavailableError, compute_chain, compute_ideal
+from .compute import MethodUnavailableError, compute_chain
 
 __all__ = [
     "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",
@@ -65,5 +65,5 @@ __all__ = [
     "Decision", "ExceptionalDivisor", "MultiplicityData", "ResolutionData",
     "alpha_multiple_membership", "nontriviality_symbolic_power",
     "singular_multiplicity_bound", "smoothness_test", "triviality_certificate",
-    "MethodUnavailableError", "compute_chain", "compute_ideal",
+    "MethodUnavailableError", "compute_chain",
 ]

@@ -31,15 +31,10 @@ class MethodUnavailableError(ValueError):
     """No computation method applies to the divisor as requested."""
 
 
-def _used_variable_indices(divisor: QDivisor) -> list[int]:
-    return [i for i in range(len(divisor.vars))
-            if any(f.uses_variable(i) for f in divisor.factors)]
-
-
 def _restrict_to_used(divisor: QDivisor) -> Optional[tuple[QDivisor, tuple[str, ...]]]:
     """Divisor rewritten over the variables its equations use, when that
     is a proper subset; None otherwise."""
-    used = _used_variable_indices(divisor)
+    used = divisor.used_variables()
     if len(used) == len(divisor.vars):
         return None
     subvars = tuple(divisor.vars[i] for i in used)
@@ -119,9 +114,3 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     if seed_ideal is not None:
         return [res.with_note(seed.notes) for res in results]
     return list(results)
-
-
-def compute_ideal(divisor: QDivisor, k: int, method: str = "auto",
-                  seed_ideal: Optional[Ideal] = None,
-                  certificate: Optional[GenerationCertificate] = None) -> HodgeIdealResult:
-    return compute_chain(divisor, k, method, seed_ideal, certificate)[k]

@@ -44,6 +44,11 @@ class QDivisor:
     def factors(self) -> tuple[Polynomial, ...]:
         return tuple(f for f, _ in self.components)
 
+    def used_variables(self) -> tuple[int, ...]:
+        """Indices of the ambient variables some component equation uses."""
+        return tuple(i for i in range(len(self.vars))
+                     if any(f.uses_variable(i) for f in self.factors))
+
     def is_reduced_regime(self) -> bool:
         """True when every coefficient lies in (0, 1], i.e. ceil(D) = Z."""
         return all(alpha <= 1 for alpha in self.alphas)

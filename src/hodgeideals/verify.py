@@ -25,7 +25,7 @@ from .certificates import (
     triviality_certificate,
 )
 from .closed_forms import OrdinarySingularityModel, ordinary_triviality
-from .compute import MethodUnavailableError, compute_chain, compute_ideal
+from .compute import MethodUnavailableError, compute_chain
 from .divisor import HodgeIdealResult, QDivisor, support
 from .ideal import Ideal
 from .parser import parse_polynomial
@@ -106,22 +106,18 @@ def check_chain_inclusions(results: Sequence[HodgeIdealResult],
 # Subadditivity and the product formula
 
 
-def _disjoint_supports(d1: QDivisor, d2: QDivisor) -> bool:
-    used1 = {i for f in d1.factors for i in range(len(d1.vars)) if f.uses_variable(i)}
-    used2 = {i for f in d2.factors for i in range(len(d2.vars)) if f.uses_variable(i)}
-    return not (used1 & used2)
-
-
-def _product_formula_sum(d1: QDivisor, d2: QDivisor, k: int,
-                         joint_vars: Sequence[str]) -> Ideal:
-    """sum over i+j=k of (I_i(D1)*g1^j) * (I_j(D2)*g2^i), in the joint ring."""
+def _convolution(d1: QDivisor, chain1: Sequence[HodgeIdealResult], d2: QDivisor,
+                 chain2: Sequence[HodgeIdealResult], joint_vars: Sequence[str]) -> Ideal:
+    """sum over i+j=k of (I_i(D1)*g1^j) * (I_j(D2)*g2^i) in the joint ring,
+    read from the chains I_0..I_k of D1 and D2."""
     g1 = support(d1)
     g2 = support(d2)
+    k = len(chain1) - 1
     total = Ideal.zero(joint_vars)
     for i in range(k + 1):
         j = k - i
-        left = (compute_ideal(d1, i).ideal * (g1 ** j)).extend(joint_vars)
-        right = (compute_ideal(d2, j).ideal * (g2 ** i)).extend(joint_vars)
+        left = (chain1[i].ideal * (g1 ** j)).extend(joint_vars)
+        right = (chain2[j].ideal * (g2 ** i)).extend(joint_vars)
         total = total + left * right
     return total
 
@@ -136,33 +132,28 @@ def check_subadditivity(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
         raise ValueError("subadditivity compares divisors on one space")
     name = f"{d1.describe()} | {d2.describe()} [k={k}]"
     verdicts: list[Verdict] = []
-    disjoint = _disjoint_supports(d1, d2)
+    disjoint = not set(d1.used_variables()) & set(d2.used_variables())
     if not disjoint:
         verdicts.append(Verdict(claim="subadditivity-hypothesis", instance=name,
                                 status=OBSERVED, required=False,
                                 detail="supports share variables; reducedness of Z1+Z2 trusted"))
     combined = QDivisor(d1.vars, d1.components + d2.components)
     try:
-        lhs_res = compute_ideal(combined, k)
+        lhs_res = compute_chain(combined, k)[k]
         lhs = lhs_res.ideal if lhs_res.exact else None
         lhs_note = "I_k(D1+D2) by direct computation"
     except MethodUnavailableError:
         lhs = None
-        lhs_note = ""
-    if lhs is None and disjoint:
-        lhs = _product_formula_sum(d1, d2, k, d1.vars).canonical()
-        lhs_note = "I_k(D1+D2) through the product formula (disjoint variables)"
-    if lhs is None:
+    if lhs is None and not disjoint:
         return verdicts + [Verdict(claim="subadditivity", instance=name, status=FAIL,
                                    detail="left-hand side not computable exactly")]
-    g1 = support(d1)
-    g2 = support(d2)
-    middle = Ideal.zero(d1.vars)
-    for i in range(k + 1):
-        j = k - i
-        term = compute_ideal(d1, i).ideal * compute_ideal(d2, j).ideal
-        middle = middle + term * (g1 ** j * g2 ** i)
-    outer = compute_ideal(d1, k).ideal * compute_ideal(d2, k).ideal
+    chain1 = compute_chain(d1, k)
+    chain2 = compute_chain(d2, k)
+    middle = _convolution(d1, chain1, d2, chain2, d1.vars)
+    if lhs is None:
+        lhs = middle
+        lhs_note = "I_k(D1+D2) through the product formula (disjoint variables)"
+    outer = chain1[k].ideal * chain2[k].ideal
     ok1 = middle.contains_ideal(lhs)
     ok2 = outer.contains_ideal(middle)
     verdicts.append(Verdict(claim="subadditivity-refined", instance=name,
@@ -183,11 +174,11 @@ def check_product_formula(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
     name = f"{d1.describe()} x {d2.describe()} [k={k}]"
     combined = QDivisor(joint, tuple(
         (f.extend(joint), alpha) for f, alpha in d1.components + d2.components))
-    lhs_res = compute_ideal(combined, k)
+    lhs_res = compute_chain(combined, k)[k]
     if not lhs_res.exact or lhs_res.ideal is None:
         return [Verdict(claim="product-formula", instance=name, status=FAIL,
                         detail="I_k(B1+B2) not computable exactly on this instance")]
-    rhs = _product_formula_sum(d1, d2, k, joint)
+    rhs = _convolution(d1, compute_chain(d1, k), d2, compute_chain(d2, k), joint)
     ok = lhs_res.ideal.equals(rhs)
     return [Verdict(claim="product-formula", instance=name,
                     status=PASS if ok else FAIL,
@@ -198,6 +189,41 @@ def check_product_formula(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
 # Restriction to hyperplanes
 
 
+def _restriction(divisor: QDivisor, var_index: int,
+                 k: int) -> Callable[[Polynomial, bool], list[Verdict]]:
+    """``check_restriction`` against any hyperplane x_i = replacement, with
+    both sides computed once: on a cylinder neither I_k(D) nor I_k(D|_Y)
+    depends on the hyperplane."""
+    if var_index in divisor.used_variables():
+        raise ValueError("restriction check wants a cylinder: equations must not "
+                         "use the eliminated variable")
+    sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
+    ambient = compute_chain(divisor, k)[k]
+    failure = None if ambient.exact else "ambient ideal not computable exactly"
+    if failure is None:
+        intrinsic = compute_chain(QDivisor(sub_vars, tuple(
+            (f.substitute(var_index, Polynomial.zero(sub_vars)), alpha)
+            for f, alpha in divisor.components)), k)[k]
+        failure = None if intrinsic.exact else "intrinsic ideal not computable exactly"
+
+    def verdicts(replacement: Polynomial, expect_equality: bool) -> list[Verdict]:
+        name = f"{divisor.describe()} | {divisor.vars[var_index]} -> {replacement} [k={k}]"
+        if failure is not None:
+            return [Verdict(claim="restriction", instance=name, status=FAIL, detail=failure)]
+        restricted = Ideal(sub_vars, tuple(
+            g.substitute(var_index, replacement) for g in ambient.ideal.generators))
+        out = [Verdict(claim="restriction", instance=name,
+                       status=PASS if restricted.contains_ideal(intrinsic.ideal) else FAIL,
+                       detail="I_k(D|_Y) in I_k(D)*O_Y; reducedness of Z|_Y trusted")]
+        if expect_equality:
+            out.append(Verdict(claim="restriction-generic-equality", instance=name,
+                               status=PASS if restricted.equals(intrinsic.ideal) else FAIL,
+                               detail="equality for a generic hyperplane draw"))
+        return out
+
+    return verdicts
+
+
 def check_restriction(divisor: QDivisor, var_index: int, replacement: Polynomial,
                       k: int, expect_equality: bool = True) -> list[Verdict]:
     """Restriction to the hyperplane (x_i = replacement): the intrinsic
@@ -206,31 +232,7 @@ def check_restriction(divisor: QDivisor, var_index: int, replacement: Polynomial
     Only cylinders (equations independent of the eliminated variable)
     are computed exactly; reducedness of Z|_Y is trusted and noted.
     """
-    if any(f.uses_variable(var_index) for f in divisor.factors):
-        raise ValueError("restriction check wants a cylinder: equations must not "
-                         "use the eliminated variable")
-    sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
-    name = (f"{divisor.describe()} | {divisor.vars[var_index]} -> {replacement} [k={k}]")
-    ambient = compute_ideal(divisor, k)
-    if not ambient.exact:
-        return [Verdict(claim="restriction", instance=name, status=FAIL,
-                        detail="ambient ideal not computable exactly")]
-    restricted = Ideal(sub_vars, tuple(
-        g.substitute(var_index, replacement) for g in ambient.ideal.generators))
-    intrinsic_divisor = QDivisor(sub_vars, tuple(
-        (f.substitute(var_index, replacement), alpha) for f, alpha in divisor.components))
-    intrinsic = compute_ideal(intrinsic_divisor, k)
-    if not intrinsic.exact:
-        return [Verdict(claim="restriction", instance=name, status=FAIL,
-                        detail="intrinsic ideal not computable exactly")]
-    verdicts = [Verdict(claim="restriction", instance=name,
-                        status=PASS if restricted.contains_ideal(intrinsic.ideal) else FAIL,
-                        detail="I_k(D|_Y) in I_k(D)*O_Y; reducedness of Z|_Y trusted")]
-    if expect_equality:
-        verdicts.append(Verdict(claim="restriction-generic-equality", instance=name,
-                                status=PASS if restricted.equals(intrinsic.ideal) else FAIL,
-                                detail="equality for a generic hyperplane draw"))
-    return verdicts
+    return _restriction(divisor, var_index, k)(replacement, expect_equality)
 
 
 def _generic_restriction_draws(divisor: QDivisor, var_index: int, k: int,
@@ -239,12 +241,13 @@ def _generic_restriction_draws(divisor: QDivisor, var_index: int, k: int,
     equality while others pass is re-drawn once and logged, not treated
     as a theorem violation; a persistent failure stays FAIL."""
     sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
+    check = _restriction(divisor, var_index, k)
 
     def draw() -> tuple[Polynomial, list[Verdict]]:
         repl = Polynomial.zero(sub_vars)
         for name in sub_vars:
             repl = repl + _random_fraction(rng) * Polynomial.variable(sub_vars, name)
-        return repl, check_restriction(divisor, var_index, repl, k)
+        return repl, check(repl, True)
 
     out: list[Verdict] = []
     results = [draw() for _ in range(draws)]
@@ -276,8 +279,8 @@ def check_periodicity(divisor: QDivisor, multiplicities: Sequence[int],
     shifted = QDivisor(divisor.vars, tuple(
         (f, alpha + m) for (f, alpha), m in zip(divisor.components, multiplicities)))
     name = (f"{divisor.describe()} + {'+'.join(str(m) for m in multiplicities)}*Z [k={k}]")
-    lhs = compute_ideal(shifted, k)
-    rhs_base = compute_ideal(divisor, k)
+    lhs = compute_chain(shifted, k)[k]
+    rhs_base = compute_chain(divisor, k)[k]
     if not (lhs.exact and rhs_base.exact):
         return [Verdict(claim="periodicity", instance=name, status=FAIL,
                         detail="one side not computable exactly")]

@@ -5,20 +5,34 @@ import sys
 import pytest
 
 
+def _record_calls(monkeypatch, real, record):
+    """Replace ``real`` by a recording wrapper in every package module that
+    holds it; each call appends ``record(*args)`` to the returned list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hodgeideals" and \
+                getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counted)
+    return calls
+
+
 @pytest.fixture
 def groebner_calls(monkeypatch):
     """A list that gets one entry per ``groebner_basis`` call, counted in
     every package module that holds the function."""
     import hodgeideals.ideal
-    real = hodgeideals.ideal.groebner_basis
-    calls = []
+    return _record_calls(monkeypatch, hodgeideals.ideal.groebner_basis, lambda *args: 1)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hodgeideals" and \
-                getattr(module, "groebner_basis", None) is real:
-            monkeypatch.setattr(module, "groebner_basis", counted)
-    return calls
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """A list that gets the divisor of every ``compute_chain`` call,
+    counted in every package module that holds the function."""
+    import hodgeideals.compute
+    return _record_calls(monkeypatch, hodgeideals.compute.compute_chain,
+                         lambda divisor, *args: divisor)

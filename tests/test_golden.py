@@ -48,3 +48,8 @@ def test_snc_compute_text_golden(tmp_path, capsys):
 def test_certify_text_golden(tmp_path, capsys):
     out = run(tmp_path, capsys, CERT_TASK, "--format", "text", "certify")
     assert out == (GOLDEN / "certify_trivial.txt").read_text()
+
+
+def test_verify_all_json_golden(capsys):
+    assert main(["--format", "json", "--seed", "7", "verify", "all"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_all.json").read_text()

@@ -1,5 +1,7 @@
 """Property-verifier suites and their verdict reports."""
 
+import random
+
 import pytest
 
 from hodgeideals import compute_chain, parse_divisor
@@ -8,6 +10,7 @@ from hodgeideals.verify import (
     OBSERVED,
     PASS,
     SUITES,
+    _generic_restriction_draws,
     check_chain_inclusions,
     check_periodicity,
     check_product_formula,
@@ -66,11 +69,27 @@ def test_subadditivity_cusp_times_line_uses_product_route():
     assert any("product formula" in v.detail for v in verdicts)
 
 
+def test_subadditivity_computes_each_chain_once(chain_calls):
+    cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
+    line = div([{"f": "z", "alpha": "3/4"}], ("x", "y", "z"))
+    assert report_ok(check_subadditivity(cusp, line, 2))
+    assert cusp in chain_calls and line in chain_calls
+    assert len(chain_calls) == len(set(chain_calls))
+
+
 def test_product_formula_example():
     d1 = div([{"f": "x", "alpha": "3/4"}], ("x",))
     d2 = div([{"f": "y", "alpha": "3/4"}], ("y",))
     verdicts = check_product_formula(d1, d2, 1)
     assert [v.status for v in verdicts] == [PASS]
+
+
+def test_product_formula_computes_each_chain_once(chain_calls):
+    d1 = div([{"f": "x", "alpha": "3/4"}], ("x",))
+    d2 = div([{"f": "y", "alpha": "1/2"}, {"f": "z", "alpha": "1"}], ("y", "z"))
+    assert report_ok(check_product_formula(d1, d2, 2))
+    assert d1 in chain_calls and d2 in chain_calls
+    assert len(chain_calls) == len(set(chain_calls))
 
 
 def test_product_formula_rejects_shared_variables():
@@ -99,6 +118,17 @@ def test_restriction_suite_draws_at_least_three_generic_hyperplanes():
     per_k = [v for v in verdicts if v.claim == "restriction-generic-equality"
              and "[k=1]" in v.instance and "y^3 + x^2" in v.instance]
     assert len(per_k) >= 3
+
+
+def test_restriction_draws_share_their_chains(chain_calls):
+    cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
+    counts = []
+    for draws in (1, 3):
+        chain_calls.clear()
+        verdicts = _generic_restriction_draws(cusp, 2, 2, random.Random(7), draws)
+        assert report_ok(verdicts)
+        counts.append(len(chain_calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_periodicity_checks():
