@@ -40,12 +40,10 @@ class InputError(ValueError):
 class TaskSpec:
     """A validated task file: divisor, level, method selector, options."""
 
-    task: str
     divisor: Optional[QDivisor]
     k: int
     method: str
     options: dict
-    raw: dict
 
 
 def _load_document(path: str) -> dict:
@@ -80,7 +78,7 @@ def _task_spec(doc: dict, expected: str) -> TaskSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("'options' must be an object")
-    return TaskSpec(task=task, divisor=divisor, k=k, method=method, options=options, raw=doc)
+    return TaskSpec(divisor=divisor, k=k, method=method, options=options)
 
 
 def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
@@ -136,12 +134,16 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str])
         sys.stdout.write(body)
 
 
-def _alpha_samples(args) -> Optional[list[Fraction]]:
-    if not args.alpha_samples:
-        return None
+def _alpha_samples(pieces) -> list[Fraction]:
+    """The positive rationals of ``--alpha-samples`` (split at commas) or
+    of ``options.alpha_samples``."""
+    if not isinstance(pieces, list):
+        raise InputError("'options.alpha_samples' must be a list")
+    if not pieces:
+        raise InputError("alpha samples must be a nonempty list")
     samples = []
-    for piece in args.alpha_samples.split(","):
-        value = parse_rational(piece.strip())
+    for piece in pieces:
+        value = parse_rational(str(piece).strip())
         if value <= 0:
             raise InputError(f"alpha samples must be positive, got {piece!r}")
         samples.append(value)
@@ -177,13 +179,9 @@ def cmd_compute(args) -> int:
         raise InputError("compute needs a divisor")
     order = MonomialOrder.from_name(args.order)
     divisor_warnings = validate(spec.divisor)
-    samples = _alpha_samples(args)
-    if samples is None:
-        opt_samples = spec.options.get("alpha_samples")
-        if opt_samples is not None:
-            if not isinstance(opt_samples, list):
-                raise InputError("'options.alpha_samples' must be a list")
-            samples = [parse_rational(str(a)) for a in opt_samples]
+    pieces = args.alpha_samples.split(",") if args.alpha_samples else \
+        spec.options.get("alpha_samples")
+    samples = None if pieces is None else _alpha_samples(pieces)
 
     text_lines = ["task: compute", f"divisor: {spec.divisor.describe()}",
                   f"method: {spec.method}"]

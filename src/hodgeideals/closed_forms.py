@@ -12,44 +12,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .divisor import HodgeIdealResult, QDivisor, periodic_reduce, support, twist_polynomial
+from .divisor import HodgeIdealResult, QDivisor, periodic_reduce, support
 from .ideal import Ideal
 from .poly import Polynomial
-
-
-class NoClosedFormError(ValueError):
-    """The requested regime has no closed form in this package."""
-
-
-def default_vars(n: int) -> tuple[str, ...]:
-    if n <= 3:
-        return ("x", "y", "z")[:n]
-    return tuple(f"x{i}" for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
 # Smooth supports
 
 
-def smooth_support_ideal(divisor: QDivisor, k: int) -> HodgeIdealResult:
-    """I_k of a divisor with smooth support: the twist ideal for every k >= 0.
-
-    I'_k(D) is trivial and I_k(D) = (f^(ceil(alpha)-1)).  Smoothness of
-    {f = 0} is validated exactly for linear forms and otherwise trusted
-    with a note.  Negative k yields the zero ideal.
-    """
-    if len(divisor.components) != 1:
-        raise NoClosedFormError("smooth closed form wants a single component")
-    f, alpha = divisor.components[0]
-    notes = "smooth support"
-    if f.total_degree() != 1:
-        notes += f"; smoothness of {{{f} = 0}} asserted by caller (unverified)"
-    if k < 0:
-        return HodgeIdealResult(k=k, ideal=Ideal.zero(divisor.vars), method="smooth",
-                                exact=True, notes=notes + "; filtration vanishes below level 0")
-    twist = twist_polynomial(divisor)
-    ideal = Ideal.unit(divisor.vars) if twist.is_constant() else Ideal.principal(twist)
-    return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True, notes=notes)
+def smooth_support_ideal(regime: Regime, k: int) -> HodgeIdealResult:
+    """I_k of a divisor whose support is a hyperplane (``regime.linear``):
+    I'_k(D) is trivial, so I_k(D) is the twist ideal (f^(ceil(alpha)-1))
+    for every k >= 0."""
+    if not regime.linear:
+        raise ValueError("smooth closed form wants a single component cut out by a linear form")
+    twist = regime.twist
+    ideal = Ideal.unit(regime.divisor.vars) if twist.is_constant() else Ideal.principal(twist)
+    return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True,
+                            notes="smooth support")
 
 
 # ---------------------------------------------------------------------------
@@ -84,32 +65,14 @@ def _snc_monomial_ideal(variables: Sequence[str], positions: Sequence[int], k: i
     return Ideal(variables, gens)
 
 
-def _coordinate_positions(divisor: QDivisor) -> Optional[tuple[int, ...]]:
-    """Component positions when every f_i is (a scalar multiple of) a
-    distinct single variable; None otherwise."""
-    positions = []
-    for f in divisor.factors:
-        if len(f.terms) != 1:
-            return None
-        mono = next(iter(f.terms))
-        if sum(mono) != 1:
-            return None
-        positions.append(mono.index(1))
-    return tuple(positions) if len(set(positions)) == len(positions) else None
-
-
-def snc_hodge_ideal(divisor: QDivisor, k: int) -> HodgeIdealResult:
-    """I_k of an SNC divisor supported on coordinate hyperplanes:
-    the reduced-SNC monomial ideal times the round-up twist."""
-    positions = _coordinate_positions(divisor)
-    if positions is None:
-        raise NoClosedFormError(
-            "SNC closed form wants every component to be a distinct coordinate")
-    if k < 0:
-        return HodgeIdealResult(k=k, ideal=Ideal.zero(divisor.vars), method="snc",
-                                exact=True, notes="filtration vanishes below level 0")
-    reduced = _snc_monomial_ideal(divisor.vars, positions, k)
-    twist = twist_polynomial(divisor)
+def snc_hodge_ideal(regime: Regime, k: int) -> HodgeIdealResult:
+    """I_k of an SNC divisor supported on coordinate hyperplanes
+    (``regime.positions``): the reduced-SNC monomial ideal times the
+    round-up twist."""
+    if regime.positions is None:
+        raise ValueError("SNC closed form wants distinct coordinate components")
+    reduced = _snc_monomial_ideal(regime.divisor.vars, regime.positions, k)
+    twist = regime.twist
     ideal = reduced if twist.is_constant() else twist * reduced
     return HodgeIdealResult(k=k, ideal=ideal, method="snc", exact=True,
                             notes="simple normal crossing closed form")
@@ -150,9 +113,7 @@ def node_ideal(k: int, alpha: Fraction, variables: Sequence[str] = ("x", "y")) -
     variables = tuple(variables)
     if len(variables) != 2:
         raise ValueError("a node lives on a surface; give exactly two variables")
-    if k < 0:
-        ideal = Ideal.zero(variables)
-    elif k == 0:
+    if k == 0:
         ideal = Ideal.unit(variables)
     else:
         ideal = Ideal.maximal_at_origin(variables) ** k
@@ -162,7 +123,7 @@ def node_ideal(k: int, alpha: Fraction, variables: Sequence[str] = ("x", "y")) -
 
 
 def ordinary_ideal(model: OrdinarySingularityModel, k: int,
-                   variables: Optional[Sequence[str]] = None) -> HodgeIdealResult:
+                   variables: Sequence[str]) -> HodgeIdealResult:
     """I_k for an ordinary singularity of multiplicity m in dimension n.
 
     Trivial exactly when m <= n/(k + alpha).  In the parameter region
@@ -172,12 +133,9 @@ def ordinary_ideal(model: OrdinarySingularityModel, k: int,
     Outside those regions there is no closed form and a non-exact marker
     is returned.
     """
-    variables = tuple(variables) if variables is not None else default_vars(model.n)
+    variables = tuple(variables)
     if len(variables) != model.n:
         raise ValueError(f"expected {model.n} variables, got {variables}")
-    if k < 0:
-        return HodgeIdealResult(k=k, ideal=Ideal.zero(variables), method="ordinary",
-                                exact=True, notes="filtration vanishes below level 0")
     note = ("ordinary singularity model (smooth projectivized tangent cone); "
             "evaluated on a homogeneous cone representative, where the local "
             "ideal at the origin is the global one")
@@ -316,8 +274,9 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
 
 @dataclass(frozen=True)
 class Regime:
-    """What the dispatch, the I_0 seed and the generation-level
-    certificate read about one divisor D, computed once by ``classify``.
+    """What the dispatch, the closed forms, the I_0 seed and the
+    generation-level certificate read about one divisor D, computed once
+    by ``classify``.
 
     ``reduced`` and ``twist`` are B and prod f_i^(ceil(alpha_i) - 1) from
     ``periodic_reduce``; ``g`` is the support equation.  ``linear``: one
@@ -346,6 +305,10 @@ def classify(divisor: QDivisor) -> Regime:
     factors = divisor.factors
     monos = [next(iter(f.terms)) for f in factors if len(f.terms) == 1]
     monomial = len(monos) == len(factors) and all(sum(col) <= 1 for col in zip(*monos))
+    # Squarefree-monomial support with every factor of degree 1 is a set of
+    # distinct coordinate hyperplanes.
+    positions = tuple(mono.index(1) for mono in monos) \
+        if monomial and all(sum(mono) == 1 for mono in monos) else None
     diagonal = diagonal_exponents(factors[0]) if len(factors) == 1 else None
     alphas = set(reduced.alphas)
     alpha = next(iter(alphas)) if len(alphas) == 1 else None
@@ -355,5 +318,5 @@ def classify(divisor: QDivisor) -> Regime:
         ordinary = OrdinarySingularityModel(n=len(divisor.vars), m=diagonal[0], alpha=alpha)
     return Regime(divisor=divisor, reduced=reduced, twist=twist, g=support(divisor),
                   linear=len(factors) == 1 and factors[0].total_degree() == 1,
-                  positions=_coordinate_positions(divisor), monomial=monomial,
+                  positions=positions, monomial=monomial,
                   diagonal=diagonal, alpha=alpha, ordinary=ordinary)

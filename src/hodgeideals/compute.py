@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
-from .divisor import HodgeIdealResult, QDivisor
+from .divisor import HodgeIdealResult, QDivisor, apply_twist
 from .ideal import Ideal
 from .poly import Polynomial
 from .recursion import (
@@ -75,27 +75,24 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     regime = classify(divisor)
     if method in ("auto", "smooth"):
         if regime.linear:
-            return [smooth_support_ideal(divisor, k) for k in range(k_max + 1)]
+            return [smooth_support_ideal(regime, k) for k in range(k_max + 1)]
         if method == "smooth":
             raise MethodUnavailableError(
                 "smooth closed form wants a single component cut out by a linear form")
 
     if method in ("auto", "snc"):
         if regime.positions is not None:
-            return [snc_hodge_ideal(divisor, k) for k in range(k_max + 1)]
+            return [snc_hodge_ideal(regime, k) for k in range(k_max + 1)]
         if method == "snc":
             raise MethodUnavailableError(
                 "SNC closed form wants distinct coordinate components")
 
     if method in ("auto", "ordinary"):
-        model, twist = regime.ordinary, regime.twist
+        model = regime.ordinary
         if model is not None:
             results = [ordinary_ideal(model, k, divisor.vars) for k in range(k_max + 1)]
             if all(res.ideal is not None for res in results):
-                if not twist.is_constant():
-                    results = [replace(res, ideal=(twist * res.ideal).canonical()).with_note(
-                        f"integral twist {twist} applied") for res in results]
-                return results
+                return [apply_twist(regime.twist, res) for res in results]
             if method == "ordinary":
                 raise MethodUnavailableError(
                     "the ordinary closed form does not cover every requested level "

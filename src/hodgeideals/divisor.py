@@ -95,6 +95,15 @@ def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
     return QDivisor(divisor.vars, reduced), twist_polynomial(divisor)
 
 
+def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult:
+    """I_k(D) from a result for I_k(B): the ``periodic_reduce`` contract,
+    with the twist recorded in the notes when it is not trivial."""
+    if twist.is_constant():
+        return result
+    return replace(result, ideal=(twist * result.ideal).canonical()).with_note(
+        f"integral twist {twist} applied")
+
+
 @dataclass(frozen=True)
 class HodgeIdealResult:
     """A computed Hodge ideal I_k(D) with provenance.

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level, infer_weights
-from .divisor import HodgeIdealResult, QDivisor, support
+from .divisor import HodgeIdealResult, QDivisor, apply_twist, support
 from .ideal import Ideal
 from .poly import Polynomial
 
@@ -129,8 +129,8 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
     Steps are exact while the running index stays at or above
     min(cert.level, n-1) and the input is itself exact; a lower-bound
     result is never promoted back to exact.  The integral twist from
-    periodic reduction is multiplied back in at the end, so the returned
-    ideals are I_k(D).
+    periodic reduction is multiplied back in at the end (``apply_twist``),
+    so the returned ideals are I_k(D).
     """
     if not seed.exact:
         raise ValueError("chain seed must be an exact Hodge ideal")
@@ -151,12 +151,9 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
         ideals[k + 1] = derivation_step(ideals[k], reduced, k)
         exact[k + 1] = exact[k] and k >= effective_level
 
-    trivial_twist = twist.is_constant()
     results = []
     boundary: Optional[int] = None
     for k in range(k0, k_max + 1):
-        ideal_b = ideals[k]
-        ideal_d = ideal_b if trivial_twist else (twist * ideal_b).canonical()
         if exact[k]:
             note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
                    f"level {cert.level}"
@@ -165,10 +162,8 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
                     f"({cert.source}); the true ideal contains this one")
             if boundary is None:
                 boundary = k
-        if not trivial_twist:
-            note += f"; integral twist {twist} applied"
-        results.append(HodgeIdealResult(k=k, ideal=ideal_d, method="recursion",
-                                        exact=exact[k], notes=note))
+        results.append(apply_twist(twist, HodgeIdealResult(
+            k=k, ideal=ideals[k], method="recursion", exact=exact[k], notes=note)))
     return ChainResult(divisor=divisor, results=tuple(results), certificate=cert,
                        exact_boundary=boundary)
 

@@ -30,6 +30,15 @@ def groebner_calls(monkeypatch):
 
 
 @pytest.fixture
+def twist_calls(monkeypatch):
+    """A list that gets the divisor of every ``twist_polynomial`` call,
+    counted in every package module that holds the function."""
+    import hodgeideals.divisor
+    return _record_calls(monkeypatch, hodgeideals.divisor.twist_polynomial,
+                         lambda divisor: divisor)
+
+
+@pytest.fixture
 def chain_calls(monkeypatch):
     """A list that gets the divisor of every ``compute_chain`` call,
     counted in every package module that holds the function."""

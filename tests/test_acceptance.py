@@ -127,11 +127,11 @@ def test_criterion_3_snc_cross_validation():
             n = len(variables)
             for alphas in iproduct(ALPHAS, repeat=r):
                 d = _snc_divisor(variables, alphas)
-                closed = [snc_hodge_ideal(d, k) for k in range(4)]
+                r = classify(d)
+                closed = [snc_hodge_ideal(r, k) for k in range(4)]
                 # chain-inclusion suite everywhere
                 assert report_ok(check_chain_inclusions(closed, d))
                 # recursion agrees wherever a generation-level certificate applies
-                r = classify(d)
                 if len(set(alphas)) == 1:
                     cert = certificate_for(r)
                     if cert.level == 0:
@@ -236,7 +236,7 @@ def test_criterion_9_multiplicity_bounds():
             produced.append((list(chain.results), d, 0))
         for alphas in iproduct((F(1, 2), F(1)), repeat=2):
             d = _snc_divisor(XY, alphas)
-            produced.append(([snc_hodge_ideal(d, k) for k in range(4)], d, 0))
+            produced.append(([snc_hodge_ideal(classify(d), k) for k in range(4)], d, 0))
         cone = div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ)
         r = classify(cone)
         chain = hodge_chain(r, 1, i0_seed(r), certificate_for(r))

@@ -89,6 +89,22 @@ def test_compute_alpha_samples(tmp_path, capsys):
         assert any(f"y^4 - {coeff}*x^2*y" in g for g in gens)
 
 
+def test_option_alpha_samples_are_checked_like_the_flag(tmp_path, capsys):
+    flag = run_cli(capsys, "compute", write_task(tmp_path, CUSP_TASK), "--alpha-samples", "0")
+    task = dict(CUSP_TASK, options={"alpha_samples": ["0"]})
+    option = run_cli(capsys, "compute", write_task(tmp_path, task, "option.json"))
+    assert flag == option
+    assert option[0] == 2
+    assert "alpha samples must be positive" in option[2]
+
+
+def test_empty_option_alpha_samples_exits_2(tmp_path, capsys):
+    task = dict(CUSP_TASK, options={"alpha_samples": []})
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert "alpha samples" in err
+
+
 def test_compute_output_is_byte_identical_across_runs(tmp_path, capsys):
     path = write_task(tmp_path, CUSP_TASK)
     _, out1, _ = run_cli(capsys, "--format", "json", "compute", path)

@@ -43,7 +43,7 @@ def div(components, variables=XY):
 def snc_reduced_ideal(r, k, variables):
     """I_k of the reduced SNC divisor x_1 * ... * x_r inside Q[variables]."""
     d = div([{"f": name, "alpha": "1"} for name in variables[:r]], variables)
-    return snc_hodge_ideal(d, k).ideal
+    return snc_hodge_ideal(classify(d), k).ideal
 
 
 def m_power(variables, e):
@@ -55,39 +55,28 @@ def m_power(variables, e):
 # -- smooth supports -----------------------------------------------------------
 
 def test_smooth_reduced_fraction_is_trivial():
-    res = smooth_support_ideal(div([{"f": "x", "alpha": "1/2"}]), 3)
+    res = smooth_support_ideal(classify(div([{"f": "x", "alpha": "1/2"}])), 3)
     assert res.exact and res.ideal.is_unit()
 
 
 def test_smooth_twist():
-    res = smooth_support_ideal(div([{"f": "x", "alpha": "3/2"}]), 0)
+    res = smooth_support_ideal(classify(div([{"f": "x", "alpha": "3/2"}])), 0)
     assert res.ideal.equals(Ideal.spanned_by(XY, ["x"]))
 
 
 def test_smooth_integral_reduced():
-    res = smooth_support_ideal(div([{"f": "x", "alpha": "1"}]), 5)
+    res = smooth_support_ideal(classify(div([{"f": "x", "alpha": "1"}])), 5)
     assert res.ideal.is_unit()
-
-
-def test_smooth_negative_level_is_zero_ideal():
-    res = smooth_support_ideal(div([{"f": "x", "alpha": "1/2"}]), -1)
-    assert res.ideal.is_zero()
-
-
-def test_smooth_nonlinear_support_is_trusted_with_note():
-    res = smooth_support_ideal(div([{"f": "1 + x^2 + y^2", "alpha": "1/2"}]), 1)
-    assert res.ideal.is_unit()
-    assert "asserted by caller" in res.notes
 
 
 def test_linear_form_smoothness_validated_without_note():
-    res = smooth_support_ideal(div([{"f": "x + y", "alpha": "1/2"}]), 1)
-    assert "asserted" not in res.notes
+    res = smooth_support_ideal(classify(div([{"f": "x + y", "alpha": "1/2"}])), 1)
+    assert res.notes == "smooth support"
 
 
-def test_ordinary_negative_level_is_zero_ideal():
-    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), -1)
-    assert res.ideal.is_zero()
+def test_smooth_wants_a_linear_form():
+    with pytest.raises(ValueError, match="linear form"):
+        smooth_support_ideal(classify(div([{"f": "1 + x^2 + y^2", "alpha": "1/2"}])), 1)
 
 
 # -- SNC monomial generators ------------------------------------------------------
@@ -125,33 +114,32 @@ def test_snc_chain_inclusion():
 
 
 def test_snc_hodge_examples():
-    d = div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}])
-    assert snc_hodge_ideal(d, 0).ideal.equals(Ideal.spanned_by(XY, ["x"]))
-    d = div([{"f": "x", "alpha": "1/2"}, {"f": "y", "alpha": "1/2"}])
-    assert snc_hodge_ideal(d, 1).ideal.equals(Ideal.spanned_by(XY, ["x", "y"]))
-    d = div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1"}])
-    assert snc_hodge_ideal(d, 2).ideal.equals(m_power(XY, 2))
+    r = classify(div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}]))
+    assert snc_hodge_ideal(r, 0).ideal.equals(Ideal.spanned_by(XY, ["x"]))
+    r = classify(div([{"f": "x", "alpha": "1/2"}, {"f": "y", "alpha": "1/2"}]))
+    assert snc_hodge_ideal(r, 1).ideal.equals(Ideal.spanned_by(XY, ["x", "y"]))
+    r = classify(div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1"}]))
+    assert snc_hodge_ideal(r, 2).ideal.equals(m_power(XY, 2))
 
 
 def test_snc_hodge_wants_coordinates():
-    from hodgeideals.closed_forms import NoClosedFormError
-    with pytest.raises(NoClosedFormError):
-        snc_hodge_ideal(div([{"f": "x + y", "alpha": "1/2"}]), 1)
+    with pytest.raises(ValueError, match="distinct coordinate"):
+        snc_hodge_ideal(classify(div([{"f": "x + y", "alpha": "1/2"}])), 1)
 
 
 # -- ordinary singularities ----------------------------------------------------------
 
 def test_ordinary_examples():
-    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1)
+    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1, XYZ)
     assert res.exact and res.ideal.equals(m_power(XYZ, 1))
-    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 2)), 1)
+    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 2)), 1, XYZ)
     assert res.exact and res.ideal.is_unit()
-    res = ordinary_ideal(OrdinarySingularityModel(2, 2, F(1)), 1)
+    res = ordinary_ideal(OrdinarySingularityModel(2, 2, F(1)), 1, XY)
     assert res.exact and res.ideal.equals(m_power(XY, 1))
 
 
 def test_ordinary_no_closed_form_marker():
-    res = ordinary_ideal(OrdinarySingularityModel(2, 3, F(1)), 1)
+    res = ordinary_ideal(OrdinarySingularityModel(2, 3, F(1)), 1, XY)
     assert not res.exact and res.ideal is None
     assert "no closed form" in res.notes
 
@@ -327,6 +315,15 @@ def test_classify_table(name, components, variables, expected):
     assert r.divisor == d
     assert (r.reduced, r.twist) == periodic_reduce(d)
     assert r.g == support(d)
+
+
+def test_chain_computes_the_twist_once(twist_calls):
+    xyzw = ("x", "y", "z", "w")
+    compute_chain(div(_components(*((v, "3/2") for v in xyzw)), xyzw), 4)
+    assert len(twist_calls) == 1
+    twist_calls.clear()
+    compute_chain(div(_components(("x + y", "5/2"))), 3)
+    assert len(twist_calls) == 1
 
 
 def test_classify_without_seed_regime_runs_no_groebner_basis(groebner_calls):

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from hodgeideals import (
+    HodgeIdealResult,
     Ideal,
     QDivisor,
+    classify,
     parse_divisor,
     parse_polynomial,
     periodic_reduce,
@@ -15,6 +17,7 @@ from hodgeideals import (
     twist_polynomial,
     validate,
 )
+from hodgeideals.divisor import apply_twist
 
 XY = ("x", "y")
 
@@ -62,9 +65,19 @@ def test_snc_periodicity_contract():
                           (parse_polynomial("y", XY), alphas[1])))
         b, twist = periodic_reduce(d)
         for k in range(4):
-            lhs = snc_hodge_ideal(d, k).ideal
-            rhs = twist * snc_hodge_ideal(b, k).ideal
+            lhs = snc_hodge_ideal(classify(d), k).ideal
+            rhs = twist * snc_hodge_ideal(classify(b), k).ideal
             assert lhs.equals(rhs)
+
+
+def test_apply_twist_multiplies_and_notes_only_a_nontrivial_twist():
+    res = HodgeIdealResult(k=1, ideal=Ideal.spanned_by(XY, ["x", "y"]), notes="seed")
+    b, twist = periodic_reduce(div([{"f": "x", "alpha": "1/2"}]))
+    assert apply_twist(twist, res) is res
+    b, twist = periodic_reduce(div([{"f": "x", "alpha": "5/2"}]))
+    twisted = apply_twist(twist, res)
+    assert twisted.ideal.equals(Ideal.spanned_by(XY, ["x^3", "x^2 y"]))
+    assert twisted.notes == "seed; integral twist x^2 applied"
 
 
 def test_twist_contains_every_unprimed_result():

@@ -57,14 +57,14 @@ def test_step_snc_product_matches_closed_form():
     out = derivation_step(Ideal.unit(XY), d, 0)
     assert out.equals(ideal("x", "y"))
     snc = div([{"f": "x", "alpha": "3/4"}, {"f": "y", "alpha": "3/4"}])
-    assert out.equals(snc_hodge_ideal(snc, 1).ideal)
+    assert out.equals(snc_hodge_ideal(classify(snc), 1).ideal)
 
 
 def test_step_cone_matches_ordinary():
     d = div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ)
     out = derivation_step(Ideal.unit(XYZ), d, 0)
     assert out.equals(Ideal.spanned_by(XYZ, ["x", "y", "z"]))
-    assert out.equals(ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1).ideal)
+    assert out.equals(ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1, XYZ).ideal)
 
 
 def test_step_requires_reduced_regime():
@@ -264,7 +264,7 @@ def test_chain_cone_lower_bound_not_promoted():
     assert not chain.result(2).exact  # index 1 >= level, but the input was already a bound
     assert chain.exact_boundary == 1
     # the k=1 step undershoots the true trivial ideal but stays inside it
-    truth = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 4)), 1).ideal
+    truth = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 4)), 1, XYZ).ideal
     assert truth.is_unit()
     assert chain.ideal(1).equals(Ideal.maximal_at_origin(XYZ))
     assert truth.contains_ideal(chain.ideal(1))
@@ -300,13 +300,14 @@ def test_snc_step_is_sound_and_exact_when_certified(r, variables):
     n = len(variables)
     for alphas in iproduct(ALPHAS, repeat=r):
         d = _snc_divisor(variables, alphas)
+        regime = classify(d)
         for k in range(0, 3):
-            current = snc_hodge_ideal(d, k).ideal
+            current = snc_hodge_ideal(regime, k).ideal
             step = derivation_step(current, d, k)
-            target = snc_hodge_ideal(d, k + 1).ideal
+            target = snc_hodge_ideal(regime, k + 1).ideal
             assert target.contains_ideal(step)
             same_alpha = len(set(alphas)) == 1
-            certified = k >= n - 1 or (same_alpha and certificate_for(classify(d)).level <= k)
+            certified = k >= n - 1 or (same_alpha and certificate_for(regime).level <= k)
             if certified:
                 assert step.equals(target)
 
