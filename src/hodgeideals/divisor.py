@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .ideal import Ideal
+from .ideal import GroebnerBasis, Ideal
 from .poly import Polynomial
 
 
@@ -100,8 +100,10 @@ def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult
     with the twist recorded in the notes when it is not trivial."""
     if twist.is_constant():
         return result
-    return replace(result, ideal=(twist * result.ideal).canonical()).with_note(
-        f"integral twist {twist} applied")
+    # twist * G is a Groebner basis as it stands: LT(twist*w) = LT(twist)*LT(w).
+    known = [twist * w for w in result.ideal.groebner().basis]
+    ideal = Ideal.from_groebner(GroebnerBasis.compute((), twist.vars, known=known))
+    return replace(result, ideal=ideal).with_note(f"integral twist {twist} applied")
 
 
 @dataclass(frozen=True)

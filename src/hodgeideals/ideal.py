@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from operator import add, ge, neg, sub
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -18,10 +19,22 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
-    mono_div,
     mono_lcm,
     mono_mul,
 )
+
+
+# Per order, two flat sort keys, cheaper to build and compare than
+# ``order.key``: under the first, monomials sort as in the order; under
+# the second, the largest comes first.
+_FLAT_KEYS = {
+    "grevlex": (lambda m: (sum(m),) + tuple(map(neg, m[::-1])),
+                lambda m: (-sum(m),) + m[::-1]),
+    "grlex": (lambda m: (sum(m),) + m,
+              lambda m: (-sum(m),) + tuple(map(neg, m))),
+    "lex": (lambda m: m,
+            lambda m: tuple(map(neg, m))),
+}
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -31,33 +44,50 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     Every term of the result is reduced (divisible by no basis leading
     term).  Against a reduced Groebner basis the remainder is the unique
     normal form, and it vanishes exactly when ``f`` lies in the ideal.
+    Terms are taken in descending order from a heap, and each is reduced
+    by the first basis element, in list order, whose leading monomial
+    divides it.
     """
+    # [leading monomial, polynomial, its other terms divided by the
+    # negated leading coefficient (filled on first use)]
     divisors = []
     for g in basis:
         if g:
             if g.vars != f.vars:
                 raise AmbientMismatchError(f"ambient mismatch: {f.vars} vs {g.vars}")
-            divisors.append((g.leading(order), g))
+            divisors.append([g.leading(order)[0], g, None])
+    desc = _FLAT_KEYS[order.name][1]
     work = dict(f.terms)
+    heap = [(desc(m), m) for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     remainder: dict[Monomial, Fraction] = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for (lm, lc), g in divisors:
-            q = mono_div(m, lm)
-            if q is not None:
-                scale = c / lc
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    t = mono_mul(gm, q)
+    while heap:
+        m = pop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:  # cancelled after it was queued
+            continue
+        for d in divisors:
+            lm = d[0]
+            if all(map(ge, m, lm)):
+                tail = d[2]
+                if tail is None:
+                    g = d[1]
+                    nlc = -g.terms[lm]
+                    tail = d[2] = [(gm, gc / nlc) for gm, gc in g.terms.items() if gm != lm]
+                q = tuple(map(sub, m, lm))
+                for gm, gc in tail:
+                    t = tuple(map(add, gm, q))
                     cur = work.get(t)
-                    nc = -scale * gc if cur is None else cur - scale * gc
-                    if nc:
-                        work[t] = nc
-                    elif t in work:
-                        del work[t]
+                    if cur is None:
+                        work[t] = c * gc
+                        push(heap, (desc(t), t))
+                    else:
+                        nc = cur + c * gc
+                        if nc:
+                            work[t] = nc
+                        else:
+                            del work[t]
                 break
         else:
             remainder[m] = c
@@ -68,9 +98,23 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     (lmf, lcf) = f.leading(order)
     (lmg, lcg) = g.leading(order)
     lcm = mono_lcm(lmf, lmg)
-    mf = Polynomial._raw(f.vars, {mono_div(lcm, lmf): 1 / lcf})
-    mg = Polynomial._raw(g.vars, {mono_div(lcm, lmg): 1 / lcg})
-    return mf * f - mg * g
+    qf = tuple(map(sub, lcm, lmf))
+    qg = tuple(map(sub, lcm, lmg))
+    out = {tuple(map(add, m, qf)): c if lcf == 1 else c / lcf for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        t = tuple(map(add, m, qg))
+        if lcg != 1:
+            c = c / lcg
+        cur = out.get(t)
+        if cur is None:
+            out[t] = -c
+        else:
+            nc = cur - c
+            if nc:
+                out[t] = nc
+            else:
+                del out[t]
+    return Polynomial._raw(f.vars, out)
 
 
 def _poly_sort_key(p: Polynomial, order: MonomialOrder):
@@ -79,72 +123,106 @@ def _poly_sort_key(p: Polynomial, order: MonomialOrder):
             sorted((order.key(m), c) for m, c in p.terms.items()))
 
 
-def groebner_basis(generators: Iterable[Polynomial],
-                   order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of the ideal spanned by ``generators``.
+def _monic_sorted(polys: Sequence[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+    return sorted({g.monic(order) for g in polys}, key=lambda p: _poly_sort_key(p, order))
 
-    Buchberger's algorithm with the normal selection strategy (pair of
-    smallest lcm first, from a heap) and the Gebauer-Moeller pair update
-    (Gebauer & Moeller, "On an installation of Buchberger's algorithm",
-    J. Symbolic Comput. 6, 1988): each new basis element has its pairs
-    pruned by the chain and coprime criteria when they are created,
-    removes the pending pairs whose lcm its leading monomial strictly
-    divides, and retires the elements whose leading monomials it divides
-    from further pairing.  Inter-reduction and monic normalization
-    follow.  The output is the unique canonical form of the ideal for
-    the given order, sorted by leading monomial descending.  The zero
-    ideal yields ().
+
+def groebner_basis(generators: Iterable[Polynomial],
+                   order: MonomialOrder = GREVLEX,
+                   known: Sequence[Polynomial] = ()) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of the ideal spanned by ``known`` and
+    ``generators``.
+
+    ``known`` must already be a Groebner basis for ``order`` (it need not
+    be reduced); this is not checked.  No pairs are formed among its
+    elements: their S-polynomials already reduce to zero.  They still
+    enter the basis through the pair update below, are paired with every
+    later element and take part in inter-reduction.
+
+    When every input is a monomial (the unit ideal included), the result
+    is the minimal monomials, sorted, for every order, and no pair is
+    formed.
+
+    Otherwise: Buchberger's algorithm with the normal selection strategy
+    (pair of smallest lcm first, from a heap) and the Gebauer-Moeller
+    pair update (Gebauer & Moeller, "On an installation of Buchberger's
+    algorithm", J. Symbolic Comput. 6, 1988): each new basis element has
+    its pairs pruned by the chain and coprime criteria when they are
+    created, removes the pending pairs whose lcm its leading monomial
+    strictly divides, and retires the elements whose leading monomials
+    it divides from further pairing.  Inter-reduction and monic
+    normalization follow.  The output is the unique canonical form of
+    the ideal for the given order, sorted by leading monomial
+    descending.  The zero ideal yields ().
     """
     polys = [g for g in generators if g]
-    if not polys:
+    seeds = [g for g in known if g]
+    if not polys and not seeds:
         return ()
-    variables = polys[0].vars
-    for g in polys:
+    variables = (seeds or polys)[0].vars
+    for g in itertools.chain(seeds, polys):
         if g.vars != variables:
             raise AmbientMismatchError("generators must share one ambient")
     one = Polynomial.one(variables)
-    inputs = sorted({g.monic(order) for g in polys}, key=lambda p: _poly_sort_key(p, order))
-    if any(p.is_constant() for p in inputs):
+    seeds = _monic_sorted(seeds, order)
+    inputs = _monic_sorted(polys, order)
+    if any(p.is_constant() for p in itertools.chain(seeds, inputs)):
         return (one,)
 
     key = order.key
+    # Monomials are a Groebner basis as they stand, and minimal monomials
+    # a reduced one: no pairs, and no division to inter-reduce them.
+    if all(len(p.terms) == 1 for p in itertools.chain(seeds, inputs)):
+        minimal: list[Monomial] = []
+        for m in sorted({p.leading_monomial(order) for p in itertools.chain(seeds, inputs)},
+                        key=key):
+            if not any(all(map(ge, m, d)) for d in minimal):
+                minimal.append(m)
+        return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in reversed(minimal))
+
+    asc = _FLAT_KEYS[order.name][0]
     basis: list[Polynomial] = []
     lead: list[Monomial] = []
     active: list[int] = []  # basis elements still paired with new ones, and used to reduce
-    # Pending pairs (order key of lcm, i, j, lcm) with i < j; the key and
-    # then the indices decide which pair is selected first.
+    # Pending pairs (flat order key of lcm, i, j, lcm) with i < j; the key
+    # and then the indices decide which pair is selected first.
     heap: list[tuple] = []
 
-    def update(h: Polynomial) -> None:
+    def update(h: Polynomial, pair: bool = True) -> None:
         lm = h.leading_monomial(order)
         new = len(basis)
         basis.append(h)
         lead.append(lm)
-        # Old pairs whose lcm lm strictly divides are redundant: the
-        # pairs with h cover them.
-        survivors = [p for p in heap
-                     if mono_div(p[3], lm) is None
-                     or mono_lcm(lead[p[1]], lm) == p[3] or mono_lcm(lead[p[2]], lm) == p[3]]
-        if len(survivors) < len(heap):
-            heap[:] = survivors
-            heapq.heapify(heap)
-        # Chain criterion on the new pairs (g, h): keep one pair per lcm,
-        # and only for lcms that no other new lcm strictly divides.
-        # Ascending order lists every divisor of an lcm before it.  An lcm
-        # shared with a coprime pair needs no pair at all (first criterion).
-        fresh = sorted((key(lcm), lcm, g)
-                       for g in active for lcm in (mono_lcm(lead[g], lm),))
-        kept_lcms: list[Monomial] = []
-        for (k, lcm), group in itertools.groupby(fresh, key=lambda t: t[:2]):
-            if any(mono_div(lcm, m) is not None for m in kept_lcms):
-                continue
-            kept_lcms.append(lcm)
-            members = [g for _, _, g in group]
-            if not any(lcm == mono_mul(lead[g], lm) for g in members):
-                heapq.heappush(heap, (k, members[0], new, lcm))
-        active[:] = [g for g in active if mono_div(lead[g], lm) is None]
+        if pair:
+            # Old pairs whose lcm lm strictly divides are redundant: the
+            # pairs with h cover them.
+            survivors = [p for p in heap
+                         if not all(map(ge, p[3], lm))
+                         or tuple(map(max, lead[p[1]], lm)) == p[3]
+                         or tuple(map(max, lead[p[2]], lm)) == p[3]]
+            if len(survivors) < len(heap):
+                heap[:] = survivors
+                heapq.heapify(heap)
+            # Chain criterion on the new pairs (g, h): keep one pair per
+            # lcm, and only for lcms that no other new lcm strictly
+            # divides.  Ascending order lists every divisor of an lcm
+            # before it.  An lcm shared with a coprime pair needs no pair
+            # at all (first criterion).
+            fresh = sorted((asc(lcm), lcm, g)
+                           for g in active for lcm in (tuple(map(max, lead[g], lm)),))
+            kept_lcms: list[Monomial] = []
+            for (k, lcm), group in itertools.groupby(fresh, key=lambda t: t[:2]):
+                if any(all(map(ge, lcm, m)) for m in kept_lcms):
+                    continue
+                kept_lcms.append(lcm)
+                members = [g for _, _, g in group]
+                if not any(lcm == mono_mul(lead[g], lm) for g in members):
+                    heapq.heappush(heap, (k, members[0], new, lcm))
+        active[:] = [g for g in active if not all(map(ge, lead[g], lm))]
         active.append(new)
 
+    for p in seeds:
+        update(p, pair=False)
     for p in inputs:
         update(p)
     while heap:
@@ -158,12 +236,12 @@ def groebner_basis(generators: Iterable[Polynomial],
 
     # Minimalize: keep only elements whose leading monomial is not a
     # multiple of another's.
-    minimal: list[int] = []
+    minimal_ids: list[int] = []
     for i in sorted(active, key=lambda t: key(lead[t])):
-        if all(mono_div(lead[i], lead[m]) is None for m in minimal):
-            minimal.append(i)
+        if not any(all(map(ge, lead[i], lead[m])) for m in minimal_ids):
+            minimal_ids.append(i)
     # Inter-reduce to the reduced basis.
-    chosen = [basis[i] for i in minimal]
+    chosen = [basis[i] for i in minimal_ids]
     reduced = []
     for idx, g in enumerate(chosen):
         others = chosen[:idx] + chosen[idx + 1:]
@@ -186,8 +264,11 @@ class GroebnerBasis:
 
     @classmethod
     def compute(cls, generators: Sequence[Polynomial], variables,
-                order: MonomialOrder = GREVLEX) -> "GroebnerBasis":
-        return cls(groebner_basis(generators, order), order, variables)
+                order: MonomialOrder = GREVLEX,
+                known: Sequence[Polynomial] = ()) -> "GroebnerBasis":
+        """The reduced basis of ``known`` and ``generators``; ``known`` must
+        already be a Groebner basis for ``order`` (see ``groebner_basis``)."""
+        return cls(groebner_basis(generators, order, known=known), order, variables)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.basis, self.order)
@@ -272,9 +353,17 @@ class Ideal:
             self._gb_cache[order.name] = gb
         return gb
 
+    @classmethod
+    def from_groebner(cls, gb: GroebnerBasis) -> "Ideal":
+        """The ideal presented by the reduced basis ``gb``, which it keeps
+        as its cached basis for ``gb.order``."""
+        ideal = cls(gb.vars, gb.basis)
+        ideal._gb_cache[gb.order.name] = gb
+        return ideal
+
     def canonical(self) -> "Ideal":
         """The same ideal presented by its reduced grevlex basis."""
-        return Ideal(self.vars, self.groebner().basis)
+        return Ideal.from_groebner(self.groebner())
 
     def contains_poly(self, f: Polynomial) -> bool:
         if f.vars != self.vars:

@@ -146,21 +146,21 @@ class _Parser:
             if tok.text not in self.vars:
                 raise ParseError(tok.span, f"unknown variable {tok.text!r}",
                                  f"one of {', '.join(self.vars)}")
-            p = Polynomial.variable(self.vars, tok.text)
-            if self.peek().kind == "^":
-                self.advance()
-                etok = self.expect("int", "a non-negative integer exponent")
-                p = p ** int(etok.text)
-            return p
-        if tok.kind == "(":
+            base = Polynomial.variable(self.vars, tok.text)
+        elif tok.kind == "(":
             open_tok = self.advance()
-            inner = self.expr()
+            base = self.expr()
             if self.peek().kind != ")":
                 raise ParseError(open_tok.span, "unbalanced parentheses", "')'")
             self.advance()
-            return inner
-        raise ParseError(tok.span, f"unexpected {_describe(tok)}",
-                         "a rational, a variable, or '('")
+        else:
+            raise ParseError(tok.span, f"unexpected {_describe(tok)}",
+                             "a rational, a variable, or '('")
+        if self.peek().kind == "^":
+            self.advance()
+            etok = self.expect("int", "a non-negative integer exponent")
+            base = base ** int(etok.text)
+        return base
 
     def rational(self) -> Fraction:
         num_tok = self.expect("int", "an integer")

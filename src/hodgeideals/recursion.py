@@ -16,7 +16,7 @@ from typing import Optional
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level, infer_weights
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, support
-from .ideal import Ideal
+from .ideal import GroebnerBasis, Ideal
 from .poly import Polynomial
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
@@ -113,13 +113,18 @@ def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
         raise ValueError(f"ideal over {ideal.vars}, divisor over {divisor.vars}")
     g = support(divisor)
     dlog = _dlog_numerators(divisor)
+    dg = [g.diff(ell) for ell in range(len(divisor.vars))]
     kk = Fraction(k)
-    gens: list[Polynomial] = []
-    for w in ideal.generators:
-        gens.append(g * w)
-        for ell in range(len(divisor.vars)):
-            gens.append(g * w.diff(ell) - kk * (w * g.diff(ell)) - w * dlog[ell])
-    return Ideal(divisor.vars, gens).canonical()
+    # The spanned ideal does not depend on the generators chosen for I_k
+    # (the operator sends a*w to a times its image of w plus (g*w)*d_l(a)),
+    # so take the reduced basis G.  g*G is then a Groebner basis as it
+    # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
+    # derivative generators with it.
+    basis = ideal.groebner().basis
+    gens = [g * w.diff(ell) - kk * (w * dg[ell]) - w * dlog[ell]
+            for w in basis for ell in range(len(divisor.vars))]
+    return Ideal.from_groebner(
+        GroebnerBasis.compute(gens, divisor.vars, known=[g * w for w in basis]))
 
 
 def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,

@@ -7,11 +7,12 @@ import pytest
 
 def _record_calls(monkeypatch, real, record):
     """Replace ``real`` by a recording wrapper in every package module that
-    holds it; each call appends ``record(*args)`` to the returned list."""
+    holds it; each call appends ``record(*args, **kwargs)`` to the returned
+    list."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(record(*args))
+        calls.append(record(*args, **kwargs))
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -26,7 +27,18 @@ def groebner_calls(monkeypatch):
     """A list that gets one entry per ``groebner_basis`` call, counted in
     every package module that holds the function."""
     import hodgeideals.ideal
-    return _record_calls(monkeypatch, hodgeideals.ideal.groebner_basis, lambda *args: 1)
+    return _record_calls(monkeypatch, hodgeideals.ideal.groebner_basis,
+                         lambda *args, **kwargs: 1)
+
+
+@pytest.fixture
+def groebner_inputs(monkeypatch):
+    """A list that gets ``(generators, known)`` for every ``groebner_basis``
+    call, as tuples, recorded in every package module that holds it."""
+    import hodgeideals.ideal
+    return _record_calls(monkeypatch, hodgeideals.ideal.groebner_basis,
+                         lambda generators, order=None, known=():
+                         (tuple(generators), tuple(known)))
 
 
 @pytest.fixture
@@ -44,4 +56,4 @@ def chain_calls(monkeypatch):
     counted in every package module that holds the function."""
     import hodgeideals.compute
     return _record_calls(monkeypatch, hodgeideals.compute.compute_chain,
-                         lambda divisor, *args: divisor)
+                         lambda divisor, *args, **kwargs: divisor)

@@ -5,7 +5,10 @@ import re
 import subprocess
 import sys
 
-from hodgeideals.cli import main
+import pytest
+
+from hodgeideals import GREVLEX, compute_chain, parse_divisor
+from hodgeideals.cli import _ideal_lines, main
 
 CUSP_TASK = {
     "vars": ["x", "y"],
@@ -166,6 +169,22 @@ def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_c
         code, _, _ = run_cli(capsys, "--order", "lex", "--format", fmt, "compute", path)
         assert code == 0
         assert len(groebner_calls) == k + 1
+
+
+@pytest.mark.parametrize("variables,f,alpha,method", [
+    (["x", "y"], "x^2+y^3", "9/10", "auto"),
+    (["x", "y"], "x^2+y^3", "19/10", "auto"),     # twisted by x^2+y^3
+    (["x", "y", "z"], "x^2+y^2+z^2", "3/4", "recursion"),
+    (["x", "y"], "x^2+y^2", "3/2", "ordinary"),   # closed form, twisted
+])
+def test_printing_a_computed_chain_in_grevlex_runs_no_groebner_basis(
+        variables, f, alpha, method, groebner_calls):
+    d = parse_divisor({"vars": variables, "components": [{"f": f, "alpha": alpha}]})
+    chain = compute_chain(d, 3, method)
+    groebner_calls.clear()
+    lines = [_ideal_lines(res.ideal, GREVLEX) for res in chain]
+    assert groebner_calls == []
+    assert all(lines)
 
 
 def test_compute_bad_alpha_exits_2(tmp_path, capsys):

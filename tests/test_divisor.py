@@ -80,6 +80,18 @@ def test_apply_twist_multiplies_and_notes_only_a_nontrivial_twist():
     assert twisted.notes == "seed; integral twist x^2 applied"
 
 
+def test_apply_twist_multiplies_the_reduced_basis_without_new_generators(groebner_inputs):
+    res = HodgeIdealResult(k=1, ideal=Ideal.spanned_by(XY, ["x^2 + y", "x y - 1"]).canonical())
+    twist = parse_polynomial("x y + y^2", XY)
+    known = tuple(twist * g for g in res.ideal.generators)
+    groebner_inputs.clear()
+    twisted = apply_twist(twist, res)
+    # The twisted ideal keeps its reduced basis: asking again computes nothing.
+    assert twisted.ideal.groebner().basis == twisted.ideal.generators
+    assert groebner_inputs == [((), known)]
+    assert twisted.ideal.equals(Ideal(XY, known))
+
+
 def test_twist_contains_every_unprimed_result():
     for d, k in ((SNC, 0), (SNC, 2), (div([{"f": "x", "alpha": "5/2"}]), 1)):
         from hodgeideals import compute_chain

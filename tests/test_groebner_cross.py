@@ -10,11 +10,13 @@ from fractions import Fraction as F
 
 import sympy
 
-from hodgeideals import GREVLEX, LEX, Ideal, Polynomial, groebner_basis
+import pytest
+
+from hodgeideals import GREVLEX, GRLEX, LEX, Ideal, Polynomial, groebner_basis
 
 from test_ideal import random_membership_instance
 
-SYMPY_ORDER = {"grevlex": "grevlex", "lex": "lex"}
+SYMPY_ORDER = {"grevlex": "grevlex", "lex": "lex", "grlex": "grlex"}
 
 
 def to_sympy(poly, symbols):
@@ -76,3 +78,22 @@ def test_golden_cusp_ideal_against_sympy():
         "x^3", "x^2 y^2", "x y^3", "y^4 - 14/5 x^2 y"]).generators
     ours = set(groebner_basis(gens, GREVLEX))
     assert ours == reference_basis(list(gens), GREVLEX)
+
+
+MONOMIAL_IDEALS = [
+    ["x^2 y", "x y^3", "x^3", "x^2 y^2", "y^4", "x y^3"],   # not minimal, repeated
+    ["x y z", "x^2", "y^2 z", "z^3", "x z^2", "x^2 y z"],
+    ["3 x^5", "-y^2 z", "1/2 x y", "z^4 x"],
+    ["x^2", "x y", "7"],                                     # the unit ideal
+    ["z"],
+]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("texts", MONOMIAL_IDEALS)
+def test_monomial_ideals_agree_with_sympy(texts, order):
+    gens = Ideal.spanned_by(("x", "y", "z"), texts).generators
+    ours = groebner_basis(gens, order)
+    assert set(ours) == reference_basis(list(gens), order)
+    keys = [order.key(g.leading_monomial(order)) for g in ours]
+    assert keys == sorted(keys, reverse=True)

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from hodgeideals import GREVLEX, GRLEX, LEX, Ideal, Polynomial, groebner_basis, normal_form
-from hodgeideals.ideal import mono_div
 from hodgeideals.parser import parse_polynomial
+from hodgeideals.poly import mono_div
 
 from oracles import linear_membership
 
@@ -210,17 +210,110 @@ def test_groebner_is_idempotent(gens):
     assert groebner_basis(basis) == basis
 
 
+# Generators added on top of a known basis: none, one, two, one of high degree.
+EXTRA_GENERATORS = [[], ["x + y^2"], ["x y - 1", "y^2"], ["x^4 - y"]]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+@pytest.mark.parametrize("gens", SAMPLE_IDEALS)
+def test_known_basis_gives_the_same_reduced_basis(gens, order):
+    reduced = groebner_basis([p(t) for t in gens], order)
+    # h * G is a Groebner basis but not a reduced one.
+    scaled = [p("x - 2y + 3") * g for g in reduced]
+    for known in (list(reduced), scaled):
+        for extra in EXTRA_GENERATORS:
+            extra = [p(t) for t in extra]
+            assert groebner_basis(extra, order, known=known) == \
+                groebner_basis(known + extra, order)
+
+
+def _no_pairs(*args):
+    raise AssertionError("an S-pair was formed")
+
+
+def test_known_reduced_basis_forms_no_pairs(monkeypatch):
+    import hodgeideals.ideal
+    basis = groebner_basis([p(t) for t in SAMPLE_IDEALS[1]])
+    monkeypatch.setattr(hodgeideals.ideal, "s_polynomial", _no_pairs)
+    assert groebner_basis([], GREVLEX, known=basis) == basis
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+def test_monomial_ideal_forms_no_pairs(order, monkeypatch):
+    import hodgeideals.ideal
+    monkeypatch.setattr(hodgeideals.ideal, "s_polynomial", _no_pairs)
+    gens = [p("3 x^2 y"), p("x y^3"), p("-x^3"), p("x^2 y^2"), p("y^4"), p("x y^3")]
+    basis = groebner_basis(gens, order)
+    assert set(basis) == {p("x^2 y"), p("x y^3"), p("x^3"), p("y^4")}
+    keys = [order.key(g.leading_monomial(order)) for g in basis]
+    assert keys == sorted(keys, reverse=True)
+    assert groebner_basis([p("x^2"), p("5")], order) == (Polynomial.one(XY),)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+def test_flat_keys_sort_like_the_order(order):
+    from itertools import product
+    from hodgeideals.ideal import _FLAT_KEYS
+    ascending, descending = _FLAT_KEYS[order.name]
+    monos = list(product(range(4), repeat=3))
+    expected = sorted(monos, key=order.key)
+    assert sorted(monos, key=ascending) == expected
+    assert sorted(monos, key=descending) == expected[::-1]
+
+
+def _old_normal_form(f, basis, order):
+    """Division as the engine did it before its working terms moved to a
+    heap: a rescan for the largest term, the first dividing basis element
+    in list order."""
+    divisors = [(g.leading(order), g) for g in basis if g]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for (lm, lc), g in divisors:
+            q = mono_div(m, lm)
+            if q is not None:
+                for gm, gc in g.terms.items():
+                    if gm != lm:
+                        t = tuple(a + b for a, b in zip(gm, q))
+                        nc = work.get(t, 0) - c / lc * gc
+                        if nc:
+                            work[t] = nc
+                        else:
+                            work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.vars, remainder)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+def test_normal_form_matches_plain_division(order):
+    # Arbitrary divisor lists (not Groebner bases, not monic), so the
+    # remainder depends on the term order and on the divisor order.
+    rng = random.Random(17)
+    for _ in range(40):
+        f, gens = random_membership_instance(rng)
+        divisors = [g * rng.choice([1, F(-2, 3), 5]) for g in gens]
+        rng.shuffle(divisors)
+        f = f + gens[0] * gens[-1]
+        assert normal_form(f, divisors, order) == _old_normal_form(f, divisors, order)
+
+
 def _derivation_step_inputs(f, alpha, k_max, monkeypatch):
-    """The generator lists ``derivation_step`` hands to ``groebner_basis``
-    along the chain of the diagonal divisor ``alpha * (f = 0)``."""
+    """The inputs ``derivation_step`` hands to ``groebner_basis`` along the
+    chain of the diagonal divisor ``alpha * (f = 0)``: each call's ``known``
+    basis followed by its generators."""
     import hodgeideals.ideal
     from hodgeideals import classify, derivation_step, i0_seed, parse_divisor
     real = hodgeideals.ideal.groebner_basis
     seen = []
 
-    def recording(generators, order=GREVLEX):
-        seen.append(tuple(generators))
-        return real(seen[-1], order)
+    def recording(generators, order=GREVLEX, known=()):
+        generators = tuple(generators)
+        seen.append(tuple(known) + generators)
+        return real(generators, order, known=known)
 
     d = parse_divisor({"vars": ["x", "y", "z"], "components": [{"f": f, "alpha": alpha}]})
     r = classify(d)

@@ -29,6 +29,15 @@ def test_parenthesized_expressions():
     assert parse_polynomial("2(x + 1)", XY) == parse_polynomial("2x + 2", XY)
 
 
+def test_power_of_parenthesized_factor():
+    assert parse_polynomial("(x+y)^2", XY) == parse_polynomial("x^2 + 2 x y + y^2", XY)
+    assert parse_polynomial("(x)^2", XY) == parse_polynomial("x^2", XY)
+    assert parse_polynomial("2(x - y)^3 y", XY) == \
+        parse_polynomial("2 x^3 y - 6 x^2 y^2 + 6 x y^3 - 2 y^4", XY)
+    assert parse_polynomial("((x)^2)^3", XY) == parse_polynomial("x^6", XY)
+    assert parse_polynomial("(x + 1)^0", XY) == Polynomial.one(XY)
+
+
 def test_leading_sign():
     assert parse_polynomial("-x + y", XY) == parse_polynomial("y - x", XY)
 

@@ -67,6 +67,21 @@ def test_step_cone_matches_ordinary():
     assert out.equals(ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1, XYZ).ideal)
 
 
+def test_step_pairs_only_the_derivative_generators(groebner_inputs):
+    d = cusp("3/4")
+    # A presentation that is not a Groebner basis: the step reads the
+    # reduced basis instead.
+    given = ideal("x^2 + x y", "x y", "y^3")
+    basis = given.groebner().basis
+    groebner_inputs.clear()
+    out = derivation_step(given, d, 1)
+    assert len(groebner_inputs) == 1
+    generators, known = groebner_inputs[0]
+    assert known == tuple(support(d) * w for w in basis)
+    assert len(generators) == 2 * len(basis)
+    assert out.equals(ideal("x^3", "x^2 y^2", "x y^3", "y^4 - 5/2 x^2 y"))
+
+
 def test_step_requires_reduced_regime():
     with pytest.raises(ValueError):
         derivation_step(Ideal.unit(XY), div([{"f": "x", "alpha": "3/2"}]), 0)
