@@ -78,12 +78,6 @@ class Decision:
     lines: tuple[str, ...] = ()
     value: Optional[int] = None
 
-    def to_json(self) -> dict:
-        out = {"status": self.status, "inequalities": list(self.lines)}
-        if self.value is not None:
-            out["q"] = self.value
-        return out
-
 
 def triviality_certificate(res: ResolutionData, alphas: Sequence[Fraction],
                            k: int) -> Decision:

@@ -9,6 +9,7 @@ unavailable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -20,9 +21,8 @@ from .certificates import MultiplicityData, triviality_certificate, \
 from .compute import METHODS, MethodUnavailableError, compute_chain
 from .divisor import QDivisor, periodic_reduce, validate
 from .ideal import Ideal
-from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational, \
-    parse_resolution_data
-from .poly import MonomialOrder, format_rational
+from .parser import parse_divisor, parse_polynomial, parse_rational, parse_resolution_data
+from .poly import _ORDERS, MonomialOrder, format_rational
 from .recursion import CERTIFICATE_SOURCES, GenerationCertificate
 from .verify import DEFAULT_SEED, SUITES, report_ok, run_suites
 
@@ -315,14 +315,22 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+# Subcommand functions, looked up when each command runs: the parser is
+# built once and keeps no reference to them.
+_COMMANDS = {"compute": cmd_compute, "certify": cmd_certify, "verify": cmd_verify,
+             "parse": cmd_parse}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="hodge-ideals",
         description="Hodge ideals of effective Q-divisors: exact computation, "
                     "certificates, and property verification.")
     parser.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--order", choices=("grevlex", "lex", "grlex"), default="grevlex",
+    parser.add_argument("--order", choices=tuple(_ORDERS), default="grevlex",
                         help="monomial order for printed polynomials (default: grevlex)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"seed for all randomness (default: {DEFAULT_SEED})")
@@ -333,24 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("task", help="task file path, or - for stdin")
     p_compute.add_argument("--alpha-samples", default="",
                            help="comma-separated exact rationals substituted for alpha")
-    p_compute.set_defaults(func=cmd_compute)
 
     p_certify = sub.add_parser("certify",
                                help="triviality / non-triviality certificates from numeric data")
     p_certify.add_argument("task", help="task file path, or - for stdin")
-    p_certify.set_defaults(func=cmd_certify)
 
     p_verify = sub.add_parser("verify", help="run property suites against the theorems")
     p_verify.add_argument("suites", nargs="+",
                           help=f"suite names ({', '.join(sorted(SUITES))}) or 'all'")
     p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                           help="seed override (same as the global --seed)")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_parse = sub.add_parser("parse", help="echo the canonical form of a polynomial")
     p_parse.add_argument("expression")
     p_parse.add_argument("--vars", required=True, help="comma-separated variable names")
-    p_parse.set_defaults(func=cmd_parse)
     return parser
 
 
@@ -358,12 +362,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, ParseError, ValueError) as exc:
-        if isinstance(exc, MethodUnavailableError):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_METHOD_UNAVAILABLE
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:  # InputError, ParseError and MethodUnavailableError among them
         sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, MethodUnavailableError):
+            return EXIT_METHOD_UNAVAILABLE
         return EXIT_INPUT_ERROR
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from operator import add, ge, neg, sub
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -19,22 +19,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
-    mono_lcm,
-    mono_mul,
 )
-
-
-# Per order, two flat sort keys, cheaper to build and compare than
-# ``order.key``: under the first, monomials sort as in the order; under
-# the second, the largest comes first.
-_FLAT_KEYS = {
-    "grevlex": (lambda m: (sum(m),) + tuple(map(neg, m[::-1])),
-                lambda m: (-sum(m),) + m[::-1]),
-    "grlex": (lambda m: (sum(m),) + m,
-              lambda m: (-sum(m),) + tuple(map(neg, m))),
-    "lex": (lambda m: m,
-            lambda m: tuple(map(neg, m))),
-}
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -56,7 +41,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
             if g.vars != f.vars:
                 raise AmbientMismatchError(f"ambient mismatch: {f.vars} vs {g.vars}")
             divisors.append([g.leading(order)[0], g, None])
-    desc = _FLAT_KEYS[order.name][1]
+    desc = order.desc
     work = dict(f.terms)
     heap = [(desc(m), m) for m in work]
     heapq.heapify(heap)
@@ -97,7 +82,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     (lmf, lcf) = f.leading(order)
     (lmg, lcg) = g.leading(order)
-    lcm = mono_lcm(lmf, lmg)
+    lcm = tuple(map(max, lmf, lmg))
     qf = tuple(map(sub, lcm, lmf))
     qg = tuple(map(sub, lcm, lmg))
     out = {tuple(map(add, m, qf)): c if lcf == 1 else c / lcf for m, c in f.terms.items()}
@@ -180,11 +165,10 @@ def groebner_basis(generators: Iterable[Polynomial],
                 minimal.append(m)
         return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in reversed(minimal))
 
-    asc = _FLAT_KEYS[order.name][0]
     basis: list[Polynomial] = []
     lead: list[Monomial] = []
     active: list[int] = []  # basis elements still paired with new ones, and used to reduce
-    # Pending pairs (flat order key of lcm, i, j, lcm) with i < j; the key
+    # Pending pairs (order key of lcm, i, j, lcm) with i < j; the key
     # and then the indices decide which pair is selected first.
     heap: list[tuple] = []
 
@@ -208,7 +192,7 @@ def groebner_basis(generators: Iterable[Polynomial],
             # divides.  Ascending order lists every divisor of an lcm
             # before it.  An lcm shared with a coprime pair needs no pair
             # at all (first criterion).
-            fresh = sorted((asc(lcm), lcm, g)
+            fresh = sorted((key(lcm), lcm, g)
                            for g in active for lcm in (tuple(map(max, lead[g], lm)),))
             kept_lcms: list[Monomial] = []
             for (k, lcm), group in itertools.groupby(fresh, key=lambda t: t[:2]):
@@ -216,7 +200,7 @@ def groebner_basis(generators: Iterable[Polynomial],
                     continue
                 kept_lcms.append(lcm)
                 members = [g for _, _, g in group]
-                if not any(lcm == mono_mul(lead[g], lm) for g in members):
+                if not any(lcm == tuple(map(add, lead[g], lm)) for g in members):
                     heapq.heappush(heap, (k, members[0], new, lcm))
         active[:] = [g for g in active if not all(map(ge, lead[g], lm))]
         active.append(new)
@@ -278,17 +262,6 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return (self.vars, self.order, self.basis) == (other.vars, other.order, other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.vars, self.order, self.basis))
 
     def __repr__(self) -> str:
         return f"GroebnerBasis([{', '.join(str(g) for g in self.basis)}], {self.order.name})"
@@ -432,9 +405,20 @@ class Ideal:
         return min(g.order_at_origin() for g in self.generators)
 
     def extend(self, variables: Sequence[str]) -> "Ideal":
-        """Same generators viewed in a larger polynomial ring."""
+        """Same generators viewed in a larger polynomial ring.
+
+        When the old variables keep their relative order, the cached
+        reduced bases carry over: restricted to monomials without the new
+        variables, each order is the old one, so an extended reduced
+        basis is still reduced and still sorted.
+        """
         variables = tuple(variables)
-        return Ideal(variables, tuple(g.extend(variables) for g in self.generators))
+        ideal = Ideal(variables, tuple(g.extend(variables) for g in self.generators))
+        if tuple(v for v in variables if v in self.vars) == self.vars:
+            for name, gb in self._gb_cache.items():
+                ideal._gb_cache[name] = GroebnerBasis(
+                    tuple(g.extend(variables) for g in gb.basis), gb.order, variables)
+        return ideal
 
     # -- predicates and printing ------------------------------------------
 

@@ -8,6 +8,7 @@ variable count.  No floating point is used anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg
 from typing import Mapping, Sequence
 
 #: Dense exponent vector; length equals the ambient variable count.
@@ -26,66 +27,47 @@ def _coerce_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational or integer, got {type(value).__name__}")
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """Componentwise quotient a/b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class MonomialOrder:
     """A monomial order compatible with multiplication; 1 is minimal.
 
-    ``key`` maps a monomial to a sort key such that larger keys mean
-    larger monomials.  Graded reverse lexicographic is the package
-    default and the order used for all canonical output.
+    One instance per order: ``GREVLEX``, ``LEX`` and ``GRLEX``.  Each
+    carries two flat sort keys for monomials: under ``key`` larger keys
+    mean larger monomials, and under ``desc`` the largest monomial sorts
+    first.  Graded reverse lexicographic is the package default and the
+    order used for all canonical output.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "key", "desc")
 
-    _NAMES = ("grevlex", "lex", "grlex")
-
-    def __init__(self, name: str):
-        if name not in self._NAMES:
-            raise ValueError(f"unknown monomial order {name!r}; expected one of {self._NAMES}")
+    def __init__(self, name: str, key, desc):
         self.name = name
-
-    def key(self, m: Monomial):
-        if self.name == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        if self.name == "grlex":
-            return (sum(m), m)
-        return m
+        self.key = key
+        self.desc = desc
 
     @classmethod
     def from_name(cls, name: str) -> "MonomialOrder":
-        return _ORDERS.get(name) or cls(name)
+        try:
+            return _ORDERS[name]
+        except KeyError:
+            raise ValueError(f"unknown monomial order {name!r}; "
+                             f"expected one of {tuple(_ORDERS)}") from None
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.name!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialOrder) and self.name == other.name
 
-    def __hash__(self) -> int:
-        return hash((MonomialOrder, self.name))
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-GRLEX = MonomialOrder("grlex")
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX, "grlex": GRLEX}
+# Grevlex: total degree first, then the smaller exponent of the last
+# variable where two monomials differ.  Grlex: total degree, then lex.
+GREVLEX = MonomialOrder("grevlex",
+                        lambda m: (sum(m),) + tuple(map(neg, m[::-1])),
+                        lambda m: (-sum(m),) + m[::-1])
+LEX = MonomialOrder("lex",
+                    lambda m: m,
+                    lambda m: tuple(map(neg, m)))
+GRLEX = MonomialOrder("grlex",
+                      lambda m: (sum(m),) + m,
+                      lambda m: (-sum(m),) + tuple(map(neg, m)))
+_ORDERS = {order.name: order for order in (GREVLEX, LEX, GRLEX)}
 
 
 class Polynomial:
@@ -240,7 +222,7 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 c = out.get(m)
                 if c is None:
                     out[m] = c1 * c2

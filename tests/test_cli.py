@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from hodgeideals import GREVLEX, compute_chain, parse_divisor
+from hodgeideals import GREVLEX, Ideal, compute_chain, parse_divisor
 from hodgeideals.cli import _ideal_lines, main
 
 CUSP_TASK = {
@@ -176,6 +176,7 @@ def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_c
     (["x", "y"], "x^2+y^3", "19/10", "auto"),     # twisted by x^2+y^3
     (["x", "y", "z"], "x^2+y^2+z^2", "3/4", "recursion"),
     (["x", "y"], "x^2+y^2", "3/2", "ordinary"),   # closed form, twisted
+    (["x", "y", "z"], "x^2+y^3", "9/10", "auto"),  # a cylinder, extended back
 ])
 def test_printing_a_computed_chain_in_grevlex_runs_no_groebner_basis(
         variables, f, alpha, method, groebner_calls):
@@ -185,6 +186,36 @@ def test_printing_a_computed_chain_in_grevlex_runs_no_groebner_basis(
     lines = [_ideal_lines(res.ideal, GREVLEX) for res in chain]
     assert groebner_calls == []
     assert all(lines)
+
+
+def test_extend_that_reorders_the_variables_computes_a_new_basis(groebner_calls):
+    d = parse_divisor({"vars": ["x", "y"],
+                       "components": [{"f": "x^2+y^3", "alpha": "9/10"}]})
+    ideal = compute_chain(d, 2)[2].ideal
+    for variables in (("z", "x", "y"), ("y", "z", "x")):
+        groebner_calls.clear()
+        extended = ideal.extend(variables)
+        lines = _ideal_lines(extended, GREVLEX)
+        assert len(groebner_calls) == (0 if variables[1:] == ("x", "y") else 1)
+        fresh = Ideal(variables, extended.generators)
+        assert lines == _ideal_lines(fresh, GREVLEX)
+
+
+def test_second_main_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    import argparse
+    path = write_task(tmp_path, CUSP_TASK)
+    assert run_cli(capsys, "compute", path)[0] == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "--format", "json", "compute", path)[0] == 0
+    assert run_cli(capsys, "parse", "x+y", "--vars", "x,y")[0] == 0
+    assert built == []
 
 
 def test_compute_bad_alpha_exits_2(tmp_path, capsys):

@@ -19,6 +19,12 @@ SNC_TASK = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x", "alpha": "3/2"},
                                        {"f": "y", "alpha": "1/2"}]},
             "task": "compute", "k": 1, "method": "auto"}
+CYLINDER_TASK = {"vars": ["x", "y", "z"],
+                 "divisor": {"components": [{"f": "x^2+y^3", "alpha": "7/4"}]},
+                 "task": "compute", "k": 2, "method": "auto"}
+CUBIC_TASK = {"vars": ["x", "y", "z"],
+              "divisor": {"components": [{"f": "x^2+y^3+z^5", "alpha": "1"}]},
+              "task": "compute", "k": 2, "method": "auto"}
 CERT_TASK = {"vars": ["x", "y"],
              "divisor": {"components": [{"f": "x^2+y^3", "alpha": "4/5"}]},
              "task": "certify", "k": 0,
@@ -43,6 +49,17 @@ def test_cusp_compute_json_golden(tmp_path, capsys):
 def test_snc_compute_text_golden(tmp_path, capsys):
     out = run(tmp_path, capsys, SNC_TASK, "--format", "text", "compute")
     assert out == (GOLDEN / "snc_compute.txt").read_text()
+
+
+def test_cylinder_compute_lex_golden(tmp_path, capsys):
+    # A twist, a cylinder (z unused) and the lex order in one output.
+    out = run(tmp_path, capsys, CYLINDER_TASK, "--order", "lex", "compute")
+    assert out == (GOLDEN / "cylinder_compute_lex.txt").read_text()
+
+
+def test_cubic_compute_grlex_json_golden(tmp_path, capsys):
+    out = run(tmp_path, capsys, CUBIC_TASK, "--format", "json", "--order", "grlex", "compute")
+    assert out == (GOLDEN / "cubic_compute_grlex.json").read_text()
 
 
 def test_certify_text_golden(tmp_path, capsys):

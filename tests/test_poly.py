@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeideals import GREVLEX, GRLEX, LEX, Polynomial
+from hodgeideals import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
 from hodgeideals.parser import parse_polynomial
 from hodgeideals.poly import AmbientMismatchError
 
@@ -115,6 +115,13 @@ def test_order_comparisons():
     assert GREVLEX.key(xy3) > GREVLEX.key(x2yz)
     assert GRLEX.key(x2yz) > GRLEX.key(xy3)
     assert LEX.key(x2yz) > LEX.key(xy3)
+
+
+def test_orders_by_name():
+    for order in (GREVLEX, LEX, GRLEX):
+        assert MonomialOrder.from_name(order.name) is order
+    with pytest.raises(ValueError, match="revlex"):
+        MonomialOrder.from_name("revlex")
 
 
 def test_one_is_minimal():
