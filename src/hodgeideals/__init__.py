@@ -22,7 +22,6 @@ from .divisor import (
 from .closed_forms import (
     OrdinarySingularityModel,
     Regime,
-    WeightVector,
     classify,
     generation_level,
     node_ideal,
@@ -33,6 +32,7 @@ from .closed_forms import (
 from .recursion import (
     ChainResult,
     GenerationCertificate,
+    MethodUnavailableError,
     certificate_for,
     derivation_step,
     hodge_chain,
@@ -49,7 +49,7 @@ from .certificates import (
     smoothness_test,
     triviality_certificate,
 )
-from .compute import MethodUnavailableError, compute_chain
+from .compute import compute_chain
 
 __all__ = [
     "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",
@@ -58,12 +58,12 @@ __all__ = [
     "parse_resolution_data",
     "HodgeIdealResult", "QDivisor", "periodic_reduce", "support", "twist_polynomial",
     "validate",
-    "OrdinarySingularityModel", "Regime", "WeightVector", "classify", "generation_level",
+    "OrdinarySingularityModel", "Regime", "classify", "generation_level",
     "node_ideal", "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
-    "ChainResult", "GenerationCertificate", "certificate_for", "derivation_step",
-    "hodge_chain", "i0_seed",
+    "ChainResult", "GenerationCertificate", "MethodUnavailableError", "certificate_for",
+    "derivation_step", "hodge_chain", "i0_seed",
     "Decision", "ExceptionalDivisor", "MultiplicityData", "ResolutionData",
     "alpha_multiple_membership", "nontriviality_symbolic_power",
     "singular_multiplicity_bound", "smoothness_test", "triviality_certificate",
-    "MethodUnavailableError", "compute_chain",
+    "compute_chain",
 ]

@@ -208,7 +208,7 @@ def smoothness_test(results: Sequence[HodgeIdealResult], divisor: QDivisor) -> D
     lines = []
     singular = False
     for res in results:
-        if not res.exact or res.ideal is None:
+        if not res.exact:
             continue
         if res.ideal.equals(twist_ideal):
             lines.append(f"k={res.k}: I_k equals the twist ideal")

@@ -48,7 +48,11 @@ class TaskSpec:
 
 def _load_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read task file {path!r}: {exc}") from exc
     try:
@@ -60,6 +64,14 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _count(value, name: str) -> int:
+    """``value`` when it is a non-negative JSON integer; a boolean or a
+    float is refused, not coerced."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _task_spec(doc: dict, expected: str) -> TaskSpec:
     task = doc.get("task", expected)
     if task != expected:
@@ -69,9 +81,7 @@ def _task_spec(doc: dict, expected: str) -> TaskSpec:
         if "vars" not in doc:
             raise InputError("task document needs a 'vars' list")
         divisor = parse_divisor(doc)
-    k = doc.get("k", 0)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InputError(f"'k' must be a non-negative integer, got {k!r}")
+    k = _count(doc.get("k", 0), "'k'")
     method = doc.get("method", "auto")
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -87,9 +97,7 @@ def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
         return None
     if not isinstance(cert, dict) or "level" not in cert:
         raise InputError("'options.certificate' must be an object with a 'level'")
-    level = cert["level"]
-    if not isinstance(level, int) or isinstance(level, bool) or level < 0:
-        raise InputError(f"certificate level must be a non-negative integer, got {level!r}")
+    level = _count(cert["level"], "certificate level")
     source = cert.get("source", "user-asserted")
     if source not in CERTIFICATE_SOURCES:
         raise InputError(f"unknown certificate source {source!r}")
@@ -105,9 +113,7 @@ def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
     return Ideal(divisor.vars, tuple(parse_polynomial(g, divisor.vars) for g in gens))
 
 
-def _ideal_lines(ideal: Optional[Ideal], order: MonomialOrder) -> Optional[list[str]]:
-    if ideal is None:
-        return None
+def _ideal_lines(ideal: Ideal, order: MonomialOrder) -> list[str]:
     return [g.to_str(order) for g in ideal.groebner(order)]
 
 
@@ -160,12 +166,7 @@ def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder):
     for res in results:
         flag = "exact" if res.exact else "lower-bound"
         lines.append(f"k = {res.k} [{flag}] method={res.method}")
-        ideal_lines = _ideal_lines(res.ideal, order)
-        if ideal_lines is None:
-            lines.append("  (no closed form; see notes)")
-        else:
-            for gen in ideal_lines:
-                lines.append(f"  {gen}")
+        lines += [f"  {gen}" for gen in _ideal_lines(res.ideal, order)]
         if res.notes:
             lines.append(f"  notes: {res.notes}")
     warnings = [res.notes for res in results if not res.exact]
@@ -246,13 +247,15 @@ def cmd_certify(args) -> int:
         if not isinstance(m, dict):
             raise InputError("'multiplicity' must be an object")
         try:
-            md = MultiplicityData(n=int(m["n"]), r=int(m["r"]), a=int(m["a"]),
+            md = MultiplicityData(n=_count(m["n"], "'multiplicity.n'"),
+                                  r=_count(m["r"], "'multiplicity.r'"),
+                                  a=_count(m["a"], "'multiplicity.a'"),
                                   b=parse_rational(str(m["b"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad multiplicity data: {exc}") from exc
         q = m.get("q")
-        if q is not None and (not isinstance(q, int) or isinstance(q, bool) or q < 0):
-            raise InputError("'multiplicity.q' must be a non-negative integer")
+        if q is not None:
+            _count(q, "'multiplicity.q'")
         decision = nontriviality_symbolic_power(md, spec.k, q)
         payload = {"task": "certify", "kind": "symbolic-power", "k": spec.k,
                    "decision": decision.status, "q": decision.value,
@@ -264,10 +267,14 @@ def cmd_certify(args) -> int:
         m = doc["membership"]
         if not isinstance(m, dict):
             raise InputError("'membership' must be an object")
+        proportional = m.get("proportional", True)
+        if not isinstance(proportional, bool):
+            raise InputError(f"'membership.proportional' must be a boolean, "
+                             f"got {proportional!r}")
         try:
             decision = alpha_multiple_membership(
-                n=int(m["n"]), m=int(m["m"]), alpha=parse_rational(str(m["alpha"])),
-                k=spec.k, proportional=bool(m.get("proportional", True)))
+                n=_count(m["n"], "'membership.n'"), m=_count(m["m"], "'membership.m'"),
+                alpha=parse_rational(str(m["alpha"])), k=spec.k, proportional=proportional)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad membership data: {exc}") from exc
         payload = {"task": "certify", "kind": "maximal-ideal-membership", "k": spec.k,

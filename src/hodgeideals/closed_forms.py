@@ -123,15 +123,14 @@ def node_ideal(k: int, alpha: Fraction, variables: Sequence[str] = ("x", "y")) -
 
 
 def ordinary_ideal(model: OrdinarySingularityModel, k: int,
-                   variables: Sequence[str]) -> HodgeIdealResult:
+                   variables: Sequence[str]) -> Optional[HodgeIdealResult]:
     """I_k for an ordinary singularity of multiplicity m in dimension n.
 
     Trivial exactly when m <= n/(k + alpha).  In the parameter region
     (k-1)m + ceil(alpha*m) < n with k <= n-2 (k = 0 folds into the
     multiplier-ideal case) the answer is the maximal-ideal power
     m^(k*m + ceil(alpha*m) - n); a surface node falls back to m^k.
-    Outside those regions there is no closed form and a non-exact marker
-    is returned.
+    Outside those regions there is no closed form and None is returned.
     """
     variables = tuple(variables)
     if len(variables) != model.n:
@@ -151,28 +150,11 @@ def ordinary_ideal(model: OrdinarySingularityModel, k: int,
         ideal = Ideal.maximal_at_origin(variables) ** e if e > 0 else Ideal.unit(variables)
         return HodgeIdealResult(k=k, ideal=ideal, method="ordinary", exact=True,
                                 notes=note + f"; maximal-ideal power exponent {e}")
-    return HodgeIdealResult(
-        k=k, ideal=None, method="ordinary", exact=False,
-        notes=note + "; no closed form in this parameter region -- "
-                     "use the recursion engine or a certificate")
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Quasi-homogeneous data: minimal exponent and generation level
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Positive rational weights, one per ambient variable."""
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("weight vector must be nonempty")
-        for w in self.weights:
-            if not isinstance(w, Fraction) or w <= 0:
-                raise ValueError(f"weights must be positive exact rationals, got {w!r}")
 
 
 def generation_level(n: int, alpha_tilde: Fraction, alpha: Fraction) -> int:
@@ -181,10 +163,10 @@ def generation_level(n: int, alpha_tilde: Fraction, alpha: Fraction) -> int:
     return max(0, min(n - 1, raw))
 
 
-def infer_weights(h: Polynomial) -> Optional[WeightVector]:
-    """Unique positive weights making ``h`` weighted-homogeneous of
-    weighted degree 1, or None when no such weights exist (or they are
-    not unique)."""
+def infer_weights(h: Polynomial) -> Optional[tuple[Fraction, ...]]:
+    """Unique positive weights, one per variable, making ``h``
+    weighted-homogeneous of weighted degree 1, or None when no such
+    weights exist (or they are not unique)."""
     monos = sorted(h.terms)
     n = len(h.vars)
     # Solve mono . w = 1 for each monomial, by exact Gaussian elimination.
@@ -214,7 +196,7 @@ def infer_weights(h: Polynomial) -> Optional[WeightVector]:
         weights[col] = row[n]
     if any(w <= 0 for w in weights):
         return None
-    return WeightVector(tuple(weights))
+    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------

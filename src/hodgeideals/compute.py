@@ -18,17 +18,13 @@ from .ideal import Ideal
 from .poly import Polynomial
 from .recursion import (
     GenerationCertificate,
-    SeedUnavailableError,
+    MethodUnavailableError,
     certificate_for,
     hodge_chain,
     i0_seed,
 )
 
 METHODS = ("auto", "smooth", "snc", "ordinary", "recursion")
-
-
-class MethodUnavailableError(ValueError):
-    """No computation method applies to the divisor as requested."""
 
 
 def _restrict_to_used(divisor: QDivisor) -> Optional[tuple[QDivisor, tuple[str, ...]]]:
@@ -66,11 +62,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         inner = compute_chain(small, k_max, method, seed_ideal=None, certificate=certificate)
         note = (f"computed over the variables {', '.join(small.vars)} actually used "
                 f"and extended back (smooth pullback)")
-        out = []
-        for res in inner:
-            ideal = res.ideal.extend(divisor.vars) if res.ideal is not None else None
-            out.append(replace(res, ideal=ideal).with_note(note))
-        return out
+        return [replace(res, ideal=res.ideal.extend(divisor.vars)).with_note(note)
+                for res in inner]
 
     regime = classify(divisor)
     if method in ("auto", "smooth"):
@@ -91,7 +84,7 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         model = regime.ordinary
         if model is not None:
             results = [ordinary_ideal(model, k, divisor.vars) for k in range(k_max + 1)]
-            if all(res.ideal is not None for res in results):
+            if None not in results:
                 return [apply_twist(regime.twist, res) for res in results]
             if method == "ordinary":
                 raise MethodUnavailableError(
@@ -102,10 +95,7 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                 "ordinary closed form wants a single cone component sum c_i x_i^m")
 
     # Recursion with a generation-level certificate.
-    try:
-        seed = i0_seed(regime, user_ideal=seed_ideal)
-    except SeedUnavailableError as exc:
-        raise MethodUnavailableError(str(exc)) from exc
+    seed = i0_seed(regime, user_ideal=seed_ideal)
     cert = certificate if certificate is not None else certificate_for(regime)
     results = hodge_chain(regime, k_max, seed, cert).results
     if seed_ideal is not None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .ideal import GroebnerBasis, Ideal
 from .poly import Polynomial
@@ -110,13 +109,12 @@ def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult
 class HodgeIdealResult:
     """A computed Hodge ideal I_k(D) with provenance.
 
-    ``exact=False`` means the ideal, when present, is a certified lower
-    bound (sub-ideal) of the true Hodge ideal; a missing ideal is a
-    marker that no closed form applies in the requested regime.
+    ``exact=False`` means the ideal is a certified lower bound (sub-ideal)
+    of the true Hodge ideal.
     """
 
     k: int
-    ideal: Optional[Ideal]
+    ideal: Ideal
     method: str = "recursion"  # snc | smooth | ordinary | recursion | certificate
     exact: bool = True
     notes: str = ""

@@ -23,8 +23,8 @@ CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bo
                        "user-asserted")
 
 
-class SeedUnavailableError(ValueError):
-    """No computable I_0 regime was recognized and none was supplied."""
+class MethodUnavailableError(ValueError):
+    """No computation method applies to the divisor as requested."""
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,9 @@ def universal_certificate(n: int) -> GenerationCertificate:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Per-k Hodge ideal results from iterating the derivation step.
+    """Per-k Hodge ideal results from iterating the derivation step."""
 
-    ``exact_boundary`` is the first index whose result is only a lower
-    bound (None when every step is exact).
-    """
-
-    divisor: QDivisor
     results: tuple[HodgeIdealResult, ...]
-    certificate: GenerationCertificate
-    exact_boundary: Optional[int]
 
     def result(self, k: int) -> HodgeIdealResult:
         for res in self.results:
@@ -139,38 +132,28 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
     """
     if not seed.exact:
         raise ValueError("chain seed must be an exact Hodge ideal")
-    if seed.ideal is None:
-        raise ValueError("chain seed carries no ideal")
-    divisor, reduced, twist = regime.divisor, regime.reduced, regime.twist
-    n = len(divisor.vars)
+    divisor = regime.divisor
     if seed.ideal.vars != divisor.vars:
         raise ValueError(f"seed over {seed.ideal.vars}, divisor over {divisor.vars}")
-    effective_level = min(cert.level, n - 1)
+    effective_level = min(cert.level, len(divisor.vars) - 1)
     k0 = seed.k
     if k0 > k_max:
         raise ValueError(f"seed level {k0} exceeds k_max = {k_max}")
 
-    ideals: dict[int, Ideal] = {k0: seed.ideal.canonical()}
-    exact: dict[int, bool] = {k0: True}
-    for k in range(k0, k_max):
-        ideals[k + 1] = derivation_step(ideals[k], reduced, k)
-        exact[k + 1] = exact[k] and k >= effective_level
-
+    exact_note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
+                 f"level {cert.level}"
+    bound_note = (f"lower bound only: step index below certificate level {cert.level} "
+                  f"({cert.source}); the true ideal contains this one")
+    ideal, exact = seed.ideal.canonical(), True
     results = []
-    boundary: Optional[int] = None
     for k in range(k0, k_max + 1):
-        if exact[k]:
-            note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
-                   f"level {cert.level}"
-        else:
-            note = (f"lower bound only: step index below certificate level {cert.level} "
-                    f"({cert.source}); the true ideal contains this one")
-            if boundary is None:
-                boundary = k
-        results.append(apply_twist(twist, HodgeIdealResult(
-            k=k, ideal=ideals[k], method="recursion", exact=exact[k], notes=note)))
-    return ChainResult(divisor=divisor, results=tuple(results), certificate=cert,
-                       exact_boundary=boundary)
+        results.append(apply_twist(regime.twist, HodgeIdealResult(
+            k=k, ideal=ideal, method="recursion", exact=exact,
+            notes=exact_note if exact else bound_note)))
+        if k < k_max:
+            ideal = derivation_step(ideal, regime.reduced, k)
+            exact = exact and k >= effective_level
+    return ChainResult(results=tuple(results))
 
 
 def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealResult:
@@ -181,7 +164,8 @@ def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealRes
     is trivial, and a single diagonal component sum c_i x_i^(d_i) through
     the standard multiplier-ideal computation (trivial iff alpha <= sum
     1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  A
-    user-supplied ideal is trusted and recorded as such.
+    user-supplied ideal is trusted and recorded as such.  Any other
+    divisor raises ``MethodUnavailableError``.
     """
     variables = regime.divisor.vars
     if user_ideal is not None:
@@ -201,7 +185,7 @@ def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealRes
             k=0, ideal=diagonal_multiplier_i0(d, regime.alpha, variables), method="recursion",
             exact=True, notes=f"I_0 as the multiplier ideal of a {kind} "
                               f"(minimal exponent {tilde}; trivial iff alpha <= {tilde})")
-    raise SeedUnavailableError(
+    raise MethodUnavailableError(
         "no computable I_0 regime recognized (SNC coordinates or a single diagonal "
         "equation); supply a seed ideal explicitly")
 
@@ -222,7 +206,7 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
         weights = infer_weights(g)
         if weights is not None and \
                 Ideal(g.vars, [g.diff(i) for i in range(n)]).is_zero_dimensional():
-            tilde = sum(weights.weights, Fraction(0))
+            tilde = sum(weights, Fraction(0))
             return GenerationCertificate(
                 level=generation_level(n, tilde, regime.alpha),
                 source="quasihomogeneous-formula")

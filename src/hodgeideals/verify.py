@@ -78,7 +78,7 @@ def check_chain_inclusions(results: Sequence[HodgeIdealResult],
     reports, without asserting, whether I_k is contained in I_(k-1)."""
     g = support(divisor)
     name = divisor.describe()
-    exact = [res for res in results if res.exact and res.ideal is not None]
+    exact = [res for res in results if res.exact]
     verdicts: list[Verdict] = []
     for a in range(len(exact)):
         for b in range(a + 1, len(exact)):
@@ -175,7 +175,7 @@ def check_product_formula(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
     combined = QDivisor(joint, tuple(
         (f.extend(joint), alpha) for f, alpha in d1.components + d2.components))
     lhs_res = compute_chain(combined, k)[k]
-    if not lhs_res.exact or lhs_res.ideal is None:
+    if not lhs_res.exact:
         return [Verdict(claim="product-formula", instance=name, status=FAIL,
                         detail="I_k(B1+B2) not computable exactly on this instance")]
     rhs = _convolution(d1, compute_chain(d1, k), d2, compute_chain(d2, k), joint)
@@ -235,13 +235,15 @@ def check_restriction(divisor: QDivisor, var_index: int, replacement: Polynomial
     return _restriction(divisor, var_index, k)(replacement, expect_equality)
 
 
-def _generic_restriction_draws(divisor: QDivisor, var_index: int, k: int,
+def _generic_restriction_draws(divisor: QDivisor, var_index: int,
+                               check: Callable[[Polynomial, bool], list[Verdict]],
                                rng: random.Random, draws: int = 3) -> list[Verdict]:
-    """Seeded generic draws with the redraw policy: a draw failing
-    equality while others pass is re-drawn once and logged, not treated
-    as a theorem violation; a persistent failure stays FAIL."""
+    """Seeded generic draws, each judged by ``check`` (what
+    ``_restriction(divisor, var_index, k)`` returns), with the redraw
+    policy: a draw failing equality while others pass is re-drawn once
+    and logged, not treated as a theorem violation; a persistent failure
+    stays FAIL."""
     sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
-    check = _restriction(divisor, var_index, k)
 
     def draw() -> tuple[Polynomial, list[Verdict]]:
         repl = Polynomial.zero(sub_vars)
@@ -357,7 +359,7 @@ def check_multiplicity_bounds(results: Sequence[HodgeIdealResult], divisor: QDiv
     n = len(divisor.vars)
     name = divisor.describe()
     verdicts: list[Verdict] = []
-    exact = {res.k: res for res in results if res.exact and res.ideal is not None}
+    exact = {res.k: res for res in results if res.exact}
     for k in sorted(exact):
         if k - 1 in exact and k > level and not exact[k].ideal.is_zero():
             prev, cur = exact[k - 1].ideal, exact[k].ideal
@@ -439,12 +441,13 @@ def suite_restriction(seed: int = DEFAULT_SEED) -> list[Verdict]:
     rng = random.Random(seed)
     verdicts: list[Verdict] = []
     cusp = _divisor(("x", "y", "z"), ("x^2 + y^3", Fraction(9, 10)))
-    for k in (1, 2):
-        verdicts += _generic_restriction_draws(cusp, 2, k, rng)
-    zero_plane = Polynomial.zero(("x", "y"))
-    verdicts += check_restriction(cusp, 2, zero_plane, 1)
+    # One checker per level: the z -> 0 plane reuses the k = 1 chains.
+    cusp_k1 = _restriction(cusp, 2, 1)
+    verdicts += _generic_restriction_draws(cusp, 2, cusp_k1, rng)
+    verdicts += _generic_restriction_draws(cusp, 2, _restriction(cusp, 2, 2), rng)
+    verdicts += cusp_k1(Polynomial.zero(("x", "y")), True)
     snc = _divisor(("x", "y", "z"), ("x", Fraction(1, 2)), ("y", Fraction(1, 2)))
-    verdicts += _generic_restriction_draws(snc, 2, 1, rng)
+    verdicts += _generic_restriction_draws(snc, 2, _restriction(snc, 2, 1), rng)
     return _sorted_report(verdicts)
 
 

@@ -30,6 +30,7 @@ from hodgeideals.divisor import HodgeIdealResult
 from hodgeideals.verify import (
     PASS,
     _generic_restriction_draws,
+    _restriction,
     check_chain_inclusions,
     check_multiplicity_bounds,
     cusp_resolution_data,
@@ -160,7 +161,7 @@ def test_criterion_4_ordinary_boundary():
                 res = ordinary_ideal(model, k, variables)
                 expected_trivial = m * (k + alpha) <= n
                 assert ordinary_triviality(model, k) == expected_trivial
-                if res.ideal is not None:
+                if res is not None:
                     assert res.ideal.is_unit() == expected_trivial
                 else:
                     assert not expected_trivial
@@ -201,7 +202,8 @@ def test_criterion_7_restriction_cylinder():
         rng = random.Random(7)
         cusp3 = div([{"f": "x^2+y^3", "alpha": "9/10"}], XYZ)
         for k in (1, 2):
-            verdicts = _generic_restriction_draws(cusp3, 2, k, rng, draws=3)
+            verdicts = _generic_restriction_draws(cusp3, 2, _restriction(cusp3, 2, k), rng,
+                                                  draws=3)
             equalities = [v for v in verdicts if v.claim == "restriction-generic-equality"]
             assert len(equalities) >= 3
             assert report_ok(verdicts)

@@ -1,9 +1,11 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
+import gc
 import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -298,6 +300,43 @@ def test_certify_multiplicity(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "certify", path)
     assert code == 0
     assert json.loads(out)["q"] == 3
+
+
+@pytest.mark.parametrize("data", [
+    {"multiplicity": {"n": 3.9, "r": 3, "a": 4, "b": "4"}},
+    {"multiplicity": {"n": 3, "r": True, "a": 4, "b": "4"}},
+    {"multiplicity": {"n": 3, "r": 3, "a": "4", "b": "4"}},
+    {"multiplicity": {"n": 3, "r": 3, "a": 4, "b": "4", "q": 1.0}},
+    {"membership": {"n": 2.7, "m": True, "alpha": "3/4"}},
+    {"membership": {"n": 3, "m": -2, "alpha": "3/4"}},
+    {"membership": {"n": 3, "m": 2, "alpha": "3/4", "proportional": "false"}},
+    {"membership": {"n": 3, "m": 2, "alpha": "3/4", "proportional": 0}},
+])
+def test_certify_refuses_coerced_numbers_and_booleans(tmp_path, capsys, data):
+    path = write_task(tmp_path, {"task": "certify", "k": 1, **data})
+    code, out, err = run_cli(capsys, "certify", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be a" in err
+
+
+def test_certify_membership_honours_proportional_false(tmp_path, capsys):
+    task = {"task": "certify", "k": 1,
+            "membership": {"n": 3, "m": 2, "alpha": "3/4", "proportional": False}}
+    path = write_task(tmp_path, task)
+    code, out, _ = run_cli(capsys, "--format", "json", "certify", path)
+    assert code == 0
+    assert json.loads(out)["decision"] == "CONTAINED-IN-MAXIMAL-IDEAL-CONJECTURAL"
+
+
+def test_task_file_is_closed(tmp_path, capsys):
+    path = write_task(tmp_path, {"task": "certify", "k": 1,
+                                 "membership": {"n": 3, "m": 2, "alpha": "3/4"}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["certify", path]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # -- verify -------------------------------------------------------------------------

@@ -139,9 +139,7 @@ def test_ordinary_examples():
 
 
 def test_ordinary_no_closed_form_marker():
-    res = ordinary_ideal(OrdinarySingularityModel(2, 3, F(1)), 1, XY)
-    assert not res.exact and res.ideal is None
-    assert "no closed form" in res.notes
+    assert ordinary_ideal(OrdinarySingularityModel(2, 3, F(1)), 1, XY) is None
 
 
 def test_ordinary_k0_matches_multiplier_ideal_rule():
@@ -163,7 +161,7 @@ def test_ordinary_triviality_boundary_is_sharp():
             res = ordinary_ideal(model, k, variables)
             expected_trivial = m * (k + alpha) <= n
             assert ordinary_triviality(model, k) == expected_trivial
-            if res.ideal is not None:
+            if res is not None:
                 assert res.ideal.is_unit() == expected_trivial
             else:
                 assert not expected_trivial
@@ -188,7 +186,7 @@ def test_node_examples():
 def alpha_tilde(text, variables):
     """Minimal exponent of a quasi-homogeneous isolated singularity: the
     sum of the inferred weights."""
-    return sum(infer_weights(parse_polynomial(text, variables)).weights, F(0))
+    return sum(infer_weights(parse_polynomial(text, variables)), F(0))
 
 
 def test_alpha_tilde_triple_lines():
@@ -232,8 +230,8 @@ def test_generation_level_clamp_property(n, tilde, alpha):
 
 
 def test_infer_weights():
-    assert infer_weights(parse_polynomial("x^2 + y^3", XY)).weights == (F(1, 2), F(1, 3))
-    assert infer_weights(parse_polynomial("x y (x+y)", XY)).weights == (F(1, 3), F(1, 3))
+    assert infer_weights(parse_polynomial("x^2 + y^3", XY)) == (F(1, 2), F(1, 3))
+    assert infer_weights(parse_polynomial("x y (x+y)", XY)) == (F(1, 3), F(1, 3))
     assert infer_weights(parse_polynomial("x y", XY)) is None  # underdetermined
     assert infer_weights(parse_polynomial("x y z", XYZ)) is None
     assert infer_weights(parse_polynomial("x^2 + x", XY)) is None  # inconsistent

@@ -21,7 +21,8 @@ from hodgeideals import (
     snc_hodge_ideal,
     support,
 )
-from hodgeideals.recursion import SeedUnavailableError, _dlog_numerators
+from hodgeideals.compute import MethodUnavailableError
+from hodgeideals.recursion import _dlog_numerators
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -141,7 +142,7 @@ def test_seed_monomial_node():
 
 
 def test_seed_unavailable():
-    with pytest.raises(SeedUnavailableError):
+    with pytest.raises(MethodUnavailableError, match="no computable I_0"):
         i0_seed(classify(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}])))
 
 
@@ -205,7 +206,7 @@ def test_triple_lines_chain_below_level_is_lower_bound():
     seed = HodgeIdealResult(k=0, ideal=Ideal.unit(XY), exact=True, method="recursion")
     r = classify(d)
     chain = hodge_chain(r, 1, seed, certificate_for(r))
-    assert chain.exact_boundary == 1
+    assert [res.exact for res in chain.results] == [True, False]
     assert not chain.result(1).exact
     g = support(d)
     assert chain.ideal(1).contains_ideal(Ideal.principal(g))
@@ -232,7 +233,7 @@ def test_chain_cusp_golden_from_stated_seed():
     for alpha in (F(81, 100), F(9, 10), F(1)):
         d = cusp(alpha)
         chain = hodge_chain(classify(d), 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
-        assert chain.exact_boundary is None
+        assert all(res.exact for res in chain.results)
         assert chain.ideal(0).equals(ideal("x", "y"))
         assert chain.ideal(1).equals(ideal("x^2", "x y", "y^3"))
         assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
@@ -244,7 +245,7 @@ def test_chain_cusp_true_seed_above_threshold():
     for alpha in (F(9, 10), F(1)):
         r = classify(cusp(alpha))
         chain = hodge_chain(r, 2, i0_seed(r), certificate_for(r))
-        assert chain.exact_boundary is None
+        assert all(res.exact for res in chain.results)
         assert chain.ideal(0).equals(ideal("x", "y"))
         assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
 
@@ -255,7 +256,7 @@ def test_chain_cusp_below_threshold_has_trivial_i0():
     seed = i0_seed(r)
     assert seed.ideal.is_unit()
     chain = hodge_chain(r, 1, seed, certificate_for(r))
-    assert chain.exact_boundary is None
+    assert all(res.exact for res in chain.results)
     assert chain.ideal(1).equals(ideal("x", "y^2"))
 
 
@@ -263,7 +264,7 @@ def test_chain_node_maximal_powers():
     for alpha in (F(1, 2), F(1)):
         r = classify(div([{"f": "x y", "alpha": str(alpha)}]))
         chain = hodge_chain(r, 4, i0_seed(r), certificate_for(r))
-        assert chain.exact_boundary is None
+        assert all(res.exact for res in chain.results)
         assert chain.ideal(0).is_unit()
         for k in range(1, 5):
             assert chain.ideal(k).equals(Ideal.maximal_at_origin(XY) ** k)
@@ -277,7 +278,7 @@ def test_chain_cone_lower_bound_not_promoted():
     assert chain.result(0).exact
     assert not chain.result(1).exact
     assert not chain.result(2).exact  # index 1 >= level, but the input was already a bound
-    assert chain.exact_boundary == 1
+    assert [res.exact for res in chain.results] == [True, False, False]
     # the k=1 step undershoots the true trivial ideal but stays inside it
     truth = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 4)), 1, XYZ).ideal
     assert truth.is_unit()

@@ -3,7 +3,9 @@
 The CLI is imported in a fresh interpreter started with ``-I -S``: no
 site-packages on ``sys.path``, no ``PYTHON*`` environment variables, and
 only ``src`` added.  A third-party import would fail there, and a test
-dependency imported lazily would show up in ``sys.modules``.
+dependency imported lazily would show up in ``sys.modules``.  ``-B``
+keeps it from writing bytecode into ``src``: ``-I`` ignores
+``PYTHONDONTWRITEBYTECODE``.
 """
 
 import subprocess
@@ -24,7 +26,8 @@ print(code, loaded)
 
 
 def test_cli_parse_loads_no_third_party_module():
-    result = subprocess.run([sys.executable, "-I", "-S", "-c", SCRIPT.format(src=str(SRC))],
-                            capture_output=True, text=True, timeout=60)
+    result = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", SCRIPT.format(src=str(SRC))],
+        capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["x + y", "0 []"]

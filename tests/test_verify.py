@@ -11,6 +11,7 @@ from hodgeideals.verify import (
     PASS,
     SUITES,
     _generic_restriction_draws,
+    _restriction,
     check_chain_inclusions,
     check_periodicity,
     check_product_formula,
@@ -125,10 +126,20 @@ def test_restriction_draws_share_their_chains(chain_calls):
     counts = []
     for draws in (1, 3):
         chain_calls.clear()
-        verdicts = _generic_restriction_draws(cusp, 2, 2, random.Random(7), draws)
+        verdicts = _generic_restriction_draws(cusp, 2, _restriction(cusp, 2, 2),
+                                              random.Random(7), draws)
         assert report_ok(verdicts)
         counts.append(len(chain_calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_restriction_suite_computes_each_cusp_chain_once(chain_calls):
+    # The k = 1 checker serves the generic draws and the z -> 0 plane: per
+    # restriction check, one ambient chain (plus its inner chain on the used
+    # variables) and one intrinsic chain, for the cusp at k = 1 and 2 and
+    # the SNC pair at k = 1.
+    assert report_ok(SUITES["restriction"](7))
+    assert len(chain_calls) == 9
 
 
 def test_periodicity_checks():
