@@ -23,7 +23,7 @@ from .divisor import QDivisor, periodic_reduce, validate
 from .ideal import Ideal
 from .parser import parse_divisor, parse_polynomial, parse_rational, parse_resolution_data
 from .poly import _ORDERS, MonomialOrder, format_rational
-from .recursion import CERTIFICATE_SOURCES, GenerationCertificate
+from .recursion import GenerationCertificate
 from .verify import DEFAULT_SEED, SUITES, report_ok, run_suites
 
 EXIT_OK = 0
@@ -44,6 +44,9 @@ class TaskSpec:
     k: int
     method: str
     options: dict
+
+
+_OPTION_KEYS = ("i0", "certificate", "alpha_samples")
 
 
 def _load_document(path: str) -> dict:
@@ -88,6 +91,10 @@ def _task_spec(doc: dict, expected: str) -> TaskSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("'options' must be an object")
+    unknown = sorted(set(options) - set(_OPTION_KEYS))
+    if unknown:
+        raise InputError(f"unknown key {', '.join(map(repr, unknown))} in 'options'; "
+                         f"expected {', '.join(_OPTION_KEYS)}")
     return TaskSpec(divisor=divisor, k=k, method=method, options=options)
 
 
@@ -98,9 +105,11 @@ def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
     if not isinstance(cert, dict) or "level" not in cert:
         raise InputError("'options.certificate' must be an object with a 'level'")
     level = _count(cert["level"], "certificate level")
+    # Nothing here checks the level, so the caller vouches for it.
     source = cert.get("source", "user-asserted")
-    if source not in CERTIFICATE_SOURCES:
-        raise InputError(f"unknown certificate source {source!r}")
+    if source != "user-asserted":
+        raise InputError(f"a task-file certificate is user-asserted; "
+                         f"'options.certificate.source' cannot be {source!r}")
     return GenerationCertificate(level=level, source=source)
 
 
@@ -222,7 +231,6 @@ def cmd_compute(args) -> int:
 def cmd_certify(args) -> int:
     doc = _load_document(args.task)
     spec = _task_spec(doc, "certify")
-    order = MonomialOrder.from_name(args.order)
     kinds = [key for key in ("resolution", "multiplicity", "membership") if key in doc]
     if len(kinds) != 1:
         raise InputError("certify wants exactly one of 'resolution', 'multiplicity', "

@@ -27,22 +27,18 @@ from .recursion import (
 METHODS = ("auto", "smooth", "snc", "ordinary", "recursion")
 
 
-def _restrict_to_used(divisor: QDivisor) -> Optional[tuple[QDivisor, tuple[str, ...]]]:
+def _restrict_to_used(divisor: QDivisor) -> Optional[QDivisor]:
     """Divisor rewritten over the variables its equations use, when that
     is a proper subset; None otherwise."""
     used = divisor.used_variables()
     if len(used) == len(divisor.vars):
         return None
     subvars = tuple(divisor.vars[i] for i in used)
-    dropped = [i for i in range(len(divisor.vars)) if i not in used]
-    components = []
-    for f, alpha in divisor.components:
-        g = f
-        for i in sorted(dropped, reverse=True):
-            live = tuple(v for j, v in enumerate(g.vars) if j != i)
-            g = g.substitute(i, Polynomial.zero(live))
-        components.append((g, alpha))
-    return QDivisor(subvars, tuple(components)), subvars
+    # The inverse of Polynomial.extend: no term uses a dropped variable.
+    components = tuple(
+        (Polynomial(subvars, {tuple(m[i] for i in used): c for m, c in f.terms.items()}), alpha)
+        for f, alpha in divisor.components)
+    return QDivisor(subvars, components)
 
 
 def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
@@ -56,9 +52,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         raise ValueError(f"k_max must be >= 0, got {k_max}")
 
     # A user-supplied seed lives in the full ring; keep the computation there.
-    shrunk = _restrict_to_used(divisor) if seed_ideal is None else None
-    if shrunk is not None:
-        small, _ = shrunk
+    small = _restrict_to_used(divisor) if seed_ideal is None else None
+    if small is not None:
         inner = compute_chain(small, k_max, method, seed_ideal=None, certificate=certificate)
         note = (f"computed over the variables {', '.join(small.vars)} actually used "
                 f"and extended back (smooth pullback)")

@@ -62,10 +62,7 @@ class QDivisor:
 
 def support(divisor: QDivisor) -> Polynomial:
     """The reduced support equation g = prod f_i."""
-    g = Polynomial.one(divisor.vars)
-    for f in divisor.factors:
-        g = g * f
-    return g
+    return math.prod(divisor.factors, start=Polynomial.one(divisor.vars))
 
 
 def twist_polynomial(divisor: QDivisor) -> Polynomial:
@@ -74,12 +71,8 @@ def twist_polynomial(divisor: QDivisor) -> Polynomial:
     The principal ideal it spans is the module O(Z - ceil(D)); every
     Hodge ideal of D is contained in it.
     """
-    twist = Polynomial.one(divisor.vars)
-    for f, alpha in divisor.components:
-        e = math.ceil(alpha) - 1
-        if e:
-            twist = twist * f ** e
-    return twist
+    return math.prod((f ** (math.ceil(alpha) - 1) for f, alpha in divisor.components
+                      if alpha > 1), start=Polynomial.one(divisor.vars))
 
 
 def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
@@ -115,7 +108,7 @@ class HodgeIdealResult:
 
     k: int
     ideal: Ideal
-    method: str = "recursion"  # snc | smooth | ordinary | recursion | certificate
+    method: str = "recursion"  # snc | smooth | ordinary | recursion
     exact: bool = True
     notes: str = ""
 

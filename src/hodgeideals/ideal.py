@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 from operator import add, ge, sub
 from typing import Iterable, Sequence
@@ -390,7 +391,7 @@ class Ideal:
         if e == 0:
             return Ideal.unit(self.vars)
         gens = tuple(
-            _product(combo)
+            math.prod(combo[1:], start=combo[0])
             for combo in itertools.combinations_with_replacement(self.generators, e))
         return Ideal(self.vars, gens)
 
@@ -449,10 +450,3 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"<ideal({', '.join(str(g) for g in self.generators)}) over {','.join(self.vars)}>"
-
-
-def _product(polys: Sequence[Polynomial]) -> Polynomial:
-    result = polys[0]
-    for p in polys[1:]:
-        result = result * p
-    return result

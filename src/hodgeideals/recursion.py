@@ -2,14 +2,15 @@
 
 One step applies the order-one differential operators to a known
 filtration level: from (a lower bound for) I_k it produces the ideal
-spanned by g*w and g*dw - k*w*dg - w*dlog terms, which is always
-contained in I_(k+1) and equals it once the filtration is generated at
-level <= k.  Exactness accounting is explicit and never promotes a
-lower bound.
+spanned by g*w and the numerators g*dw - w*h of the derivatives of
+w / prod f_i^(k + alpha_i), which is always contained in I_(k+1) and
+equals it once the filtration is generated at level <= k.  Exactness
+accounting is explicit and never promotes a lower bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -67,25 +68,15 @@ class ChainResult:
         return self.result(k).ideal
 
 
-def _dlog_numerators(divisor: QDivisor) -> list[Polynomial]:
-    """For each variable, sum_i alpha_i * d(f_i) * prod_(j != i) f_j,
-    i.e. g times the logarithmic derivative of the divisor."""
-    n = len(divisor.vars)
-    components = divisor.components
-    out = []
-    for ell in range(n):
-        total = Polynomial.zero(divisor.vars)
-        for i, (f, alpha) in enumerate(components):
-            df = f.diff(ell)
-            if not df:
-                continue
-            cofactor = Polynomial.one(divisor.vars)
-            for j, (fj, _) in enumerate(components):
-                if j != i:
-                    cofactor = cofactor * fj
-            total = total + alpha * df * cofactor
-        out.append(total)
-    return out
+def _log_terms(divisor: QDivisor, k: int) -> list[Polynomial]:
+    """For each variable l, h_l = sum_i (k + alpha_i) * d_l(f_i) * prod_(j != i) f_j,
+    i.e. k * d_l(g) plus g times the logarithmic derivative of the divisor."""
+    factors = divisor.factors
+    one = Polynomial.one(divisor.vars)
+    weighted = [((k + alpha) * math.prod(factors[:i] + factors[i + 1:], start=one), f)
+                for i, (f, alpha) in enumerate(divisor.components)]
+    return [sum((c * f.diff(ell) for c, f in weighted), Polynomial.zero(divisor.vars))
+            for ell in range(len(divisor.vars))]
 
 
 def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
@@ -95,8 +86,10 @@ def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
     Returns the Groebner-canonicalized ideal spanned by, for each
     generator w and each variable index l,
 
-        g*w   and   g*d_l(w) - k*w*d_l(g) - w*sum_i alpha_i*d_l(f_i)*prod_(j!=i) f_j.
+        g*w   and   g*d_l(w) - w*h_l,   h_l = sum_i (k + alpha_i)*d_l(f_i)*prod_(j!=i) f_j,
 
+the second being the numerator of d_l(w / prod_i f_i^(k + alpha_i)) over
+g * prod_i f_i^(k + alpha_i).
     The result is always contained in I_(k+1)(B) and equals it when the
     filtration is generated at level <= k.
     """
@@ -105,16 +98,14 @@ def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
     if ideal.vars != divisor.vars:
         raise ValueError(f"ideal over {ideal.vars}, divisor over {divisor.vars}")
     g = support(divisor)
-    dlog = _dlog_numerators(divisor)
-    dg = [g.diff(ell) for ell in range(len(divisor.vars))]
-    kk = Fraction(k)
+    h = _log_terms(divisor, k)
     # The spanned ideal does not depend on the generators chosen for I_k
     # (the operator sends a*w to a times its image of w plus (g*w)*d_l(a)),
     # so take the reduced basis G.  g*G is then a Groebner basis as it
     # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
     # derivative generators with it.
     basis = ideal.groebner().basis
-    gens = [g * w.diff(ell) - kk * (w * dg[ell]) - w * dlog[ell]
+    gens = [g * w.diff(ell) - w * h[ell]
             for w in basis for ell in range(len(divisor.vars))]
     return Ideal.from_groebner(
         GroebnerBasis.compute(gens, divisor.vars, known=[g * w for w in basis]))

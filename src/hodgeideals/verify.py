@@ -9,6 +9,7 @@ ideal results participate in theorem checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,9 +287,8 @@ def check_periodicity(divisor: QDivisor, multiplicities: Sequence[int],
     if not (lhs.exact and rhs_base.exact):
         return [Verdict(claim="periodicity", instance=name, status=FAIL,
                         detail="one side not computable exactly")]
-    factor = Polynomial.one(divisor.vars)
-    for (f, _), m in zip(divisor.components, multiplicities):
-        factor = factor * f ** m
+    factor = math.prod((f ** m for f, m in zip(divisor.factors, multiplicities)),
+                       start=Polynomial.one(divisor.vars))
     ok = lhs.ideal.equals(factor * rhs_base.ideal)
     return [Verdict(claim="periodicity", instance=name, status=PASS if ok else FAIL,
                     detail=f"twist factor {factor}")]

@@ -159,6 +159,32 @@ def test_compute_caller_seed_is_noted_on_every_result(tmp_path, capsys):
     assert out.count("I_0 supplied by caller (trusted)") == 3
 
 
+D5_TASK = {"vars": ["x", "y"],
+           "divisor": {"components": [{"f": "x^2*y+y^4", "alpha": "1/2"}]},
+           "task": "compute", "k": 1}
+
+
+def test_task_file_certificate_is_user_asserted(tmp_path, capsys):
+    asserted = dict(D5_TASK, options={"i0": ["1"], "certificate": {"level": 0}})
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, asserted))
+    assert code == 0
+    assert "certificate user-asserted level 0" in out
+    for source in ("node-example", "quasihomogeneous-formula", "universal-bound", "bogus"):
+        borrowed = dict(D5_TASK, options={"i0": ["1"],
+                                          "certificate": {"level": 0, "source": source}})
+        code, out, err = run_cli(capsys, "compute", write_task(tmp_path, borrowed))
+        assert (code, out) == (2, "")
+        assert "user-asserted" in err and repr(source) in err
+
+
+@pytest.mark.parametrize("key", ["I0", "certficate", "alpha"])
+def test_unknown_option_key_exits_2_and_names_it(tmp_path, capsys, key):
+    task = dict(D5_TASK, options={key: ["1"]})
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert repr(key) in err
+
+
 def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_calls):
     k = 3
     task = {"vars": ["x", "y", "z"],

@@ -9,6 +9,7 @@ from hodgeideals import (
     GenerationCertificate,
     Ideal,
     OrdinarySingularityModel,
+    Polynomial,
     certificate_for,
     classify,
     derivation_step,
@@ -22,7 +23,7 @@ from hodgeideals import (
     support,
 )
 from hodgeideals.compute import MethodUnavailableError
-from hodgeideals.recursion import _dlog_numerators
+from hodgeideals.recursion import _log_terms
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -102,19 +103,52 @@ def test_step_monotone_over_g_times_input():
 
 
 def test_reduced_single_factor_specialization():
-    # for one reduced component the log-derivative term collapses so the
-    # step generators are exactly g*dw - (k + alpha)*w*dg
+    # for one component h_l = (k + alpha)*d_l(g), so the step generators
+    # are exactly g*dw - (k + alpha)*w*dg
     alpha = F(9, 10)
     d = cusp(alpha)
     g = support(d)
-    dlog = _dlog_numerators(d)
-    for ell in range(2):
-        assert dlog[ell] == alpha * g.diff(ell)
-    w = parse_polynomial("x y", XY)
-    k = 1
-    raw = g * w.diff(0) - F(k) * w * g.diff(0) - w * dlog[0]
-    collapsed = g * w.diff(0) - (F(k) + alpha) * w * g.diff(0)
-    assert raw == collapsed
+    for k in range(4):
+        h = _log_terms(d, k)
+        assert h == [(k + alpha) * g.diff(ell) for ell in range(2)]
+
+
+def textbook_generators(basis, d, k):
+    """g*d_l(w) - k*w*d_l(g) - w*(g*dlog)_l for each w and l, with the
+    log-derivative numerator sum_i alpha_i*d_l(f_i)*prod_(j != i) f_j
+    written out term by term."""
+    g = support(d)
+    gens = []
+    for w in basis:
+        for ell in range(len(d.vars)):
+            g_dlog = Polynomial.zero(d.vars)
+            for i, (f, alpha) in enumerate(d.components):
+                cofactor = Polynomial.one(d.vars)
+                for j, other in enumerate(d.factors):
+                    if j != i:
+                        cofactor = cofactor * other
+                g_dlog = g_dlog + alpha * f.diff(ell) * cofactor
+            gens.append(g * w.diff(ell) - k * (w * g.diff(ell)) - w * g_dlog)
+    return gens
+
+
+@pytest.mark.parametrize("d", [
+    cusp("9/10"),
+    div([{"f": "x", "alpha": "1/2"}, {"f": "y^2+x^3", "alpha": "3/4"}]),
+    div([{"f": "x", "alpha": "1/3"}, {"f": "y", "alpha": "2/3"}, {"f": "z", "alpha": "1"}],
+        XYZ),
+    div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ),
+], ids=["cusp", "line-and-cusp", "three-coordinates", "cone"])
+def test_step_generators_are_the_textbook_operator(groebner_inputs, d):
+    given = Ideal.spanned_by(d.vars, ["x^2 + y", "x y"] if len(d.vars) == 2
+                             else ["x + z^2", "y^2", "x y z"])
+    basis = given.groebner().basis
+    for k in range(4):
+        groebner_inputs.clear()
+        derivation_step(given, d, k)
+        assert len(groebner_inputs) == 1
+        generators, _ = groebner_inputs[0]
+        assert list(generators) == textbook_generators(basis, d, k)
 
 
 # -- seeds -------------------------------------------------------------------------
