@@ -47,6 +47,9 @@ class TaskSpec:
 
 
 _OPTION_KEYS = ("i0", "certificate", "alpha_samples")
+# "components" is the top-level divisor form that parse_divisor reads.
+_TASK_KEYS = ("task", "vars", "divisor", "components", "k", "method", "options",
+              "resolution", "multiplicity", "membership")
 
 
 def _load_document(path: str) -> dict:
@@ -75,7 +78,15 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _unknown_keys(found, accepted, where: str) -> None:
+    unknown = sorted(set(found) - set(accepted))
+    if unknown:
+        raise InputError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+                         f"expected {', '.join(accepted)}")
+
+
 def _task_spec(doc: dict, expected: str) -> TaskSpec:
+    _unknown_keys(doc, _TASK_KEYS, "the task document")
     task = doc.get("task", expected)
     if task != expected:
         raise InputError(f"task field says {task!r} but the subcommand is {expected!r}")
@@ -91,10 +102,7 @@ def _task_spec(doc: dict, expected: str) -> TaskSpec:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("'options' must be an object")
-    unknown = sorted(set(options) - set(_OPTION_KEYS))
-    if unknown:
-        raise InputError(f"unknown key {', '.join(map(repr, unknown))} in 'options'; "
-                         f"expected {', '.join(_OPTION_KEYS)}")
+    _unknown_keys(options, _OPTION_KEYS, "'options'")
     return TaskSpec(divisor=divisor, k=k, method=method, options=options)
 
 
@@ -124,17 +132,6 @@ def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
 
 def _ideal_lines(ideal: Ideal, order: MonomialOrder) -> list[str]:
     return [g.to_str(order) for g in ideal.groebner(order)]
-
-
-def _result_json(res, order: MonomialOrder) -> dict:
-    return {
-        "k": res.k,
-        "exact": res.exact,
-        "primed": False,
-        "method": res.method,
-        "ideal": _ideal_lines(res.ideal, order),
-        "notes": res.notes,
-    }
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str]) -> None:
@@ -170,12 +167,15 @@ def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder):
     seed_ideal = _seed_from_options(spec.options, divisor)
     results = compute_chain(divisor, spec.k, spec.method,
                             seed_ideal=seed_ideal, certificate=certificate)
-    payload = [_result_json(res, order) for res in results]
+    payload = []
     lines: list[str] = []
     for res in results:
+        gens = _ideal_lines(res.ideal, order)
+        payload.append({"k": res.k, "exact": res.exact, "primed": False,
+                        "method": res.method, "ideal": gens, "notes": res.notes})
         flag = "exact" if res.exact else "lower-bound"
         lines.append(f"k = {res.k} [{flag}] method={res.method}")
-        lines += [f"  {gen}" for gen in _ideal_lines(res.ideal, order)]
+        lines += [f"  {gen}" for gen in gens]
         if res.notes:
             lines.append(f"  notes: {res.notes}")
     warnings = [res.notes for res in results if not res.exact]

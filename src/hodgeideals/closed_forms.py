@@ -61,7 +61,7 @@ def _snc_monomial_ideal(variables: Sequence[str], positions: Sequence[int], k: i
         mono = [0] * n
         for pos, e in zip(positions, comp):
             mono[pos] = e
-        gens.append(Polynomial.monomial(variables, mono))
+        gens.append(Polynomial._raw(variables, {tuple(mono): Fraction(1)}))
     return Ideal(variables, gens)
 
 
@@ -246,7 +246,7 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
             candidates.append(w)
     minimal = [w for w in candidates
                if not any(v != w and all(a <= b for a, b in zip(v, w)) for v in candidates)]
-    gens = [Polynomial.monomial(variables, w) for w in sorted(minimal)]
+    gens = [Polynomial._raw(variables, {w: Fraction(1)}) for w in sorted(minimal)]
     return Ideal(variables, gens)
 
 

@@ -103,14 +103,20 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return Polynomial._raw(f.vars, out)
 
 
-def _poly_sort_key(p: Polynomial, order: MonomialOrder):
-    return (order.key(p.leading_monomial(order)),
-            len(p.terms),
-            sorted((order.key(m), c) for m, c in p.terms.items()))
-
-
 def _monic_sorted(polys: Sequence[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    return sorted({g.monic(order) for g in polys}, key=lambda p: _poly_sort_key(p, order))
+    """``polys`` made monic, sorted by leading monomial, each kept once.
+    Equal inputs share a leading monomial, so after the sort each one is
+    compared only with its neighbours of the same leading monomial."""
+    out: list[Polynomial] = []
+    run: list[Polynomial] = []
+    for p in sorted((g.monic(order) for g in polys),
+                    key=lambda p: order.key(p.leading_monomial(order))):
+        if run and run[0].leading_monomial(order) != p.leading_monomial(order):
+            run = []
+        if p not in run:
+            run.append(p)
+            out.append(p)
+    return out
 
 
 def groebner_basis(generators: Iterable[Polynomial],
@@ -125,13 +131,15 @@ def groebner_basis(generators: Iterable[Polynomial],
     enter the basis through the pair update below, are paired with every
     later element and take part in inter-reduction.
 
-    When every input is a monomial (the unit ideal included), the result
-    is the minimal monomials, sorted, for every order, and no pair is
-    formed.
+    When every input is a monomial (the unit ideal included), the inputs
+    are read as given: the result is their minimal monomials, sorted, for
+    every order, and no pair is formed.
 
-    Otherwise: Buchberger's algorithm with the normal selection strategy
-    (pair of smallest lcm first, from a heap) and the Gebauer-Moeller
-    pair update (Gebauer & Moeller, "On an installation of Buchberger's
+    Otherwise the inputs are made monic and entered ``known`` first, each
+    list in ascending order of leading monomial with duplicates dropped.
+    Then Buchberger's algorithm with the normal selection strategy (pair
+    of smallest lcm first, from a heap) and the Gebauer-Moeller pair
+    update (Gebauer & Moeller, "On an installation of Buchberger's
     algorithm", J. Symbolic Comput. 6, 1988): each new basis element has
     its pairs pruned by the chain and coprime criteria when they are
     created, removes the pending pairs whose lcm its leading monomial
@@ -149,22 +157,22 @@ def groebner_basis(generators: Iterable[Polynomial],
     for g in itertools.chain(seeds, polys):
         if g.vars != variables:
             raise AmbientMismatchError("generators must share one ambient")
+    key = order.key
+    # Monomials are a Groebner basis as they stand, and minimal monomials
+    # a reduced one: no pairs, and no division to inter-reduce them.  A
+    # nonzero constant is the monomial 1, which divides every other.
+    if all(len(p.terms) == 1 for p in itertools.chain(seeds, polys)):
+        minimal: list[Monomial] = []
+        for m in sorted({m for p in itertools.chain(seeds, polys) for m in p.terms}, key=key):
+            if not any(all(map(ge, m, d)) for d in minimal):
+                minimal.append(m)
+        return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in reversed(minimal))
+
     one = Polynomial.one(variables)
     seeds = _monic_sorted(seeds, order)
     inputs = _monic_sorted(polys, order)
     if any(p.is_constant() for p in itertools.chain(seeds, inputs)):
         return (one,)
-
-    key = order.key
-    # Monomials are a Groebner basis as they stand, and minimal monomials
-    # a reduced one: no pairs, and no division to inter-reduce them.
-    if all(len(p.terms) == 1 for p in itertools.chain(seeds, inputs)):
-        minimal: list[Monomial] = []
-        for m in sorted({p.leading_monomial(order) for p in itertools.chain(seeds, inputs)},
-                        key=key):
-            if not any(all(map(ge, m, d)) for d in minimal):
-                minimal.append(m)
-        return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in reversed(minimal))
 
     basis: list[Polynomial] = []
     lead: list[Monomial] = []

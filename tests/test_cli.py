@@ -185,6 +185,49 @@ def test_unknown_option_key_exits_2_and_names_it(tmp_path, capsys, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("command,task", [
+    ("compute", dict(CUSP_TASK, K=2, methd="snc")),
+    ("certify", {"vars": ["x", "y"], "task": "certify", "k": 1, "memebrship": {},
+                 "membership": {"n": 3, "m": 2, "alpha": "1/2"}}),
+])
+def test_unknown_task_key_exits_2_and_names_it(tmp_path, capsys, command, task):
+    code, out, err = run_cli(capsys, command, write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    for key in set(task) - {"vars", "divisor", "task", "k", "method", "membership"}:
+        assert repr(key) in err
+    assert "expected task, vars, divisor, components, k, method, options" in err
+
+
+def test_compute_formats_each_generator_once(tmp_path, capsys, monkeypatch):
+    from collections import Counter
+    from hodgeideals.poly import Polynomial
+    real = Polynomial.to_str
+    formatted = []
+
+    def recording(self, *args, **kwargs):
+        text = real(self, *args, **kwargs)
+        formatted.append(text)
+        return text
+
+    monkeypatch.setattr(Polynomial, "to_str", recording)
+    # No generator prints like a component (x, y or z), so every call that
+    # yields a generator line formats a basis element.
+    task = {"vars": ["x", "y", "z"],
+            "divisor": {"components": [{"f": "x", "alpha": "5/2"}, {"f": "y", "alpha": "1/3"},
+                                       {"f": "z", "alpha": "2"}]},
+            "task": "compute", "k": 3}
+    path = write_task(tmp_path, task)
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", path)
+    assert code == 0
+    gens = [g for res in json.loads(out)["results"] for g in res["ideal"]]
+    assert len(gens) > 4 and not {"x", "y", "z"} & set(gens)
+    for fmt in ("text", "json"):
+        formatted.clear()
+        code, out, _ = run_cli(capsys, "--format", fmt, "compute", path)
+        assert code == 0
+        assert Counter(t for t in formatted if t in gens) == Counter(gens)
+
+
 def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_calls):
     k = 3
     task = {"vars": ["x", "y", "z"],

@@ -19,6 +19,11 @@ SNC_TASK = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x", "alpha": "3/2"},
                                        {"f": "y", "alpha": "1/2"}]},
             "task": "compute", "k": 1, "method": "auto"}
+SNC_LEX_TASK = {"vars": ["x", "y", "z"],
+                "divisor": {"components": [{"f": "x", "alpha": "5/2"},
+                                           {"f": "y", "alpha": "1/3"},
+                                           {"f": "z", "alpha": "2"}]},
+                "task": "compute", "k": 3, "method": "auto"}
 CYLINDER_TASK = {"vars": ["x", "y", "z"],
                  "divisor": {"components": [{"f": "x^2+y^3", "alpha": "7/4"}]},
                  "task": "compute", "k": 2, "method": "auto"}
@@ -49,6 +54,12 @@ def test_cusp_compute_json_golden(tmp_path, capsys):
 def test_snc_compute_text_golden(tmp_path, capsys):
     out = run(tmp_path, capsys, SNC_TASK, "--format", "text", "compute")
     assert out == (GOLDEN / "snc_compute.txt").read_text()
+
+
+def test_snc_compute_lex_json_golden(tmp_path, capsys):
+    # A monomial closed form, twisted, printed as JSON outside grevlex.
+    out = run(tmp_path, capsys, SNC_LEX_TASK, "--format", "json", "--order", "lex", "compute")
+    assert out == (GOLDEN / "snc_compute_lex.json").read_text()
 
 
 def test_cylinder_compute_lex_golden(tmp_path, capsys):

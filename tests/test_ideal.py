@@ -256,6 +256,42 @@ def test_monomial_ideal_forms_no_pairs(order, monkeypatch):
     assert groebner_basis([p("x^2"), p("5")], order) == (Polynomial.one(XY),)
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX, GRLEX], ids=lambda o: o.name)
+def test_monomial_inputs_are_read_as_given(order, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a monomial input was normalised as a polynomial")
+
+    gens = [p("3 x^2 y"), p("x y^3"), p("-x^3"), p("x y^3"), p("y^4")]
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "monic", refuse)
+        m.setattr(Polynomial, "__hash__", refuse)
+        basis = groebner_basis(gens, order, known=[p("x^2 y^2")])
+        unit = groebner_basis([p("x^2"), p("-5")], order)
+    assert set(basis) == {p("x^2 y"), p("x y^3"), p("x^3"), p("y^4")}
+    assert unit == (Polynomial.one(XY),)
+
+
+def test_a_duplicated_input_forms_no_extra_pair(monkeypatch):
+    import hodgeideals.ideal
+    pairs = []
+    real = hodgeideals.ideal.s_polynomial
+
+    def counted(*args):
+        pairs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hodgeideals.ideal, "s_polynomial", counted)
+    # f and g share their leading monomial x^2 in every order.
+    f, g, h = p("x^2 + y"), p("x^2 + x y"), p("y^3 + x")
+    for order in (GREVLEX, LEX, GRLEX):
+        pairs.clear()
+        basis = groebner_basis([f, g, h], order)
+        once = len(pairs)
+        pairs.clear()
+        assert groebner_basis([f, g, 2 * f, h, g, -3 * g, f, h], order) == basis
+        assert once > 0 and len(pairs) == once
+
+
 # The orders by their textbook definitions, as nested sort keys.
 REFERENCE_KEYS = {
     "grevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
