@@ -47,9 +47,11 @@ class TaskSpec:
 
 
 _OPTION_KEYS = ("i0", "certificate", "alpha_samples")
-# "components" is the top-level divisor form that parse_divisor reads.
-_TASK_KEYS = ("task", "vars", "divisor", "components", "k", "method", "options",
-              "resolution", "multiplicity", "membership")
+# The keys each subcommand reads; "components" is the top-level divisor
+# form that parse_divisor reads.
+_COMMON_KEYS = ("task", "vars", "divisor", "components", "k")
+_TASK_KEYS = {"compute": _COMMON_KEYS + ("method", "options"),
+              "certify": _COMMON_KEYS + ("resolution", "multiplicity", "membership")}
 
 
 def _load_document(path: str) -> dict:
@@ -86,7 +88,7 @@ def _unknown_keys(found, accepted, where: str) -> None:
 
 
 def _task_spec(doc: dict, expected: str) -> TaskSpec:
-    _unknown_keys(doc, _TASK_KEYS, "the task document")
+    _unknown_keys(doc, _TASK_KEYS[expected], f"a {expected} task document")
     task = doc.get("task", expected)
     if task != expected:
         raise InputError(f"task field says {task!r} but the subcommand is {expected!r}")

@@ -7,9 +7,11 @@ polynomial ring and are read at the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional
 
 from .ideal import GroebnerBasis, Ideal
 from .poly import Polynomial
@@ -47,6 +49,23 @@ class QDivisor:
         """Indices of the ambient variables some component equation uses."""
         return tuple(i for i in range(len(self.vars))
                      if any(f.uses_variable(i) for f in self.factors))
+
+    @functools.cached_property
+    def isolated_weights(self) -> Optional[tuple[Fraction, ...]]:
+        """The weights ``infer_weights`` finds for the support g, when g is
+        weighted-homogeneous with an isolated singularity (its Jacobian
+        ideal is zero-dimensional); None otherwise.
+
+        Decided on first use and kept, so the generation-level certificate
+        and every derivation step of a chain read one Jacobian basis.
+        """
+        from .closed_forms import infer_weights  # closed_forms imports this module
+        g = support(self)
+        weights = infer_weights(g)
+        if weights is None or not Ideal(self.vars, [g.diff(i) for i in range(len(self.vars))]) \
+                .is_zero_dimensional():
+            return None
+        return weights
 
     def is_reduced_regime(self) -> bool:
         """True when every coefficient lies in (0, 1], i.e. ceil(D) = Z."""

@@ -8,7 +8,7 @@ variable count.  No floating point is used anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg
+from operator import add, mul, neg
 from typing import Mapping, Sequence
 
 #: Dense exponent vector; length equals the ambient variable count.
@@ -318,6 +318,12 @@ class Polynomial:
         if not self.terms:
             return None
         return max(sum(m) for m in self.terms)
+
+    def weighted_degree(self, weights: Sequence[int]) -> int | None:
+        """The weighted degree sum w_i*e_i that every term shares, or None
+        when the terms do not share one (and for the zero polynomial)."""
+        degrees = {sum(map(mul, m, weights)) for m in self.terms}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def order_at_origin(self) -> int:
         """Minimal total degree of a term (the multiplicity at the origin)."""

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .closed_forms import Regime, diagonal_multiplier_i0, generation_level, infer_weights
+from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, support
-from .ideal import GroebnerBasis, Ideal
-from .poly import Polynomial
+from .ideal import GroebnerBasis, Ideal, graded_basis
+from .poly import GREVLEX, Polynomial
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
                        "user-asserted")
@@ -58,15 +58,6 @@ class ChainResult:
 
     results: tuple[HodgeIdealResult, ...]
 
-    def result(self, k: int) -> HodgeIdealResult:
-        for res in self.results:
-            if res.k == k:
-                return res
-        raise KeyError(f"chain holds k = {self.results[0].k}..{self.results[-1].k}, asked {k}")
-
-    def ideal(self, k: int) -> Ideal:
-        return self.result(k).ideal
-
 
 def _log_terms(divisor: QDivisor, k: int) -> list[Polynomial]:
     """For each variable l, h_l = sum_i (k + alpha_i) * d_l(f_i) * prod_(j != i) f_j,
@@ -77,6 +68,30 @@ def _log_terms(divisor: QDivisor, k: int) -> list[Polynomial]:
                 for i, (f, alpha) in enumerate(divisor.components)]
     return [sum((c * f.diff(ell) for c, f in weighted), Polynomial.zero(divisor.vars))
             for ell in range(len(divisor.vars))]
+
+
+def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
+    """Integer weights for ``graded_basis`` when the step's output is sure
+    to be m-primary or (1); None otherwise.
+
+    That holds when g is weighted-homogeneous with an isolated singularity
+    and the reduced basis of the input is weighted-homogeneous and
+    zero-dimensional or (1): the input is then m-primary or (1), and at a
+    point p != 0 of Z some w in it has w(p) != 0, where g*d_l(w) - w*h_l
+    takes the value -w(p)*h_l(p), nonzero for some l because Z is smooth
+    at p.  Off Z, g*w does not vanish at p.
+    """
+    weights = divisor.isolated_weights
+    if weights is None:
+        return None
+    scale = math.lcm(*(w.denominator for w in weights))
+    integral = [int(w * scale) for w in weights]
+    common = math.gcd(*integral)
+    grading = tuple(w // common for w in integral)
+    if all(w.weighted_degree(grading) is not None for w in ideal.groebner().basis) \
+            and ideal.is_zero_dimensional():
+        return grading
+    return None
 
 
 def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
@@ -92,6 +107,13 @@ the second being the numerator of d_l(w / prod_i f_i^(k + alpha_i)) over
 g * prod_i f_i^(k + alpha_i).
     The result is always contained in I_(k+1)(B) and equals it when the
     filtration is generated at level <= k.
+
+    When g is weighted-homogeneous with an isolated singularity
+    (``QDivisor.isolated_weights``, decided once per divisor) and the input
+    is weighted-homogeneous and m-primary or (1), so is the result, and its
+    reduced basis comes from ``graded_basis``.  Every other step goes to
+    Buchberger (``groebner_basis``) with g*G as its known Groebner basis.
+    Both give the same reduced basis.
     """
     if not divisor.is_reduced_regime():
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
@@ -105,10 +127,16 @@ g * prod_i f_i^(k + alpha_i).
     # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
     # derivative generators with it.
     basis = ideal.groebner().basis
+    known = [g * w for w in basis]
     gens = [g * w.diff(ell) - w * h[ell]
             for w in basis for ell in range(len(divisor.vars))]
-    return Ideal.from_groebner(
-        GroebnerBasis.compute(gens, divisor.vars, known=[g * w for w in basis]))
+    grading = _grading(ideal, divisor)
+    if grading is not None:
+        gb = GroebnerBasis(graded_basis(known + gens, divisor.vars, grading), GREVLEX,
+                           divisor.vars)
+    else:
+        gb = GroebnerBasis.compute(gens, divisor.vars, known=known)
+    return Ideal.from_groebner(gb)
 
 
 def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
@@ -194,9 +222,9 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     n = len(regime.divisor.vars)
     g = regime.g
     if regime.alpha is not None:
-        weights = infer_weights(g)
-        if weights is not None and \
-                Ideal(g.vars, [g.diff(i) for i in range(n)]).is_zero_dimensional():
+        # B has the support of D; the chain's derivation steps read B's answer.
+        weights = regime.reduced.isolated_weights
+        if weights is not None:
             tilde = sum(weights, Fraction(0))
             return GenerationCertificate(
                 level=generation_level(n, tilde, regime.alpha),

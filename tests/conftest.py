@@ -32,6 +32,15 @@ def groebner_calls(monkeypatch):
 
 
 @pytest.fixture
+def graded_calls(monkeypatch):
+    """A list that gets one entry per ``graded_basis`` call, counted in
+    every package module that holds the function."""
+    import hodgeideals.ideal
+    return _record_calls(monkeypatch, hodgeideals.ideal.graded_basis,
+                         lambda *args, **kwargs: 1)
+
+
+@pytest.fixture
 def groebner_inputs(monkeypatch):
     """A list that gets ``(generators, known)`` for every ``groebner_basis``
     call, as tuples, recorded in every package module that holds it."""

@@ -95,8 +95,8 @@ def test_criterion_1_cusp_golden():
         for alpha in (F(81, 100), F(9, 10), F(1)):
             start = time.perf_counter()
             _, chain = cusp_chain(alpha)
-            assert chain.ideal(1).equals(ideal("x^2", "x y", "y^3"))
-            assert chain.ideal(2).equals(cusp_parametric_i2(alpha))
+            assert chain.results[1].ideal.equals(ideal("x^2", "x y", "y^3"))
+            assert chain.results[2].ideal.equals(cusp_parametric_i2(alpha))
             assert all(res.exact for res in chain.results)
             assert time.perf_counter() - start < 1.0
 
@@ -111,8 +111,8 @@ def test_criterion_2_node_golden():
             assert seed.ideal.is_unit()
             chain = hodge_chain(r, 4, seed, certificate_for(r))
             for k in range(5):
-                assert chain.result(k).exact
-                assert chain.ideal(k).equals(m_power(XY, k))
+                assert chain.results[k].exact
+                assert chain.results[k].ideal.equals(m_power(XY, k))
 
 
 # -- 3. SNC cross-validation ----------------------------------------------------------
@@ -138,16 +138,16 @@ def test_criterion_3_snc_cross_validation():
                     if cert.level == 0:
                         chain = hodge_chain(r, 3, i0_seed(r), cert)
                         for k in range(4):
-                            assert chain.result(k).exact
-                            assert chain.ideal(k).equals(closed[k].ideal)
+                            assert chain.results[k].exact
+                            assert chain.results[k].ideal.equals(closed[k].ideal)
                 # the universal level n-1 certifies the last step for every combo
                 seed = HodgeIdealResult(k=n - 1, ideal=closed[n - 1].ideal,
                                         exact=True, method="snc")
                 chain = hodge_chain(r, 3, seed, GenerationCertificate(n - 1,
                                                                       "universal-bound"))
                 for k in range(n - 1, 4):
-                    assert chain.result(k).exact
-                    assert chain.ideal(k).equals(closed[k].ideal)
+                    assert chain.results[k - (n - 1)].exact
+                    assert chain.results[k - (n - 1)].ideal.equals(closed[k].ideal)
 
 
 # -- 4. ordinary-singularity boundary ---------------------------------------------------
@@ -167,8 +167,8 @@ def test_criterion_4_ordinary_boundary():
                     assert not expected_trivial
         cone = classify(div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ))
         chain = hodge_chain(cone, 1, i0_seed(cone), certificate_for(cone))
-        assert chain.result(1).exact
-        assert chain.ideal(1).equals(Ideal.maximal_at_origin(XYZ))
+        assert chain.results[1].exact
+        assert chain.results[1].ideal.equals(Ideal.maximal_at_origin(XYZ))
 
 
 # -- 5. triviality certificate vs multiplier ideal ----------------------------------------

@@ -185,6 +185,10 @@ def test_unknown_option_key_exits_2_and_names_it(tmp_path, capsys, key):
     assert repr(key) in err
 
 
+COMPUTE_KEYS = "expected task, vars, divisor, components, k, method, options"
+CERTIFY_KEYS = "expected task, vars, divisor, components, k, resolution, multiplicity, membership"
+
+
 @pytest.mark.parametrize("command,task", [
     ("compute", dict(CUSP_TASK, K=2, methd="snc")),
     ("certify", {"vars": ["x", "y"], "task": "certify", "k": 1, "memebrship": {},
@@ -195,7 +199,26 @@ def test_unknown_task_key_exits_2_and_names_it(tmp_path, capsys, command, task):
     assert (code, out) == (2, "")
     for key in set(task) - {"vars", "divisor", "task", "k", "method", "membership"}:
         assert repr(key) in err
-    assert "expected task, vars, divisor, components, k, method, options" in err
+    assert (COMPUTE_KEYS if command == "compute" else CERTIFY_KEYS) in err
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("compute", "resolution", {"exceptional": [{"a": [2], "b": 1}]}),
+    ("compute", "multiplicity", {"n": 2, "r": 2, "a": 2, "b": "1"}),
+    ("compute", "membership", {"n": 2, "m": 2, "alpha": "1/2"}),
+    ("certify", "method", "auto"),
+    ("certify", "options", {}),
+])
+def test_other_subcommands_key_exits_2_and_names_it(tmp_path, capsys, command, key, value):
+    if command == "compute":
+        task = dict(CUSP_TASK, **{key: value})
+    else:
+        task = {"vars": ["x", "y"], "task": "certify", "k": 1,
+                "membership": {"n": 3, "m": 2, "alpha": "1/2"}, key: value}
+    code, out, err = run_cli(capsys, command, write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert f"unknown key {key!r} in a {command} task document" in err
+    assert (COMPUTE_KEYS if command == "compute" else CERTIFY_KEYS) in err
 
 
 def test_compute_formats_each_generator_once(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hodgeideals import GREVLEX, GRLEX, LEX, Ideal, Polynomial, groebner_basis, normal_form
+from hodgeideals import (GREVLEX, GRLEX, LEX, Ideal, Polynomial, graded_basis, groebner_basis,
+                         normal_form)
 from hodgeideals.parser import parse_polynomial
 
 from oracles import linear_membership
@@ -176,6 +177,22 @@ def test_ideal_text_form_uses_reduced_basis_descending():
 ])
 def test_is_zero_dimensional(gens, variables, expected):
     assert Ideal.spanned_by(variables, gens).is_zero_dimensional() is expected
+
+
+def test_graded_basis_on_small_inputs():
+    # (x^2 + y^3, x y) with weights (3, 2): m-primary, and the x^3 it needs
+    # comes from a syzygy, x*(x^2 + y^3) - y^2*(x y).
+    gens = [p("x^2 + y^3"), p("x y")]
+    assert graded_basis(gens, XY, (3, 2)) == groebner_basis(gens) \
+        == tuple(p(t) for t in ("x^3", "x^2 + y^3", "x y"))
+    assert graded_basis([p("x^2"), p("3"), p("y^5")], XY, (3, 2)) == (p("1"),)
+    assert graded_basis([p("0")], XY, (1, 1)) == ()
+    assert p("x^2 + y^3").weighted_degree((3, 2)) == 6
+    assert p("x^2 + y").weighted_degree((3, 2)) is None
+    with pytest.raises(ValueError, match="not weighted-homogeneous"):
+        graded_basis([p("x^2 + y")], XY, (3, 2))
+    with pytest.raises(ValueError, match="positive integer weight"):
+        graded_basis([p("x^2 + y^2")], XY, (1, F(1, 2)))
 
 
 # -- structural properties of reduced bases -------------------------------------------------
@@ -349,37 +366,30 @@ def test_normal_form_matches_plain_division(order):
         assert normal_form(f, divisors, order) == _old_normal_form(f, divisors, order)
 
 
-def _derivation_step_inputs(f, alpha, k_max, monkeypatch):
-    """The inputs ``derivation_step`` hands to ``groebner_basis`` along the
-    chain of the diagonal divisor ``alpha * (f = 0)``: each call's ``known``
-    basis followed by its generators."""
-    import hodgeideals.ideal
-    from hodgeideals import classify, derivation_step, i0_seed, parse_divisor
-    real = hodgeideals.ideal.groebner_basis
-    seen = []
-
-    def recording(generators, order=GREVLEX, known=()):
-        generators = tuple(generators)
-        seen.append(tuple(known) + generators)
-        return real(generators, order, known=known)
-
+def _derivation_step_inputs(f, alpha, k_max):
+    """The generators of each derivation step along the chain of the
+    diagonal divisor ``alpha * (f = 0)``, built from the reduced basis G of
+    each level: g*w for w in G, then g*d_l(w) - w*h_l for each w and l."""
+    from hodgeideals import classify, derivation_step, i0_seed, parse_divisor, support
+    from hodgeideals.recursion import _log_terms
     d = parse_divisor({"vars": ["x", "y", "z"], "components": [{"f": f, "alpha": alpha}]})
     r = classify(d)
+    g = support(r.reduced)
     current = i0_seed(r).ideal.canonical()
     inputs = []
-    with monkeypatch.context() as m:
-        m.setattr(hodgeideals.ideal, "groebner_basis", recording)
-        for k in range(k_max):
-            seen.clear()
-            current = derivation_step(current, r.reduced, k)
-            inputs.extend(seen)
+    for k in range(k_max):
+        basis = current.groebner().basis
+        h = _log_terms(r.reduced, k)
+        inputs.append(tuple(g * w for w in basis) +
+                      tuple(g * w.diff(ell) - w * h[ell] for w in basis for ell in range(3)))
+        current = derivation_step(current, r.reduced, k)
     return inputs
 
 
 @pytest.mark.parametrize("f,alpha,k_max", [("x^2+y^2+z^2", "3/4", 4), ("x^2+y^3+z^5", "1", 3)])
-def test_groebner_basis_ignores_generator_order(f, alpha, k_max, monkeypatch):
+def test_groebner_basis_ignores_generator_order(f, alpha, k_max):
     from hodgeideals.ideal import s_polynomial
-    inputs = _derivation_step_inputs(f, alpha, k_max, monkeypatch)
+    inputs = _derivation_step_inputs(f, alpha, k_max)
     assert len(inputs) == k_max
     rng = random.Random(5)
     for gens in inputs:

@@ -1,18 +1,24 @@
 """Derivation-closure step, chains, seeds, and exactness accounting."""
 
+import json
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
 
 from hodgeideals import (
+    GRLEX,
+    LEX,
     GenerationCertificate,
     Ideal,
     OrdinarySingularityModel,
     Polynomial,
     certificate_for,
     classify,
+    compute_chain,
     derivation_step,
+    graded_basis,
+    groebner_basis,
     hodge_chain,
     i0_seed,
     ordinary_ideal,
@@ -23,7 +29,7 @@ from hodgeideals import (
     support,
 )
 from hodgeideals.compute import MethodUnavailableError
-from hodgeideals.recursion import _log_terms
+from hodgeideals.recursion import _grading, _log_terms
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -71,10 +77,13 @@ def test_step_cone_matches_ordinary():
 
 def test_step_pairs_only_the_derivative_generators(groebner_inputs):
     d = cusp("3/4")
-    # A presentation that is not a Groebner basis: the step reads the
-    # reduced basis instead.
-    given = ideal("x^2 + x y", "x y", "y^3")
+    # A presentation that is not the reduced basis: the step reads the
+    # reduced basis instead.  The input is not zero-dimensional, so the
+    # step stays with the pair engine.
+    given = ideal("x^2 + x y", "x y")
     basis = given.groebner().basis
+    assert not given.is_zero_dimensional()
+    d.isolated_weights  # decided once per divisor, before the step is recorded
     groebner_inputs.clear()
     out = derivation_step(given, d, 1)
     assert len(groebner_inputs) == 1
@@ -143,12 +152,105 @@ def test_step_generators_are_the_textbook_operator(groebner_inputs, d):
     given = Ideal.spanned_by(d.vars, ["x^2 + y", "x y"] if len(d.vars) == 2
                              else ["x + z^2", "y^2", "x y z"])
     basis = given.groebner().basis
+    d.isolated_weights  # decided once per divisor, before the steps are recorded
     for k in range(4):
         groebner_inputs.clear()
         derivation_step(given, d, k)
         assert len(groebner_inputs) == 1
         generators, _ = groebner_inputs[0]
         assert list(generators) == textbook_generators(basis, d, k)
+
+
+# -- the graded path -------------------------------------------------------------------
+
+def step_generators(ideal, d, k):
+    """g*w for each w in the reduced basis, then g*d_l(w) - w*h_l for each
+    w and l: the inputs of one derivation step."""
+    g, h = support(d), _log_terms(d, k)
+    basis = ideal.groebner().basis
+    return [g * w for w in basis] + \
+        [g * w.diff(ell) - w * h[ell] for w in basis for ell in range(len(d.vars))]
+
+
+def test_step_on_a_non_homogeneous_input_keeps_the_pair_engine(graded_calls):
+    # The cusp qualifies, but (x^2 + y, x y) is not weighted-homogeneous.
+    d = cusp("9/10")
+    given = ideal("x^2 + y", "x y")
+    assert d.isolated_weights is not None
+    for k in range(4):
+        out = derivation_step(given, d, k)
+        assert out.groebner().basis == groebner_basis(step_generators(given, d, k))
+    assert graded_calls == []
+
+
+def _pair_engine_only(monkeypatch):
+    import hodgeideals.recursion
+    monkeypatch.setattr(hodgeideals.recursion, "_grading", lambda ideal, divisor: None)
+
+
+def test_snc_under_forced_recursion_keeps_the_pair_engine(graded_calls, monkeypatch):
+    # x*y has no unique weights.
+    d = div([{"f": "x y", "alpha": "3/4"}])
+    chain = compute_chain(d, 3, "recursion")
+    assert graded_calls == []
+    snc = classify(div([{"f": "x", "alpha": "3/4"}, {"f": "y", "alpha": "3/4"}]))
+    for k, res in enumerate(chain):
+        assert res.exact
+        assert res.ideal.groebner().basis == snc_hodge_ideal(snc, k).ideal.groebner().basis
+    _pair_engine_only(monkeypatch)
+    assert [res.ideal.groebner().basis for res in compute_chain(d, 3, "recursion")] == \
+        [res.ideal.groebner().basis for res in chain]
+
+
+def test_compute_from_a_non_m_primary_seed_matches_the_pair_engine(
+        graded_calls, monkeypatch, tmp_path, capsys):
+    # I_0 = (x) is not zero-dimensional, so the first step keeps the pair
+    # engine; its output is m-primary, and the two later steps go graded.
+    from hodgeideals.cli import main
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({
+        "vars": ["x", "y"], "divisor": {"components": [{"f": "x^2+y^3", "alpha": "9/10"}]},
+        "task": "compute", "k": 3, "method": "recursion", "options": {"i0": ["x"]}}))
+    assert main(["compute", str(path)]) == 0
+    graded = capsys.readouterr().out
+    assert len(graded_calls) == 2
+    _pair_engine_only(monkeypatch)
+    assert main(["compute", str(path)]) == 0
+    assert capsys.readouterr().out == graded
+    assert len(graded_calls) == 2
+
+
+# The recursion chains of the benchmark catalog, (support, alpha, k), and
+# the cone at alpha = 3/4 up to k = 10.
+GRADED_CHAINS = [(f, alpha, k) for f, levels in (
+    ("x^2+y^3", (("1/2", 3), ("1", 2), ("1", 4), ("5/6", 4), ("9/10", 4), ("9/10", 6))),
+    ("x^2+y^4", (("1", 3), ("3/4", 5))),
+    ("x^2+y^5", (("1", 5), ("2/3", 3))),
+    ("x^2+y^7", (("1", 5), ("3/5", 2))),
+    ("x^3+y^4", (("1/2", 2), ("1", 5), ("5/6", 4))),
+    ("x^3+y^5", (("1", 3), ("1", 4), ("2/5", 2), ("7/8", 3))),
+    ("x^2+y^2+z^2", (("1/2", 2), ("1", 3), ("3/4", 4), ("3/4", 10))),
+    ("x^2+y^2+z^3", (("1", 3), ("2/3", 2))),
+    ("x^2+y^3+z^5", (("1", 3), ("3/4", 2))),
+) for alpha, k in levels]
+
+
+@pytest.mark.parametrize("f,alpha,k_max", GRADED_CHAINS)
+def test_graded_basis_is_the_pair_engine_basis_along_chains(f, alpha, k_max):
+    variables = ("x", "y", "z")[:f.count("+") + 1]
+    r = classify(div([{"f": f, "alpha": alpha}], variables))
+    current = i0_seed(r).ideal.canonical()
+    for k in range(k_max):
+        grading = _grading(current, r.reduced)
+        assert grading is not None
+        gens = step_generators(current, r.reduced, k)
+        graded, paired = graded_basis(gens, variables, grading), groebner_basis(gens)
+        assert graded == paired
+        by_rows, by_pairs = Ideal(variables, graded), Ideal(variables, paired)
+        for order in (LEX, GRLEX):
+            assert by_rows.groebner(order).basis == by_pairs.groebner(order).basis
+        current = derivation_step(current, r.reduced, k)
+        assert current.groebner().basis == graded
 
 
 # -- seeds -------------------------------------------------------------------------
@@ -208,7 +310,7 @@ def test_certificate_needs_an_isolated_singularity():
     # A chain seeded at k = 1 stays a lower bound at k = 2.
     from hodgeideals.divisor import HodgeIdealResult
     seed = HodgeIdealResult(k=1, ideal=Ideal.unit(XYZ), exact=True, method="recursion")
-    assert not hodge_chain(r, 2, seed, cert).result(2).exact
+    assert not hodge_chain(r, 2, seed, cert).results[1].exact
     # The isolated Fermat cubic keeps the formula.
     fermat = div([{"f": "x^3+y^3+z^3", "alpha": "1/2"}], XYZ)
     assert certificate_for(classify(fermat)).source == "quasihomogeneous-formula"
@@ -241,9 +343,9 @@ def test_triple_lines_chain_below_level_is_lower_bound():
     r = classify(d)
     chain = hodge_chain(r, 1, seed, certificate_for(r))
     assert [res.exact for res in chain.results] == [True, False]
-    assert not chain.result(1).exact
+    assert not chain.results[1].exact
     g = support(d)
-    assert chain.ideal(1).contains_ideal(Ideal.principal(g))
+    assert chain.results[1].ideal.contains_ideal(Ideal.principal(g))
 
 
 # -- chains --------------------------------------------------------------------------
@@ -268,9 +370,9 @@ def test_chain_cusp_golden_from_stated_seed():
         d = cusp(alpha)
         chain = hodge_chain(classify(d), 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
         assert all(res.exact for res in chain.results)
-        assert chain.ideal(0).equals(ideal("x", "y"))
-        assert chain.ideal(1).equals(ideal("x^2", "x y", "y^3"))
-        assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
+        assert chain.results[0].ideal.equals(ideal("x", "y"))
+        assert chain.results[1].ideal.equals(ideal("x^2", "x y", "y^3"))
+        assert chain.results[2].ideal.equals(_cusp_parametric_i2(alpha))
 
 
 def test_chain_cusp_true_seed_above_threshold():
@@ -280,8 +382,8 @@ def test_chain_cusp_true_seed_above_threshold():
         r = classify(cusp(alpha))
         chain = hodge_chain(r, 2, i0_seed(r), certificate_for(r))
         assert all(res.exact for res in chain.results)
-        assert chain.ideal(0).equals(ideal("x", "y"))
-        assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
+        assert chain.results[0].ideal.equals(ideal("x", "y"))
+        assert chain.results[2].ideal.equals(_cusp_parametric_i2(alpha))
 
 
 def test_chain_cusp_below_threshold_has_trivial_i0():
@@ -291,7 +393,7 @@ def test_chain_cusp_below_threshold_has_trivial_i0():
     assert seed.ideal.is_unit()
     chain = hodge_chain(r, 1, seed, certificate_for(r))
     assert all(res.exact for res in chain.results)
-    assert chain.ideal(1).equals(ideal("x", "y^2"))
+    assert chain.results[1].ideal.equals(ideal("x", "y^2"))
 
 
 def test_chain_node_maximal_powers():
@@ -299,9 +401,9 @@ def test_chain_node_maximal_powers():
         r = classify(div([{"f": "x y", "alpha": str(alpha)}]))
         chain = hodge_chain(r, 4, i0_seed(r), certificate_for(r))
         assert all(res.exact for res in chain.results)
-        assert chain.ideal(0).is_unit()
+        assert chain.results[0].ideal.is_unit()
         for k in range(1, 5):
-            assert chain.ideal(k).equals(Ideal.maximal_at_origin(XY) ** k)
+            assert chain.results[k].ideal.equals(Ideal.maximal_at_origin(XY) ** k)
 
 
 def test_chain_cone_lower_bound_not_promoted():
@@ -309,15 +411,15 @@ def test_chain_cone_lower_bound_not_promoted():
     cert = certificate_for(r)
     assert cert.level == 1
     chain = hodge_chain(r, 2, i0_seed(r), cert)
-    assert chain.result(0).exact
-    assert not chain.result(1).exact
-    assert not chain.result(2).exact  # index 1 >= level, but the input was already a bound
+    assert chain.results[0].exact
+    assert not chain.results[1].exact
+    assert not chain.results[2].exact  # index 1 >= level, but the input was already a bound
     assert [res.exact for res in chain.results] == [True, False, False]
     # the k=1 step undershoots the true trivial ideal but stays inside it
     truth = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 4)), 1, XYZ).ideal
     assert truth.is_unit()
-    assert chain.ideal(1).equals(Ideal.maximal_at_origin(XYZ))
-    assert truth.contains_ideal(chain.ideal(1))
+    assert chain.results[1].ideal.equals(Ideal.maximal_at_origin(XYZ))
+    assert truth.contains_ideal(chain.results[1].ideal)
 
 
 def test_chain_applies_integral_twist():
@@ -327,7 +429,7 @@ def test_chain_applies_integral_twist():
     chain = hodge_chain(r, 2, i0_seed(r), certificate_for(r))
     inner = hodge_chain(rb, 2, i0_seed(rb), certificate_for(rb))
     for k in range(3):
-        assert chain.ideal(k).equals(twist * inner.ideal(k))
+        assert chain.results[k].ideal.equals(twist * inner.results[k].ideal)
 
 
 def test_chain_rejects_inexact_seed():
@@ -369,7 +471,7 @@ def test_multiplicity_growth_cusp_and_node():
         r = classify(d)
         chain = hodge_chain(r, 3, i0_seed(r), certificate_for(r))
         for k in range(1, 4):
-            prev, cur = chain.ideal(k - 1), chain.ideal(k)
+            prev, cur = chain.results[k - 1].ideal, chain.results[k].ideal
             if prev.is_unit() and cur.is_unit():
                 continue
             assert cur.order_at_origin() >= prev.order_at_origin() + (m - 1)
@@ -382,4 +484,4 @@ def test_alpha_sampling_stability_for_cusp():
     for alpha in samples:
         d = cusp(alpha)
         chain = hodge_chain(classify(d), 2, _seed_xy(), GenerationCertificate(0, "user-asserted"))
-        assert chain.ideal(2).equals(_cusp_parametric_i2(alpha))
+        assert chain.results[2].ideal.equals(_cusp_parametric_i2(alpha))
