@@ -24,7 +24,6 @@ from .closed_forms import (
     Regime,
     classify,
     generation_level,
-    node_ideal,
     ordinary_ideal,
     smooth_support_ideal,
     snc_hodge_ideal,
@@ -59,7 +58,7 @@ __all__ = [
     "HodgeIdealResult", "QDivisor", "periodic_reduce", "support", "twist_polynomial",
     "validate",
     "OrdinarySingularityModel", "Regime", "classify", "generation_level",
-    "node_ideal", "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
+    "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
     "ChainResult", "GenerationCertificate", "MethodUnavailableError", "certificate_for",
     "derivation_step", "hodge_chain", "i0_seed",
     "Decision", "ExceptionalDivisor", "MultiplicityData", "ResolutionData",

@@ -21,7 +21,8 @@ from .certificates import MultiplicityData, triviality_certificate, \
 from .compute import METHODS, MethodUnavailableError, compute_chain
 from .divisor import QDivisor, periodic_reduce, validate
 from .ideal import Ideal
-from .parser import parse_divisor, parse_polynomial, parse_rational, parse_resolution_data
+from .parser import _unknown_keys, parse_divisor, parse_polynomial, parse_rational, \
+    parse_resolution_data
 from .poly import _ORDERS, MonomialOrder, format_rational
 from .recursion import GenerationCertificate
 from .verify import DEFAULT_SEED, SUITES, report_ok, run_suites
@@ -80,13 +81,6 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _unknown_keys(found, accepted, where: str) -> None:
-    unknown = sorted(set(found) - set(accepted))
-    if unknown:
-        raise InputError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
-                         f"expected {', '.join(accepted)}")
-
-
 def _task_spec(doc: dict, expected: str) -> TaskSpec:
     _unknown_keys(doc, _TASK_KEYS[expected], f"a {expected} task document")
     task = doc.get("task", expected)
@@ -114,6 +108,7 @@ def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
         return None
     if not isinstance(cert, dict) or "level" not in cert:
         raise InputError("'options.certificate' must be an object with a 'level'")
+    _unknown_keys(cert, ("level", "source"), "'options.certificate'")
     level = _count(cert["level"], "certificate level")
     # Nothing here checks the level, so the caller vouches for it.
     source = cert.get("source", "user-asserted")
@@ -256,6 +251,7 @@ def cmd_certify(args) -> int:
         m = doc["multiplicity"]
         if not isinstance(m, dict):
             raise InputError("'multiplicity' must be an object")
+        _unknown_keys(m, ("n", "r", "a", "b", "q"), "'multiplicity'")
         try:
             md = MultiplicityData(n=_count(m["n"], "'multiplicity.n'"),
                                   r=_count(m["r"], "'multiplicity.r'"),
@@ -277,6 +273,7 @@ def cmd_certify(args) -> int:
         m = doc["membership"]
         if not isinstance(m, dict):
             raise InputError("'membership' must be an object")
+        _unknown_keys(m, ("n", "m", "alpha", "proportional"), "'membership'")
         proportional = m.get("proportional", True)
         if not isinstance(proportional, bool):
             raise InputError(f"'membership.proportional' must be a boolean, "

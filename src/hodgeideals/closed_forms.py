@@ -21,12 +21,12 @@ from .poly import Polynomial
 # Smooth supports
 
 
-def smooth_support_ideal(regime: Regime, k: int) -> HodgeIdealResult:
+def smooth_support_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     """I_k of a divisor whose support is a hyperplane (``regime.linear``):
     I'_k(D) is trivial, so I_k(D) is the twist ideal (f^(ceil(alpha)-1))
-    for every k >= 0."""
+    for every k >= 0.  None for any other divisor."""
     if not regime.linear:
-        raise ValueError("smooth closed form wants a single component cut out by a linear form")
+        return None
     twist = regime.twist
     ideal = Ideal.unit(regime.divisor.vars) if twist.is_constant() else Ideal.principal(twist)
     return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True,
@@ -65,12 +65,12 @@ def _snc_monomial_ideal(variables: Sequence[str], positions: Sequence[int], k: i
     return Ideal(variables, gens)
 
 
-def snc_hodge_ideal(regime: Regime, k: int) -> HodgeIdealResult:
+def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     """I_k of an SNC divisor supported on coordinate hyperplanes
     (``regime.positions``): the reduced-SNC monomial ideal times the
-    round-up twist."""
+    round-up twist.  None for any other divisor."""
     if regime.positions is None:
-        raise ValueError("SNC closed form wants distinct coordinate components")
+        return None
     reduced = _snc_monomial_ideal(regime.divisor.vars, regime.positions, k)
     twist = regime.twist
     ideal = reduced if twist.is_constant() else twist * reduced
@@ -105,23 +105,6 @@ def ordinary_triviality(model: OrdinarySingularityModel, k: int) -> bool:
     return model.m * (k + model.alpha) <= model.n
 
 
-def node_ideal(k: int, alpha: Fraction, variables: Sequence[str] = ("x", "y")) -> HodgeIdealResult:
-    """I_k of alpha*(nodal curve) on a surface: the k-th power of the
-    maximal ideal at the node, for every 0 < alpha <= 1."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    variables = tuple(variables)
-    if len(variables) != 2:
-        raise ValueError("a node lives on a surface; give exactly two variables")
-    if k == 0:
-        ideal = Ideal.unit(variables)
-    else:
-        ideal = Ideal.maximal_at_origin(variables) ** k
-    return HodgeIdealResult(k=k, ideal=ideal, method="ordinary", exact=True,
-                            notes="nodal curve: m^k for all 0 < alpha <= 1; "
-                                  "filtration generated at level 0")
-
-
 def ordinary_ideal(model: OrdinarySingularityModel, k: int,
                    variables: Sequence[str]) -> Optional[HodgeIdealResult]:
     """I_k for an ordinary singularity of multiplicity m in dimension n.
@@ -129,7 +112,8 @@ def ordinary_ideal(model: OrdinarySingularityModel, k: int,
     Trivial exactly when m <= n/(k + alpha).  In the parameter region
     (k-1)m + ceil(alpha*m) < n with k <= n-2 (k = 0 folds into the
     multiplier-ideal case) the answer is the maximal-ideal power
-    m^(k*m + ceil(alpha*m) - n); a surface node falls back to m^k.
+    m^(k*m + ceil(alpha*m) - n); a surface node (n = m = 2) has I_k = m^k
+    for every 0 < alpha <= 1.
     Outside those regions there is no closed form and None is returned.
     """
     variables = tuple(variables)
@@ -142,8 +126,10 @@ def ordinary_ideal(model: OrdinarySingularityModel, k: int,
         return HodgeIdealResult(k=k, ideal=Ideal.unit(variables), method="ordinary",
                                 exact=True, notes=note + "; trivial: m <= n/(k + alpha)")
     if model.n == 2 and model.m == 2:
-        result = node_ideal(k, model.alpha, variables)
-        return result.with_note(note)
+        return HodgeIdealResult(k=k, ideal=Ideal.maximal_at_origin(variables) ** k,
+                                method="ordinary", exact=True,
+                                notes="nodal curve: m^k for all 0 < alpha <= 1; "
+                                      "filtration generated at level 0; " + note)
     am = math.ceil(model.alpha * model.m)
     if (k - 1) * model.m + am < model.n and k <= model.n - 2:
         e = k * model.m + am - model.n
@@ -232,21 +218,23 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
     polyhedron; the closed inequality absorbs the (1 - epsilon) shrink.
     For d_i = m it reduces to the maximal-ideal power with exponent
     ceil(alpha*m) - n.
+
+    The generators are, for each w with w_i < d_i in the first n - 1
+    variables, the least power of the last variable that completes it
+    (x_i^(d_i - 1) alone is already in the ideal).  They need not be
+    minimal; the Groebner basis drops the others.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     variables = tuple(variables)
-    exponents = tuple(exponents)
-    if len(exponents) != len(variables):
+    *head, last = exponents
+    if len(head) + 1 != len(variables):
         raise ValueError("one exponent per variable required")
-    candidates = []
-    for w in itertools.product(*(range(d + 1) for d in exponents)):
-        total = sum(Fraction(e + 1, d) for e, d in zip(w, exponents))
-        if total >= alpha:
-            candidates.append(w)
-    minimal = [w for w in candidates
-               if not any(v != w and all(a <= b for a, b in zip(v, w)) for v in candidates)]
-    gens = [Polynomial._raw(variables, {w: Fraction(1)}) for w in sorted(minimal)]
+    gens = []
+    for w in itertools.product(*(range(d) for d in head)):
+        rest = alpha - sum((Fraction(e + 1, d) for e, d in zip(w, head)), Fraction(0))
+        e = max(0, math.ceil(rest * last) - 1)
+        gens.append(Polynomial._raw(variables, {w + (e,): Fraction(1)}))
     return Ideal(variables, gens)
 
 

@@ -1,10 +1,11 @@
 """Method dispatch for Hodge-ideal computation.
 
-``auto`` resolution order: smooth -> snc -> ordinary -> recursion with a
-generation-level certificate.  Each divisor is classified once and
-every branch reads that record.  Divisors whose equations omit some
-ambient variables are computed on the subring they actually use and
-extended back (smooth pullback along the projection).
+``auto`` tries the closed forms of ``CLOSED_FORMS`` in order (smooth ->
+snc -> ordinary), then the recursion with a generation-level
+certificate.  Each divisor is classified once and every entry reads that
+record.  Divisors whose equations omit some ambient variables are
+computed on the subring they actually use and extended back (smooth
+pullback along the projection).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
+from .closed_forms import Regime, classify, ordinary_ideal, smooth_support_ideal, \
+    snc_hodge_ideal
 from .divisor import HodgeIdealResult, QDivisor, apply_twist
 from .ideal import Ideal
 from .poly import Polynomial
@@ -24,7 +26,23 @@ from .recursion import (
     i0_seed,
 )
 
-METHODS = ("auto", "smooth", "snc", "ordinary", "recursion")
+
+def _ordinary(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
+    """The ordinary closed form of a single cone component, twisted back to D."""
+    res = regime.ordinary and ordinary_ideal(regime.ordinary, k, regime.divisor.vars)
+    return res and apply_twist(regime.twist, res)
+
+
+# (method, I_k(D) or None outside the regime, why a forced method is refused)
+CLOSED_FORMS = (
+    ("smooth", smooth_support_ideal,
+     "smooth closed form wants a single component cut out by a linear form"),
+    ("snc", snc_hodge_ideal, "SNC closed form wants distinct coordinate components"),
+    ("ordinary", _ordinary,
+     "ordinary closed form wants a single cone component sum c_i x_i^m and every "
+     "requested level in its parameter region; use recursion or a certificate"),
+)
+METHODS = ("auto",) + tuple(name for name, _, _ in CLOSED_FORMS) + ("recursion",)
 
 
 def _restrict_to_used(divisor: QDivisor) -> Optional[QDivisor]:
@@ -61,33 +79,13 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                 for res in inner]
 
     regime = classify(divisor)
-    if method in ("auto", "smooth"):
-        if regime.linear:
-            return [smooth_support_ideal(regime, k) for k in range(k_max + 1)]
-        if method == "smooth":
-            raise MethodUnavailableError(
-                "smooth closed form wants a single component cut out by a linear form")
-
-    if method in ("auto", "snc"):
-        if regime.positions is not None:
-            return [snc_hodge_ideal(regime, k) for k in range(k_max + 1)]
-        if method == "snc":
-            raise MethodUnavailableError(
-                "SNC closed form wants distinct coordinate components")
-
-    if method in ("auto", "ordinary"):
-        model = regime.ordinary
-        if model is not None:
-            results = [ordinary_ideal(model, k, divisor.vars) for k in range(k_max + 1)]
+    for name, form, reason in CLOSED_FORMS:
+        if method in ("auto", name):
+            results = [form(regime, k) for k in range(k_max + 1)]
             if None not in results:
-                return [apply_twist(regime.twist, res) for res in results]
-            if method == "ordinary":
-                raise MethodUnavailableError(
-                    "the ordinary closed form does not cover every requested level "
-                    "in this parameter region; use recursion or a certificate")
-        elif method == "ordinary":
-            raise MethodUnavailableError(
-                "ordinary closed form wants a single cone component sum c_i x_i^m")
+                return results
+            if method == name:
+                raise MethodUnavailableError(reason)
 
     # Recursion with a generation-level certificate.
     seed = i0_seed(regime, user_ideal=seed_ideal)

@@ -195,14 +195,13 @@ def validate(divisor: QDivisor) -> list[str]:
                         warnings.append(
                             f"component {i} is a perfect power of component {j} (or conversely); "
                             "the support is not reduced")
-                elif mi is None or mj is None:
+                else:
                     warnings.append(
                         f"pairwise coprimality of components {i} and {j} is assumed (unverified)")
     for i, f in enumerate(factors):
-        if _monomial_exponent(f) is None:
+        exps = _monomial_exponent(f)
+        if exps is None:
             warnings.append(f"squarefreeness of component {i} ({f}) is assumed (unverified)")
-        else:
-            exps = _monomial_exponent(f)
-            if sum(exps) > 1 and max(exps) > 1:
-                warnings.append(f"component {i} ({f}) is a non-reduced monomial")
+        elif sum(exps) > 1 and max(exps) > 1:
+            warnings.append(f"component {i} ({f}) is a non-reduced monomial")
     return warnings

@@ -470,11 +470,6 @@ class Ideal:
         """The same ideal presented by its reduced grevlex basis."""
         return Ideal.from_groebner(self.groebner())
 
-    def contains_poly(self, f: Polynomial) -> bool:
-        if f.vars != self.vars:
-            raise AmbientMismatchError(f"polynomial over {f.vars}, ideal over {self.vars}")
-        return self.groebner().contains(f)
-
     def contains_ideal(self, other: "Ideal") -> bool:
         """True iff every generator of ``other`` lies in this ideal."""
         if other.vars != self.vars:

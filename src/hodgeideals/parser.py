@@ -183,6 +183,8 @@ def _describe(tok: _Token) -> str:
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse ``text`` into an exact polynomial over ``variables``."""
+    if not isinstance(text, str):
+        raise ParseError(SourceSpan(0, 0), f"expected polynomial text, got {type(text).__name__}")
     variables = tuple(variables)
     if not variables:
         raise ParseError(SourceSpan(0, 0), "ambient variable list must be nonempty")
@@ -212,12 +214,21 @@ def parse_rational(text: str) -> Fraction:
     return -value if sign == "-" else value
 
 
+def _unknown_keys(found, accepted, where: str) -> None:
+    """Refuse a JSON object with keys outside ``accepted``, naming them."""
+    unknown = sorted(set(found) - set(accepted))
+    if unknown:
+        raise ParseError(SourceSpan(0, 0), f"unknown key {', '.join(map(repr, unknown))} "
+                                           f"in {where}", ", ".join(accepted))
+
+
 def parse_divisor(document: dict):
     """Build a validated Q-divisor from a structured document.
 
     Expected shape: ``{"vars": [...], "components": [{"f": str, "alpha": str}]}``;
     the ``components`` list may also sit under a ``divisor`` key, as in
     task files.  Component coefficients must be positive exact rationals.
+    Any other key of the ``divisor`` object or of a component is refused.
     """
     from .divisor import QDivisor
 
@@ -227,6 +238,8 @@ def parse_divisor(document: dict):
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables) or not variables:
         raise ParseError(SourceSpan(0, 0), "divisor document needs a nonempty 'vars' list of names")
     body = document.get("divisor", document)
+    if isinstance(body, dict) and body is not document:
+        _unknown_keys(body, ("components",), "'divisor'")
     components = body.get("components") if isinstance(body, dict) else None
     if not isinstance(components, list) or not components:
         raise ParseError(SourceSpan(0, 0), "divisor document needs a nonempty 'components' list")
@@ -235,6 +248,7 @@ def parse_divisor(document: dict):
         if not isinstance(comp, dict) or "f" not in comp or "alpha" not in comp:
             raise ParseError(SourceSpan(0, 0),
                              f"component {idx} must be an object with 'f' and 'alpha'")
+        _unknown_keys(comp, ("f", "alpha"), f"component {idx}")
         f = parse_polynomial(comp["f"], variables)
         alpha = parse_rational(comp["alpha"])
         if alpha <= 0:
@@ -251,11 +265,13 @@ def parse_resolution_data(document: dict):
     "strict_transform_smooth": bool}``.  Per exceptional divisor, ``a``
     lists the pullback coefficient of each divisor component (all >= 0,
     total >= 1) and ``b`` is the relative canonical coefficient (>= 0).
+    Any other key is refused.
     """
     from .certificates import ExceptionalDivisor, ResolutionData
 
     if not isinstance(document, dict):
         raise ParseError(SourceSpan(0, 0), "resolution data must be a JSON object")
+    _unknown_keys(document, ("exceptional", "strict_transform_smooth"), "'resolution'")
     raw = document.get("exceptional")
     if raw is None:
         raise ParseError(SourceSpan(0, 0), "resolution data needs an 'exceptional' list")
@@ -266,6 +282,7 @@ def parse_resolution_data(document: dict):
         if not isinstance(item, dict) or "a" not in item or "b" not in item:
             raise ParseError(SourceSpan(0, 0),
                              f"exceptional record {idx} must be an object with 'a' and 'b'")
+        _unknown_keys(item, ("a", "b"), f"exceptional record {idx}")
         a = item["a"]
         b = item["b"]
         if (not isinstance(a, list) or not a

@@ -78,7 +78,7 @@ class Polynomial:
     leading term is cached for the order it was last asked in.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_lead")
+    __slots__ = ("vars", "terms", "_lead")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object]):
         variables = tuple(variables)
@@ -99,7 +99,6 @@ class Polynomial:
                 clean[mono] = c
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
@@ -113,7 +112,6 @@ class Polynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
         return self
 
@@ -158,11 +156,7 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"<poly {self} over {','.join(self.vars)}>"
@@ -359,9 +353,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
-
-    def constant_coeff(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
 
     def coeff(self, mono: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))

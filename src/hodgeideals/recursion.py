@@ -48,10 +48,6 @@ class GenerationCertificate:
                              f"expected one of {CERTIFICATE_SOURCES}")
 
 
-def universal_certificate(n: int) -> GenerationCertificate:
-    return GenerationCertificate(level=n - 1, source="universal-bound")
-
-
 @dataclass(frozen=True)
 class ChainResult:
     """Per-k Hodge ideal results from iterating the derivation step."""
@@ -176,15 +172,15 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
 
 
 def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealResult:
-    """An exact I_0(B) of the reduced divisor B in the computable regimes,
-    with provenance notes.
+    """An exact I_0(B) of the reduced divisor B in the computable regimes.
 
     Recognized regimes: squarefree-monomial (SNC) support, where I_0(B)
     is trivial, and a single diagonal component sum c_i x_i^(d_i) through
     the standard multiplier-ideal computation (trivial iff alpha <= sum
     1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  A
-    user-supplied ideal is trusted and recorded as such.  Any other
-    divisor raises ``MethodUnavailableError``.
+    user-supplied ideal is trusted, and its note says so; ``hodge_chain``
+    writes the notes of every level it returns.  Any other divisor raises
+    ``MethodUnavailableError``.
     """
     variables = regime.divisor.vars
     if user_ideal is not None:
@@ -193,20 +189,14 @@ def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealRes
         return HodgeIdealResult(k=0, ideal=user_ideal, method="recursion", exact=True,
                                 notes="I_0 supplied by caller (trusted)")
     if regime.monomial:
-        return HodgeIdealResult(
-            k=0, ideal=Ideal.unit(variables), method="snc", exact=True,
-            notes="I_0 from the SNC closed form (multiplier ideal of an SNC divisor)")
-    d = regime.diagonal
-    if d is not None:
-        tilde = sum((Fraction(1, e) for e in d), Fraction(0))
-        kind = f"cone of multiplicity {d[0]}" if len(set(d)) == 1 else "diagonal equation"
-        return HodgeIdealResult(
-            k=0, ideal=diagonal_multiplier_i0(d, regime.alpha, variables), method="recursion",
-            exact=True, notes=f"I_0 as the multiplier ideal of a {kind} "
-                              f"(minimal exponent {tilde}; trivial iff alpha <= {tilde})")
-    raise MethodUnavailableError(
-        "no computable I_0 regime recognized (SNC coordinates or a single diagonal "
-        "equation); supply a seed ideal explicitly")
+        ideal = Ideal.unit(variables)
+    elif regime.diagonal is not None:
+        ideal = diagonal_multiplier_i0(regime.diagonal, regime.alpha, variables)
+    else:
+        raise MethodUnavailableError(
+            "no computable I_0 regime recognized (SNC coordinates or a single diagonal "
+            "equation); supply a seed ideal explicitly")
+    return HodgeIdealResult(k=0, ideal=ideal, method="recursion", exact=True)
 
 
 def certificate_for(regime: Regime) -> GenerationCertificate:
@@ -233,4 +223,4 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
         if n == 2 and g.order_at_origin() == 2 and \
                 g.coeff((1, 1)) ** 2 != 4 * g.coeff((2, 0)) * g.coeff((0, 2)):
             return GenerationCertificate(level=0, source="node-example")
-    return universal_certificate(n)
+    return GenerationCertificate(level=n - 1, source="universal-bound")

@@ -133,6 +133,21 @@ def test_compute_method_unavailable_exits_3(tmp_path, capsys):
     assert "SNC" in err or "snc" in err
 
 
+@pytest.mark.parametrize("f,variables,alpha,k,method", [
+    ("x^2+y^3", ["x", "y"], "1/2", 1, "smooth"),
+    ("x + y", ["x", "y"], "1/2", 1, "snc"),
+    ("x^2+y^3", ["x", "y"], "1/2", 1, "ordinary"),  # not a cone
+    ("x^2+y^2+z^2", ["x", "y", "z"], "1", 2, "ordinary"),  # a cone outside its region
+])
+def test_forced_closed_form_outside_its_regime_exits_3(tmp_path, capsys, f, variables, alpha,
+                                                        k, method):
+    task = {"vars": variables, "divisor": {"components": [{"f": f, "alpha": alpha}]},
+            "task": "compute", "k": k, "method": method}
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {'SNC' if method == 'snc' else method} closed form wants")
+
+
 def test_compute_no_seed_exits_3(tmp_path, capsys):
     task = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x^2 + x y + y^2", "alpha": "1/2"}]},
@@ -418,6 +433,41 @@ def test_certify_membership_honours_proportional_false(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "certify", path)
     assert code == 0
     assert json.loads(out)["decision"] == "CONTAINED-IN-MAXIMAL-IDEAL-CONJECTURAL"
+
+
+@pytest.mark.parametrize("command,task,where,key", [
+    ("compute", dict(CUSP_TASK, divisor={"components": [{"f": "x^2+y^3", "alpha": "1"}],
+                                         "alphas": ["1"]}), "'divisor'", "alphas"),
+    ("compute", dict(CUSP_TASK, divisor={"components": [{"f": "x^2+y^3", "alpha": "1",
+                                                         "mult": 2}]}), "component 0", "mult"),
+    ("compute", dict(D5_TASK, options={"i0": ["1"], "certificate": {"level": 0, "lvl": 1}}),
+     "'options.certificate'", "lvl"),
+    # A misspelled key must not fall back to its default (a smooth strict transform).
+    ("certify", dict(certify_task("4/5"), resolution={"exceptional": [{"a": [2], "b": 1}],
+                                                      "strict_transfrom_smooth": False}),
+     "'resolution'", "strict_transfrom_smooth"),
+    ("certify", dict(certify_task("4/5"), resolution={"exceptional": [{"a": [2], "b": 1,
+                                                                       "c": 0}]}),
+     "exceptional record 0", "c"),
+    ("certify", {"task": "certify", "k": 1,
+                 "multiplicity": {"n": 3, "r": 3, "a": 4, "b": "4", "qq": 2}},
+     "'multiplicity'", "qq"),
+    ("certify", {"task": "certify", "k": 1,
+                 "membership": {"n": 3, "m": 2, "alpha": "3/4", "proportinal": False}},
+     "'membership'", "proportinal"),
+])
+def test_unknown_nested_key_exits_2_and_names_it(tmp_path, capsys, command, task, where, key):
+    code, out, err = run_cli(capsys, command, write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert f"unknown key {key!r} in {where}" in err
+
+
+@pytest.mark.parametrize("f", [5, None, ["x"]])
+def test_non_string_equation_exits_2(tmp_path, capsys, f):
+    task = dict(CUSP_TASK, divisor={"components": [{"f": f, "alpha": "1"}]})
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert "expected polynomial text" in err
 
 
 def test_task_file_is_closed(tmp_path, capsys):
