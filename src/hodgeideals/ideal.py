@@ -14,7 +14,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -23,6 +23,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    integer_terms,
 )
 
 
@@ -248,16 +249,39 @@ def groebner_basis(generators: Iterable[Polynomial],
     return tuple(reduced)
 
 
-def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
-                 weights: Sequence[int]) -> tuple[Polynomial, ...]:
+def graded_basis(generators: Iterable[Polynomial | dict[Monomial, int]],
+                 variables: Sequence[str], weights: Sequence[int]) -> tuple[Polynomial, ...]:
     """The reduced grevlex basis of a weighted-homogeneous ideal that is
     m-primary or (1), by row reduction one weighted degree at a time.
 
-    ``weights`` are positive integers W_i, one per variable, and every
-    generator must be weighted-homogeneous for them (``ValueError``
+    Each generator is a ``Polynomial`` over ``variables`` or an integer
+    row: a term dict {exponent tuple: nonzero ``int``}, as
+    ``derivation_step`` builds them.  A polynomial is scaled to an integer
+    row first (``integer_terms``); a nonzero multiple spans the same
+    ideal.  ``weights`` are positive integers W_i, one per variable, and
+    every generator must be weighted-homogeneous for them (``ValueError``
     otherwise).  The ideal must contain a power of the maximal ideal at
     the origin or be the unit ideal.  This is not checked: on any other
-    ideal the loop below does not end.
+    ideal the loop in the engine does not end.
+
+    The rows are reduced in integers throughout (``_graded_rows``), and
+    ``Fraction`` appears only in the returned basis, which is the same as
+    ``groebner_basis``'s: monic, sorted by leading monomial descending.
+    """
+    variables = tuple(variables)
+    rows = []
+    for p in generators:
+        if isinstance(p, Polynomial):
+            if p.vars != variables:
+                raise AmbientMismatchError(f"generator over {p.vars}, ideal over {variables}")
+            p = integer_terms((p,))[1][0]
+        rows.append(p)
+    return _graded_rows(rows, variables, tuple(weights))
+
+
+def _graded_rows(generators: list[dict[Monomial, int]], variables: tuple[str, ...],
+                 weights: tuple[int, ...]) -> tuple[Polynomial, ...]:
+    """The engine of ``graded_basis``, on integer rows.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
@@ -271,31 +295,35 @@ def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
     J. Pure Appl. Algebra 139, 1999, made exact by the grading).  Once
     the last generator degree is passed and the last max W_i degrees hold
     every monomial, every higher monomial is x_i times one in the ideal,
-    and the loop stops; only that many degrees are kept.  The output is the
-    same as ``groebner_basis``'s: monic, sorted by leading monomial
-    descending.
+    and the loop stops; only that many degrees are kept.
+
+    The reduction is fraction-free.  A pivot row is a pair (p, tail),
+    standing for p*pivot + tail with p > 0, integer entries and content 1.
+    A pivot column is eliminated by cross-multiplying the two rows with
+    p // gcd(p, c) and c // gcd(p, c), c the row's entry in that column,
+    and a row that changes has its content divided out again.  An output
+    row becomes monic only at the end, its tail entries ``Fraction(a, p)``.
     """
-    variables = tuple(variables)
-    weights = tuple(weights)
     n = len(variables)
     if len(weights) != n or any(not isinstance(w, int) or w <= 0 for w in weights):
         raise ValueError(f"want one positive integer weight per variable, got {weights}")
-    gens: dict[int, list[Polynomial]] = {}
-    for p in generators:
-        if not p:
+    gens: dict[int, list[dict[Monomial, int]]] = {}
+    for v in generators:
+        if not v:
             continue
-        if p.vars != variables:
-            raise AmbientMismatchError(f"generator over {p.vars}, ideal over {variables}")
-        d = p.weighted_degree(weights)
-        if d is None:
-            raise ValueError(f"{p} is not weighted-homogeneous for the weights {weights}")
+        degrees = {sum(map(mul, m, weights)) for m in v}
+        if len(degrees) != 1:
+            raise ValueError(f"{Polynomial(variables, v)} is not weighted-homogeneous "
+                             f"for the weights {weights}")
+        d = degrees.pop()
         if d == 0:  # a nonzero constant
             return (Polynomial.one(variables),)
-        gens.setdefault(d, []).append(p)
+        gens.setdefault(d, []).append(v)
     if not gens:
         return ()
     key = GREVLEX.key
     one = Fraction(1)
+    gcd = math.gcd
     top, last = max(weights), max(gens)
     # counts[j][d]: the number of monomials of degree d in the first j variables.
     counts = [[1] for _ in range(n + 1)]
@@ -307,32 +335,38 @@ def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
                 counts[j].append(counts[j - 1][e] + (counts[j][e - w] if e >= w else 0))
         return counts[n][d]
 
-    # degree -> {pivot: the other terms of its row}; the last `top` degrees.
-    window: dict[int, dict[Monomial, dict[Monomial, Fraction]]] = {}
+    # degree -> {pivot: (p, tail)}; the last `top` degrees.
+    window: dict[int, dict[Monomial, tuple[int, dict[Monomial, int]]]] = {}
     found: list[tuple] = []
     d, full = min(gens), 0
     while d <= last or full < top:
-        rows: dict[Monomial, dict[Monomial, Fraction]] = {}
+        rows: dict[Monomial, tuple[int, dict[Monomial, int]]] = {}
         pending = []
-        for p in gens.get(d, ()):
-            if len(p.terms) == 1:
-                rows[next(iter(p.terms))] = {}
+        for v in gens.get(d, ()):
+            if len(v) == 1:
+                rows[next(iter(v))] = (1, {})
             else:
-                pending.append(dict(p.terms))
+                pending.append(dict(v))
         for i, w in enumerate(weights):
-            for m, tail in window.get(d - w, {}).items():
+            for m, (p, tail) in window.get(d - w, {}).items():
                 lead = m[:i] + (m[i] + 1,) + m[i + 1:]
                 if not tail:
-                    rows[lead] = {}
+                    rows[lead] = (1, {})
                 else:
-                    v = {t[:i] + (t[i] + 1,) + t[i + 1:]: c for t, c in tail.items()}
-                    v[lead] = one
+                    v = {t[:i] + (t[i] + 1,) + t[i + 1:]: a for t, a in tail.items()}
+                    v[lead] = p
                     pending.append(v)
         for v in pending:
             # Row tails hold no pivot column, so one pass clears every pivot.
-            for p in [p for p in v if p in rows]:
-                c = v.pop(p)
-                for t, a in rows[p].items():
+            for q in [q for q in v if q in rows]:
+                c = v.pop(q)
+                p, tail = rows[q]
+                if p != 1:
+                    g = gcd(p, c)
+                    s, c = p // g, c // g
+                    if s != 1:
+                        v = {t: s * a for t, a in v.items()}
+                for t, a in tail.items():
                     nc = v.get(t, 0) - c * a
                     if nc:
                         v[t] = nc
@@ -341,25 +375,40 @@ def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
             if not v:
                 continue
             lead = max(v, key=key)
-            c = v.pop(lead)
-            if c != 1:
-                v = {t: a / c for t, a in v.items()}
-            for tail in rows.values():
+            p = v.pop(lead)
+            g = gcd(p, *v.values())
+            if p < 0:
+                g = -g
+            if g != 1:
+                p //= g
+                v = {t: a // g for t, a in v.items()}
+            for q, (r, tail) in rows.items():
                 a = tail.pop(lead, None)
                 if a is not None:
+                    g = gcd(p, a)
+                    s, a = p // g, a // g
+                    if s != 1:
+                        r *= s
+                        tail = {t: s * b for t, b in tail.items()}
                     for t, b in v.items():
                         nc = tail.get(t, 0) - a * b
                         if nc:
                             tail[t] = nc
                         else:
                             del tail[t]
-            rows[lead] = v
+                    g = gcd(r, *tail.values())
+                    if g != 1:
+                        r //= g
+                        tail = {t: b // g for t, b in tail.items()}
+                    rows[q] = (r, tail)
+            rows[lead] = (p, v)
         full = full + 1 if len(rows) == monomials_of_degree(d) else 0
-        for m, tail in rows.items():
+        for m, (p, tail) in rows.items():
             if not any(m[i] and m[:i] + (m[i] - 1,) + m[i + 1:] in window.get(d - w, ())
                        for i, w in enumerate(weights)):
                 terms = {m: one}
-                terms.update(tail)
+                for t, a in tail.items():
+                    terms[t] = Fraction(a, p)
                 found.append((key(m), Polynomial._raw(variables, terms)))
         window[d] = rows
         window.pop(d - top, None)
@@ -443,11 +492,6 @@ class Ideal:
     @classmethod
     def maximal_at_origin(cls, variables) -> "Ideal":
         return cls(variables, Polynomial.gens(variables))
-
-    @classmethod
-    def spanned_by(cls, variables, texts: Iterable[str]) -> "Ideal":
-        from .parser import parse_polynomial
-        return cls(variables, tuple(parse_polynomial(t, variables) for t in texts))
 
     # -- Groebner machinery ----------------------------------------------
 
@@ -551,10 +595,6 @@ class Ideal:
 
     def is_zero(self) -> bool:
         return not self.groebner().basis
-
-    def is_unit(self) -> bool:
-        basis = self.groebner().basis
-        return len(basis) == 1 and basis[0].is_constant()
 
     def is_zero_dimensional(self) -> bool:
         """True iff V(I) is a finite set of points (the empty set included).

@@ -227,7 +227,8 @@ def parse_divisor(document: dict):
 
     Expected shape: ``{"vars": [...], "components": [{"f": str, "alpha": str}]}``;
     the ``components`` list may also sit under a ``divisor`` key, as in
-    task files.  Component coefficients must be positive exact rationals.
+    task files, but not in both places.  Component coefficients must be
+    positive exact rationals.
     Any other key of the ``divisor`` object or of a component is refused.
     """
     from .divisor import QDivisor
@@ -237,6 +238,9 @@ def parse_divisor(document: dict):
     variables = document.get("vars")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables) or not variables:
         raise ParseError(SourceSpan(0, 0), "divisor document needs a nonempty 'vars' list of names")
+    if "divisor" in document and "components" in document:
+        raise ParseError(SourceSpan(0, 0), "divisor document has both 'divisor' and "
+                                           "'components'; give the components once")
     body = document.get("divisor", document)
     if isinstance(body, dict) and body is not document:
         _unknown_keys(body, ("components",), "'divisor'")

@@ -7,6 +7,7 @@ variable count.  No floating point is used anywhere in the package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, mul, neg
 from typing import Mapping, Sequence
@@ -384,6 +385,15 @@ class Polynomial:
             else:
                 pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
         return "".join(pieces)
+
+
+def integer_terms(polys: Sequence[Polynomial]) -> tuple[int, list[dict[Monomial, int]]]:
+    """The least positive integer c that clears every denominator of
+    ``polys``, and the term dict of c*p, with ``int`` coefficients, for
+    each p in order."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return scale, [{m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+                   for p in polys]
 
 
 def format_rational(value: Fraction) -> str:

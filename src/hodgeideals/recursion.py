@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import add
+from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, support
 from .ideal import GroebnerBasis, Ideal, graded_basis
-from .poly import GREVLEX, Polynomial
+from .poly import GREVLEX, Monomial, Polynomial, integer_terms
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
                        "user-asserted")
@@ -90,6 +91,50 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     return None
 
 
+def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int],
+              b: dict[Monomial, int]) -> None:
+    """out += a*b, on integer term dicts."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+
+
+def _step_rows(basis: Sequence[Polynomial], g: Polynomial, h: Sequence[Polynomial]):
+    """The generators of one derivation step as integer rows, each with
+    the positive integer it is scaled by.
+
+    With g = G/c_g, the h_l = H_l/c_h (one c_h for all l) and each
+    w = W/c_w, where G, H_l and W have integer coefficients, the rows are
+    G*W = c_g*c_w * g*w, then c_h*G*d_l(W) - c_g*W*H_l =
+    c_g*c_h*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
+    of ``int``s; a nonzero multiple spans the same ideal.
+    """
+    c_g, (big_g,) = integer_terms((g,))
+    c_h, hs = integer_terms(h)
+    # c_h*G and -c_g*H_l, so that each row is two products added up.
+    gh = {m: c_h * c for m, c in big_g.items()}
+    hg = [{m: -c_g * c for m, c in hl.items()} for hl in hs]
+    known, derived = [], []
+    for w in basis:
+        c_w, (big_w,) = integer_terms((w,))
+        row: dict[Monomial, int] = {}
+        _mul_into(row, big_g, big_w)
+        known.append((c_g * c_w, row))
+        for ell, hl in enumerate(hg):
+            dw = {m[:ell] + (m[ell] - 1,) + m[ell + 1:]: c * m[ell]
+                  for m, c in big_w.items() if m[ell]}
+            row = {}
+            _mul_into(row, gh, dw)
+            _mul_into(row, big_w, hl)
+            derived.append((c_g * c_h * c_w, row))
+    return known, derived
+
+
 def derivation_step(ideal: Ideal, divisor: QDivisor, k: int) -> Ideal:
     """Apply the order-one operators to (a lower bound for) I_k(B).
 
@@ -104,34 +149,37 @@ g * prod_i f_i^(k + alpha_i).
     The result is always contained in I_(k+1)(B) and equals it when the
     filtration is generated at level <= k.
 
+    The generators are built once, as integer rows (``_step_rows``).
     When g is weighted-homogeneous with an isolated singularity
     (``QDivisor.isolated_weights``, decided once per divisor) and the input
-    is weighted-homogeneous and m-primary or (1), so is the result, and its
-    reduced basis comes from ``graded_basis``.  Every other step goes to
-    Buchberger (``groebner_basis``) with g*G as its known Groebner basis.
+    is weighted-homogeneous and m-primary or (1), so is the result, and
+    ``graded_basis`` row-reduces those rows in integers to its reduced
+    basis.  Every other step goes to Buchberger (``groebner_basis``) with
+    g*G as its known Groebner basis, on the same rows divided by their
+    scales: ``Fraction`` polynomials equal to g*w and g*d_l(w) - w*h_l.
     Both give the same reduced basis.
     """
     if not divisor.is_reduced_regime():
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
     if ideal.vars != divisor.vars:
         raise ValueError(f"ideal over {ideal.vars}, divisor over {divisor.vars}")
-    g = support(divisor)
-    h = _log_terms(divisor, k)
     # The spanned ideal does not depend on the generators chosen for I_k
     # (the operator sends a*w to a times its image of w plus (g*w)*d_l(a)),
     # so take the reduced basis G.  g*G is then a Groebner basis as it
     # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
     # derivative generators with it.
     basis = ideal.groebner().basis
-    known = [g * w for w in basis]
-    gens = [g * w.diff(ell) - w * h[ell]
-            for w in basis for ell in range(len(divisor.vars))]
+    known, derived = _step_rows(basis, support(divisor), _log_terms(divisor, k))
+    variables = divisor.vars
     grading = _grading(ideal, divisor)
     if grading is not None:
-        gb = GroebnerBasis(graded_basis(known + gens, divisor.vars, grading), GREVLEX,
-                           divisor.vars)
+        gb = GroebnerBasis(graded_basis([row for _, row in known + derived], variables,
+                                        grading), GREVLEX, variables)
     else:
-        gb = GroebnerBasis.compute(gens, divisor.vars, known=known)
+        def unscaled(rows):
+            return [Polynomial._raw(variables, {m: Fraction(a, c) for m, a in row.items()})
+                    for c, row in rows]
+        gb = GroebnerBasis.compute(unscaled(derived), variables, known=unscaled(known))
     return Ideal.from_groebner(gb)
 
 

@@ -236,6 +236,17 @@ def test_other_subcommands_key_exits_2_and_names_it(tmp_path, capsys, command, k
     assert (COMPUTE_KEYS if command == "compute" else CERTIFY_KEYS) in err
 
 
+@pytest.mark.parametrize("command", ["compute", "certify"])
+def test_divisor_and_top_level_components_exit_2_and_name_both(tmp_path, capsys, command):
+    task = dict(CUSP_TASK, task=command, components=[{"f": "x", "alpha": "1/2"}])
+    if command == "certify":
+        del task["method"]
+        task["membership"] = {"n": 3, "m": 2, "alpha": "1/2"}
+    code, out, err = run_cli(capsys, command, write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert "both 'divisor' and 'components'" in err
+
+
 def test_compute_formats_each_generator_once(tmp_path, capsys, monkeypatch):
     from collections import Counter
     from hodgeideals.poly import Polynomial

@@ -20,6 +20,8 @@ from hodgeideals import (
 )
 from hodgeideals.divisor import apply_twist
 
+from helpers import spanned_by
+
 XY = ("x", "y")
 
 
@@ -72,17 +74,17 @@ def test_snc_periodicity_contract():
 
 
 def test_apply_twist_multiplies_and_notes_only_a_nontrivial_twist():
-    res = HodgeIdealResult(k=1, ideal=Ideal.spanned_by(XY, ["x", "y"]), notes="seed")
+    res = HodgeIdealResult(k=1, ideal=spanned_by(XY, ["x", "y"]), notes="seed")
     b, twist = periodic_reduce(div([{"f": "x", "alpha": "1/2"}]))
     assert apply_twist(twist, res) is res
     b, twist = periodic_reduce(div([{"f": "x", "alpha": "5/2"}]))
     twisted = apply_twist(twist, res)
-    assert twisted.ideal.equals(Ideal.spanned_by(XY, ["x^3", "x^2 y"]))
+    assert twisted.ideal.equals(spanned_by(XY, ["x^3", "x^2 y"]))
     assert twisted.notes == "seed; integral twist x^2 applied"
 
 
 def test_apply_twist_multiplies_the_reduced_basis_without_new_generators(groebner_inputs):
-    res = HodgeIdealResult(k=1, ideal=Ideal.spanned_by(XY, ["x^2 + y", "x y - 1"]).canonical())
+    res = HodgeIdealResult(k=1, ideal=spanned_by(XY, ["x^2 + y", "x y - 1"]).canonical())
     twist = parse_polynomial("x y + y^2", XY)
     known = tuple(twist * g for g in res.ideal.generators)
     groebner_inputs.clear()

@@ -31,6 +31,8 @@ from hodgeideals import (
 from hodgeideals.compute import MethodUnavailableError
 from hodgeideals.recursion import _grading, _log_terms
 
+from helpers import is_unit, spanned_by
+
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 ALPHAS = (F(1, 4), F(1, 2), F(3, 4), F(1))
@@ -41,7 +43,7 @@ def div(components, variables=XY):
 
 
 def ideal(*texts, variables=XY):
-    return Ideal.spanned_by(variables, texts)
+    return spanned_by(variables, texts)
 
 
 def cusp(alpha, variables=XY):
@@ -71,7 +73,7 @@ def test_step_snc_product_matches_closed_form():
 def test_step_cone_matches_ordinary():
     d = div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ)
     out = derivation_step(Ideal.unit(XYZ), d, 0)
-    assert out.equals(Ideal.spanned_by(XYZ, ["x", "y", "z"]))
+    assert out.equals(spanned_by(XYZ, ["x", "y", "z"]))
     assert out.equals(ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1, XYZ).ideal)
 
 
@@ -103,7 +105,7 @@ def test_step_monotone_over_g_times_input():
         (ideal("x", "y"), cusp("9/10"), 0),
         (ideal("x^2", "x y", "y^3"), cusp("1"), 1),
         (Ideal.unit(XY), div([{"f": "x y", "alpha": "1/2"}]), 0),
-        (Ideal.spanned_by(XYZ, ["x", "y", "z"]),
+        (spanned_by(XYZ, ["x", "y", "z"]),
          div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ), 1),
     ]
     for i, d, k in cases:
@@ -149,7 +151,7 @@ def textbook_generators(basis, d, k):
     div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ),
 ], ids=["cusp", "line-and-cusp", "three-coordinates", "cone"])
 def test_step_generators_are_the_textbook_operator(groebner_inputs, d):
-    given = Ideal.spanned_by(d.vars, ["x^2 + y", "x y"] if len(d.vars) == 2
+    given = spanned_by(d.vars, ["x^2 + y", "x y"] if len(d.vars) == 2
                              else ["x + z^2", "y^2", "x y z"])
     basis = given.groebner().basis
     d.isolated_weights  # decided once per divisor, before the steps are recorded
@@ -235,22 +237,49 @@ GRADED_CHAINS = [(f, alpha, k) for f, levels in (
 ) for alpha, k in levels]
 
 
-@pytest.mark.parametrize("f,alpha,k_max", GRADED_CHAINS)
-def test_graded_basis_is_the_pair_engine_basis_along_chains(f, alpha, k_max):
-    variables = ("x", "y", "z")[:f.count("+") + 1]
-    r = classify(div([{"f": f, "alpha": alpha}], variables))
-    current = i0_seed(r).ideal.canonical()
+# Chains whose support has rational coefficients or several components, so
+# that the step scales g, h_l and w to integers before reducing them:
+# (components, k).  The one with two components has no I_0 regime and
+# starts from (1).
+SCALED_GRADED_CHAINS = [
+    ((("1/2*x^2 + 3/7*y^3", "5/6"),), 5),
+    ((("2*x^2+1/5*y^3+z^5", "3/4"),), 3),
+    ((("x", "1/3"), ("y^2+x^3", "2/5")), 4),
+]
+
+
+def _all_fractions(polys):
+    return all(type(c) is F for p in polys for c in p.terms.values())
+
+
+@pytest.mark.parametrize("components,k_max", [
+    pytest.param(((f, alpha),), k, id=f"{f}-{alpha}-{k}") for f, alpha, k in GRADED_CHAINS
+] + [
+    pytest.param(components, k, id=" | ".join(f"{f}-{alpha}" for f, alpha in components)
+                 + f"-{k}") for components, k in SCALED_GRADED_CHAINS
+])
+def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
+    variables = tuple(v for v in XYZ if any(v in f for f, _ in components))
+    r = classify(div([{"f": f, "alpha": alpha} for f, alpha in components], variables))
+    if len(components) == 1:
+        current = i0_seed(r).ideal.canonical()
+    else:
+        current = Ideal.unit(variables)
     for k in range(k_max):
         grading = _grading(current, r.reduced)
         assert grading is not None
         gens = step_generators(current, r.reduced, k)
         graded, paired = graded_basis(gens, variables, grading), groebner_basis(gens)
         assert graded == paired
+        # An int among the coefficients would make normal_form's gc / nlc
+        # a float division.
+        assert _all_fractions(graded)
         by_rows, by_pairs = Ideal(variables, graded), Ideal(variables, paired)
         for order in (LEX, GRLEX):
             assert by_rows.groebner(order).basis == by_pairs.groebner(order).basis
         current = derivation_step(current, r.reduced, k)
         assert current.groebner().basis == graded
+        assert _all_fractions(current.generators)
 
 
 # -- seeds -------------------------------------------------------------------------
@@ -259,7 +288,7 @@ def test_seed_snc_twist():
     d = div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}])
     # the seed is I_0(B) of B = x^(1/2) y^(1/2); hodge_chain applies the twist x
     res = i0_seed(classify(d))
-    assert res.exact and res.ideal.is_unit()
+    assert res.exact and is_unit(res.ideal)
 
 
 def test_seed_cusp_above_threshold():
@@ -269,12 +298,12 @@ def test_seed_cusp_above_threshold():
 
 def test_seed_cusp_log_canonical():
     res = i0_seed(classify(cusp("4/5")))
-    assert res.ideal.is_unit()
+    assert is_unit(res.ideal)
 
 
 def test_seed_monomial_node():
     res = i0_seed(classify(div([{"f": "x y", "alpha": "1"}])))
-    assert res.ideal.is_unit()
+    assert is_unit(res.ideal)
 
 
 def test_seed_unavailable():
@@ -390,7 +419,7 @@ def test_chain_cusp_below_threshold_has_trivial_i0():
     # 81/100 < 5/6: the pair is log canonical, so the true seed is (1)
     r = classify(cusp(F(81, 100)))
     seed = i0_seed(r)
-    assert seed.ideal.is_unit()
+    assert is_unit(seed.ideal)
     chain = hodge_chain(r, 1, seed, certificate_for(r))
     assert all(res.exact for res in chain.results)
     assert chain.results[1].ideal.equals(ideal("x", "y^2"))
@@ -401,7 +430,7 @@ def test_chain_node_maximal_powers():
         r = classify(div([{"f": "x y", "alpha": str(alpha)}]))
         chain = hodge_chain(r, 4, i0_seed(r), certificate_for(r))
         assert all(res.exact for res in chain.results)
-        assert chain.results[0].ideal.is_unit()
+        assert is_unit(chain.results[0].ideal)
         for k in range(1, 5):
             assert chain.results[k].ideal.equals(Ideal.maximal_at_origin(XY) ** k)
 
@@ -417,7 +446,7 @@ def test_chain_cone_lower_bound_not_promoted():
     assert [res.exact for res in chain.results] == [True, False, False]
     # the k=1 step undershoots the true trivial ideal but stays inside it
     truth = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 4)), 1, XYZ).ideal
-    assert truth.is_unit()
+    assert is_unit(truth)
     assert chain.results[1].ideal.equals(Ideal.maximal_at_origin(XYZ))
     assert truth.contains_ideal(chain.results[1].ideal)
 
@@ -472,7 +501,7 @@ def test_multiplicity_growth_cusp_and_node():
         chain = hodge_chain(r, 3, i0_seed(r), certificate_for(r))
         for k in range(1, 4):
             prev, cur = chain.results[k - 1].ideal, chain.results[k].ideal
-            if prev.is_unit() and cur.is_unit():
+            if is_unit(prev) and is_unit(cur):
                 continue
             assert cur.order_at_origin() >= prev.order_at_origin() + (m - 1)
 
