@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ideal import GroebnerBasis, Ideal
-from .poly import Polynomial
+from .poly import Monomial, Polynomial, integer_terms
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,23 @@ class QDivisor:
         and every derivation step of a chain read one Jacobian basis.
         """
         from .closed_forms import infer_weights  # closed_forms imports this module
-        g = support(self)
+        g = self.support_equation
         weights = infer_weights(g)
         if weights is None or not Ideal(self.vars, [g.diff(i) for i in range(len(self.vars))]) \
                 .is_zero_dimensional():
             return None
         return weights
+
+    @functools.cached_property
+    def support_equation(self) -> Polynomial:
+        """g = prod f_i, built on first use and kept (``support`` reads it)."""
+        return math.prod(self.factors, start=Polynomial.one(self.vars))
+
+    @functools.cached_property
+    def step_data(self) -> "StepData":
+        """The integer data that every derivation step of this divisor
+        reads, built on first use and kept (see ``StepData``)."""
+        return StepData.of(self)
 
     def is_reduced_regime(self) -> bool:
         """True when every coefficient lies in (0, 1], i.e. ceil(D) = Z."""
@@ -79,9 +90,61 @@ class QDivisor:
         return " + ".join(f"({alpha})*div({f})" for f, alpha in self.components)
 
 
+@dataclass(frozen=True, eq=False)
+class StepData:
+    """The k-independent integer data of the derivation steps of a divisor.
+
+    The support equation (``QDivisor.support_equation``) is
+    g = G/g_scale, with G the integer term dict ``g_terms``.  The rows
+    P_(i,l) = d_l(f_i)*prod_(j != i) f_j share one scale c_P:
+    ``rows[i][l]`` = c_P*P_(i,l), with integer coefficients.
+    With den the least common denominator of the alpha_i and
+    k + alpha_i = (k*den + shifts[i])/den, the h_l of step k is
+    h_l = sum_i (k + alpha_i)*P_(i,l) = H_l(k)/h_scale, where
+    H_l(k) = sum_i (k*den + shifts[i])*rows[i][l] and h_scale = den*c_P.
+    Only the integer scalars k*den + shifts[i] change from step to step.
+    """
+
+    g_scale: int
+    g_terms: dict[Monomial, int]
+    den: int
+    shifts: tuple[int, ...]
+    rows: tuple[tuple[dict[Monomial, int], ...], ...]
+    h_scale: int
+
+    @classmethod
+    def of(cls, divisor: QDivisor) -> "StepData":
+        g_scale, (g_terms,) = integer_terms((divisor.support_equation,))
+        factors = divisor.factors
+        one = Polynomial.one(divisor.vars)
+        n = len(divisor.vars)
+        cofactors = [math.prod(factors[:i] + factors[i + 1:], start=one)
+                     for i in range(len(factors))]
+        p_scale, flat = integer_terms([f.diff(ell) * c for f, c in zip(factors, cofactors)
+                                       for ell in range(n)])
+        den = math.lcm(*(alpha.denominator for alpha in divisor.alphas))
+        return cls(g_scale=g_scale, g_terms=g_terms, den=den,
+                   shifts=tuple(alpha.numerator * (den // alpha.denominator)
+                                for alpha in divisor.alphas),
+                   rows=tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(factors))),
+                   h_scale=den * p_scale)
+
+    def log_rows(self, k: int) -> list[dict[Monomial, int]]:
+        """H_l(k) for each variable index l, as integer term dicts."""
+        scalars = [k * self.den + a for a in self.shifts]
+        out = []
+        for ell in range(len(self.rows[0])):
+            h: dict[Monomial, int] = {}
+            for s, rows in zip(scalars, self.rows):
+                for m, c in rows[ell].items():
+                    h[m] = h.get(m, 0) + s * c
+            out.append({m: c for m, c in h.items() if c})
+        return out
+
+
 def support(divisor: QDivisor) -> Polynomial:
     """The reduced support equation g = prod f_i."""
-    return math.prod(divisor.factors, start=Polynomial.one(divisor.vars))
+    return divisor.support_equation
 
 
 def twist_polynomial(divisor: QDivisor) -> Polynomial:

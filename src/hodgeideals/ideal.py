@@ -267,6 +267,9 @@ def graded_basis(generators: Iterable[Polynomial | dict[Monomial, int]],
     The rows are reduced in integers throughout (``_graded_rows``), and
     ``Fraction`` appears only in the returned basis, which is the same as
     ``groebner_basis``'s: monic, sorted by leading monomial descending.
+    A nonempty basis records the weights in its ``weights`` attribute: the
+    engine has then found every element weighted-homogeneous for them and
+    the ideal m-primary or (1).
     """
     variables = tuple(variables)
     rows = []
@@ -317,7 +320,7 @@ def _graded_rows(generators: list[dict[Monomial, int]], variables: tuple[str, ..
                              f"for the weights {weights}")
         d = degrees.pop()
         if d == 0:  # a nonzero constant
-            return (Polynomial.one(variables),)
+            return _GradedBasis((Polynomial.one(variables),), weights)
         gens.setdefault(d, []).append(v)
     if not gens:
         return ()
@@ -414,7 +417,17 @@ def _graded_rows(generators: list[dict[Monomial, int]], variables: tuple[str, ..
         window.pop(d - top, None)
         d += 1
     found.sort(key=lambda t: t[0], reverse=True)
-    return tuple(p for _, p in found)
+    return _GradedBasis((p for _, p in found), weights)
+
+
+class _GradedBasis(tuple):
+    """A basis returned by ``graded_basis``, with the weights it is
+    weighted-homogeneous for; it compares and hashes as a plain tuple."""
+
+    def __new__(cls, basis, weights: tuple[int, ...]):
+        self = super().__new__(cls, basis)
+        self.weights = weights
+        return self
 
 
 class GroebnerBasis:
@@ -423,7 +436,8 @@ class GroebnerBasis:
     __slots__ = ("basis", "order", "vars")
 
     def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder, variables):
-        self.basis = tuple(basis)
+        # A tuple is kept as it is, so a graded basis keeps its weights.
+        self.basis = basis if isinstance(basis, tuple) else tuple(basis)
         self.order = order
         self.vars = tuple(variables)
 

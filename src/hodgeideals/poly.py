@@ -28,6 +28,15 @@ def _coerce_scalar(value) -> Fraction:
     raise TypeError(f"expected an exact rational or integer, got {type(value).__name__}")
 
 
+def _checked_variables(variables: Sequence[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if not variables:
+        raise ValueError("ambient variable list must be nonempty")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"ambient variables must be distinct, got {variables}")
+    return variables
+
+
 class MonomialOrder:
     """A monomial order compatible with multiplication; 1 is minimal.
 
@@ -82,11 +91,7 @@ class Polynomial:
     __slots__ = ("vars", "terms", "_lead")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, object]):
-        variables = tuple(variables)
-        if not variables:
-            raise ValueError("ambient variable list must be nonempty")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"ambient variables must be distinct, got {variables}")
+        variables = _checked_variables(variables)
         n = len(variables)
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in terms.items():
@@ -126,8 +131,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
+        variables = _checked_variables(variables)
+        c = _coerce_scalar(value)
+        return cls._raw(variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
@@ -349,9 +355,6 @@ class Polynomial:
         inv = Fraction(1) / c
         return Polynomial._raw(self.vars, {m: v * inv for m, v in self.terms.items()})
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
@@ -366,24 +369,25 @@ class Polynomial:
     def to_str(self, order: MonomialOrder = GREVLEX) -> str:
         """Canonical text form: terms descending in ``order``, exact rationals,
         ``^`` for powers and explicit ``*`` between factors."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
+        names = self.vars
         pieces = []
-        for mono, coeff in self.sorted_terms(order):
-            factors = []
-            for name, e in zip(self.vars, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = -coeff if coeff < 0 else coeff
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
+        for mono in sorted(terms, key=order.desc):
+            coeff = terms[mono]
+            num, den = coeff.numerator, coeff.denominator
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(names, mono) if e]
+            if den != 1:
+                factors.insert(0, f"{abs(num)}/{den}")
+            elif not factors or (num != 1 and num != -1):
+                factors.insert(0, str(abs(num)))
             text = "*".join(factors)
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
+            if pieces:
+                pieces.append(f" + {text}" if num > 0 else f" - {text}")
             else:
-                pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
+                pieces.append(text if num > 0 else f"-{text}")
         return "".join(pieces)
 
 

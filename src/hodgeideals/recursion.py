@@ -17,7 +17,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
-from .divisor import HodgeIdealResult, QDivisor, apply_twist, support
+from .divisor import HodgeIdealResult, QDivisor, StepData, apply_twist
 from .ideal import GroebnerBasis, Ideal, graded_basis
 from .poly import GREVLEX, Monomial, Polynomial, integer_terms
 
@@ -56,17 +56,6 @@ class ChainResult:
     results: tuple[HodgeIdealResult, ...]
 
 
-def _log_terms(divisor: QDivisor, k: int) -> list[Polynomial]:
-    """For each variable l, h_l = sum_i (k + alpha_i) * d_l(f_i) * prod_(j != i) f_j,
-    i.e. k * d_l(g) plus g times the logarithmic derivative of the divisor."""
-    factors = divisor.factors
-    one = Polynomial.one(divisor.vars)
-    weighted = [((k + alpha) * math.prod(factors[:i] + factors[i + 1:], start=one), f)
-                for i, (f, alpha) in enumerate(divisor.components)]
-    return [sum((c * f.diff(ell) for c, f in weighted), Polynomial.zero(divisor.vars))
-            for ell in range(len(divisor.vars))]
-
-
 def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     """Integer weights for ``graded_basis`` when the step's output is sure
     to be m-primary or (1); None otherwise.
@@ -77,15 +66,23 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     point p != 0 of Z some w in it has w(p) != 0, where g*d_l(w) - w*h_l
     takes the value -w(p)*h_l(p), nonzero for some l because Z is smooth
     at p.  Off Z, g*w does not vanish at p.
+
+    So the output of a graded step qualifies again, and a chain decides
+    its grading once: a basis that ``graded_basis`` returned records the
+    weights it was reduced for, and a basis recording these weights is
+    taken as it stands, with no degree or dimension check.
     """
     weights = divisor.isolated_weights
     if weights is None:
         return None
     scale = math.lcm(*(w.denominator for w in weights))
-    integral = [int(w * scale) for w in weights]
+    integral = [w.numerator * (scale // w.denominator) for w in weights]
     common = math.gcd(*integral)
     grading = tuple(w // common for w in integral)
-    if all(w.weighted_degree(grading) is not None for w in ideal.groebner().basis) \
+    basis = ideal.groebner().basis
+    if getattr(basis, "weights", None) == grading:
+        return grading
+    if all(w.weighted_degree(grading) is not None for w in basis) \
             and ideal.is_zero_dimensional():
         return grading
     return None
@@ -104,21 +101,22 @@ def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int],
                 del out[m]
 
 
-def _step_rows(basis: Sequence[Polynomial], g: Polynomial, h: Sequence[Polynomial]):
-    """The generators of one derivation step as integer rows, each with
-    the positive integer it is scaled by.
+def _step_rows(basis: Sequence[Polynomial], data: StepData, k: int):
+    """The generators of step k as integer rows, each with the positive
+    integer it is scaled by.
 
-    With g = G/c_g, the h_l = H_l/c_h (one c_h for all l) and each
-    w = W/c_w, where G, H_l and W have integer coefficients, the rows are
-    G*W = c_g*c_w * g*w, then c_h*G*d_l(W) - c_g*W*H_l =
+    The divisor's ``StepData`` holds g = G/c_g and the rows that give
+    h_l = H_l(k)/c_h (one c_h for all l), where G and H_l(k) have integer
+    coefficients; only H_l(k) is formed here, as integer combinations of
+    the kept rows.  With each w = W/c_w, W integral, the rows are
+    G*W = c_g*c_w * g*w, then c_h*G*d_l(W) - c_g*W*H_l(k) =
     c_g*c_h*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
     of ``int``s; a nonzero multiple spans the same ideal.
     """
-    c_g, (big_g,) = integer_terms((g,))
-    c_h, hs = integer_terms(h)
-    # c_h*G and -c_g*H_l, so that each row is two products added up.
+    c_g, big_g, c_h = data.g_scale, data.g_terms, data.h_scale
+    # c_h*G and -c_g*H_l(k), so that each row is two products added up.
     gh = {m: c_h * c for m, c in big_g.items()}
-    hg = [{m: -c_g * c for m, c in hl.items()} for hl in hs]
+    hg = [{m: -c_g * c for m, c in hl.items()} for hl in data.log_rows(k)]
     known, derived = [], []
     for w in basis:
         c_w, (big_w,) = integer_terms((w,))
@@ -149,15 +147,19 @@ g * prod_i f_i^(k + alpha_i).
     The result is always contained in I_(k+1)(B) and equals it when the
     filtration is generated at level <= k.
 
-    The generators are built once, as integer rows (``_step_rows``).
-    When g is weighted-homogeneous with an isolated singularity
-    (``QDivisor.isolated_weights``, decided once per divisor) and the input
-    is weighted-homogeneous and m-primary or (1), so is the result, and
-    ``graded_basis`` row-reduces those rows in integers to its reduced
-    basis.  Every other step goes to Buchberger (``groebner_basis``) with
-    g*G as its known Groebner basis, on the same rows divided by their
-    scales: ``Fraction`` polynomials equal to g*w and g*d_l(w) - w*h_l.
-    Both give the same reduced basis.
+    The generators are built once, as integer rows (``_step_rows``), from
+    the divisor's ``StepData``: G and the rows of every h_l are built on
+    the divisor's first step and kept, so a step only scales them by
+    k + alpha_i.  When g is weighted-homogeneous with an isolated
+    singularity (``QDivisor.isolated_weights``, decided once per divisor)
+    and the input is weighted-homogeneous and m-primary or (1), so is the
+    result, and ``graded_basis`` row-reduces those rows in integers to its
+    reduced basis.  That basis records its weights, so the later steps of
+    the chain are graded without checking their input again (``_grading``).
+    Every other step goes to Buchberger (``groebner_basis``) with g*G as
+    its known Groebner basis, on the same rows divided by their scales:
+    ``Fraction`` polynomials equal to g*w and g*d_l(w) - w*h_l.  Both give
+    the same reduced basis.
     """
     if not divisor.is_reduced_regime():
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
@@ -169,7 +171,7 @@ g * prod_i f_i^(k + alpha_i).
     # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
     # derivative generators with it.
     basis = ideal.groebner().basis
-    known, derived = _step_rows(basis, support(divisor), _log_terms(divisor, k))
+    known, derived = _step_rows(basis, divisor.step_data, k)
     variables = divisor.vars
     grading = _grading(ideal, divisor)
     if grading is not None:

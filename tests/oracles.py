@@ -122,3 +122,45 @@ def newton_multiplier_monomials(exponents: Sequence[int], c: Fraction) -> set[tu
                   if newton_member(exponents, c, w)]
     return {w for w in candidates
             if not any(v != w and all(a <= b for a, b in zip(v, w)) for v in candidates)}
+
+
+def log_terms(divisor, k: int) -> list[Polynomial]:
+    """h_l = sum_i (k + alpha_i)*d_l(f_i)*prod_(j != i) f_j for each
+    variable index l, by ``Fraction`` polynomial arithmetic written out
+    term by term: the textbook form of the h_l of a derivation step."""
+    variables = divisor.vars
+    out = []
+    for ell in range(len(variables)):
+        h = Polynomial.zero(variables)
+        for i, (f, alpha) in enumerate(divisor.components):
+            cofactor = Polynomial.one(variables)
+            for j, other in enumerate(divisor.factors):
+                if j != i:
+                    cofactor = cofactor * other
+            h = h + (k + alpha) * f.diff(ell) * cofactor
+        out.append(h)
+    return out
+
+
+def polynomial_text(p: Polynomial, order=GREVLEX) -> str:
+    """The text form of ``p`` as first written: terms sorted by
+    ``order.key`` descending, each coefficient printed by ``str(Fraction)``."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda t: order.key(t[0]), reverse=True):
+        factors = []
+        for name, e in zip(p.vars, mono):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = -coeff if coeff < 0 else coeff
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
+        text = "*".join(factors)
+        if not pieces:
+            pieces.append(text if coeff > 0 else f"-{text}")
+        else:
+            pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
+    return "".join(pieces)

@@ -21,6 +21,7 @@ from hodgeideals import (
 from hodgeideals.divisor import apply_twist
 
 from helpers import spanned_by
+from oracles import log_terms
 
 XY = ("x", "y")
 
@@ -37,6 +38,54 @@ def test_support_equation():
     assert support(CUSP) == parse_polynomial("x^2+y^3", XY)
     assert support(SNC) == parse_polynomial("x y", XY)
     assert support(div([{"f": "x", "alpha": "2"}])) == parse_polynomial("x", XY)
+
+
+# -- the step data each divisor keeps --------------------------------------------------
+
+def cached_log_terms(divisor, k):
+    """The h_l of step k from the divisor's kept integer rows: H_l(k) over
+    its scale."""
+    data = divisor.step_data
+    return [Polynomial(divisor.vars, {m: F(c, data.h_scale) for m, c in row.items()})
+            for row in data.log_rows(k)]
+
+
+def cached_support(divisor):
+    data = divisor.step_data
+    return Polynomial(divisor.vars, {m: F(c, data.g_scale) for m, c in data.g_terms.items()})
+
+
+@pytest.mark.parametrize("d", [
+    CUSP,
+    div([{"f": "1/2*x^2 + 3/7*y^3", "alpha": "5/6"}]),
+    div([{"f": "x", "alpha": "1/3"}, {"f": "y^2+x^3", "alpha": "2/5"}]),
+], ids=["cusp", "scaled-cusp", "line-and-cusp"])
+def test_kept_integer_rows_give_the_textbook_h(d):
+    g = parse_polynomial("1", XY)
+    for f in d.factors:
+        g = g * f
+    assert cached_support(d) == g
+    for k in range(5):
+        assert cached_log_terms(d, k) == log_terms(d, k)
+
+
+def test_derived_divisors_build_their_own_step_data():
+    d = div([{"f": "x", "alpha": "7/4"}, {"f": "y^2+x^3", "alpha": "1/2"}])
+    assert cached_log_terms(d, 1) == log_terms(d, 1)
+    for other in (d.with_alpha(F(2, 3)), periodic_reduce(d)[0]):
+        assert other.step_data is not d.step_data
+        for k in range(3):
+            assert cached_log_terms(other, k) == log_terms(other, k)
+            assert cached_log_terms(other, k) != cached_log_terms(d, k)
+
+
+def test_kept_data_leaves_equality_and_hashing_alone():
+    spec = [{"f": "x^2+y^3", "alpha": "9/10"}]
+    used, fresh = div(spec), div(spec)
+    used.step_data, used.isolated_weights, support(used)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert {used: 1}[fresh] == 1
+    assert used != used.with_alpha(F(1, 2))
 
 
 def test_periodic_reduce():

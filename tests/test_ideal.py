@@ -10,7 +10,7 @@ from hodgeideals import (GREVLEX, GRLEX, LEX, Ideal, Polynomial, graded_basis, g
 from hodgeideals.parser import parse_polynomial
 
 from helpers import spanned_by
-from oracles import linear_membership
+from oracles import linear_membership, log_terms
 
 XY = ("x", "y")
 
@@ -372,7 +372,6 @@ def _derivation_step_inputs(f, alpha, k_max):
     diagonal divisor ``alpha * (f = 0)``, built from the reduced basis G of
     each level: g*w for w in G, then g*d_l(w) - w*h_l for each w and l."""
     from hodgeideals import classify, derivation_step, i0_seed, parse_divisor, support
-    from hodgeideals.recursion import _log_terms
     d = parse_divisor({"vars": ["x", "y", "z"], "components": [{"f": f, "alpha": alpha}]})
     r = classify(d)
     g = support(r.reduced)
@@ -380,7 +379,7 @@ def _derivation_step_inputs(f, alpha, k_max):
     inputs = []
     for k in range(k_max):
         basis = current.groebner().basis
-        h = _log_terms(r.reduced, k)
+        h = log_terms(r.reduced, k)
         inputs.append(tuple(g * w for w in basis) +
                       tuple(g * w.diff(ell) - w * h[ell] for w in basis for ell in range(3)))
         current = derivation_step(current, r.reduced, k)

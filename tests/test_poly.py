@@ -10,6 +10,8 @@ from hodgeideals import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
 from hodgeideals.parser import parse_polynomial
 from hodgeideals.poly import AmbientMismatchError
 
+from oracles import polynomial_text
+
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 
@@ -147,6 +149,40 @@ def test_canonical_form_descending_grevlex():
     assert str(p("y^4 - 5/2 x^2 y")) == "y^4 - 5/2*x^2*y"
     assert str(Polynomial.zero(XY)) == "0"
     assert str(Polynomial.constant(XY, F(-1, 3))) == "-1/3"
+
+
+printed_coeffs = st.one_of(st.sampled_from([F(1), F(-1)]),
+                           st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 5)))
+
+
+@st.composite
+def printed_polys(draw):
+    """1-4 variables, constant terms allowed, coefficients of either sign,
+    +-1 and non-integers among them."""
+    n = draw(st.integers(1, 4))
+    monos = st.tuples(*([st.integers(0, 3)] * n))
+    terms = draw(st.dictionaries(monos, printed_coeffs, max_size=6))
+    return Polynomial(("x", "y", "z", "w1")[:n], terms)
+
+
+@settings(max_examples=200)
+@given(printed_polys(), st.sampled_from([GREVLEX, LEX, GRLEX]))
+def test_printing_matches_the_sorted_fraction_formatter(f, order):
+    assert f.to_str(order) == polynomial_text(f, order)
+
+
+def test_constant_checks_its_variables_and_scalar():
+    assert Polynomial.constant(XY, 0) == Polynomial.zero(XY)
+    assert not Polynomial.constant(XY, F(0))
+    assert Polynomial.constant(XY, 3).terms == {(0, 0): F(3)}
+    assert type(Polynomial.one(XY).terms[(0, 0)]) is F
+    for variables in ((), ("x", "x")):
+        with pytest.raises(ValueError):
+            Polynomial.constant(variables, 1)
+        with pytest.raises(ValueError):
+            Polynomial.one(variables)
+    with pytest.raises(TypeError):
+        Polynomial.constant(XY, 0.5)
 
 
 # -- ambient extension -----------------------------------------------------------------

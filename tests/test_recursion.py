@@ -1,6 +1,7 @@
 """Derivation-closure step, chains, seeds, and exactness accounting."""
 
 import json
+import math
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -29,9 +30,10 @@ from hodgeideals import (
     support,
 )
 from hodgeideals.compute import MethodUnavailableError
-from hodgeideals.recursion import _grading, _log_terms
+from hodgeideals.recursion import _grading
 
 from helpers import is_unit, spanned_by
+from oracles import log_terms
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -120,8 +122,7 @@ def test_reduced_single_factor_specialization():
     d = cusp(alpha)
     g = support(d)
     for k in range(4):
-        h = _log_terms(d, k)
-        assert h == [(k + alpha) * g.diff(ell) for ell in range(2)]
+        assert log_terms(d, k) == [(k + alpha) * g.diff(ell) for ell in range(2)]
 
 
 def textbook_generators(basis, d, k):
@@ -168,7 +169,7 @@ def test_step_generators_are_the_textbook_operator(groebner_inputs, d):
 def step_generators(ideal, d, k):
     """g*w for each w in the reduced basis, then g*d_l(w) - w*h_l for each
     w and l: the inputs of one derivation step."""
-    g, h = support(d), _log_terms(d, k)
+    g, h = support(d), log_terms(d, k)
     basis = ideal.groebner().basis
     return [g * w for w in basis] + \
         [g * w.diff(ell) - w * h[ell] for w in basis for ell in range(len(d.vars))]
@@ -280,6 +281,79 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
         current = derivation_step(current, r.reduced, k)
         assert current.groebner().basis == graded
         assert _all_fractions(current.generators)
+
+
+def full_check_grading(ideal, divisor):
+    """The per-step grading decision, made in full on the step's input:
+    weighted-homogeneous isolated g, and a reduced basis that is
+    weighted-homogeneous and zero-dimensional or (1)."""
+    weights = divisor.isolated_weights
+    if weights is None:
+        return None
+    scale = math.lcm(*(w.denominator for w in weights))
+    integral = [int(w * scale) for w in weights]
+    grading = tuple(w // math.gcd(*integral) for w in integral)
+    if all(w.weighted_degree(grading) is not None for w in ideal.groebner().basis) \
+            and ideal.is_zero_dimensional():
+        return grading
+    return None
+
+
+def engines_along_chain(monkeypatch, graded_calls, regime, k_max, seed):
+    """(graded by the full check, graded by the step) for every step of
+    ``hodge_chain`` from ``seed``."""
+    import hodgeideals.recursion
+    real, seen = hodgeideals.recursion.derivation_step, []
+
+    def recorded(ideal, divisor, k):
+        expected, before = full_check_grading(ideal, divisor) is not None, len(graded_calls)
+        out = real(ideal, divisor, k)
+        seen.append((expected, len(graded_calls) > before))
+        return out
+
+    monkeypatch.setattr(hodgeideals.recursion, "derivation_step", recorded)
+    hodge_chain(regime, k_max, seed, certificate_for(regime))
+    assert len(seen) == k_max - seed.k
+    return seen
+
+
+@pytest.mark.parametrize("f,alpha,k_max", GRADED_CHAINS)
+def test_each_step_picks_the_engine_of_the_full_check(monkeypatch, graded_calls, f, alpha,
+                                                      k_max):
+    variables = tuple(v for v in XYZ if v in f)
+    r = classify(div([{"f": f, "alpha": alpha}], variables))
+    seen = engines_along_chain(monkeypatch, graded_calls, r, k_max, i0_seed(r))
+    assert seen == [(True, True)] * k_max
+
+
+@pytest.mark.parametrize("alpha,seed,expected", [
+    # Graded from the third step on, once the output is homogeneous and m-primary.
+    ("5/6", ["x + y^2", "x y"], [False, False, True, True, True]),
+    # Never homogeneous: the pair engine at every step.
+    ("9/10", ["x + y^2", "y^3"], [False] * 5),
+])
+def test_a_user_seed_that_is_not_homogeneous_picks_the_engine_of_the_full_check(
+        monkeypatch, graded_calls, alpha, seed, expected):
+    r = classify(cusp(alpha))
+    user = i0_seed(r, ideal(*seed))
+    seen = engines_along_chain(monkeypatch, graded_calls, r, 5, user)
+    assert seen == [(e, e) for e in expected]
+
+
+def test_a_chain_checks_its_input_only_until_a_step_is_graded(monkeypatch, graded_calls):
+    # The seed (x, y) is checked; every later input is a graded step's output.
+    r = classify(cusp("9/10"))
+    seed, cert = i0_seed(r), certificate_for(r)  # the Jacobian check is done here
+    real, checks = Ideal.is_zero_dimensional, []
+
+    def counted(self):
+        checks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Ideal, "is_zero_dimensional", counted)
+    hodge_chain(r, 6, seed, cert)
+    assert len(graded_calls) == 6
+    assert len(checks) == 1 and checks[0].equals(ideal("x", "y"))
 
 
 # -- seeds -------------------------------------------------------------------------
