@@ -15,7 +15,6 @@ from .divisor import (
     HodgeIdealResult,
     QDivisor,
     periodic_reduce,
-    support,
     twist_polynomial,
     validate,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "GroebnerBasis", "Ideal", "graded_basis", "groebner_basis", "normal_form",
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",
-    "HodgeIdealResult", "QDivisor", "periodic_reduce", "support", "twist_polynomial",
+    "HodgeIdealResult", "QDivisor", "periodic_reduce", "twist_polynomial",
     "validate",
     "OrdinarySingularityModel", "Regime", "classify", "generation_level",
     "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",

@@ -182,8 +182,12 @@ def alpha_multiple_membership(n: int, m: int, alpha: Fraction, k: int,
     k*m + alpha*m > n suffices when D = alpha*Z.
 
     For non-proportional D the same inequality is only conjectural and
-    the verdict says so.
+    the verdict says so.  Wants n >= 1, m >= 1 and alpha > 0.
     """
+    if n < 1 or m < 1:
+        raise ValueError(f"dimension and multiplicity must be >= 1, got n={n}, m={m}")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {format_rational(alpha)}")
     lhs = Fraction(k * m) + alpha * m
     holds = lhs > n
     line = (f"k*mult(Z) + mult(D) = {k}*{m} + {format_rational(alpha * m)} "

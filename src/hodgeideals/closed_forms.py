@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .divisor import HodgeIdealResult, QDivisor, periodic_reduce, support
+from .divisor import HodgeIdealResult, QDivisor, periodic_reduce
 from .ideal import Ideal
 from .poly import Polynomial
 
@@ -49,15 +49,14 @@ def _bounded_compositions(total: int, parts: int, bound: int) -> Iterator[tuple[
             yield (first,) + rest
 
 
-def _snc_monomial_ideal(variables: Sequence[str], positions: Sequence[int], k: int) -> Ideal:
-    """I_k of the reduced SNC divisor cut out by the chosen coordinates:
-    the monomial ideal spanned by prod x_i^(c_i) with 0 <= c_i <= k and
-    sum c_i = (r-1)k."""
+def _monomial_ideal(variables: Sequence[str], positions: Sequence[int], total: int,
+                    bound: int) -> Ideal:
+    """The monomial ideal spanned by prod x_i^(c_i) over the variables at
+    ``positions``, with 0 <= c_i <= ``bound`` and sum c_i = ``total``."""
     variables = tuple(variables)
-    r = len(positions)
     n = len(variables)
     gens = []
-    for comp in _bounded_compositions((r - 1) * k, r, k):
+    for comp in _bounded_compositions(total, len(positions), bound):
         mono = [0] * n
         for pos, e in zip(positions, comp):
             mono[pos] = e
@@ -67,11 +66,13 @@ def _snc_monomial_ideal(variables: Sequence[str], positions: Sequence[int], k: i
 
 def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     """I_k of an SNC divisor supported on coordinate hyperplanes
-    (``regime.positions``): the reduced-SNC monomial ideal times the
+    (``regime.positions``): the I_k of the reduced SNC divisor, spanned
+    by prod x_i^(c_i) with 0 <= c_i <= k and sum c_i = (r-1)k, times the
     round-up twist.  None for any other divisor."""
-    if regime.positions is None:
+    positions = regime.positions
+    if positions is None:
         return None
-    reduced = _snc_monomial_ideal(regime.divisor.vars, regime.positions, k)
+    reduced = _monomial_ideal(regime.divisor.vars, positions, (len(positions) - 1) * k, k)
     twist = regime.twist
     ideal = reduced if twist.is_constant() else twist * reduced
     return HodgeIdealResult(k=k, ideal=ideal, method="snc", exact=True,
@@ -126,15 +127,17 @@ def ordinary_ideal(model: OrdinarySingularityModel, k: int,
         return HodgeIdealResult(k=k, ideal=Ideal.unit(variables), method="ordinary",
                                 exact=True, notes=note + "; trivial: m <= n/(k + alpha)")
     if model.n == 2 and model.m == 2:
-        return HodgeIdealResult(k=k, ideal=Ideal.maximal_at_origin(variables) ** k,
+        # m^k: every monomial of degree k.
+        return HodgeIdealResult(k=k, ideal=_monomial_ideal(variables, range(2), k, k),
                                 method="ordinary", exact=True,
                                 notes="nodal curve: m^k for all 0 < alpha <= 1; "
                                       "filtration generated at level 0; " + note)
     am = math.ceil(model.alpha * model.m)
     if (k - 1) * model.m + am < model.n and k <= model.n - 2:
+        # e >= 1: e <= 0 would give m*(k + alpha) <= n, the trivial case above.
         e = k * model.m + am - model.n
-        ideal = Ideal.maximal_at_origin(variables) ** e if e > 0 else Ideal.unit(variables)
-        return HodgeIdealResult(k=k, ideal=ideal, method="ordinary", exact=True,
+        return HodgeIdealResult(k=k, ideal=_monomial_ideal(variables, range(model.n), e, e),
+                                method="ordinary", exact=True,
                                 notes=note + f"; maximal-ideal power exponent {e}")
     return None
 
@@ -147,42 +150,6 @@ def generation_level(n: int, alpha_tilde: Fraction, alpha: Fraction) -> int:
     """Generation level floor(n - alpha_tilde - alpha), clamped to [0, n-1]."""
     raw = math.floor(Fraction(n) - alpha_tilde - alpha)
     return max(0, min(n - 1, raw))
-
-
-def infer_weights(h: Polynomial) -> Optional[tuple[Fraction, ...]]:
-    """Unique positive weights, one per variable, making ``h``
-    weighted-homogeneous of weighted degree 1, or None when no such
-    weights exist (or they are not unique)."""
-    monos = sorted(h.terms)
-    n = len(h.vars)
-    # Solve mono . w = 1 for each monomial, by exact Gaussian elimination.
-    rows = [[Fraction(e) for e in mono] + [Fraction(1)] for mono in monos]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n]:
-            return None  # inconsistent
-    if len(pivots) < n:
-        return None  # underdetermined: weights not unique
-    weights = [Fraction(0)] * n
-    for row, col in zip(rows, pivots):
-        weights[col] = row[n]
-    if any(w <= 0 for w in weights):
-        return None
-    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +216,9 @@ class Regime:
     by ``classify``.
 
     ``reduced`` and ``twist`` are B and prod f_i^(ceil(alpha_i) - 1) from
-    ``periodic_reduce``; ``g`` is the support equation.  ``linear``: one
-    component cut out by a linear form.  ``positions``: every component a
-    distinct coordinate (SNC).  ``monomial``: squarefree-monomial support.
+    ``periodic_reduce``.  ``linear``: one component cut out by a linear
+    form.  ``positions``: every component a distinct coordinate (SNC).
+    ``monomial``: squarefree-monomial support.
     ``diagonal``: the exponents of a single component sum c_i x_i^(d_i).
     ``alpha``: the common coefficient of B, if there is one.  ``ordinary``:
     the model of a single cone component sum c_i x_i^m.
@@ -260,7 +227,6 @@ class Regime:
     divisor: QDivisor
     reduced: QDivisor
     twist: Polynomial
-    g: Polynomial
     linear: bool
     positions: Optional[tuple[int, ...]]
     monomial: bool
@@ -286,7 +252,7 @@ def classify(divisor: QDivisor) -> Regime:
     if diagonal is not None and len(set(diagonal)) == 1 and diagonal[0] >= 2 \
             and len(diagonal) >= 2:
         ordinary = OrdinarySingularityModel(n=len(divisor.vars), m=diagonal[0], alpha=alpha)
-    return Regime(divisor=divisor, reduced=reduced, twist=twist, g=support(divisor),
+    return Regime(divisor=divisor, reduced=reduced, twist=twist,
                   linear=len(factors) == 1 and factors[0].total_degree() == 1,
                   positions=positions, monomial=monomial,
                   diagonal=diagonal, alpha=alpha, ordinary=ordinary)

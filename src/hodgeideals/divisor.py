@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ideal import GroebnerBasis, Ideal
-from .poly import Monomial, Polynomial, integer_terms
+from .poly import Monomial, Polynomial, infer_weights, integer_terms
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class QDivisor:
         Decided on first use and kept, so the generation-level certificate
         and every derivation step of a chain read one Jacobian basis.
         """
-        from .closed_forms import infer_weights  # closed_forms imports this module
         g = self.support_equation
         weights = infer_weights(g)
         if weights is None or not Ideal(self.vars, [g.diff(i) for i in range(len(self.vars))]) \
@@ -69,7 +68,8 @@ class QDivisor:
 
     @functools.cached_property
     def support_equation(self) -> Polynomial:
-        """g = prod f_i, built on first use and kept (``support`` reads it)."""
+        """The reduced support equation g = prod f_i, built on first use
+        and kept."""
         return math.prod(self.factors, start=Polynomial.one(self.vars))
 
     @functools.cached_property
@@ -140,11 +140,6 @@ class StepData:
                     h[m] = h.get(m, 0) + s * c
             out.append({m: c for m, c in h.items() if c})
         return out
-
-
-def support(divisor: QDivisor) -> Polynomial:
-    """The reduced support equation g = prod f_i."""
-    return divisor.support_equation
 
 
 def twist_polynomial(divisor: QDivisor) -> Polynomial:

@@ -23,7 +23,6 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
-    integer_terms,
 )
 
 
@@ -249,42 +248,19 @@ def groebner_basis(generators: Iterable[Polynomial],
     return tuple(reduced)
 
 
-def graded_basis(generators: Iterable[Polynomial | dict[Monomial, int]],
-                 variables: Sequence[str], weights: Sequence[int]) -> tuple[Polynomial, ...]:
+def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[str],
+                 weights: Sequence[int]) -> tuple[Polynomial, ...]:
     """The reduced grevlex basis of a weighted-homogeneous ideal that is
     m-primary or (1), by row reduction one weighted degree at a time.
 
-    Each generator is a ``Polynomial`` over ``variables`` or an integer
-    row: a term dict {exponent tuple: nonzero ``int``}, as
-    ``derivation_step`` builds them.  A polynomial is scaled to an integer
-    row first (``integer_terms``); a nonzero multiple spans the same
-    ideal.  ``weights`` are positive integers W_i, one per variable, and
-    every generator must be weighted-homogeneous for them (``ValueError``
-    otherwise).  The ideal must contain a power of the maximal ideal at
-    the origin or be the unit ideal.  This is not checked: on any other
-    ideal the loop in the engine does not end.
-
-    The rows are reduced in integers throughout (``_graded_rows``), and
-    ``Fraction`` appears only in the returned basis, which is the same as
-    ``groebner_basis``'s: monic, sorted by leading monomial descending.
-    A nonempty basis records the weights in its ``weights`` attribute: the
-    engine has then found every element weighted-homogeneous for them and
-    the ideal m-primary or (1).
-    """
-    variables = tuple(variables)
-    rows = []
-    for p in generators:
-        if isinstance(p, Polynomial):
-            if p.vars != variables:
-                raise AmbientMismatchError(f"generator over {p.vars}, ideal over {variables}")
-            p = integer_terms((p,))[1][0]
-        rows.append(p)
-    return _graded_rows(rows, variables, tuple(weights))
-
-
-def _graded_rows(generators: list[dict[Monomial, int]], variables: tuple[str, ...],
-                 weights: tuple[int, ...]) -> tuple[Polynomial, ...]:
-    """The engine of ``graded_basis``, on integer rows.
+    Each generator is an integer row over ``variables``: a term dict
+    {exponent tuple: nonzero ``int``}, as ``derivation_step`` builds them
+    (``integer_terms`` turns a polynomial into one).  ``weights`` are
+    positive integers W_i, one per variable, and every generator must be
+    weighted-homogeneous for them (``ValueError`` otherwise).  The ideal
+    must contain a power of the maximal ideal at the origin or be the
+    unit ideal.  This is not checked: on any other ideal the loop below
+    does not end.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
@@ -306,7 +282,13 @@ def _graded_rows(generators: list[dict[Monomial, int]], variables: tuple[str, ..
     p // gcd(p, c) and c // gcd(p, c), c the row's entry in that column,
     and a row that changes has its content divided out again.  An output
     row becomes monic only at the end, its tail entries ``Fraction(a, p)``.
+    The result is the same as ``groebner_basis``'s: monic, sorted by
+    leading monomial descending.  A nonempty basis records the weights in
+    its ``weights`` attribute: the engine has then found every element
+    weighted-homogeneous for them and the ideal m-primary or (1).
     """
+    variables = tuple(variables)
+    weights = tuple(weights)
     n = len(variables)
     if len(weights) != n or any(not isinstance(w, int) or w <= 0 for w in weights):
         raise ValueError(f"want one positive integer weight per variable, got {weights}")
@@ -503,10 +485,6 @@ class Ideal:
     def principal(cls, f: Polynomial) -> "Ideal":
         return cls(f.vars, (f,))
 
-    @classmethod
-    def maximal_at_origin(cls, variables) -> "Ideal":
-        return cls(variables, Polynomial.gens(variables))
-
     # -- Groebner machinery ----------------------------------------------
 
     def groebner(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -568,16 +546,6 @@ class Ideal:
         if isinstance(other, Polynomial):
             return Ideal.principal(other) * self
         return NotImplemented
-
-    def __pow__(self, e: int) -> "Ideal":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"ideal power wants a non-negative integer, got {e}")
-        if e == 0:
-            return Ideal.unit(self.vars)
-        gens = tuple(
-            math.prod(combo[1:], start=combo[0])
-            for combo in itertools.combinations_with_replacement(self.generators, e))
-        return Ideal(self.vars, gens)
 
     def order_at_origin(self) -> int:
         """min over generators of the order at the origin.

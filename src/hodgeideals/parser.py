@@ -22,6 +22,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .certificates import ExceptionalDivisor, ResolutionData
+from .divisor import QDivisor
 from .poly import Polynomial
 
 
@@ -222,7 +224,7 @@ def _unknown_keys(found, accepted, where: str) -> None:
                                            f"in {where}", ", ".join(accepted))
 
 
-def parse_divisor(document: dict):
+def parse_divisor(document: dict) -> QDivisor:
     """Build a validated Q-divisor from a structured document.
 
     Expected shape: ``{"vars": [...], "components": [{"f": str, "alpha": str}]}``;
@@ -231,8 +233,6 @@ def parse_divisor(document: dict):
     positive exact rationals.
     Any other key of the ``divisor`` object or of a component is refused.
     """
-    from .divisor import QDivisor
-
     if not isinstance(document, dict):
         raise ParseError(SourceSpan(0, 0), "divisor document must be a JSON object")
     variables = document.get("vars")
@@ -262,7 +262,7 @@ def parse_divisor(document: dict):
     return QDivisor(tuple(variables), tuple(parsed))
 
 
-def parse_resolution_data(document: dict):
+def parse_resolution_data(document: dict) -> ResolutionData:
     """Build numeric log-resolution data from its JSON form.
 
     Shape: ``{"exceptional": [{"a": [int, ...], "b": int}, ...],
@@ -271,8 +271,6 @@ def parse_resolution_data(document: dict):
     total >= 1) and ``b`` is the relative canonical coefficient (>= 0).
     Any other key is refused.
     """
-    from .certificates import ExceptionalDivisor, ResolutionData
-
     if not isinstance(document, dict):
         raise ParseError(SourceSpan(0, 0), "resolution data must be a JSON object")
     _unknown_keys(document, ("exceptional", "strict_transform_smooth"), "'resolution'")

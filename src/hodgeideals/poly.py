@@ -144,14 +144,6 @@ class Polynomial:
         mono = tuple(1 if j == i else 0 for j in range(len(variables)))
         return cls(variables, {mono: 1})
 
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exponents: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(variables, {tuple(exponents): coeff})
-
-    @classmethod
-    def gens(cls, variables: Sequence[str]) -> tuple["Polynomial", ...]:
-        return tuple(cls.variable(variables, name) for name in variables)
-
     # -- basic protocol -----------------------------------------------
 
     def __bool__(self) -> bool:
@@ -178,8 +170,6 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.vars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
@@ -196,20 +186,13 @@ class Polynomial:
                     del out[mono]
         return Polynomial._raw(self.vars, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.vars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -389,6 +372,42 @@ class Polynomial:
             else:
                 pieces.append(text if num > 0 else f"-{text}")
         return "".join(pieces)
+
+
+def infer_weights(h: Polynomial) -> tuple[Fraction, ...] | None:
+    """Unique positive weights, one per variable, making ``h``
+    weighted-homogeneous of weighted degree 1, or None when no such
+    weights exist (or they are not unique)."""
+    monos = sorted(h.terms)
+    n = len(h.vars)
+    # Solve mono . w = 1 for each monomial, by exact Gaussian elimination.
+    rows = [[Fraction(e) for e in mono] + [Fraction(1)] for mono in monos]
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][n]:
+            return None  # inconsistent
+    if len(pivots) < n:
+        return None  # underdetermined: weights not unique
+    weights = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        weights[col] = row[n]
+    if any(w <= 0 for w in weights):
+        return None
+    return tuple(weights)
 
 
 def integer_terms(polys: Sequence[Polynomial]) -> tuple[int, list[dict[Monomial, int]]]:

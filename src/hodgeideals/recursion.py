@@ -260,7 +260,7 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     then the universal n-1 bound.
     """
     n = len(regime.divisor.vars)
-    g = regime.g
+    g = regime.divisor.support_equation
     if regime.alpha is not None:
         # B has the support of D; the chain's derivation steps read B's answer.
         weights = regime.reduced.isolated_weights

@@ -27,7 +27,7 @@ from .certificates import (
 )
 from .closed_forms import OrdinarySingularityModel, ordinary_triviality
 from .compute import MethodUnavailableError, compute_chain
-from .divisor import HodgeIdealResult, QDivisor, support
+from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
 from .parser import parse_polynomial
 from .poly import Polynomial, format_rational
@@ -77,7 +77,7 @@ def check_chain_inclusions(results: Sequence[HodgeIdealResult],
                            divisor: QDivisor) -> list[Verdict]:
     """For exact i < j: g^(j-i) * I_i is contained in I_j; additionally
     reports, without asserting, whether I_k is contained in I_(k-1)."""
-    g = support(divisor)
+    g = divisor.support_equation
     name = divisor.describe()
     exact = [res for res in results if res.exact]
     verdicts: list[Verdict] = []
@@ -111,8 +111,8 @@ def _convolution(d1: QDivisor, chain1: Sequence[HodgeIdealResult], d2: QDivisor,
                  chain2: Sequence[HodgeIdealResult], joint_vars: Sequence[str]) -> Ideal:
     """sum over i+j=k of (I_i(D1)*g1^j) * (I_j(D2)*g2^i) in the joint ring,
     read from the chains I_0..I_k of D1 and D2."""
-    g1 = support(d1)
-    g2 = support(d2)
+    g1 = d1.support_equation
+    g2 = d2.support_equation
     k = len(chain1) - 1
     total = Ideal.zero(joint_vars)
     for i in range(k + 1):
@@ -190,11 +190,18 @@ def check_product_formula(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
 # Restriction to hyperplanes
 
 
-def _restriction(divisor: QDivisor, var_index: int,
-                 k: int) -> Callable[[Polynomial, bool], list[Verdict]]:
-    """``check_restriction`` against any hyperplane x_i = replacement, with
-    both sides computed once: on a cylinder neither I_k(D) nor I_k(D|_Y)
-    depends on the hyperplane."""
+def check_restriction(divisor: QDivisor, var_index: int,
+                      k: int) -> Callable[[Polynomial, bool], list[Verdict]]:
+    """Restriction to hyperplanes Y = (x_i = replacement): the intrinsic
+    I_k(D|_Y) is contained in I_k(D)*O_Y, with equality for generic Y.
+
+    Only cylinders (equations independent of the eliminated variable)
+    are computed exactly; reducedness of Z|_Y is trusted and noted.  On
+    a cylinder neither I_k(D) nor I_k(D|_Y) depends on the hyperplane, so
+    both sides are computed once, here, and the returned checker judges
+    any (replacement, expect_equality): equality is asserted only when
+    ``expect_equality`` is set.
+    """
     if var_index in divisor.used_variables():
         raise ValueError("restriction check wants a cylinder: equations must not "
                          "use the eliminated variable")
@@ -225,22 +232,11 @@ def _restriction(divisor: QDivisor, var_index: int,
     return verdicts
 
 
-def check_restriction(divisor: QDivisor, var_index: int, replacement: Polynomial,
-                      k: int, expect_equality: bool = True) -> list[Verdict]:
-    """Restriction to the hyperplane (x_i = replacement): the intrinsic
-    I_k(D|_Y) is contained in I_k(D)*O_Y, with equality for generic Y.
-
-    Only cylinders (equations independent of the eliminated variable)
-    are computed exactly; reducedness of Z|_Y is trusted and noted.
-    """
-    return _restriction(divisor, var_index, k)(replacement, expect_equality)
-
-
 def _generic_restriction_draws(divisor: QDivisor, var_index: int,
                                check: Callable[[Polynomial, bool], list[Verdict]],
                                rng: random.Random, draws: int = 3) -> list[Verdict]:
     """Seeded generic draws, each judged by ``check`` (what
-    ``_restriction(divisor, var_index, k)`` returns), with the redraw
+    ``check_restriction(divisor, var_index, k)`` returns), with the redraw
     policy: a draw failing equality while others pass is re-drawn once
     and logged, not treated as a theorem violation; a persistent failure
     stays FAIL."""
@@ -354,8 +350,7 @@ def check_multiplicity_bounds(results: Sequence[HodgeIdealResult], divisor: QDiv
     """Exact chains honor the multiplicity growth bounds: step growth
     >= m - 1 past the certificate level and the absolute lower bound
     (j - n + 1)(m - 1) for j >= n."""
-    g = support(divisor)
-    m = g.order_at_origin()
+    m = divisor.support_equation.order_at_origin()
     n = len(divisor.vars)
     name = divisor.describe()
     verdicts: list[Verdict] = []
@@ -442,12 +437,12 @@ def suite_restriction(seed: int = DEFAULT_SEED) -> list[Verdict]:
     verdicts: list[Verdict] = []
     cusp = _divisor(("x", "y", "z"), ("x^2 + y^3", Fraction(9, 10)))
     # One checker per level: the z -> 0 plane reuses the k = 1 chains.
-    cusp_k1 = _restriction(cusp, 2, 1)
+    cusp_k1 = check_restriction(cusp, 2, 1)
     verdicts += _generic_restriction_draws(cusp, 2, cusp_k1, rng)
-    verdicts += _generic_restriction_draws(cusp, 2, _restriction(cusp, 2, 2), rng)
+    verdicts += _generic_restriction_draws(cusp, 2, check_restriction(cusp, 2, 2), rng)
     verdicts += cusp_k1(Polynomial.zero(("x", "y")), True)
     snc = _divisor(("x", "y", "z"), ("x", Fraction(1, 2)), ("y", Fraction(1, 2)))
-    verdicts += _generic_restriction_draws(snc, 2, _restriction(snc, 2, 1), rng)
+    verdicts += _generic_restriction_draws(snc, 2, check_restriction(snc, 2, 1), rng)
     return _sorted_report(verdicts)
 
 

@@ -30,15 +30,15 @@ from hodgeideals.divisor import HodgeIdealResult
 from hodgeideals.verify import (
     PASS,
     _generic_restriction_draws,
-    _restriction,
     check_chain_inclusions,
     check_multiplicity_bounds,
+    check_restriction,
     cusp_resolution_data,
     report_ok,
     suite_product,
 )
 
-from helpers import is_unit, spanned_by
+from helpers import is_unit, m_power, spanned_by
 from oracles import linear_membership
 from test_ideal import random_membership_instance
 
@@ -69,10 +69,6 @@ def div(components, variables=XY):
 
 def ideal(*texts, variables=XY):
     return spanned_by(variables, texts)
-
-
-def m_power(variables, e):
-    return Ideal.maximal_at_origin(variables) ** e if e > 0 else Ideal.unit(variables)
 
 
 def cusp_chain(alpha, k_max=2):
@@ -169,7 +165,7 @@ def test_criterion_4_ordinary_boundary():
         cone = classify(div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ))
         chain = hodge_chain(cone, 1, i0_seed(cone), certificate_for(cone))
         assert chain.results[1].exact
-        assert chain.results[1].ideal.equals(Ideal.maximal_at_origin(XYZ))
+        assert chain.results[1].ideal.equals(m_power(XYZ, 1))
 
 
 # -- 5. triviality certificate vs multiplier ideal ----------------------------------------
@@ -203,7 +199,7 @@ def test_criterion_7_restriction_cylinder():
         rng = random.Random(7)
         cusp3 = div([{"f": "x^2+y^3", "alpha": "9/10"}], XYZ)
         for k in (1, 2):
-            verdicts = _generic_restriction_draws(cusp3, 2, _restriction(cusp3, 2, k), rng,
+            verdicts = _generic_restriction_draws(cusp3, 2, check_restriction(cusp3, 2, k), rng,
                                                   draws=3)
             equalities = [v for v in verdicts if v.claim == "restriction-generic-equality"]
             assert len(equalities) >= 3

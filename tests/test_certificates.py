@@ -127,6 +127,13 @@ def test_alpha_multiple_membership_examples():
     assert alpha_multiple_membership(2, 2, F(1), 1).status == CONTAINED
 
 
+@pytest.mark.parametrize("n,m,alpha", [(3, 2, F(-1, 2)), (3, 2, F(0)), (0, 2, F(1, 2)),
+                                       (3, 0, F(1, 2))])
+def test_alpha_multiple_membership_refuses_degenerate_data(n, m, alpha):
+    with pytest.raises(ValueError):
+        alpha_multiple_membership(n, m, alpha, 3)
+
+
 def test_alpha_multiple_membership_conjectural_for_general_divisors():
     decision = alpha_multiple_membership(3, 2, F(3, 4), 1, proportional=False)
     assert decision.status == CONTAINED_CONJECTURAL

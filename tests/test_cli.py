@@ -492,6 +492,113 @@ def test_task_file_is_closed(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_certify_resolution_notes_the_periodic_reduction(tmp_path, capsys):
+    # alpha = 3/2 is read as its reduction 1/2, below the cusp threshold 5/6.
+    code, out, _ = run_cli(capsys, "certify", write_task(tmp_path, certify_task("3/2")))
+    assert code == 0
+    assert out.splitlines()[1] == "  coefficients periodically reduced into (0, 1]"
+    assert "(4+1)/6 = 5/6 >= 1/2" in out
+    assert "decision: TRIVIAL" in out
+
+
+TASK = "<task file>"
+X_DIVISOR = {"components": [{"f": "x", "alpha": "1"}]}
+
+
+def divisor_task(variables, divisor):
+    return {"task": "compute", "vars": variables, "divisor": divisor}
+
+
+def resolution_task(resolution):
+    return dict(certify_task("1/2"), resolution=resolution)
+
+
+def membership_task(n, m, alpha):
+    return {"task": "certify", "k": 3, "membership": {"n": n, "m": m, "alpha": alpha}}
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["compute", TASK], None, "cannot read task file"),
+    (["compute", TASK], "[1, 2]", "task document must be a JSON object"),
+    (["compute", TASK], dict(CUSP_TASK, task="certify"),
+     "task field says 'certify' but the subcommand is 'compute'"),
+    (["certify", TASK], dict(certify_task("1/2"), task="compute"),
+     "task field says 'compute' but the subcommand is 'certify'"),
+    (["compute", TASK], {"task": "compute", "divisor": X_DIVISOR},
+     "task document needs a 'vars' list"),
+    (["compute", TASK], dict(CUSP_TASK, method="magic"), "unknown method 'magic'"),
+    (["compute", TASK], dict(CUSP_TASK, options=[1]), "'options' must be an object"),
+    (["compute", TASK], dict(CUSP_TASK, options={"certificate": 3}),
+     "'options.certificate' must be an object with a 'level'"),
+    (["compute", TASK], dict(CUSP_TASK, options={"i0": "x"}),
+     "'options.i0' must be a list of polynomial strings"),
+    (["compute", TASK], dict(CUSP_TASK, options={"i0": [1]}),
+     "'options.i0' must be a list of polynomial strings"),
+    (["compute", TASK], dict(CUSP_TASK, options={"alpha_samples": "1/2"}),
+     "'options.alpha_samples' must be a list"),
+    (["compute", TASK], {"task": "compute", "k": 1}, "compute needs a divisor"),
+    (["certify", TASK], {"task": "certify", "k": 1}, "certify wants exactly one of"),
+    (["certify", TASK], {"task": "certify", "k": 1, "resolution": {"exceptional": []}},
+     "resolution certificates need the divisor"),
+    (["certify", TASK], {"task": "certify", "k": 1, "multiplicity": [3]},
+     "'multiplicity' must be an object"),
+    (["certify", TASK], {"task": "certify", "k": 1, "membership": "n=3"},
+     "'membership' must be an object"),
+    (["certify", TASK], membership_task(3, 2, "-1/2"),
+     "bad membership data: alpha must be positive, got -1/2"),
+    (["certify", TASK], membership_task(3, 2, "0"),
+     "bad membership data: alpha must be positive, got 0"),
+    (["certify", TASK], membership_task(0, 2, "1/2"),
+     "bad membership data: dimension and multiplicity must be >= 1, got n=0, m=2"),
+    (["certify", TASK], membership_task(3, 0, "1/2"),
+     "bad membership data: dimension and multiplicity must be >= 1, got n=3, m=0"),
+    (["parse", "x", "--vars", ""], None, "ambient variable list must be nonempty"),
+    (["parse", "x", "--vars", "1x"], None, "invalid variable name '1x'"),
+    (["parse", "x", "--vars", "x,x"], None, "duplicate variable name 'x'"),
+    # Divisor documents that parse_divisor refuses.
+    (["compute", TASK], divisor_task("x", X_DIVISOR), "needs a nonempty 'vars' list"),
+    (["compute", TASK], divisor_task([], X_DIVISOR), "needs a nonempty 'vars' list"),
+    (["compute", TASK], divisor_task(["x"], {"components": []}),
+     "needs a nonempty 'components' list"),
+    (["compute", TASK], divisor_task(["x"], []), "needs a nonempty 'components' list"),
+    (["compute", TASK], divisor_task(["x"], {"components": ["x"]}),
+     "component 0 must be an object with 'f' and 'alpha'"),
+    (["compute", TASK], divisor_task(["x"], {"components": [{"f": "x"}]}),
+     "component 0 must be an object with 'f' and 'alpha'"),
+    # Resolution data that parse_resolution_data refuses.
+    (["certify", TASK], resolution_task([1]), "resolution data must be a JSON object"),
+    (["certify", TASK], resolution_task({}), "resolution data needs an 'exceptional' list"),
+    (["certify", TASK], resolution_task({"exceptional": 3}), "'exceptional' must be a list"),
+    (["certify", TASK], resolution_task({"exceptional": [5]}),
+     "exceptional record 0 must be an object with 'a' and 'b'"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [2]}]}),
+     "exceptional record 0 must be an object with 'a' and 'b'"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [], "b": 1}]}),
+     "'a' must be a nonempty list of integers"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [True], "b": 1}]}),
+     "'a' must be a nonempty list of integers"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [-1, 2], "b": 1}]}),
+     "'a' entries must be non-negative"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [0], "b": 1}]}),
+     "total pullback coefficient a must be >= 1"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [2], "b": -1}]}),
+     "'b' must be a non-negative integer"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [2], "b": 1.0}]}),
+     "'b' must be a non-negative integer"),
+    (["certify", TASK], resolution_task({"exceptional": [], "strict_transform_smooth": "yes"}),
+     "'strict_transform_smooth' must be a boolean"),
+    (["certify", TASK], resolution_task({"exceptional": [{"a": [2, 1], "b": 1}]}),
+     "exceptional record 0 lists 2 components, divisor has 1"),
+])
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "task.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run_cli(capsys, *(str(path) if arg == TASK else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 # -- verify -------------------------------------------------------------------------
 
 def test_verify_all_passes(capsys):

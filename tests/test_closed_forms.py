@@ -22,16 +22,15 @@ from hodgeideals import (
     periodic_reduce,
     smooth_support_ideal,
     snc_hodge_ideal,
-    support,
 )
 from hodgeideals.closed_forms import (
     diagonal_exponents,
     diagonal_multiplier_i0,
-    infer_weights,
     ordinary_triviality,
 )
+from hodgeideals.poly import infer_weights
 
-from helpers import is_unit, spanned_by
+from helpers import is_unit, m_power, monomial, spanned_by
 from oracles import newton_multiplier_monomials
 
 XY = ("x", "y")
@@ -46,12 +45,6 @@ def snc_reduced_ideal(r, k, variables):
     """I_k of the reduced SNC divisor x_1 * ... * x_r inside Q[variables]."""
     d = div([{"f": name, "alpha": "1"} for name in variables[:r]], variables)
     return snc_hodge_ideal(classify(d), k).ideal
-
-
-def m_power(variables, e):
-    if e <= 0:
-        return Ideal.unit(variables)
-    return Ideal.maximal_at_origin(variables) ** e
 
 
 # -- smooth supports -----------------------------------------------------------
@@ -279,7 +272,7 @@ def test_diagonal_i0_matches_newton_oracle(exponents, variables):
     for alpha in sorted(alphas | EXTRA_ALPHAS.get((exponents, variables), set())):
         computed = diagonal_multiplier_i0(exponents, alpha, variables)
         expected_monos = newton_multiplier_monomials(exponents, (1 - eps) * alpha)
-        expected = Ideal(variables, [Polynomial.monomial(variables, w)
+        expected = Ideal(variables, [monomial(variables, w)
                                      for w in sorted(expected_monos)])
         assert computed.equals(expected)
 
@@ -338,7 +331,6 @@ def test_classify_table(name, components, variables, expected):
     assert r.twist == parse_polynomial(twist, variables)
     assert r.divisor == d
     assert (r.reduced, r.twist) == periodic_reduce(d)
-    assert r.g == support(d)
 
 
 def test_chain_computes_the_twist_once(twist_calls):

@@ -14,7 +14,6 @@ from hodgeideals import (
     parse_polynomial,
     periodic_reduce,
     snc_hodge_ideal,
-    support,
     twist_polynomial,
     validate,
 )
@@ -35,9 +34,9 @@ SNC = div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}])
 
 
 def test_support_equation():
-    assert support(CUSP) == parse_polynomial("x^2+y^3", XY)
-    assert support(SNC) == parse_polynomial("x y", XY)
-    assert support(div([{"f": "x", "alpha": "2"}])) == parse_polynomial("x", XY)
+    assert CUSP.support_equation == parse_polynomial("x^2+y^3", XY)
+    assert SNC.support_equation == parse_polynomial("x y", XY)
+    assert div([{"f": "x", "alpha": "2"}]).support_equation == parse_polynomial("x", XY)
 
 
 # -- the step data each divisor keeps --------------------------------------------------
@@ -82,7 +81,7 @@ def test_derived_divisors_build_their_own_step_data():
 def test_kept_data_leaves_equality_and_hashing_alone():
     spec = [{"f": "x^2+y^3", "alpha": "9/10"}]
     used, fresh = div(spec), div(spec)
-    used.step_data, used.isolated_weights, support(used)
+    used.step_data, used.isolated_weights, used.support_equation
     assert used == fresh and hash(used) == hash(fresh)
     assert {used: 1}[fresh] == 1
     assert used != used.with_alpha(F(1, 2))

@@ -11,7 +11,6 @@ from hodgeideals.verify import (
     PASS,
     SUITES,
     _generic_restriction_draws,
-    _restriction,
     check_chain_inclusions,
     check_periodicity,
     check_product_formula,
@@ -102,7 +101,7 @@ def test_product_formula_rejects_shared_variables():
 
 def test_restriction_coordinate_section():
     cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
-    verdicts = check_restriction(cusp, 2, Polynomial.zero(("x", "y")), 1)
+    verdicts = check_restriction(cusp, 2, 1)(Polynomial.zero(("x", "y")), True)
     assert report_ok(verdicts)
     assert any(v.claim == "restriction-generic-equality" and v.status == PASS
                for v in verdicts)
@@ -111,7 +110,7 @@ def test_restriction_coordinate_section():
 def test_restriction_requires_cylinder():
     d = div([{"f": "x^2+y^3+z^2", "alpha": "9/10"}], ("x", "y", "z"))
     with pytest.raises(ValueError):
-        check_restriction(d, 2, Polynomial.zero(("x", "y")), 1)
+        check_restriction(d, 2, 1)
 
 
 def test_restriction_suite_draws_at_least_three_generic_hyperplanes():
@@ -126,7 +125,7 @@ def test_restriction_draws_share_their_chains(chain_calls):
     counts = []
     for draws in (1, 3):
         chain_calls.clear()
-        verdicts = _generic_restriction_draws(cusp, 2, _restriction(cusp, 2, 2),
+        verdicts = _generic_restriction_draws(cusp, 2, check_restriction(cusp, 2, 2),
                                               random.Random(7), draws)
         assert report_ok(verdicts)
         counts.append(len(chain_calls))
