@@ -1,9 +1,10 @@
 """Command-line front end: compute / certify / verify / parse over JSON
 task files with canonical, diff-stable output.
 
-Every number printed is an exact rational (``p/q`` or integer text);
-exit codes: 0 success, 1 claim failure, 2 input error, 3 method
-unavailable.
+Every number printed is an exact rational (``p/q`` or integer text).
+Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``;
+only polynomial and rational text errors carry a span), 3 method
+unavailable, 4 internal error.
 """
 
 from __future__ import annotations
@@ -12,119 +13,38 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+import traceback
 from typing import Optional, Sequence
 
-from .certificates import MultiplicityData, triviality_certificate, \
-    nontriviality_symbolic_power, alpha_multiple_membership
-from .compute import METHODS, MethodUnavailableError, compute_chain
+from .certificates import triviality_certificate, nontriviality_symbolic_power, \
+    alpha_multiple_membership
+from .compute import MethodUnavailableError, compute_chain
 from .divisor import QDivisor, periodic_reduce, validate
 from .ideal import Ideal
-from .parser import _unknown_keys, parse_divisor, parse_polynomial, parse_rational, \
-    parse_resolution_data
+from .parser import ParseError, TaskSpec, parse_polynomial
 from .poly import _ORDERS, MonomialOrder, format_rational
-from .recursion import GenerationCertificate
 from .verify import DEFAULT_SEED, SUITES, report_ok, run_suites
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_METHOD_UNAVAILABLE = 3
+EXIT_INTERNAL_ERROR = 4
 
 
-class InputError(ValueError):
-    """Invalid task document or command-line input."""
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """A validated task file: divisor, level, method selector, options."""
-
-    divisor: Optional[QDivisor]
-    k: int
-    method: str
-    options: dict
-
-
-_OPTION_KEYS = ("i0", "certificate", "alpha_samples")
-# The keys each subcommand reads; "components" is the top-level divisor
-# form that parse_divisor reads.
-_COMMON_KEYS = ("task", "vars", "divisor", "components", "k")
-_TASK_KEYS = {"compute": _COMMON_KEYS + ("method", "options"),
-              "certify": _COMMON_KEYS + ("resolution", "multiplicity", "membership")}
-
-
-def _load_document(path: str) -> dict:
+def _load_document(path: str):
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read task file {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read task file {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"task file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("task document must be a JSON object")
-    return doc
-
-
-def _count(value, name: str) -> int:
-    """``value`` when it is a non-negative JSON integer; a boolean or a
-    float is refused, not coerced."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InputError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _task_spec(doc: dict, expected: str) -> TaskSpec:
-    _unknown_keys(doc, _TASK_KEYS[expected], f"a {expected} task document")
-    task = doc.get("task", expected)
-    if task != expected:
-        raise InputError(f"task field says {task!r} but the subcommand is {expected!r}")
-    divisor = None
-    if "divisor" in doc or "vars" in doc:
-        if "vars" not in doc:
-            raise InputError("task document needs a 'vars' list")
-        divisor = parse_divisor(doc)
-    k = _count(doc.get("k", 0), "'k'")
-    method = doc.get("method", "auto")
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise InputError("'options' must be an object")
-    _unknown_keys(options, _OPTION_KEYS, "'options'")
-    return TaskSpec(divisor=divisor, k=k, method=method, options=options)
-
-
-def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
-    cert = options.get("certificate")
-    if cert is None:
-        return None
-    if not isinstance(cert, dict) or "level" not in cert:
-        raise InputError("'options.certificate' must be an object with a 'level'")
-    _unknown_keys(cert, ("level", "source"), "'options.certificate'")
-    level = _count(cert["level"], "certificate level")
-    # Nothing here checks the level, so the caller vouches for it.
-    source = cert.get("source", "user-asserted")
-    if source != "user-asserted":
-        raise InputError(f"a task-file certificate is user-asserted; "
-                         f"'options.certificate.source' cannot be {source!r}")
-    return GenerationCertificate(level=level, source=source)
-
-
-def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
-    gens = options.get("i0")
-    if gens is None:
-        return None
-    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-        raise InputError("'options.i0' must be a list of polynomial strings")
-    return Ideal(divisor.vars, tuple(parse_polynomial(g, divisor.vars) for g in gens))
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
+        raise ParseError(f"task file {path!r} is not valid JSON: {exc}") from exc
 
 
 def _ideal_lines(ideal: Ideal, order: MonomialOrder) -> list[str]:
@@ -143,27 +63,10 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str])
         sys.stdout.write(body)
 
 
-def _alpha_samples(pieces) -> list[Fraction]:
-    """The positive rationals of ``--alpha-samples`` (split at commas) or
-    of ``options.alpha_samples``."""
-    if not isinstance(pieces, list):
-        raise InputError("'options.alpha_samples' must be a list")
-    if not pieces:
-        raise InputError("alpha samples must be a nonempty list")
-    samples = []
-    for piece in pieces:
-        value = parse_rational(str(piece).strip())
-        if value <= 0:
-            raise InputError(f"alpha samples must be positive, got {piece!r}")
-        samples.append(value)
-    return samples
-
-
-def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder):
-    certificate = _certificate_from_options(spec.options)
-    seed_ideal = _seed_from_options(spec.options, divisor)
+def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder,
+                      lower_bound: list[str]):
     results = compute_chain(divisor, spec.k, spec.method,
-                            seed_ideal=seed_ideal, certificate=certificate)
+                            seed_ideal=spec.seed, certificate=spec.certificate)
     payload = []
     lines: list[str] = []
     for res in results:
@@ -175,119 +78,60 @@ def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder):
         lines += [f"  {gen}" for gen in gens]
         if res.notes:
             lines.append(f"  notes: {res.notes}")
-    warnings = [res.notes for res in results if not res.exact]
-    return payload, lines, warnings
+    lower_bound += [res.notes for res in results if not res.exact]
+    return payload, lines
 
 
 def cmd_compute(args) -> int:
-    doc = _load_document(args.task)
-    spec = _task_spec(doc, "compute")
-    if spec.divisor is None:
-        raise InputError("compute needs a divisor")
+    spec = TaskSpec.from_document(_load_document(args.task), "compute", args.alpha_samples)
     order = MonomialOrder.from_name(args.order)
     divisor_warnings = validate(spec.divisor)
-    pieces = args.alpha_samples.split(",") if args.alpha_samples else \
-        spec.options.get("alpha_samples")
-    samples = None if pieces is None else _alpha_samples(pieces)
 
-    text_lines = ["task: compute", f"divisor: {spec.divisor.describe()}",
-                  f"method: {spec.method}"]
-    for warning in divisor_warnings:
-        text_lines.append(f"warning: {warning}")
-    payload = {
-        "task": "compute",
-        "vars": list(spec.divisor.vars),
-        "divisor": [{"f": str(f), "alpha": format_rational(a)}
-                    for f, a in spec.divisor.components],
-        "method": spec.method,
-        "order": order.name,
-        "warnings": divisor_warnings,
-    }
-    lower_bound_warnings: list[str] = []
-    if samples is None:
-        results_json, lines, lb = _run_compute_once(spec.divisor, spec, order)
-        payload["results"] = results_json
+    text_lines = ["task: compute", f"divisor: {spec.divisor.describe()}", f"method: {spec.method}"]
+    text_lines += [f"warning: {warning}" for warning in divisor_warnings]
+    payload = {"task": "compute", "vars": list(spec.divisor.vars),
+               "divisor": [{"f": str(f), "alpha": format_rational(a)}
+                           for f, a in spec.divisor.components],
+               "method": spec.method, "order": order.name, "warnings": divisor_warnings}
+    lower_bound: list[str] = []
+    if spec.samples is None:
+        payload["results"], lines = _run_compute_once(spec.divisor, spec, order, lower_bound)
         text_lines += lines
-        lower_bound_warnings += lb
     else:
-        blocks = []
-        for alpha in samples:
-            sampled = spec.divisor.with_alpha(alpha)
-            results_json, lines, lb = _run_compute_once(sampled, spec, order)
-            blocks.append({"alpha": format_rational(alpha), "results": results_json})
+        payload["samples"] = []
+        for alpha in spec.samples:
+            results_json, lines = _run_compute_once(spec.divisor.with_alpha(alpha), spec, order,
+                                                    lower_bound)
+            payload["samples"].append({"alpha": format_rational(alpha), "results": results_json})
             text_lines.append(f"alpha = {format_rational(alpha)}")
             text_lines += [f"  {line}" for line in lines]
-            lower_bound_warnings += lb
-        payload["samples"] = blocks
-    for note in lower_bound_warnings:
-        text_lines.append(f"warning: non-exact result: {note}")
+    text_lines += [f"warning: non-exact result: {note}" for note in lower_bound]
     _emit(payload, text_lines, args.format, args.output)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    doc = _load_document(args.task)
-    spec = _task_spec(doc, "certify")
-    kinds = [key for key in ("resolution", "multiplicity", "membership") if key in doc]
-    if len(kinds) != 1:
-        raise InputError("certify wants exactly one of 'resolution', 'multiplicity', "
-                         "or 'membership' in the task document")
-    kind = kinds[0]
-    if kind == "resolution":
-        if spec.divisor is None:
-            raise InputError("resolution certificates need the divisor (for its alphas)")
-        res = parse_resolution_data(doc["resolution"])
+    spec = TaskSpec.from_document(_load_document(args.task), "certify")
+    payload = {"task": "certify", "k": spec.k}
+    lines: list[str] = []
+    if spec.kind == "resolution":
         alphas = periodic_reduce(spec.divisor)[0].alphas
-        reduced_note = [] if alphas == spec.divisor.alphas else \
-            ["coefficients periodically reduced into (0, 1]"]
-        decision = triviality_certificate(res, alphas, spec.k)
-        lines = reduced_note + list(decision.lines)
-        payload = {"task": "certify", "kind": "triviality", "k": spec.k,
-                   "alphas": [format_rational(a) for a in alphas],
-                   "decision": decision.status, "inequalities": lines}
-        text = [f"task: certify (triviality), k = {spec.k}"] + \
-               [f"  {line}" for line in lines] + [f"decision: {decision.status}"]
-    elif kind == "multiplicity":
-        m = doc["multiplicity"]
-        if not isinstance(m, dict):
-            raise InputError("'multiplicity' must be an object")
-        _unknown_keys(m, ("n", "r", "a", "b", "q"), "'multiplicity'")
-        try:
-            md = MultiplicityData(n=_count(m["n"], "'multiplicity.n'"),
-                                  r=_count(m["r"], "'multiplicity.r'"),
-                                  a=_count(m["a"], "'multiplicity.a'"),
-                                  b=parse_rational(str(m["b"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad multiplicity data: {exc}") from exc
-        q = m.get("q")
-        if q is not None:
-            _count(q, "'multiplicity.q'")
-        decision = nontriviality_symbolic_power(md, spec.k, q)
-        payload = {"task": "certify", "kind": "symbolic-power", "k": spec.k,
-                   "decision": decision.status, "q": decision.value,
-                   "inequalities": list(decision.lines)}
-        text = [f"task: certify (symbolic power), k = {spec.k}"] + \
-               [f"  {line}" for line in decision.lines] + \
-               [f"decision: {decision.status} (q = {decision.value})"]
+        if alphas != spec.divisor.alphas:
+            lines.append("coefficients periodically reduced into (0, 1]")
+        decision = triviality_certificate(alphas=alphas, k=spec.k, **spec.arguments)
+        title, suffix = "triviality", ""
+        payload["alphas"] = [format_rational(a) for a in alphas]
+    elif spec.kind == "multiplicity":
+        decision = nontriviality_symbolic_power(k=spec.k, **spec.arguments)
+        title, suffix = "symbolic power", f" (q = {decision.value})"
+        payload["q"] = decision.value
     else:
-        m = doc["membership"]
-        if not isinstance(m, dict):
-            raise InputError("'membership' must be an object")
-        _unknown_keys(m, ("n", "m", "alpha", "proportional"), "'membership'")
-        proportional = m.get("proportional", True)
-        if not isinstance(proportional, bool):
-            raise InputError(f"'membership.proportional' must be a boolean, "
-                             f"got {proportional!r}")
-        try:
-            decision = alpha_multiple_membership(
-                n=_count(m["n"], "'membership.n'"), m=_count(m["m"], "'membership.m'"),
-                alpha=parse_rational(str(m["alpha"])), k=spec.k, proportional=proportional)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad membership data: {exc}") from exc
-        payload = {"task": "certify", "kind": "maximal-ideal-membership", "k": spec.k,
-                   "decision": decision.status, "inequalities": list(decision.lines)}
-        text = [f"task: certify (maximal-ideal membership), k = {spec.k}"] + \
-               [f"  {line}" for line in decision.lines] + [f"decision: {decision.status}"]
+        decision = alpha_multiple_membership(k=spec.k, **spec.arguments)
+        title, suffix = "maximal-ideal membership", ""
+    lines += decision.lines
+    payload.update(kind=title.replace(" ", "-"), decision=decision.status, inequalities=lines)
+    text = [f"task: certify ({title}), k = {spec.k}"] + [f"  {line}" for line in lines] + \
+        [f"decision: {decision.status}{suffix}"]
     _emit(payload, text, args.format, args.output)
     return EXIT_OK
 
@@ -296,18 +140,10 @@ def cmd_verify(args) -> int:
     names = list(args.suites)
     if "all" in names:
         names = sorted(SUITES)
-    try:
-        verdicts = run_suites(names, args.seed)
-    except KeyError as exc:
-        raise InputError(str(exc.args[0])) from exc
+    verdicts = run_suites(names, args.seed)
     ok = report_ok(verdicts)
-    payload = {
-        "task": "verify",
-        "suites": names,
-        "seed": args.seed,
-        "ok": ok,
-        "verdicts": [v.to_json() for v in verdicts],
-    }
+    payload = {"task": "verify", "suites": names, "seed": args.seed, "ok": ok,
+               "verdicts": [v.to_json() for v in verdicts]}
     text = [f"task: verify ({', '.join(names)}), seed = {args.seed}"]
     for v in verdicts:
         req = "required" if v.required else "informational"
@@ -320,7 +156,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+    variables = tuple(v.strip() for v in args.vars.split(",")) if args.vars else ()
     poly = parse_polynomial(args.expression, variables)
     order = MonomialOrder.from_name(args.order)
     payload = {"task": "parse", "vars": list(variables), "canonical": poly.to_str(order),
@@ -377,11 +213,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # InputError, ParseError and MethodUnavailableError among them
+    except (ParseError, MethodUnavailableError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, MethodUnavailableError):
-            return EXIT_METHOD_UNAVAILABLE
-        return EXIT_INPUT_ERROR
+        return EXIT_INPUT_ERROR if isinstance(exc, ParseError) else EXIT_METHOD_UNAVAILABLE
+    except Exception as exc:  # not BaseException: SystemExit and signals pass through
+        sys.stderr.write(f"error: internal error: {exc}\n")
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

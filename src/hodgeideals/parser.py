@@ -1,8 +1,8 @@
-"""Parsing for polynomials, rationals, Q-divisors, and resolution data.
+"""The input layer: polynomials, rationals, Q-divisors, resolution data,
+and the compute and certify task documents built from them.
 
 Hand-written recursive descent over a token stream; every failure is a
-``ParseError`` carrying the byte span of the offending input, so errors
-are deterministic and the parser is total.
+deterministic ``ParseError``, so the parser is total.
 
 Grammar for polynomials (whitespace insignificant)::
 
@@ -19,12 +19,16 @@ literals are rejected.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .certificates import ExceptionalDivisor, ResolutionData
+from .certificates import ExceptionalDivisor, MultiplicityData, ResolutionData
+from .compute import METHODS
 from .divisor import QDivisor
-from .poly import Polynomial
+from .ideal import Ideal
+from .poly import Polynomial, format_rational
+from .recursion import GenerationCertificate
 
 
 class SourceSpan(NamedTuple):
@@ -33,13 +37,13 @@ class SourceSpan(NamedTuple):
 
 
 class ParseError(ValueError):
-    """A parse failure with a deterministic message and source span."""
+    """An input failure; only polynomial and rational text errors carry a span."""
 
-    def __init__(self, span: SourceSpan, message: str, expected: str = ""):
+    def __init__(self, message: str, expected: str = "", span: Optional[SourceSpan] = None):
         self.span = span
         self.message = message
         self.expected = expected
-        where = f" at {span.start}..{span.end}"
+        where = "" if span is None else f" at {span.start}..{span.end}"
         suffix = f" (expected {expected})" if expected else ""
         super().__init__(f"{message}{where}{suffix}")
 
@@ -47,6 +51,8 @@ class ParseError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
 _SYMBOLS = "+-*/^()"
+_MAX_NESTING = 200  # three stack frames a level: well inside the recursion limit
+_MAX_DIGITS = 4300  # the default of sys.get_int_max_str_digits(): int() refuses more
 
 
 class _Token(NamedTuple):
@@ -65,6 +71,9 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _INT_RE.match(text, i)
         if m:
+            if m.end() - i > _MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {_MAX_DIGITS} digits",
+                                 span=SourceSpan(i, m.end()))
             tokens.append(_Token("int", m.group(), SourceSpan(i, m.end())))
             i = m.end()
             continue
@@ -78,19 +87,19 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == ".":
-            raise ParseError(SourceSpan(i, i + 1),
-                             "decimal literals are not accepted; use exact p/q rationals")
-        raise ParseError(SourceSpan(i, i + 1), f"unexpected character {ch!r}")
+            raise ParseError("decimal literals are not accepted; use exact p/q rationals",
+                             span=SourceSpan(i, i + 1))
+        raise ParseError(f"unexpected character {ch!r}", span=SourceSpan(i, i + 1))
     tokens.append(_Token("end", "", SourceSpan(n, n)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
-        self.text = text
         self.vars = tuple(variables)
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -103,17 +112,18 @@ class _Parser:
     def expect(self, kind: str, expected: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(tok.span, f"unexpected {_describe(tok)}", expected)
+            raise ParseError(f"unexpected {_describe(tok)}", expected, span=tok.span)
         return self.advance()
 
     def parse(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "end":
-            raise ParseError(tok.span, "empty input", "a polynomial expression")
+            raise ParseError("empty input", "a polynomial expression", span=tok.span)
         result = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(tok.span, f"unexpected {_describe(tok)}", "'+', '-' or end of input")
+            raise ParseError(f"unexpected {_describe(tok)}", "'+', '-' or end of input",
+                             span=tok.span)
         return result
 
     def expr(self) -> Polynomial:
@@ -146,18 +156,23 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             if tok.text not in self.vars:
-                raise ParseError(tok.span, f"unknown variable {tok.text!r}",
-                                 f"one of {', '.join(self.vars)}")
+                raise ParseError(f"unknown variable {tok.text!r}",
+                                 f"one of {', '.join(self.vars)}", span=tok.span)
             base = Polynomial.variable(self.vars, tok.text)
         elif tok.kind == "(":
             open_tok = self.advance()
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}",
+                                 span=open_tok.span)
+            self.depth += 1
             base = self.expr()
+            self.depth -= 1
             if self.peek().kind != ")":
-                raise ParseError(open_tok.span, "unbalanced parentheses", "')'")
+                raise ParseError("unbalanced parentheses", "')'", span=open_tok.span)
             self.advance()
         else:
-            raise ParseError(tok.span, f"unexpected {_describe(tok)}",
-                             "a rational, a variable, or '('")
+            raise ParseError(f"unexpected {_describe(tok)}",
+                             "a rational, a variable, or '('", span=tok.span)
         if self.peek().kind == "^":
             self.advance()
             etok = self.expect("int", "a non-negative integer exponent")
@@ -172,46 +187,42 @@ class _Parser:
             den_tok = self.expect("int", "a positive integer denominator")
             den = int(den_tok.text)
             if den == 0:
-                raise ParseError(den_tok.span, "malformed rational: zero denominator")
+                raise ParseError("malformed rational: zero denominator", span=den_tok.span)
             value = value / den
         return value
 
 
 def _describe(tok: _Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    return f"token {tok.text!r}"
+    return "end of input" if tok.kind == "end" else f"token {tok.text!r}"
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse ``text`` into an exact polynomial over ``variables``."""
     if not isinstance(text, str):
-        raise ParseError(SourceSpan(0, 0), f"expected polynomial text, got {type(text).__name__}")
+        raise ParseError(f"expected polynomial text, got {type(text).__name__}")
     variables = tuple(variables)
     if not variables:
-        raise ParseError(SourceSpan(0, 0), "ambient variable list must be nonempty")
-    seen = set()
-    for name in variables:
+        raise ParseError("ambient variable list must be nonempty")
+    for i, name in enumerate(variables):
         if not _NAME_RE.fullmatch(name):
-            raise ParseError(SourceSpan(0, 0), f"invalid variable name {name!r}")
-        if name in seen:
-            raise ParseError(SourceSpan(0, 0), f"duplicate variable name {name!r}")
-        seen.add(name)
+            raise ParseError(f"invalid variable name {name!r}")
+        if name in variables[:i]:
+            raise ParseError(f"duplicate variable name {name!r}")
     return _Parser(text, variables).parse()
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse exact rational text ``p/q`` (or an integer), sign allowed."""
     if not isinstance(text, str):
-        raise ParseError(SourceSpan(0, 0), f"expected rational text, got {type(text).__name__}")
+        raise ParseError(f"expected rational text, got {type(text).__name__}")
     s = text.strip()
     m = re.fullmatch(r"([+-]?)([0-9]+)(?:/([0-9]+))?", s)
-    if not m:
-        raise ParseError(SourceSpan(0, len(text)),
-                         f"malformed rational {text!r}", "exact p/q or integer text")
+    if not m or len(s) > _MAX_DIGITS:
+        raise ParseError(f"malformed rational {text!r}", "exact p/q or integer text",
+                         span=SourceSpan(0, len(text)))
     sign, num, den = m.groups()
     if den is not None and int(den) == 0:
-        raise ParseError(SourceSpan(0, len(text)), "malformed rational: zero denominator")
+        raise ParseError("malformed rational: zero denominator", span=SourceSpan(0, len(text)))
     value = Fraction(int(num), int(den) if den is not None else 1)
     return -value if sign == "-" else value
 
@@ -220,8 +231,16 @@ def _unknown_keys(found, accepted, where: str) -> None:
     """Refuse a JSON object with keys outside ``accepted``, naming them."""
     unknown = sorted(set(found) - set(accepted))
     if unknown:
-        raise ParseError(SourceSpan(0, 0), f"unknown key {', '.join(map(repr, unknown))} "
-                                           f"in {where}", ", ".join(accepted))
+        raise ParseError(f"unknown key {', '.join(map(repr, unknown))} in {where}",
+                         ", ".join(accepted))
+
+
+def _count(value, name: str) -> int:
+    """``value`` when it is a non-negative JSON integer; a boolean or a
+    float is refused, not coerced."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ParseError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def parse_divisor(document: dict) -> QDivisor:
@@ -234,32 +253,33 @@ def parse_divisor(document: dict) -> QDivisor:
     Any other key of the ``divisor`` object or of a component is refused.
     """
     if not isinstance(document, dict):
-        raise ParseError(SourceSpan(0, 0), "divisor document must be a JSON object")
+        raise ParseError("divisor document must be a JSON object")
     variables = document.get("vars")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables) or not variables:
-        raise ParseError(SourceSpan(0, 0), "divisor document needs a nonempty 'vars' list of names")
+        raise ParseError("divisor document needs a nonempty 'vars' list of names")
     if "divisor" in document and "components" in document:
-        raise ParseError(SourceSpan(0, 0), "divisor document has both 'divisor' and "
-                                           "'components'; give the components once")
+        raise ParseError("divisor document has both 'divisor' and 'components'; "
+                         "give the components once")
     body = document.get("divisor", document)
     if isinstance(body, dict) and body is not document:
         _unknown_keys(body, ("components",), "'divisor'")
     components = body.get("components") if isinstance(body, dict) else None
     if not isinstance(components, list) or not components:
-        raise ParseError(SourceSpan(0, 0), "divisor document needs a nonempty 'components' list")
+        raise ParseError("divisor document needs a nonempty 'components' list")
     parsed = []
     for idx, comp in enumerate(components):
         if not isinstance(comp, dict) or "f" not in comp or "alpha" not in comp:
-            raise ParseError(SourceSpan(0, 0),
-                             f"component {idx} must be an object with 'f' and 'alpha'")
+            raise ParseError(f"component {idx} must be an object with 'f' and 'alpha'")
         _unknown_keys(comp, ("f", "alpha"), f"component {idx}")
         f = parse_polynomial(comp["f"], variables)
         alpha = parse_rational(comp["alpha"])
         if alpha <= 0:
-            raise ParseError(SourceSpan(0, 0),
-                             f"component {idx}: alpha must be positive, got {comp['alpha']}")
+            raise ParseError(f"component {idx}: alpha must be positive, got {comp['alpha']}")
         parsed.append((f, alpha))
-    return QDivisor(tuple(variables), tuple(parsed))
+    try:
+        return QDivisor(tuple(variables), tuple(parsed))
+    except ValueError as exc:  # a constant component
+        raise ParseError(str(exc)) from exc
 
 
 def parse_resolution_data(document: dict) -> ResolutionData:
@@ -272,36 +292,181 @@ def parse_resolution_data(document: dict) -> ResolutionData:
     Any other key is refused.
     """
     if not isinstance(document, dict):
-        raise ParseError(SourceSpan(0, 0), "resolution data must be a JSON object")
+        raise ParseError("resolution data must be a JSON object")
     _unknown_keys(document, ("exceptional", "strict_transform_smooth"), "'resolution'")
     raw = document.get("exceptional")
     if raw is None:
-        raise ParseError(SourceSpan(0, 0), "resolution data needs an 'exceptional' list")
+        raise ParseError("resolution data needs an 'exceptional' list")
     if not isinstance(raw, list):
-        raise ParseError(SourceSpan(0, 0), "'exceptional' must be a list")
+        raise ParseError("'exceptional' must be a list")
     records = []
     for idx, item in enumerate(raw):
         if not isinstance(item, dict) or "a" not in item or "b" not in item:
-            raise ParseError(SourceSpan(0, 0),
-                             f"exceptional record {idx} must be an object with 'a' and 'b'")
+            raise ParseError(f"exceptional record {idx} must be an object with 'a' and 'b'")
         _unknown_keys(item, ("a", "b"), f"exceptional record {idx}")
         a = item["a"]
-        b = item["b"]
         if (not isinstance(a, list) or not a
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in a)):
-            raise ParseError(SourceSpan(0, 0),
-                             f"exceptional record {idx}: 'a' must be a nonempty list of integers")
+            raise ParseError(f"exceptional record {idx}: 'a' must be a nonempty list of integers")
         if any(x < 0 for x in a):
-            raise ParseError(SourceSpan(0, 0),
-                             f"exceptional record {idx}: 'a' entries must be non-negative")
+            raise ParseError(f"exceptional record {idx}: 'a' entries must be non-negative")
         if sum(a) < 1:
-            raise ParseError(SourceSpan(0, 0),
-                             f"exceptional record {idx}: total pullback coefficient a must be >= 1")
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-            raise ParseError(SourceSpan(0, 0),
-                             f"exceptional record {idx}: 'b' must be a non-negative integer")
+            raise ParseError(f"exceptional record {idx}: total pullback coefficient a must be >= 1")
+        b = _count(item["b"], f"exceptional record {idx}: 'b'")
         records.append(ExceptionalDivisor(a=tuple(a), b=b))
     smooth = document.get("strict_transform_smooth", True)
     if not isinstance(smooth, bool):
-        raise ParseError(SourceSpan(0, 0), "'strict_transform_smooth' must be a boolean")
+        raise ParseError("'strict_transform_smooth' must be a boolean")
     return ResolutionData(exceptional=tuple(records), strict_transform_smooth=smooth)
+
+
+# -- task documents ---------------------------------------------------------------
+
+_OPTION_KEYS = ("i0", "certificate", "alpha_samples")
+_CERTIFY_KINDS = ("resolution", "multiplicity", "membership")
+# The keys each subcommand reads; "components" is the top-level divisor
+# form that parse_divisor reads.
+_COMMON_KEYS = ("task", "vars", "divisor", "components", "k")
+_TASK_KEYS = {"compute": _COMMON_KEYS + ("method", "options"),
+              "certify": _COMMON_KEYS + _CERTIFY_KINDS}
+
+
+def _alpha_samples(pieces) -> list[Fraction]:
+    """The positive rationals of ``--alpha-samples`` (split at commas) or
+    of ``options.alpha_samples``."""
+    if not isinstance(pieces, list):
+        raise ParseError("'options.alpha_samples' must be a list")
+    if not pieces:
+        raise ParseError("alpha samples must be a nonempty list")
+    samples = []
+    for piece in pieces:
+        value = parse_rational(str(piece).strip())
+        if value <= 0:
+            raise ParseError(f"alpha samples must be positive, got {piece!r}")
+        samples.append(value)
+    return samples
+
+
+def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
+    cert = options.get("certificate")
+    if cert is None:
+        return None
+    if not isinstance(cert, dict) or "level" not in cert:
+        raise ParseError("'options.certificate' must be an object with a 'level'")
+    _unknown_keys(cert, ("level", "source"), "'options.certificate'")
+    level = _count(cert["level"], "certificate level")
+    # Nothing here checks the level, so the caller vouches for it.
+    source = cert.get("source", "user-asserted")
+    if source != "user-asserted":
+        raise ParseError(f"a task-file certificate is user-asserted; "
+                         f"'options.certificate.source' cannot be {source!r}")
+    return GenerationCertificate(level=level, source=source)
+
+
+def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
+    gens = options.get("i0")
+    if gens is None:
+        return None
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise ParseError("'options.i0' must be a list of polynomial strings")
+    return Ideal(divisor.vars, tuple(parse_polynomial(g, divisor.vars) for g in gens))
+
+
+def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dict]:
+    """A certify document's one certificate kind and that kind's ``arguments``."""
+    kinds = [key for key in _CERTIFY_KINDS if key in doc]
+    if len(kinds) != 1:
+        raise ParseError("certify wants exactly one of 'resolution', 'multiplicity', "
+                         "or 'membership' in the task document")
+    kind = kinds[0]
+    data = doc[kind]
+    if kind == "resolution":
+        if divisor is None:
+            raise ParseError("resolution certificates need the divisor (for its alphas)")
+        res = parse_resolution_data(data)
+        if not res.strict_transform_smooth:
+            raise ParseError("the triviality criterion needs a smooth strict transform")
+        for idx, record in enumerate(res.exceptional):
+            if len(record.a) != len(divisor.components):
+                raise ParseError(f"exceptional record {idx} lists {len(record.a)} components, "
+                                 f"divisor has {len(divisor.components)}")
+        return kind, {"res": res}
+    if not isinstance(data, dict):
+        raise ParseError(f"{kind!r} must be an object")
+    if kind == "multiplicity":
+        _unknown_keys(data, ("n", "r", "a", "b", "q"), "'multiplicity'")
+        try:
+            md = MultiplicityData(n=_count(data["n"], "'multiplicity.n'"),
+                                  r=_count(data["r"], "'multiplicity.r'"),
+                                  a=_count(data["a"], "'multiplicity.a'"),
+                                  b=parse_rational(str(data["b"])))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"bad multiplicity data: {exc}") from exc
+        q = data.get("q")
+        return kind, {"md": md, "q": None if q is None else _count(q, "'multiplicity.q'")}
+    _unknown_keys(data, ("n", "m", "alpha", "proportional"), "'membership'")
+    proportional = data.get("proportional", True)
+    if not isinstance(proportional, bool):
+        raise ParseError(f"'membership.proportional' must be a boolean, got {proportional!r}")
+    try:
+        n, m = _count(data["n"], "'membership.n'"), _count(data["m"], "'membership.m'")
+        alpha = parse_rational(str(data["alpha"]))
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad membership data: {exc}") from exc
+    # alpha_multiple_membership refuses the same data with the same words.
+    if n < 1 or m < 1:
+        raise ParseError(f"bad membership data: dimension and multiplicity must be >= 1, "
+                         f"got n={n}, m={m}")
+    if alpha <= 0:
+        raise ParseError(f"bad membership data: alpha must be positive, got {format_rational(alpha)}")
+    return kind, {"n": n, "m": m, "alpha": alpha, "proportional": proportional}
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """A validated task document.  A compute task fills ``method`` through
+    ``samples``; a certify task fills ``kind``, one of ``_CERTIFY_KINDS``, and
+    ``arguments``, the keyword arguments but ``k`` of that kind's certificate."""
+
+    divisor: Optional[QDivisor]
+    k: int
+    method: str = "auto"
+    seed: Optional[Ideal] = None
+    certificate: Optional[GenerationCertificate] = None
+    samples: Optional[list[Fraction]] = None
+    kind: str = ""
+    arguments: Optional[dict] = None
+
+    @classmethod
+    def from_document(cls, doc, command: str, alpha_samples: str = "") -> "TaskSpec":
+        """Read the decoded JSON of a "compute" or "certify" task.  The text of
+        ``--alpha-samples``, when given, wins over ``options.alpha_samples``,
+        which is checked all the same."""
+        if not isinstance(doc, dict):
+            raise ParseError("task document must be a JSON object")
+        _unknown_keys(doc, _TASK_KEYS[command], f"a {command} task document")
+        task = doc.get("task", command)
+        if task != command:
+            raise ParseError(f"task field says {task!r} but the subcommand is {command!r}")
+        if "divisor" in doc and "vars" not in doc:
+            raise ParseError("task document needs a 'vars' list")
+        divisor = parse_divisor(doc) if "vars" in doc else None
+        k = _count(doc.get("k", 0), "'k'")
+        if command == "certify":
+            kind, arguments = _certify_arguments(doc, divisor)
+            return cls(divisor, k, kind=kind, arguments=arguments)
+        method = doc.get("method", "auto")
+        if method not in METHODS:
+            raise ParseError(f"unknown method {method!r}; expected one of {METHODS}")
+        options = doc.get("options", {})
+        if not isinstance(options, dict):
+            raise ParseError("'options' must be an object")
+        _unknown_keys(options, _OPTION_KEYS, "'options'")
+        if divisor is None:
+            raise ParseError("compute needs a divisor")
+        samples = options.get("alpha_samples")
+        samples = None if samples is None else _alpha_samples(samples)
+        if alpha_samples:
+            samples = _alpha_samples(alpha_samples.split(","))
+        return cls(divisor, k, method, _seed_from_options(options, divisor),
+                   _certificate_from_options(options), samples)

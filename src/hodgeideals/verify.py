@@ -29,7 +29,7 @@ from .closed_forms import OrdinarySingularityModel, ordinary_triviality
 from .compute import MethodUnavailableError, compute_chain
 from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
-from .parser import parse_polynomial
+from .parser import ParseError, parse_polynomial
 from .poly import Polynomial, format_rational
 
 DEFAULT_SEED = 7
@@ -470,15 +470,12 @@ SUITES: dict[str, Callable[[int], list[Verdict]]] = {
     "certificates": suite_certificates,
 }
 
-SUITE_ALIASES = {"certificates-consistency": "certificates"}
-
 
 def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED) -> list[Verdict]:
     verdicts: list[Verdict] = []
     for name in names:
-        name = SUITE_ALIASES.get(name, name)
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; expected one of "
-                           f"{', '.join(sorted(SUITES))} or 'all'")
+            raise ParseError(f"unknown suite {name!r}; expected one of "
+                             f"{', '.join(sorted(SUITES))} or 'all'")
         verdicts.extend(SUITES[name](seed))
     return verdicts

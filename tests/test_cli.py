@@ -103,6 +103,19 @@ def test_option_alpha_samples_are_checked_like_the_flag(tmp_path, capsys):
     assert "alpha samples must be positive" in option[2]
 
 
+def test_option_alpha_samples_are_checked_when_the_flag_wins(tmp_path, capsys):
+    task = dict(CUSP_TASK, options={"alpha_samples": 5})
+    path = write_task(tmp_path, task)
+    code, out, err = run_cli(capsys, "compute", path, "--alpha-samples", "1/2")
+    assert (code, out) == (2, "")
+    assert "'options.alpha_samples' must be a list" in err
+    task = dict(CUSP_TASK, options={"alpha_samples": ["9/10"]})
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, task),
+                           "--alpha-samples", "1/2")
+    assert code == 0
+    assert [block["alpha"] for block in json.loads(out)["samples"]] == ["1/2"]
+
+
 def test_empty_option_alpha_samples_exits_2(tmp_path, capsys):
     task = dict(CUSP_TASK, options={"alpha_samples": []})
     code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
@@ -589,6 +602,16 @@ def membership_task(n, m, alpha):
      "'strict_transform_smooth' must be a boolean"),
     (["certify", TASK], resolution_task({"exceptional": [{"a": [2, 1], "b": 1}]}),
      "exceptional record 0 lists 2 components, divisor has 1"),
+    # An empty name in --vars is refused, not dropped.
+    (["parse", "x+y", "--vars", "x,,y"], None, "invalid variable name ''"),
+    (["parse", "x", "--vars", "x,"], None, "invalid variable name ''"),
+    (["parse", "y", "--vars", ",y"], None, "invalid variable name ''"),
+    (["certify", TASK], resolution_task({"exceptional": [], "strict_transform_smooth": False}),
+     "the triviality criterion needs a smooth strict transform"),
+    (["compute", TASK], divisor_task(["x"], {"components": [{"f": "3", "alpha": "1"}]}),
+     "component equations must be nonconstant, got 3"),
+    (["parse", "1" * 5000 + "*x", "--vars", "x"], None,
+     "integer literal longer than 4300 digits at 0..5000"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"
@@ -597,6 +620,33 @@ def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, mes
     code, out, err = run_cli(capsys, *(str(path) if arg == TASK else arg for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+    assert "0..0" not in err  # only polynomial and rational text errors carry a span
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"\xff{}", "cannot read task file"),
+    (b'{"task": "compute", "k": ' + b"1" * 5000 + b"}", "is not valid JSON"),
+    (b"[" * 100000 + b"]" * 100000, "is not valid JSON"),
+], ids=["undecodable", "long-integer", "deep-nesting"])
+def test_unreadable_task_text_exits_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "task.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "compute", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_unexpected_library_error_exits_4_as_internal(tmp_path, capsys, monkeypatch):
+    from hodgeideals import cli
+
+    def broken_chain(*args, **kwargs):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr(cli, "compute_chain", broken_chain)
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, CUSP_TASK))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: invariant broken\nTraceback")
+    assert err.rstrip().endswith("ValueError: invariant broken")
 
 
 # -- verify -------------------------------------------------------------------------
@@ -619,6 +669,12 @@ def test_verify_unknown_suite_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "unknown-suite")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_has_no_suite_aliases(capsys):
+    code, out, err = run_cli(capsys, "verify", "certificates-consistency")
+    assert (code, out) == (2, "")
+    assert "unknown suite 'certificates-consistency'" in err
 
 
 def test_verify_claim_failure_exits_1(capsys, monkeypatch):
@@ -649,6 +705,19 @@ def test_parse_canonical_is_round_trip_stable(capsys):
     assert out1 == out2
 
 
+def test_parse_vars_may_carry_spaces(capsys):
+    code, out, _ = run_cli(capsys, "parse", "--vars", "x, y", "y + x")
+    assert (code, out) == (0, "x + y\n")
+
+
+def test_deep_parentheses_exit_2_at_the_offending_paren(capsys):
+    ok = run_cli(capsys, "parse", "--vars", "x", "(" * 200 + "x" + ")" * 200)
+    assert ok == (0, "x\n", "")
+    code, out, err = run_cli(capsys, "parse", "--vars", "x", "(" * 400 + "x" + ")" * 400)
+    assert (code, out) == (2, "")
+    assert err == "error: parentheses nested deeper than 200 at 200..201\n"
+
+
 def test_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "parse", "--vars", "x,y", "x + z")
     assert code == 2
@@ -663,12 +732,6 @@ def test_parse_respects_order_flag(capsys):
     assert out_grevlex.strip() == "y^3 + x^2"
     assert out_lex.strip() == "x^2 + y^3"
     assert out_grlex.strip() == "x^2*y + x*y^2"
-
-
-def test_verify_accepts_certificates_consistency_alias(capsys):
-    code, out, _ = run_cli(capsys, "verify", "certificates-consistency")
-    assert code == 0
-    assert "certificate-cusp-threshold" in out
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -61,6 +61,21 @@ def test_unbalanced_parentheses():
     assert "unbalanced" in str(err.value)
 
 
+def test_nesting_is_refused_at_the_first_paren_past_the_limit():
+    assert parse_polynomial("(" * 200 + "x" + ")" * 200, XY) == parse_polynomial("x", XY)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("2*" + "(" * 400 + "x" + ")" * 400, XY)
+    assert err.value.message == "parentheses nested deeper than 200"
+    assert err.value.span == (202, 203)
+
+
+def test_document_errors_carry_no_span():
+    with pytest.raises(ParseError) as err:
+        parse_divisor({"vars": ["x"], "components": [{"f": "x", "alpha": "1", "g": 0}]})
+    assert err.value.span is None
+    assert str(err.value) == "unknown key 'g' in component 0 (expected f, alpha)"
+
+
 def test_empty_input():
     with pytest.raises(ParseError) as err:
         parse_polynomial("   ", XY)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hodgeideals import compute_chain, parse_divisor
+from hodgeideals import ParseError, compute_chain, parse_divisor
 from hodgeideals.verify import (
     FAIL,
     OBSERVED,
@@ -154,7 +154,7 @@ def test_report_ok_ignores_observed():
 
 
 def test_unknown_suite_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ParseError, match="unknown suite 'nonexistent'"):
         run_suites(["nonexistent"], 7)
 
 
