@@ -8,7 +8,7 @@ property suites for the structural theorems.
 """
 
 from .poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
-from .ideal import GroebnerBasis, Ideal, graded_basis, groebner_basis, normal_form
+from .ideal import Ideal, graded_basis, groebner_basis, normal_form
 from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational, \
     parse_resolution_data
 from .divisor import (
@@ -51,7 +51,7 @@ from .compute import compute_chain
 
 __all__ = [
     "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",
-    "GroebnerBasis", "Ideal", "graded_basis", "groebner_basis", "normal_form",
+    "Ideal", "graded_basis", "groebner_basis", "normal_form",
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",
     "HodgeIdealResult", "QDivisor", "periodic_reduce", "twist_polynomial",

@@ -2,9 +2,9 @@
 task files with canonical, diff-stable output.
 
 Every number printed is an exact rational (``p/q`` or integer text).
-Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``;
-only polynomial and rational text errors carry a span), 3 method
-unavailable, 4 internal error.
+Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``,
+an unwritable ``--output`` path included; only polynomial and rational
+text errors carry a span), 3 method unavailable, 4 internal error.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str])
     else:
         body = "\n".join(text_lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ParseError(f"cannot write report to {output!r}: {exc}") from exc
     else:
         sys.stdout.write(body)
 

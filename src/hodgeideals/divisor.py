@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .ideal import GroebnerBasis, Ideal
+from .ideal import Ideal, groebner_basis
 from .poly import Monomial, Polynomial, infer_weights, integer_terms
 
 
@@ -170,8 +170,8 @@ def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult
     if twist.is_constant():
         return result
     # twist * G is a Groebner basis as it stands: LT(twist*w) = LT(twist)*LT(w).
-    known = [twist * w for w in result.ideal.groebner().basis]
-    ideal = Ideal.from_groebner(GroebnerBasis.compute((), twist.vars, known=known))
+    known = [twist * w for w in result.ideal.groebner()]
+    ideal = Ideal.from_basis(twist.vars, groebner_basis((), known=known))
     return replace(result, ideal=ideal).with_note(f"integral twist {twist} applied")
 
 

@@ -412,47 +412,15 @@ class _GradedBasis(tuple):
         return self
 
 
-class GroebnerBasis:
-    """A reduced Groebner basis together with its monomial order."""
-
-    __slots__ = ("basis", "order", "vars")
-
-    def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder, variables):
-        # A tuple is kept as it is, so a graded basis keeps its weights.
-        self.basis = basis if isinstance(basis, tuple) else tuple(basis)
-        self.order = order
-        self.vars = tuple(variables)
-
-    @classmethod
-    def compute(cls, generators: Sequence[Polynomial], variables,
-                order: MonomialOrder = GREVLEX,
-                known: Sequence[Polynomial] = ()) -> "GroebnerBasis":
-        """The reduced basis of ``known`` and ``generators``; ``known`` must
-        already be a Groebner basis for ``order`` (see ``groebner_basis``)."""
-        return cls(groebner_basis(generators, order, known=known), order, variables)
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.basis, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return not self.reduce(f)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __repr__(self) -> str:
-        return f"GroebnerBasis([{', '.join(str(g) for g in self.basis)}], {self.order.name})"
-
-
 class Ideal:
     """A finitely generated ideal in Q[vars], given by a generator list.
 
     The empty generator list denotes the zero ideal; the unit ideal is
     representable by the generator 1.  Instances are immutable; the
-    reduced Groebner basis is computed lazily and cached per order.
+    reduced grevlex basis is computed on first use and kept.
     """
 
-    __slots__ = ("vars", "generators", "_gb_cache")
+    __slots__ = ("vars", "generators", "_basis")
 
     def __init__(self, variables: Sequence[str], generators: Iterable[Polynomial]):
         variables = tuple(variables)
@@ -466,7 +434,7 @@ class Ideal:
                 gens.append(g)
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_gb_cache", {})
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -487,36 +455,39 @@ class Ideal:
 
     # -- Groebner machinery ----------------------------------------------
 
-    def groebner(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        gb = self._gb_cache.get(order.name)
-        if gb is None:
-            gb = GroebnerBasis.compute(self.generators, self.vars, order)
-            self._gb_cache[order.name] = gb
-        return gb
+    def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
+        """The reduced Groebner basis for ``order``.  The grevlex basis is
+        kept; another order, which only printing asks for, is computed on
+        each call."""
+        if order is not GREVLEX:
+            return groebner_basis(self.generators, order)
+        if self._basis is None:
+            object.__setattr__(self, "_basis", groebner_basis(self.generators))
+        return self._basis
 
     @classmethod
-    def from_groebner(cls, gb: GroebnerBasis) -> "Ideal":
-        """The ideal presented by the reduced basis ``gb``, which it keeps
-        as its cached basis for ``gb.order``."""
-        ideal = cls(gb.vars, gb.basis)
-        ideal._gb_cache[gb.order.name] = gb
+    def from_basis(cls, variables: Sequence[str], basis: tuple[Polynomial, ...]) -> "Ideal":
+        """The ideal presented by its reduced grevlex basis ``basis``, which
+        it keeps as it is, so a graded basis keeps its weights."""
+        ideal = cls(variables, basis)
+        object.__setattr__(ideal, "_basis", basis)
         return ideal
 
     def canonical(self) -> "Ideal":
         """The same ideal presented by its reduced grevlex basis."""
-        return Ideal.from_groebner(self.groebner())
+        return Ideal.from_basis(self.vars, self.groebner())
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """True iff every generator of ``other`` lies in this ideal."""
         if other.vars != self.vars:
             raise AmbientMismatchError(f"ideals over {self.vars} vs {other.vars}")
-        gb = self.groebner()
-        return all(gb.contains(g) for g in other.generators)
+        basis = self.groebner()
+        return not any(normal_form(g, basis) for g in other.generators)
 
     def equals(self, other: "Ideal") -> bool:
         if not isinstance(other, Ideal) or other.vars != self.vars:
             return False
-        return self.groebner().basis == other.groebner().basis
+        return self.groebner() == other.groebner()
 
     __eq__ = equals
 
@@ -560,23 +531,21 @@ class Ideal:
     def extend(self, variables: Sequence[str]) -> "Ideal":
         """Same generators viewed in a larger polynomial ring.
 
-        When the old variables keep their relative order, the cached
-        reduced bases carry over: restricted to monomials without the new
-        variables, each order is the old one, so an extended reduced
-        basis is still reduced and still sorted.
+        When the old variables keep their relative order, a kept reduced
+        basis carries over: restricted to monomials without the new
+        variables, grevlex is the old order, so the extended basis is
+        still reduced and still sorted.
         """
         variables = tuple(variables)
         ideal = Ideal(variables, tuple(g.extend(variables) for g in self.generators))
-        if tuple(v for v in variables if v in self.vars) == self.vars:
-            for name, gb in self._gb_cache.items():
-                ideal._gb_cache[name] = GroebnerBasis(
-                    tuple(g.extend(variables) for g in gb.basis), gb.order, variables)
+        if self._basis is not None and tuple(v for v in variables if v in self.vars) == self.vars:
+            object.__setattr__(ideal, "_basis", tuple(g.extend(variables) for g in self._basis))
         return ideal
 
     # -- predicates and printing ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.groebner().basis
+        return not self.groebner()
 
     def is_zero_dimensional(self) -> bool:
         """True iff V(I) is a finite set of points (the empty set included).

@@ -235,6 +235,14 @@ def _unknown_keys(found, accepted, where: str) -> None:
                          ", ".join(accepted))
 
 
+def _rational_field(value, name: str) -> Fraction:
+    """``value`` read as exact rational text; a JSON number or boolean is
+    refused, not coerced."""
+    if not isinstance(value, str):
+        raise ParseError(f"{name} must be exact rational text, got {value!r}")
+    return parse_rational(value)
+
+
 def _count(value, name: str) -> int:
     """``value`` when it is a non-negative JSON integer; a boolean or a
     float is refused, not coerced."""
@@ -272,7 +280,7 @@ def parse_divisor(document: dict) -> QDivisor:
             raise ParseError(f"component {idx} must be an object with 'f' and 'alpha'")
         _unknown_keys(comp, ("f", "alpha"), f"component {idx}")
         f = parse_polynomial(comp["f"], variables)
-        alpha = parse_rational(comp["alpha"])
+        alpha = _rational_field(comp["alpha"], f"component {idx}: 'alpha'")
         if alpha <= 0:
             raise ParseError(f"component {idx}: alpha must be positive, got {comp['alpha']}")
         parsed.append((f, alpha))
@@ -340,7 +348,7 @@ def _alpha_samples(pieces) -> list[Fraction]:
         raise ParseError("alpha samples must be a nonempty list")
     samples = []
     for piece in pieces:
-        value = parse_rational(str(piece).strip())
+        value = _rational_field(piece, "an 'options.alpha_samples' entry")
         if value <= 0:
             raise ParseError(f"alpha samples must be positive, got {piece!r}")
         samples.append(value)
@@ -399,7 +407,7 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
             md = MultiplicityData(n=_count(data["n"], "'multiplicity.n'"),
                                   r=_count(data["r"], "'multiplicity.r'"),
                                   a=_count(data["a"], "'multiplicity.a'"),
-                                  b=parse_rational(str(data["b"])))
+                                  b=_rational_field(data["b"], "'multiplicity.b'"))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad multiplicity data: {exc}") from exc
         q = data.get("q")
@@ -410,7 +418,7 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
         raise ParseError(f"'membership.proportional' must be a boolean, got {proportional!r}")
     try:
         n, m = _count(data["n"], "'membership.n'"), _count(data["m"], "'membership.m'")
-        alpha = parse_rational(str(data["alpha"]))
+        alpha = _rational_field(data["alpha"], "'membership.alpha'")
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad membership data: {exc}") from exc
     # alpha_multiple_membership refuses the same data with the same words.

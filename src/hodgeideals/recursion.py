@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, QDivisor, StepData, apply_twist
-from .ideal import GroebnerBasis, Ideal, graded_basis
-from .poly import GREVLEX, Monomial, Polynomial, integer_terms
+from .ideal import Ideal, graded_basis, groebner_basis
+from .poly import Monomial, Polynomial, integer_terms
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
                        "user-asserted")
@@ -79,7 +79,7 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     integral = [w.numerator * (scale // w.denominator) for w in weights]
     common = math.gcd(*integral)
     grading = tuple(w // common for w in integral)
-    basis = ideal.groebner().basis
+    basis = ideal.groebner()
     if getattr(basis, "weights", None) == grading:
         return grading
     if all(w.weighted_degree(grading) is not None for w in basis) \
@@ -170,19 +170,17 @@ g * prod_i f_i^(k + alpha_i).
     # so take the reduced basis G.  g*G is then a Groebner basis as it
     # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
     # derivative generators with it.
-    basis = ideal.groebner().basis
-    known, derived = _step_rows(basis, divisor.step_data, k)
+    known, derived = _step_rows(ideal.groebner(), divisor.step_data, k)
     variables = divisor.vars
     grading = _grading(ideal, divisor)
     if grading is not None:
-        gb = GroebnerBasis(graded_basis([row for _, row in known + derived], variables,
-                                        grading), GREVLEX, variables)
+        basis = graded_basis([row for _, row in known + derived], variables, grading)
     else:
         def unscaled(rows):
             return [Polynomial._raw(variables, {m: Fraction(a, c) for m, a in row.items()})
                     for c, row in rows]
-        gb = GroebnerBasis.compute(unscaled(derived), variables, known=unscaled(known))
-    return Ideal.from_groebner(gb)
+        basis = groebner_basis(unscaled(derived), known=unscaled(known))
+    return Ideal.from_basis(variables, basis)
 
 
 def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,

@@ -191,7 +191,7 @@ def check_product_formula(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
 
 
 def check_restriction(divisor: QDivisor, var_index: int,
-                      k: int) -> Callable[[Polynomial, bool], list[Verdict]]:
+                      k: int) -> Callable[[Polynomial], list[Verdict]]:
     """Restriction to hyperplanes Y = (x_i = replacement): the intrinsic
     I_k(D|_Y) is contained in I_k(D)*O_Y, with equality for generic Y.
 
@@ -199,8 +199,7 @@ def check_restriction(divisor: QDivisor, var_index: int,
     are computed exactly; reducedness of Z|_Y is trusted and noted.  On
     a cylinder neither I_k(D) nor I_k(D|_Y) depends on the hyperplane, so
     both sides are computed once, here, and the returned checker judges
-    any (replacement, expect_equality): equality is asserted only when
-    ``expect_equality`` is set.
+    any replacement: containment, then equality.
     """
     if var_index in divisor.used_variables():
         raise ValueError("restriction check wants a cylinder: equations must not "
@@ -214,26 +213,24 @@ def check_restriction(divisor: QDivisor, var_index: int,
             for f, alpha in divisor.components)), k)[k]
         failure = None if intrinsic.exact else "intrinsic ideal not computable exactly"
 
-    def verdicts(replacement: Polynomial, expect_equality: bool) -> list[Verdict]:
+    def verdicts(replacement: Polynomial) -> list[Verdict]:
         name = f"{divisor.describe()} | {divisor.vars[var_index]} -> {replacement} [k={k}]"
         if failure is not None:
             return [Verdict(claim="restriction", instance=name, status=FAIL, detail=failure)]
         restricted = Ideal(sub_vars, tuple(
             g.substitute(var_index, replacement) for g in ambient.ideal.generators))
-        out = [Verdict(claim="restriction", instance=name,
-                       status=PASS if restricted.contains_ideal(intrinsic.ideal) else FAIL,
-                       detail="I_k(D|_Y) in I_k(D)*O_Y; reducedness of Z|_Y trusted")]
-        if expect_equality:
-            out.append(Verdict(claim="restriction-generic-equality", instance=name,
-                               status=PASS if restricted.equals(intrinsic.ideal) else FAIL,
-                               detail="equality for a generic hyperplane draw"))
-        return out
+        return [Verdict(claim="restriction", instance=name,
+                        status=PASS if restricted.contains_ideal(intrinsic.ideal) else FAIL,
+                        detail="I_k(D|_Y) in I_k(D)*O_Y; reducedness of Z|_Y trusted"),
+                Verdict(claim="restriction-generic-equality", instance=name,
+                        status=PASS if restricted.equals(intrinsic.ideal) else FAIL,
+                        detail="equality for a generic hyperplane draw")]
 
     return verdicts
 
 
 def _generic_restriction_draws(divisor: QDivisor, var_index: int,
-                               check: Callable[[Polynomial, bool], list[Verdict]],
+                               check: Callable[[Polynomial], list[Verdict]],
                                rng: random.Random, draws: int = 3) -> list[Verdict]:
     """Seeded generic draws, each judged by ``check`` (what
     ``check_restriction(divisor, var_index, k)`` returns), with the redraw
@@ -246,7 +243,7 @@ def _generic_restriction_draws(divisor: QDivisor, var_index: int,
         repl = Polynomial.zero(sub_vars)
         for name in sub_vars:
             repl = repl + _random_fraction(rng) * Polynomial.variable(sub_vars, name)
-        return repl, check(repl, True)
+        return repl, check(repl)
 
     out: list[Verdict] = []
     results = [draw() for _ in range(draws)]
@@ -440,7 +437,7 @@ def suite_restriction(seed: int = DEFAULT_SEED) -> list[Verdict]:
     cusp_k1 = check_restriction(cusp, 2, 1)
     verdicts += _generic_restriction_draws(cusp, 2, cusp_k1, rng)
     verdicts += _generic_restriction_draws(cusp, 2, check_restriction(cusp, 2, 2), rng)
-    verdicts += cusp_k1(Polynomial.zero(("x", "y")), True)
+    verdicts += cusp_k1(Polynomial.zero(("x", "y")))
     snc = _divisor(("x", "y", "z"), ("x", Fraction(1, 2)), ("y", Fraction(1, 2)))
     verdicts += _generic_restriction_draws(snc, 2, check_restriction(snc, 2, 1), rng)
     return _sorted_report(verdicts)

@@ -32,5 +32,5 @@ def rows(polys) -> list[dict]:
 
 def is_unit(ideal: Ideal) -> bool:
     """True iff ``ideal`` is (1): its reduced basis is one constant."""
-    basis = ideal.groebner().basis
+    basis = ideal.groebner()
     return len(basis) == 1 and basis[0].is_constant()

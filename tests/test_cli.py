@@ -612,6 +612,21 @@ def membership_task(n, m, alpha):
      "component equations must be nonconstant, got 3"),
     (["parse", "1" * 5000 + "*x", "--vars", "x"], None,
      "integer literal longer than 4300 digits at 0..5000"),
+    # Every rational field is exact text; a JSON number or boolean is refused.
+    (["compute", TASK], dict(CUSP_TASK, options={"alpha_samples": [1]}),
+     "an 'options.alpha_samples' entry must be exact rational text, got 1"),
+    (["compute", TASK], divisor_task(["x"], {"components": [{"f": "x", "alpha": 1}]}),
+     "component 0: 'alpha' must be exact rational text, got 1"),
+    (["compute", TASK], divisor_task(["x"], {"components": [{"f": "x", "alpha": True}]}),
+     "component 0: 'alpha' must be exact rational text, got True"),
+    (["certify", TASK], membership_task(3, 1, 1),
+     "bad membership data: 'membership.alpha' must be exact rational text, got 1"),
+    (["certify", TASK], {"task": "certify", "k": 1,
+                         "multiplicity": {"n": 3, "r": 1, "a": 2, "b": 4}},
+     "bad multiplicity data: 'multiplicity.b' must be exact rational text, got 4"),
+    (["certify", TASK], {"task": "certify", "k": 1,
+                         "multiplicity": {"n": 3, "r": 1, "a": 2, "b": 0.5}},
+     "bad multiplicity data: 'multiplicity.b' must be exact rational text, got 0.5"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"
@@ -743,6 +758,15 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert "y^4 - 14/5*x^2*y" in payload["results"][2]["ideal"]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "r.txt" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "--output", str(target), "parse", "--vars", "x", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write report to {str(target)!r}: ")
+    assert "Traceback" not in err
 
 
 # -- module entry point -----------------------------------------------------------------

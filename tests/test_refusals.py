@@ -1,0 +1,146 @@
+"""Library refusals: each bad call raises its own error type with its message."""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from hodgeideals import (
+    ExceptionalDivisor,
+    GenerationCertificate,
+    HodgeIdealResult,
+    Ideal,
+    MultiplicityData,
+    OrdinarySingularityModel,
+    Polynomial,
+    QDivisor,
+    ResolutionData,
+    classify,
+    compute_chain,
+    derivation_step,
+    groebner_basis,
+    hodge_chain,
+    i0_seed,
+    nontriviality_symbolic_power,
+    normal_form,
+    ordinary_ideal,
+    parse_polynomial,
+    triviality_certificate,
+)
+from hodgeideals.poly import AmbientMismatchError
+
+X, XY, XYZ = ("x",), ("x", "y"), ("x", "y", "z")
+
+
+def p(text, variables=XY):
+    return parse_polynomial(text, variables)
+
+
+def cusp(variables=XY):
+    return QDivisor(variables, ((p("x^2 + y^3", variables), F(1, 2)),))
+
+
+def seed_above_k_max():
+    regime = classify(cusp())
+    seed = HodgeIdealResult(k=2, ideal=Ideal.unit(XY))
+    return hodge_chain(regime, 1, seed, GenerationCertificate(0, "user-asserted"))
+
+
+MULTIPLICITY = dict(n=3, r=3, a=2, b=F(3, 2))
+CASES = {
+    "ideal-non-polynomial-generator": (
+        lambda: Ideal(XY, ["x"]), TypeError, "generators must be polynomials, got str"),
+    "ideal-foreign-generator": (
+        lambda: Ideal(XY, [p("x", XYZ)]), AmbientMismatchError, "generator over"),
+    "ideal-sum-across-ambients": (
+        lambda: Ideal.unit(XY) + Ideal.unit(XYZ), AmbientMismatchError, "ideals over"),
+    "ideal-product-across-ambients": (
+        lambda: Ideal.unit(XY) * Ideal.unit(XYZ), AmbientMismatchError, "ideals over"),
+    "zero-ideal-order-at-origin": (
+        lambda: Ideal.zero(XY).order_at_origin(), ValueError,
+        "the zero ideal has order +infinity at the origin"),
+    "normal-form-across-ambients": (
+        lambda: normal_form(p("x"), [p("x", XYZ)]), AmbientMismatchError, "ambient mismatch"),
+    "groebner-basis-across-ambients": (
+        lambda: groebner_basis([p("x"), p("x", XYZ)]), AmbientMismatchError,
+        "generators must share one ambient"),
+    "compute-chain-negative-k": (
+        lambda: compute_chain(cusp(), -1), ValueError, "k_max must be >= 0, got -1"),
+    "hodge-chain-seed-above-k-max": (
+        seed_above_k_max, ValueError, "seed level 2 exceeds k_max = 1"),
+    "derivation-step-wrong-ring": (
+        lambda: derivation_step(Ideal.unit(XYZ), cusp(), 0), ValueError,
+        "ideal over ('x', 'y', 'z'), divisor over ('x', 'y')"),
+    "i0-seed-wrong-ring": (
+        lambda: i0_seed(classify(cusp()), Ideal.unit(XYZ)), ValueError,
+        "user-supplied I_0 lives in the wrong ring"),
+    "certificate-negative-level": (
+        lambda: GenerationCertificate(-1, "user-asserted"), ValueError,
+        "generation level must be >= 0, got -1"),
+    "certificate-unknown-source": (
+        lambda: GenerationCertificate(0, "oracle"), ValueError,
+        "unknown certificate source 'oracle'"),
+    "exceptional-negative-a": (
+        lambda: ExceptionalDivisor(a=(-1, 2), b=1), ValueError,
+        "pullback coefficients must be >= 0 with positive total"),
+    "exceptional-negative-b": (
+        lambda: ExceptionalDivisor(a=(2,), b=-1), ValueError,
+        "discrepancy coefficient must be >= 0, got -1"),
+    "multiplicity-a-below-1": (
+        lambda: MultiplicityData(**dict(MULTIPLICITY, a=0)), ValueError,
+        "support multiplicity must be >= 1, got 0"),
+    "multiplicity-b-not-positive": (
+        lambda: MultiplicityData(**dict(MULTIPLICITY, b=F(0))), ValueError,
+        "divisor multiplicity must be a positive rational"),
+    "multiplicity-r-above-n": (
+        lambda: MultiplicityData(**dict(MULTIPLICITY, r=4)), ValueError,
+        "codimension must lie in 1..3, got 4"),
+    "triviality-negative-k": (
+        lambda: triviality_certificate(ResolutionData((ExceptionalDivisor(a=(2,), b=1),)),
+                                       [F(1, 2)], -1),
+        ValueError, "filtration level must be >= 0, got -1"),
+    "symbolic-power-negative-k": (
+        lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), -1),
+        ValueError, "filtration level must be >= 0, got -1"),
+    "symbolic-power-negative-q": (
+        lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), 0, q=-1),
+        ValueError, "symbolic power exponent must be >= 0, got -1"),
+    "ordinary-model-n-below-2": (
+        lambda: OrdinarySingularityModel(n=1, m=2, alpha=F(1, 2)), ValueError,
+        "ambient dimension must be >= 2, got 1"),
+    "ordinary-model-alpha-above-1": (
+        lambda: OrdinarySingularityModel(n=3, m=2, alpha=F(3, 2)), ValueError,
+        "alpha must be an exact rational in (0, 1]"),
+    "ordinary-ideal-variable-count": (
+        lambda: ordinary_ideal(OrdinarySingularityModel(n=3, m=2, alpha=F(1, 2)), 0, XY),
+        ValueError, "expected 3 variables, got ('x', 'y')"),
+    "qdivisor-foreign-component": (
+        lambda: QDivisor(XY, ((p("x", XYZ), F(1, 2)),)), ValueError, "component over"),
+    "qdivisor-int-coefficient": (
+        lambda: QDivisor(XY, ((p("x"), 1),)), TypeError,
+        "component coefficients must be exact rationals"),
+    "polynomial-short-exponent-vector": (
+        lambda: Polynomial(XY, {(1,): 1}), ValueError,
+        "exponent vector (1,) has length 1, ambient has 2"),
+    "polynomial-negative-exponent": (
+        lambda: Polynomial(XY, {(1, -1): 1}), ValueError,
+        "exponents must be non-negative integers, got (1, -1)"),
+    "polynomial-unknown-variable": (
+        lambda: Polynomial.variable(XY, "z"), ValueError, "'z' is not among the ambient"),
+    "substitute-index-out-of-range": (
+        lambda: p("x").substitute(2, Polynomial.zero(X)), IndexError,
+        "variable index 2 out of range"),
+    "substitute-only-variable": (
+        lambda: p("x", X).substitute(0, Polynomial.zero(X)), ValueError,
+        "cannot eliminate the only ambient variable"),
+    "leading-of-zero": (
+        lambda: Polynomial.zero(XY).leading(), ValueError,
+        "the zero polynomial has no leading term"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", CASES.values(), ids=CASES.keys())
+def test_refusal_raises_its_typed_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as raised:
+        call()
+    assert raised.type is error

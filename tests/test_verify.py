@@ -101,7 +101,7 @@ def test_product_formula_rejects_shared_variables():
 
 def test_restriction_coordinate_section():
     cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
-    verdicts = check_restriction(cusp, 2, 1)(Polynomial.zero(("x", "y")), True)
+    verdicts = check_restriction(cusp, 2, 1)(Polynomial.zero(("x", "y")))
     assert report_ok(verdicts)
     assert any(v.claim == "restriction-generic-equality" and v.status == PASS
                for v in verdicts)
