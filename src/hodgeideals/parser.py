@@ -8,7 +8,7 @@ Grammar for polynomials (whitespace insignificant)::
 
     expr     := ('+'|'-')? term (('+'|'-') term)*
     term     := factor ('*'? factor)*
-    factor   := rational | var ('^' nat)? | '(' expr ')'
+    factor   := rational | var ('^' nat)? | '(' expr ')' ('^' nat)?
     rational := nat ('/' posnat)?
 
 Implicit multiplication by juxtaposition is accepted on input and never
@@ -21,13 +21,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .certificates import ExceptionalDivisor, MultiplicityData, ResolutionData
 from .compute import METHODS
 from .divisor import QDivisor
 from .ideal import Ideal
-from .poly import Polynomial, format_rational
+from .poly import Monomial, Polynomial, format_rational
 from .recursion import GenerationCertificate
 
 
@@ -49,151 +50,191 @@ class ParseError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
-_SYMBOLS = "+-*/^()"
+# One alternative per token class, in the order they are tried: whitespace
+# (no group), an integer, a name, a symbol, any other character.
+_TOKEN_RE = re.compile(rf"\s+|([0-9]+)|({_NAME_RE.pattern})|([-+*/^()])|(.)", re.DOTALL)
+_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+_FACTOR_START = frozenset(("int", "name", "("))
 _MAX_NESTING = 200  # three stack frames a level: well inside the recursion limit
 _MAX_DIGITS = 4300  # the default of sys.get_int_max_str_digits(): int() refuses more
 
-
-class _Token(NamedTuple):
-    kind: str  # 'int' | 'name' | one of the symbol characters | 'end'
-    text: str
-    span: SourceSpan
+# A token is (kind, text, start, end): kind is 'int', 'name', one of the
+# symbol characters or 'end'.
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        m = _INT_RE.match(text, i)
-        if m:
-            if m.end() - i > _MAX_DIGITS:
+        start, end = m.span()
+        word = m.group(group)
+        if group == 1:
+            if end - start > _MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {_MAX_DIGITS} digits",
-                                 span=SourceSpan(i, m.end()))
-            tokens.append(_Token("int", m.group(), SourceSpan(i, m.end())))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("name", m.group(), SourceSpan(i, m.end())))
-            i = m.end()
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        if ch == ".":
+                                 span=SourceSpan(start, end))
+            tokens.append(("int", word, start, end))
+        elif group == 2:
+            tokens.append(("name", word, start, end))
+        elif group == 3:
+            tokens.append((word, word, start, end))
+        elif word == ".":
             raise ParseError("decimal literals are not accepted; use exact p/q rationals",
-                             span=SourceSpan(i, i + 1))
-        raise ParseError(f"unexpected character {ch!r}", span=SourceSpan(i, i + 1))
-    tokens.append(_Token("end", "", SourceSpan(n, n)))
+                             span=SourceSpan(start, end))
+        else:
+            raise ParseError(f"unexpected character {word!r}", span=SourceSpan(start, end))
+    tokens.append(("end", "", len(text), len(text)))
     return tokens
 
 
+def _unexpected(tok: _Token, expected: str) -> ParseError:
+    what = "end of input" if tok[0] == "end" else f"token {tok[1]!r}"
+    return ParseError(f"unexpected {what}", expected, span=SourceSpan(tok[2], tok[3]))
+
+
 class _Parser:
-    def __init__(self, text: str, variables: Sequence[str]):
-        self.vars = tuple(variables)
+    """Evaluates while it parses: a term is one coefficient times one
+    monomial, times the product of its parenthesized factors when it has
+    any, and an expression sums its terms into one term dict."""
+
+    def __init__(self, text: str, variables: tuple[str, ...]):
+        self.vars = variables
+        self.index = {name: i for i, name in enumerate(variables)}
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str, expected: str) -> _Token:
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise _unexpected(tok, expected)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {_describe(tok)}", expected, span=tok.span)
-        return self.advance()
-
     def parse(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "end":
-            raise ParseError("empty input", "a polynomial expression", span=tok.span)
+        tok = self.tokens[0]
+        if tok[0] == "end":
+            raise ParseError("empty input", "a polynomial expression",
+                             span=SourceSpan(tok[2], tok[3]))
         result = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {_describe(tok)}", "'+', '-' or end of input",
-                             span=tok.span)
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            raise _unexpected(tok, "'+', '-' or end of input")
         return result
 
     def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.advance().kind == "-" else 1
-        result = self.term() * sign
-        while self.peek().kind in "+-":
-            op = self.advance().kind
-            nxt = self.term()
-            result = result + nxt if op == "+" else result - nxt
-        return result
-
-    def term(self) -> Polynomial:
-        result = self.factor()
+        tokens = self.tokens
+        # A coefficient stays an int until a p/q or a parenthesized factor
+        # makes it a Fraction; the Polynomial gets Fractions only.
+        out: dict[Monomial, int | Fraction] = {}
+        negate = False
+        kind = tokens[self.pos][0]
+        if kind == "+" or kind == "-":
+            negate = kind == "-"
+            self.pos += 1
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
-                result = result * self.factor()
-            elif tok.kind in ("int", "name", "("):
-                result = result * self.factor()
+            coeff, mono, poly = self.term()
+            if coeff:
+                if negate:
+                    coeff = -coeff
+                if poly is None:
+                    terms = ((mono, coeff),)
+                else:
+                    terms = ((tuple(map(add, m, mono)), coeff * c)
+                             for m, c in poly.terms.items())
+                # The accumulation of Polynomial.__add__, so the terms keep
+                # the order that summing term polynomials gives them.
+                for m, c in terms:
+                    old = out.get(m)
+                    if old is None:
+                        out[m] = c
+                    else:
+                        c += old
+                        if c:
+                            out[m] = c
+                        else:
+                            del out[m]
+            kind = tokens[self.pos][0]
+            if kind != "+" and kind != "-":
+                break
+            negate = kind == "-"
+            self.pos += 1
+        for m, c in out.items():
+            if type(c) is int:
+                out[m] = Fraction(c)
+        return Polynomial._raw(self.vars, out)
+
+    def term(self) -> tuple[int | Fraction, Monomial, Optional[Polynomial]]:
+        """(coefficient, exponents, product of the parenthesized factors or
+        None); the term is their product."""
+        tokens = self.tokens
+        coeff: int | Fraction = 1
+        exps = [0] * len(self.vars)
+        poly = None
+        while True:
+            f = self.factor()
+            if type(f) is tuple:
+                exps[f[0]] += f[1]
+            elif type(f) is Polynomial:
+                poly = f if poly is None else poly * f
             else:
-                return result
+                coeff *= f
+            kind = tokens[self.pos][0]
+            if kind == "*":
+                self.pos += 1
+            elif kind not in _FACTOR_START:
+                return coeff, tuple(exps), poly
 
-    def factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "int":
-            return Polynomial.constant(self.vars, self.rational())
-        if tok.kind == "name":
-            self.advance()
-            if tok.text not in self.vars:
-                raise ParseError(f"unknown variable {tok.text!r}",
-                                 f"one of {', '.join(self.vars)}", span=tok.span)
-            base = Polynomial.variable(self.vars, tok.text)
-        elif tok.kind == "(":
-            open_tok = self.advance()
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}",
-                                 span=open_tok.span)
-            self.depth += 1
-            base = self.expr()
-            self.depth -= 1
-            if self.peek().kind != ")":
-                raise ParseError("unbalanced parentheses", "')'", span=open_tok.span)
-            self.advance()
-        else:
-            raise ParseError(f"unexpected {_describe(tok)}",
-                             "a rational, a variable, or '('", span=tok.span)
-        if self.peek().kind == "^":
-            self.advance()
-            etok = self.expect("int", "a non-negative integer exponent")
-            base = base ** int(etok.text)
-        return base
+    def factor(self) -> int | Fraction | tuple[int, int] | Polynomial:
+        """A rational; a variable as (its index, its exponent); or a
+        parenthesized expression raised to its exponent."""
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "int":
+            return self.rational()
+        if kind == "name":
+            self.pos += 1
+            index = self.index.get(tok[1])
+            if index is None:
+                raise ParseError(f"unknown variable {tok[1]!r}",
+                                 f"one of {', '.join(self.vars)}", span=SourceSpan(tok[2], tok[3]))
+            return index, self.exponent()
+        if kind != "(":
+            raise _unexpected(tok, "a rational, a variable, or '('")
+        self.pos += 1
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}",
+                             span=SourceSpan(tok[2], tok[3]))
+        self.depth += 1
+        base = self.expr()
+        self.depth -= 1
+        if self.tokens[self.pos][0] != ")":
+            raise ParseError("unbalanced parentheses", "')'", span=SourceSpan(tok[2], tok[3]))
+        self.pos += 1
+        e = self.exponent()
+        return base if e == 1 else base ** e
 
-    def rational(self) -> Fraction:
-        num_tok = self.expect("int", "an integer")
-        value = Fraction(int(num_tok.text))
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("int", "a positive integer denominator")
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("malformed rational: zero denominator", span=den_tok.span)
-            value = value / den
-        return value
+    def exponent(self) -> int:
+        """The exponent after '^', or 1 when no '^' follows."""
+        if self.tokens[self.pos][0] != "^":
+            return 1
+        self.pos += 1
+        return int(self.expect("int", "a non-negative integer exponent")[1])
 
-
-def _describe(tok: _Token) -> str:
-    return "end of input" if tok.kind == "end" else f"token {tok.text!r}"
+    def rational(self) -> int | Fraction:
+        num = int(self.tokens[self.pos][1])
+        self.pos += 1
+        if self.tokens[self.pos][0] != "/":
+            return num
+        self.pos += 1
+        den_tok = self.expect("int", "a positive integer denominator")
+        den = int(den_tok[1])
+        if den == 0:
+            raise ParseError("malformed rational: zero denominator",
+                             span=SourceSpan(den_tok[2], den_tok[3]))
+        return Fraction(num, den)
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
@@ -216,7 +257,7 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"expected rational text, got {type(text).__name__}")
     s = text.strip()
-    m = re.fullmatch(r"([+-]?)([0-9]+)(?:/([0-9]+))?", s)
+    m = _RATIONAL_RE.fullmatch(s)
     if not m or len(s) > _MAX_DIGITS:
         raise ParseError(f"malformed rational {text!r}", "exact p/q or integer text",
                          span=SourceSpan(0, len(text)))

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, QDivisor, StepData, apply_twist
-from .ideal import Ideal, graded_basis, groebner_basis
+from .ideal import Ideal, graded_basis, groebner_basis, normal_form
 from .poly import Monomial, Polynomial, integer_terms
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
@@ -247,6 +247,32 @@ def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealRes
     return HodgeIdealResult(k=0, ideal=ideal, method="recursion", exact=True)
 
 
+def _singular_only_at_origin(g: Polynomial) -> bool:
+    """True iff V(g, dg/dx_1, ..., dg/dx_n) holds no point but the origin.
+
+    By the Nullstellensatz, x_i vanishes on V(J) (over the algebraic
+    closure) exactly when it is nilpotent modulo J.  On a
+    zero-dimensional J it then acts nilpotently on R/J, whose dimension
+    delta is the number of standard monomials of the reduced grevlex
+    basis (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
+    Ch. 5 Sec. 3), so x_i^N lies in J for any N >= delta.  N is taken as
+    the size of the box below the pure powers, which holds every
+    standard monomial.
+    """
+    n = len(g.vars)
+    jacobian = Ideal(g.vars, [g] + [g.diff(i) for i in range(n)])
+    if not jacobian.is_zero_dimensional():
+        return False
+    basis = jacobian.groebner()
+    leads = [b.leading_monomial() for b in basis]
+    bound = math.prod(min(m[i] for m in leads if sum(m) == m[i]) for i in range(n))
+    for i in range(n):
+        power = tuple(bound if j == i else 0 for j in range(n))
+        if normal_form(Polynomial(g.vars, {power: 1}), basis):
+            return False
+    return True
+
+
 def certificate_for(regime: Regime) -> GenerationCertificate:
     """Best available generation-level certificate for the divisor.
 
@@ -255,7 +281,8 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     when the singularity is isolated: the Jacobian ideal of g must be
     zero-dimensional, which for a weighted-homogeneous g is the same
     check globally as at the origin.  Then the surface-node example,
-    then the universal n-1 bound.
+    issued only when the node at the origin is the only singular point
+    of {g = 0}; then the universal n-1 bound.
     """
     n = len(regime.divisor.vars)
     g = regime.divisor.support_equation
@@ -267,8 +294,9 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
             return GenerationCertificate(
                 level=generation_level(n, tilde, regime.alpha),
                 source="quasihomogeneous-formula")
-        # A node: nondegenerate quadratic part.
+        # A node: nondegenerate quadratic part, and no other singular point.
         if n == 2 and g.order_at_origin() == 2 and \
-                g.coeff((1, 1)) ** 2 != 4 * g.coeff((2, 0)) * g.coeff((0, 2)):
+                g.coeff((1, 1)) ** 2 != 4 * g.coeff((2, 0)) * g.coeff((0, 2)) and \
+                _singular_only_at_origin(g):
             return GenerationCertificate(level=0, source="node-example")
     return GenerationCertificate(level=n - 1, source="universal-bound")

@@ -192,6 +192,23 @@ D5_TASK = {"vars": ["x", "y"],
            "task": "compute", "k": 1}
 
 
+@pytest.mark.parametrize("f, source, label", [
+    # A node at the origin and a cusp at (1, 0): the node certificate reads
+    # only the origin, so it does not apply.
+    ("y^2+x^2*(1-x)^3", "universal-bound", "lower-bound"),
+    # The node at the origin is the only singular point.
+    ("x^2-y^2+x^3", "node-example", "exact"),
+])
+def test_node_certificate_needs_no_other_singular_point(tmp_path, capsys, f, source, label):
+    task = {"vars": ["x", "y"], "task": "compute", "k": 2,
+            "divisor": {"components": [{"f": f, "alpha": "1/10"}]},
+            "options": {"i0": ["1"]}}
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert code == 0
+    assert f"certificate {source} level" in out
+    assert f"k = 1 [{label}]" in out and f"k = 2 [{label}]" in out
+
+
 def test_task_file_certificate_is_user_asserted(tmp_path, capsys):
     asserted = dict(D5_TASK, options={"i0": ["1"], "certificate": {"level": 0}})
     code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, asserted))

@@ -118,6 +118,101 @@ def test_parser_is_total_on_bytes(data):
     assert isinstance(result, Polynomial)
 
 
+# -- rendered polynomials against Polynomial arithmetic -------------------------------
+
+XYZ = ("x", "y", "z")
+TERMS = st.tuples(st.builds(F, st.integers(-20, 20), st.integers(1, 12)),
+                  st.tuples(*[st.integers(0, 3)] * 3))
+JOINS = {True: st.sampled_from(("*", " ", "")), False: st.sampled_from(("*", " "))}
+SIGNS = {(True, True): st.just("-"), (False, True): st.sampled_from(("", "+")),
+         (True, False): st.sampled_from((" - ", "-")), (False, False): st.sampled_from((" + ", "+"))}
+EXPONENTS = st.sampled_from((None, 0, 1, 2, 3))
+
+
+def _joined(draw, factors):
+    """``factors`` joined by '*', a space or, where the tokens stay apart
+    (a digit before a letter), nothing."""
+    text = factors[0]
+    for f in factors[1:]:
+        text += draw(JOINS[text[-1].isdigit() and f[0].isalpha()]) + f
+    return text
+
+
+def _term_text(draw, magnitude, mono):
+    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(XYZ, mono) if e]
+    if magnitude.denominator != 1:
+        scale = draw(st.integers(1, 3))  # p/q need not be in lowest terms
+        factors.insert(0, f"{magnitude.numerator * scale}/{magnitude.denominator * scale}")
+    elif magnitude != 1 or not factors or draw(st.booleans()):
+        factors.insert(0, str(magnitude.numerator))
+    return _joined(draw, factors)
+
+
+def _terms_text(draw, terms, first=True):
+    return "".join(draw(SIGNS[c < 0, first and i == 0]) + _term_text(draw, abs(c), mono)
+                   for i, (c, mono) in enumerate(terms))
+
+
+def _term_value(c, mono):
+    value = Polynomial.constant(XYZ, c)
+    for v, e in zip(XYZ, mono):
+        value = value * Polynomial.variable(XYZ, v) ** e
+    return value
+
+
+@st.composite
+def rendered_polynomials(draw):
+    """(text, value): random groups of terms, each written out or wrapped in
+    parentheses with an optional exponent, and the value of the same
+    groups built with Polynomial arithmetic."""
+    groups = draw(st.lists(st.tuples(st.lists(TERMS, min_size=1, max_size=4),
+                                     st.booleans(), EXPONENTS),
+                           min_size=1, max_size=4))
+    text, value = "", Polynomial.zero(XYZ)
+    for i, (terms, wrapped, e) in enumerate(groups):
+        terms = draw(st.permutations(terms))
+        inner = Polynomial.zero(XYZ)
+        for c, mono in terms:
+            inner = inner + _term_value(c, mono)
+        if not wrapped:
+            text += _terms_text(draw, terms, first=i == 0)
+            value = value + inner
+            continue
+        negative = draw(st.booleans())
+        power = "" if e is None else f"^{e}"
+        text += draw(SIGNS[negative, i == 0]) + "(" + _terms_text(draw, terms) + ")" + power
+        inner = inner ** (1 if e is None else e)
+        value = value - inner if negative else value + inner
+    return text, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_polynomials())
+def test_parse_matches_polynomial_arithmetic(case):
+    text, value = case
+    assert parse_polynomial(text, XYZ) == value
+
+
+@pytest.mark.parametrize("text, message, expected, span", [
+    ("x^2 + w", "unknown variable 'w'", "one of x, y", (6, 7)),
+    ("0.5 x", "decimal literals are not accepted; use exact p/q rationals", "", (1, 2)),
+    ("x^", "unexpected end of input", "a non-negative integer exponent", (2, 2)),
+    ("x^^2", "unexpected token '^'", "a non-negative integer exponent", (2, 3)),
+    ("(x+y", "unbalanced parentheses", "')'", (0, 1)),
+    ("x)", "unexpected token ')'", "'+', '-' or end of input", (1, 2)),
+    ("2^3", "unexpected token '^'", "'+', '-' or end of input", (1, 2)),
+    ("1/0 x", "malformed rational: zero denominator", "", (2, 3)),
+    ("x +", "unexpected end of input", "a rational, a variable, or '('", (3, 3)),
+    ("1" * 4301, "integer literal longer than 4300 digits", "", (0, 4301)),
+    ("x # y", "unexpected character '#'", "", (2, 3)),
+    ("(" * 201 + "x" + ")" * 201, "parentheses nested deeper than 200", "", (200, 201)),
+])
+def test_malformed_input_errors(text, message, expected, span):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, XY)
+    assert (err.value.message, err.value.expected, err.value.span) == (message, expected, span)
+
+
 # -- rationals ----------------------------------------------------------------
 
 def test_parse_rational():
