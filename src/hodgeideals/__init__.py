@@ -19,7 +19,6 @@ from .divisor import (
     validate,
 )
 from .closed_forms import (
-    OrdinarySingularityModel,
     Regime,
     classify,
     generation_level,
@@ -56,7 +55,7 @@ __all__ = [
     "parse_resolution_data",
     "HodgeIdealResult", "QDivisor", "periodic_reduce", "twist_polynomial",
     "validate",
-    "OrdinarySingularityModel", "Regime", "classify", "generation_level",
+    "Regime", "classify", "generation_level",
     "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
     "ChainResult", "GenerationCertificate", "MethodUnavailableError", "certificate_for",
     "derivation_step", "hodge_chain", "i0_seed",

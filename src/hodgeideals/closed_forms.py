@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .divisor import HodgeIdealResult, QDivisor, periodic_reduce
+from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
 from .ideal import Ideal
 from .poly import Polynomial
 
@@ -83,63 +83,47 @@ def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
 # Ordinary singularities and nodes
 
 
-@dataclass(frozen=True)
-class OrdinarySingularityModel:
-    """A reduced divisor with an ordinary singularity (smooth projectivized
-    tangent cone) of multiplicity m at the origin of affine n-space."""
-
-    n: int
-    m: int
-    alpha: Fraction
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {self.n}")
-        if self.m < 2:
-            raise ValueError(f"an ordinary singular point has multiplicity >= 2, got {self.m}")
-        if not isinstance(self.alpha, Fraction) or not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must be an exact rational in (0, 1], got {self.alpha!r}")
-
-
-def ordinary_triviality(model: OrdinarySingularityModel, k: int) -> bool:
+def ordinary_triviality(n: int, m: int, alpha: Fraction, k: int) -> bool:
     """The sharp triviality boundary: I_k trivial iff m <= n/(k + alpha)."""
-    return model.m * (k + model.alpha) <= model.n
+    return m * (k + alpha) <= n
 
 
-def ordinary_ideal(model: OrdinarySingularityModel, k: int,
-                   variables: Sequence[str]) -> Optional[HodgeIdealResult]:
-    """I_k for an ordinary singularity of multiplicity m in dimension n.
+def ordinary_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
+    """I_k of a single cone component sum c_i x_i^m (``regime.ordinary``),
+    an ordinary singularity of multiplicity m in dimension n, times the
+    round-up twist.
 
     Trivial exactly when m <= n/(k + alpha).  In the parameter region
     (k-1)m + ceil(alpha*m) < n with k <= n-2 (k = 0 folds into the
     multiplier-ideal case) the answer is the maximal-ideal power
     m^(k*m + ceil(alpha*m) - n); a surface node (n = m = 2) has I_k = m^k
     for every 0 < alpha <= 1.
-    Outside those regions there is no closed form and None is returned.
+    Outside those regions, and for any other divisor, None is returned.
     """
-    variables = tuple(variables)
-    if len(variables) != model.n:
-        raise ValueError(f"expected {model.n} variables, got {variables}")
+    m = regime.ordinary
+    if m is None:
+        return None
+    variables = regime.divisor.vars
+    n, alpha = len(variables), regime.alpha
     note = ("ordinary singularity model (smooth projectivized tangent cone); "
             "evaluated on a homogeneous cone representative, where the local "
             "ideal at the origin is the global one")
-    if ordinary_triviality(model, k):
-        return HodgeIdealResult(k=k, ideal=Ideal.unit(variables), method="ordinary",
-                                exact=True, notes=note + "; trivial: m <= n/(k + alpha)")
-    if model.n == 2 and model.m == 2:
+    if ordinary_triviality(n, m, alpha, k):
+        ideal, note = Ideal.unit(variables), note + "; trivial: m <= n/(k + alpha)"
+    elif n == 2 and m == 2:
         # m^k: every monomial of degree k.
-        return HodgeIdealResult(k=k, ideal=_monomial_ideal(variables, range(2), k, k),
-                                method="ordinary", exact=True,
-                                notes="nodal curve: m^k for all 0 < alpha <= 1; "
-                                      "filtration generated at level 0; " + note)
-    am = math.ceil(model.alpha * model.m)
-    if (k - 1) * model.m + am < model.n and k <= model.n - 2:
+        ideal = _monomial_ideal(variables, range(2), k, k)
+        note = "nodal curve: m^k for all 0 < alpha <= 1; filtration generated at level 0; " \
+            + note
+    elif (k - 1) * m + math.ceil(alpha * m) < n and k <= n - 2:
         # e >= 1: e <= 0 would give m*(k + alpha) <= n, the trivial case above.
-        e = k * model.m + am - model.n
-        return HodgeIdealResult(k=k, ideal=_monomial_ideal(variables, range(model.n), e, e),
-                                method="ordinary", exact=True,
-                                notes=note + f"; maximal-ideal power exponent {e}")
-    return None
+        e = k * m + math.ceil(alpha * m) - n
+        ideal = _monomial_ideal(variables, range(n), e, e)
+        note += f"; maximal-ideal power exponent {e}"
+    else:
+        return None
+    return apply_twist(regime.twist, HodgeIdealResult(k=k, ideal=ideal, method="ordinary",
+                                                      exact=True, notes=note))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +155,6 @@ def diagonal_exponents(h: Polynomial) -> Optional[tuple[int, ...]]:
         if d[i]:
             return None
         d[i] = mono[i]
-    if any(e == 0 for e in d):
-        return None
     return tuple(d)
 
 
@@ -221,7 +203,8 @@ class Regime:
     ``monomial``: squarefree-monomial support.
     ``diagonal``: the exponents of a single component sum c_i x_i^(d_i).
     ``alpha``: the common coefficient of B, if there is one.  ``ordinary``:
-    the model of a single cone component sum c_i x_i^m.
+    the multiplicity m >= 2 of a single cone component sum c_i x_i^m in
+    n >= 2 variables; ``alpha`` is then set and lies in (0, 1].
     """
 
     divisor: QDivisor
@@ -232,7 +215,7 @@ class Regime:
     monomial: bool
     diagonal: Optional[tuple[int, ...]]
     alpha: Optional[Fraction]
-    ordinary: Optional[OrdinarySingularityModel]
+    ordinary: Optional[int]
 
 
 def classify(divisor: QDivisor) -> Regime:
@@ -248,10 +231,8 @@ def classify(divisor: QDivisor) -> Regime:
     diagonal = diagonal_exponents(factors[0]) if len(factors) == 1 else None
     alphas = set(reduced.alphas)
     alpha = next(iter(alphas)) if len(alphas) == 1 else None
-    ordinary = None
-    if diagonal is not None and len(set(diagonal)) == 1 and diagonal[0] >= 2 \
-            and len(diagonal) >= 2:
-        ordinary = OrdinarySingularityModel(n=len(divisor.vars), m=diagonal[0], alpha=alpha)
+    ordinary = diagonal[0] if diagonal is not None and len(set(diagonal)) == 1 \
+        and diagonal[0] >= 2 and len(diagonal) >= 2 else None
     return Regime(divisor=divisor, reduced=reduced, twist=twist,
                   linear=len(factors) == 1 and factors[0].total_degree() == 1,
                   positions=positions, monomial=monomial,

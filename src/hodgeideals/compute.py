@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from .closed_forms import Regime, classify, ordinary_ideal, smooth_support_ideal, \
-    snc_hodge_ideal
-from .divisor import HodgeIdealResult, QDivisor, apply_twist
+from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
+from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
 from .poly import Polynomial
 from .recursion import (
@@ -27,18 +26,12 @@ from .recursion import (
 )
 
 
-def _ordinary(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
-    """The ordinary closed form of a single cone component, twisted back to D."""
-    res = regime.ordinary and ordinary_ideal(regime.ordinary, k, regime.divisor.vars)
-    return res and apply_twist(regime.twist, res)
-
-
 # (method, I_k(D) or None outside the regime, why a forced method is refused)
 CLOSED_FORMS = (
     ("smooth", smooth_support_ideal,
      "smooth closed form wants a single component cut out by a linear form"),
     ("snc", snc_hodge_ideal, "SNC closed form wants distinct coordinate components"),
-    ("ordinary", _ordinary,
+    ("ordinary", ordinary_ideal,
      "ordinary closed form wants a single cone component sum c_i x_i^m and every "
      "requested level in its parameter region; use recursion or a certificate"),
 )
@@ -88,7 +81,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                 raise MethodUnavailableError(reason)
 
     # Recursion with a generation-level certificate.
-    seed = i0_seed(regime, user_ideal=seed_ideal)
+    seed = i0_seed(regime) if seed_ideal is None else HodgeIdealResult(
+        k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
     cert = certificate if certificate is not None else certificate_for(regime)
     results = hodge_chain(regime, k_max, seed, cert).results
     if seed_ideal is not None:

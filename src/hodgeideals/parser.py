@@ -418,7 +418,12 @@ def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
         return None
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise ParseError("'options.i0' must be a list of polynomial strings")
-    return Ideal(divisor.vars, tuple(parse_polynomial(g, divisor.vars) for g in gens))
+    seed = tuple(parse_polynomial(g, divisor.vars) for g in gens)
+    # I_0(B) = J((1-eps)B) contains J(Z) = (g), so it is never zero.
+    if not any(seed):
+        raise ParseError("'options.i0' spans the zero ideal; I_0 always contains the "
+                         "support equation")
+    return Ideal(divisor.vars, seed)
 
 
 def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dict]:

@@ -239,19 +239,10 @@ class Polynomial:
         """Formal partial derivative with respect to the index-th variable."""
         if not 0 <= index < len(self.vars):
             raise IndexError(f"variable index {index} out of range for {self.vars}")
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            m = mono[:index] + (e - 1,) + mono[index + 1:]
-            c = out.get(m)
-            nc = coeff * e if c is None else c + coeff * e
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-        return Polynomial._raw(self.vars, out)
+        # Distinct monomials have distinct derivatives, so no terms combine.
+        return Polynomial._raw(self.vars, {
+            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: coeff * mono[index]
+            for mono, coeff in self.terms.items() if mono[index]})
 
     def substitute(self, index: int, replacement: "Polynomial") -> "Polynomial":
         """Image under the ring map sending the index-th variable to ``replacement``.

@@ -219,23 +219,16 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
     return ChainResult(results=tuple(results))
 
 
-def i0_seed(regime: Regime, user_ideal: Optional[Ideal] = None) -> HodgeIdealResult:
+def i0_seed(regime: Regime) -> HodgeIdealResult:
     """An exact I_0(B) of the reduced divisor B in the computable regimes.
 
     Recognized regimes: squarefree-monomial (SNC) support, where I_0(B)
     is trivial, and a single diagonal component sum c_i x_i^(d_i) through
     the standard multiplier-ideal computation (trivial iff alpha <= sum
-    1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  A
-    user-supplied ideal is trusted, and its note says so; ``hodge_chain``
-    writes the notes of every level it returns.  Any other divisor raises
-    ``MethodUnavailableError``.
+    1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  Any other
+    divisor raises ``MethodUnavailableError``.
     """
     variables = regime.divisor.vars
-    if user_ideal is not None:
-        if user_ideal.vars != variables:
-            raise ValueError("user-supplied I_0 lives in the wrong ring")
-        return HodgeIdealResult(k=0, ideal=user_ideal, method="recursion", exact=True,
-                                notes="I_0 supplied by caller (trusted)")
     if regime.monomial:
         ideal = Ideal.unit(variables)
     elif regime.diagonal is not None:

@@ -25,7 +25,7 @@ from .certificates import (
     singular_multiplicity_bound,
     triviality_certificate,
 )
-from .closed_forms import OrdinarySingularityModel, ordinary_triviality
+from .closed_forms import ordinary_triviality
 from .compute import MethodUnavailableError, compute_chain
 from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
@@ -318,8 +318,7 @@ def check_certificate_consistency() -> list[Verdict]:
                 detail=f"{decision.status}; boundary at k + alpha = 5/6"))
     alph = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for n, m, k, alpha in iproduct((2, 3, 4), (2, 3), (0, 1, 2), alph):
-        model = OrdinarySingularityModel(n=n, m=m, alpha=alpha)
-        trivial = ordinary_triviality(model, k)
+        trivial = ordinary_triviality(n, m, alpha, k)
         member = alpha_multiple_membership(n, m, alpha, k)
         clash = trivial and member.status.startswith("CONTAINED")
         verdicts.append(Verdict(

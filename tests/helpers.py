@@ -2,7 +2,7 @@
 
 from itertools import combinations_with_replacement
 
-from hodgeideals import Ideal, Polynomial, parse_polynomial
+from hodgeideals import Ideal, Polynomial, parse_divisor, parse_polynomial
 from hodgeideals.poly import integer_terms
 
 
@@ -22,6 +22,14 @@ def m_power(variables, e) -> Ideal:
     n = len(variables)
     return Ideal(variables, [monomial(variables, [combo.count(i) for i in range(n)])
                              for combo in combinations_with_replacement(range(n), max(e, 0))])
+
+
+def cone(n, m, alpha):
+    """alpha * div(x_1^m + ... + x_n^m) over the first n of x, y, z, w: an
+    ordinary singularity of multiplicity m when m >= 2."""
+    variables = ["x", "y", "z", "w"][:n]
+    return parse_divisor({"vars": variables, "components": [
+        {"f": " + ".join(f"{v}^{m}" for v in variables), "alpha": str(alpha)}]})
 
 
 def rows(polys) -> list[dict]:

@@ -12,7 +12,6 @@ from itertools import product as iproduct
 from hodgeideals import (
     GenerationCertificate,
     Ideal,
-    OrdinarySingularityModel,
     certificate_for,
     classify,
     compute_chain,
@@ -39,7 +38,7 @@ from hodgeideals.verify import (
     suite_product,
 )
 
-from helpers import is_unit, m_power, spanned_by
+from helpers import cone, is_unit, m_power, spanned_by
 from oracles import linear_membership
 from test_ideal import random_membership_instance
 
@@ -153,18 +152,16 @@ def test_criterion_3_snc_cross_validation():
 def test_criterion_4_ordinary_boundary():
     with criterion(4, "ordinary triviality boundary and cone recursion", 5.0):
         for n, m, k in iproduct((2, 3, 4), (2, 3), (0, 1, 2)):
-            variables = ("x", "y", "z", "w")[:n]
             for alpha in ALPHAS:
-                model = OrdinarySingularityModel(n, m, alpha)
-                res = ordinary_ideal(model, k, variables)
+                res = ordinary_ideal(classify(cone(n, m, alpha)), k)
                 expected_trivial = m * (k + alpha) <= n
-                assert ordinary_triviality(model, k) == expected_trivial
+                assert ordinary_triviality(n, m, alpha, k) == expected_trivial
                 if res is not None:
                     assert is_unit(res.ideal) == expected_trivial
                 else:
                     assert not expected_trivial
-        cone = classify(div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ))
-        chain = hodge_chain(cone, 1, i0_seed(cone), certificate_for(cone))
+        r = classify(div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ))
+        chain = hodge_chain(r, 1, i0_seed(r), certificate_for(r))
         assert chain.results[1].exact
         assert chain.results[1].ideal.equals(m_power(XYZ, 1))
 

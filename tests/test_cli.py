@@ -644,6 +644,12 @@ def membership_task(n, m, alpha):
     (["certify", TASK], {"task": "certify", "k": 1,
                          "multiplicity": {"n": 3, "r": 1, "a": 2, "b": 0.5}},
      "bad multiplicity data: 'multiplicity.b' must be exact rational text, got 0.5"),
+    # A caller's I_0 is trusted, but it is never the zero ideal.
+    (["compute", TASK], dict(CUSP_TASK, options={"i0": []}), "'options.i0' spans the zero ideal"),
+    (["compute", TASK], dict(CUSP_TASK, options={"i0": ["0"]}),
+     "'options.i0' spans the zero ideal"),
+    (["compute", TASK], dict(CUSP_TASK, options={"i0": ["x-x"]}),
+     "'options.i0' spans the zero ideal"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"

@@ -1,6 +1,8 @@
 """Closed-form regimes: smooth, SNC, ordinary, nodal, quasi-homogeneous."""
 
 import json
+import math
+import re
 from fractions import Fraction as F
 from itertools import product as iproduct
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from hodgeideals import (
     Ideal,
-    OrdinarySingularityModel,
+    MethodUnavailableError,
     Polynomial,
     classify,
     compute_chain,
@@ -31,7 +33,7 @@ from hodgeideals.closed_forms import (
 )
 from hodgeideals.poly import infer_weights
 
-from helpers import is_unit, m_power, monomial, spanned_by
+from helpers import cone, is_unit, m_power, monomial, spanned_by
 from oracles import newton_multiplier_monomials
 
 XY = ("x", "y")
@@ -124,24 +126,28 @@ def test_snc_hodge_wants_coordinates():
 
 # -- ordinary singularities ----------------------------------------------------------
 
+def ordinary(n, m, alpha, k):
+    return ordinary_ideal(classify(cone(n, m, alpha)), k)
+
+
 def test_ordinary_examples():
-    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1, XYZ)
+    res = ordinary(3, 2, F(3, 4), 1)
     assert res.exact and res.ideal.equals(m_power(XYZ, 1))
-    res = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 2)), 1, XYZ)
+    res = ordinary(3, 2, F(1, 2), 1)
     assert res.exact and is_unit(res.ideal)
-    res = ordinary_ideal(OrdinarySingularityModel(2, 2, F(1)), 1, XY)
+    res = ordinary(2, 2, F(1), 1)
     assert res.exact and res.ideal.equals(m_power(XY, 1))
 
 
 def test_ordinary_no_closed_form_marker():
-    assert ordinary_ideal(OrdinarySingularityModel(2, 3, F(1)), 1, XY) is None
+    assert ordinary(2, 3, F(1), 1) is None
 
 
 def test_ordinary_k0_matches_multiplier_ideal_rule():
     for n, m in ((2, 3), (3, 2), (3, 3), (4, 3)):
         variables = ("x", "y", "z", "w")[:n]
         for alpha in (F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1)):
-            res = ordinary_ideal(OrdinarySingularityModel(n, m, alpha), 0, variables)
+            res = ordinary(n, m, alpha, 0)
             assert res.exact
             e = -(-(alpha * m).numerator // (alpha * m).denominator) - n  # ceil - n
             assert res.ideal.equals(m_power(variables, e))
@@ -150,12 +156,10 @@ def test_ordinary_k0_matches_multiplier_ideal_rule():
 def test_ordinary_triviality_boundary_is_sharp():
     grid = [F(1, 4), F(1, 2), F(3, 4), F(1), F(5, 6), F(2, 3), F(9, 10)]
     for n, m, k in iproduct((2, 3, 4), (2, 3), (0, 1, 2)):
-        variables = ("x", "y", "z", "w")[:n]
         for alpha in grid:
-            model = OrdinarySingularityModel(n, m, alpha)
-            res = ordinary_ideal(model, k, variables)
+            res = ordinary(n, m, alpha, k)
             expected_trivial = m * (k + alpha) <= n
-            assert ordinary_triviality(model, k) == expected_trivial
+            assert ordinary_triviality(n, m, alpha, k) == expected_trivial
             if res is not None:
                 assert is_unit(res.ideal) == expected_trivial
             else:
@@ -163,14 +167,39 @@ def test_ordinary_triviality_boundary_is_sharp():
 
 
 def test_ordinary_rejects_smooth_multiplicity():
-    with pytest.raises(ValueError):
-        OrdinarySingularityModel(3, 1, F(1, 2))
+    r = classify(cone(3, 1, F(1, 2)))
+    assert r.ordinary is None
+    assert ordinary_ideal(r, 0) is None
+
+
+def in_ordinary_region(n, m, alpha, k):
+    """Whether the ordinary closed form covers I_k: trivial, a surface
+    node, or the maximal-ideal-power region."""
+    return m * (k + alpha) <= n or n == m == 2 or \
+        ((k - 1) * m + math.ceil(alpha * m) < n and k <= n - 2)
+
+
+@pytest.mark.parametrize("n,m,alpha", list(iproduct((2, 3, 4), (2, 3),
+                                                    (F(1, 4), F(1, 2), F(3, 4), F(1)))))
+def test_ordinary_dispatch_over_cones(n, m, alpha):
+    g = cone(n, m, alpha).factors[0]
+    for k in range(4):
+        if not all(in_ordinary_region(n, m, alpha, j) for j in range(k + 1)):
+            with pytest.raises(MethodUnavailableError):
+                compute_chain(cone(n, m, alpha), k, "ordinary")
+            continue
+        chain = compute_chain(cone(n, m, alpha), k, "ordinary")
+        twisted = compute_chain(cone(n, m, alpha + 1), k, "ordinary")
+        for res, tw in zip(chain, twisted):
+            assert res.exact and tw.exact and res.method == tw.method == "ordinary"
+            assert tw.ideal.equals(g * res.ideal)
+            assert re.search(r"; integral twist .* applied$", tw.notes)
 
 
 # -- nodes ------------------------------------------------------------------------------
 
 def node(k, alpha):
-    return ordinary_ideal(OrdinarySingularityModel(2, 2, alpha), k, XY)
+    return ordinary(2, 2, alpha, k)
 
 
 def test_node_examples():
@@ -310,8 +339,7 @@ CLASSIFY_TABLE = [
     ("cusp", _components(("x^2+y^3", "9/10")), XY,
      dict(diagonal=(2, 3), alpha=F(9, 10))),
     ("cone", _components(("x^2+y^2+z^2", "3/4")), XYZ,
-     dict(diagonal=(2, 2, 2), alpha=F(3, 4),
-          ordinary=OrdinarySingularityModel(3, 2, F(3, 4)))),
+     dict(diagonal=(2, 2, 2), alpha=F(3, 4), ordinary=2)),
     ("node", _components(("x^2+x*y+y^2", "1/2")), XY, dict(alpha=F(1, 2))),
     ("two alphas", _components(("x", "1/2"), ("y", "1/3")), XY,
      dict(positions=(0, 1), monomial=True)),

@@ -11,8 +11,8 @@ from hodgeideals import (
     GRLEX,
     LEX,
     GenerationCertificate,
+    HodgeIdealResult,
     Ideal,
-    OrdinarySingularityModel,
     Polynomial,
     certificate_for,
     classify,
@@ -75,7 +75,7 @@ def test_step_cone_matches_ordinary():
     d = div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ)
     out = derivation_step(Ideal.unit(XYZ), d, 0)
     assert out.equals(spanned_by(XYZ, ["x", "y", "z"]))
-    assert out.equals(ordinary_ideal(OrdinarySingularityModel(3, 2, F(3, 4)), 1, XYZ).ideal)
+    assert out.equals(ordinary_ideal(classify(d), 1).ideal)
 
 
 def test_step_pairs_only_the_derivative_generators(groebner_inputs):
@@ -334,7 +334,7 @@ def test_each_step_picks_the_engine_of_the_full_check(monkeypatch, graded_calls,
 def test_a_user_seed_that_is_not_homogeneous_picks_the_engine_of_the_full_check(
         monkeypatch, graded_calls, alpha, seed, expected):
     r = classify(cusp(alpha))
-    user = i0_seed(r, ideal(*seed))
+    user = HodgeIdealResult(k=0, ideal=ideal(*seed))
     seen = engines_along_chain(monkeypatch, graded_calls, r, 5, user)
     assert seen == [(e, e) for e in expected]
 
@@ -386,7 +386,7 @@ def test_seed_unavailable():
 
 def test_seed_user_supplied():
     custom = ideal("x", "y^2")
-    res = i0_seed(classify(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}])), user_ideal=custom)
+    [res] = compute_chain(div([{"f": "x^2 + x y + y^2", "alpha": "1/2"}]), 0, seed_ideal=custom)
     assert res.ideal.equals(custom)
     assert "trusted" in res.notes
 
@@ -518,7 +518,7 @@ def test_chain_cone_lower_bound_not_promoted():
     assert not chain.results[2].exact  # index 1 >= level, but the input was already a bound
     assert [res.exact for res in chain.results] == [True, False, False]
     # the k=1 step undershoots the true trivial ideal but stays inside it
-    truth = ordinary_ideal(OrdinarySingularityModel(3, 2, F(1, 4)), 1, XYZ).ideal
+    truth = ordinary_ideal(r, 1).ideal
     assert is_unit(truth)
     assert chain.results[1].ideal.equals(m_power(XYZ, 1))
     assert truth.contains_ideal(chain.results[1].ideal)

@@ -11,7 +11,6 @@ from hodgeideals import (
     HodgeIdealResult,
     Ideal,
     MultiplicityData,
-    OrdinarySingularityModel,
     Polynomial,
     QDivisor,
     ResolutionData,
@@ -20,10 +19,8 @@ from hodgeideals import (
     derivation_step,
     groebner_basis,
     hodge_chain,
-    i0_seed,
     nontriviality_symbolic_power,
     normal_form,
-    ordinary_ideal,
     parse_polynomial,
     triviality_certificate,
 )
@@ -72,8 +69,8 @@ CASES = {
         lambda: derivation_step(Ideal.unit(XYZ), cusp(), 0), ValueError,
         "ideal over ('x', 'y', 'z'), divisor over ('x', 'y')"),
     "i0-seed-wrong-ring": (
-        lambda: i0_seed(classify(cusp()), Ideal.unit(XYZ)), ValueError,
-        "user-supplied I_0 lives in the wrong ring"),
+        lambda: compute_chain(cusp(), 1, seed_ideal=Ideal.unit(XYZ)), ValueError,
+        "seed over ('x', 'y', 'z'), divisor over ('x', 'y')"),
     "certificate-negative-level": (
         lambda: GenerationCertificate(-1, "user-asserted"), ValueError,
         "generation level must be >= 0, got -1"),
@@ -105,15 +102,6 @@ CASES = {
     "symbolic-power-negative-q": (
         lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), 0, q=-1),
         ValueError, "symbolic power exponent must be >= 0, got -1"),
-    "ordinary-model-n-below-2": (
-        lambda: OrdinarySingularityModel(n=1, m=2, alpha=F(1, 2)), ValueError,
-        "ambient dimension must be >= 2, got 1"),
-    "ordinary-model-alpha-above-1": (
-        lambda: OrdinarySingularityModel(n=3, m=2, alpha=F(3, 2)), ValueError,
-        "alpha must be an exact rational in (0, 1]"),
-    "ordinary-ideal-variable-count": (
-        lambda: ordinary_ideal(OrdinarySingularityModel(n=3, m=2, alpha=F(1, 2)), 0, XY),
-        ValueError, "expected 3 variables, got ('x', 'y')"),
     "qdivisor-foreign-component": (
         lambda: QDivisor(XY, ((p("x", XYZ), F(1, 2)),)), ValueError, "component over"),
     "qdivisor-int-coefficient": (
