@@ -173,12 +173,8 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
     (x_i^(d_i - 1) alone is already in the ideal).  They need not be
     minimal; the Groebner basis drops the others.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     variables = tuple(variables)
     *head, last = exponents
-    if len(head) + 1 != len(variables):
-        raise ValueError("one exponent per variable required")
     gens = []
     for w in itertools.product(*(range(d) for d in head)):
         rest = alpha - sum((Fraction(e + 1, d) for e, d in zip(w, head)), Fraction(0))
@@ -200,7 +196,8 @@ class Regime:
     ``reduced`` and ``twist`` are B and prod f_i^(ceil(alpha_i) - 1) from
     ``periodic_reduce``.  ``linear``: one component cut out by a linear
     form.  ``positions``: every component a distinct coordinate (SNC).
-    ``monomial``: squarefree-monomial support.
+    ``monomial``: every component a monomial, so the support is a
+    squarefree monomial (``QDivisor`` refuses any other).
     ``diagonal``: the exponents of a single component sum c_i x_i^(d_i).
     ``alpha``: the common coefficient of B, if there is one.  ``ordinary``:
     the multiplicity m >= 2 of a single cone component sum c_i x_i^m in
@@ -223,7 +220,8 @@ def classify(divisor: QDivisor) -> Regime:
     reduced, twist = periodic_reduce(divisor)
     factors = divisor.factors
     monos = [next(iter(f.terms)) for f in factors if len(f.terms) == 1]
-    monomial = len(monos) == len(factors) and all(sum(col) <= 1 for col in zip(*monos))
+    # QDivisor refuses monomial components whose product is not squarefree.
+    monomial = len(monos) == len(factors)
     # Squarefree-monomial support with every factor of degree 1 is a set of
     # distinct coordinate hyperplanes.
     positions = tuple(mono.index(1) for mono in monos) \

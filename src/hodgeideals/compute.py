@@ -76,6 +76,11 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         if method in ("auto", name):
             results = [form(regime, k) for k in range(k_max + 1)]
             if None not in results:
+                for what, given in (("I_0", seed_ideal), ("certificate", certificate)):
+                    if given is not None:
+                        note = (f"{what} supplied by caller not used: the {name} closed "
+                                f"form is exact at every level")
+                        results = [res.with_note(note) for res in results]
                 return results
             if method == name:
                 raise MethodUnavailableError(reason)

@@ -27,7 +27,9 @@ class QDivisor:
     def __post_init__(self):
         if not self.components:
             raise ValueError("a Q-divisor needs at least one component")
-        for f, alpha in self.components:
+        monomials: list[Monomial] = []
+        others: list[tuple[int, Polynomial]] = []
+        for i, (f, alpha) in enumerate(self.components):
             if f.vars != self.vars:
                 raise ValueError(f"component over {f.vars}, divisor over {self.vars}")
             if not f or f.is_constant():
@@ -36,6 +38,24 @@ class QDivisor:
                 raise TypeError("component coefficients must be exact rationals")
             if alpha <= 0:
                 raise ValueError(f"component coefficients must be positive, got {alpha}")
+            if len(f.terms) == 1:
+                monomials.append(next(iter(f.terms)))
+            else:
+                others.append((i, f))
+        # The parts of reducedness decidable without a Groebner basis; the
+        # rest is assumed and listed by ``validate``.
+        if monomials:
+            product = tuple(map(sum, zip(*monomials)))
+            if max(product) > 1:
+                raise ValueError(
+                    "the support is not reduced: the monomial components multiply to "
+                    f"{Polynomial._raw(self.vars, {product: Fraction(1)})}, "
+                    "which is not squarefree")
+        for a, (i, f) in enumerate(others):
+            for j, g in others[a + 1:]:
+                if _proportional(f, g):
+                    raise ValueError(f"the support is not reduced: components {i} and {j} "
+                                     f"are proportional ({f} ~ {g})")
 
     @property
     def alphas(self) -> tuple[Fraction, ...]:
@@ -195,71 +215,30 @@ class HodgeIdealResult:
 
 
 def _proportional(f: Polynomial, g: Polynomial) -> bool:
-    if set(f.terms) != set(g.terms):
+    if f.terms.keys() != g.terms.keys():
         return False
-    ratio = None
-    for mono, c in f.terms.items():
-        r = c / g.terms[mono]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
-
-
-def _monomial_exponent(f: Polynomial):
-    if len(f.terms) != 1:
-        return None
-    return next(iter(f.terms))
-
-
-def _is_power_of(a, b) -> bool:
-    """Exponent vector a a positive multiple of b (monomial perfect power)."""
-    ratio = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return False
-            continue
-        if x % y:
-            return False
-        r = x // y
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return ratio is not None and ratio >= 2
+    mono = next(iter(f.terms))
+    ratio = f.terms[mono] / g.terms[mono]
+    return all(c == ratio * g.terms[m] for m, c in f.terms.items())
 
 
 def validate(divisor: QDivisor) -> list[str]:
-    """Exact sanity checks plus recorded trust assumptions.
+    """The hypotheses on the support that are assumed, not decided.
 
-    Proportional component pairs and monomial perfect powers are detected
-    exactly; squarefreeness and pairwise coprimality of general factors
-    are user assertions and come back as unverified-assumption notes.
+    ``QDivisor`` already refuses the supports it can tell are not reduced
+    (monomial components whose product is not squarefree, proportional
+    components).  What is left is recorded here as unverified-assumption
+    notes: coprimality of every pair with a non-monomial component, and
+    squarefreeness of every non-monomial component.
     """
     warnings: list[str] = []
-    factors = divisor.factors
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if _proportional(factors[i], factors[j]):
+    general = [len(f.terms) > 1 for f in divisor.factors]
+    for i in range(len(general)):
+        for j in range(i + 1, len(general)):
+            if general[i] or general[j]:
                 warnings.append(
-                    f"components {i} and {j} are proportional ({factors[i]} ~ {factors[j]}); "
-                    "the support is not reduced")
-            else:
-                mi, mj = _monomial_exponent(factors[i]), _monomial_exponent(factors[j])
-                if mi is not None and mj is not None:
-                    if _is_power_of(mi, mj) or _is_power_of(mj, mi):
-                        warnings.append(
-                            f"component {i} is a perfect power of component {j} (or conversely); "
-                            "the support is not reduced")
-                else:
-                    warnings.append(
-                        f"pairwise coprimality of components {i} and {j} is assumed (unverified)")
-    for i, f in enumerate(factors):
-        exps = _monomial_exponent(f)
-        if exps is None:
+                    f"pairwise coprimality of components {i} and {j} is assumed (unverified)")
+    for i, f in enumerate(divisor.factors):
+        if general[i]:
             warnings.append(f"squarefreeness of component {i} ({f}) is assumed (unverified)")
-        elif sum(exps) > 1 and max(exps) > 1:
-            warnings.append(f"component {i} ({f}) is a non-reduced monomial")
     return warnings

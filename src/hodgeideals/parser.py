@@ -327,7 +327,7 @@ def parse_divisor(document: dict) -> QDivisor:
         parsed.append((f, alpha))
     try:
         return QDivisor(tuple(variables), tuple(parsed))
-    except ValueError as exc:  # a constant component
+    except ValueError as exc:  # a constant component or a support that is not reduced
         raise ParseError(str(exc)) from exc
 
 

@@ -233,30 +233,14 @@ def _generic_restriction_draws(divisor: QDivisor, var_index: int,
                                check: Callable[[Polynomial], list[Verdict]],
                                rng: random.Random, draws: int = 3) -> list[Verdict]:
     """Seeded generic draws, each judged by ``check`` (what
-    ``check_restriction(divisor, var_index, k)`` returns), with the redraw
-    policy: a draw failing equality while others pass is re-drawn once
-    and logged, not treated as a theorem violation; a persistent failure
-    stays FAIL."""
+    ``check_restriction(divisor, var_index, k)`` returns)."""
     sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
-
-    def draw() -> tuple[Polynomial, list[Verdict]]:
+    out: list[Verdict] = []
+    for _ in range(draws):
         repl = Polynomial.zero(sub_vars)
         for name in sub_vars:
             repl = repl + _random_fraction(rng) * Polynomial.variable(sub_vars, name)
-        return repl, check(repl)
-
-    out: list[Verdict] = []
-    results = [draw() for _ in range(draws)]
-    failed = [i for i, (_, vs) in enumerate(results) if not report_ok(vs)]
-    if failed and len(failed) < len(results):
-        for i in failed:
-            repl, _ = results[i]
-            out.append(Verdict(claim="restriction-redraw", instance=f"{divisor.describe()} "
-                               f"[draw {i}: {repl}]", status=OBSERVED, required=False,
-                               detail="single non-generic draw re-drawn and logged"))
-            results[i] = draw()
-    for _, vs in results:
-        out.extend(vs)
+        out.extend(check(repl))
     return out
 
 

@@ -187,6 +187,25 @@ def test_compute_caller_seed_is_noted_on_every_result(tmp_path, capsys):
     assert out.count("I_0 supplied by caller (trusted)") == 3
 
 
+def test_compute_notes_a_caller_seed_and_certificate_a_closed_form_overrides(tmp_path, capsys):
+    snc = {"vars": ["x", "y"], "k": 1,
+           "divisor": {"components": [{"f": "x", "alpha": "1/2"}, {"f": "y", "alpha": "1/2"}]}}
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, snc))
+    assert code == 0
+    plain = json.loads(out)["results"]
+    given = dict(snc, options={"i0": ["x^5"], "certificate": {"level": 1}})
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, given))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [res["ideal"] for res in results] == [res["ideal"] for res in plain]
+    assert all(res["method"] == "snc" and res["exact"] for res in results)
+    for res in results:
+        assert "I_0 supplied by caller not used: the snc closed form is exact at every level" \
+            in res["notes"]
+        assert "certificate supplied by caller not used: the snc closed form is exact at " \
+            "every level" in res["notes"]
+
+
 D5_TASK = {"vars": ["x", "y"],
            "divisor": {"components": [{"f": "x^2*y+y^4", "alpha": "1/2"}]},
            "task": "compute", "k": 1}
@@ -650,6 +669,15 @@ def membership_task(n, m, alpha):
      "'options.i0' spans the zero ideal"),
     (["compute", TASK], dict(CUSP_TASK, options={"i0": ["x-x"]}),
      "'options.i0' spans the zero ideal"),
+    # A support that QDivisor can tell is not reduced.
+    (["compute", TASK], divisor_task(["x"], {"components": [{"f": "x^2", "alpha": "1/2"}]}),
+     "the support is not reduced: the monomial components multiply to x^2"),
+    (["compute", TASK], divisor_task(["x", "y"], {"components": [{"f": "x*y", "alpha": "1/2"},
+                                                                {"f": "x", "alpha": "1/2"}]}),
+     "the support is not reduced: the monomial components multiply to x^2*y"),
+    (["compute", TASK], divisor_task(["x", "y"], {"components": [{"f": "x+y", "alpha": "1/2"},
+                                                                {"f": "2*x+2*y", "alpha": "1/2"}]}),
+     "the support is not reduced: components 0 and 1 are proportional"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"

@@ -155,14 +155,26 @@ def test_validate_clean_snc():
     assert validate(div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1"}])) == []
 
 
-def test_validate_flags_proportional_components():
-    warnings = validate(div([{"f": "x", "alpha": "1"}, {"f": "2x", "alpha": "1"}]))
-    assert any("proportional" in w for w in warnings)
+def test_divisor_refuses_proportional_components():
+    with pytest.raises(ValueError, match="the support is not reduced"):
+        div([{"f": "x", "alpha": "1"}, {"f": "2x", "alpha": "1"}])
+    with pytest.raises(ValueError, match=r"components 0 and 1 are proportional \(x \+ y ~ "):
+        div([{"f": "x+y", "alpha": "1"}, {"f": "-3x-3y", "alpha": "1/2"}])
 
 
-def test_validate_flags_monomial_powers():
-    warnings = validate(div([{"f": "x", "alpha": "1"}, {"f": "x^2", "alpha": "1/2"}]))
-    assert any("perfect power" in w or "non-reduced" in w for w in warnings)
+def test_divisor_refuses_monomial_powers():
+    with pytest.raises(ValueError, match="multiply to x\\^3, which is not squarefree"):
+        div([{"f": "x", "alpha": "1"}, {"f": "x^2", "alpha": "1/2"}])
+
+
+def test_validate_assumes_only_what_is_not_decided():
+    mixed = div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1/2"},
+                 {"f": "x+y+x*y", "alpha": "1/3"}])
+    assert validate(mixed) == [
+        "pairwise coprimality of components 0 and 2 is assumed (unverified)",
+        "pairwise coprimality of components 1 and 2 is assumed (unverified)",
+        "squarefreeness of component 2 (x*y + x + y) is assumed (unverified)",
+    ]
 
 
 def test_validate_records_unverified_squarefreeness():

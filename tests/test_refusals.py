@@ -124,6 +124,17 @@ CASES = {
     "leading-of-zero": (
         lambda: Polynomial.zero(XY).leading(), ValueError,
         "the zero polynomial has no leading term"),
+    "qdivisor-monomial-power": (
+        lambda: QDivisor(X, ((p("x^2", X), F(1, 2)),)), ValueError,
+        "the support is not reduced: the monomial components multiply to x^2, "
+        "which is not squarefree"),
+    "qdivisor-monomials-share-a-variable": (
+        lambda: QDivisor(XY, ((p("x*y"), F(1, 2)), (p("x"), F(1, 2)))), ValueError,
+        "the support is not reduced: the monomial components multiply to x^2*y, "
+        "which is not squarefree"),
+    "qdivisor-proportional-components": (
+        lambda: QDivisor(XY, ((p("x+y"), F(1, 2)), (p("2*x+2*y"), F(1, 2)))), ValueError,
+        "the support is not reduced: components 0 and 1 are proportional (x + y ~ 2*x + 2*y)"),
 }
 
 
