@@ -4,7 +4,8 @@ task files with canonical, diff-stable output.
 Every number printed is an exact rational (``p/q`` or integer text).
 Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``,
 an unwritable ``--output`` path included; only polynomial and rational
-text errors carry a span), 3 method unavailable, 4 internal error.
+text errors carry a span; or a caller's I_0 that a closed form
+contradicts), 3 method unavailable, 4 internal error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 from .certificates import triviality_certificate, nontriviality_symbolic_power, \
     alpha_multiple_membership
-from .compute import MethodUnavailableError, compute_chain
+from .compute import MethodUnavailableError, SeedContradictionError, compute_chain
 from .divisor import QDivisor, periodic_reduce, validate
 from .ideal import Ideal
 from .parser import ParseError, TaskSpec, parse_polynomial
@@ -216,9 +217,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, MethodUnavailableError) as exc:
+    except (ParseError, SeedContradictionError, MethodUnavailableError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR if isinstance(exc, ParseError) else EXIT_METHOD_UNAVAILABLE
+        return EXIT_METHOD_UNAVAILABLE if isinstance(exc, MethodUnavailableError) \
+            else EXIT_INPUT_ERROR
     except Exception as exc:  # not BaseException: SystemExit and signals pass through
         sys.stderr.write(f"error: internal error: {exc}\n")
         traceback.print_exc()

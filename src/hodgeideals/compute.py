@@ -38,6 +38,10 @@ CLOSED_FORMS = (
 METHODS = ("auto",) + tuple(name for name, _, _ in CLOSED_FORMS) + ("recursion",)
 
 
+class SeedContradictionError(ValueError):
+    """A caller's I_0 that differs from the exact I_0 of a closed form."""
+
+
 def _restrict_to_used(divisor: QDivisor) -> Optional[QDivisor]:
     """Divisor rewritten over the variables its equations use, when that
     is a proper subset; None otherwise."""
@@ -56,7 +60,13 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                   seed_ideal: Optional[Ideal] = None,
                   certificate: Optional[GenerationCertificate] = None,
                   ) -> list[HodgeIdealResult]:
-    """Hodge ideals I_0(D), ..., I_(k_max)(D) with exactness flags."""
+    """Hodge ideals I_0(D), ..., I_(k_max)(D) with exactness flags.
+
+    ``seed_ideal`` is a caller's I_0 of the reduced divisor B.  When a
+    closed form covers the chain it is not used, but it is compared with
+    the closed form's I_0: twisted to I_0(D) it must span the same ideal,
+    or ``SeedContradictionError`` is raised.
+    """
     if method not in METHODS:
         raise MethodUnavailableError(f"unknown method {method!r}; expected one of {METHODS}")
     if k_max < 0:
@@ -76,6 +86,15 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         if method in ("auto", name):
             results = [form(regime, k) for k in range(k_max + 1)]
             if None not in results:
+                # The caller's seed is I_0 of the reduced divisor B; the
+                # closed form gives I_0(D) = twist * I_0(B).
+                twist = regime.twist
+                if seed_ideal is not None and not (seed_ideal * twist).equals(results[0].ideal):
+                    given = "the given I_0" if twist.is_constant() else \
+                        f"the given I_0 times the twist {twist}"
+                    raise SeedContradictionError(
+                        f"'options.i0' contradicts the {name} closed form: I_0 = "
+                        f"{results[0].ideal}, but {given} is {seed_ideal * twist}")
                 for what, given in (("I_0", seed_ideal), ("certificate", certificate)):
                     if given is not None:
                         note = (f"{what} supplied by caller not used: the {name} closed "

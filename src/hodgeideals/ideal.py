@@ -271,7 +271,10 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     its pivot m, so the rows whose pivot m has no m/x_i among the pivots
     of degree D - W_i are the reduced Groebner basis: no S-pairs are
     formed, and a reduction to zero is a rank drop (Faugère's F4,
-    J. Pure Appl. Algebra 139, 1999, made exact by the grading).  Once
+    J. Pure Appl. Algebra 139, 1999, made exact by the grading).  The
+    pivots x_i*m' with m' a pivot of degree D - W_i are the leads of the
+    shifted rows, collected while those rows are built; every other pivot
+    of the degree is output.  Once
     the last generator degree is passed and the last max W_i degrees hold
     every monomial, every higher monomial is x_i times one in the ideal,
     and the loop stops; only that many degrees are kept.
@@ -285,7 +288,10 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     The result is the same as ``groebner_basis``'s: monic, sorted by
     leading monomial descending.  A nonempty basis records the weights in
     its ``weights`` attribute: the engine has then found every element
-    weighted-homogeneous for them and the ideal m-primary or (1).
+    weighted-homogeneous for them and the ideal m-primary or (1).  It
+    also keeps, in ``rows``, each element's integer row (p, p*pivot + tail):
+    with content 1 and p > 0, that is what ``integer_terms`` makes of
+    the element, so a caller that wants integer rows reads them there.
     """
     variables = tuple(variables)
     weights = tuple(weights)
@@ -302,7 +308,8 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
                              f"for the weights {weights}")
         d = degrees.pop()
         if d == 0:  # a nonzero constant
-            return _GradedBasis((Polynomial.one(variables),), weights)
+            return _GradedBasis((Polynomial.one(variables),), weights,
+                                ((1, {(0,) * n: 1}),))
         gens.setdefault(d, []).append(v)
     if not gens:
         return ()
@@ -327,6 +334,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     while d <= last or full < top:
         rows: dict[Monomial, tuple[int, dict[Monomial, int]]] = {}
         pending = []
+        shifted = set()  # the leads x_i*m' of the shifted rows
         for v in gens.get(d, ()):
             if len(v) == 1:
                 rows[next(iter(v))] = (1, {})
@@ -335,6 +343,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
         for i, w in enumerate(weights):
             for m, (p, tail) in window.get(d - w, {}).items():
                 lead = m[:i] + (m[i] + 1,) + m[i + 1:]
+                shifted.add(lead)
                 if not tail:
                     rows[lead] = (1, {})
                 else:
@@ -389,26 +398,27 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
             rows[lead] = (p, v)
         full = full + 1 if len(rows) == monomials_of_degree(d) else 0
         for m, (p, tail) in rows.items():
-            if not any(m[i] and m[:i] + (m[i] - 1,) + m[i + 1:] in window.get(d - w, ())
-                       for i, w in enumerate(weights)):
+            if m not in shifted:
                 terms = {m: one}
                 for t, a in tail.items():
                     terms[t] = Fraction(a, p)
-                found.append((key(m), Polynomial._raw(variables, terms)))
+                found.append((key(m), Polynomial._raw(variables, terms), (p, {m: p, **tail})))
         window[d] = rows
         window.pop(d - top, None)
         d += 1
     found.sort(key=lambda t: t[0], reverse=True)
-    return _GradedBasis((p for _, p in found), weights)
+    return _GradedBasis((f[1] for f in found), weights, tuple(f[2] for f in found))
 
 
 class _GradedBasis(tuple):
     """A basis returned by ``graded_basis``, with the weights it is
-    weighted-homogeneous for; it compares and hashes as a plain tuple."""
+    weighted-homogeneous for and each element's integer row; it compares
+    and hashes as a plain tuple."""
 
-    def __new__(cls, basis, weights: tuple[int, ...]):
+    def __new__(cls, basis, weights: tuple[int, ...], rows: tuple):
         self = super().__new__(cls, basis)
         self.weights = weights
+        self.rows = rows
         return self
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
-from .divisor import HodgeIdealResult, QDivisor, StepData, apply_twist
+from .divisor import HodgeIdealResult, QDivisor, apply_twist
 from .ideal import Ideal, graded_basis, groebner_basis, normal_form
 from .poly import Monomial, Polynomial, integer_terms
 
@@ -65,7 +65,8 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     zero-dimensional or (1): the input is then m-primary or (1), and at a
     point p != 0 of Z some w in it has w(p) != 0, where g*d_l(w) - w*h_l
     takes the value -w(p)*h_l(p), nonzero for some l because Z is smooth
-    at p.  Off Z, g*w does not vanish at p.
+    at p.  Off Z, g*w does not vanish at p; it lies in the output even
+    where ``_step_rows`` leaves its row out.
 
     So the output of a graded step qualifies again, and a chain decides
     its grading once: a basis that ``graded_basis`` returned records the
@@ -101,7 +102,8 @@ def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int],
                 del out[m]
 
 
-def _step_rows(basis: Sequence[Polynomial], data: StepData, k: int):
+def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
+               grading: Optional[tuple[int, ...]] = None):
     """The generators of step k as integer rows, each with the positive
     integer it is scaled by.
 
@@ -111,18 +113,39 @@ def _step_rows(basis: Sequence[Polynomial], data: StepData, k: int):
     the kept rows.  With each w = W/c_w, W integral, the rows are
     G*W = c_g*c_w * g*w, then c_h*G*d_l(W) - c_g*W*H_l(k) =
     c_g*c_h*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
-    of ``int``s; a nonzero multiple spans the same ideal.
+    of ``int``s; a nonzero multiple spans the same ideal.  (c_w, W) is
+    read off ``basis.rows`` when ``graded_basis`` returned the basis, and
+    built by ``integer_terms`` otherwise.
+
+    With a ``grading`` u_l for which g and every w are weighted-homogeneous
+    (the graded path), deg taken for it, the Euler identity
+
+        sum_l u_l*x_l*(g*d_l(w) - w*h_l) = (deg w - sum_i (k + alpha_i)*deg f_i)*g*w
+
+    puts g*w in the ideal of the derivative rows unless the factor
+    vanishes, so the g*w row is left out then.  Each f_i is
+    weighted-homogeneous, because g is; with den and the shifts of
+    ``StepData``, the row is kept exactly when
+    den*deg w = sum_i (k*den + shift_i)*deg f_i.
     """
+    data = divisor.step_data
     c_g, big_g, c_h = data.g_scale, data.g_terms, data.h_scale
+    rows = getattr(basis, "rows", None)
+    if rows is None:
+        rows = [(c_w, big_w) for c_w, (big_w,) in (integer_terms((w,)) for w in basis)]
+    if grading is not None:
+        resonant = sum((k * data.den + shift) * f.weighted_degree(grading)
+                       for shift, f in zip(data.shifts, divisor.factors))
     # c_h*G and -c_g*H_l(k), so that each row is two products added up.
     gh = {m: c_h * c for m, c in big_g.items()}
     hg = [{m: -c_g * c for m, c in hl.items()} for hl in data.log_rows(k)]
     known, derived = [], []
-    for w in basis:
-        c_w, (big_w,) = integer_terms((w,))
-        row: dict[Monomial, int] = {}
-        _mul_into(row, big_g, big_w)
-        known.append((c_g * c_w, row))
+    for c_w, big_w in rows:
+        if grading is None or \
+                data.den * sum(map(mul, next(iter(big_w)), grading)) == resonant:
+            row: dict[Monomial, int] = {}
+            _mul_into(row, big_g, big_w)
+            known.append((c_g * c_w, row))
         for ell, hl in enumerate(hg):
             dw = {m[:ell] + (m[ell] - 1,) + m[ell + 1:]: c * m[ell]
                   for m, c in big_w.items() if m[ell]}
@@ -154,8 +177,12 @@ g * prod_i f_i^(k + alpha_i).
     singularity (``QDivisor.isolated_weights``, decided once per divisor)
     and the input is weighted-homogeneous and m-primary or (1), so is the
     result, and ``graded_basis`` row-reduces those rows in integers to its
-    reduced basis.  That basis records its weights, so the later steps of
-    the chain are graded without checking their input again (``_grading``).
+    reduced basis.  There the rows g*w that the Euler identity already
+    places in the span of the derivative rows are left out, which leaves
+    the spanned ideal as it is.  That basis records its weights and its
+    integer rows, so the later steps of the chain are graded without
+    checking their input again (``_grading``) and without rebuilding
+    the rows.
     Every other step goes to Buchberger (``groebner_basis``) with g*G as
     its known Groebner basis, on the same rows divided by their scales:
     ``Fraction`` polynomials equal to g*w and g*d_l(w) - w*h_l.  Both give
@@ -170,9 +197,9 @@ g * prod_i f_i^(k + alpha_i).
     # so take the reduced basis G.  g*G is then a Groebner basis as it
     # stands, since LT(g*w) = LT(g)*LT(w), and Buchberger pairs only the
     # derivative generators with it.
-    known, derived = _step_rows(ideal.groebner(), divisor.step_data, k)
     variables = divisor.vars
     grading = _grading(ideal, divisor)
+    known, derived = _step_rows(ideal.groebner(), divisor, k, grading)
     if grading is not None:
         basis = graded_basis([row for _, row in known + derived], variables, grading)
     else:
@@ -288,8 +315,10 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
                 level=generation_level(n, tilde, regime.alpha),
                 source="quasihomogeneous-formula")
         # A node: nondegenerate quadratic part, and no other singular point.
+        # A nondegenerate quadratic form needs no check: its gradient is
+        # linear and invertible, so it vanishes only at the origin.
         if n == 2 and g.order_at_origin() == 2 and \
                 g.coeff((1, 1)) ** 2 != 4 * g.coeff((2, 0)) * g.coeff((0, 2)) and \
-                _singular_only_at_origin(g):
+                (g.weighted_degree((1, 1)) == 2 or _singular_only_at_origin(g)):
             return GenerationCertificate(level=0, source="node-example")
     return GenerationCertificate(level=n - 1, source="universal-bound")

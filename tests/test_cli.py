@@ -21,6 +21,11 @@ CUSP_TASK = {
 }
 
 
+# (1/2)*div(x) + (1/2)*div(y), and (3/2)*div(x) + (1/2)*div(y), whose twist is x.
+SNC_HALVES = {"components": [{"f": "x", "alpha": "1/2"}, {"f": "y", "alpha": "1/2"}]}
+SNC_TWISTED = {"components": [{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}]}
+
+
 def write_task(tmp_path, doc, name="task.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -193,7 +198,7 @@ def test_compute_notes_a_caller_seed_and_certificate_a_closed_form_overrides(tmp
     code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, snc))
     assert code == 0
     plain = json.loads(out)["results"]
-    given = dict(snc, options={"i0": ["x^5"], "certificate": {"level": 1}})
+    given = dict(snc, options={"i0": ["1"], "certificate": {"level": 1}})
     code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, given))
     assert code == 0
     results = json.loads(out)["results"]
@@ -204,6 +209,27 @@ def test_compute_notes_a_caller_seed_and_certificate_a_closed_form_overrides(tmp
             in res["notes"]
         assert "certificate supplied by caller not used: the snc closed form is exact at " \
             "every level" in res["notes"]
+
+
+@pytest.mark.parametrize("method", ["auto", "snc"])
+@pytest.mark.parametrize("divisor, seed, contradicts", [
+    (SNC_HALVES, ["1"], False),
+    (SNC_HALVES, ["x", "y"], True),
+    # I_0(D) = (x): the seed (1) of the reduced divisor agrees after the
+    # twist, the seed (x) does not.
+    (SNC_TWISTED, ["1"], False),
+    (SNC_TWISTED, ["x"], True),
+])
+def test_compute_checks_a_caller_seed_against_the_closed_form(tmp_path, capsys, method,
+                                                              divisor, seed, contradicts):
+    task = dict(divisor_task(["x", "y"], divisor), k=1, method=method, options={"i0": seed})
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    if contradicts:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'options.i0' contradicts the snc closed form")
+    else:
+        assert code == 0
+        assert "I_0 supplied by caller not used" in out
 
 
 D5_TASK = {"vars": ["x", "y"],
@@ -558,6 +584,7 @@ def divisor_task(variables, divisor):
     return {"task": "compute", "vars": variables, "divisor": divisor}
 
 
+
 def resolution_task(resolution):
     return dict(certify_task("1/2"), resolution=resolution)
 
@@ -678,6 +705,16 @@ def membership_task(n, m, alpha):
     (["compute", TASK], divisor_task(["x", "y"], {"components": [{"f": "x+y", "alpha": "1/2"},
                                                                 {"f": "2*x+2*y", "alpha": "1/2"}]}),
      "the support is not reduced: components 0 and 1 are proportional"),
+    # A caller's I_0 that the closed form covering the chain contradicts; the
+    # seed is I_0 of the reduced divisor, so it is compared after the twist.
+    (["compute", TASK], dict(divisor_task(["x", "y"], SNC_HALVES), k=1,
+                             options={"i0": ["x^5"]}),
+     "'options.i0' contradicts the snc closed form: I_0 = ideal(1), "
+     "but the given I_0 is ideal(x^5)"),
+    (["compute", TASK], dict(divisor_task(["x", "y"], SNC_TWISTED), k=1,
+                             options={"i0": ["x"]}),
+     "'options.i0' contradicts the snc closed form: I_0 = ideal(x), "
+     "but the given I_0 times the twist x is ideal(x^2)"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"

@@ -29,6 +29,7 @@ from hodgeideals import (
     snc_hodge_ideal,
 )
 from hodgeideals.compute import MethodUnavailableError
+from hodgeideals.poly import integer_terms
 from hodgeideals.recursion import _grading
 
 from helpers import is_unit, m_power, rows, spanned_by
@@ -174,6 +175,21 @@ def step_generators(ideal, d, k):
         [g * w.diff(ell) - w * h[ell] for w in basis for ell in range(len(d.vars))]
 
 
+def test_step_keeps_the_g_w_row_at_the_euler_resonance(graded_calls):
+    # g = x^2+y^3 has weights (3, 2) and degree 6.  At alpha = 1/2 and
+    # k = 0, deg x = 3 = (0 + 1/2)*6: the Euler identity leaves g*x out of
+    # the span of the derivative rows, so the graded step must keep it.
+    d, given = cusp("1/2"), ideal("x", "y^2")
+    gens = step_generators(given, d, 0)
+    out = derivation_step(given, d, 0)
+    assert graded_calls == [1]
+    assert out.groebner() == groebner_basis(gens)
+    assert out.equals(ideal("x^3", "x^2 y", "x y^2", "y^3"))
+    # Without the g*w rows the step would miss x^3.
+    derivative_only = Ideal(XY, gens[len(given.groebner()):])
+    assert derivative_only.equals(ideal("x^2 y", "x y^2", "y^3"))
+
+
 def test_step_on_a_non_homogeneous_input_keeps_the_pair_engine(graded_calls):
     # The cusp qualifies, but (x^2 + y, x y) is not weighted-homogeneous.
     d = cusp("9/10")
@@ -271,6 +287,9 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
         gens = step_generators(current, r.reduced, k)
         graded, paired = graded_basis(rows(gens), variables, grading), groebner_basis(gens)
         assert graded == paired
+        # The integer rows a graded basis carries are its elements' own.
+        assert graded.rows == tuple((c, big) for c, (big,) in
+                                    (integer_terms((w,)) for w in graded))
         # An int among the coefficients would make normal_form's gc / nlc
         # a float division.
         assert _all_fractions(graded)
@@ -279,6 +298,7 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
             assert by_rows.groebner(order) == by_pairs.groebner(order)
         current = derivation_step(current, r.reduced, k)
         assert current.groebner() == graded
+        assert current.groebner().rows == graded.rows
         assert _all_fractions(current.generators)
 
 
@@ -400,6 +420,26 @@ def test_certificate_sources():
         GenerationCertificate(0, "node-example")
     assert certificate_for(classify(div([{"f": "x y z", "alpha": "1/2"}], XYZ))) == \
         GenerationCertificate(2, "universal-bound")
+
+
+def test_node_certificate_reads_a_quadratic_form_without_a_jacobian_basis(monkeypatch):
+    import hodgeideals.recursion
+    real, checked = hodgeideals.recursion._singular_only_at_origin, []
+
+    def recorded(g):
+        assert g != parse_polynomial("x*y", XY), "x*y is a quadratic form"
+        checked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(hodgeideals.recursion, "_singular_only_at_origin", recorded)
+    assert certificate_for(classify(div([{"f": "x y", "alpha": "1/2"}]))) == \
+        GenerationCertificate(0, "node-example")
+    assert checked == []
+    # A node at the origin and a cusp at (1, 0): the higher terms still
+    # send it to the Jacobian basis, which finds the cusp.
+    d = div([{"f": "y^2+x^2*(1-x)^3", "alpha": "1/10"}])
+    assert certificate_for(classify(d)) == GenerationCertificate(1, "universal-bound")
+    assert checked == [d.support_equation]
 
 
 def test_certificate_needs_an_isolated_singularity():

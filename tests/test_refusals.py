@@ -24,6 +24,7 @@ from hodgeideals import (
     parse_polynomial,
     triviality_certificate,
 )
+from hodgeideals.compute import SeedContradictionError
 from hodgeideals.poly import AmbientMismatchError
 
 X, XY, XYZ = ("x",), ("x", "y"), ("x", "y", "z")
@@ -71,6 +72,10 @@ CASES = {
     "i0-seed-wrong-ring": (
         lambda: compute_chain(cusp(), 1, seed_ideal=Ideal.unit(XYZ)), ValueError,
         "seed over ('x', 'y', 'z'), divisor over ('x', 'y')"),
+    "compute-chain-seed-contradicting-a-closed-form": (
+        lambda: compute_chain(QDivisor(XY, ((p("x"), F(1, 2)), (p("y"), F(1, 2)))), 1,
+                              seed_ideal=Ideal(XY, [p("x^5")])),
+        SeedContradictionError, "'options.i0' contradicts the snc closed form"),
     "certificate-negative-level": (
         lambda: GenerationCertificate(-1, "user-asserted"), ValueError,
         "generation level must be >= 0, got -1"),
