@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
 from .ideal import Ideal
-from .poly import Polynomial
+from .poly import GREVLEX, Monomial, Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +27,9 @@ def smooth_support_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     for every k >= 0.  None for any other divisor."""
     if not regime.linear:
         return None
-    twist = regime.twist
-    ideal = Ideal.unit(regime.divisor.vars) if twist.is_constant() else Ideal.principal(twist)
+    # A principal ideal's reduced basis is its monic generator; the trivial
+    # twist is 1.
+    ideal = Ideal.from_basis(regime.divisor.vars, (regime.twist.monic(),))
     return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True,
                             notes="smooth support")
 
@@ -50,31 +51,41 @@ def _bounded_compositions(total: int, parts: int, bound: int) -> Iterator[tuple[
 
 
 def _monomial_ideal(variables: Sequence[str], positions: Sequence[int], total: int,
-                    bound: int) -> Ideal:
-    """The monomial ideal spanned by prod x_i^(c_i) over the variables at
-    ``positions``, with 0 <= c_i <= ``bound`` and sum c_i = ``total``."""
+                    bound: int, shift: Optional[Monomial] = None) -> Ideal:
+    """The monomial ideal spanned by x^shift * prod x_i^(c_i) over the
+    variables at ``positions``, with 0 <= c_i <= ``bound`` and
+    sum c_i = ``total``, presented by its reduced grevlex basis.
+
+    The monomials share one total degree, so none divides another: they
+    are the reduced basis as they stand, once sorted descending."""
     variables = tuple(variables)
-    n = len(variables)
-    gens = []
+    base = list(shift) if shift is not None else [0] * len(variables)
+    monos = []
     for comp in _bounded_compositions(total, len(positions), bound):
-        mono = [0] * n
+        mono = base[:]
         for pos, e in zip(positions, comp):
-            mono[pos] = e
-        gens.append(Polynomial._raw(variables, {tuple(mono): Fraction(1)}))
-    return Ideal(variables, gens)
+            mono[pos] += e
+        monos.append(tuple(mono))
+    monos.sort(key=GREVLEX.key, reverse=True)
+    one = Fraction(1)
+    return Ideal.from_basis(variables, tuple(Polynomial._raw(variables, {m: one})
+                                             for m in monos))
 
 
 def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     """I_k of an SNC divisor supported on coordinate hyperplanes
     (``regime.positions``): the I_k of the reduced SNC divisor, spanned
     by prod x_i^(c_i) with 0 <= c_i <= k and sum c_i = (r-1)k, times the
-    round-up twist.  None for any other divisor."""
+    round-up twist.  None for any other divisor.
+
+    The twist prod (c_i x_(p_i))^(ceil(alpha_i) - 1) is one term c*x^E,
+    so the product is x^E times the reduced ideal: its exponent vector E
+    shifts every monomial, and no polynomial is multiplied."""
     positions = regime.positions
     if positions is None:
         return None
-    reduced = _monomial_ideal(regime.divisor.vars, positions, (len(positions) - 1) * k, k)
-    twist = regime.twist
-    ideal = reduced if twist.is_constant() else twist * reduced
+    (shift,) = regime.twist.terms
+    ideal = _monomial_ideal(regime.divisor.vars, positions, (len(positions) - 1) * k, k, shift)
     return HodgeIdealResult(k=k, ideal=ideal, method="snc", exact=True,
                             notes="simple normal crossing closed form")
 

@@ -136,7 +136,9 @@ def groebner_basis(generators: Iterable[Polynomial],
 
     When every input is a monomial (the unit ideal included), the inputs
     are read as given: the result is their minimal monomials, sorted, for
-    every order, and no pair is formed.
+    every order, and no pair is formed.  A monomial is compared only with
+    the minimal monomials of smaller total degree, so inputs of one
+    degree cost no comparison.
 
     Otherwise the inputs are made monic and entered ``known`` first, each
     list in ascending order of leading monomial with duplicates dropped.
@@ -163,13 +165,17 @@ def groebner_basis(generators: Iterable[Polynomial],
     key = order.key
     # Monomials are a Groebner basis as they stand, and minimal monomials
     # a reduced one: no pairs, and no division to inter-reduce them.  A
+    # proper divisor has a smaller total degree, so each degree is tested
+    # only against the minimal monomials of the degrees below it.  A
     # nonzero constant is the monomial 1, which divides every other.
     if all(len(p.terms) == 1 for p in itertools.chain(seeds, polys)):
         minimal: list[Monomial] = []
-        for m in sorted({m for p in itertools.chain(seeds, polys) for m in p.terms}, key=key):
-            if not any(all(map(ge, m, d)) for d in minimal):
-                minimal.append(m)
-        return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in reversed(minimal))
+        monomials = {m for p in itertools.chain(seeds, polys) for m in p.terms}
+        for _, same in itertools.groupby(sorted(monomials, key=sum), key=sum):
+            # The comprehension reads ``minimal`` before this degree joins it.
+            minimal += [m for m in same if not any(all(map(ge, m, d)) for d in minimal)]
+        minimal.sort(key=key, reverse=True)
+        return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in minimal)
 
     one = Polynomial.one(variables)
     seeds = _monic_sorted(seeds, order)
@@ -457,7 +463,7 @@ class Ideal:
 
     @classmethod
     def unit(cls, variables) -> "Ideal":
-        return cls(variables, (Polynomial.one(variables),))
+        return cls.from_basis(variables, (Polynomial.one(variables),))
 
     @classmethod
     def principal(cls, f: Polynomial) -> "Ideal":
@@ -544,13 +550,13 @@ class Ideal:
         When the old variables keep their relative order, a kept reduced
         basis carries over: restricted to monomials without the new
         variables, grevlex is the old order, so the extended basis is
-        still reduced and still sorted.
+        still reduced and still sorted.  Only the basis is then extended,
+        and the result is presented by it (``from_basis``).
         """
         variables = tuple(variables)
-        ideal = Ideal(variables, tuple(g.extend(variables) for g in self.generators))
         if self._basis is not None and tuple(v for v in variables if v in self.vars) == self.vars:
-            object.__setattr__(ideal, "_basis", tuple(g.extend(variables) for g in self._basis))
-        return ideal
+            return Ideal.from_basis(variables, tuple(g.extend(variables) for g in self._basis))
+        return Ideal(variables, tuple(g.extend(variables) for g in self.generators))
 
     # -- predicates and printing ------------------------------------------
 

@@ -12,12 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hodgeideals import (
+    GREVLEX,
+    GRLEX,
+    LEX,
     Ideal,
     MethodUnavailableError,
     Polynomial,
     classify,
     compute_chain,
     generation_level,
+    groebner_basis,
     normal_form,
     ordinary_ideal,
     parse_divisor,
@@ -377,3 +381,33 @@ def test_classify_without_seed_regime_runs_no_groebner_basis(groebner_calls):
         with pytest.raises(MethodUnavailableError, match="no computable I_0"):
             compute_chain(div(_components((text, "1/2"))), 2)
     assert groebner_calls == []
+
+
+XYZW = ("x", "y", "z", "w")
+
+
+def _snc_generators(j):
+    # y^2 w^2 (the twist of 9/4 and 13/6) times the x, y, w monomials with
+    # exponents at most j summing to 2j.
+    return Ideal(XYZW, [monomial(XYZW, (a, 2 + b, 0, 2 + c))
+                        for a, b, c in iproduct(range(j + 1), repeat=3) if a + b + c == 2 * j])
+
+
+@pytest.mark.parametrize("components,variables,k,generators", [
+    ([("x", "1/3"), ("3*y", "9/4"), ("-2*w", "13/6")], XYZW, 3, _snc_generators),
+    ([("2*x - 3*y", "5/2")], XYZ, 2,
+     lambda j: spanned_by(XYZ, ["4 x^2 - 12 x y + 9 y^2"])),
+    ([("x^2 + 3*y^2", "2/3")], XY, 3, lambda j: m_power(XY, j)),
+    ([("x^3 + y^3 + 2*z^3", "1/2")], XYZ, 1, lambda j: m_power(XYZ, 2 * j)),
+], ids=["snc-twisted-subset", "smooth-twisted-subset", "node", "cone"])
+def test_closed_forms_hand_over_their_reduced_basis(components, variables, k, generators,
+                                                     groebner_calls):
+    chain = compute_chain(div(_components(*components), variables), k)
+    assert "recursion" not in {res.method for res in chain}
+    for res in chain:
+        res.ideal.to_str()
+    assert groebner_calls == []
+    for res in chain:
+        gens = generators(res.k).generators
+        for order in (GREVLEX, LEX, GRLEX):
+            assert res.ideal.groebner(order) == groebner_basis(gens, order)

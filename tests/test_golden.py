@@ -62,3 +62,14 @@ def test_certify_text_golden(tmp_path, capsys):
 
 def test_verify_all_json_golden(tmp_path, capsys):
     check(tmp_path, capsys, "verify_all.json")
+
+
+def test_snc_subset_compute_grlex_golden(tmp_path, capsys):
+    # An SNC divisor on two of four variables, with scaled coordinates and
+    # a twist: the restricted path, the extension back and grlex printing.
+    check(tmp_path, capsys, "snc_subset_compute_grlex.txt")
+
+
+def test_cone_compute_lex_json_golden(tmp_path, capsys):
+    # A 4-variable ordinary cone whose last level is a maximal-ideal power.
+    check(tmp_path, capsys, "cone_compute_lex.json")

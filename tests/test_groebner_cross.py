@@ -87,6 +87,11 @@ MONOMIAL_IDEALS = [
     ["3 x^5", "-y^2 z", "1/2 x y", "z^4 x"],
     ["x^2", "x y", "7"],                                     # the unit ideal
     ["z"],
+    # Mixed degrees, a low-degree divisor listed after its multiples, and
+    # equal-degree monomials repeated with different coefficients.
+    ["x^3 y", "x y^2 z", "y^3", "2 x y^2 z", "-x^3 y", "x y", "z^5", "x z^4"],
+    ["y z^3", "x^2 z^2", "-3 y z^3", "x^4", "y^2 z^3", "z^2", "1/2 x^4", "x^2 y^2"],
+    ["x y^6", "x^2", "y^7", "-x y^6", "x^2 z", "5 y^7", "x y^3 z^3", "x y^3"],
 ]
 
 

@@ -149,6 +149,23 @@ def test_extend_ambient():
     assert normal_form(parse_polynomial("z", xyz), ext.groebner())
 
 
+def test_extending_a_presented_basis_extends_it_once(monkeypatch):
+    xyz = ("x", "y", "z")
+    basis = ideal("x^2", "x y", "y^3").groebner()
+    calls = []
+    real = Polynomial.extend
+
+    def counted(self, variables):
+        calls.append(self)
+        return real(self, variables)
+
+    monkeypatch.setattr(Polynomial, "extend", counted)
+    ext = Ideal.from_basis(XY, basis).extend(xyz)
+    assert len(calls) == len(basis) == 3
+    assert ext.groebner() == tuple(real(g, xyz) for g in basis)
+    assert ext.equals(spanned_by(xyz, ["x^2", "x y", "y^3"]))
+
+
 # -- canonical text form ----------------------------------------------------------------
 
 def test_ideal_text_form_uses_reduced_basis_descending():
