@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterator, Optional, Sequence
 
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
@@ -39,15 +40,26 @@ def smooth_support_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
 
 
 def _bounded_compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = max(0, total - bound * (parts - 1))
-    hi = min(bound, total)
-    for first in range(lo, hi + 1):
-        for rest in _bounded_compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
+    """Each vector of ``parts`` >= 1 integers in [0, bound] that sum to
+    ``total``, once, for ``total <= bound`` or ``parts*bound - total <=
+    bound`` (``ValueError`` otherwise).
+
+    A composition of s into ``parts`` parts is the differences of
+    0, u_1, ..., u_(parts-1), s for cuts 0 <= u_1 <= ... <= u_(parts-1)
+    <= s.  With s = ``total`` <= ``bound`` the bound holds of itself, and
+    these are the vectors.  Otherwise the complements ``bound - c_i``
+    are the compositions of s = ``parts*bound - total`` (the SNC case:
+    ``(r-1)k`` with bound k), so the partial sums c_1 + ... + c_j of a
+    vector are j*bound - u_j."""
+    flip = total > bound
+    s = parts * bound - total if flip else total
+    if not 0 <= s <= bound:
+        raise ValueError(f"no enumeration of {parts} parts in [0, {bound}] summing to {total}")
+    steps = range(bound, parts * bound, bound) if flip else None
+    for cuts in itertools.combinations_with_replacement(range(s + 1), parts - 1):
+        if flip:
+            cuts = tuple(map(sub, steps, cuts))
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def _monomial_ideal(variables: Sequence[str], positions: Sequence[int], total: int,

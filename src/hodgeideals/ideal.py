@@ -473,9 +473,16 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         """The reduced Groebner basis for ``order``.  The grevlex basis is
-        kept; another order, which only printing asks for, is computed on
-        each call."""
+        kept.  Another order, which only printing asks for, re-sorts a
+        kept basis of monomials: a monomial ideal's reduced basis is its
+        minimal monomials in every order.  Any other basis for another
+        order is computed on each call."""
         if order is not GREVLEX:
+            basis = self._basis
+            if basis is not None and all(len(g.terms) == 1 for g in basis):
+                key = order.key
+                return tuple(sorted(basis, key=lambda g: key(next(iter(g.terms))),
+                                    reverse=True))
             return groebner_basis(self.generators, order)
         if self._basis is None:
             object.__setattr__(self, "_basis", groebner_basis(self.generators))

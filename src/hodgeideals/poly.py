@@ -348,7 +348,7 @@ class Polynomial:
             return "0"
         names = self.vars
         pieces = []
-        for mono in sorted(terms, key=order.desc):
+        for mono in sorted(terms, key=order.desc) if len(terms) > 1 else terms:
             coeff = terms[mono]
             num, den = coeff.numerator, coeff.denominator
             factors = [name if e == 1 else f"{name}^{e}"

@@ -353,17 +353,28 @@ def test_compute_formats_each_generator_once(tmp_path, capsys, monkeypatch):
 
 
 def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_calls):
-    k = 3
-    task = {"vars": ["x", "y", "z"],
-            "divisor": {"components": [{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"},
-                                       {"f": "z", "alpha": "1/3"}]},
-            "task": "compute", "k": k}
-    path = write_task(tmp_path, task)
-    for fmt in ("text", "json"):
-        groebner_calls.clear()
-        code, _, _ = run_cli(capsys, "--order", "lex", "--format", fmt, "compute", path)
-        assert code == 0
-        assert len(groebner_calls) == k + 1
+    # Every level of the SNC chain keeps a monomial basis, which a lex
+    # print re-sorts.  Of the cusp's levels only k = 2, whose basis holds
+    # y^4 - 14/5*x^2*y, is computed for lex, once per print.  A grevlex
+    # print computes no basis, so the calls beyond a grevlex run's are the
+    # lex print's.
+    snc = {"vars": ["x", "y", "z"],
+           "divisor": {"components": [{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"},
+                                      {"f": "z", "alpha": "1/3"}]},
+           "task": "compute", "k": 3}
+    cusp = {"vars": ["x", "y"],
+            "divisor": {"components": [{"f": "x^2+y^3", "alpha": "9/10"}]},
+            "task": "compute", "k": 2}
+    for task, calls in ((snc, 0), (cusp, 1)):
+        path = write_task(tmp_path, task)
+        for fmt in ("text", "json"):
+            counts = []
+            for order in ("grevlex", "lex"):
+                groebner_calls.clear()
+                code, _, _ = run_cli(capsys, "--order", order, "--format", fmt, "compute", path)
+                assert code == 0
+                counts.append(len(groebner_calls))
+            assert counts[1] - counts[0] == calls
 
 
 @pytest.mark.parametrize("variables,f,alpha,method", [

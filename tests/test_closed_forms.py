@@ -386,28 +386,63 @@ def test_classify_without_seed_regime_runs_no_groebner_basis(groebner_calls):
 XYZW = ("x", "y", "z", "w")
 
 
-def _snc_generators(j):
-    # y^2 w^2 (the twist of 9/4 and 13/6) times the x, y, w monomials with
-    # exponents at most j summing to 2j.
-    return Ideal(XYZW, [monomial(XYZW, (a, 2 + b, 0, 2 + c))
-                        for a, b, c in iproduct(range(j + 1), repeat=3) if a + b + c == 2 * j])
+def _snc_generators(positions, shift):
+    """Level j -> the ideal spanned by every x^shift * prod x_(p_i)^(c_i)
+    over the r ``positions`` of x, y, z, w, with c in [0, j]^r summing
+    to (r-1)j."""
+    r = len(positions)
+
+    def generators(j):
+        gens = []
+        for c in iproduct(range(j + 1), repeat=r):
+            if sum(c) == (r - 1) * j:
+                e = list(shift)
+                for pos, ci in zip(positions, c):
+                    e[pos] += ci
+                gens.append(monomial(XYZW, e))
+        return Ideal(XYZW, gens)
+
+    return generators
 
 
-@pytest.mark.parametrize("components,variables,k,generators", [
-    ([("x", "1/3"), ("3*y", "9/4"), ("-2*w", "13/6")], XYZW, 3, _snc_generators),
-    ([("2*x - 3*y", "5/2")], XYZ, 2,
-     lambda j: spanned_by(XYZ, ["4 x^2 - 12 x y + 9 y^2"])),
-    ([("x^2 + 3*y^2", "2/3")], XY, 3, lambda j: m_power(XY, j)),
-    ([("x^3 + y^3 + 2*z^3", "1/2")], XYZ, 1, lambda j: m_power(XYZ, 2 * j)),
-], ids=["snc-twisted-subset", "smooth-twisted-subset", "node", "cone"])
+def _snc_grid_case(r, twisted):
+    """SNC on r of x, y, z, w, listed w, y, x, z (positions not ascending),
+    forced to the SNC form up to k = 5."""
+    names = ("2*w", "-y", "x", "3*z")[:r]
+    alphas = (("7/3", "5/2", "1/2", "3") if twisted else ("1/3", "1", "2/3", "1/2"))[:r]
+    positions = [XYZW.index(name[-1]) for name in names]
+    shift = [0] * len(XYZW)
+    for pos, a in zip(positions, alphas):
+        shift[pos] = math.ceil(F(a)) - 1
+    return pytest.param(list(zip(names, alphas)), XYZW, 5, _snc_generators(positions, shift),
+                        "snc", id=f"snc-r{r}-{'twisted' if twisted else 'reduced'}")
+
+
+@pytest.mark.parametrize("components,variables,k,generators,method", [
+    # y^2 w^2 is the twist of 9/4 and 13/6.
+    pytest.param([("x", "1/3"), ("3*y", "9/4"), ("-2*w", "13/6")], XYZW, 3,
+                 _snc_generators((0, 1, 3), (0, 2, 0, 2)), "auto", id="snc-twisted-subset"),
+    pytest.param([("2*x - 3*y", "5/2")], XYZ, 2,
+                 lambda j: spanned_by(XYZ, ["4 x^2 - 12 x y + 9 y^2"]), "auto",
+                 id="smooth-twisted-subset"),
+    pytest.param([("x^2 + 3*y^2", "2/3")], XY, 3, lambda j: m_power(XY, j), "auto", id="node"),
+    pytest.param([("x^3 + y^3 + 2*z^3", "1/2")], XYZ, 1, lambda j: m_power(XYZ, 2 * j),
+                 "auto", id="cone"),
+] + [_snc_grid_case(r, twisted) for r in range(1, 5) for twisted in (False, True)])
 def test_closed_forms_hand_over_their_reduced_basis(components, variables, k, generators,
-                                                     groebner_calls):
-    chain = compute_chain(div(_components(*components), variables), k)
+                                                     method, groebner_calls):
+    chain = compute_chain(div(_components(*components), variables), k, method)
     assert "recursion" not in {res.method for res in chain}
     for res in chain:
         res.ideal.to_str()
     assert groebner_calls == []
-    for res in chain:
-        gens = generators(res.k).generators
+    levels = [generators(res.k).generators for res in chain]
+    # A monomial ideal's kept basis is re-sorted for the other orders.
+    if all(len(g.terms) == 1 for gens in levels for g in gens):
+        for res in chain:
+            res.ideal.to_str(LEX)
+            res.ideal.to_str(GRLEX)
+        assert groebner_calls == []
+    for res, gens in zip(chain, levels):
         for order in (GREVLEX, LEX, GRLEX):
             assert res.ideal.groebner(order) == groebner_basis(gens, order)

@@ -166,6 +166,22 @@ def test_extending_a_presented_basis_extends_it_once(monkeypatch):
     assert ext.equals(spanned_by(xyz, ["x^2", "x y", "y^3"]))
 
 
+# -- bases for other orders ---------------------------------------------------------------
+
+def test_another_order_computes_only_a_kept_basis_that_is_not_monomial(groebner_calls):
+    # Minimal monomials of degrees 3, 4 and 5, which lex lists in another
+    # order than grevlex; the unit ideal; a basis with a binomial.
+    for texts, calls in ((["x^3", "x^2 y^2", "x y^3", "y^5", "x^3 y"], 0), (["1"], 0),
+                         (["x^2 + y^3", "x y"], 1)):
+        gens = [p(t) for t in texts]
+        kept = Ideal.from_basis(XY, groebner_basis(gens))
+        for order in (LEX, GRLEX):
+            want = groebner_basis(gens, order)
+            groebner_calls.clear()
+            assert kept.groebner(order) == want
+            assert len(groebner_calls) == calls
+
+
 # -- canonical text form ----------------------------------------------------------------
 
 def test_ideal_text_form_uses_reduced_basis_descending():
