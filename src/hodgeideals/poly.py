@@ -332,9 +332,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def coeff(self, mono: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     def uses_variable(self, index: int) -> bool:
         return any(m[index] for m in self.terms)
 

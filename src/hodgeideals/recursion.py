@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, QDivisor, apply_twist
-from .ideal import Ideal, graded_basis, groebner_basis, normal_form
+from .ideal import Ideal, graded_basis, groebner_basis
 from .poly import Monomial, Polynomial, integer_terms
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
@@ -267,32 +267,6 @@ def i0_seed(regime: Regime) -> HodgeIdealResult:
     return HodgeIdealResult(k=0, ideal=ideal, method="recursion", exact=True)
 
 
-def _singular_only_at_origin(g: Polynomial) -> bool:
-    """True iff V(g, dg/dx_1, ..., dg/dx_n) holds no point but the origin.
-
-    By the Nullstellensatz, x_i vanishes on V(J) (over the algebraic
-    closure) exactly when it is nilpotent modulo J.  On a
-    zero-dimensional J it then acts nilpotently on R/J, whose dimension
-    delta is the number of standard monomials of the reduced grevlex
-    basis (Cox, Little, O'Shea, *Ideals, Varieties, and Algorithms*,
-    Ch. 5 Sec. 3), so x_i^N lies in J for any N >= delta.  N is taken as
-    the size of the box below the pure powers, which holds every
-    standard monomial.
-    """
-    n = len(g.vars)
-    jacobian = Ideal(g.vars, [g] + [g.diff(i) for i in range(n)])
-    if not jacobian.is_zero_dimensional():
-        return False
-    basis = jacobian.groebner()
-    leads = [b.leading_monomial() for b in basis]
-    bound = math.prod(min(m[i] for m in leads if sum(m) == m[i]) for i in range(n))
-    for i in range(n):
-        power = tuple(bound if j == i else 0 for j in range(n))
-        if normal_form(Polynomial(g.vars, {power: 1}), basis):
-            return False
-    return True
-
-
 def certificate_for(regime: Regime) -> GenerationCertificate:
     """Best available generation-level certificate for the divisor.
 
@@ -300,9 +274,11 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     on the support equation g (weights inferred exactly), issued only
     when the singularity is isolated: the Jacobian ideal of g must be
     zero-dimensional, which for a weighted-homogeneous g is the same
-    check globally as at the origin.  Then the surface-node example,
-    issued only when the node at the origin is the only singular point
-    of {g = 0}; then the universal n-1 bound.
+    check globally as at the origin.  Then, for a plane curve, level 0
+    (the node example) when every singular point of {g = 0} is a node,
+    decided by (g, dg/dx, dg/dy, det Hess g) = (1): a node is locally a
+    normal crossing and Hodge ideals are local.  A smooth curve passes
+    too.  Otherwise the universal n-1 bound.
     """
     n = len(regime.divisor.vars)
     g = regime.divisor.support_equation
@@ -314,11 +290,13 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
             return GenerationCertificate(
                 level=generation_level(n, tilde, regime.alpha),
                 source="quasihomogeneous-formula")
-        # A node: nondegenerate quadratic part, and no other singular point.
-        # A nondegenerate quadratic form needs no check: its gradient is
-        # linear and invertible, so it vanishes only at the origin.
-        if n == 2 and g.order_at_origin() == 2 and \
-                g.coeff((1, 1)) ** 2 != 4 * g.coeff((2, 0)) * g.coeff((0, 2)) and \
-                (g.weighted_degree((1, 1)) == 2 or _singular_only_at_origin(g)):
-            return GenerationCertificate(level=0, source="node-example")
+        # Every singular point a node: by the Morse lemma a singular point
+        # of a plane curve is a node iff the Hessian is nondegenerate there,
+        # and by the Nullstellensatz no point of V(g, dg) has a degenerate
+        # Hessian iff (g, dg, det Hess g) = (1).
+        if n == 2:
+            gx, gy = g.diff(0), g.diff(1)
+            hessian = gx.diff(0) * gy.diff(1) - gx.diff(1) ** 2
+            if Ideal(g.vars, (g, gx, gy, hessian)).equals(Ideal.unit(g.vars)):
+                return GenerationCertificate(level=0, source="node-example")
     return GenerationCertificate(level=n - 1, source="universal-bound")

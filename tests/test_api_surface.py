@@ -7,8 +7,9 @@ Imports and assignments do not count as uses.
 
 A classmethod or staticmethod counts as used only when it is read as
 ``<ClassName>.<name>`` or ``cls.<name>``; any other member counts as
-used when an attribute or a variable of the same name is read.  No
-module of the package imports a name it never reads.
+used when an attribute of the same name is read (a bare variable of
+that name does not count).  No module of the package imports a name
+it never reads.
 """
 
 import ast
@@ -54,11 +55,13 @@ def _public_members() -> dict[str, object]:
 
 class _Uses(ast.NodeVisitor):
     """Names loaded and attributes read, outside the definition of the
-    same name; ``qualified`` holds the (owner, attribute) pairs of the
-    attributes read off a bare name, such as ("Ideal", "unit")."""
+    same name; ``attributes`` holds the attribute names alone, and
+    ``qualified`` the (owner, attribute) pairs of the attributes read off
+    a bare name, such as ("Ideal", "unit")."""
 
     def __init__(self):
         self.used: set[str] = set()
+        self.attributes: set[str] = set()
         self.qualified: set[tuple[str, str]] = set()
         self.defining: list[str] = []
 
@@ -79,8 +82,10 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._use(node.attr)
-        if isinstance(node.value, ast.Name) and node.attr not in self.defining:
-            self.qualified.add((node.value.id, node.attr))
+        if node.attr not in self.defining:
+            self.attributes.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                self.qualified.add((node.value.id, node.attr))
         self.generic_visit(node)
 
 
@@ -109,7 +114,7 @@ def _unused_members(uses: _Uses) -> list[str]:
         if isinstance(obj, (classmethod, staticmethod)):
             used = {(owner, name), ("cls", name)} & uses.qualified
         else:
-            used = name in uses.used
+            used = name in uses.attributes
         if not used:
             unused.append(key)
     return sorted(unused)
@@ -141,9 +146,12 @@ def test_member_allowlist_holds_only_unused_members():
 
 def test_a_constructor_counts_as_used_only_when_read_off_its_class():
     uses = _Uses()
-    uses.visit(ast.parse("regime.zero\nPolynomial.one(v)\ncls.constant(v)\nw.diff(0)\n"))
+    uses.visit(ast.parse("regime.zero\nPolynomial.one(v)\ncls.constant(v)\nw.diff(0)\n"
+                         "extend = 1\nprint(extend)\n"))
     unused = _unused_members(uses)
     assert {"Polynomial.zero", "Ideal.zero", "Ideal.unit"} <= set(unused)
+    # A bare variable of a member's name is not a use of the member.
+    assert {"Polynomial.extend", "Ideal.extend"} <= set(unused)
     assert not {"Polynomial.one", "Polynomial.constant", "Polynomial.diff"} & set(unused)
 
 

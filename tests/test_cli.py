@@ -238,13 +238,18 @@ D5_TASK = {"vars": ["x", "y"],
 
 
 @pytest.mark.parametrize("f, source, label", [
-    # A node at the origin and a cusp at (1, 0): the node certificate reads
-    # only the origin, so it does not apply.
+    # A node at the origin and a cusp at (1, 0).
     ("y^2+x^2*(1-x)^3", "universal-bound", "lower-bound"),
+    # Two conics meeting in two tacnodes: the Hessian vanishes at each.
+    ("(x^2+y^2-1)*(x^2+4*y^2-4)", "universal-bound", "lower-bound"),
     # The node at the origin is the only singular point.
     ("x^2-y^2+x^3", "node-example", "exact"),
+    # A line through a circle: two nodes, neither at the origin.
+    ("x*(x^2+y^2-1)", "node-example", "exact"),
+    # A smooth conic has no singular point at all.
+    ("x^2+y^2-1", "node-example", "exact"),
 ])
-def test_node_certificate_needs_no_other_singular_point(tmp_path, capsys, f, source, label):
+def test_node_certificate_needs_only_nodes(tmp_path, capsys, f, source, label):
     task = {"vars": ["x", "y"], "task": "compute", "k": 2,
             "divisor": {"components": [{"f": f, "alpha": "1/10"}]},
             "options": {"i0": ["1"]}}

@@ -19,8 +19,8 @@ def test_basic_polynomial():
 
 def test_implicit_multiplication_and_rational_coefficients():
     f = parse_polynomial("y^4 - 5/2 x^2 y", XY)
-    assert f.coeff((2, 1)) == F(-5, 2)
-    assert f.coeff((0, 4)) == 1
+    assert f.terms[(2, 1)] == F(-5, 2)
+    assert f.terms[(0, 4)] == 1
     assert parse_polynomial("5/2x", ("x",)) == parse_polynomial("5/2 * x", ("x",))
 
 

@@ -191,8 +191,8 @@ def test_extend_maps_variables_by_name():
     f = p("x^2 + y^3")
     g = f.extend(("z", "y", "x"))
     assert g == parse_polynomial("x^2 + y^3", ("z", "y", "x"))
-    assert g.coeff((0, 0, 2)) == 1
-    assert g.coeff((0, 3, 0)) == 1
+    assert g.terms[(0, 0, 2)] == 1
+    assert g.terms[(0, 3, 0)] == 1
     with pytest.raises(ValueError):
         f.extend(("x", "z"))
 

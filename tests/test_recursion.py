@@ -422,24 +422,30 @@ def test_certificate_sources():
         GenerationCertificate(2, "universal-bound")
 
 
-def test_node_certificate_reads_a_quadratic_form_without_a_jacobian_basis(monkeypatch):
-    import hodgeideals.recursion
-    real, checked = hodgeideals.recursion._singular_only_at_origin, []
+def _colength(ideal):
+    """dim R/I of a zero-dimensional I: the standard monomials of its
+    reduced grevlex basis, counted in the box below the pure powers."""
+    assert ideal.is_zero_dimensional()
+    leads = [b.leading_monomial() for b in ideal.groebner()]
+    box = [min(m[i] for m in leads if sum(m) == m[i]) for i in range(len(ideal.vars))]
+    return sum(1 for e in iproduct(*map(range, box))
+               if not any(all(a >= b for a, b in zip(e, m)) for m in leads))
 
-    def recorded(g):
-        assert g != parse_polynomial("x*y", XY), "x*y is a quadratic form"
-        checked.append(g)
-        return real(g)
 
-    monkeypatch.setattr(hodgeideals.recursion, "_singular_only_at_origin", recorded)
-    assert certificate_for(classify(div([{"f": "x y", "alpha": "1/2"}]))) == \
-        GenerationCertificate(0, "node-example")
-    assert checked == []
-    # A node at the origin and a cusp at (1, 0): the higher terms still
-    # send it to the Jacobian basis, which finds the cusp.
-    d = div([{"f": "y^2+x^2*(1-x)^3", "alpha": "1/10"}])
-    assert certificate_for(classify(d)) == GenerationCertificate(1, "universal-bound")
-    assert checked == [d.support_equation]
+@pytest.mark.parametrize("alpha", ["1", "1/2"])
+@pytest.mark.parametrize("f, nodes", [
+    ("x*(x^2+y^2-1)", 2),  # a line through a circle
+    ("(x^2-1)*(y^2-1)", 4),  # four lines in a grid
+    ("x*y*(x+y-1)", 3),  # a triangle of lines, one component
+])
+def test_nodal_curve_chain_is_exact_with_one_plane_node_per_node(f, nodes, alpha):
+    # Every singular point is a node, so the chain seeded with (1) is exact,
+    # and I_k is the plane node's m^k at each node: colength nodes*k(k+1)/2.
+    d = div([{"f": f, "alpha": alpha}])
+    assert certificate_for(classify(d)) == GenerationCertificate(0, "node-example")
+    chain = compute_chain(d, 3, seed_ideal=Ideal.unit(XY))
+    assert all(r.exact for r in chain)
+    assert [_colength(r.ideal) for r in chain] == [nodes * k * (k + 1) // 2 for k in range(4)]
 
 
 def test_certificate_needs_an_isolated_singularity():
