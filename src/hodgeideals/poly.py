@@ -195,6 +195,14 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
+        """Product with a polynomial or an exact scalar.
+
+        When either factor is a single term c*x^a, the product shifts the
+        other factor's exponents by a and scales its coefficients by c
+        (not at all when c is 1).  A shift is injective, so no terms
+        combine: the result, term order included, is what the general
+        product builds.
+        """
         if isinstance(other, (int, Fraction)):
             c = _coerce_scalar(other)
             if not c:
@@ -203,6 +211,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            f, t = (self, other) if len(other.terms) == 1 else (other, self)
+            ((a, c),) = t.terms.items()
+            if c == 1:
+                return Polynomial._raw(self.vars, {tuple(map(add, m, a)): v
+                                                   for m, v in f.terms.items()})
+            return Polynomial._raw(self.vars, {tuple(map(add, m, a)): v * c
+                                               for m, v in f.terms.items()})
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -248,7 +264,10 @@ class Polynomial:
         """Image under the ring map sending the index-th variable to ``replacement``.
 
         The replacement must live over the ambient with that variable
-        removed, and so does the result.
+        removed, and so does the result.  When no term uses the variable,
+        the image is the same terms with that exponent dropped, whatever
+        the replacement, and no power of it is formed; this is what the
+        general sum returns, term order included.
         """
         if not 0 <= index < len(self.vars):
             raise IndexError(f"variable index {index} out of range for {self.vars}")
@@ -258,6 +277,9 @@ class Polynomial:
         if replacement.vars != reduced:
             raise AmbientMismatchError(
                 f"replacement must live over {reduced}, got {replacement.vars}")
+        if not self.uses_variable(index):
+            return Polynomial._raw(reduced, {mono[:index] + mono[index + 1:]: coeff
+                                             for mono, coeff in self.terms.items()})
         # Group terms by the exponent of the eliminated variable.
         slices: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coeff in self.terms.items():

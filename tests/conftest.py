@@ -41,6 +41,15 @@ def graded_calls(monkeypatch):
 
 
 @pytest.fixture
+def normal_form_calls(monkeypatch):
+    """A list that gets one entry per ``normal_form`` call, counted in
+    every package module that holds the function."""
+    import hodgeideals.ideal
+    return _record_calls(monkeypatch, hodgeideals.ideal.normal_form,
+                         lambda *args, **kwargs: 1)
+
+
+@pytest.fixture
 def groebner_inputs(monkeypatch):
     """A list that gets ``(generators, known)`` for every ``groebner_basis``
     call, as tuples, recorded in every package module that holds it."""

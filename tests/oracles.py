@@ -107,6 +107,17 @@ def linear_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     return False
 
 
+def product_terms(f: Polynomial, g: Polynomial) -> dict[tuple, Fraction]:
+    """The term dict of f*g, accumulated pair by pair of terms with
+    ``f``'s terms in the outer loop and zero sums dropped at the end."""
+    out: dict[tuple, Fraction] = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
 def newton_member(exponents: Sequence[int], c: Fraction, w: Sequence[int]) -> bool:
     """Monomial multiplier-ideal membership for a diagonal equation
     sum x_i^(d_i): x^w lies in I(c * div) iff w + 1 sits in the interior

@@ -73,3 +73,18 @@ def test_snc_subset_compute_grlex_golden(tmp_path, capsys):
 def test_cone_compute_lex_json_golden(tmp_path, capsys):
     # A 4-variable ordinary cone whose last level is a maximal-ideal power.
     check(tmp_path, capsys, "cone_compute_lex.json")
+
+
+# The restriction suite draws its hyperplanes from the seed, so each seed
+# gets its own golden; it is the suite that runs `substitute` and
+# `contains_ideal` on random hyperplanes.
+def test_verify_restriction_seed1_json_golden(tmp_path, capsys):
+    check(tmp_path, capsys, "verify_restriction_seed1.json")
+
+
+def test_verify_restriction_seed2_json_golden(tmp_path, capsys):
+    check(tmp_path, capsys, "verify_restriction_seed2.json")
+
+
+def test_verify_restriction_seed3_json_golden(tmp_path, capsys):
+    check(tmp_path, capsys, "verify_restriction_seed3.json")

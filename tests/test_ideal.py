@@ -90,6 +90,64 @@ def test_contains_ideal():
     assert small.contains_ideal(small)
 
 
+# Ideals whose reduced basis is all monomials: the zero and the unit
+# ideal, one given by non-monomial generators, and two with a binomial
+# generator that the basis reduces away.
+MONOMIAL_BASES = [(), ("1",), ("x + y", "y"), ("x^2", "x y", "y^3"),
+                  ("x^3 + x y", "x y", "y^4")]
+# Queries whose generators have every term inside, some outside, or both.
+QUERIES = [(), ("x^2 + y^3",), ("x y - 3 y^5",), ("x^2 + 1/2 y",), ("x + 1",),
+           ("x^3", "x y^2 + y^4"), ("x^4 y", "y")]
+
+
+@pytest.mark.parametrize("gens", MONOMIAL_BASES)
+def test_contains_ideal_on_a_monomial_basis_agrees_with_the_oracle(gens, normal_form_calls):
+    big = ideal(*gens)
+    assert all(len(g.terms) == 1 for g in big.groebner())
+    normal_form_calls.clear()
+    for texts in QUERIES:
+        small = ideal(*texts)
+        want = all(linear_membership(g, big.generators) for g in small.generators)
+        assert big.contains_ideal(small) == want, texts
+    # Divisibility decides it: no normal form is taken.
+    assert not normal_form_calls
+
+
+def test_contains_ideal_reads_every_term_against_a_monomial_basis():
+    m = ideal("x^2", "x y", "y^3")
+    assert m.contains_ideal(ideal("x^2 + y^3 - 2 x y^5"))
+    assert not m.contains_ideal(ideal("x^2 + y^2"))
+    assert not m.contains_ideal(ideal("x^2", "y"))
+    assert ideal("x + y", "y").contains_ideal(ideal("x^2 + 1/2 y"))
+    assert ideal("1").contains_ideal(ideal("x + 1"))
+    assert not Ideal.zero(XY).contains_ideal(ideal("x"))
+    assert Ideal.zero(XY).contains_ideal(Ideal.zero(XY))
+
+
+def test_contains_ideal_on_random_monomial_ideals_agrees_with_the_oracle():
+    rng = random.Random(25)
+    for _ in range(40):
+        big = Ideal(XY, [Polynomial(XY, {(rng.randint(0, 3), rng.randint(0, 3)): 1})
+                         for _ in range(rng.randint(1, 3))])
+        small = Ideal(XY, [Polynomial(XY, {(rng.randint(0, 4), rng.randint(0, 4)):
+                                           F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+                                           for _ in range(rng.randint(1, 3))})
+                           for _ in range(rng.randint(1, 2))])
+        want = all(linear_membership(g, big.generators) for g in small.generators)
+        assert big.contains_ideal(small) == want
+
+
+def test_contains_ideal_on_a_non_monomial_basis_takes_normal_forms(normal_form_calls):
+    big = ideal("x^2 + y^3", "x y")
+    assert any(len(g.terms) > 1 for g in big.groebner())
+    for texts in (("x^3", "x^2 y + x y^2"), ("x^2",)):
+        normal_form_calls.clear()
+        small = ideal(*texts)
+        want = all(linear_membership(g, big.generators) for g in small.generators)
+        assert big.contains_ideal(small) == want
+        assert normal_form_calls
+
+
 def test_ideal_equality():
     assert ideal("x", "y").equals(ideal("x + y", "x - y"))
     assert not ideal("x^2", "x y", "y^3").equals(ideal("x^2", "x y", "y^2"))

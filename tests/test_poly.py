@@ -10,7 +10,7 @@ from hodgeideals import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
 from hodgeideals.parser import parse_polynomial
 from hodgeideals.poly import AmbientMismatchError
 
-from oracles import polynomial_text
+from oracles import polynomial_text, product_terms
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -244,3 +244,32 @@ def test_substitution_is_a_ring_map(f, g, repl):
     # replacement lives over (x, y); eliminate z.
     assert (f + g).substitute(2, repl) == f.substitute(2, repl) + g.substitute(2, repl)
     assert (f * g).substitute(2, repl) == f.substitute(2, repl) * g.substitute(2, repl)
+
+
+# -- short paths: one-term products and unused-variable substitution ---------------------
+
+def one_terms(nvars=3, max_deg=4):
+    """A single term c*x^a, with c = 1 as often as not; the constant
+    monomial is drawn on its own as well."""
+    monos = st.one_of(st.just((0,) * nvars),
+                      st.tuples(*([st.integers(0, max_deg)] * nvars)))
+    return st.builds(lambda m, c: Polynomial(XYZ[:nvars], {m: c}),
+                     monos, st.one_of(st.just(F(1)), coeffs))
+
+
+@settings(max_examples=150)
+@given(polys(), one_terms())
+def test_product_with_one_term_is_the_accumulated_product(f, t):
+    # The terms and their order are those of the pairwise accumulation.
+    assert list((f * t).terms.items()) == list(product_terms(f, t).items())
+    assert list((t * f).terms.items()) == list(product_terms(t, f).items())
+
+
+@settings(max_examples=100)
+@given(polys(nvars=2), polys(nvars=2, max_deg=3), st.integers(0, 2))
+def test_substituting_an_unused_variable_drops_its_exponent(f, repl, index):
+    # f over (x, y) viewed with z inserted at `index`; any replacement.
+    ambient = XY[:index] + ("z",) + XY[index:]
+    image = f.extend(ambient).substitute(index, repl)
+    assert image.vars == XY
+    assert list(image.terms.items()) == list(f.terms.items())
