@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .certificates import triviality_certificate, nontriviality_symbolic_power, \
     alpha_multiple_membership
 from .compute import MethodUnavailableError, SeedContradictionError, compute_chain
-from .divisor import QDivisor, periodic_reduce, validate
+from .divisor import QDivisor, reduced_alpha, validate
 from .ideal import Ideal
 from .parser import ParseError, TaskSpec, parse_polynomial
 from .poly import _ORDERS, MonomialOrder, format_rational
@@ -119,7 +119,7 @@ def cmd_certify(args) -> int:
     payload = {"task": "certify", "k": spec.k}
     lines: list[str] = []
     if spec.kind == "resolution":
-        alphas = periodic_reduce(spec.divisor)[0].alphas
+        alphas = tuple(map(reduced_alpha, spec.divisor.alphas))
         if alphas != spec.divisor.alphas:
             lines.append("coefficients periodically reduced into (0, 1]")
         decision = triviality_certificate(alphas=alphas, k=spec.k, **spec.arguments)
@@ -163,9 +163,10 @@ def cmd_parse(args) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",")) if args.vars else ()
     poly = parse_polynomial(args.expression, variables)
     order = MonomialOrder.from_name(args.order)
-    payload = {"task": "parse", "vars": list(variables), "canonical": poly.to_str(order),
+    canonical = poly.to_str(order)
+    payload = {"task": "parse", "vars": list(variables), "canonical": canonical,
                "order": order.name}
-    _emit(payload, [poly.to_str(order)], args.format, args.output)
+    _emit(payload, [canonical], args.format, args.output)
     return EXIT_OK
 
 

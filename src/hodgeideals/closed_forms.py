@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Iterator, Optional, Sequence
 
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
@@ -198,11 +198,19 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
     """
     variables = tuple(variables)
     *head, last = exponents
+    # Times N = q*lcm(d_i), alpha = p/q and every (w_i + 1)/d_i are
+    # integers, and so is N*rest, rest = alpha - sum (w_i + 1)/d_i the
+    # part the last variable makes up: e = ceil(N*rest*d_n / N) - 1.
+    scale = math.lcm(*exponents)
+    common = alpha.denominator * scale
+    steps = [alpha.denominator * (scale // d) for d in head]
+    start = alpha.numerator * scale - sum(steps)
     gens = []
+    one = Fraction(1)
     for w in itertools.product(*(range(d) for d in head)):
-        rest = alpha - sum((Fraction(e + 1, d) for e, d in zip(w, head)), Fraction(0))
-        e = max(0, math.ceil(rest * last) - 1)
-        gens.append(Polynomial._raw(variables, {w + (e,): Fraction(1)}))
+        rest = start - sum(map(mul, w, steps))
+        e = max(0, -(-rest * last // common) - 1)
+        gens.append(Polynomial._raw(variables, {w + (e,): one}))
     return Ideal(variables, gens)
 
 

@@ -87,9 +87,24 @@ class QDivisor:
         return weights
 
     @functools.cached_property
+    def grading(self) -> Optional[tuple[int, ...]]:
+        """``isolated_weights`` scaled to coprime positive integers, the
+        grading of the graded derivation steps; None when there are no
+        such weights.  Decided on first use and kept."""
+        weights = self.isolated_weights
+        if weights is None:
+            return None
+        scale = math.lcm(*(w.denominator for w in weights))
+        integral = [w.numerator * (scale // w.denominator) for w in weights]
+        common = math.gcd(*integral)
+        return tuple(w // common for w in integral)
+
+    @functools.cached_property
     def support_equation(self) -> Polynomial:
-        """The reduced support equation g = prod f_i, built on first use
-        and kept."""
+        """The reduced support equation g = prod f_i (the component itself
+        when there is one), built on first use and kept."""
+        if len(self.components) == 1:
+            return self.components[0][0]
         return math.prod(self.factors, start=Polynomial.one(self.vars))
 
     @functools.cached_property
@@ -172,15 +187,25 @@ def twist_polynomial(divisor: QDivisor) -> Polynomial:
                       if alpha > 1), start=Polynomial.one(divisor.vars))
 
 
+def reduced_alpha(alpha: Fraction) -> Fraction:
+    """alpha - ceil(alpha) + 1, the coefficient in (0, 1] that periodic
+    reduction leaves of a positive ``alpha``."""
+    return alpha - math.ceil(alpha) + 1
+
+
 def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
     """Split D into B = D + Z - ceil(D) with coefficients in (0, 1] and
     the integral twist prod f_i^(ceil(alpha_i) - 1).
 
     Contract (periodicity of Hodge ideals under integral twists):
     I_k(D) = twist * I_k(B) for every k.
+
+    When every alpha_i <= 1, B is D itself, so the two share every fact
+    ``QDivisor`` keeps, and the twist is 1.
     """
-    reduced = tuple(
-        (f, alpha - (math.ceil(alpha) - 1)) for f, alpha in divisor.components)
+    if divisor.is_reduced_regime():
+        return divisor, Polynomial.one(divisor.vars)
+    reduced = tuple((f, reduced_alpha(alpha)) for f, alpha in divisor.components)
     return QDivisor(divisor.vars, reduced), twist_polynomial(divisor)
 
 

@@ -265,8 +265,10 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     positive integers W_i, one per variable, and every generator must be
     weighted-homogeneous for them (``ValueError`` otherwise).  The ideal
     must contain a power of the maximal ideal at the origin or be the
-    unit ideal.  This is not checked: on any other ideal the loop below
-    does not end.
+    unit ideal.  When the loop below stops, the leads found must include
+    a pure power of every variable (``ValueError`` otherwise); on an
+    ideal that is not m-primary, and whose rows keep a tail in every
+    degree, the loop does not end.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
@@ -280,10 +282,11 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     J. Pure Appl. Algebra 139, 1999, made exact by the grading).  The
     pivots x_i*m' with m' a pivot of degree D - W_i are the leads of the
     shifted rows, collected while those rows are built; every other pivot
-    of the degree is output.  Once
-    the last generator degree is passed and the last max W_i degrees hold
-    every monomial, every higher monomial is x_i times one in the ideal,
-    and the loop stops; only that many degrees are kept.
+    of the degree is output.  Once the last generator degree is passed
+    and the last max W_i degrees hold no row with a tail, every later
+    degree is spanned by shifts of monomial rows: it gets no row to
+    reduce and outputs nothing, so the loop stops there.  Only that many
+    degrees are kept.
 
     The reduction is fraction-free.  A pivot row is a pair (p, tail),
     standing for p*pivot + tail with p > 0, integer entries and content 1.
@@ -323,21 +326,11 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     one = Fraction(1)
     gcd = math.gcd
     top, last = max(weights), max(gens)
-    # counts[j][d]: the number of monomials of degree d in the first j variables.
-    counts = [[1] for _ in range(n + 1)]
-
-    def monomials_of_degree(d: int) -> int:
-        for e in range(len(counts[0]), d + 1):
-            counts[0].append(0)
-            for j, w in enumerate(weights, 1):
-                counts[j].append(counts[j - 1][e] + (counts[j][e - w] if e >= w else 0))
-        return counts[n][d]
-
     # degree -> {pivot: (p, tail)}; the last `top` degrees.
     window: dict[int, dict[Monomial, tuple[int, dict[Monomial, int]]]] = {}
     found: list[tuple] = []
-    d, full = min(gens), 0
-    while d <= last or full < top:
+    d, quiet = min(gens), 0
+    while d <= last or quiet < top:
         rows: dict[Monomial, tuple[int, dict[Monomial, int]]] = {}
         pending = []
         shifted = set()  # the leads x_i*m' of the shifted rows
@@ -402,18 +395,24 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
                         tail = {t: b // g for t, b in tail.items()}
                     rows[q] = (r, tail)
             rows[lead] = (p, v)
-        full = full + 1 if len(rows) == monomials_of_degree(d) else 0
+        quiet = 0 if pending and any(tail for _, tail in rows.values()) else quiet + 1
         for m, (p, tail) in rows.items():
             if m not in shifted:
                 terms = {m: one}
                 for t, a in tail.items():
                     terms[t] = Fraction(a, p)
-                found.append((key(m), Polynomial._raw(variables, terms), (p, {m: p, **tail})))
+                found.append((key(m), m, Polynomial._raw(variables, terms),
+                              (p, {m: p, **tail})))
         window[d] = rows
         window.pop(d - top, None)
         d += 1
+    # Weighted-homogeneous and not (1): m-primary iff some lead is a pure
+    # power x_i^e of each variable, the leads with max(m) == sum(m).
+    if len({m.index(sum(m)) for _, m, _, _ in found if max(m) == sum(m)}) < n:
+        raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
+                         f"{[Polynomial._raw(variables, {m: one}) for _, m, _, _ in found]}")
     found.sort(key=lambda t: t[0], reverse=True)
-    return _GradedBasis((f[1] for f in found), weights, tuple(f[2] for f in found))
+    return _GradedBasis((f[2] for f in found), weights, tuple(f[3] for f in found))
 
 
 class _GradedBasis(tuple):
@@ -491,8 +490,11 @@ class Ideal:
     @classmethod
     def from_basis(cls, variables: Sequence[str], basis: tuple[Polynomial, ...]) -> "Ideal":
         """The ideal presented by its reduced grevlex basis ``basis``, which
-        it keeps as it is, so a graded basis keeps its weights."""
-        ideal = cls(variables, basis)
+        it keeps as it is, so a graded basis keeps its weights.  The basis
+        is the package's own, so its elements are not checked again."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "vars", tuple(variables))
+        object.__setattr__(ideal, "generators", tuple(basis))
         object.__setattr__(ideal, "_basis", basis)
         return ideal
 

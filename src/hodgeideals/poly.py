@@ -390,34 +390,38 @@ def infer_weights(h: Polynomial) -> tuple[Fraction, ...] | None:
     weights exist (or they are not unique)."""
     monos = sorted(h.terms)
     n = len(h.vars)
-    # Solve mono . w = 1 for each monomial, by exact Gaussian elimination.
-    rows = [[Fraction(e) for e in mono] + [Fraction(1)] for mono in monos]
-    pivots: list[int] = []
-    r = 0
+    # Solve mono . w = 1 for each monomial by Gauss-Jordan elimination in
+    # integers: a row [a_1, ..., a_n, b] stands for a . w = b; a pivot
+    # column is cleared from another row by cross-multiplying the two,
+    # and the row's content is divided out again.
+    rows = [list(mono) + [1] for mono in monos]
+    r = 0  # pivots so far
     for col in range(n):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
+        prow = rows[r]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if i != r and c:
+                g = math.gcd(p, c)
+                s, t = p // g, c // g
+                row = [s * a - t * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         r += 1
     for i in range(r, len(rows)):
         if rows[i][n]:
             return None  # inconsistent
-    if len(pivots) < n:
+    if r < n:
         return None  # underdetermined: weights not unique
-    weights = [Fraction(0)] * n
-    for row, col in zip(rows, pivots):
-        weights[col] = row[n]
+    # Every column is a pivot, in order: row i reads p*w_i = b.
+    weights = tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows[:n]))
     if any(w <= 0 for w in weights):
         return None
-    return tuple(weights)
+    return weights
 
 
 def integer_terms(polys: Sequence[Polynomial]) -> tuple[int, list[dict[Monomial, int]]]:

@@ -10,7 +10,6 @@ accounting is explicit and never promotes a lower bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -69,17 +68,16 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     where ``_step_rows`` leaves its row out.
 
     So the output of a graded step qualifies again, and a chain decides
-    its grading once: a basis that ``graded_basis`` returned records the
-    weights it was reduced for, and a basis recording these weights is
-    taken as it stands, with no degree or dimension check.
+    its grading once: the divisor decides and keeps its integer weights
+    (``QDivisor.grading``) on its first step, a basis that
+    ``graded_basis`` returned records the weights it was reduced for
+    (it raises ``ValueError`` on an output that is not m-primary or
+    (1)), and a basis recording these weights is taken as it stands,
+    with no degree or dimension check.
     """
-    weights = divisor.isolated_weights
-    if weights is None:
+    grading = divisor.grading
+    if grading is None:
         return None
-    scale = math.lcm(*(w.denominator for w in weights))
-    integral = [w.numerator * (scale // w.denominator) for w in weights]
-    common = math.gcd(*integral)
-    grading = tuple(w // common for w in integral)
     basis = ideal.groebner()
     if getattr(basis, "weights", None) == grading:
         return grading

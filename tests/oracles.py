@@ -118,6 +118,29 @@ def product_terms(f: Polynomial, g: Polynomial) -> dict[tuple, Fraction]:
     return {m: c for m, c in out.items() if c}
 
 
+def unique_weights(monomials: Sequence[tuple], nvars: int):
+    """The weights w with m . w = 1 for every exponent vector m, when
+    they are unique and all positive; None otherwise.  Gauss-Jordan
+    elimination over ``Fraction``s, each pivot row scaled to pivot 1."""
+    rows = [[Fraction(e) for e in m] + [Fraction(1)] for m in monomials]
+    pivots = []
+    for col in range(nvars):
+        r = len(pivots)
+        below = [i for i in range(r, len(rows)) if rows[i][col] != 0]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    if any(row[nvars] != 0 for row in rows[len(pivots):]) or len(pivots) < nvars:
+        return None
+    weights = tuple(rows[i][nvars] for i in range(nvars))
+    return weights if all(w > 0 for w in weights) else None
+
+
 def newton_member(exponents: Sequence[int], c: Fraction, w: Sequence[int]) -> bool:
     """Monomial multiplier-ideal membership for a diagonal equation
     sum x_i^(d_i): x^w lies in I(c * div) iff w + 1 sits in the interior

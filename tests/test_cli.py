@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from hodgeideals import GREVLEX, Ideal, compute_chain, parse_divisor
+from hodgeideals import GREVLEX, Ideal, Polynomial, compute_chain, parse_divisor
 from hodgeideals.cli import _ideal_lines, main
 
 CUSP_TASK = {
@@ -476,6 +476,25 @@ def test_certify_trivial_shows_instantiated_inequalities(tmp_path, capsys):
     assert "(2+1)/3 = 1 >= 4/5" in out
     assert "(4+1)/6 = 5/6 >= 4/5" in out
     assert "decision: TRIVIAL" in out
+
+
+def test_certify_reads_the_reduced_coefficients_without_a_twist(tmp_path, capsys, monkeypatch):
+    # At alpha = 401/2 the twist would be (x^2+y^3+x*y)^200; the decision
+    # reads only the reduced coefficient 1/2.
+    powers = []
+    real_pow = Polynomial.__pow__
+    monkeypatch.setattr(Polynomial, "__pow__",
+                        lambda f, e: powers.append(e) or real_pow(f, e))
+    task = certify_task("401/2")
+    task["divisor"]["components"][0]["f"] = "x^2+y^3+x*y"
+    code, out, _ = run_cli(capsys, "certify", write_task(tmp_path, task))
+    assert code == 0 and powers == []
+    assert out == ("task: certify (triviality), k = 0\n"
+                   "  coefficients periodically reduced into (0, 1]\n"
+                   "  F1: (1+1)/2 = 1 >= 1/2 = k + alpha\n"
+                   "  F2: (2+1)/3 = 1 >= 1/2 = k + alpha\n"
+                   "  F3: (4+1)/6 = 5/6 >= 1/2 = k + alpha\n"
+                   "decision: TRIVIAL\n")
 
 
 def test_certify_inconclusive_above_threshold(tmp_path, capsys):

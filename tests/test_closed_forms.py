@@ -8,7 +8,7 @@ from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hodgeideals import (
@@ -38,7 +38,7 @@ from hodgeideals.closed_forms import (
 from hodgeideals.poly import infer_weights
 
 from helpers import cone, is_unit, m_power, monomial, spanned_by
-from oracles import newton_multiplier_monomials
+from oracles import newton_multiplier_monomials, unique_weights
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -267,6 +267,36 @@ def test_infer_weights():
     assert infer_weights(parse_polynomial("x y", XY)) is None  # underdetermined
     assert infer_weights(parse_polynomial("x y z", XYZ)) is None
     assert infer_weights(parse_polynomial("x^2 + x", XY)) is None  # inconsistent
+
+
+@st.composite
+def exponent_sets(draw):
+    """(n, exponent vectors) for n <= 3 variables: arbitrary vectors, or
+    vectors of one weighted degree for random integer weights."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        vectors = st.tuples(*[st.integers(0, 6)] * n)
+    else:
+        weights = draw(st.tuples(*[st.integers(1, 5)] * n))
+        degree = draw(st.integers(1, 12))
+        same = [m for m in iproduct(range(degree + 1), repeat=n)
+                if sum(a * w for a, w in zip(m, weights)) == degree]
+        if not same:
+            same = [(0,) * n]
+        vectors = st.sampled_from(same)
+    return n, draw(st.lists(vectors, min_size=1, max_size=6, unique=True))
+
+
+@example((2, [(2, 0), (0, 3)]))  # x^2 + y^3: (1/2, 1/3)
+@example((2, [(2, 0), (1, 0)]))  # inconsistent
+@example((2, [(1, 1)]))          # underdetermined
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 0, 1), (2, 0, 0)]))  # a weight 0: refused
+@example((1, [(0,)]))            # the constant: 0 = 1
+@given(exponent_sets())
+def test_infer_weights_is_the_fraction_elimination(case):
+    n, monomials = case
+    h = Polynomial(("x", "y", "z")[:n], {m: 1 for m in monomials})
+    assert infer_weights(h) == unique_weights(sorted(monomials), n)
 
 
 # -- diagonal multiplier ideals vs the Newton oracle ------------------------------------------

@@ -39,6 +39,22 @@ def test_support_equation():
     assert div([{"f": "x", "alpha": "2"}]).support_equation == parse_polynomial("x", XY)
 
 
+def test_support_equation_of_one_component_is_that_component():
+    for d in (CUSP, div([{"f": "3*x", "alpha": "2"}])):
+        assert d.support_equation is d.factors[0]
+    assert SNC.support_equation is not SNC.factors[0]
+
+
+def test_grading_is_the_isolated_weights_in_coprime_integers():
+    assert CUSP.isolated_weights == (F(1, 2), F(1, 3)) and CUSP.grading == (3, 2)
+    e8 = div([{"f": "x^2+y^3+z^5", "alpha": "1"}], ("x", "y", "z"))
+    assert e8.grading == (15, 10, 6)
+    assert e8.grading is e8.grading
+    # x*y*(x+y): weights (1/3, 1/3), a grading of (1, 1).
+    assert div([{"f": "x*y*(x+y)", "alpha": "1/2"}]).grading == (1, 1)
+    assert SNC.grading is None  # x*y: the weights are not unique
+
+
 # -- the step data each divisor keeps --------------------------------------------------
 
 def cached_log_terms(divisor, k):
@@ -99,6 +115,17 @@ def test_periodic_reduce():
     b, twist = periodic_reduce(div([{"f": "x", "alpha": "7/3"}, {"f": "y", "alpha": "2"}]))
     assert b.alphas == (F(1, 3), F(1))
     assert twist == parse_polynomial("x^2 y", XY)
+
+
+def test_a_reduced_divisor_is_its_own_periodic_reduction():
+    # With every alpha <= 1, B is D itself and shares what D keeps.
+    for d in (CUSP, div([{"f": "x", "alpha": "1"}, {"f": "y^2+x^3", "alpha": "2/5"}])):
+        b, twist = periodic_reduce(d)
+        assert b is d and twist == Polynomial.one(XY)
+        assert classify(d).reduced is d
+    b, twist = periodic_reduce(SNC)
+    assert b is not SNC and b.alphas == (F(1, 2), F(1, 2))
+    assert classify(SNC).reduced is not SNC
 
 
 def test_periodic_reduce_is_idempotent():

@@ -88,3 +88,14 @@ def test_verify_restriction_seed2_json_golden(tmp_path, capsys):
 
 def test_verify_restriction_seed3_json_golden(tmp_path, capsys):
     check(tmp_path, capsys, "verify_restriction_seed3.json")
+
+
+# Long graded chains, where the graded engine's stop rule decides how
+# many degrees each step runs: weights (7, 2) to k = 5, and weights
+# (15, 10, 6) at two alpha samples to k = 3.
+def test_a6_curve_compute_k5_json_golden(tmp_path, capsys):
+    check(tmp_path, capsys, "a6_curve_compute_k5.json")
+
+
+def test_e8_surface_samples_compute_k3_golden(tmp_path, capsys):
+    check(tmp_path, capsys, "e8_surface_samples_compute_k3.txt")

@@ -1,18 +1,26 @@
 """Groebner engine: reduced bases, normal forms, and ideal algebra."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hodgeideals import (GREVLEX, GRLEX, LEX, Ideal, Polynomial, graded_basis, groebner_basis,
                          normal_form)
 from hodgeideals.parser import parse_polynomial
+from hodgeideals.poly import integer_terms
 
 from helpers import rows, spanned_by
 from oracles import linear_membership, log_terms
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def p(text, variables=XY):
@@ -275,6 +283,76 @@ def test_graded_basis_on_small_inputs():
         graded_basis(rows([p("x^2 + y")]), XY, (3, 2))
     with pytest.raises(ValueError, match="positive integer weight"):
         graded_basis(rows([p("x^2 + y^2")]), XY, (1, F(1, 2)))
+
+
+@st.composite
+def weighted_m_primary(draw):
+    """(variables, weights, generators): up to three binomials of one
+    weighted degree D plus a pure power of every variable, integer
+    weights.  A pure power either divides no term of the binomials, so
+    their tails last until the syzygies past the last generator degree,
+    or is drawn freely, so that some tails vanish early."""
+    n = draw(st.integers(2, 3))
+    variables = ("x", "y", "z")[:n]
+    weights = draw(st.tuples(*[st.integers(1, 4)] * n))
+    degree = draw(st.integers(1, 16))
+    same = [m for m in itertools.product(range(degree + 1), repeat=n)
+            if sum(a * w for a, w in zip(m, weights)) == degree]
+    coefficient = st.integers(-3, 3).filter(bool)
+    gens = []
+    if len(same) >= 2:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.lists(st.sampled_from(same), min_size=2, max_size=2, unique=True))
+            gens.append(Polynomial(variables, {a: draw(coefficient), b: draw(coefficient)}))
+    for i in range(n):
+        above = 1 + max((m[i] for g in gens for m in g.terms), default=0)
+        e = draw(st.one_of(st.just(above), st.integers(1, 6)))
+        gens.append(Polynomial(variables, {tuple(e * (i == j) for j in range(n)): 1}))
+    return variables, weights, gens
+
+
+@settings(deadline=None)
+# The binomial's tail y^2 is reduced away at once by the pure power y:
+# no row keeps a tail past degree 2.
+@example((("x", "y"), (1, 1), [p("x^3"), p("y"), p("x^2 + y^2")]))
+# A tail that lasts: x*y - y^2 needs the pure powers to end it.
+@example((("x", "y"), (1, 1), [p("x^4"), p("y^5"), p("x y - y^2")]))
+# No pure power: x^3 and y^4 both come after the last generator degree.
+@example((("x", "y"), (3, 2), [p("x^2 + y^3"), p("x y")]))
+# Basis elements 4 and 8 degrees past the last generator degree.
+@example((XYZ, (3, 2, 4), [p("x y^5 + x y z^2", XYZ), p("x^3 y^2 - x^3 z", XYZ),
+                           p("x^4", XYZ), p("y^3", XYZ), p("z^3", XYZ)]))
+@example((XYZ, (3, 4, 1), [p("3 x y z^8 + 2 y^2 z^7", XYZ), p("2 x z^12 - 3 y^3 z^3", XYZ),
+                           p("3 z^15 + x z^12", XYZ), p("x^4", XYZ), p("y^4", XYZ),
+                           p("z^16", XYZ)]))
+@given(weighted_m_primary())
+def test_graded_basis_is_groebner_basis_on_weighted_m_primary_inputs(case):
+    variables, weights, gens = case
+    graded = graded_basis(rows(gens), variables, weights)
+    assert graded == groebner_basis(gens)
+    assert graded.weights == weights
+    assert graded.rows == tuple((c, big) for c, (big,) in (integer_terms((w,)) for w in graded))
+
+
+@pytest.mark.parametrize("gens,weights", [
+    (["x^2 y", "x y^2", "y^3"], (3, 2)),  # no power of x; every row a monomial
+    (["x^2 - x y", "x y"], (1, 1)),        # tails that vanish, leads x^2 and x y
+])
+def test_graded_basis_refuses_an_ideal_that_is_not_m_primary(gens, weights):
+    # In a child process, so that an engine that never stops fails the
+    # test after 5 s instead of hanging it.
+    script = ("import sys\n"
+              "from hodgeideals import graded_basis, parse_polynomial\n"
+              "from hodgeideals.poly import integer_terms\n"
+              f"gens = [parse_polynomial(t, ('x', 'y')) for t in {gens!r}]\n"
+              "try:\n"
+              f"    graded_basis(integer_terms(gens)[1], ('x', 'y'), {weights!r})\n"
+              "except ValueError as exc:\n"
+              "    sys.exit(str(exc))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=5, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.returncode == 1
+    assert done.stderr.startswith("the ideal is not m-primary")
 
 
 # -- structural properties of reduced bases -------------------------------------------------
