@@ -49,7 +49,6 @@ class ResolutionData:
     """Numeric certificate of a log resolution with smooth strict transform."""
 
     exceptional: tuple[ExceptionalDivisor, ...]
-    strict_transform_smooth: bool = True
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,12 @@ def triviality_certificate(res: ResolutionData, alphas: Sequence[Fraction],
     exceptional divisor (single component: (b_i+1)/a_i >= k + alpha);
     otherwise INCONCLUSIVE, since the criterion is one-directional.
 
-    Requires a smooth strict transform and coefficients in (0, 1]
-    (periodic-reduce first).
+    The strict transform is smooth by the data's contract; requires
+    coefficients in (0, 1] (periodic-reduce first).
     """
     alphas = tuple(alphas)
     if k < 0:
         raise ValueError(f"filtration level must be >= 0, got {k}")
-    if not res.strict_transform_smooth:
-        raise ValueError("the triviality criterion needs a smooth strict transform")
     for alpha in alphas:
         if not 0 < alpha <= 1:
             raise ValueError(

@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     verdicts = run_suites(names, args.seed)
     ok = report_ok(verdicts)
     payload = {"task": "verify", "suites": names, "seed": args.seed, "ok": ok,
-               "verdicts": [v.to_json() for v in verdicts]}
+               "verdicts": [vars(v) for v in verdicts]}
     text = [f"task: verify ({', '.join(names)}), seed = {args.seed}"]
     for v in verdicts:
         req = "required" if v.required else "informational"

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
 from .ideal import Ideal
@@ -30,7 +30,7 @@ def smooth_support_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
         return None
     # A principal ideal's reduced basis is its monic generator; the trivial
     # twist is 1.
-    ideal = Ideal.from_basis(regime.divisor.vars, (regime.twist.monic(),))
+    ideal = Ideal.from_basis(regime.reduced.vars, (regime.twist.monic(),))
     return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True,
                             notes="smooth support")
 
@@ -39,46 +39,23 @@ def smooth_support_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
 # Simple normal crossings
 
 
-def _bounded_compositions(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """Each vector of ``parts`` >= 1 integers in [0, bound] that sum to
-    ``total``, once, for ``total <= bound`` or ``parts*bound - total <=
-    bound`` (``ValueError`` otherwise).
-
-    A composition of s into ``parts`` parts is the differences of
-    0, u_1, ..., u_(parts-1), s for cuts 0 <= u_1 <= ... <= u_(parts-1)
-    <= s.  With s = ``total`` <= ``bound`` the bound holds of itself, and
-    these are the vectors.  Otherwise the complements ``bound - c_i``
-    are the compositions of s = ``parts*bound - total`` (the SNC case:
-    ``(r-1)k`` with bound k), so the partial sums c_1 + ... + c_j of a
-    vector are j*bound - u_j."""
-    flip = total > bound
-    s = parts * bound - total if flip else total
-    if not 0 <= s <= bound:
-        raise ValueError(f"no enumeration of {parts} parts in [0, {bound}] summing to {total}")
-    steps = range(bound, parts * bound, bound) if flip else None
-    for cuts in itertools.combinations_with_replacement(range(s + 1), parts - 1):
-        if flip:
-            cuts = tuple(map(sub, steps, cuts))
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Each vector of ``parts`` (>= 1) non-negative integers that sum to
+    ``total``, once: the differences of 0, u_1, ..., u_(parts-1), total
+    for cuts 0 <= u_1 <= ... <= u_(parts-1) <= total."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
-def _monomial_ideal(variables: Sequence[str], positions: Sequence[int], total: int,
-                    bound: int, shift: Optional[Monomial] = None) -> Ideal:
-    """The monomial ideal spanned by x^shift * prod x_i^(c_i) over the
-    variables at ``positions``, with 0 <= c_i <= ``bound`` and
-    sum c_i = ``total``, presented by its reduced grevlex basis.
+def _monomial_ideal(variables: Sequence[str], exponents: Iterable[Monomial]) -> Ideal:
+    """The monomial ideal spanned by x^e over the distinct exponent
+    vectors ``exponents``, which share one total degree, presented by its
+    reduced grevlex basis.
 
-    The monomials share one total degree, so none divides another: they
-    are the reduced basis as they stand, once sorted descending."""
+    Monomials of one total degree do not divide one another: they are
+    the reduced basis as they stand, once sorted descending."""
     variables = tuple(variables)
-    base = list(shift) if shift is not None else [0] * len(variables)
-    monos = []
-    for comp in _bounded_compositions(total, len(positions), bound):
-        mono = base[:]
-        for pos, e in zip(positions, comp):
-            mono[pos] += e
-        monos.append(tuple(mono))
-    monos.sort(key=GREVLEX.key, reverse=True)
+    monos = sorted(exponents, key=GREVLEX.key, reverse=True)
     one = Fraction(1)
     return Ideal.from_basis(variables, tuple(Polynomial._raw(variables, {m: one})
                                              for m in monos))
@@ -90,14 +67,24 @@ def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     by prod x_i^(c_i) with 0 <= c_i <= k and sum c_i = (r-1)k, times the
     round-up twist.  None for any other divisor.
 
-    The twist prod (c_i x_(p_i))^(ceil(alpha_i) - 1) is one term c*x^E,
-    so the product is x^E times the reduced ideal: its exponent vector E
+    The c_i are k - d_i over the compositions d of k into r parts.  The
+    twist prod (c_i x_(p_i))^(ceil(alpha_i) - 1) is one term c*x^E, so
+    the product is x^E times the reduced ideal: its exponent vector E
     shifts every monomial, and no polynomial is multiplied."""
     positions = regime.positions
     if positions is None:
         return None
     (shift,) = regime.twist.terms
-    ideal = _monomial_ideal(regime.divisor.vars, positions, (len(positions) - 1) * k, k, shift)
+    top = list(shift)
+    for pos in positions:
+        top[pos] += k
+    exponents = []
+    for d in _compositions(k, len(positions)):
+        mono = top[:]
+        for pos, e in zip(positions, d):
+            mono[pos] -= e
+        exponents.append(tuple(mono))
+    ideal = _monomial_ideal(regime.reduced.vars, exponents)
     return HodgeIdealResult(k=k, ideal=ideal, method="snc", exact=True,
                             notes="simple normal crossing closed form")
 
@@ -126,7 +113,7 @@ def ordinary_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     m = regime.ordinary
     if m is None:
         return None
-    variables = regime.divisor.vars
+    variables = regime.reduced.vars
     n, alpha = len(variables), regime.alpha
     note = ("ordinary singularity model (smooth projectivized tangent cone); "
             "evaluated on a homogeneous cone representative, where the local "
@@ -135,13 +122,13 @@ def ordinary_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
         ideal, note = Ideal.unit(variables), note + "; trivial: m <= n/(k + alpha)"
     elif n == 2 and m == 2:
         # m^k: every monomial of degree k.
-        ideal = _monomial_ideal(variables, range(2), k, k)
+        ideal = _monomial_ideal(variables, _compositions(k, 2))
         note = "nodal curve: m^k for all 0 < alpha <= 1; filtration generated at level 0; " \
             + note
     elif (k - 1) * m + math.ceil(alpha * m) < n and k <= n - 2:
         # e >= 1: e <= 0 would give m*(k + alpha) <= n, the trivial case above.
         e = k * m + math.ceil(alpha * m) - n
-        ideal = _monomial_ideal(variables, range(n), e, e)
+        ideal = _monomial_ideal(variables, _compositions(e, n))
         note += f"; maximal-ideal power exponent {e}"
     else:
         return None
@@ -222,10 +209,12 @@ def diagonal_multiplier_i0(exponents: Sequence[int], alpha: Fraction,
 class Regime:
     """What the dispatch, the closed forms, the I_0 seed and the
     generation-level certificate read about one divisor D, computed once
-    by ``classify``.
+    by ``classify``: its reduced divisor B, the twist, and the facts of
+    the support, which D and B share.
 
     ``reduced`` and ``twist`` are B and prod f_i^(ceil(alpha_i) - 1) from
-    ``periodic_reduce``.  ``linear``: one component cut out by a linear
+    ``periodic_reduce``; every reader takes the variables and the support
+    equation from B.  ``linear``: one component cut out by a linear
     form.  ``positions``: every component a distinct coordinate (SNC).
     ``monomial``: every component a monomial, so the support is a
     squarefree monomial (``QDivisor`` refuses any other).
@@ -235,7 +224,6 @@ class Regime:
     n >= 2 variables; ``alpha`` is then set and lies in (0, 1].
     """
 
-    divisor: QDivisor
     reduced: QDivisor
     twist: Polynomial
     linear: bool
@@ -262,7 +250,7 @@ def classify(divisor: QDivisor) -> Regime:
     alpha = next(iter(alphas)) if len(alphas) == 1 else None
     ordinary = diagonal[0] if diagonal is not None and len(set(diagonal)) == 1 \
         and diagonal[0] >= 2 and len(diagonal) >= 2 else None
-    return Regime(divisor=divisor, reduced=reduced, twist=twist,
+    return Regime(reduced=reduced, twist=twist,
                   linear=len(factors) == 1 and factors[0].total_degree() == 1,
                   positions=positions, monomial=monomial,
                   diagonal=diagonal, alpha=alpha, ordinary=ordinary)

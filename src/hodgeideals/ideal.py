@@ -498,10 +498,6 @@ class Ideal:
         object.__setattr__(ideal, "_basis", basis)
         return ideal
 
-    def canonical(self) -> "Ideal":
-        """The same ideal presented by its reduced grevlex basis."""
-        return Ideal.from_basis(self.vars, self.groebner())
-
     def contains_ideal(self, other: "Ideal") -> bool:
         """True iff every generator of ``other`` lies in this ideal.
 

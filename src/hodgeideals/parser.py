@@ -338,7 +338,9 @@ def parse_resolution_data(document: dict) -> ResolutionData:
     "strict_transform_smooth": bool}``.  Per exceptional divisor, ``a``
     lists the pullback coefficient of each divisor component (all >= 0,
     total >= 1) and ``b`` is the relative canonical coefficient (>= 0).
-    Any other key is refused.
+    ``strict_transform_smooth`` may be left out; ``false`` is refused,
+    since the triviality criterion needs a smooth strict transform.  Any
+    other key is refused.
     """
     if not isinstance(document, dict):
         raise ParseError("resolution data must be a JSON object")
@@ -366,7 +368,9 @@ def parse_resolution_data(document: dict) -> ResolutionData:
     smooth = document.get("strict_transform_smooth", True)
     if not isinstance(smooth, bool):
         raise ParseError("'strict_transform_smooth' must be a boolean")
-    return ResolutionData(exceptional=tuple(records), strict_transform_smooth=smooth)
+    if not smooth:
+        raise ParseError("the triviality criterion needs a smooth strict transform")
+    return ResolutionData(exceptional=tuple(records))
 
 
 # -- task documents ---------------------------------------------------------------
@@ -438,8 +442,6 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
         if divisor is None:
             raise ParseError("resolution certificates need the divisor (for its alphas)")
         res = parse_resolution_data(data)
-        if not res.strict_transform_smooth:
-            raise ParseError("the triviality criterion needs a smooth strict transform")
         for idx, record in enumerate(res.exceptional):
             if len(record.a) != len(divisor.components):
                 raise ParseError(f"exceptional record {idx} lists {len(record.a)} components, "

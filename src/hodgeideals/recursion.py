@@ -220,7 +220,7 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
     """
     if not seed.exact:
         raise ValueError("chain seed must be an exact Hodge ideal")
-    divisor = regime.divisor
+    divisor = regime.reduced
     if seed.ideal.vars != divisor.vars:
         raise ValueError(f"seed over {seed.ideal.vars}, divisor over {divisor.vars}")
     effective_level = min(cert.level, len(divisor.vars) - 1)
@@ -232,7 +232,7 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
                  f"level {cert.level}"
     bound_note = (f"lower bound only: step index below certificate level {cert.level} "
                   f"({cert.source}); the true ideal contains this one")
-    ideal, exact = seed.ideal.canonical(), True
+    ideal, exact = seed.ideal, True
     results = []
     for k in range(k0, k_max + 1):
         results.append(apply_twist(regime.twist, HodgeIdealResult(
@@ -253,7 +253,7 @@ def i0_seed(regime: Regime) -> HodgeIdealResult:
     1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  Any other
     divisor raises ``MethodUnavailableError``.
     """
-    variables = regime.divisor.vars
+    variables = regime.reduced.vars
     if regime.monomial:
         ideal = Ideal.unit(variables)
     elif regime.diagonal is not None:
@@ -278,10 +278,8 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     normal crossing and Hodge ideals are local.  A smooth curve passes
     too.  Otherwise the universal n-1 bound.
     """
-    n = len(regime.divisor.vars)
-    g = regime.divisor.support_equation
+    n = len(regime.reduced.vars)
     if regime.alpha is not None:
-        # B has the support of D; the chain's derivation steps read B's answer.
         weights = regime.reduced.isolated_weights
         if weights is not None:
             tilde = sum(weights, Fraction(0))
@@ -293,6 +291,7 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
         # and by the Nullstellensatz no point of V(g, dg) has a degenerate
         # Hessian iff (g, dg, det Hess g) = (1).
         if n == 2:
+            g = regime.reduced.support_equation
             gx, gy = g.diff(0), g.diff(1)
             hessian = gx.diff(0) * gy.diff(1) - gx.diff(1) ** 2
             if Ideal(g.vars, (g, gx, gy, hessian)).equals(Ideal.unit(g.vars)):

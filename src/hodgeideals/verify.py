@@ -48,10 +48,6 @@ class Verdict:
     required: bool = True
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"claim": self.claim, "instance": self.instance, "status": self.status,
-                "required": self.required, "detail": self.detail}
-
 
 def report_ok(verdicts: Sequence[Verdict]) -> bool:
     return all(v.status != FAIL for v in verdicts if v.required)
@@ -190,16 +186,17 @@ def check_product_formula(d1: QDivisor, d2: QDivisor, k: int) -> list[Verdict]:
 # Restriction to hyperplanes
 
 
-def check_restriction(divisor: QDivisor, var_index: int,
-                      k: int) -> Callable[[Polynomial], list[Verdict]]:
-    """Restriction to hyperplanes Y = (x_i = replacement): the intrinsic
-    I_k(D|_Y) is contained in I_k(D)*O_Y, with equality for generic Y.
+def check_restriction(divisor: QDivisor, var_index: int, k: int,
+                      replacements: Sequence[Polynomial]) -> list[Verdict]:
+    """Restriction to the hyperplanes Y = (x_i = replacement), one for
+    each of ``replacements``: the intrinsic I_k(D|_Y) is contained in
+    I_k(D)*O_Y, with equality for generic Y.
 
     Only cylinders (equations independent of the eliminated variable)
     are computed exactly; reducedness of Z|_Y is trusted and noted.  On
     a cylinder neither I_k(D) nor I_k(D|_Y) depends on the hyperplane, so
-    both sides are computed once, here, and the returned checker judges
-    any replacement: containment, then equality.
+    both sides are computed once and every replacement is judged against
+    them: containment, then equality.
     """
     if var_index in divisor.used_variables():
         raise ValueError("restriction check wants a cylinder: equations must not "
@@ -212,36 +209,34 @@ def check_restriction(divisor: QDivisor, var_index: int,
             (f.substitute(var_index, Polynomial.zero(sub_vars)), alpha)
             for f, alpha in divisor.components)), k)[k]
         failure = None if intrinsic.exact else "intrinsic ideal not computable exactly"
-
-    def verdicts(replacement: Polynomial) -> list[Verdict]:
+    verdicts: list[Verdict] = []
+    for replacement in replacements:
         name = f"{divisor.describe()} | {divisor.vars[var_index]} -> {replacement} [k={k}]"
         if failure is not None:
-            return [Verdict(claim="restriction", instance=name, status=FAIL, detail=failure)]
+            verdicts.append(Verdict(claim="restriction", instance=name, status=FAIL,
+                                    detail=failure))
+            continue
         restricted = Ideal(sub_vars, tuple(
             g.substitute(var_index, replacement) for g in ambient.ideal.generators))
-        return [Verdict(claim="restriction", instance=name,
-                        status=PASS if restricted.contains_ideal(intrinsic.ideal) else FAIL,
-                        detail="I_k(D|_Y) in I_k(D)*O_Y; reducedness of Z|_Y trusted"),
-                Verdict(claim="restriction-generic-equality", instance=name,
-                        status=PASS if restricted.equals(intrinsic.ideal) else FAIL,
-                        detail="equality for a generic hyperplane draw")]
-
+        verdicts += [Verdict(claim="restriction", instance=name,
+                             status=PASS if restricted.contains_ideal(intrinsic.ideal) else FAIL,
+                             detail="I_k(D|_Y) in I_k(D)*O_Y; reducedness of Z|_Y trusted"),
+                     Verdict(claim="restriction-generic-equality", instance=name,
+                             status=PASS if restricted.equals(intrinsic.ideal) else FAIL,
+                             detail="equality for a generic hyperplane draw")]
     return verdicts
 
 
-def _generic_restriction_draws(divisor: QDivisor, var_index: int,
-                               check: Callable[[Polynomial], list[Verdict]],
-                               rng: random.Random, draws: int = 3) -> list[Verdict]:
-    """Seeded generic draws, each judged by ``check`` (what
-    ``check_restriction(divisor, var_index, k)`` returns)."""
-    sub_vars = divisor.vars[:var_index] + divisor.vars[var_index + 1:]
-    out: list[Verdict] = []
-    for _ in range(draws):
-        repl = Polynomial.zero(sub_vars)
-        for name in sub_vars:
-            repl = repl + _random_fraction(rng) * Polynomial.variable(sub_vars, name)
-        out.extend(check(repl))
-    return out
+def _generic_linear_forms(variables: Sequence[str], rng: random.Random) -> list[Polynomial]:
+    """Three seeded linear forms in ``variables`` with random rational
+    coefficients: generic hyperplanes for ``check_restriction``."""
+    forms = []
+    for _ in range(3):
+        form = Polynomial.zero(variables)
+        for name in variables:
+            form = form + _random_fraction(rng) * Polynomial.variable(variables, name)
+        forms.append(form)
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +410,14 @@ def suite_product(seed: int = DEFAULT_SEED) -> list[Verdict]:
 def suite_restriction(seed: int = DEFAULT_SEED) -> list[Verdict]:
     rng = random.Random(seed)
     verdicts: list[Verdict] = []
+    plane = ("x", "y")
     cusp = _divisor(("x", "y", "z"), ("x^2 + y^3", Fraction(9, 10)))
-    # One checker per level: the z -> 0 plane reuses the k = 1 chains.
-    cusp_k1 = check_restriction(cusp, 2, 1)
-    verdicts += _generic_restriction_draws(cusp, 2, cusp_k1, rng)
-    verdicts += _generic_restriction_draws(cusp, 2, check_restriction(cusp, 2, 2), rng)
-    verdicts += cusp_k1(Polynomial.zero(("x", "y")))
+    # One check per level: the z -> 0 plane shares the k = 1 chains.
+    verdicts += check_restriction(cusp, 2, 1, _generic_linear_forms(plane, rng)
+                                  + [Polynomial.zero(plane)])
+    verdicts += check_restriction(cusp, 2, 2, _generic_linear_forms(plane, rng))
     snc = _divisor(("x", "y", "z"), ("x", Fraction(1, 2)), ("y", Fraction(1, 2)))
-    verdicts += _generic_restriction_draws(snc, 2, check_restriction(snc, 2, 1), rng)
+    verdicts += check_restriction(snc, 2, 1, _generic_linear_forms(plane, rng))
     return _sorted_report(verdicts)
 
 

@@ -29,7 +29,7 @@ from hodgeideals.closed_forms import ordinary_triviality
 from hodgeideals.divisor import HodgeIdealResult
 from hodgeideals.verify import (
     PASS,
-    _generic_restriction_draws,
+    _generic_linear_forms,
     check_chain_inclusions,
     check_multiplicity_bounds,
     check_restriction,
@@ -197,8 +197,7 @@ def test_criterion_7_restriction_cylinder():
         rng = random.Random(7)
         cusp3 = div([{"f": "x^2+y^3", "alpha": "9/10"}], XYZ)
         for k in (1, 2):
-            verdicts = _generic_restriction_draws(cusp3, 2, check_restriction(cusp3, 2, k), rng,
-                                                  draws=3)
+            verdicts = check_restriction(cusp3, 2, k, _generic_linear_forms(("x", "y"), rng))
             equalities = [v for v in verdicts if v.claim == "restriction-generic-equality"]
             assert len(equalities) >= 3
             assert report_ok(verdicts)

@@ -58,13 +58,6 @@ def test_certificate_requires_reduced_coefficients():
         triviality_certificate(cusp_data(), [F(3, 2)], 0)
 
 
-def test_certificate_requires_smooth_strict_transform():
-    data = ResolutionData(exceptional=(ExceptionalDivisor(a=(2,), b=1),),
-                          strict_transform_smooth=False)
-    with pytest.raises(ValueError):
-        triviality_certificate(data, [F(1, 2)], 0)
-
-
 def test_multi_component_certificate():
     # two components meeting one exceptional divisor: b + 1 >= k*a + sum alpha_j a^j
     data = ResolutionData(exceptional=(ExceptionalDivisor(a=(1, 1), b=1),))

@@ -159,7 +159,8 @@ def test_apply_twist_multiplies_and_notes_only_a_nontrivial_twist():
 
 
 def test_apply_twist_multiplies_the_reduced_basis_without_new_generators(groebner_inputs):
-    res = HodgeIdealResult(k=1, ideal=spanned_by(XY, ["x^2 + y", "x y - 1"]).canonical())
+    spanned = spanned_by(XY, ["x^2 + y", "x y - 1"])
+    res = HodgeIdealResult(k=1, ideal=Ideal.from_basis(XY, spanned.groebner()))
     twist = parse_polynomial("x y + y^2", XY)
     known = tuple(twist * g for g in res.ideal.generators)
     groebner_inputs.clear()

@@ -263,6 +263,13 @@ def test_parse_resolution_data_cusp():
     assert [(e.total, e.b) for e in res.exceptional] == [(2, 1), (3, 2), (6, 4)]
 
 
+def test_parse_resolution_data_refuses_a_singular_strict_transform():
+    with pytest.raises(ParseError) as err:
+        parse_resolution_data({"exceptional": [{"a": [2], "b": 1}],
+                               "strict_transform_smooth": False})
+    assert str(err.value) == "the triviality criterion needs a smooth strict transform"
+
+
 def test_parse_resolution_data_rejects_zero_pullback():
     with pytest.raises(ParseError) as err:
         parse_resolution_data({"exceptional": [{"a": [0], "b": 1}]})

@@ -278,7 +278,7 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
     variables = tuple(v for v in XYZ if any(v in f for f, _ in components))
     r = classify(div([{"f": f, "alpha": alpha} for f, alpha in components], variables))
     if len(components) == 1:
-        current = i0_seed(r).ideal.canonical()
+        current = i0_seed(r).ideal
     else:
         current = Ideal.unit(variables)
     for k in range(k_max):
@@ -420,6 +420,15 @@ def test_certificate_sources():
         GenerationCertificate(0, "node-example")
     assert certificate_for(classify(div([{"f": "x y z", "alpha": "1/2"}], XYZ))) == \
         GenerationCertificate(2, "universal-bound")
+
+
+def test_chain_reads_the_support_equation_of_the_reduced_divisor_only():
+    # A monomial support, twisted, computed from the unit seed: the
+    # certificate and the steps read B's support equation, so D's product
+    # x*y*z is never built.
+    d = div([{"f": "x*y", "alpha": "3/2"}, {"f": "z", "alpha": "3/2"}], XYZ)
+    compute_chain(d, 2)
+    assert "support_equation" not in d.__dict__
 
 
 def _colength(ideal):

@@ -10,7 +10,7 @@ from hodgeideals.verify import (
     OBSERVED,
     PASS,
     SUITES,
-    _generic_restriction_draws,
+    _generic_linear_forms,
     check_chain_inclusions,
     check_periodicity,
     check_product_formula,
@@ -101,7 +101,7 @@ def test_product_formula_rejects_shared_variables():
 
 def test_restriction_coordinate_section():
     cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
-    verdicts = check_restriction(cusp, 2, 1)(Polynomial.zero(("x", "y")))
+    verdicts = check_restriction(cusp, 2, 1, [Polynomial.zero(("x", "y"))])
     assert report_ok(verdicts)
     assert any(v.claim == "restriction-generic-equality" and v.status == PASS
                for v in verdicts)
@@ -110,7 +110,7 @@ def test_restriction_coordinate_section():
 def test_restriction_requires_cylinder():
     d = div([{"f": "x^2+y^3+z^2", "alpha": "9/10"}], ("x", "y", "z"))
     with pytest.raises(ValueError):
-        check_restriction(d, 2, 1)
+        check_restriction(d, 2, 1, [Polynomial.zero(("x", "y"))])
 
 
 def test_restriction_suite_draws_at_least_three_generic_hyperplanes():
@@ -122,18 +122,18 @@ def test_restriction_suite_draws_at_least_three_generic_hyperplanes():
 
 def test_restriction_draws_share_their_chains(chain_calls):
     cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
+    planes = _generic_linear_forms(("x", "y"), random.Random(7))
     counts = []
     for draws in (1, 3):
         chain_calls.clear()
-        verdicts = _generic_restriction_draws(cusp, 2, check_restriction(cusp, 2, 2),
-                                              random.Random(7), draws)
+        verdicts = check_restriction(cusp, 2, 2, planes[:draws])
         assert report_ok(verdicts)
         counts.append(len(chain_calls))
     assert counts[0] == counts[1] > 0
 
 
 def test_restriction_suite_computes_each_cusp_chain_once(chain_calls):
-    # The k = 1 checker serves the generic draws and the z -> 0 plane: per
+    # The k = 1 check serves the generic draws and the z -> 0 plane: per
     # restriction check, one ambient chain (plus its inner chain on the used
     # variables) and one intrinsic chain, for the cusp at k = 1 and 2 and
     # the SNC pair at k = 1.
