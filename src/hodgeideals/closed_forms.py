@@ -62,15 +62,16 @@ def _monomial_ideal(variables: Sequence[str], exponents: Iterable[Monomial]) -> 
 
 
 def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
-    """I_k of an SNC divisor supported on coordinate hyperplanes
-    (``regime.positions``): the I_k of the reduced SNC divisor, spanned
-    by prod x_i^(c_i) with 0 <= c_i <= k and sum c_i = (r-1)k, times the
-    round-up twist.  None for any other divisor.
+    """I_k of an SNC divisor supported on r coordinate hyperplanes
+    (``regime.positions``), however its components group them: the I_k
+    of the reduced SNC divisor, spanned by prod x_i^(c_i) with
+    0 <= c_i <= k and sum c_i = (r-1)k, times the round-up twist.  None
+    for any other divisor.
 
     The c_i are k - d_i over the compositions d of k into r parts.  The
-    twist prod (c_i x_(p_i))^(ceil(alpha_i) - 1) is one term c*x^E, so
-    the product is x^E times the reduced ideal: its exponent vector E
-    shifts every monomial, and no polynomial is multiplied."""
+    twist prod f_i^(ceil(alpha_i) - 1) of monomials f_i is one term
+    c*x^E, so the product is x^E times the reduced ideal: its exponent
+    vector E shifts every monomial, and no polynomial is multiplied."""
     positions = regime.positions
     if positions is None:
         return None
@@ -215,9 +216,8 @@ class Regime:
     ``reduced`` and ``twist`` are B and prod f_i^(ceil(alpha_i) - 1) from
     ``periodic_reduce``; every reader takes the variables and the support
     equation from B.  ``linear``: one component cut out by a linear
-    form.  ``positions``: every component a distinct coordinate (SNC).
-    ``monomial``: every component a monomial, so the support is a
-    squarefree monomial (``QDivisor`` refuses any other).
+    form.  ``positions``: the coordinates of a squarefree monomial
+    support, however its components group them (SNC).
     ``diagonal``: the exponents of a single component sum c_i x_i^(d_i).
     ``alpha``: the common coefficient of B, if there is one.  ``ordinary``:
     the multiplicity m >= 2 of a single cone component sum c_i x_i^m in
@@ -228,7 +228,6 @@ class Regime:
     twist: Polynomial
     linear: bool
     positions: Optional[tuple[int, ...]]
-    monomial: bool
     diagonal: Optional[tuple[int, ...]]
     alpha: Optional[Fraction]
     ordinary: Optional[int]
@@ -239,12 +238,10 @@ def classify(divisor: QDivisor) -> Regime:
     reduced, twist = periodic_reduce(divisor)
     factors = divisor.factors
     monos = [next(iter(f.terms)) for f in factors if len(f.terms) == 1]
-    # QDivisor refuses monomial components whose product is not squarefree.
-    monomial = len(monos) == len(factors)
-    # Squarefree-monomial support with every factor of degree 1 is a set of
-    # distinct coordinate hyperplanes.
-    positions = tuple(mono.index(1) for mono in monos) \
-        if monomial and all(sum(mono) == 1 for mono in monos) else None
+    # QDivisor refuses monomial components whose product is not squarefree,
+    # so an all-monomial support is the product of distinct coordinates.
+    positions = tuple(i for i, e in enumerate(map(sum, zip(*monos))) if e) \
+        if len(monos) == len(factors) else None
     diagonal = diagonal_exponents(factors[0]) if len(factors) == 1 else None
     alphas = set(reduced.alphas)
     alpha = next(iter(alphas)) if len(alphas) == 1 else None
@@ -252,5 +249,4 @@ def classify(divisor: QDivisor) -> Regime:
         and diagonal[0] >= 2 and len(diagonal) >= 2 else None
     return Regime(reduced=reduced, twist=twist,
                   linear=len(factors) == 1 and factors[0].total_degree() == 1,
-                  positions=positions, monomial=monomial,
-                  diagonal=diagonal, alpha=alpha, ordinary=ordinary)
+                  positions=positions, diagonal=diagonal, alpha=alpha, ordinary=ordinary)

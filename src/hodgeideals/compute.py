@@ -4,8 +4,8 @@
 snc -> ordinary), then the recursion with a generation-level
 certificate.  Each divisor is classified once and every entry reads that
 record.  Divisors whose equations omit some ambient variables are
-computed on the subring they actually use and extended back (smooth
-pullback along the projection).
+computed on the subring they actually use, a caller's seed included,
+and extended back (smooth pullback along the projection).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Optional
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
 from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
-from .poly import Polynomial
 from .recursion import (
     GenerationCertificate,
     MethodUnavailableError,
@@ -30,7 +29,7 @@ from .recursion import (
 CLOSED_FORMS = (
     ("smooth", smooth_support_ideal,
      "smooth closed form wants a single component cut out by a linear form"),
-    ("snc", snc_hodge_ideal, "SNC closed form wants distinct coordinate components"),
+    ("snc", snc_hodge_ideal, "SNC closed form wants a squarefree monomial support"),
     ("ordinary", ordinary_ideal,
      "ordinary closed form wants a single cone component sum c_i x_i^m and every "
      "requested level in its parameter region; use recursion or a certificate"),
@@ -39,21 +38,8 @@ METHODS = ("auto",) + tuple(name for name, _, _ in CLOSED_FORMS) + ("recursion",
 
 
 class SeedContradictionError(ValueError):
-    """A caller's I_0 that differs from the exact I_0 of a closed form."""
-
-
-def _restrict_to_used(divisor: QDivisor) -> Optional[QDivisor]:
-    """Divisor rewritten over the variables its equations use, when that
-    is a proper subset; None otherwise."""
-    used = divisor.used_variables()
-    if len(used) == len(divisor.vars):
-        return None
-    subvars = tuple(divisor.vars[i] for i in used)
-    # The inverse of Polynomial.extend: no term uses a dropped variable.
-    components = tuple(
-        (Polynomial(subvars, {tuple(m[i] for i in used): c for m, c in f.terms.items()}), alpha)
-        for f, alpha in divisor.components)
-    return QDivisor(subvars, components)
+    """A caller's I_0 that differs from the exact I_0 of a closed form, or
+    whose reduced basis uses a variable the divisor does not."""
 
 
 def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
@@ -65,18 +51,34 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     ``seed_ideal`` is a caller's I_0 of the reduced divisor B.  When a
     closed form covers the chain it is not used, but it is compared with
     the closed form's I_0: twisted to I_0(D) it must span the same ideal,
-    or ``SeedContradictionError`` is raised.
+    or ``SeedContradictionError`` is raised.  On a cylinder it moves to the
+    used variables through its reduced basis, which must not use another.
     """
     if method not in METHODS:
         raise MethodUnavailableError(f"unknown method {method!r}; expected one of {METHODS}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if seed_ideal is not None and seed_ideal.vars != divisor.vars:
+        raise ValueError(f"seed over {seed_ideal.vars}, divisor over {divisor.vars}")
 
-    # A user-supplied seed lives in the full ring; keep the computation there.
-    small = _restrict_to_used(divisor) if seed_ideal is None else None
-    if small is not None:
-        inner = compute_chain(small, k_max, method, seed_ideal=None, certificate=certificate)
-        note = (f"computed over the variables {', '.join(small.vars)} actually used "
+    used = divisor.used_variables()
+    if len(used) < len(divisor.vars):
+        small = tuple(divisor.vars[i] for i in used)
+        if seed_ideal is not None:
+            # I_0 of a pullback is extended from the used variables, and so
+            # is its reduced basis; a basis that uses another variable is not.
+            seed_ideal.groebner()
+            try:
+                seed_ideal = seed_ideal.extend(small)
+            except ValueError:
+                raise SeedContradictionError(
+                    f"'options.i0' contradicts the cylinder: the divisor uses only "
+                    f"{', '.join(small)}, but the reduced basis of the given I_0 is "
+                    f"{seed_ideal}") from None
+        inner = compute_chain(QDivisor(small, tuple((f.extend(small), alpha)
+                                                    for f, alpha in divisor.components)),
+                              k_max, method, seed_ideal, certificate)
+        note = (f"computed over the variables {', '.join(small)} actually used "
                 f"and extended back (smooth pullback)")
         return [replace(res, ideal=res.ideal.extend(divisor.vars)).with_note(note)
                 for res in inner]

@@ -561,16 +561,20 @@ class Ideal:
         return min(g.order_at_origin() for g in self.generators)
 
     def extend(self, variables: Sequence[str]) -> "Ideal":
-        """Same generators viewed in a larger polynomial ring.
+        """The same ideal viewed over the ambient ``variables``.
 
-        When the old variables keep their relative order, a kept reduced
-        basis carries over: restricted to monomials without the new
-        variables, grevlex is the old order, so the extended basis is
-        still reduced and still sorted.  Only the basis is then extended,
-        and the result is presented by it (``from_basis``).
+        When the shared variables keep their relative order, a kept
+        reduced basis carries over: both grevlex orders agree on its
+        monomials, so it is still reduced and sorted, and it presents the
+        result (``from_basis``).  Otherwise the generators are viewed.  A
+        dropped variable must be unused (``Polynomial.extend`` raises
+        ``ValueError``); keep the basis (``groebner()``) before dropping
+        one, since an ideal extended from fewer variables has its reduced
+        basis there.
         """
         variables = tuple(variables)
-        if self._basis is not None and tuple(v for v in variables if v in self.vars) == self.vars:
+        shared = tuple(v for v in self.vars if v in variables)
+        if self._basis is not None and tuple(v for v in variables if v in self.vars) == shared:
             return Ideal.from_basis(variables, tuple(g.extend(variables) for g in self._basis))
         return Ideal(variables, tuple(g.extend(variables) for g in self.generators))
 

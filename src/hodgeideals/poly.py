@@ -292,19 +292,22 @@ class Polynomial:
         return result
 
     def extend(self, variables: Sequence[str]) -> "Polynomial":
-        """The same polynomial viewed in a larger ambient ring."""
+        """The same polynomial viewed over the ambient ``variables``, which
+        must hold every variable a term uses; an old variable that no term
+        uses may be dropped."""
         variables = tuple(variables)
-        positions = []
-        for name in self.vars:
-            if name not in variables:
+        moves = []  # (old index, new index) of each kept variable
+        for i, name in enumerate(self.vars):
+            if name in variables:
+                moves.append((i, variables.index(name)))
+            elif self.uses_variable(i):
                 raise ValueError(f"new ambient {variables} must contain {name!r}")
-            positions.append(variables.index(name))
         n = len(variables)
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             big = [0] * n
-            for pos, e in zip(positions, mono):
-                big[pos] = e
+            for i, pos in moves:
+                big[pos] = mono[i]
             out[tuple(big)] = coeff
         return Polynomial._raw(variables, out)
 

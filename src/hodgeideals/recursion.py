@@ -254,7 +254,7 @@ def i0_seed(regime: Regime) -> HodgeIdealResult:
     divisor raises ``MethodUnavailableError``.
     """
     variables = regime.reduced.vars
-    if regime.monomial:
+    if regime.positions is not None:
         ideal = Ideal.unit(variables)
     elif regime.diagonal is not None:
         ideal = diagonal_multiplier_i0(regime.diagonal, regime.alpha, variables)

@@ -232,6 +232,24 @@ def test_compute_checks_a_caller_seed_against_the_closed_form(tmp_path, capsys, 
         assert "I_0 supplied by caller not used" in out
 
 
+def test_a_seeded_cylinder_is_computed_over_the_variables_it_uses(tmp_path, capsys):
+    # The seed's generator x*z is not in its reduced basis (x, y): it moves
+    # to x, y like the unseeded chain, which is exact at every level.
+    plain = dict(CUSP_TASK, vars=["x", "y", "z"])
+    seeded = dict(plain, options={"i0": ["x", "y", "x*z"]})
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, plain))
+    assert code == 0
+    want = json.loads(out)["results"]
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, seeded))
+    assert code == 0
+    got = json.loads(out)["results"]
+    assert [(res["ideal"], res["exact"]) for res in got] == \
+        [(res["ideal"], True) for res in want]
+    for res in got:
+        assert "I_0 supplied by caller (trusted)" in res["notes"]
+        assert "actually used and extended back" in res["notes"]
+
+
 D5_TASK = {"vars": ["x", "y"],
            "divisor": {"components": [{"f": "x^2*y+y^4", "alpha": "1/2"}]},
            "task": "compute", "k": 1}
@@ -750,6 +768,11 @@ def membership_task(n, m, alpha):
                              options={"i0": ["x"]}),
      "'options.i0' contradicts the snc closed form: I_0 = ideal(x), "
      "but the given I_0 times the twist x is ideal(x^2)"),
+    # A cylinder's I_0 is extended from the variables it uses; this
+    # seed's reduced basis uses z, which the cusp omits.
+    (["compute", TASK], dict(CUSP_TASK, vars=["x", "y", "z"], options={"i0": ["x", "z"]}),
+     "'options.i0' contradicts the cylinder: the divisor uses only x, y, but the reduced "
+     "basis of the given I_0 is ideal(x, z)"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"

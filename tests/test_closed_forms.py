@@ -367,16 +367,16 @@ CLASSIFY_TABLE = [
     ("linear form", _components(("x + 2*y", "1/2")), XY,
      dict(linear=True, diagonal=(1, 1), alpha=F(1, 2))),
     ("coordinate SNC", _components(("x", "3/2"), ("y", "1/2")), XY,
-     dict(positions=(0, 1), monomial=True, alpha=F(1, 2), twist="x")),
+     dict(positions=(0, 1), alpha=F(1, 2), twist="x")),
     ("monomial x*y", _components(("x*y", "1")), XY,
-     dict(monomial=True, alpha=F(1))),
+     dict(positions=(0, 1), alpha=F(1))),
     ("cusp", _components(("x^2+y^3", "9/10")), XY,
      dict(diagonal=(2, 3), alpha=F(9, 10))),
     ("cone", _components(("x^2+y^2+z^2", "3/4")), XYZ,
      dict(diagonal=(2, 2, 2), alpha=F(3, 4), ordinary=2)),
     ("node", _components(("x^2+x*y+y^2", "1/2")), XY, dict(alpha=F(1, 2))),
     ("two alphas", _components(("x", "1/2"), ("y", "1/3")), XY,
-     dict(positions=(0, 1), monomial=True)),
+     dict(positions=(0, 1))),
     ("certify-parse exit 3", _components(("x^2*y+5*y^3", "1/2")), XY, dict(alpha=F(1, 2))),
 ]
 
@@ -386,13 +386,46 @@ CLASSIFY_TABLE = [
 def test_classify_table(name, components, variables, expected):
     d = div(components, variables)
     r = classify(d)
-    facts = dict(linear=False, positions=None, monomial=False, diagonal=None, alpha=None,
+    facts = dict(linear=False, positions=None, diagonal=None, alpha=None,
                  ordinary=None, twist="1")
     facts.update(expected)
     twist = facts.pop("twist")
     assert {key: getattr(r, key) for key in facts} == facts
     assert r.twist == parse_polynomial(twist, variables)
     assert (r.reduced, r.twist) == periodic_reduce(d)
+
+
+# (components, their split form with one coordinate each, variables): one
+# SNC divisor however its coordinate hyperplanes are grouped.
+GROUPED_SNC = [
+    ("x*y", [("x*y", "1/2")], [("x", "1/2"), ("y", "1/2")], XY),
+    ("x*y*z", [("x*y*z", "1")], [("x", "1"), ("y", "1"), ("z", "1")], XYZ),
+    ("2*x*y*z twisted", [("2*x*y*z", "7/3")], [("x", "7/3"), ("y", "7/3"), ("z", "7/3")],
+     XYZ),
+    ("x*y and z", [("x*y", "1/2"), ("z", "5/2")],
+     [("x", "1/2"), ("y", "1/2"), ("z", "5/2")], XYZ),
+]
+
+
+@pytest.mark.parametrize("name,grouped,split,variables", GROUPED_SNC,
+                         ids=[row[0] for row in GROUPED_SNC])
+def test_grouped_monomial_support_is_its_split_snc_divisor(name, grouped, split, variables):
+    assert classify(div(_components(*grouped), variables)).positions == \
+        tuple(range(len(variables)))
+    got = compute_chain(div(_components(*grouped), variables), 3)
+    want = compute_chain(div(_components(*split), variables), 3)
+    assert [(res.k, res.exact, res.method) for res in got] == \
+        [(res.k, res.exact, res.method) for res in want] == [(k, True, "snc") for k in range(4)]
+    assert all(a.ideal.equals(b.ideal) for a, b in zip(got, want))
+
+
+def test_seeded_cylinder_is_the_unseeded_chain():
+    d = div(_components(("x^2+y^3", "9/10")), XYZ)
+    seed = Ideal(XYZ, [parse_polynomial(g, XYZ) for g in ("x", "y")])
+    seeded = compute_chain(d, 3, seed_ideal=seed)
+    plain = compute_chain(d, 3)
+    assert [res.exact for res in seeded] == [res.exact for res in plain] == [True] * 4
+    assert all(a.ideal.equals(b.ideal) for a, b in zip(seeded, plain))
 
 
 def test_chain_computes_the_twist_once(twist_calls):

@@ -232,6 +232,22 @@ def test_extending_a_presented_basis_extends_it_once(monkeypatch):
     assert ext.equals(spanned_by(xyz, ["x^2", "x y", "y^3"]))
 
 
+def test_extend_drops_a_variable_only_through_the_kept_basis():
+    # (x, x*z) is extended from x, y, and its reduced basis (x) shows it;
+    # (x*z + y, y + x^2) is not, and its reduced basis uses z.
+    cylinder = spanned_by(XYZ, ["x", "x z"])
+    with pytest.raises(ValueError, match="must contain 'z'"):
+        cylinder.extend(XY)
+    cylinder.groebner()
+    assert cylinder.extend(XY).groebner() == (p("x"),)
+    assert cylinder.extend(XY).extend(XYZ).equals(cylinder)
+    assert cylinder.extend(("z", "x")).groebner() == (p("x", ("z", "x")),)
+    other = spanned_by(XYZ, ["x z + y", "y + x^2"])
+    other.groebner()
+    with pytest.raises(ValueError, match="must contain 'z'"):
+        other.extend(XY)
+
+
 # -- bases for other orders ---------------------------------------------------------------
 
 def test_another_order_computes_only_a_kept_basis_that_is_not_monomial(groebner_calls):

@@ -197,6 +197,13 @@ def test_extend_maps_variables_by_name():
         f.extend(("x", "z"))
 
 
+def test_extend_drops_only_unused_variables():
+    f = p("x^2 + x*z", XYZ)
+    assert f.extend(("z", "x")) == parse_polynomial("x^2 + x*z", ("z", "x"))
+    with pytest.raises(ValueError, match="must contain 'z'"):
+        f.extend(XY)
+
+
 # -- hypothesis: ring axioms and calculus properties -----------------------------------
 
 coeffs = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
@@ -273,3 +280,25 @@ def test_substituting_an_unused_variable_drops_its_exponent(f, repl, index):
     image = f.extend(ambient).substitute(index, repl)
     assert image.vars == XY
     assert list(image.terms.items()) == list(f.terms.items())
+
+
+@settings(max_examples=100)
+@given(polys(), st.permutations(("x", "y", "z", "w")))
+def test_extend_round_trips_through_any_ambient_holding_the_used_variables(f, wide):
+    # Out to four variables in any order and back; and down to each
+    # ambient of the variables f uses, in their order, and back.
+    assert f.extend(wide).extend(XYZ) == f
+    used = [v for i, v in enumerate(XYZ) if f.uses_variable(i)]
+    narrow = tuple(v for v in wide if v in used)
+    assert f.extend(narrow).extend(wide).extend(XYZ) == f
+
+
+@settings(max_examples=100)
+@given(polys(), st.integers(0, 2))
+def test_extend_refuses_to_drop_a_used_variable(f, index):
+    rest = XYZ[:index] + XYZ[index + 1:]
+    if f.uses_variable(index):
+        with pytest.raises(ValueError, match=f"must contain {XYZ[index]!r}"):
+            f.extend(rest)
+    else:
+        assert f.extend(rest).extend(XYZ) == f

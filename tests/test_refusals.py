@@ -10,6 +10,7 @@ from hodgeideals import (
     GenerationCertificate,
     HodgeIdealResult,
     Ideal,
+    MethodUnavailableError,
     MultiplicityData,
     Polynomial,
     QDivisor,
@@ -72,10 +73,26 @@ CASES = {
     "i0-seed-wrong-ring": (
         lambda: compute_chain(cusp(), 1, seed_ideal=Ideal.unit(XYZ)), ValueError,
         "seed over ('x', 'y', 'z'), divisor over ('x', 'y')"),
+    "i0-seed-wrong-ring-on-a-cylinder": (
+        lambda: compute_chain(cusp(XYZ), 1, seed_ideal=Ideal.unit(XY)), ValueError,
+        "seed over ('x', 'y'), divisor over ('x', 'y', 'z')"),
     "compute-chain-seed-contradicting-a-closed-form": (
         lambda: compute_chain(QDivisor(XY, ((p("x"), F(1, 2)), (p("y"), F(1, 2)))), 1,
                               seed_ideal=Ideal(XY, [p("x^5")])),
         SeedContradictionError, "'options.i0' contradicts the snc closed form"),
+    "compute-chain-unknown-method": (
+        lambda: compute_chain(cusp(), 1, method="bogus"), MethodUnavailableError,
+        "unknown method 'bogus'"),
+    "compute-chain-seed-using-an-omitted-variable": (
+        lambda: compute_chain(cusp(XYZ), 1, seed_ideal=Ideal(XYZ, [p("x", XYZ), p("z", XYZ)])),
+        SeedContradictionError, "'options.i0' contradicts the cylinder: the divisor uses "
+        "only x, y, but the reduced basis of the given I_0 is ideal(x, z)"),
+    "polynomial-extend-drops-a-used-variable": (
+        lambda: p("x*y").extend(X), ValueError, "new ambient ('x',) must contain 'y'"),
+    # Without its kept basis an ideal views its generators, and x*z uses z.
+    "ideal-extend-drops-a-variable-a-generator-uses": (
+        lambda: Ideal(XYZ, [p("x", XYZ), p("x*z", XYZ)]).extend(XY), ValueError,
+        "new ambient ('x', 'y') must contain 'z'"),
     "certificate-negative-level": (
         lambda: GenerationCertificate(-1, "user-asserted"), ValueError,
         "generation level must be >= 0, got -1"),
@@ -101,6 +118,10 @@ CASES = {
         lambda: triviality_certificate(ResolutionData((ExceptionalDivisor(a=(2,), b=1),)),
                                        [F(1, 2)], -1),
         ValueError, "filtration level must be >= 0, got -1"),
+    "triviality-record-length-mismatch": (
+        lambda: triviality_certificate(ResolutionData((ExceptionalDivisor(a=(2, 1), b=1),)),
+                                       [F(1, 2)], 0),
+        ValueError, "exceptional record 0 lists 2 components, divisor has 1"),
     "symbolic-power-negative-k": (
         lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), -1),
         ValueError, "filtration level must be >= 0, got -1"),

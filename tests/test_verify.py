@@ -69,6 +69,18 @@ def test_subadditivity_cusp_times_line_uses_product_route():
     assert any("product formula" in v.detail for v in verdicts)
 
 
+def test_subadditivity_on_supports_that_share_a_variable_observes_and_fails():
+    # x^2+y^3 and x share x: the hypothesis is reported, and the combined
+    # divisor has no exact route, which is a required FAIL, not an exception.
+    cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}])
+    line = div([{"f": "x", "alpha": "1/2"}])
+    verdicts = check_subadditivity(cusp, line, 1)
+    assert [(v.claim, v.status, v.required) for v in verdicts] == [
+        ("subadditivity-hypothesis", OBSERVED, False), ("subadditivity", FAIL, True)]
+    assert verdicts[1].detail == "left-hand side not computable exactly"
+    assert not report_ok(verdicts)
+
+
 def test_subadditivity_computes_each_chain_once(chain_calls):
     cusp = div([{"f": "x^2+y^3", "alpha": "9/10"}], ("x", "y", "z"))
     line = div([{"f": "z", "alpha": "3/4"}], ("x", "y", "z"))
