@@ -39,11 +39,9 @@ from .certificates import (
     Decision,
     ExceptionalDivisor,
     MultiplicityData,
-    ResolutionData,
     alpha_multiple_membership,
     nontriviality_symbolic_power,
     singular_multiplicity_bound,
-    smoothness_test,
     triviality_certificate,
 )
 from .compute import compute_chain
@@ -59,8 +57,8 @@ __all__ = [
     "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
     "ChainResult", "GenerationCertificate", "MethodUnavailableError", "certificate_for",
     "derivation_step", "hodge_chain", "i0_seed",
-    "Decision", "ExceptionalDivisor", "MultiplicityData", "ResolutionData",
+    "Decision", "ExceptionalDivisor", "MultiplicityData",
     "alpha_multiple_membership", "nontriviality_symbolic_power",
-    "singular_multiplicity_bound", "smoothness_test", "triviality_certificate",
+    "singular_multiplicity_bound", "triviality_certificate",
     "compute_chain",
 ]

@@ -13,16 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .divisor import HodgeIdealResult, QDivisor, twist_polynomial
-from .ideal import Ideal
 from .poly import format_rational
 
 TRIVIAL = "TRIVIAL"
 INCONCLUSIVE = "INCONCLUSIVE"
 CONTAINED = "CONTAINED-IN-MAXIMAL-IDEAL"
 CONTAINED_CONJECTURAL = "CONTAINED-IN-MAXIMAL-IDEAL-CONJECTURAL"
-SMOOTH_CONSISTENT = "SMOOTH-CONSISTENT"
-SINGULAR_CERTIFIED = "SINGULAR-CERTIFIED"
 
 
 @dataclass(frozen=True)
@@ -42,13 +38,6 @@ class ExceptionalDivisor:
     @property
     def total(self) -> int:
         return sum(self.a)
-
-
-@dataclass(frozen=True)
-class ResolutionData:
-    """Numeric certificate of a log resolution with smooth strict transform."""
-
-    exceptional: tuple[ExceptionalDivisor, ...]
 
 
 @dataclass(frozen=True)
@@ -78,14 +67,15 @@ class Decision:
     value: Optional[int] = None
 
 
-def triviality_certificate(res: ResolutionData, alphas: Sequence[Fraction],
-                           k: int) -> Decision:
+def triviality_certificate(records: Sequence[ExceptionalDivisor],
+                           alphas: Sequence[Fraction], k: int) -> Decision:
     """TRIVIAL when b_i + 1 >= k*a_i + sum_j alpha_j*a_i^j holds for every
     exceptional divisor (single component: (b_i+1)/a_i >= k + alpha);
     otherwise INCONCLUSIVE, since the criterion is one-directional.
 
-    The strict transform is smooth by the data's contract; requires
-    coefficients in (0, 1] (periodic-reduce first).
+    ``records`` are the exceptional divisors of a log resolution whose
+    strict transform is smooth; requires coefficients in (0, 1]
+    (periodic-reduce first).
     """
     alphas = tuple(alphas)
     if k < 0:
@@ -96,7 +86,7 @@ def triviality_certificate(res: ResolutionData, alphas: Sequence[Fraction],
                 f"coefficients must lie in (0, 1] (apply periodic_reduce first), got {alpha}")
     lines = []
     ok = True
-    for idx, exc in enumerate(res.exceptional):
+    for idx, exc in enumerate(records):
         if len(exc.a) != len(alphas):
             raise ValueError(
                 f"exceptional record {idx} lists {len(exc.a)} components, divisor has {len(alphas)}")
@@ -117,7 +107,7 @@ def triviality_certificate(res: ResolutionData, alphas: Sequence[Fraction],
                          f"{'>=' if holds else '<'} {k}*{exc.total} + {terms} "
                          f"= {format_rational(rhs)}")
         ok = ok and holds
-    if not res.exceptional:
+    if not records:
         lines.append("no exceptional divisors: the support is smooth and the "
                      "inequality holds vacuously")
     return Decision(status=TRIVIAL if ok else INCONCLUSIVE, lines=tuple(lines))
@@ -196,29 +186,3 @@ def alpha_multiple_membership(n: int, m: int, alpha: Fraction, k: int,
     return Decision(status=CONTAINED_CONJECTURAL,
                     lines=(line, "divisor is not a rational multiple of its support: "
                                  "the criterion is an open question in general"))
-
-
-def smoothness_test(results: Sequence[HodgeIdealResult], divisor: QDivisor) -> Decision:
-    """Smoothness dichotomy for D = alpha*Z: the support is smooth iff
-    every I_k equals the twist ideal O(Z - ceil(D)).
-
-    Only exact results participate; a strictly smaller exact ideal
-    certifies a singular support.
-    """
-    twist_ideal = Ideal.principal(twist_polynomial(divisor))
-    lines = []
-    singular = False
-    for res in results:
-        if not res.exact:
-            continue
-        if res.ideal.equals(twist_ideal):
-            lines.append(f"k={res.k}: I_k equals the twist ideal")
-        elif twist_ideal.contains_ideal(res.ideal):
-            lines.append(f"k={res.k}: I_k is strictly smaller than the twist ideal")
-            singular = True
-        else:
-            raise ValueError(
-                f"k={res.k}: computed ideal is not contained in the twist ideal; "
-                "the result violates the universal containment and cannot be a Hodge ideal")
-    return Decision(status=SINGULAR_CERTIFIED if singular else SMOOTH_CONSISTENT,
-                    lines=tuple(lines))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .certificates import ExceptionalDivisor, MultiplicityData, ResolutionData
+from .certificates import ExceptionalDivisor, MultiplicityData
 from .compute import METHODS
 from .divisor import QDivisor
 from .ideal import Ideal
@@ -331,8 +331,9 @@ def parse_divisor(document: dict) -> QDivisor:
         raise ParseError(str(exc)) from exc
 
 
-def parse_resolution_data(document: dict) -> ResolutionData:
-    """Build numeric log-resolution data from its JSON form.
+def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
+    """The exceptional-divisor records of numeric log-resolution data,
+    from its JSON form.
 
     Shape: ``{"exceptional": [{"a": [int, ...], "b": int}, ...],
     "strict_transform_smooth": bool}``.  Per exceptional divisor, ``a``
@@ -370,7 +371,7 @@ def parse_resolution_data(document: dict) -> ResolutionData:
         raise ParseError("'strict_transform_smooth' must be a boolean")
     if not smooth:
         raise ParseError("the triviality criterion needs a smooth strict transform")
-    return ResolutionData(exceptional=tuple(records))
+    return tuple(records)
 
 
 # -- task documents ---------------------------------------------------------------
@@ -441,12 +442,12 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
     if kind == "resolution":
         if divisor is None:
             raise ParseError("resolution certificates need the divisor (for its alphas)")
-        res = parse_resolution_data(data)
-        for idx, record in enumerate(res.exceptional):
+        records = parse_resolution_data(data)
+        for idx, record in enumerate(records):
             if len(record.a) != len(divisor.components):
                 raise ParseError(f"exceptional record {idx} lists {len(record.a)} components, "
                                  f"divisor has {len(divisor.components)}")
-        return kind, {"res": res}
+        return kind, {"records": records}
     if not isinstance(data, dict):
         raise ParseError(f"{kind!r} must be an object")
     if kind == "multiplicity":

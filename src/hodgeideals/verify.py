@@ -21,7 +21,6 @@ from .certificates import (
     INCONCLUSIVE,
     TRIVIAL,
     ExceptionalDivisor,
-    ResolutionData,
     alpha_multiple_membership,
     singular_multiplicity_bound,
     triviality_certificate,
@@ -270,25 +269,26 @@ def check_periodicity(divisor: QDivisor, multiplicities: Sequence[int],
 # Certificate consistency
 
 
-def cusp_resolution_data() -> ResolutionData:
-    """Log-resolution data of the plane cusp x^2 + y^3 (three point
-    blowups): pullback coefficients 2, 3, 6 and discrepancies 1, 2, 4."""
-    return ResolutionData(exceptional=(
+def cusp_resolution_data() -> tuple[ExceptionalDivisor, ...]:
+    """Exceptional divisors of the log resolution of the plane cusp
+    x^2 + y^3 (three point blowups): pullback coefficients 2, 3, 6 and
+    discrepancies 1, 2, 4."""
+    return (
         ExceptionalDivisor(a=(2,), b=1),
         ExceptionalDivisor(a=(3,), b=2),
         ExceptionalDivisor(a=(6,), b=4),
-    ))
+    )
 
 
 def check_certificate_consistency() -> list[Verdict]:
     verdicts: list[Verdict] = []
-    res = cusp_resolution_data()
+    records = cusp_resolution_data()
     threshold = Fraction(5, 6)
     grid = [Fraction(1, 2), Fraction(3, 4), Fraction(4, 5), Fraction(5, 6),
             Fraction(9, 10), Fraction(1)]
     for k in (0, 1):
         for alpha in grid:
-            decision = triviality_certificate(res, [alpha], k)
+            decision = triviality_certificate(records, [alpha], k)
             expected = TRIVIAL if k + alpha <= threshold else INCONCLUSIVE
             verdicts.append(Verdict(
                 claim="certificate-cusp-threshold",
@@ -307,10 +307,10 @@ def check_certificate_consistency() -> list[Verdict]:
             detail="the two criteria never assert triviality and membership together"))
     # Monotonicity of the resolution-data criterion.
     for k, alpha in iproduct((0, 1, 2), grid):
-        if triviality_certificate(res, [alpha], k).status != TRIVIAL:
+        if triviality_certificate(records, [alpha], k).status != TRIVIAL:
             continue
         for k2, alpha2 in iproduct(range(k + 1), [a for a in grid if a <= alpha]):
-            again = triviality_certificate(res, [alpha2], k2)
+            again = triviality_certificate(records, [alpha2], k2)
             verdicts.append(Verdict(
                 claim="certificate-monotone",
                 instance=f"cusp data, ({k},{format_rational(alpha)}) -> "

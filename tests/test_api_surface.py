@@ -10,6 +10,9 @@ A classmethod or staticmethod counts as used only when it is read as
 used when an attribute of the same name is read (a bare variable of
 that name does not count).  No module of the package imports a name
 it never reads.
+
+Two shapes are pinned for readers outside ``src``, and one layering
+rule holds: ``certificates.py`` works on numbers alone.
 """
 
 import ast
@@ -18,15 +21,24 @@ import types
 from pathlib import Path
 
 import hodgeideals
-from hodgeideals import Ideal, MonomialOrder, Polynomial, QDivisor
+from hodgeideals import (
+    Ideal,
+    MonomialOrder,
+    Polynomial,
+    QDivisor,
+    certificate_for,
+    classify,
+    hodge_chain,
+    i0_seed,
+    ordinary_ideal,
+    parse_divisor,
+    smooth_support_ideal,
+    snc_hodge_ideal,
+)
 
 PACKAGE = Path(hodgeideals.__file__).resolve().parent
 
-ALLOWED_UNUSED = {
-    # The smooth/singular dichotomy the README advertises.  Wiring it into
-    # a verify suite would add verdicts; until then only tests call it.
-    "smoothness_test",
-}
+ALLOWED_UNUSED: set[str] = set()
 
 
 CLASSES = (Polynomial, Ideal, QDivisor, MonomialOrder)
@@ -170,3 +182,35 @@ def test_no_module_imports_a_name_it_never_reads():
         unread += [f"{name}:{line} {alias}" for alias, line in imported.items()
                    if alias not in read]
     assert sorted(unread) == []
+
+
+def test_certificates_imports_no_package_module_but_poly():
+    # The triviality and non-triviality criteria are inequalities on the
+    # numbers of a log resolution or of multiplicities, not on ideals.
+    tree = _modules()["certificates.py"]
+    modules = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    package = {name for name in modules if name.startswith((".", "hodgeideals"))}
+    assert package <= {".poly", "hodgeideals.poly"}
+
+
+def _divisor(f, alpha, variables):
+    return parse_divisor({"vars": list(variables), "components": [{"f": f, "alpha": alpha}]})
+
+
+def test_shapes_the_benchmark_tracer_reads():
+    # perfbench/tracing.py computes recursion.exact_frac from
+    # hodge_chain(...).results[i].exact, and closed_forms.generators from
+    # len(result.ideal.generators) of each closed form's result.
+    regime = classify(_divisor("x^2+y^3", "1/2", "xy"))
+    chain = hodge_chain(regime, 2, i0_seed(regime), certificate_for(regime))
+    assert [result.k for result in chain.results] == [0, 1, 2]
+    assert all(isinstance(result.exact, bool) for result in chain.results)
+    for closed_form, f, variables in ((smooth_support_ideal, "x", "xy"),
+                                      (snc_hodge_ideal, "x*y", "xy"),
+                                      (ordinary_ideal, "x^2+y^2+z^2", "xyz")):
+        result = closed_form(classify(_divisor(f, "3/4", variables)), 1)
+        assert result.ideal.generators
+        assert all(isinstance(g, Polynomial) for g in result.ideal.generators)

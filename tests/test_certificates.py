@@ -1,4 +1,4 @@
-"""Inequality certificates: triviality, symbolic powers, membership, smoothness."""
+"""Inequality certificates: triviality, symbolic powers, membership."""
 
 from fractions import Fraction as F
 
@@ -7,31 +7,25 @@ import pytest
 from hodgeideals import (
     ExceptionalDivisor,
     MultiplicityData,
-    ResolutionData,
     alpha_multiple_membership,
-    compute_chain,
     nontriviality_symbolic_power,
-    parse_divisor,
     singular_multiplicity_bound,
-    smoothness_test,
     triviality_certificate,
 )
 from hodgeideals.certificates import (
     CONTAINED,
     CONTAINED_CONJECTURAL,
     INCONCLUSIVE,
-    SINGULAR_CERTIFIED,
-    SMOOTH_CONSISTENT,
     TRIVIAL,
 )
 
 
 def cusp_data():
-    return ResolutionData(exceptional=(
+    return (
         ExceptionalDivisor(a=(2,), b=1),
         ExceptionalDivisor(a=(3,), b=2),
         ExceptionalDivisor(a=(6,), b=4),
-    ))
+    )
 
 
 # -- triviality from resolution data ---------------------------------------------
@@ -49,7 +43,7 @@ def test_cusp_certificate_inconclusive_above_threshold():
 
 
 def test_empty_resolution_data_is_trivial():
-    decision = triviality_certificate(ResolutionData(exceptional=()), [F(1)], 4)
+    decision = triviality_certificate((), [F(1)], 4)
     assert decision.status == TRIVIAL
 
 
@@ -60,7 +54,7 @@ def test_certificate_requires_reduced_coefficients():
 
 def test_multi_component_certificate():
     # two components meeting one exceptional divisor: b + 1 >= k*a + sum alpha_j a^j
-    data = ResolutionData(exceptional=(ExceptionalDivisor(a=(1, 1), b=1),))
+    data = (ExceptionalDivisor(a=(1, 1), b=1),)
     assert triviality_certificate(data, [F(1, 2), F(1, 2)], 0).status == TRIVIAL
     assert triviality_certificate(data, [F(1, 2), F(1, 2)], 1).status == INCONCLUSIVE
     assert triviality_certificate(data, [F(1), F(1)], 0).status == TRIVIAL
@@ -130,24 +124,3 @@ def test_alpha_multiple_membership_refuses_degenerate_data(n, m, alpha):
 def test_alpha_multiple_membership_conjectural_for_general_divisors():
     decision = alpha_multiple_membership(3, 2, F(3, 4), 1, proportional=False)
     assert decision.status == CONTAINED_CONJECTURAL
-
-
-# -- smoothness dichotomy -------------------------------------------------------------------
-
-def test_smoothness_consistent_for_smooth_line():
-    d = parse_divisor({"vars": ["x", "y"], "components": [{"f": "x", "alpha": "1/2"}]})
-    results = compute_chain(d, 3)
-    assert smoothness_test(results, d).status == SMOOTH_CONSISTENT
-
-
-def test_smoothness_certifies_cusp_singular():
-    d = parse_divisor({"vars": ["x", "y"],
-                       "components": [{"f": "x^2+y^3", "alpha": "9/10"}]})
-    results = compute_chain(d, 2)
-    assert smoothness_test(results, d).status == SINGULAR_CERTIFIED
-
-
-def test_smoothness_certifies_node_singular():
-    d = parse_divisor({"vars": ["x", "y"], "components": [{"f": "x y", "alpha": "1"}]})
-    results = compute_chain(d, 2)
-    assert smoothness_test(results, d).status == SINGULAR_CERTIFIED

@@ -257,10 +257,10 @@ def test_parse_divisor_rejects_nonpositive_alpha():
 # -- resolution data ---------------------------------------------------------------
 
 def test_parse_resolution_data_cusp():
-    res = parse_resolution_data({"exceptional": [{"a": [2], "b": 1}, {"a": [3], "b": 2},
-                                                 {"a": [6], "b": 4}],
-                                 "strict_transform_smooth": True})
-    assert [(e.total, e.b) for e in res.exceptional] == [(2, 1), (3, 2), (6, 4)]
+    records = parse_resolution_data({"exceptional": [{"a": [2], "b": 1}, {"a": [3], "b": 2},
+                                                     {"a": [6], "b": 4}],
+                                     "strict_transform_smooth": True})
+    assert [(e.total, e.b) for e in records] == [(2, 1), (3, 2), (6, 4)]
 
 
 def test_parse_resolution_data_refuses_a_singular_strict_transform():
@@ -277,8 +277,7 @@ def test_parse_resolution_data_rejects_zero_pullback():
 
 
 def test_parse_resolution_data_empty_is_smooth_case():
-    res = parse_resolution_data({"exceptional": []})
-    assert res.exceptional == ()
+    assert parse_resolution_data({"exceptional": []}) == ()
 
 
 def test_parse_resolution_data_rejects_negative_and_non_integer():

@@ -14,7 +14,6 @@ from hodgeideals import (
     MultiplicityData,
     Polynomial,
     QDivisor,
-    ResolutionData,
     classify,
     compute_chain,
     derivation_step,
@@ -115,12 +114,10 @@ CASES = {
         lambda: MultiplicityData(**dict(MULTIPLICITY, r=4)), ValueError,
         "codimension must lie in 1..3, got 4"),
     "triviality-negative-k": (
-        lambda: triviality_certificate(ResolutionData((ExceptionalDivisor(a=(2,), b=1),)),
-                                       [F(1, 2)], -1),
+        lambda: triviality_certificate((ExceptionalDivisor(a=(2,), b=1),), [F(1, 2)], -1),
         ValueError, "filtration level must be >= 0, got -1"),
     "triviality-record-length-mismatch": (
-        lambda: triviality_certificate(ResolutionData((ExceptionalDivisor(a=(2, 1), b=1),)),
-                                       [F(1, 2)], 0),
+        lambda: triviality_certificate((ExceptionalDivisor(a=(2, 1), b=1),), [F(1, 2)], 0),
         ValueError, "exceptional record 0 lists 2 components, divisor has 1"),
     "symbolic-power-negative-k": (
         lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), -1),
