@@ -4,8 +4,8 @@ task files with canonical, diff-stable output.
 Every number printed is an exact rational (``p/q`` or integer text).
 Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``,
 an unwritable ``--output`` path included; only polynomial and rational
-text errors carry a span; or a caller's I_0 that a closed form
-contradicts), 3 method unavailable, 4 internal error.
+text errors carry a span; or a caller's I_0 that a closed form or the
+computed I_0 contradicts), 3 method unavailable, 4 internal error.
 """
 
 from __future__ import annotations
@@ -187,8 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     parser.add_argument("--order", choices=tuple(_ORDERS), default="grevlex",
                         help="monomial order for printed polynomials (default: grevlex)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"seed for all randomness (default: {DEFAULT_SEED})")
+    def verify_only(_text: str):
+        raise argparse.ArgumentTypeError("only verify reads a seed; give it after the suite names")
+
+    parser.add_argument("--seed", type=verify_only, default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--output", help="write the report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -204,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property suites against the theorems")
     p_verify.add_argument("suites", nargs="+",
                           help=f"suite names ({', '.join(sorted(SUITES))}) or 'all'")
-    p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                          help="seed override (same as the global --seed)")
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                          help=f"seed for all randomness (default: {DEFAULT_SEED})")
 
     p_parse = sub.add_parser("parse", help="echo the canonical form of a polynomial")
     p_parse.add_argument("expression")

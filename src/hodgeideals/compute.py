@@ -38,8 +38,8 @@ METHODS = ("auto",) + tuple(name for name, _, _ in CLOSED_FORMS) + ("recursion",
 
 
 class SeedContradictionError(ValueError):
-    """A caller's I_0 that differs from the exact I_0 of a closed form, or
-    whose reduced basis uses a variable the divisor does not."""
+    """A caller's I_0 that differs from the exact I_0 of a closed form or of
+    ``i0_seed``, or whose reduced basis uses a variable the divisor does not."""
 
 
 def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
@@ -51,8 +51,10 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     ``seed_ideal`` is a caller's I_0 of the reduced divisor B.  When a
     closed form covers the chain it is not used, but it is compared with
     the closed form's I_0: twisted to I_0(D) it must span the same ideal,
-    or ``SeedContradictionError`` is raised.  On a cylinder it moves to the
-    used variables through its reduced basis, which must not use another.
+    or ``SeedContradictionError`` is raised.  The recursion starts from it,
+    and it must span the I_0 that ``i0_seed`` computes where there is one.
+    On a cylinder it moves to the used variables through its reduced
+    basis, which must not use another.
     """
     if method not in METHODS:
         raise MethodUnavailableError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -106,9 +108,20 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
             if method == name:
                 raise MethodUnavailableError(reason)
 
-    # Recursion with a generation-level certificate.
-    seed = i0_seed(regime) if seed_ideal is None else HodgeIdealResult(
-        k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
+    # Recursion with a generation-level certificate, from the computed I_0
+    # where there is one; a caller's I_0 must span the same ideal.
+    try:
+        seed = i0_seed(regime)
+    except MethodUnavailableError:
+        if seed_ideal is None:
+            raise
+        seed = None
+    if seed_ideal is not None:
+        if seed is not None and not seed_ideal.equals(seed.ideal):
+            raise SeedContradictionError(
+                f"'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = "
+                f"{seed.ideal}, but the given I_0 is {seed_ideal}")
+        seed = HodgeIdealResult(k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
     cert = certificate if certificate is not None else certificate_for(regime)
     results = hodge_chain(regime, k_max, seed, cert).results
     if seed_ideal is not None:

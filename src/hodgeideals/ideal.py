@@ -84,16 +84,17 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    (lmf, lcf) = f.leading(order)
-    (lmg, lcg) = g.leading(order)
+    """The S-polynomial of monic ``f`` and ``g``: (L/lm f)*f - (L/lm g)*g
+    with L the lcm of their leading monomials.  Only the leading monomials
+    are read, so a leading coefficient other than 1 gives a wrong result."""
+    lmf = f.leading_monomial(order)
+    lmg = g.leading_monomial(order)
     lcm = tuple(map(max, lmf, lmg))
     qf = tuple(map(sub, lcm, lmf))
     qg = tuple(map(sub, lcm, lmg))
-    out = {tuple(map(add, m, qf)): c if lcf == 1 else c / lcf for m, c in f.terms.items()}
+    out = {tuple(map(add, m, qf)): c for m, c in f.terms.items()}
     for m, c in g.terms.items():
         t = tuple(map(add, m, qg))
-        if lcg != 1:
-            c = c / lcg
         cur = out.get(t)
         if cur is None:
             out[t] = -c

@@ -376,25 +376,19 @@ def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
 
 # -- task documents ---------------------------------------------------------------
 
-_OPTION_KEYS = ("i0", "certificate", "alpha_samples")
+_OPTION_KEYS = ("i0", "certificate")
 _CERTIFY_KINDS = ("resolution", "multiplicity", "membership")
-# The keys each subcommand reads; "components" is the top-level divisor
-# form that parse_divisor reads.
-_COMMON_KEYS = ("task", "vars", "divisor", "components", "k")
+# The keys each subcommand reads.
+_COMMON_KEYS = ("task", "vars", "divisor", "k")
 _TASK_KEYS = {"compute": _COMMON_KEYS + ("method", "options"),
               "certify": _COMMON_KEYS + _CERTIFY_KINDS}
 
 
-def _alpha_samples(pieces) -> list[Fraction]:
-    """The positive rationals of ``--alpha-samples`` (split at commas) or
-    of ``options.alpha_samples``."""
-    if not isinstance(pieces, list):
-        raise ParseError("'options.alpha_samples' must be a list")
-    if not pieces:
-        raise ParseError("alpha samples must be a nonempty list")
+def _alpha_samples(text: str) -> list[Fraction]:
+    """The positive rationals of ``--alpha-samples``, split at commas."""
     samples = []
-    for piece in pieces:
-        value = _rational_field(piece, "an 'options.alpha_samples' entry")
+    for piece in text.split(","):
+        value = parse_rational(piece)
         if value <= 0:
             raise ParseError(f"alpha samples must be positive, got {piece!r}")
         samples.append(value)
@@ -407,14 +401,10 @@ def _certificate_from_options(options: dict) -> Optional[GenerationCertificate]:
         return None
     if not isinstance(cert, dict) or "level" not in cert:
         raise ParseError("'options.certificate' must be an object with a 'level'")
-    _unknown_keys(cert, ("level", "source"), "'options.certificate'")
-    level = _count(cert["level"], "certificate level")
+    _unknown_keys(cert, ("level",), "'options.certificate'")
     # Nothing here checks the level, so the caller vouches for it.
-    source = cert.get("source", "user-asserted")
-    if source != "user-asserted":
-        raise ParseError(f"a task-file certificate is user-asserted; "
-                         f"'options.certificate.source' cannot be {source!r}")
-    return GenerationCertificate(level=level, source=source)
+    return GenerationCertificate(level=_count(cert["level"], "certificate level"),
+                                 source="user-asserted")
 
 
 def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
@@ -496,9 +486,8 @@ class TaskSpec:
 
     @classmethod
     def from_document(cls, doc, command: str, alpha_samples: str = "") -> "TaskSpec":
-        """Read the decoded JSON of a "compute" or "certify" task.  The text of
-        ``--alpha-samples``, when given, wins over ``options.alpha_samples``,
-        which is checked all the same."""
+        """Read the decoded JSON of a "compute" or "certify" task, and the
+        text of ``--alpha-samples``, which takes no options."""
         if not isinstance(doc, dict):
             raise ParseError("task document must be a JSON object")
         _unknown_keys(doc, _TASK_KEYS[command], f"a {command} task document")
@@ -521,9 +510,11 @@ class TaskSpec:
         _unknown_keys(options, _OPTION_KEYS, "'options'")
         if divisor is None:
             raise ParseError("compute needs a divisor")
-        samples = options.get("alpha_samples")
-        samples = None if samples is None else _alpha_samples(samples)
-        if alpha_samples:
-            samples = _alpha_samples(alpha_samples.split(","))
+        # Every option holds only at the task's alpha.
+        if alpha_samples and options:
+            named = ", ".join(f"'options.{key}'" for key in options)
+            raise ParseError(f"{named} given with --alpha-samples: a caller's I_0 and "
+                             f"certificate hold only at the task's alpha")
         return cls(divisor, k, method, _seed_from_options(options, divisor),
-                   _certificate_from_options(options), samples)
+                   _certificate_from_options(options),
+                   _alpha_samples(alpha_samples) if alpha_samples else None)

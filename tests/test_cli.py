@@ -25,6 +25,9 @@ CUSP_TASK = {
 SNC_HALVES = {"components": [{"f": "x", "alpha": "1/2"}, {"f": "y", "alpha": "1/2"}]}
 SNC_TWISTED = {"components": [{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}]}
 
+# Stands for the written task file's path in an argv list.
+TASK = "<task file>"
+
 
 def write_task(tmp_path, doc, name="task.json"):
     path = tmp_path / name
@@ -83,49 +86,41 @@ def test_compute_lower_bound_warns_but_exits_zero(tmp_path, capsys):
 
 
 def test_compute_alpha_samples(tmp_path, capsys):
-    task = dict(CUSP_TASK)
-    task["options"] = {"i0": ["x", "y"], "certificate": {"level": 0}}
-    path = write_task(tmp_path, task)
+    # Each sample is computed from its own I_0: (1) at 81/100, which is
+    # below the log canonical threshold 5/6, and (x, y) above it.
+    path = write_task(tmp_path, CUSP_TASK)
     code, out, _ = run_cli(capsys, "--format", "json", "compute", path,
                            "--alpha-samples", "81/100,9/10,1")
     assert code == 0
     payload = json.loads(out)
     alphas = [block["alpha"] for block in payload["samples"]]
     assert alphas == ["81/100", "9/10", "1"]
-    coeffs = {"81/100": "131/50", "9/10": "14/5", "1": "3"}
+    want = {"81/100": (["1"], ["x^3", "x^2*y", "x*y^2", "y^3 - 131/50*x^2"]),
+            "9/10": (["x", "y"], ["x^2*y^2", "x*y^3", "y^4 - 14/5*x^2*y", "x^3"]),
+            "1": (["x", "y"], ["x^2*y^2", "x*y^3", "y^4 - 3*x^2*y", "x^3"])}
     for block in payload["samples"]:
-        gens = block["results"][2]["ideal"]
-        coeff = coeffs[block["alpha"]]
-        assert any(f"y^4 - {coeff}*x^2*y" in g for g in gens)
+        results = block["results"]
+        assert (results[0]["ideal"], results[2]["ideal"]) == want[block["alpha"]]
+        assert all(res["exact"] and res["method"] == "recursion" for res in results)
 
 
-def test_option_alpha_samples_are_checked_like_the_flag(tmp_path, capsys):
-    flag = run_cli(capsys, "compute", write_task(tmp_path, CUSP_TASK), "--alpha-samples", "0")
-    task = dict(CUSP_TASK, options={"alpha_samples": ["0"]})
-    option = run_cli(capsys, "compute", write_task(tmp_path, task, "option.json"))
-    assert flag == option
-    assert option[0] == 2
-    assert "alpha samples must be positive" in option[2]
-
-
-def test_option_alpha_samples_are_checked_when_the_flag_wins(tmp_path, capsys):
-    task = dict(CUSP_TASK, options={"alpha_samples": 5})
-    path = write_task(tmp_path, task)
-    code, out, err = run_cli(capsys, "compute", path, "--alpha-samples", "1/2")
+@pytest.mark.parametrize("options", [{"i0": ["x", "y"]}, {"certificate": {"level": 0}}],
+                         ids=["i0", "certificate"])
+def test_a_caller_seed_or_certificate_with_alpha_samples_exits_2(tmp_path, capsys, options):
+    # Both hold only at the task's alpha: (x, y) is I_0 at 9/10 but not at 1/2.
+    path = write_task(tmp_path, dict(CUSP_TASK, options=options))
+    code, out, err = run_cli(capsys, "compute", path, "--alpha-samples", "1/2,9/10")
     assert (code, out) == (2, "")
-    assert "'options.alpha_samples' must be a list" in err
-    task = dict(CUSP_TASK, options={"alpha_samples": ["9/10"]})
-    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, task),
-                           "--alpha-samples", "1/2")
-    assert code == 0
-    assert [block["alpha"] for block in json.loads(out)["samples"]] == ["1/2"]
+    [key] = options
+    assert err.startswith(f"error: 'options.{key}' given with --alpha-samples")
+    assert run_cli(capsys, "compute", path)[0] == 0
 
 
 def test_empty_option_alpha_samples_exits_2(tmp_path, capsys):
     task = dict(CUSP_TASK, options={"alpha_samples": []})
     code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
     assert (code, out) == (2, "")
-    assert "alpha samples" in err
+    assert "unknown key 'alpha_samples' in 'options'" in err
 
 
 def test_compute_output_is_byte_identical_across_runs(tmp_path, capsys):
@@ -232,6 +227,32 @@ def test_compute_checks_a_caller_seed_against_the_closed_form(tmp_path, capsys, 
         assert "I_0 supplied by caller not used" in out
 
 
+@pytest.mark.parametrize("divisor, method, wrong, computed", [
+    # The cusp at 9/10 has I_0 = (x, y) by the diagonal multiplier formula.
+    ({"components": [{"f": "x^2+y^3", "alpha": "9/10"}]}, "auto", ["x^2", "y"], ["x", "y"]),
+    # An SNC divisor under forced recursion has I_0 = (1).
+    ({"components": [{"f": "x*y", "alpha": "1/2"}]}, "recursion", ["x"], ["1"]),
+], ids=["cusp", "snc-under-recursion"])
+def test_compute_checks_a_caller_seed_against_the_computed_i0(tmp_path, capsys, divisor,
+                                                              method, wrong, computed):
+    task = dict(divisor_task(["x", "y"], divisor), k=2, method=method)
+    path = write_task(tmp_path, dict(task, options={"i0": wrong}))
+    code, out, err = run_cli(capsys, "compute", path)
+    assert (code, out) == (2, "")
+    assert err == (f"error: 'options.i0' contradicts the computed I_0 of the reduced divisor: "
+                   f"I_0 = ideal({', '.join(computed)}), "
+                   f"but the given I_0 is ideal({', '.join(wrong)})\n")
+    # The computed I_0 as a seed gives the unseeded chain, noted as the caller's.
+    code, plain, _ = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert code == 0
+    code, seeded, _ = run_cli(capsys, "compute",
+                              write_task(tmp_path, dict(task, options={"i0": computed})))
+    assert code == 0
+    note = "; I_0 supplied by caller (trusted)"
+    assert seeded.count(note) == 3
+    assert seeded.replace(note, "") == plain
+
+
 def test_a_seeded_cylinder_is_computed_over_the_variables_it_uses(tmp_path, capsys):
     # The seed's generator x*z is not in its reduced basis (x, y): it moves
     # to x, y like the unseeded chain, which is exact at every level.
@@ -282,12 +303,13 @@ def test_task_file_certificate_is_user_asserted(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, asserted))
     assert code == 0
     assert "certificate user-asserted level 0" in out
-    for source in ("node-example", "quasihomogeneous-formula", "universal-bound", "bogus"):
+    for source in ("user-asserted", "node-example", "quasihomogeneous-formula",
+                   "universal-bound", "bogus"):
         borrowed = dict(D5_TASK, options={"i0": ["1"],
                                           "certificate": {"level": 0, "source": source}})
         code, out, err = run_cli(capsys, "compute", write_task(tmp_path, borrowed))
         assert (code, out) == (2, "")
-        assert "user-asserted" in err and repr(source) in err
+        assert "unknown key 'source' in 'options.certificate' (expected level)" in err
 
 
 @pytest.mark.parametrize("key", ["I0", "certficate", "alpha"])
@@ -298,8 +320,8 @@ def test_unknown_option_key_exits_2_and_names_it(tmp_path, capsys, key):
     assert repr(key) in err
 
 
-COMPUTE_KEYS = "expected task, vars, divisor, components, k, method, options"
-CERTIFY_KEYS = "expected task, vars, divisor, components, k, resolution, multiplicity, membership"
+COMPUTE_KEYS = "expected task, vars, divisor, k, method, options"
+CERTIFY_KEYS = "expected task, vars, divisor, k, resolution, multiplicity, membership"
 
 
 @pytest.mark.parametrize("command,task", [
@@ -313,6 +335,31 @@ def test_unknown_task_key_exits_2_and_names_it(tmp_path, capsys, command, task):
     for key in set(task) - {"vars", "divisor", "task", "k", "method", "membership"}:
         assert repr(key) in err
     assert (COMPUTE_KEYS if command == "compute" else CERTIFY_KEYS) in err
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["--seed", "7", "verify", "restriction"], None, "argument --seed: only verify reads a seed"),
+    (["compute", TASK], {"task": "compute", "vars": ["x", "y"], "k": 1,
+                         "components": [{"f": "x^2+y^3", "alpha": "9/10"}]},
+     "unknown key 'components' in a compute task document"),
+    (["compute", TASK], dict(CUSP_TASK, options={"alpha_samples": ["9/10"]}),
+     "unknown key 'alpha_samples' in 'options'"),
+    (["compute", TASK], dict(D5_TASK, options={"i0": ["1"], "certificate": {
+        "level": 0, "source": "user-asserted"}}),
+     "unknown key 'source' in 'options.certificate'"),
+], ids=["global-seed", "top-level-components", "options-alpha-samples", "certificate-source"])
+def test_a_second_spelling_of_a_setting_exits_2_and_names_it(tmp_path, capsys, argv, doc,
+                                                             named):
+    # Each setting has one spelling: verify's --seed, divisor.components,
+    # --alpha-samples, and a task-file certificate that is user-asserted.
+    path = write_task(tmp_path, doc) if doc is not None else None
+    try:
+        code = main([path if arg == TASK else arg for arg in argv])
+    except SystemExit as exc:  # argparse refuses a flag by exiting
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert named in captured.err
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -342,7 +389,8 @@ def test_divisor_and_top_level_components_exit_2_and_name_both(tmp_path, capsys,
         task["membership"] = {"n": 3, "m": 2, "alpha": "1/2"}
     code, out, err = run_cli(capsys, command, write_task(tmp_path, task))
     assert (code, out) == (2, "")
-    assert "both 'divisor' and 'components'" in err
+    assert f"unknown key 'components' in a {command} task document" in err
+    assert (COMPUTE_KEYS if command == "compute" else CERTIFY_KEYS) in err
 
 
 def test_compute_formats_each_generator_once(tmp_path, capsys, monkeypatch):
@@ -629,7 +677,6 @@ def test_certify_resolution_notes_the_periodic_reduction(tmp_path, capsys):
     assert "decision: TRIVIAL" in out
 
 
-TASK = "<task file>"
 X_DIVISOR = {"components": [{"f": "x", "alpha": "1"}]}
 
 
@@ -663,8 +710,8 @@ def membership_task(n, m, alpha):
      "'options.i0' must be a list of polynomial strings"),
     (["compute", TASK], dict(CUSP_TASK, options={"i0": [1]}),
      "'options.i0' must be a list of polynomial strings"),
-    (["compute", TASK], dict(CUSP_TASK, options={"alpha_samples": "1/2"}),
-     "'options.alpha_samples' must be a list"),
+    (["compute", TASK, "--alpha-samples", "1/2,0"], CUSP_TASK,
+     "alpha samples must be positive, got '0'"),
     (["compute", TASK], {"task": "compute", "k": 1}, "compute needs a divisor"),
     (["certify", TASK], {"task": "certify", "k": 1}, "certify wants exactly one of"),
     (["certify", TASK], {"task": "certify", "k": 1, "resolution": {"exceptional": []}},
@@ -728,9 +775,9 @@ def membership_task(n, m, alpha):
      "component equations must be nonconstant, got 3"),
     (["parse", "1" * 5000 + "*x", "--vars", "x"], None,
      "integer literal longer than 4300 digits at 0..5000"),
-    # Every rational field is exact text; a JSON number or boolean is refused.
-    (["compute", TASK], dict(CUSP_TASK, options={"alpha_samples": [1]}),
-     "an 'options.alpha_samples' entry must be exact rational text, got 1"),
+    # Every rational is exact text: a decimal, or in a task document a JSON
+    # number or boolean, is refused.
+    (["compute", TASK, "--alpha-samples", "0.5"], CUSP_TASK, "malformed rational '0.5'"),
     (["compute", TASK], divisor_task(["x"], {"components": [{"f": "x", "alpha": 1}]}),
      "component 0: 'alpha' must be exact rational text, got 1"),
     (["compute", TASK], divisor_task(["x"], {"components": [{"f": "x", "alpha": True}]}),
@@ -821,7 +868,7 @@ def test_verify_all_passes(capsys):
 
 
 def test_verify_restriction_with_seed(capsys):
-    code, out, _ = run_cli(capsys, "--seed", "7", "verify", "restriction")
+    code, out, _ = run_cli(capsys, "verify", "restriction", "--seed", "7")
     assert code == 0
     assert out.count("restriction-generic-equality") >= 3
 

@@ -222,12 +222,13 @@ def test_snc_under_forced_recursion_keeps_the_pair_engine(graded_calls, monkeypa
 
 def test_compute_from_a_non_m_primary_seed_matches_the_pair_engine(
         graded_calls, monkeypatch, tmp_path, capsys):
-    # I_0 = (x) is not zero-dimensional, so the first step keeps the pair
-    # engine; its output is m-primary, and the two later steps go graded.
+    # D5 has no computed I_0 to compare a seed with.  I_0 = (x) is not
+    # zero-dimensional, so the first step keeps the pair engine; its output
+    # is m-primary, and the two later steps go graded.
     from hodgeideals.cli import main
     path = tmp_path / "task.json"
     path.write_text(json.dumps({
-        "vars": ["x", "y"], "divisor": {"components": [{"f": "x^2+y^3", "alpha": "9/10"}]},
+        "vars": ["x", "y"], "divisor": {"components": [{"f": "x^2*y+y^4", "alpha": "9/10"}]},
         "task": "compute", "k": 3, "method": "recursion", "options": {"i0": ["x"]}}))
     assert main(["compute", str(path)]) == 0
     graded = capsys.readouterr().out

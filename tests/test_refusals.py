@@ -79,6 +79,11 @@ CASES = {
         lambda: compute_chain(QDivisor(XY, ((p("x"), F(1, 2)), (p("y"), F(1, 2)))), 1,
                               seed_ideal=Ideal(XY, [p("x^5")])),
         SeedContradictionError, "'options.i0' contradicts the snc closed form"),
+    # The cusp at 1/2 is below its log canonical threshold 5/6: I_0 = (1).
+    "compute-chain-seed-contradicting-the-computed-i0": (
+        lambda: compute_chain(cusp(), 1, seed_ideal=Ideal(XY, [p("x"), p("y")])),
+        SeedContradictionError, "'options.i0' contradicts the computed I_0 of the reduced "
+        "divisor: I_0 = ideal(1), but the given I_0 is ideal(x, y)"),
     "compute-chain-unknown-method": (
         lambda: compute_chain(cusp(), 1, method="bogus"), MethodUnavailableError,
         "unknown method 'bogus'"),
