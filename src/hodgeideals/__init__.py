@@ -35,16 +35,22 @@ from .recursion import (
     hodge_chain,
     i0_seed,
 )
-from .certificates import (
-    Decision,
-    ExceptionalDivisor,
-    MultiplicityData,
-    alpha_multiple_membership,
-    nontriviality_symbolic_power,
-    singular_multiplicity_bound,
-    triviality_certificate,
-)
 from .compute import compute_chain
+
+# Only certify and verify use the certificate layer, so it is imported on
+# first access to one of these names (PEP 562), not with the package.
+_CERTIFICATE_NAMES = frozenset((
+    "Decision", "ExceptionalDivisor", "MultiplicityData", "alpha_multiple_membership",
+    "nontriviality_symbolic_power", "singular_multiplicity_bound", "triviality_certificate",
+))
+
+
+def __getattr__(name: str):
+    if name in _CERTIFICATE_NAMES:
+        from . import certificates
+        return getattr(certificates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",

@@ -22,14 +22,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .certificates import ExceptionalDivisor, MultiplicityData
 from .compute import METHODS
 from .divisor import QDivisor
 from .ideal import Ideal
 from .poly import Monomial, Polynomial, format_rational
 from .recursion import GenerationCertificate
+
+if TYPE_CHECKING:  # only certify builds one, so it is imported where it is built
+    from .certificates import ExceptionalDivisor
 
 
 class SourceSpan(NamedTuple):
@@ -351,6 +353,8 @@ def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
         raise ParseError("resolution data needs an 'exceptional' list")
     if not isinstance(raw, list):
         raise ParseError("'exceptional' must be a list")
+    from .certificates import ExceptionalDivisor
+
     records = []
     for idx, item in enumerate(raw):
         if not isinstance(item, dict) or "a" not in item or "b" not in item:
@@ -385,13 +389,20 @@ _TASK_KEYS = {"compute": _COMMON_KEYS + ("method", "options"),
 
 
 def _alpha_samples(text: str) -> list[Fraction]:
-    """The positive rationals of ``--alpha-samples``, split at commas."""
+    """The positive rationals of ``--alpha-samples``, split at commas.  An
+    error's span counts from the start of ``text``; empty text is refused."""
     samples = []
+    start = 0
     for piece in text.split(","):
-        value = parse_rational(piece)
+        try:
+            value = parse_rational(piece)
+        except ParseError as exc:
+            raise ParseError(exc.message, exc.expected,
+                             SourceSpan(start + exc.span.start, start + exc.span.end)) from None
         if value <= 0:
             raise ParseError(f"alpha samples must be positive, got {piece!r}")
         samples.append(value)
+        start += len(piece) + 1
     return samples
 
 
@@ -442,6 +453,8 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
         raise ParseError(f"{kind!r} must be an object")
     if kind == "multiplicity":
         _unknown_keys(data, ("n", "r", "a", "b", "q"), "'multiplicity'")
+        from .certificates import MultiplicityData
+
         try:
             md = MultiplicityData(n=_count(data["n"], "'multiplicity.n'"),
                                   r=_count(data["r"], "'multiplicity.r'"),
@@ -485,7 +498,8 @@ class TaskSpec:
     arguments: Optional[dict] = None
 
     @classmethod
-    def from_document(cls, doc, command: str, alpha_samples: str = "") -> "TaskSpec":
+    def from_document(cls, doc, command: str,
+                      alpha_samples: Optional[str] = None) -> "TaskSpec":
         """Read the decoded JSON of a "compute" or "certify" task, and the
         text of ``--alpha-samples``, which takes no options."""
         if not isinstance(doc, dict):
@@ -511,10 +525,10 @@ class TaskSpec:
         if divisor is None:
             raise ParseError("compute needs a divisor")
         # Every option holds only at the task's alpha.
-        if alpha_samples and options:
+        if alpha_samples is not None and options:
             named = ", ".join(f"'options.{key}'" for key in options)
             raise ParseError(f"{named} given with --alpha-samples: a caller's I_0 and "
                              f"certificate hold only at the task's alpha")
         return cls(divisor, k, method, _seed_from_options(options, divisor),
                    _certificate_from_options(options),
-                   _alpha_samples(alpha_samples) if alpha_samples else None)
+                   None if alpha_samples is None else _alpha_samples(alpha_samples))

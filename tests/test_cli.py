@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_empty_option_alpha_samples_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
     assert (code, out) == (2, "")
     assert "unknown key 'alpha_samples' in 'options'" in err
+
+
+@pytest.mark.parametrize("samples, named", [
+    ("", "malformed rational '' at 0..0"),
+    (",", "malformed rational '' at 0..0"),
+    ("1/2,0.5", "malformed rational '0.5' at 4..7"),
+    ("1/2,,3/4", "malformed rational '' at 4..4"),
+    ("1/2, 3/0", "malformed rational: zero denominator at 4..8"),
+])
+def test_malformed_alpha_samples_exit_2_with_a_span_in_the_flags_text(tmp_path, capsys,
+                                                                        samples, named):
+    # Empty text is no sweep at all, so it is refused like an empty piece.
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, CUSP_TASK),
+                             "--alpha-samples", samples)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}")
 
 
 def test_compute_output_is_byte_identical_across_runs(tmp_path, capsys):
@@ -855,6 +872,81 @@ def test_unexpected_library_error_exits_4_as_internal(tmp_path, capsys, monkeypa
     assert (code, out) == (4, "")
     assert err.startswith("error: internal error: invariant broken\nTraceback")
     assert err.rstrip().endswith("ValueError: invariant broken")
+
+
+# -- what each subcommand loads ----------------------------------------------------
+
+# Run in a fresh interpreter, which has loaded nothing of the package yet.
+LOADED_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+import hodgeideals.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = 0 if {argv!r} is None else hodgeideals.cli.main({argv!r})
+print(code, sorted(name for name in sys.modules
+                   if name in ("hodgeideals.verify", "hodgeideals.certificates")))
+"""
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+
+def _fresh_python(script):
+    # -B: write no bytecode into src; -I: no PYTHON* variables or user site.
+    result = subprocess.run([sys.executable, "-B", "-I", "-c", script],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("argv, doc, loaded", [
+    (None, None, []),
+    (["compute", TASK], CUSP_TASK, []),
+    (["parse", "x*y + 1", "--vars", "x,y"], None, []),
+    (["certify", TASK], membership_task(3, 2, "1/2"), ["hodgeideals.certificates"]),
+    (["certify", TASK], certify_task("1/2"), ["hodgeideals.certificates"]),
+    (["verify", "periodicity"], None, ["hodgeideals.certificates", "hodgeideals.verify"]),
+], ids=["import", "compute", "parse", "certify-membership", "certify-resolution", "verify"])
+def test_only_certify_and_verify_load_their_layers(tmp_path, argv, doc, loaded):
+    if doc is not None:
+        argv = [write_task(tmp_path, doc) if arg == TASK else arg for arg in argv]
+    out = _fresh_python(LOADED_SCRIPT.format(src=SRC, argv=argv))
+    assert out.splitlines() == [f"0 {loaded}"]
+
+
+def test_the_package_serves_the_certificate_names_on_first_use():
+    script = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import hodgeideals
+try:
+    hodgeideals.no_such_name
+except AttributeError as exc:
+    print("AttributeError:", exc)
+print("hodgeideals.certificates" in sys.modules)
+from hodgeideals import triviality_certificate
+from hodgeideals.certificates import triviality_certificate as defined
+print(triviality_certificate is defined)
+namespace = {{}}
+exec("from hodgeideals import *", namespace)
+print(sorted(set(hodgeideals.__all__) - set(namespace)))
+"""
+    assert _fresh_python(script).splitlines() == [
+        "AttributeError: module 'hodgeideals' has no attribute 'no_such_name'",
+        "False", "True", "[]"]
+
+
+def test_verify_seed_defaults_to_the_suites_default_seed(capsys):
+    # The parser does not import verify, so its help states the default as text.
+    from hodgeideals.verify import DEFAULT_SEED
+
+    code, out, _ = run_cli(capsys, "verify", "periodicity")
+    assert code == 0
+    assert out.startswith(f"task: verify (periodicity), seed = {DEFAULT_SEED}\n")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"(default: {DEFAULT_SEED})" in capsys.readouterr().out
+    assert f"(default {DEFAULT_SEED};" in (ROOT / "README.md").read_text()
 
 
 # -- verify -------------------------------------------------------------------------
