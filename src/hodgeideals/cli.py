@@ -4,7 +4,7 @@ task files with canonical, diff-stable output.
 Every number printed is an exact rational (``p/q`` or integer text).
 Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``,
 an unwritable ``--output`` path included; only polynomial and rational
-text errors carry a span; or a caller's I_0 that a closed form or the
+text errors carry a span; or a caller's I_0 that is zero or that the
 computed I_0 contradicts), 3 method unavailable, 4 internal error.
 """
 
@@ -112,8 +112,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .certificates import alpha_multiple_membership, nontriviality_symbolic_power, \
-        triviality_certificate
+    from . import certificates
 
     spec = TaskSpec.from_document(_load_document(args.task), "certify")
     payload = {"task": "certify", "k": spec.k}
@@ -122,15 +121,15 @@ def cmd_certify(args) -> int:
         alphas = tuple(map(reduced_alpha, spec.divisor.alphas))
         if alphas != spec.divisor.alphas:
             lines.append("coefficients periodically reduced into (0, 1]")
-        decision = triviality_certificate(alphas=alphas, k=spec.k, **spec.arguments)
+        decision = certificates.triviality_certificate(alphas=alphas, k=spec.k, **spec.arguments)
         title, suffix = "triviality", ""
         payload["alphas"] = [format_rational(a) for a in alphas]
     elif spec.kind == "multiplicity":
-        decision = nontriviality_symbolic_power(k=spec.k, **spec.arguments)
+        decision = certificates.nontriviality_symbolic_power(k=spec.k, **spec.arguments)
         title, suffix = "symbolic power", f" (q = {decision.value})"
         payload["q"] = decision.value
     else:
-        decision = alpha_multiple_membership(k=spec.k, **spec.arguments)
+        decision = certificates.alpha_multiple_membership(k=spec.k, **spec.arguments)
         title, suffix = "maximal-ideal membership", ""
     lines += decision.lines
     payload.update(kind=title.replace(" ", "-"), decision=decision.status, inequalities=lines)

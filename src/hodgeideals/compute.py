@@ -38,8 +38,8 @@ METHODS = ("auto",) + tuple(name for name, _, _ in CLOSED_FORMS) + ("recursion",
 
 
 class SeedContradictionError(ValueError):
-    """A caller's I_0 that differs from the exact I_0 of a closed form or of
-    ``i0_seed``, or whose reduced basis uses a variable the divisor does not."""
+    """A caller's I_0 that is zero, that differs from the I_0 ``i0_seed``
+    computes, or whose reduced basis uses a variable the divisor does not."""
 
 
 def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
@@ -48,13 +48,14 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                   ) -> list[HodgeIdealResult]:
     """Hodge ideals I_0(D), ..., I_(k_max)(D) with exactness flags.
 
-    ``seed_ideal`` is a caller's I_0 of the reduced divisor B.  When a
-    closed form covers the chain it is not used, but it is compared with
-    the closed form's I_0: twisted to I_0(D) it must span the same ideal,
-    or ``SeedContradictionError`` is raised.  The recursion starts from it,
-    and it must span the I_0 that ``i0_seed`` computes where there is one.
-    On a cylinder it moves to the used variables through its reduced
-    basis, which must not use another.
+    ``seed_ideal`` is a caller's I_0 of the reduced divisor B.  Right
+    after ``classify``, before any method is tried or refused, it is
+    checked once: it must not be zero, and it must span the I_0 of
+    ``i0_seed`` wherever there is one (in every closed-form regime), or
+    ``SeedContradictionError`` is raised.  A closed form covering the
+    chain does not use it; the recursion starts from it.  On a cylinder
+    it moves to the used variables through its reduced basis, which must
+    not use another.
     """
     if method not in METHODS:
         raise MethodUnavailableError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -86,19 +87,24 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                 for res in inner]
 
     regime = classify(divisor)
+    if seed_ideal is not None:
+        # I_0(B) = J((1-eps)B) contains J(Z) = (g), so it is never zero, and
+        # it must span the computed I_0 wherever there is one.
+        if seed_ideal.is_zero():
+            raise SeedContradictionError("'options.i0' spans the zero ideal; I_0 always "
+                                         "contains the support equation")
+        try:
+            computed = i0_seed(regime).ideal
+        except MethodUnavailableError:
+            computed = None
+        if computed is not None and not seed_ideal.equals(computed):
+            raise SeedContradictionError(
+                f"'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = "
+                f"{computed}, but the given I_0 is {seed_ideal}")
     for name, form, reason in CLOSED_FORMS:
         if method in ("auto", name):
             results = [form(regime, k) for k in range(k_max + 1)]
             if None not in results:
-                # The caller's seed is I_0 of the reduced divisor B; the
-                # closed form gives I_0(D) = twist * I_0(B).
-                twist = regime.twist
-                if seed_ideal is not None and not (seed_ideal * twist).equals(results[0].ideal):
-                    given = "the given I_0" if twist.is_constant() else \
-                        f"the given I_0 times the twist {twist}"
-                    raise SeedContradictionError(
-                        f"'options.i0' contradicts the {name} closed form: I_0 = "
-                        f"{results[0].ideal}, but {given} is {seed_ideal * twist}")
                 for what, given in (("I_0", seed_ideal), ("certificate", certificate)):
                     if given is not None:
                         note = (f"{what} supplied by caller not used: the {name} closed "
@@ -108,20 +114,10 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
             if method == name:
                 raise MethodUnavailableError(reason)
 
-    # Recursion with a generation-level certificate, from the computed I_0
-    # where there is one; a caller's I_0 must span the same ideal.
-    try:
-        seed = i0_seed(regime)
-    except MethodUnavailableError:
-        if seed_ideal is None:
-            raise
-        seed = None
-    if seed_ideal is not None:
-        if seed is not None and not seed_ideal.equals(seed.ideal):
-            raise SeedContradictionError(
-                f"'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = "
-                f"{seed.ideal}, but the given I_0 is {seed_ideal}")
-        seed = HodgeIdealResult(k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
+    # Recursion with a generation-level certificate, from the caller's I_0
+    # or the computed one.
+    seed = i0_seed(regime) if seed_ideal is None else \
+        HodgeIdealResult(k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
     cert = certificate if certificate is not None else certificate_for(regime)
     results = hodge_chain(regime, k_max, seed, cert).results
     if seed_ideal is not None:

@@ -255,6 +255,13 @@ def groebner_basis(generators: Iterable[Polynomial],
     return tuple(reduced)
 
 
+def _has_pure_powers(leads: Iterable[Monomial], n: int) -> bool:
+    """True iff ``leads`` hold a pure power x_i^e of each of the n
+    variables; the constant counts as a pure power of every variable."""
+    used = [[i for i, e in enumerate(m) if e] for m in leads]
+    return [] in used or {u[0] for u in used if len(u) == 1} == set(range(n))
+
+
 def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[str],
                  weights: Sequence[int]) -> tuple[Polynomial, ...]:
     """The reduced grevlex basis of a weighted-homogeneous ideal that is
@@ -408,8 +415,8 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
         window.pop(d - top, None)
         d += 1
     # Weighted-homogeneous and not (1): m-primary iff some lead is a pure
-    # power x_i^e of each variable, the leads with max(m) == sum(m).
-    if len({m.index(sum(m)) for _, m, _, _ in found if max(m) == sum(m)}) < n:
+    # power x_i^e of each variable.
+    if not _has_pure_powers((m for _, m, _, _ in found), n):
         raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
                          f"{[Polynomial._raw(variables, {m: one}) for _, m, _, _ in found]}")
     found.sort(key=lambda t: t[0], reverse=True)
@@ -592,9 +599,8 @@ class Ideal:
         O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 5 Sec. 3).  The
         constant 1 counts as a pure power of each variable.
         """
-        leads = [g.leading_monomial() for g in self.groebner()]
-        return all(any(not any(e for j, e in enumerate(m) if j != i) for m in leads)
-                   for i in range(len(self.vars)))
+        return _has_pure_powers((g.leading_monomial() for g in self.groebner()),
+                                len(self.vars))
 
     def to_str(self, order: MonomialOrder = GREVLEX) -> str:
         return "ideal(" + ", ".join(g.to_str(order) for g in self.groebner(order)) + ")"

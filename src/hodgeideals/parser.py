@@ -353,7 +353,7 @@ def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
         raise ParseError("resolution data needs an 'exceptional' list")
     if not isinstance(raw, list):
         raise ParseError("'exceptional' must be a list")
-    from .certificates import ExceptionalDivisor
+    from . import certificates
 
     records = []
     for idx, item in enumerate(raw):
@@ -369,7 +369,7 @@ def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
         if sum(a) < 1:
             raise ParseError(f"exceptional record {idx}: total pullback coefficient a must be >= 1")
         b = _count(item["b"], f"exceptional record {idx}: 'b'")
-        records.append(ExceptionalDivisor(a=tuple(a), b=b))
+        records.append(certificates.ExceptionalDivisor(a=tuple(a), b=b))
     smooth = document.get("strict_transform_smooth", True)
     if not isinstance(smooth, bool):
         raise ParseError("'strict_transform_smooth' must be a boolean")
@@ -400,7 +400,8 @@ def _alpha_samples(text: str) -> list[Fraction]:
             raise ParseError(exc.message, exc.expected,
                              SourceSpan(start + exc.span.start, start + exc.span.end)) from None
         if value <= 0:
-            raise ParseError(f"alpha samples must be positive, got {piece!r}")
+            raise ParseError(f"alpha samples must be positive, got {piece!r}",
+                             span=SourceSpan(start, start + len(piece)))
         samples.append(value)
         start += len(piece) + 1
     return samples
@@ -424,12 +425,7 @@ def _seed_from_options(options: dict, divisor: QDivisor) -> Optional[Ideal]:
         return None
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise ParseError("'options.i0' must be a list of polynomial strings")
-    seed = tuple(parse_polynomial(g, divisor.vars) for g in gens)
-    # I_0(B) = J((1-eps)B) contains J(Z) = (g), so it is never zero.
-    if not any(seed):
-        raise ParseError("'options.i0' spans the zero ideal; I_0 always contains the "
-                         "support equation")
-    return Ideal(divisor.vars, seed)
+    return Ideal(divisor.vars, (parse_polynomial(g, divisor.vars) for g in gens))
 
 
 def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dict]:
@@ -453,13 +449,13 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
         raise ParseError(f"{kind!r} must be an object")
     if kind == "multiplicity":
         _unknown_keys(data, ("n", "r", "a", "b", "q"), "'multiplicity'")
-        from .certificates import MultiplicityData
+        from . import certificates
 
         try:
-            md = MultiplicityData(n=_count(data["n"], "'multiplicity.n'"),
-                                  r=_count(data["r"], "'multiplicity.r'"),
-                                  a=_count(data["a"], "'multiplicity.a'"),
-                                  b=_rational_field(data["b"], "'multiplicity.b'"))
+            md = certificates.MultiplicityData(n=_count(data["n"], "'multiplicity.n'"),
+                                               r=_count(data["r"], "'multiplicity.r'"),
+                                               a=_count(data["a"], "'multiplicity.a'"),
+                                               b=_rational_field(data["b"], "'multiplicity.b'"))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad multiplicity data: {exc}") from exc
         q = data.get("q")

@@ -247,21 +247,22 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
 def i0_seed(regime: Regime) -> HodgeIdealResult:
     """An exact I_0(B) of the reduced divisor B in the computable regimes.
 
-    Recognized regimes: squarefree-monomial (SNC) support, where I_0(B)
-    is trivial, and a single diagonal component sum c_i x_i^(d_i) through
-    the standard multiplier-ideal computation (trivial iff alpha <= sum
-    1/d_i; maximal-ideal power ceil(alpha*m) - n for a cone).  Any other
-    divisor raises ``MethodUnavailableError``.
+    Recognized regimes, every closed-form regime among them: a hyperplane
+    or squarefree-monomial (SNC) support, where I_0(B) is trivial, and a
+    single diagonal component sum c_i x_i^(d_i) through the standard
+    multiplier-ideal computation (trivial iff alpha <= sum 1/d_i;
+    maximal-ideal power ceil(alpha*m) - n for a cone).  Any other divisor
+    raises ``MethodUnavailableError``.
     """
     variables = regime.reduced.vars
-    if regime.positions is not None:
+    if regime.linear or regime.positions is not None:
         ideal = Ideal.unit(variables)
     elif regime.diagonal is not None:
         ideal = diagonal_multiplier_i0(regime.diagonal, regime.alpha, variables)
     else:
         raise MethodUnavailableError(
-            "no computable I_0 regime recognized (SNC coordinates or a single diagonal "
-            "equation); supply a seed ideal explicitly")
+            "no computable I_0 regime recognized (a hyperplane, SNC coordinates or a single "
+            "diagonal equation); supply a seed ideal explicitly")
     return HodgeIdealResult(k=0, ideal=ideal, method="recursion", exact=True)
 
 

@@ -130,6 +130,7 @@ def test_empty_option_alpha_samples_exits_2(tmp_path, capsys):
     ("1/2,0.5", "malformed rational '0.5' at 4..7"),
     ("1/2,,3/4", "malformed rational '' at 4..4"),
     ("1/2, 3/0", "malformed rational: zero denominator at 4..8"),
+    ("1/2,0", "alpha samples must be positive, got '0' at 4..5"),
 ])
 def test_malformed_alpha_samples_exit_2_with_a_span_in_the_flags_text(tmp_path, capsys,
                                                                         samples, named):
@@ -238,7 +239,8 @@ def test_compute_checks_a_caller_seed_against_the_closed_form(tmp_path, capsys, 
     code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
     if contradicts:
         assert (code, out) == (2, "")
-        assert err.startswith("error: 'options.i0' contradicts the snc closed form")
+        assert err.startswith("error: 'options.i0' contradicts the computed I_0 of the "
+                              "reduced divisor: I_0 = ideal(1)")
     else:
         assert code == 0
         assert "I_0 supplied by caller not used" in out
@@ -268,6 +270,32 @@ def test_compute_checks_a_caller_seed_against_the_computed_i0(tmp_path, capsys, 
     note = "; I_0 supplied by caller (trusted)"
     assert seeded.count(note) == 3
     assert seeded.replace(note, "") == plain
+
+
+LINE = {"components": [{"f": "x+y+1", "alpha": "1/2"}]}
+
+
+@pytest.mark.parametrize("divisor, method", [
+    (SNC_HALVES, "auto"), (SNC_HALVES, "snc"), (SNC_HALVES, "recursion"),
+    (LINE, "auto"), (LINE, "smooth"), (LINE, "recursion"),
+], ids=["snc-auto", "snc-snc", "snc-recursion", "line-auto", "line-smooth", "line-recursion"])
+def test_a_wrong_seed_gets_one_message_under_every_method(tmp_path, capsys, divisor, method):
+    # I_0 of a reduced SNC or hyperplane divisor is (1), whichever method runs.
+    task = dict(divisor_task(["x", "y"], divisor), k=2, method=method, options={"i0": ["x"]})
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert err == ("error: 'options.i0' contradicts the computed I_0 of the reduced divisor: "
+                   "I_0 = ideal(1), but the given I_0 is ideal(x)\n")
+
+
+def test_forced_recursion_on_a_line_starts_from_its_computed_i0(tmp_path, capsys):
+    task = dict(divisor_task(["x", "y"], LINE), k=2, method="recursion")
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, task))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [(res["k"], res["exact"], res["method"], res["ideal"]) for res in results] == \
+        [(k, True, "recursion", ["1"]) for k in range(3)]
+    assert all("certificate node-example level 0" in res["notes"] for res in results)
 
 
 def test_a_seeded_cylinder_is_computed_over_the_variables_it_uses(tmp_path, capsys):
@@ -822,16 +850,23 @@ def membership_task(n, m, alpha):
     (["compute", TASK], divisor_task(["x", "y"], {"components": [{"f": "x+y", "alpha": "1/2"},
                                                                 {"f": "2*x+2*y", "alpha": "1/2"}]}),
      "the support is not reduced: components 0 and 1 are proportional"),
-    # A caller's I_0 that the closed form covering the chain contradicts; the
-    # seed is I_0 of the reduced divisor, so it is compared after the twist.
+    # A caller's I_0 that the computed I_0 contradicts, where a closed form
+    # covers the chain; the seed is I_0 of the reduced divisor, not I_0(D),
+    # so the twist x of the second task plays no part.
     (["compute", TASK], dict(divisor_task(["x", "y"], SNC_HALVES), k=1,
                              options={"i0": ["x^5"]}),
-     "'options.i0' contradicts the snc closed form: I_0 = ideal(1), "
+     "'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = ideal(1), "
      "but the given I_0 is ideal(x^5)"),
     (["compute", TASK], dict(divisor_task(["x", "y"], SNC_TWISTED), k=1,
                              options={"i0": ["x"]}),
-     "'options.i0' contradicts the snc closed form: I_0 = ideal(x), "
-     "but the given I_0 times the twist x is ideal(x^2)"),
+     "'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = ideal(1), "
+     "but the given I_0 is ideal(x)"),
+    # The seed is checked before a forced method is tried: the snc closed
+    # form does not cover the cusp (exit 3 without a seed), but the seed
+    # contradicts the cusp's computed I_0 (x, y), and that input error wins.
+    (["compute", TASK], dict(CUSP_TASK, method="snc", options={"i0": ["x^2", "y"]}),
+     "'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = ideal(x, y), "
+     "but the given I_0 is ideal(x^2, y)"),
     # A cylinder's I_0 is extended from the variables it uses; this
     # seed's reduced basis uses z, which the cusp omits.
     (["compute", TASK], dict(CUSP_TASK, vars=["x", "y", "z"], options={"i0": ["x", "z"]}),

@@ -78,7 +78,14 @@ CASES = {
     "compute-chain-seed-contradicting-a-closed-form": (
         lambda: compute_chain(QDivisor(XY, ((p("x"), F(1, 2)), (p("y"), F(1, 2)))), 1,
                               seed_ideal=Ideal(XY, [p("x^5")])),
-        SeedContradictionError, "'options.i0' contradicts the snc closed form"),
+        SeedContradictionError, "'options.i0' contradicts the computed I_0 of the reduced "
+        "divisor: I_0 = ideal(1), but the given I_0 is ideal(x^5)"),
+    # A library caller's zero seed is refused like a task file's.
+    "compute-chain-zero-seed": (
+        lambda: compute_chain(QDivisor(XY, ((p("x^2+x*y+y^2"), F(1, 2)),)), 2,
+                              seed_ideal=Ideal.zero(XY)),
+        SeedContradictionError, "'options.i0' spans the zero ideal; I_0 always contains the "
+        "support equation"),
     # The cusp at 1/2 is below its log canonical threshold 5/6: I_0 = (1).
     "compute-chain-seed-contradicting-the-computed-i0": (
         lambda: compute_chain(cusp(), 1, seed_ideal=Ideal(XY, [p("x"), p("y")])),
