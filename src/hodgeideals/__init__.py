@@ -7,7 +7,7 @@ inequality certificates from log-resolution data and executable
 property suites for the structural theorems.
 """
 
-from .poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
+from .poly import GREVLEX, GRLEX, LEX, InputError, MonomialOrder, Polynomial
 from .ideal import Ideal, graded_basis, groebner_basis, normal_form
 from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational, \
     parse_resolution_data
@@ -53,7 +53,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "GREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",
+    "GREVLEX", "GRLEX", "LEX", "InputError", "MonomialOrder", "Polynomial",
     "Ideal", "graded_basis", "groebner_basis", "normal_form",
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",

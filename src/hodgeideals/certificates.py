@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .poly import format_rational
+from .poly import InputError, format_rational
 
 TRIVIAL = "TRIVIAL"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -31,9 +31,9 @@ class ExceptionalDivisor:
 
     def __post_init__(self):
         if not self.a or any(x < 0 for x in self.a) or sum(self.a) < 1:
-            raise ValueError(f"pullback coefficients must be >= 0 with positive total, got {self.a}")
+            raise InputError(f"pullback coefficients must be >= 0 with positive total, got {self.a}")
         if self.b < 0:
-            raise ValueError(f"discrepancy coefficient must be >= 0, got {self.b}")
+            raise InputError(f"discrepancy coefficient must be >= 0, got {self.b}")
 
     @property
     def total(self) -> int:
@@ -51,11 +51,11 @@ class MultiplicityData:
 
     def __post_init__(self):
         if self.a < 1:
-            raise ValueError(f"support multiplicity must be >= 1, got {self.a}")
+            raise InputError(f"support multiplicity must be >= 1, got {self.a}")
         if not isinstance(self.b, Fraction) or self.b <= 0:
-            raise ValueError(f"divisor multiplicity must be a positive rational, got {self.b!r}")
+            raise InputError(f"divisor multiplicity must be a positive rational, got {self.b!r}")
         if not 1 <= self.r <= self.n:
-            raise ValueError(f"codimension must lie in 1..{self.n}, got {self.r}")
+            raise InputError(f"codimension must lie in 1..{self.n}, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,16 @@ def triviality_certificate(records: Sequence[ExceptionalDivisor],
     """
     alphas = tuple(alphas)
     if k < 0:
-        raise ValueError(f"filtration level must be >= 0, got {k}")
+        raise InputError(f"filtration level must be >= 0, got {k}")
     for alpha in alphas:
         if not 0 < alpha <= 1:
-            raise ValueError(
+            raise InputError(
                 f"coefficients must lie in (0, 1] (apply periodic_reduce first), got {alpha}")
     lines = []
     ok = True
     for idx, exc in enumerate(records):
         if len(exc.a) != len(alphas):
-            raise ValueError(
+            raise InputError(
                 f"exceptional record {idx} lists {len(exc.a)} components, divisor has {len(alphas)}")
         if len(alphas) == 1:
             lhs = Fraction(exc.b + 1, exc.total)
@@ -131,7 +131,7 @@ def nontriviality_symbolic_power(md: MultiplicityData, k: int,
     ideal; higher-dimensional centers are reported as unverified claims.
     """
     if k < 0:
-        raise ValueError(f"filtration level must be >= 0, got {k}")
+        raise InputError(f"filtration level must be >= 0, got {k}")
     t1 = md.b + k * md.a - md.r - 2 * k + 1
     t2 = (k + 1) * md.b - md.r - 2 * k + 1
     q1 = _largest_strictly_below(Fraction(t1))
@@ -147,7 +147,7 @@ def nontriviality_symbolic_power(md: MultiplicityData, k: int,
         "center has positive dimension: containment claim emitted without symbolic verification",)
     if q is not None:
         if q < 0:
-            raise ValueError(f"symbolic power exponent must be >= 0, got {q}")
+            raise InputError(f"symbolic power exponent must be >= 0, got {q}")
         certified = q <= best
         return Decision(status="CERTIFIED" if certified else INCONCLUSIVE,
                         lines=lines + note, value=q if certified else None)
@@ -172,9 +172,9 @@ def alpha_multiple_membership(n: int, m: int, alpha: Fraction, k: int,
     the verdict says so.  Wants n >= 1, m >= 1 and alpha > 0.
     """
     if n < 1 or m < 1:
-        raise ValueError(f"dimension and multiplicity must be >= 1, got n={n}, m={m}")
+        raise InputError(f"dimension and multiplicity must be >= 1, got n={n}, m={m}")
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {format_rational(alpha)}")
+        raise InputError(f"alpha must be positive, got {format_rational(alpha)}")
     lhs = Fraction(k * m) + alpha * m
     holds = lhs > n
     line = (f"k*mult(Z) + mult(D) = {k}*{m} + {format_rational(alpha * m)} "

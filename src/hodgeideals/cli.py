@@ -2,10 +2,11 @@
 task files with canonical, diff-stable output.
 
 Every number printed is an exact rational (``p/q`` or integer text).
-Exit codes: 0 success, 1 claim failure, 2 input error (a ``ParseError``,
-an unwritable ``--output`` path included; only polynomial and rational
-text errors carry a span; or a caller's I_0 that is zero or that the
-computed I_0 contradicts), 3 method unavailable, 4 internal error.
+Exit codes: 0 success, 1 claim failure, 2 input error (an ``InputError``:
+a ``ParseError``, an unwritable ``--output`` path included, where only
+polynomial and rational text errors carry a span; a caller's I_0 that is
+zero or that the computed I_0 contradicts; or a library refusal of a value
+the task carries), 3 method unavailable, 4 internal error (any other error).
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .compute import MethodUnavailableError, SeedContradictionError, compute_chain
+from .compute import MethodUnavailableError, compute_chain
 from .divisor import QDivisor, reduced_alpha, validate
 from .ideal import Ideal
 from .parser import ParseError, TaskSpec, parse_polynomial
-from .poly import _ORDERS, MonomialOrder, format_rational
+from .poly import _ORDERS, InputError, MonomialOrder, format_rational
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
@@ -223,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, SeedContradictionError, MethodUnavailableError) as exc:
+    except (InputError, MethodUnavailableError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_METHOD_UNAVAILABLE if isinstance(exc, MethodUnavailableError) \
             else EXIT_INPUT_ERROR

@@ -16,6 +16,7 @@ from typing import Optional
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
 from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal
+from .poly import InputError
 from .recursion import (
     GenerationCertificate,
     MethodUnavailableError,
@@ -37,7 +38,7 @@ CLOSED_FORMS = (
 METHODS = ("auto",) + tuple(name for name, _, _ in CLOSED_FORMS) + ("recursion",)
 
 
-class SeedContradictionError(ValueError):
+class SeedContradictionError(InputError):
     """A caller's I_0 that is zero, that differs from the I_0 ``i0_seed``
     computes, or whose reduced basis uses a variable the divisor does not."""
 
@@ -60,7 +61,7 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     if method not in METHODS:
         raise MethodUnavailableError(f"unknown method {method!r}; expected one of {METHODS}")
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise InputError(f"k_max must be >= 0, got {k_max}")
     if seed_ideal is not None and seed_ideal.vars != divisor.vars:
         raise ValueError(f"seed over {seed_ideal.vars}, divisor over {divisor.vars}")
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ideal import Ideal, groebner_basis
-from .poly import Monomial, Polynomial, infer_weights, integer_terms
+from .poly import InputError, Monomial, Polynomial, infer_weights, integer_terms
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,18 @@ class QDivisor:
 
     def __post_init__(self):
         if not self.components:
-            raise ValueError("a Q-divisor needs at least one component")
+            raise InputError("a Q-divisor needs at least one component")
         monomials: list[Monomial] = []
         others: list[tuple[int, Polynomial]] = []
         for i, (f, alpha) in enumerate(self.components):
             if f.vars != self.vars:
                 raise ValueError(f"component over {f.vars}, divisor over {self.vars}")
             if not f or f.is_constant():
-                raise ValueError(f"component equations must be nonconstant, got {f}")
+                raise InputError(f"component equations must be nonconstant, got {f}")
             if not isinstance(alpha, Fraction):
                 raise TypeError("component coefficients must be exact rationals")
             if alpha <= 0:
-                raise ValueError(f"component coefficients must be positive, got {alpha}")
+                raise InputError(f"component {i}: alpha must be positive, got {alpha}")
             if len(f.terms) == 1:
                 monomials.append(next(iter(f.terms)))
             else:
@@ -47,14 +47,14 @@ class QDivisor:
         if monomials:
             product = tuple(map(sum, zip(*monomials)))
             if max(product) > 1:
-                raise ValueError(
+                raise InputError(
                     "the support is not reduced: the monomial components multiply to "
                     f"{Polynomial._raw(self.vars, {product: Fraction(1)})}, "
                     "which is not squarefree")
         for a, (i, f) in enumerate(others):
             for j, g in others[a + 1:]:
                 if _proportional(f, g):
-                    raise ValueError(f"the support is not reduced: components {i} and {j} "
+                    raise InputError(f"the support is not reduced: components {i} and {j} "
                                      f"are proportional ({f} ~ {g})")
 
     @property
@@ -252,18 +252,16 @@ def validate(divisor: QDivisor) -> list[str]:
 
     ``QDivisor`` already refuses the supports it can tell are not reduced
     (monomial components whose product is not squarefree, proportional
-    components).  What is left is recorded here as unverified-assumption
-    notes: coprimality of every pair with a non-monomial component, and
-    squarefreeness of every non-monomial component.
+    components).  A linear component is irreducible, so squarefree, and two
+    are coprime, as they are not proportional.  The rest is recorded here as
+    unverified-assumption notes: coprimality of every other pair with a
+    non-monomial component, and squarefreeness of every other non-monomial one.
     """
-    warnings: list[str] = []
-    general = [len(f.terms) > 1 for f in divisor.factors]
-    for i in range(len(general)):
-        for j in range(i + 1, len(general)):
-            if general[i] or general[j]:
-                warnings.append(
-                    f"pairwise coprimality of components {i} and {j} is assumed (unverified)")
-    for i, f in enumerate(divisor.factors):
-        if general[i]:
-            warnings.append(f"squarefreeness of component {i} ({f}) is assumed (unverified)")
-    return warnings
+    monomial = [len(f.terms) == 1 for f in divisor.factors]
+    linear = [f.total_degree() == 1 for f in divisor.factors]
+    n = len(monomial)
+    warnings = [f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
+                for i in range(n) for j in range(i + 1, n)
+                if not (monomial[i] and monomial[j] or linear[i] and linear[j])]
+    return warnings + [f"squarefreeness of component {i} ({f}) is assumed (unverified)"
+                       for i, f in enumerate(divisor.factors) if not (monomial[i] or linear[i])]

@@ -2,7 +2,9 @@
 and the compute and certify task documents built from them.
 
 Hand-written recursive descent over a token stream; every failure is a
-deterministic ``ParseError``, so the parser is total.
+deterministic ``InputError``, so the parser is total.  It reads text, JSON
+shapes and types (``ParseError``); the class or function that takes a value
+checks it and raises its own ``InputError``.
 
 Grammar for polynomials (whitespace insignificant)::
 
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 from .compute import METHODS
 from .divisor import QDivisor
 from .ideal import Ideal
-from .poly import Monomial, Polynomial, format_rational
+from .poly import InputError, Monomial, Polynomial
 from .recursion import GenerationCertificate
 
 if TYPE_CHECKING:  # only certify builds one, so it is imported where it is built
@@ -39,7 +41,7 @@ class SourceSpan(NamedTuple):
     end: int
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """An input failure; only polynomial and rational text errors carry a span."""
 
     def __init__(self, message: str, expected: str = "", span: Optional[SourceSpan] = None):
@@ -299,9 +301,11 @@ def parse_divisor(document: dict) -> QDivisor:
 
     Expected shape: ``{"vars": [...], "components": [{"f": str, "alpha": str}]}``;
     the ``components`` list may also sit under a ``divisor`` key, as in
-    task files, but not in both places.  Component coefficients must be
-    positive exact rationals.
+    task files, but not in both places.  Component coefficients are
+    exact rational text.
     Any other key of the ``divisor`` object or of a component is refused.
+    ``QDivisor``'s own refusals (a constant component, alpha <= 0, a
+    support it can tell is not reduced) reach the caller as it raises them.
     """
     if not isinstance(document, dict):
         raise ParseError("divisor document must be a JSON object")
@@ -322,15 +326,9 @@ def parse_divisor(document: dict) -> QDivisor:
         if not isinstance(comp, dict) or "f" not in comp or "alpha" not in comp:
             raise ParseError(f"component {idx} must be an object with 'f' and 'alpha'")
         _unknown_keys(comp, ("f", "alpha"), f"component {idx}")
-        f = parse_polynomial(comp["f"], variables)
-        alpha = _rational_field(comp["alpha"], f"component {idx}: 'alpha'")
-        if alpha <= 0:
-            raise ParseError(f"component {idx}: alpha must be positive, got {comp['alpha']}")
-        parsed.append((f, alpha))
-    try:
-        return QDivisor(tuple(variables), tuple(parsed))
-    except ValueError as exc:  # a constant component or a support that is not reduced
-        raise ParseError(str(exc)) from exc
+        parsed.append((parse_polynomial(comp["f"], variables),
+                       _rational_field(comp["alpha"], f"component {idx}: 'alpha'")))
+    return QDivisor(tuple(variables), tuple(parsed))
 
 
 def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
@@ -340,7 +338,8 @@ def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
     Shape: ``{"exceptional": [{"a": [int, ...], "b": int}, ...],
     "strict_transform_smooth": bool}``.  Per exceptional divisor, ``a``
     lists the pullback coefficient of each divisor component (all >= 0,
-    total >= 1) and ``b`` is the relative canonical coefficient (>= 0).
+    total >= 1) and ``b`` is the relative canonical coefficient (>= 0);
+    ``ExceptionalDivisor`` checks both, and its refusal names the record.
     ``strict_transform_smooth`` may be left out; ``false`` is refused,
     since the triviality criterion needs a smooth strict transform.  Any
     other key is refused.
@@ -364,12 +363,11 @@ def parse_resolution_data(document: dict) -> tuple[ExceptionalDivisor, ...]:
         if (not isinstance(a, list) or not a
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in a)):
             raise ParseError(f"exceptional record {idx}: 'a' must be a nonempty list of integers")
-        if any(x < 0 for x in a):
-            raise ParseError(f"exceptional record {idx}: 'a' entries must be non-negative")
-        if sum(a) < 1:
-            raise ParseError(f"exceptional record {idx}: total pullback coefficient a must be >= 1")
         b = _count(item["b"], f"exceptional record {idx}: 'b'")
-        records.append(certificates.ExceptionalDivisor(a=tuple(a), b=b))
+        try:
+            records.append(certificates.ExceptionalDivisor(a=tuple(a), b=b))
+        except InputError as exc:
+            raise ParseError(f"exceptional record {idx}: {exc}") from exc
     smooth = document.get("strict_transform_smooth", True)
     if not isinstance(smooth, bool):
         raise ParseError("'strict_transform_smooth' must be a boolean")
@@ -439,12 +437,7 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
     if kind == "resolution":
         if divisor is None:
             raise ParseError("resolution certificates need the divisor (for its alphas)")
-        records = parse_resolution_data(data)
-        for idx, record in enumerate(records):
-            if len(record.a) != len(divisor.components):
-                raise ParseError(f"exceptional record {idx} lists {len(record.a)} components, "
-                                 f"divisor has {len(divisor.components)}")
-        return kind, {"records": records}
+        return kind, {"records": parse_resolution_data(data)}
     if not isinstance(data, dict):
         raise ParseError(f"{kind!r} must be an object")
     if kind == "multiplicity":
@@ -456,7 +449,7 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
                                                r=_count(data["r"], "'multiplicity.r'"),
                                                a=_count(data["a"], "'multiplicity.a'"),
                                                b=_rational_field(data["b"], "'multiplicity.b'"))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, InputError) as exc:
             raise ParseError(f"bad multiplicity data: {exc}") from exc
         q = data.get("q")
         return kind, {"md": md, "q": None if q is None else _count(q, "'multiplicity.q'")}
@@ -467,14 +460,8 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
     try:
         n, m = _count(data["n"], "'membership.n'"), _count(data["m"], "'membership.m'")
         alpha = _rational_field(data["alpha"], "'membership.alpha'")
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ParseError) as exc:
         raise ParseError(f"bad membership data: {exc}") from exc
-    # alpha_multiple_membership refuses the same data with the same words.
-    if n < 1 or m < 1:
-        raise ParseError(f"bad membership data: dimension and multiplicity must be >= 1, "
-                         f"got n={n}, m={m}")
-    if alpha <= 0:
-        raise ParseError(f"bad membership data: alpha must be positive, got {format_rational(alpha)}")
     return kind, {"n": n, "m": m, "alpha": alpha, "proportional": proportional}
 
 

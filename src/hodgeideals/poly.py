@@ -20,6 +20,11 @@ class AmbientMismatchError(ValueError):
     """Two operands live over different ambient variable lists."""
 
 
+class InputError(ValueError):
+    """A refusal of a caller's value that a task document can carry, raised
+    where the refusal is decided; the command line exits 2 on it."""
+
+
 def _coerce_scalar(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

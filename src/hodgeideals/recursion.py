@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, QDivisor, apply_twist
 from .ideal import Ideal, graded_basis, groebner_basis
-from .poly import Monomial, Polynomial, integer_terms
+from .poly import InputError, Monomial, Polynomial, integer_terms
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
                        "user-asserted")
@@ -42,7 +42,7 @@ class GenerationCertificate:
 
     def __post_init__(self):
         if self.level < 0:
-            raise ValueError(f"generation level must be >= 0, got {self.level}")
+            raise InputError(f"generation level must be >= 0, got {self.level}")
         if self.source not in CERTIFICATE_SOURCES:
             raise ValueError(f"unknown certificate source {self.source!r}; "
                              f"expected one of {CERTIFICATE_SOURCES}")

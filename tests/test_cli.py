@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from hodgeideals import GREVLEX, Ideal, Polynomial, compute_chain, parse_divisor
+from hodgeideals import GREVLEX, Ideal, InputError, Polynomial, compute_chain, parse_divisor
 from hodgeideals.cli import _ideal_lines, main
+from hodgeideals.parser import TaskSpec
 
 CUSP_TASK = {
     "vars": ["x", "y"],
@@ -766,13 +767,13 @@ def membership_task(n, m, alpha):
     (["certify", TASK], {"task": "certify", "k": 1, "membership": "n=3"},
      "'membership' must be an object"),
     (["certify", TASK], membership_task(3, 2, "-1/2"),
-     "bad membership data: alpha must be positive, got -1/2"),
+     "alpha must be positive, got -1/2"),
     (["certify", TASK], membership_task(3, 2, "0"),
-     "bad membership data: alpha must be positive, got 0"),
+     "alpha must be positive, got 0"),
     (["certify", TASK], membership_task(0, 2, "1/2"),
-     "bad membership data: dimension and multiplicity must be >= 1, got n=0, m=2"),
+     "dimension and multiplicity must be >= 1, got n=0, m=2"),
     (["certify", TASK], membership_task(3, 0, "1/2"),
-     "bad membership data: dimension and multiplicity must be >= 1, got n=3, m=0"),
+     "dimension and multiplicity must be >= 1, got n=3, m=0"),
     (["parse", "x", "--vars", ""], None, "ambient variable list must be nonempty"),
     (["parse", "x", "--vars", "1x"], None, "invalid variable name '1x'"),
     (["parse", "x", "--vars", "x,x"], None, "duplicate variable name 'x'"),
@@ -799,9 +800,11 @@ def membership_task(n, m, alpha):
     (["certify", TASK], resolution_task({"exceptional": [{"a": [True], "b": 1}]}),
      "'a' must be a nonempty list of integers"),
     (["certify", TASK], resolution_task({"exceptional": [{"a": [-1, 2], "b": 1}]}),
-     "'a' entries must be non-negative"),
+     "exceptional record 0: pullback coefficients must be >= 0 with positive total, "
+     "got (-1, 2)"),
     (["certify", TASK], resolution_task({"exceptional": [{"a": [0], "b": 1}]}),
-     "total pullback coefficient a must be >= 1"),
+     "exceptional record 0: pullback coefficients must be >= 0 with positive total, "
+     "got (0,)"),
     (["certify", TASK], resolution_task({"exceptional": [{"a": [2], "b": -1}]}),
      "'b' must be a non-negative integer"),
     (["certify", TASK], resolution_task({"exceptional": [{"a": [2], "b": 1.0}]}),
@@ -894,6 +897,37 @@ def test_unreadable_task_text_exits_2(tmp_path, capsys, raw, message):
     code, out, err = run_cli(capsys, "compute", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    (membership_task(0, 2, "1/2"), "dimension and multiplicity must be >= 1, got n=0, m=2"),
+    (resolution_task({"exceptional": [{"a": [2, 1], "b": 1}]}),
+     "exceptional record 0 lists 2 components, divisor has 1"),
+], ids=["membership-n-0", "record-of-two-components"])
+def test_certify_data_is_refused_by_the_certificate_layer(tmp_path, capsys, doc, message):
+    # The parser reads the document's shapes and types; the certificate
+    # function decides the values, and its InputError exits 2.
+    assert TaskSpec.from_document(doc, "certify").kind in doc
+    code, out, err = run_cli(capsys, "certify", write_task(tmp_path, doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("error,exit_code", [(InputError, 2), (ValueError, 4)],
+                         ids=["input-error", "value-error"])
+def test_certificate_errors_exit_by_their_type(tmp_path, capsys, monkeypatch, error, exit_code):
+    from hodgeideals import certificates
+
+    def refusing(*args, **kwargs):
+        raise error("refused here")
+
+    monkeypatch.setattr(certificates, "alpha_multiple_membership", refusing)
+    code, out, err = run_cli(capsys, "certify", write_task(tmp_path, membership_task(3, 2, "3/4")))
+    assert (code, out) == (exit_code, "")
+    if error is InputError:
+        assert err == "error: refused here\n"
+    else:
+        assert err.startswith("error: internal error: refused here\nTraceback")
+        assert err.rstrip().endswith("ValueError: refused here")
 
 
 def test_unexpected_library_error_exits_4_as_internal(tmp_path, capsys, monkeypatch):

@@ -205,6 +205,18 @@ def test_validate_assumes_only_what_is_not_decided():
     ]
 
 
+def test_validate_decides_linear_components():
+    # A linear form is irreducible, and QDivisor refuses two proportional
+    # ones, so linear components are squarefree and pairwise coprime.
+    assert validate(div([{"f": "2*x+y", "alpha": "3/2"}])) == []
+    assert validate(div([{"f": "x-y", "alpha": "1/2"}, {"f": "x+y", "alpha": "1/2"},
+                         {"f": "x", "alpha": "1/3"}])) == []
+    assert validate(div([{"f": "x+y", "alpha": "1/2"}, {"f": "x*y+1", "alpha": "1/2"}])) == [
+        "pairwise coprimality of components 0 and 1 is assumed (unverified)",
+        "squarefreeness of component 1 (x*y + 1) is assumed (unverified)",
+    ]
+
+
 def test_validate_records_unverified_squarefreeness():
     warnings = validate(CUSP)
     assert any("squarefree" in w.lower() for w in warnings)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeideals import ParseError, parse_divisor, parse_polynomial, parse_rational, \
+from hodgeideals import InputError, ParseError, parse_divisor, parse_polynomial, parse_rational, \
     parse_resolution_data
 from hodgeideals.poly import Polynomial
 
@@ -248,9 +248,10 @@ def test_parse_divisor_task_style_nesting():
 
 
 def test_parse_divisor_rejects_nonpositive_alpha():
-    with pytest.raises(ParseError):
+    # QDivisor decides the sign; its InputError reaches the caller as raised.
+    with pytest.raises(InputError, match="^component 0: alpha must be positive, got 0$"):
         parse_divisor({"vars": ["x"], "components": [{"f": "x", "alpha": "0"}]})
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^component 0: alpha must be positive, got -1/2$"):
         parse_divisor({"vars": ["x"], "components": [{"f": "x", "alpha": "-1/2"}]})
 
 
@@ -273,7 +274,8 @@ def test_parse_resolution_data_refuses_a_singular_strict_transform():
 def test_parse_resolution_data_rejects_zero_pullback():
     with pytest.raises(ParseError) as err:
         parse_resolution_data({"exceptional": [{"a": [0], "b": 1}]})
-    assert "must be >= 1" in str(err.value)
+    assert str(err.value) == ("exceptional record 0: pullback coefficients must be >= 0 "
+                              "with positive total, got (0,)")
 
 
 def test_parse_resolution_data_empty_is_smooth_case():

@@ -1,4 +1,8 @@
-"""Library refusals: each bad call raises its own error type with its message."""
+"""Library refusals: each bad call raises its own error type with its message.
+
+A refusal of a value that a task document can carry is an ``InputError``;
+a call no task document can make (another ring, a wrong type, an engine
+precondition) keeps its own class."""
 
 import re
 from fractions import Fraction as F
@@ -10,10 +14,12 @@ from hodgeideals import (
     GenerationCertificate,
     HodgeIdealResult,
     Ideal,
+    InputError,
     MethodUnavailableError,
     MultiplicityData,
     Polynomial,
     QDivisor,
+    alpha_multiple_membership,
     classify,
     compute_chain,
     derivation_step,
@@ -63,7 +69,7 @@ CASES = {
         lambda: groebner_basis([p("x"), p("x", XYZ)]), AmbientMismatchError,
         "generators must share one ambient"),
     "compute-chain-negative-k": (
-        lambda: compute_chain(cusp(), -1), ValueError, "k_max must be >= 0, got -1"),
+        lambda: compute_chain(cusp(), -1), InputError, "k_max must be >= 0, got -1"),
     "hodge-chain-seed-above-k-max": (
         seed_above_k_max, ValueError, "seed level 2 exceeds k_max = 1"),
     "derivation-step-wrong-ring": (
@@ -105,38 +111,38 @@ CASES = {
         lambda: Ideal(XYZ, [p("x", XYZ), p("x*z", XYZ)]).extend(XY), ValueError,
         "new ambient ('x', 'y') must contain 'z'"),
     "certificate-negative-level": (
-        lambda: GenerationCertificate(-1, "user-asserted"), ValueError,
+        lambda: GenerationCertificate(-1, "user-asserted"), InputError,
         "generation level must be >= 0, got -1"),
     "certificate-unknown-source": (
         lambda: GenerationCertificate(0, "oracle"), ValueError,
         "unknown certificate source 'oracle'"),
     "exceptional-negative-a": (
-        lambda: ExceptionalDivisor(a=(-1, 2), b=1), ValueError,
+        lambda: ExceptionalDivisor(a=(-1, 2), b=1), InputError,
         "pullback coefficients must be >= 0 with positive total"),
     "exceptional-negative-b": (
-        lambda: ExceptionalDivisor(a=(2,), b=-1), ValueError,
+        lambda: ExceptionalDivisor(a=(2,), b=-1), InputError,
         "discrepancy coefficient must be >= 0, got -1"),
     "multiplicity-a-below-1": (
-        lambda: MultiplicityData(**dict(MULTIPLICITY, a=0)), ValueError,
+        lambda: MultiplicityData(**dict(MULTIPLICITY, a=0)), InputError,
         "support multiplicity must be >= 1, got 0"),
     "multiplicity-b-not-positive": (
-        lambda: MultiplicityData(**dict(MULTIPLICITY, b=F(0))), ValueError,
+        lambda: MultiplicityData(**dict(MULTIPLICITY, b=F(0))), InputError,
         "divisor multiplicity must be a positive rational"),
     "multiplicity-r-above-n": (
-        lambda: MultiplicityData(**dict(MULTIPLICITY, r=4)), ValueError,
+        lambda: MultiplicityData(**dict(MULTIPLICITY, r=4)), InputError,
         "codimension must lie in 1..3, got 4"),
     "triviality-negative-k": (
         lambda: triviality_certificate((ExceptionalDivisor(a=(2,), b=1),), [F(1, 2)], -1),
-        ValueError, "filtration level must be >= 0, got -1"),
+        InputError, "filtration level must be >= 0, got -1"),
     "triviality-record-length-mismatch": (
         lambda: triviality_certificate((ExceptionalDivisor(a=(2, 1), b=1),), [F(1, 2)], 0),
-        ValueError, "exceptional record 0 lists 2 components, divisor has 1"),
+        InputError, "exceptional record 0 lists 2 components, divisor has 1"),
     "symbolic-power-negative-k": (
         lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), -1),
-        ValueError, "filtration level must be >= 0, got -1"),
+        InputError, "filtration level must be >= 0, got -1"),
     "symbolic-power-negative-q": (
         lambda: nontriviality_symbolic_power(MultiplicityData(**MULTIPLICITY), 0, q=-1),
-        ValueError, "symbolic power exponent must be >= 0, got -1"),
+        InputError, "symbolic power exponent must be >= 0, got -1"),
     "qdivisor-foreign-component": (
         lambda: QDivisor(XY, ((p("x", XYZ), F(1, 2)),)), ValueError, "component over"),
     "qdivisor-int-coefficient": (
@@ -160,16 +166,34 @@ CASES = {
         lambda: Polynomial.zero(XY).leading(), ValueError,
         "the zero polynomial has no leading term"),
     "qdivisor-monomial-power": (
-        lambda: QDivisor(X, ((p("x^2", X), F(1, 2)),)), ValueError,
+        lambda: QDivisor(X, ((p("x^2", X), F(1, 2)),)), InputError,
         "the support is not reduced: the monomial components multiply to x^2, "
         "which is not squarefree"),
     "qdivisor-monomials-share-a-variable": (
-        lambda: QDivisor(XY, ((p("x*y"), F(1, 2)), (p("x"), F(1, 2)))), ValueError,
+        lambda: QDivisor(XY, ((p("x*y"), F(1, 2)), (p("x"), F(1, 2)))), InputError,
         "the support is not reduced: the monomial components multiply to x^2*y, "
         "which is not squarefree"),
     "qdivisor-proportional-components": (
-        lambda: QDivisor(XY, ((p("x+y"), F(1, 2)), (p("2*x+2*y"), F(1, 2)))), ValueError,
+        lambda: QDivisor(XY, ((p("x+y"), F(1, 2)), (p("2*x+2*y"), F(1, 2)))), InputError,
         "the support is not reduced: components 0 and 1 are proportional (x + y ~ 2*x + 2*y)"),
+    # The refusals a task document reaches, typed where they are decided.
+    "qdivisor-no-components": (
+        lambda: QDivisor(XY, ()), InputError, "a Q-divisor needs at least one component"),
+    "qdivisor-constant-component": (
+        lambda: QDivisor(XY, ((p("3"), F(1, 2)),)), InputError,
+        "component equations must be nonconstant, got 3"),
+    "qdivisor-alpha-not-positive": (
+        lambda: QDivisor(XY, ((p("x"), F(1, 2)), (p("y"), F(-1, 2)))), InputError,
+        "component 1: alpha must be positive, got -1/2"),
+    "triviality-alpha-above-1": (
+        lambda: triviality_certificate((), [F(3, 2)], 0), InputError,
+        "coefficients must lie in (0, 1] (apply periodic_reduce first), got 3/2"),
+    "membership-n-below-1": (
+        lambda: alpha_multiple_membership(0, 2, F(1, 2), 1), InputError,
+        "dimension and multiplicity must be >= 1, got n=0, m=2"),
+    "membership-alpha-not-positive": (
+        lambda: alpha_multiple_membership(3, 2, F(0), 1), InputError,
+        "alpha must be positive, got 0"),
 }
 
 
@@ -178,3 +202,10 @@ def test_refusal_raises_its_typed_error(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as raised:
         call()
     assert raised.type is error
+
+
+def test_parse_and_seed_errors_are_input_errors():
+    from hodgeideals import ParseError
+
+    assert issubclass(ParseError, InputError) and issubclass(SeedContradictionError, InputError)
+    assert issubclass(InputError, ValueError)
