@@ -54,6 +54,8 @@ class MultiplicityData:
             raise InputError(f"support multiplicity must be >= 1, got {self.a}")
         if not isinstance(self.b, Fraction) or self.b <= 0:
             raise InputError(f"divisor multiplicity must be a positive rational, got {self.b!r}")
+        if self.n < 1:
+            raise InputError(f"dimension must be >= 1, got n={self.n}")
         if not 1 <= self.r <= self.n:
             raise InputError(f"codimension must lie in 1..{self.n}, got {self.r}")
 

@@ -47,27 +47,30 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                   seed_ideal: Optional[Ideal] = None,
                   certificate: Optional[GenerationCertificate] = None,
                   ) -> list[HodgeIdealResult]:
-    """Hodge ideals I_0(D), ..., I_(k_max)(D) with exactness flags.
+    """Hodge ideals I_0(D), ..., I_(k_max)(D) with exactness flags, in
+    one pass.
 
-    ``seed_ideal`` is a caller's I_0 of the reduced divisor B.  Right
-    after ``classify``, before any method is tried or refused, it is
-    checked once: it must not be zero, and it must span the I_0 of
-    ``i0_seed`` wherever there is one (in every closed-form regime), or
-    ``SeedContradictionError`` is raised.  A closed form covering the
-    chain does not use it; the recursion starts from it.  On a cylinder
-    it moves to the used variables through its reduced basis, which must
-    not use another.
+    A cylinder, whose equations omit some ambient variables, is computed
+    on the variables it uses and its results are extended back at the end.
+    ``seed_ideal`` is a caller's I_0 of the reduced divisor B, checked in
+    one block before any method is tried or refused: on a cylinder it
+    moves to the used variables through its reduced basis, which must not
+    use another; it must not be zero; and it must span the I_0 of
+    ``i0_seed`` wherever there is one (in every closed-form regime).
+    Otherwise ``SeedContradictionError`` is raised.  A closed form
+    covering the chain does not use it; the recursion starts from it.
     """
     if method not in METHODS:
-        raise MethodUnavailableError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
     if k_max < 0:
         raise InputError(f"k_max must be >= 0, got {k_max}")
     if seed_ideal is not None and seed_ideal.vars != divisor.vars:
         raise ValueError(f"seed over {seed_ideal.vars}, divisor over {divisor.vars}")
 
+    ambient = divisor.vars
     used = divisor.used_variables()
-    if len(used) < len(divisor.vars):
-        small = tuple(divisor.vars[i] for i in used)
+    if len(used) < len(ambient):
+        small = tuple(ambient[i] for i in used)
         if seed_ideal is not None:
             # I_0 of a pullback is extended from the used variables, and so
             # is its reduced basis; a basis that uses another variable is not.
@@ -79,13 +82,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                     f"'options.i0' contradicts the cylinder: the divisor uses only "
                     f"{', '.join(small)}, but the reduced basis of the given I_0 is "
                     f"{seed_ideal}") from None
-        inner = compute_chain(QDivisor(small, tuple((f.extend(small), alpha)
-                                                    for f, alpha in divisor.components)),
-                              k_max, method, seed_ideal, certificate)
-        note = (f"computed over the variables {', '.join(small)} actually used "
-                f"and extended back (smooth pullback)")
-        return [replace(res, ideal=res.ideal.extend(divisor.vars)).with_note(note)
-                for res in inner]
+        divisor = QDivisor(small, tuple((f.extend(small), alpha)
+                                        for f, alpha in divisor.components))
 
     regime = classify(divisor)
     if seed_ideal is not None:
@@ -111,16 +109,22 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                         note = (f"{what} supplied by caller not used: the {name} closed "
                                 f"form is exact at every level")
                         results = [res.with_note(note) for res in results]
-                return results
+                break
             if method == name:
                 raise MethodUnavailableError(reason)
+    else:
+        # Recursion with a generation-level certificate, from the caller's
+        # I_0 or the computed one.
+        seed = i0_seed(regime) if seed_ideal is None else \
+            HodgeIdealResult(k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
+        cert = certificate if certificate is not None else certificate_for(regime)
+        results = list(hodge_chain(regime, k_max, seed, cert).results)
+        if seed_ideal is not None:
+            results = [res.with_note(seed.notes) for res in results]
 
-    # Recursion with a generation-level certificate, from the caller's I_0
-    # or the computed one.
-    seed = i0_seed(regime) if seed_ideal is None else \
-        HodgeIdealResult(k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
-    cert = certificate if certificate is not None else certificate_for(regime)
-    results = hodge_chain(regime, k_max, seed, cert).results
-    if seed_ideal is not None:
-        return [res.with_note(seed.notes) for res in results]
-    return list(results)
+    if divisor.vars != ambient:
+        note = (f"computed over the variables {', '.join(divisor.vars)} actually used "
+                f"and extended back (smooth pullback)")
+        results = [replace(res, ideal=res.ideal.extend(ambient)).with_note(note)
+                   for res in results]
+    return results

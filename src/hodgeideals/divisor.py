@@ -71,10 +71,12 @@ class QDivisor:
                      if any(f.uses_variable(i) for f in self.factors))
 
     @functools.cached_property
-    def isolated_weights(self) -> Optional[tuple[Fraction, ...]]:
-        """The weights ``infer_weights`` finds for the support g, when g is
-        weighted-homogeneous with an isolated singularity (its Jacobian
-        ideal is zero-dimensional); None otherwise.
+    def grading(self) -> Optional[tuple[int, ...]]:
+        """Coprime positive integers u making the support g
+        weighted-homogeneous, when its weights are unique
+        (``infer_weights``) and its singularity is isolated (its Jacobian
+        ideal is zero-dimensional); None otherwise.  The weights of
+        weighted degree 1 are u_i / deg_u(g).
 
         Decided on first use and kept, so the generation-level certificate
         and every derivation step of a chain read one Jacobian basis.
@@ -83,16 +85,6 @@ class QDivisor:
         weights = infer_weights(g)
         if weights is None or not Ideal(self.vars, [g.diff(i) for i in range(len(self.vars))]) \
                 .is_zero_dimensional():
-            return None
-        return weights
-
-    @functools.cached_property
-    def grading(self) -> Optional[tuple[int, ...]]:
-        """``isolated_weights`` scaled to coprime positive integers, the
-        grading of the graded derivation steps; None when there are no
-        such weights.  Decided on first use and kept."""
-        weights = self.isolated_weights
-        if weights is None:
             return None
         scale = math.lcm(*(w.denominator for w in weights))
         integral = [w.numerator * (scale // w.denominator) for w in weights]

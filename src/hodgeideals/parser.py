@@ -26,7 +26,6 @@ from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .compute import METHODS
 from .divisor import QDivisor
 from .ideal import Ideal
 from .poly import InputError, Monomial, Polynomial
@@ -467,9 +466,10 @@ def _certify_arguments(doc: dict, divisor: Optional[QDivisor]) -> tuple[str, dic
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A validated task document.  A compute task fills ``method`` through
-    ``samples``; a certify task fills ``kind``, one of ``_CERTIFY_KINDS``, and
-    ``arguments``, the keyword arguments but ``k`` of that kind's certificate."""
+    """A validated task document.  A compute task fills ``method`` (which
+    ``compute_chain`` checks) through ``samples``; a certify task fills
+    ``kind``, one of ``_CERTIFY_KINDS``, and ``arguments``, the keyword
+    arguments but ``k`` of that kind's certificate."""
 
     divisor: Optional[QDivisor]
     k: int
@@ -499,8 +499,6 @@ class TaskSpec:
             kind, arguments = _certify_arguments(doc, divisor)
             return cls(divisor, k, kind=kind, arguments=arguments)
         method = doc.get("method", "auto")
-        if method not in METHODS:
-            raise ParseError(f"unknown method {method!r}; expected one of {METHODS}")
         options = doc.get("options", {})
         if not isinstance(options, dict):
             raise ParseError("'options' must be an object")

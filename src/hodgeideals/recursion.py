@@ -172,7 +172,7 @@ g * prod_i f_i^(k + alpha_i).
     the divisor's ``StepData``: G and the rows of every h_l are built on
     the divisor's first step and kept, so a step only scales them by
     k + alpha_i.  When g is weighted-homogeneous with an isolated
-    singularity (``QDivisor.isolated_weights``, decided once per divisor)
+    singularity (``QDivisor.grading``, decided once per divisor)
     and the input is weighted-homogeneous and m-primary or (1), so is the
     result, and ``graded_basis`` row-reduces those rows in integers to its
     reduced basis.  There the rows g*w that the Euler identity already
@@ -270,29 +270,31 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     """Best available generation-level certificate for the divisor.
 
     Tries the quasi-homogeneous formula floor(n - alpha_tilde - alpha)
-    on the support equation g (weights inferred exactly), issued only
-    when the singularity is isolated: the Jacobian ideal of g must be
+    on the support equation g, issued only when g has an integer grading
+    u (``QDivisor.grading``): its weights are unique, inferred exactly,
+    and its singularity is isolated, as its Jacobian ideal is
     zero-dimensional, which for a weighted-homogeneous g is the same
-    check globally as at the origin.  Then, for a plane curve, level 0
-    (the node example) when every singular point of {g = 0} is a node,
-    decided by (g, dg/dx, dg/dy, det Hess g) = (1): a node is locally a
-    normal crossing and Hodge ideals are local.  A smooth curve passes
-    too.  Otherwise the universal n-1 bound.
+    check globally as at the origin.  Then alpha_tilde = sum u_i / deg_u(g).
+    Then, for a plane curve, level 0 (the node example) when every
+    singular point of {g = 0} is a node, decided by
+    (g, dg/dx, dg/dy, det Hess g) = (1): a node is locally a normal
+    crossing and Hodge ideals are local.  A smooth curve passes too.
+    Otherwise the universal n-1 bound.
     """
     n = len(regime.reduced.vars)
     if regime.alpha is not None:
-        weights = regime.reduced.isolated_weights
-        if weights is not None:
-            tilde = sum(weights, Fraction(0))
+        g = regime.reduced.support_equation
+        grading = regime.reduced.grading
+        if grading is not None:
             return GenerationCertificate(
-                level=generation_level(n, tilde, regime.alpha),
+                level=generation_level(n, Fraction(sum(grading), g.weighted_degree(grading)),
+                                       regime.alpha),
                 source="quasihomogeneous-formula")
         # Every singular point a node: by the Morse lemma a singular point
         # of a plane curve is a node iff the Hessian is nondegenerate there,
         # and by the Nullstellensatz no point of V(g, dg) has a degenerate
         # Hessian iff (g, dg, det Hess g) = (1).
         if n == 2:
-            g = regime.reduced.support_equation
             gx, gy = g.diff(0), g.diff(1)
             hessian = gx.diff(0) * gy.diff(1) - gx.diff(1) ** 2
             if Ideal(g.vars, (g, gx, gy, hessian)).equals(Ideal.unit(g.vars)):

@@ -46,7 +46,7 @@ CLASSES = (Polynomial, Ideal, QDivisor, MonomialOrder)
 # Members the scan must find: each class of CLASSES, and each kind of
 # member (method, classmethod, property, cached property).
 SCANNED_MEMBERS = {"Polynomial.diff", "Polynomial.one", "Ideal.groebner", "Ideal.from_basis",
-                   "QDivisor.alphas", "QDivisor.isolated_weights", "MonomialOrder.from_name"}
+                   "QDivisor.alphas", "QDivisor.grading", "MonomialOrder.from_name"}
 
 # "Class.member" entries that nothing in the package reads, each with the
 # reason it stays public.  Empty: every member is read.

@@ -190,6 +190,47 @@ def test_compute_no_seed_exits_3(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_a_cusp_in_other_coordinates_has_no_computable_i0_and_exits_3(tmp_path, capsys):
+    # (x+y)^2+y^3 is no diagonal equation, so no regime gives its I_0.
+    task = {"vars": ["x", "y"], "k": 1,
+            "divisor": {"components": [{"f": "(x+y)^2+y^3", "alpha": "1/2"}]}}
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: no computable I_0 regime recognized")
+
+
+def test_an_unknown_method_is_refused_by_compute_chain(tmp_path, capsys):
+    # The parser passes the method on; the dispatch decides it and raises
+    # an InputError, which exits 2.
+    task = dict(CUSP_TASK, method="bogus")
+    assert TaskSpec.from_document(task, "compute").method == "bogus"
+    with pytest.raises(InputError, match="unknown method 'bogus'") as raised:
+        compute_chain(parse_divisor(task), 1, method="bogus")
+    assert raised.type is InputError
+    code, out, err = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown method 'bogus'; expected one of "
+                   "('auto', 'smooth', 'snc', 'ordinary', 'recursion')\n")
+
+
+def test_one_component_xyz_is_the_snc_divisor(tmp_path, capsys):
+    task = {"vars": ["x", "y", "z"], "k": 2,
+            "divisor": {"components": [{"f": "x*y*z", "alpha": "1/2"}]}}
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert code == 0
+    assert "k = 2 [exact] method=snc" in out
+
+
+def test_linear_components_print_no_assumption(tmp_path, capsys):
+    # Linear components are squarefree and pairwise coprime.
+    task = {"vars": ["x", "y"], "k": 1, "options": {"i0": ["1"]},
+            "divisor": {"components": [{"f": "x-y", "alpha": "1/2"},
+                                       {"f": "x+y", "alpha": "1/2"}]}}
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert code == 0
+    assert "assumed" not in out
+
+
 def test_compute_caller_seed_is_noted_on_every_result(tmp_path, capsys):
     task = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x^2+x*y+y^2", "alpha": "1/2"}]},
@@ -374,6 +415,8 @@ CERTIFY_KEYS = "expected task, vars, divisor, k, resolution, multiplicity, membe
     ("compute", dict(CUSP_TASK, K=2, methd="snc")),
     ("certify", {"vars": ["x", "y"], "task": "certify", "k": 1, "memebrship": {},
                  "membership": {"n": 3, "m": 2, "alpha": "1/2"}}),
+    ("compute", {"task": "compute", "vars": ["x"], "bogus": 1,
+                 "divisor": {"components": [{"f": "x", "alpha": "1"}]}}),
 ])
 def test_unknown_task_key_exits_2_and_names_it(tmp_path, capsys, command, task):
     code, out, err = run_cli(capsys, command, write_task(tmp_path, task))
@@ -875,6 +918,10 @@ def membership_task(n, m, alpha):
     (["compute", TASK], dict(CUSP_TASK, vars=["x", "y", "z"], options={"i0": ["x", "z"]}),
      "'options.i0' contradicts the cylinder: the divisor uses only x, y, but the reduced "
      "basis of the given I_0 is ideal(x, z)"),
+    # MultiplicityData names the dimension, not an empty codimension range.
+    (["certify", TASK], {"task": "certify", "k": 1,
+                         "multiplicity": {"n": 0, "r": 0, "a": 2, "b": "3/2"}},
+     "bad multiplicity data: dimension must be >= 1, got n=0"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"
@@ -1072,6 +1119,12 @@ def test_parse_canonical_is_round_trip_stable(capsys):
     code2, out2, _ = run_cli(capsys, "parse", "--vars", "x,y", out1.strip())
     assert code == code2 == 0
     assert out1 == out2
+
+
+def test_parse_reads_a_leading_minus_and_juxtaposed_factors(capsys):
+    # "--" ends the flags, so the leading minus is not read as one.
+    code, out, _ = run_cli(capsys, "parse", "--vars", "x,y", "--", "-(x+y)^2 2x + 1/2y")
+    assert (code, out) == (0, "-2*x^3 - 4*x^2*y - 2*x*y^2 + 1/2*y\n")
 
 
 def test_parse_vars_may_carry_spaces(capsys):

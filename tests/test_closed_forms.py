@@ -428,6 +428,16 @@ def test_seeded_cylinder_is_the_unseeded_chain():
     assert all(a.ideal.equals(b.ideal) for a, b in zip(seeded, plain))
 
 
+def test_a_seeded_cylinder_enters_compute_chain_once(chain_calls):
+    # The divisor and the seed move to x, y inside the one pass.
+    import hodgeideals
+    d = div(_components(("x^2+y^3", "9/10")), XYZ)
+    seed = Ideal(XYZ, [parse_polynomial(g, XYZ) for g in ("x", "y")])
+    results = hodgeideals.compute_chain(d, 2, seed_ideal=seed)
+    assert chain_calls == [d]
+    assert all("actually used and extended back" in res.notes for res in results)
+
+
 def test_chain_computes_the_twist_once(twist_calls):
     xyzw = ("x", "y", "z", "w")
     compute_chain(div(_components(*((v, "3/2") for v in xyzw)), xyzw), 4)

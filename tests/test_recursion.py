@@ -1,7 +1,6 @@
 """Derivation-closure step, chains, seeds, and exactness accounting."""
 
 import json
-import math
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -87,7 +86,7 @@ def test_step_pairs_only_the_derivative_generators(groebner_inputs):
     given = ideal("x^2 + x y", "x y")
     basis = given.groebner()
     assert not given.is_zero_dimensional()
-    d.isolated_weights  # decided once per divisor, before the step is recorded
+    d.grading  # decided once per divisor, before the step is recorded
     groebner_inputs.clear()
     out = derivation_step(given, d, 1)
     assert len(groebner_inputs) == 1
@@ -155,7 +154,7 @@ def test_step_generators_are_the_textbook_operator(groebner_inputs, d):
     given = spanned_by(d.vars, ["x^2 + y", "x y"] if len(d.vars) == 2
                              else ["x + z^2", "y^2", "x y z"])
     basis = given.groebner()
-    d.isolated_weights  # decided once per divisor, before the steps are recorded
+    d.grading  # decided once per divisor, before the steps are recorded
     for k in range(4):
         groebner_inputs.clear()
         derivation_step(given, d, k)
@@ -194,7 +193,7 @@ def test_step_on_a_non_homogeneous_input_keeps_the_pair_engine(graded_calls):
     # The cusp qualifies, but (x^2 + y, x y) is not weighted-homogeneous.
     d = cusp("9/10")
     given = ideal("x^2 + y", "x y")
-    assert d.isolated_weights is not None
+    assert d.grading is not None
     for k in range(4):
         out = derivation_step(given, d, k)
         assert out.groebner() == groebner_basis(step_generators(given, d, k))
@@ -307,12 +306,9 @@ def full_check_grading(ideal, divisor):
     """The per-step grading decision, made in full on the step's input:
     weighted-homogeneous isolated g, and a reduced basis that is
     weighted-homogeneous and zero-dimensional or (1)."""
-    weights = divisor.isolated_weights
-    if weights is None:
+    grading = divisor.grading
+    if grading is None:
         return None
-    scale = math.lcm(*(w.denominator for w in weights))
-    integral = [int(w * scale) for w in weights]
-    grading = tuple(w // math.gcd(*integral) for w in integral)
     if all(w.weighted_degree(grading) is not None for w in ideal.groebner()) \
             and ideal.is_zero_dimensional():
         return grading

@@ -15,7 +15,6 @@ from hodgeideals import (
     HodgeIdealResult,
     Ideal,
     InputError,
-    MethodUnavailableError,
     MultiplicityData,
     Polynomial,
     QDivisor,
@@ -98,7 +97,7 @@ CASES = {
         SeedContradictionError, "'options.i0' contradicts the computed I_0 of the reduced "
         "divisor: I_0 = ideal(1), but the given I_0 is ideal(x, y)"),
     "compute-chain-unknown-method": (
-        lambda: compute_chain(cusp(), 1, method="bogus"), MethodUnavailableError,
+        lambda: compute_chain(cusp(), 1, method="bogus"), InputError,
         "unknown method 'bogus'"),
     "compute-chain-seed-using-an-omitted-variable": (
         lambda: compute_chain(cusp(XYZ), 1, seed_ideal=Ideal(XYZ, [p("x", XYZ), p("z", XYZ)])),
@@ -128,6 +127,9 @@ CASES = {
     "multiplicity-b-not-positive": (
         lambda: MultiplicityData(**dict(MULTIPLICITY, b=F(0))), InputError,
         "divisor multiplicity must be a positive rational"),
+    "multiplicity-n-below-1": (
+        lambda: MultiplicityData(n=0, r=0, a=2, b=F(3, 2)), InputError,
+        "dimension must be >= 1, got n=0"),
     "multiplicity-r-above-n": (
         lambda: MultiplicityData(**dict(MULTIPLICITY, r=4)), InputError,
         "codimension must lie in 1..3, got 4"),

@@ -146,11 +146,10 @@ def test_restriction_draws_share_their_chains(chain_calls):
 
 def test_restriction_suite_computes_each_cusp_chain_once(chain_calls):
     # The k = 1 check serves the generic draws and the z -> 0 plane: per
-    # restriction check, one ambient chain (plus its inner chain on the used
-    # variables) and one intrinsic chain, for the cusp at k = 1 and 2 and
-    # the SNC pair at k = 1.
+    # restriction check, one ambient chain and one intrinsic chain, for the
+    # cusp at k = 1 and 2 and the SNC pair at k = 1.
     assert report_ok(SUITES["restriction"](7))
-    assert len(chain_calls) == 9
+    assert len(chain_calls) == 6
 
 
 def test_periodicity_checks():
