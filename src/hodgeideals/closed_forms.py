@@ -142,9 +142,9 @@ def ordinary_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
 
 
 def generation_level(n: int, alpha_tilde: Fraction, alpha: Fraction) -> int:
-    """Generation level floor(n - alpha_tilde - alpha), clamped to [0, n-1]."""
-    raw = math.floor(Fraction(n) - alpha_tilde - alpha)
-    return max(0, min(n - 1, raw))
+    """Generation level floor(n - alpha_tilde - alpha), clamped below at 0
+    (it is below n as alpha_tilde > 0 and alpha > 0)."""
+    return max(0, math.floor(Fraction(n) - alpha_tilde - alpha))
 
 
 # ---------------------------------------------------------------------------

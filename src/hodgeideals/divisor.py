@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ideal import Ideal, groebner_basis
-from .poly import InputError, Monomial, Polynomial, infer_weights, integer_terms
+from .poly import InputError, Monomial, Polynomial, infer_weights
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,10 @@ class QDivisor:
         return math.prod(self.factors, start=Polynomial.one(self.vars))
 
     @functools.cached_property
-    def step_data(self) -> "StepData":
+    def step_data(self):
         """The integer data that every derivation step of this divisor
-        reads, built on first use and kept (see ``StepData``)."""
+        reads, built on first use and kept (see ``recursion.StepData``)."""
+        from .recursion import StepData
         return StepData.of(self)
 
     def is_reduced_regime(self) -> bool:
@@ -115,58 +116,6 @@ class QDivisor:
 
     def describe(self) -> str:
         return " + ".join(f"({alpha})*div({f})" for f, alpha in self.components)
-
-
-@dataclass(frozen=True, eq=False)
-class StepData:
-    """The k-independent integer data of the derivation steps of a divisor.
-
-    The support equation (``QDivisor.support_equation``) is
-    g = G/g_scale, with G the integer term dict ``g_terms``.  The rows
-    P_(i,l) = d_l(f_i)*prod_(j != i) f_j share one scale c_P:
-    ``rows[i][l]`` = c_P*P_(i,l), with integer coefficients.
-    With den the least common denominator of the alpha_i and
-    k + alpha_i = (k*den + shifts[i])/den, the h_l of step k is
-    h_l = sum_i (k + alpha_i)*P_(i,l) = H_l(k)/h_scale, where
-    H_l(k) = sum_i (k*den + shifts[i])*rows[i][l] and h_scale = den*c_P.
-    Only the integer scalars k*den + shifts[i] change from step to step.
-    """
-
-    g_scale: int
-    g_terms: dict[Monomial, int]
-    den: int
-    shifts: tuple[int, ...]
-    rows: tuple[tuple[dict[Monomial, int], ...], ...]
-    h_scale: int
-
-    @classmethod
-    def of(cls, divisor: QDivisor) -> "StepData":
-        g_scale, (g_terms,) = integer_terms((divisor.support_equation,))
-        factors = divisor.factors
-        one = Polynomial.one(divisor.vars)
-        n = len(divisor.vars)
-        cofactors = [math.prod(factors[:i] + factors[i + 1:], start=one)
-                     for i in range(len(factors))]
-        p_scale, flat = integer_terms([f.diff(ell) * c for f, c in zip(factors, cofactors)
-                                       for ell in range(n)])
-        den = math.lcm(*(alpha.denominator for alpha in divisor.alphas))
-        return cls(g_scale=g_scale, g_terms=g_terms, den=den,
-                   shifts=tuple(alpha.numerator * (den // alpha.denominator)
-                                for alpha in divisor.alphas),
-                   rows=tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(factors))),
-                   h_scale=den * p_scale)
-
-    def log_rows(self, k: int) -> list[dict[Monomial, int]]:
-        """H_l(k) for each variable index l, as integer term dicts."""
-        scalars = [k * self.den + a for a in self.shifts]
-        out = []
-        for ell in range(len(self.rows[0])):
-            h: dict[Monomial, int] = {}
-            for s, rows in zip(scalars, self.rows):
-                for m, c in rows[ell].items():
-                    h[m] = h.get(m, 0) + s * c
-            out.append({m: c for m, c in h.items() if c})
-        return out
 
 
 def twist_polynomial(divisor: QDivisor) -> Polynomial:

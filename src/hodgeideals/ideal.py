@@ -306,7 +306,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     leading monomial descending.  A nonempty basis records the weights in
     its ``weights`` attribute: the engine has then found every element
     weighted-homogeneous for them and the ideal m-primary or (1).  It
-    also keeps, in ``rows``, each element's integer row (p, p*pivot + tail):
+    also keeps, in ``rows``, each element's integer row p*pivot + tail:
     with content 1 and p > 0, that is what ``integer_terms`` makes of
     the element, so a caller that wants integer rows reads them there.
     """
@@ -325,8 +325,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
                              f"for the weights {weights}")
         d = degrees.pop()
         if d == 0:  # a nonzero constant
-            return _GradedBasis((Polynomial.one(variables),), weights,
-                                ((1, {(0,) * n: 1}),))
+            return _GradedBasis((Polynomial.one(variables),), weights, ({(0,) * n: 1},))
         gens.setdefault(d, []).append(v)
     if not gens:
         return ()
@@ -409,8 +408,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
                 terms = {m: one}
                 for t, a in tail.items():
                     terms[t] = Fraction(a, p)
-                found.append((key(m), m, Polynomial._raw(variables, terms),
-                              (p, {m: p, **tail})))
+                found.append((key(m), m, Polynomial._raw(variables, terms), {m: p, **tail}))
         window[d] = rows
         window.pop(d - top, None)
         d += 1

@@ -493,7 +493,7 @@ class TaskSpec:
             raise ParseError(f"task field says {task!r} but the subcommand is {command!r}")
         if "divisor" in doc and "vars" not in doc:
             raise ParseError("task document needs a 'vars' list")
-        divisor = parse_divisor(doc) if "vars" in doc else None
+        divisor = parse_divisor(doc) if "divisor" in doc else None
         k = _count(doc.get("k", 0), "'k'")
         if command == "certify":
             kind, arguments = _certify_arguments(doc, divisor)

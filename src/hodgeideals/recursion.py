@@ -10,6 +10,7 @@ accounting is explicit and never promotes a lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -32,9 +33,9 @@ class MethodUnavailableError(ValueError):
 class GenerationCertificate:
     """A certified generation level for the Hodge filtration of a divisor.
 
-    The filtration is always generated at level n-1, so levels are
-    clamped there by construction sites; ``source`` records where the
-    certificate came from.
+    The filtration is always generated at level n-1; a level above it is
+    kept as given, and ``hodge_chain`` uses min(level, n-1).  ``source``
+    records where the certificate came from.
     """
 
     level: int
@@ -100,20 +101,69 @@ def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int],
                 del out[m]
 
 
+@dataclass(frozen=True, eq=False)
+class StepData:
+    """The k-independent integer data of the derivation steps of a divisor
+    (kept by ``QDivisor.step_data``).
+
+    ``g_terms`` is G = c_g*g, g the support equation; c_P makes every
+    P_(i,l) = d_l(f_i)*prod_(j != i) f_j integral, and ``rows[i][l]`` is
+    -c_g*c_P*P_(i,l).  With den the least common denominator of the
+    alpha_i, k + alpha_i = (k*den + shifts[i])/den and c_h = den*c_P,
+    ``gh`` is c_h*G and ``log_rows(k)[l]`` = sum_i (k*den + shifts[i])*rows[i][l].
+    So with lambda = c_g*c_h > 0, gh = lambda*g and
+    log_rows(k)[l] = -lambda*h_l for every l and k, where
+    h_l = sum_i (k + alpha_i)*P_(i,l); only the scalars change with k.
+    """
+
+    g_terms: dict[Monomial, int]
+    gh: dict[Monomial, int]
+    den: int
+    shifts: tuple[int, ...]
+    rows: tuple[tuple[dict[Monomial, int], ...], ...]
+
+    @classmethod
+    def of(cls, divisor: QDivisor) -> "StepData":
+        c_g, (big_g,) = integer_terms((divisor.support_equation,))
+        factors = divisor.factors
+        one = Polynomial.one(divisor.vars)
+        n = len(divisor.vars)
+        cofactors = [math.prod(factors[:i] + factors[i + 1:], start=one)
+                     for i in range(len(factors))]
+        c_p, flat = integer_terms([f.diff(ell) * c for f, c in zip(factors, cofactors)
+                                   for ell in range(n)])
+        den = math.lcm(*(alpha.denominator for alpha in divisor.alphas))
+        flat = [{m: -c_g * c for m, c in row.items()} for row in flat]
+        return cls(g_terms=big_g, gh={m: den * c_p * c for m, c in big_g.items()}, den=den,
+                   shifts=tuple(alpha.numerator * (den // alpha.denominator)
+                                for alpha in divisor.alphas),
+                   rows=tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(factors))))
+
+    def log_rows(self, k: int) -> list[dict[Monomial, int]]:
+        """-c_g*H_l(k) for each variable index l, as integer term dicts."""
+        scalars = [k * self.den + a for a in self.shifts]
+        out = []
+        for ell in range(len(self.rows[0])):
+            h: dict[Monomial, int] = {}
+            for s, rows in zip(scalars, self.rows):
+                for m, c in rows[ell].items():
+                    h[m] = h.get(m, 0) + s * c
+            out.append({m: c for m, c in h.items() if c})
+        return out
+
+
 def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
                grading: Optional[tuple[int, ...]] = None):
-    """The generators of step k as integer rows, each with the positive
-    integer it is scaled by.
+    """The generators of step k as integer rows: a positive integer
+    multiple of each, which spans the same ideal.
 
-    The divisor's ``StepData`` holds g = G/c_g and the rows that give
-    h_l = H_l(k)/c_h (one c_h for all l), where G and H_l(k) have integer
-    coefficients; only H_l(k) is formed here, as integer combinations of
-    the kept rows.  With each w = W/c_w, W integral, the rows are
-    G*W = c_g*c_w * g*w, then c_h*G*d_l(W) - c_g*W*H_l(k) =
-    c_g*c_h*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
-    of ``int``s; a nonzero multiple spans the same ideal.  (c_w, W) is
-    read off ``basis.rows`` when ``graded_basis`` returned the basis, and
-    built by ``integer_terms`` otherwise.
+    The divisor's ``StepData`` holds G = c_g*g, gh = lambda*g and the
+    rows whose combinations ``log_rows(k)`` are -lambda*h_l, lambda > 0,
+    all with integer coefficients.  With each w = W/c_w, W integral, the
+    rows are G*W = c_g*c_w * g*w, then gh*d_l(W) + W*log_rows(k)[l] =
+    lambda*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
+    of ``int``s.  W is read off ``basis.rows`` when ``graded_basis``
+    returned the basis, and built by ``integer_terms`` otherwise.
 
     With a ``grading`` u_l for which g and every w are weighted-homogeneous
     (the graded path), deg taken for it, the Euler identity
@@ -127,30 +177,28 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     den*deg w = sum_i (k*den + shift_i)*deg f_i.
     """
     data = divisor.step_data
-    c_g, big_g, c_h = data.g_scale, data.g_terms, data.h_scale
+    big_g, gh = data.g_terms, data.gh
     rows = getattr(basis, "rows", None)
     if rows is None:
-        rows = [(c_w, big_w) for c_w, (big_w,) in (integer_terms((w,)) for w in basis)]
+        rows = [integer_terms((w,))[1][0] for w in basis]
     if grading is not None:
         resonant = sum((k * data.den + shift) * f.weighted_degree(grading)
                        for shift, f in zip(data.shifts, divisor.factors))
-    # c_h*G and -c_g*H_l(k), so that each row is two products added up.
-    gh = {m: c_h * c for m, c in big_g.items()}
-    hg = [{m: -c_g * c for m, c in hl.items()} for hl in data.log_rows(k)]
+    hg = data.log_rows(k)
     known, derived = [], []
-    for c_w, big_w in rows:
+    for big_w in rows:
         if grading is None or \
                 data.den * sum(map(mul, next(iter(big_w)), grading)) == resonant:
             row: dict[Monomial, int] = {}
             _mul_into(row, big_g, big_w)
-            known.append((c_g * c_w, row))
+            known.append(row)
         for ell, hl in enumerate(hg):
             dw = {m[:ell] + (m[ell] - 1,) + m[ell + 1:]: c * m[ell]
                   for m, c in big_w.items() if m[ell]}
             row = {}
             _mul_into(row, gh, dw)
             _mul_into(row, big_w, hl)
-            derived.append((c_g * c_h * c_w, row))
+            derived.append(row)
     return known, derived
 
 
@@ -169,8 +217,8 @@ g * prod_i f_i^(k + alpha_i).
     filtration is generated at level <= k.
 
     The generators are built once, as integer rows (``_step_rows``), from
-    the divisor's ``StepData``: G and the rows of every h_l are built on
-    the divisor's first step and kept, so a step only scales them by
+    the divisor's ``StepData``: G, c_h*G and the rows of every h_l are
+    built on the divisor's first step and kept, so a step only scales by
     k + alpha_i.  When g is weighted-homogeneous with an isolated
     singularity (``QDivisor.grading``, decided once per divisor)
     and the input is weighted-homogeneous and m-primary or (1), so is the
@@ -182,9 +230,9 @@ g * prod_i f_i^(k + alpha_i).
     checking their input again (``_grading``) and without rebuilding
     the rows.
     Every other step goes to Buchberger (``groebner_basis``) with g*G as
-    its known Groebner basis, on the same rows divided by their scales:
-    ``Fraction`` polynomials equal to g*w and g*d_l(w) - w*h_l.  Both give
-    the same reduced basis.
+    its known Groebner basis, on the same rows as ``Fraction`` polynomials:
+    positive multiples of g*w and g*d_l(w) - w*h_l, which it makes monic.
+    Both give the same reduced basis.
     """
     if not divisor.is_reduced_regime():
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
@@ -199,12 +247,11 @@ g * prod_i f_i^(k + alpha_i).
     grading = _grading(ideal, divisor)
     known, derived = _step_rows(ideal.groebner(), divisor, k, grading)
     if grading is not None:
-        basis = graded_basis([row for _, row in known + derived], variables, grading)
+        basis = graded_basis(known + derived, variables, grading)
     else:
-        def unscaled(rows):
-            return [Polynomial._raw(variables, {m: Fraction(a, c) for m, a in row.items()})
-                    for c, row in rows]
-        basis = groebner_basis(unscaled(derived), known=unscaled(known))
+        known, derived = ([Polynomial._raw(variables, {m: Fraction(a) for m, a in row.items()})
+                           for row in rows] for rows in (known, derived))
+        basis = groebner_basis(derived, known=known)
     return Ideal.from_basis(variables, basis)
 
 
@@ -212,9 +259,9 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
                 cert: GenerationCertificate) -> ChainResult:
     """Iterate the derivation step from an exact seed I_(k0)(B) up to k_max.
 
-    Steps are exact while the running index stays at or above
-    min(cert.level, n-1) and the input is itself exact; a lower-bound
-    result is never promoted back to exact.  The integral twist from
+    Steps are exact while the running index stays at or above the level
+    the notes name, min(cert.level, n-1), and the input is itself exact;
+    a lower-bound result is never promoted back to exact.  The integral twist from
     periodic reduction is multiplied back in at the end (``apply_twist``),
     so the returned ideals are I_k(D).
     """
@@ -223,14 +270,14 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
     divisor = regime.reduced
     if seed.ideal.vars != divisor.vars:
         raise ValueError(f"seed over {seed.ideal.vars}, divisor over {divisor.vars}")
-    effective_level = min(cert.level, len(divisor.vars) - 1)
+    level = min(cert.level, len(divisor.vars) - 1)
     k0 = seed.k
     if k0 > k_max:
         raise ValueError(f"seed level {k0} exceeds k_max = {k_max}")
 
     exact_note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
-                 f"level {cert.level}"
-    bound_note = (f"lower bound only: step index below certificate level {cert.level} "
+                 f"level {level}"
+    bound_note = (f"lower bound only: step index below certificate level {level} "
                   f"({cert.source}); the true ideal contains this one")
     ideal, exact = seed.ideal, True
     results = []
@@ -240,7 +287,7 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
             notes=exact_note if exact else bound_note)))
         if k < k_max:
             ideal = derivation_step(ideal, regime.reduced, k)
-            exact = exact and k >= effective_level
+            exact = exact and k >= level
     return ChainResult(results=tuple(results))
 
 

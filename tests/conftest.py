@@ -41,6 +41,15 @@ def graded_calls(monkeypatch):
 
 
 @pytest.fixture
+def graded_inputs(monkeypatch):
+    """A list that gets the generator rows of every ``graded_basis`` call,
+    as a tuple, recorded in every package module that holds it."""
+    import hodgeideals.ideal
+    return _record_calls(monkeypatch, hodgeideals.ideal.graded_basis,
+                         lambda generators, variables, weights: tuple(generators))
+
+
+@pytest.fixture
 def normal_form_calls(monkeypatch):
     """A list that gets one entry per ``normal_form`` call, counted in
     every package module that holds the function."""

@@ -1,5 +1,6 @@
 """Shorthands the tests share, built on the package's public API."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from hodgeideals import Ideal, Polynomial, parse_divisor, parse_polynomial
@@ -36,6 +37,20 @@ def rows(polys) -> list[dict]:
     """Each polynomial scaled to an integer row, the input ``graded_basis``
     takes."""
     return integer_terms(polys)[1]
+
+
+def positive_multiple(p: Polynomial, q: Polynomial) -> bool:
+    """True iff p = r*q for some rational r > 0."""
+    if not q:
+        return not p
+    m = next(iter(q.terms))
+    r = p.terms.get(m, 0) / q.terms[m]
+    return r > 0 and p == r * q
+
+
+def integer_polynomial(variables, row) -> Polynomial:
+    """The polynomial of an integer row {exponent tuple: int}."""
+    return Polynomial(variables, {m: Fraction(c) for m, c in row.items()})
 
 
 def is_unit(ideal: Ideal) -> bool:

@@ -385,6 +385,18 @@ def test_node_certificate_needs_only_nodes(tmp_path, capsys, f, source, label):
     assert f"k = 1 [{label}]" in out and f"k = 2 [{label}]" in out
 
 
+def test_chain_notes_name_the_level_the_chain_used(tmp_path, capsys):
+    # Steps run against min(level, n - 1) = 1, so the notes say 1, not 5.
+    task = {"task": "compute", "vars": ["x", "y"], "k": 2, "method": "recursion",
+            "divisor": {"components": [{"f": "x*y", "alpha": "1/2"}]},
+            "options": {"certificate": {"level": 5}}}
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert code == 0
+    assert "certificate user-asserted level 1" in out
+    assert "below certificate level 1 (user-asserted)" in out
+    assert "level 5" not in out
+
+
 def test_task_file_certificate_is_user_asserted(tmp_path, capsys):
     asserted = dict(D5_TASK, options={"i0": ["1"], "certificate": {"level": 0}})
     code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, asserted))
@@ -677,6 +689,13 @@ def test_certify_membership(tmp_path, capsys):
     assert json.loads(out)["decision"] == "CONTAINED-IN-MAXIMAL-IDEAL"
 
 
+def test_certify_membership_with_vars_reads_no_divisor(tmp_path, capsys):
+    task = {"vars": ["x", "y"], "k": 1, "membership": {"n": 2, "m": 2, "alpha": "3/4"}}
+    code, out, err = run_cli(capsys, "certify", write_task(tmp_path, task))
+    assert (code, err) == (0, "")
+    assert "decision: CONTAINED-IN-MAXIMAL-IDEAL" in out
+
+
 def test_certify_multiplicity(tmp_path, capsys):
     task = {"task": "certify", "k": 1, "multiplicity": {"n": 3, "r": 3, "a": 4, "b": "4"}}
     path = write_task(tmp_path, task)
@@ -922,6 +941,11 @@ def membership_task(n, m, alpha):
     (["certify", TASK], {"task": "certify", "k": 1,
                          "multiplicity": {"n": 0, "r": 0, "a": 2, "b": "3/2"}},
      "bad multiplicity data: dimension must be >= 1, got n=0"),
+    # A 'vars' list alone is no divisor.
+    (["compute", TASK], {"task": "compute", "vars": ["x"], "k": 1}, "compute needs a divisor"),
+    (["certify", TASK], {"task": "certify", "vars": ["x", "y"], "k": 1,
+                         "resolution": {"exceptional": []}},
+     "resolution certificates need the divisor (for its alphas)"),
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "task.json"

@@ -19,7 +19,7 @@ from hodgeideals import (
 )
 from hodgeideals.divisor import apply_twist
 
-from helpers import spanned_by
+from helpers import integer_polynomial, positive_multiple, spanned_by
 from oracles import log_terms
 
 XY = ("x", "y")
@@ -57,17 +57,24 @@ def test_grading_is_the_isolated_weights_in_coprime_integers():
 
 # -- the step data each divisor keeps --------------------------------------------------
 
+def step_scale(divisor):
+    """The lambda > 0 of the divisor's kept integer rows, checked against
+    the support equation g: ``gh`` = lambda*g, and ``g_terms`` is a
+    positive multiple of g."""
+    data, g = divisor.step_data, divisor.support_equation
+    m = next(iter(g.terms))
+    lam = data.gh[m] / g.terms[m]
+    assert lam > 0 and integer_polynomial(divisor.vars, data.gh) == lam * g
+    assert positive_multiple(integer_polynomial(divisor.vars, data.g_terms), g)
+    return lam
+
+
 def cached_log_terms(divisor, k):
-    """The h_l of step k from the divisor's kept integer rows: H_l(k) over
-    its scale."""
-    data = divisor.step_data
-    return [Polynomial(divisor.vars, {m: F(c, data.h_scale) for m, c in row.items()})
-            for row in data.log_rows(k)]
-
-
-def cached_support(divisor):
-    data = divisor.step_data
-    return Polynomial(divisor.vars, {m: F(c, data.g_scale) for m, c in data.g_terms.items()})
+    """The h_l of step k from the divisor's kept integer rows:
+    ``log_rows(k)[l]`` = -lambda*h_l, one lambda for every l and k."""
+    lam = step_scale(divisor)
+    return [integer_polynomial(divisor.vars, row) * (-1 / lam)
+            for row in divisor.step_data.log_rows(k)]
 
 
 @pytest.mark.parametrize("d", [
@@ -79,7 +86,7 @@ def test_kept_integer_rows_give_the_textbook_h(d):
     g = parse_polynomial("1", XY)
     for f in d.factors:
         g = g * f
-    assert cached_support(d) == g
+    assert d.support_equation == g
     for k in range(5):
         assert cached_log_terms(d, k) == log_terms(d, k)
 

@@ -31,7 +31,7 @@ from hodgeideals.compute import MethodUnavailableError
 from hodgeideals.poly import integer_terms
 from hodgeideals.recursion import _grading
 
-from helpers import is_unit, m_power, rows, spanned_by
+from helpers import integer_polynomial, is_unit, m_power, positive_multiple, rows, spanned_by
 from oracles import log_terms
 
 XY = ("x", "y")
@@ -160,7 +160,9 @@ def test_step_generators_are_the_textbook_operator(groebner_inputs, d):
         derivation_step(given, d, k)
         assert len(groebner_inputs) == 1
         generators, _ = groebner_inputs[0]
-        assert list(generators) == textbook_generators(basis, d, k)
+        expected = textbook_generators(basis, d, k)
+        assert len(generators) == len(expected)
+        assert all(map(positive_multiple, generators, expected))
 
 
 # -- the graded path -------------------------------------------------------------------
@@ -198,6 +200,30 @@ def test_step_on_a_non_homogeneous_input_keeps_the_pair_engine(graded_calls):
         out = derivation_step(given, d, k)
         assert out.groebner() == groebner_basis(step_generators(given, d, k))
     assert graded_calls == []
+
+
+@pytest.mark.parametrize("d,given,k", [
+    (cusp("9/10"), ("x", "y"), 2),
+    (cusp("1/2"), ("x", "y^2"), 0),  # g*x kept at the Euler resonance
+    (div([{"f": "1/2*x^2 + 3/7*y^3", "alpha": "5/6"}]), ("x^2", "x y", "y^2"), 1),
+    (div([{"f": "x", "alpha": "1/3"}, {"f": "y^2+x^3", "alpha": "2/5"}]), ("x", "y"), 1),
+    (div([{"f": "x^2+y^2+z^2", "alpha": "3/4"}], XYZ), ("x", "y", "z^2"), 1),
+], ids=["cusp", "cusp-resonant", "scaled-cusp", "line-and-cusp", "cone"])
+def test_graded_step_rows_are_the_textbook_operator(graded_inputs, d, given, k):
+    # The rows graded_basis gets: g*w where the Euler identity does not
+    # already span it, then g*d_l(w) - w*h_l, each up to a positive factor.
+    given = spanned_by(d.vars, given)
+    basis, grading = given.groebner(), d.grading
+    resonant = sum((k + alpha) * f.weighted_degree(grading) for f, alpha in d.components)
+    g = d.support_equation
+    expected = [g * w for w in basis if w.weighted_degree(grading) == resonant] + \
+        textbook_generators(basis, d, k)
+    graded_inputs.clear()
+    derivation_step(given, d, k)
+    assert len(graded_inputs) == 1
+    got = [integer_polynomial(d.vars, row) for row in graded_inputs[0]]
+    assert len(got) == len(expected)
+    assert all(map(positive_multiple, got, expected))
 
 
 def _pair_engine_only(monkeypatch):
@@ -288,8 +314,7 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
         graded, paired = graded_basis(rows(gens), variables, grading), groebner_basis(gens)
         assert graded == paired
         # The integer rows a graded basis carries are its elements' own.
-        assert graded.rows == tuple((c, big) for c, (big,) in
-                                    (integer_terms((w,)) for w in graded))
+        assert graded.rows == tuple(integer_terms((w,))[1][0] for w in graded)
         # An int among the coefficients would make normal_form's gc / nlc
         # a float division.
         assert _all_fractions(graded)
