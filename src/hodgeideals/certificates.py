@@ -171,8 +171,10 @@ def alpha_multiple_membership(n: int, m: int, alpha: Fraction, k: int,
     k*m + alpha*m > n suffices when D = alpha*Z.
 
     For non-proportional D the same inequality is only conjectural and
-    the verdict says so.  Wants n >= 1, m >= 1 and alpha > 0.
+    the verdict says so.  Wants n >= 1, m >= 1, alpha > 0 and k >= 0.
     """
+    if k < 0:
+        raise InputError(f"filtration level must be >= 0, got {k}")
     if n < 1 or m < 1:
         raise InputError(f"dimension and multiplicity must be >= 1, got n={n}, m={m}")
     if alpha <= 0:

@@ -107,7 +107,7 @@ def cmd_compute(args) -> int:
             payload["samples"].append({"alpha": format_rational(alpha), "results": results_json})
             text_lines.append(f"alpha = {format_rational(alpha)}")
             text_lines += [f"  {line}" for line in lines]
-    text_lines += [f"warning: non-exact result: {note}" for note in lower_bound]
+    text_lines += [f"warning: non-exact result: {note}" for note in dict.fromkeys(lower_bound)]
     _emit(payload, text_lines, args.format, args.output)
     return EXIT_OK
 

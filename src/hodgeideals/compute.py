@@ -115,12 +115,11 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     else:
         # Recursion with a generation-level certificate, from the caller's
         # I_0 or the computed one.
-        seed = i0_seed(regime) if seed_ideal is None else \
-            HodgeIdealResult(k=0, ideal=seed_ideal, notes="I_0 supplied by caller (trusted)")
+        seed = i0_seed(regime) if seed_ideal is None else HodgeIdealResult(k=0, ideal=seed_ideal)
         cert = certificate if certificate is not None else certificate_for(regime)
         results = list(hodge_chain(regime, k_max, seed, cert).results)
         if seed_ideal is not None:
-            results = [res.with_note(seed.notes) for res in results]
+            results = [res.with_note("I_0 supplied by caller (trusted)") for res in results]
 
     if divisor.vars != ambient:
         note = (f"computed over the variables {', '.join(divisor.vars)} actually used "

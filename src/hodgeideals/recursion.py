@@ -259,11 +259,12 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
                 cert: GenerationCertificate) -> ChainResult:
     """Iterate the derivation step from an exact seed I_(k0)(B) up to k_max.
 
-    Steps are exact while the running index stays at or above the level
-    the notes name, min(cert.level, n-1), and the input is itself exact;
-    a lower-bound result is never promoted back to exact.  The integral twist from
-    periodic reduction is multiplied back in at the end (``apply_twist``),
-    so the returned ideals are I_k(D).
+    A step at index k gives I_(k+1) from an exact I_k when k >= level, the
+    level the notes name, min(cert.level, n-1).  Steps run at k0, k0+1, ...,
+    so every level above k0 is exact when k0 >= level and is otherwise a lower
+    bound whose note names the first step.  The integral twist of periodic
+    reduction is multiplied back in at the end (``apply_twist``), so the
+    returned ideals are I_k(D).
     """
     if not seed.exact:
         raise ValueError("chain seed must be an exact Hodge ideal")
@@ -277,17 +278,17 @@ def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
 
     exact_note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
                  f"level {level}"
-    bound_note = (f"lower bound only: step index below certificate level {level} "
-                  f"({cert.source}); the true ideal contains this one")
-    ideal, exact = seed.ideal, True
+    bound_note = (f"lower bound only: the first step, at index {k0}, is below certificate "
+                  f"level {level} ({cert.source}); the true ideal contains this one")
+    ideal = seed.ideal
     results = []
     for k in range(k0, k_max + 1):
+        exact = k == k0 or k0 >= level
         results.append(apply_twist(regime.twist, HodgeIdealResult(
             k=k, ideal=ideal, method="recursion", exact=exact,
             notes=exact_note if exact else bound_note)))
         if k < k_max:
             ideal = derivation_step(ideal, regime.reduced, k)
-            exact = exact and k >= level
     return ChainResult(results=tuple(results))
 
 

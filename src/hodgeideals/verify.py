@@ -331,16 +331,14 @@ def check_multiplicity_bounds(results: Sequence[HodgeIdealResult], divisor: QDiv
     verdicts: list[Verdict] = []
     exact = {res.k: res for res in results if res.exact}
     for k in sorted(exact):
-        if k - 1 in exact and k > level and not exact[k].ideal.is_zero():
+        if k - 1 in exact and k > level:
             prev, cur = exact[k - 1].ideal, exact[k].ideal
-            if prev.is_zero():
-                continue
             ok = cur.order_at_origin() >= prev.order_at_origin() + (m - 1)
             verdicts.append(Verdict(
                 claim="multiplicity-growth", instance=f"{name} [k={k}]",
                 status=PASS if ok else FAIL,
                 detail=f"mult I_{k} >= mult I_{k - 1} + {m - 1}"))
-        if k >= n and not exact[k].ideal.is_zero():
+        if k >= n:
             bound = singular_multiplicity_bound(n, m, k)
             ok = exact[k].ideal.order_at_origin() >= bound
             verdicts.append(Verdict(

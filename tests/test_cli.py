@@ -397,6 +397,27 @@ def test_chain_notes_name_the_level_the_chain_used(tmp_path, capsys):
     assert "level 5" not in out
 
 
+def test_a_lower_bound_chain_names_its_first_step_and_warns_once(tmp_path, capsys):
+    # Level 5 is used as n - 1 = 1: the first step, at index 0, is below it,
+    # so k = 2 and 3 are lower bounds too, though their steps ran at 1 and 2.
+    task = {"task": "compute", "vars": ["x", "y"], "k": 3, "method": "recursion",
+            "divisor": {"components": [{"f": "x*y", "alpha": "1/2"}]},
+            "options": {"certificate": {"level": 5}}}
+    path = write_task(tmp_path, task)
+    note = ("lower bound only: the first step, at index 0, is below certificate level 1 "
+            "(user-asserted); the true ideal contains this one")
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", path)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [res["exact"] for res in results] == [True, False, False, False]
+    assert all(res["notes"] == note for res in results[1:])
+    code, out, _ = run_cli(capsys, "compute", path)
+    assert code == 0
+    assert out.count(f"notes: {note}\n") == 3
+    assert [line for line in out.splitlines() if line.startswith("warning:")] == \
+        [f"warning: non-exact result: {note}"]
+
+
 def test_task_file_certificate_is_user_asserted(tmp_path, capsys):
     asserted = dict(D5_TASK, options={"i0": ["1"], "certificate": {"level": 0}})
     code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, asserted))

@@ -601,6 +601,22 @@ def test_chain_cone_lower_bound_not_promoted():
     assert truth.contains_ideal(chain.results[1].ideal)
 
 
+@pytest.mark.parametrize("k0", [0, 1])
+@pytest.mark.parametrize("level", range(4))
+def test_the_first_step_decides_a_chains_exactness(k0, level):
+    # Steps run at k0, k0 + 1, ...; a level above n - 1 = 2 is used as 2.
+    r = classify(div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ))
+    seed = i0_seed(r) if k0 == 0 else HodgeIdealResult(k=1, ideal=ordinary_ideal(r, 1).ideal)
+    chain = hodge_chain(r, 3, seed, GenerationCertificate(level, "user-asserted"))
+    used = min(level, len(XYZ) - 1)
+    assert [res.k for res in chain.results] == list(range(k0, 4))
+    for res in chain.results:
+        assert res.exact == (res.k == k0 or k0 >= used)
+        if not res.exact:
+            assert f"the first step, at index {k0}, is below certificate level {used} " \
+                   f"(user-asserted)" in res.notes
+
+
 def test_chain_applies_integral_twist():
     d = div([{"f": "x y", "alpha": "3/2"}])
     b, twist = periodic_reduce(d)

@@ -196,6 +196,9 @@ CASES = {
     "membership-alpha-not-positive": (
         lambda: alpha_multiple_membership(3, 2, F(0), 1), InputError,
         "alpha must be positive, got 0"),
+    "membership-negative-k": (
+        lambda: alpha_multiple_membership(2, 3, F(1, 2), -1), InputError,
+        "filtration level must be >= 0, got -1"),
 }
 
 
