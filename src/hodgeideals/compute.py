@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
-from .divisor import HodgeIdealResult, QDivisor
+from .divisor import HodgeIdealResult, QDivisor, apply_twist
 from .ideal import Ideal
 from .poly import InputError
 from .recursion import (
@@ -59,6 +59,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     ``i0_seed`` wherever there is one (in every closed-form regime).
     Otherwise ``SeedContradictionError`` is raised.  A closed form
     covering the chain does not use it; the recursion starts from it.
+    The closed forms return I_k(D); the recursion returns I_k(B), which
+    is twisted here, before the notes and the extension.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -93,37 +95,38 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
             raise SeedContradictionError("'options.i0' spans the zero ideal; I_0 always "
                                          "contains the support equation")
         try:
-            computed = i0_seed(regime).ideal
+            computed = i0_seed(regime)
         except MethodUnavailableError:
             computed = None
         if computed is not None and not seed_ideal.equals(computed):
             raise SeedContradictionError(
                 f"'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = "
                 f"{computed}, but the given I_0 is {seed_ideal}")
+    notes = []
     for name, form, reason in CLOSED_FORMS:
         if method in ("auto", name):
             results = [form(regime, k) for k in range(k_max + 1)]
             if None not in results:
-                for what, given in (("I_0", seed_ideal), ("certificate", certificate)):
-                    if given is not None:
-                        note = (f"{what} supplied by caller not used: the {name} closed "
-                                f"form is exact at every level")
-                        results = [res.with_note(note) for res in results]
+                notes = [f"{what} supplied by caller not used: the {name} closed form is "
+                         f"exact at every level"
+                         for what, given in (("I_0", seed_ideal), ("certificate", certificate))
+                         if given is not None]
                 break
             if method == name:
                 raise MethodUnavailableError(reason)
     else:
-        # Recursion with a generation-level certificate, from the caller's
-        # I_0 or the computed one.
-        seed = i0_seed(regime) if seed_ideal is None else HodgeIdealResult(k=0, ideal=seed_ideal)
+        # Recursion on B with a certificate, from the caller's I_0 or the computed one.
+        seed = i0_seed(regime) if seed_ideal is None else seed_ideal
         cert = certificate if certificate is not None else certificate_for(regime)
-        results = list(hodge_chain(regime, k_max, seed, cert).results)
+        results = [apply_twist(regime.twist, res)
+                   for res in hodge_chain(regime, k_max, seed, cert).results]
         if seed_ideal is not None:
-            results = [res.with_note("I_0 supplied by caller (trusted)") for res in results]
+            notes.append("I_0 supplied by caller (trusted)")
 
     if divisor.vars != ambient:
-        note = (f"computed over the variables {', '.join(divisor.vars)} actually used "
-                f"and extended back (smooth pullback)")
-        results = [replace(res, ideal=res.ideal.extend(ambient)).with_note(note)
-                   for res in results]
+        notes.append(f"computed over the variables {', '.join(divisor.vars)} actually used "
+                     f"and extended back (smooth pullback)")
+        results = [replace(res, ideal=res.ideal.extend(ambient)) for res in results]
+    if notes:
+        results = [res.with_note("; ".join(notes)) for res in results]
     return results

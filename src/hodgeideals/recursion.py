@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
-from .divisor import HodgeIdealResult, QDivisor, apply_twist
+from .divisor import HodgeIdealResult, QDivisor
 from .ideal import Ideal, graded_basis, groebner_basis
 from .poly import InputError, Monomial, Polynomial, integer_terms
 
@@ -255,45 +255,44 @@ g * prod_i f_i^(k + alpha_i).
     return Ideal.from_basis(variables, basis)
 
 
-def hodge_chain(regime: Regime, k_max: int, seed: HodgeIdealResult,
-                cert: GenerationCertificate) -> ChainResult:
-    """Iterate the derivation step from an exact seed I_(k0)(B) up to k_max.
+def hodge_chain(regime: Regime, k_max: int, seed: Ideal, cert: GenerationCertificate,
+                k0: int = 0) -> ChainResult:
+    """Iterate the derivation step from I_(k0)(B) = ``seed`` up to k_max.
 
-    A step at index k gives I_(k+1) from an exact I_k when k >= level, the
-    level the notes name, min(cert.level, n-1).  Steps run at k0, k0+1, ...,
-    so every level above k0 is exact when k0 >= level and is otherwise a lower
-    bound whose note names the first step.  The integral twist of periodic
-    reduction is multiplied back in at the end (``apply_twist``), so the
-    returned ideals are I_k(D).
+    The seed is taken as the exact I_(k0) of the reduced divisor B, as
+    ``cert`` is taken as given.  A step at index k gives I_(k+1) from an
+    exact I_k when k >= level, the level the notes name, min(cert.level,
+    n-1).  Steps run at k0, k0+1, ..., so every level above k0 is exact
+    when k0 >= level and is otherwise a lower bound whose note names the
+    first step.  The results are I_k(B); ``compute_chain`` multiplies the
+    integral twist back in.
     """
-    if not seed.exact:
-        raise ValueError("chain seed must be an exact Hodge ideal")
     divisor = regime.reduced
-    if seed.ideal.vars != divisor.vars:
-        raise ValueError(f"seed over {seed.ideal.vars}, divisor over {divisor.vars}")
-    level = min(cert.level, len(divisor.vars) - 1)
-    k0 = seed.k
+    if seed.vars != divisor.vars:
+        raise ValueError(f"seed over {seed.vars}, divisor over {divisor.vars}")
+    if k0 < 0:
+        raise ValueError(f"seed level must be >= 0, got {k0}")
     if k0 > k_max:
         raise ValueError(f"seed level {k0} exceeds k_max = {k_max}")
+    level = min(cert.level, len(divisor.vars) - 1)
 
     exact_note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
                  f"level {level}"
     bound_note = (f"lower bound only: the first step, at index {k0}, is below certificate "
                   f"level {level} ({cert.source}); the true ideal contains this one")
-    ideal = seed.ideal
+    ideal = seed
     results = []
     for k in range(k0, k_max + 1):
         exact = k == k0 or k0 >= level
-        results.append(apply_twist(regime.twist, HodgeIdealResult(
-            k=k, ideal=ideal, method="recursion", exact=exact,
-            notes=exact_note if exact else bound_note)))
+        results.append(HodgeIdealResult(k=k, ideal=ideal, method="recursion", exact=exact,
+                                        notes=exact_note if exact else bound_note))
         if k < k_max:
-            ideal = derivation_step(ideal, regime.reduced, k)
+            ideal = derivation_step(ideal, divisor, k)
     return ChainResult(results=tuple(results))
 
 
-def i0_seed(regime: Regime) -> HodgeIdealResult:
-    """An exact I_0(B) of the reduced divisor B in the computable regimes.
+def i0_seed(regime: Regime) -> Ideal:
+    """The I_0(B) of the reduced divisor B in the computable regimes.
 
     Recognized regimes, every closed-form regime among them: a hyperplane
     or squarefree-monomial (SNC) support, where I_0(B) is trivial, and a
@@ -304,14 +303,12 @@ def i0_seed(regime: Regime) -> HodgeIdealResult:
     """
     variables = regime.reduced.vars
     if regime.linear or regime.positions is not None:
-        ideal = Ideal.unit(variables)
-    elif regime.diagonal is not None:
-        ideal = diagonal_multiplier_i0(regime.diagonal, regime.alpha, variables)
-    else:
-        raise MethodUnavailableError(
-            "no computable I_0 regime recognized (a hyperplane, SNC coordinates or a single "
-            "diagonal equation); supply a seed ideal explicitly")
-    return HodgeIdealResult(k=0, ideal=ideal, method="recursion", exact=True)
+        return Ideal.unit(variables)
+    if regime.diagonal is not None:
+        return diagonal_multiplier_i0(regime.diagonal, regime.alpha, variables)
+    raise MethodUnavailableError(
+        "no computable I_0 regime recognized (a hyperplane, SNC coordinates or a single "
+        "diagonal equation); supply a seed ideal explicitly")
 
 
 def certificate_for(regime: Regime) -> GenerationCertificate:

@@ -26,7 +26,6 @@ from hodgeideals import (
 )
 from hodgeideals.certificates import INCONCLUSIVE, TRIVIAL
 from hodgeideals.closed_forms import ordinary_triviality
-from hodgeideals.divisor import HodgeIdealResult
 from hodgeideals.verify import (
     PASS,
     _generic_linear_forms,
@@ -73,8 +72,8 @@ def ideal(*texts, variables=XY):
 
 def cusp_chain(alpha, k_max=2):
     d = div([{"f": "x^2+y^3", "alpha": str(alpha)}])
-    seed = HodgeIdealResult(k=0, ideal=ideal("x", "y"), exact=True, method="recursion")
-    return d, hodge_chain(classify(d), k_max, seed, GenerationCertificate(0, "user-asserted"))
+    return d, hodge_chain(classify(d), k_max, ideal("x", "y"),
+                          GenerationCertificate(0, "user-asserted"))
 
 
 def cusp_parametric_i2(alpha):
@@ -105,7 +104,7 @@ def test_criterion_2_node_golden():
         for alpha in (F(1, 2), F(1)):
             r = classify(div([{"f": "x y", "alpha": str(alpha)}]))
             seed = i0_seed(r)
-            assert is_unit(seed.ideal)
+            assert is_unit(seed)
             chain = hodge_chain(r, 4, seed, certificate_for(r))
             for k in range(5):
                 assert chain.results[k].exact
@@ -138,10 +137,8 @@ def test_criterion_3_snc_cross_validation():
                             assert chain.results[k].exact
                             assert chain.results[k].ideal.equals(closed[k].ideal)
                 # the universal level n-1 certifies the last step for every combo
-                seed = HodgeIdealResult(k=n - 1, ideal=closed[n - 1].ideal,
-                                        exact=True, method="snc")
-                chain = hodge_chain(r, 3, seed, GenerationCertificate(n - 1,
-                                                                      "universal-bound"))
+                chain = hodge_chain(r, 3, closed[n - 1].ideal,
+                                    GenerationCertificate(n - 1, "universal-bound"), n - 1)
                 for k in range(n - 1, 4):
                     assert chain.results[k - (n - 1)].exact
                     assert chain.results[k - (n - 1)].ideal.equals(closed[k].ideal)

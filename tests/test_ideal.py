@@ -550,7 +550,7 @@ def _derivation_step_inputs(f, alpha, k_max):
     d = parse_divisor({"vars": ["x", "y", "z"], "components": [{"f": f, "alpha": alpha}]})
     r = classify(d)
     g = r.reduced.support_equation
-    current = i0_seed(r).ideal
+    current = i0_seed(r)
     inputs = []
     for k in range(k_max):
         basis = current.groebner()

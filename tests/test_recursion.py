@@ -10,7 +10,6 @@ from hodgeideals import (
     GRLEX,
     LEX,
     GenerationCertificate,
-    HodgeIdealResult,
     Ideal,
     Polynomial,
     certificate_for,
@@ -304,7 +303,7 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
     variables = tuple(v for v in XYZ if any(v in f for f, _ in components))
     r = classify(div([{"f": f, "alpha": alpha} for f, alpha in components], variables))
     if len(components) == 1:
-        current = i0_seed(r).ideal
+        current = i0_seed(r)
     else:
         current = Ideal.unit(variables)
     for k in range(k_max):
@@ -354,7 +353,7 @@ def engines_along_chain(monkeypatch, graded_calls, regime, k_max, seed):
 
     monkeypatch.setattr(hodgeideals.recursion, "derivation_step", recorded)
     hodge_chain(regime, k_max, seed, certificate_for(regime))
-    assert len(seen) == k_max - seed.k
+    assert len(seen) == k_max
     return seen
 
 
@@ -376,8 +375,7 @@ def test_each_step_picks_the_engine_of_the_full_check(monkeypatch, graded_calls,
 def test_a_user_seed_that_is_not_homogeneous_picks_the_engine_of_the_full_check(
         monkeypatch, graded_calls, alpha, seed, expected):
     r = classify(cusp(alpha))
-    user = HodgeIdealResult(k=0, ideal=ideal(*seed))
-    seen = engines_along_chain(monkeypatch, graded_calls, r, 5, user)
+    seen = engines_along_chain(monkeypatch, graded_calls, r, 5, ideal(*seed))
     assert seen == [(e, e) for e in expected]
 
 
@@ -401,24 +399,20 @@ def test_a_chain_checks_its_input_only_until_a_step_is_graded(monkeypatch, grade
 
 def test_seed_snc_twist():
     d = div([{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"}])
-    # the seed is I_0(B) of B = x^(1/2) y^(1/2); hodge_chain applies the twist x
-    res = i0_seed(classify(d))
-    assert res.exact and is_unit(res.ideal)
+    # the seed is I_0(B) of B = x^(1/2) y^(1/2); compute_chain applies the twist x
+    assert is_unit(i0_seed(classify(d)))
 
 
 def test_seed_cusp_above_threshold():
-    res = i0_seed(classify(cusp("9/10")))
-    assert res.ideal.equals(ideal("x", "y"))
+    assert i0_seed(classify(cusp("9/10"))).equals(ideal("x", "y"))
 
 
 def test_seed_cusp_log_canonical():
-    res = i0_seed(classify(cusp("4/5")))
-    assert is_unit(res.ideal)
+    assert is_unit(i0_seed(classify(cusp("4/5"))))
 
 
 def test_seed_monomial_node():
-    res = i0_seed(classify(div([{"f": "x y", "alpha": "1"}])))
-    assert is_unit(res.ideal)
+    assert is_unit(i0_seed(classify(div([{"f": "x y", "alpha": "1"}]))))
 
 
 def test_seed_unavailable():
@@ -487,9 +481,7 @@ def test_certificate_needs_an_isolated_singularity():
     cert = certificate_for(r)
     assert cert == GenerationCertificate(2, "universal-bound")
     # A chain seeded at k = 1 stays a lower bound at k = 2.
-    from hodgeideals.divisor import HodgeIdealResult
-    seed = HodgeIdealResult(k=1, ideal=Ideal.unit(XYZ), exact=True, method="recursion")
-    assert not hodge_chain(r, 2, seed, cert).results[1].exact
+    assert not hodge_chain(r, 2, Ideal.unit(XYZ), cert, k0=1).results[1].exact
     # The isolated Fermat cubic keeps the formula.
     fermat = div([{"f": "x^3+y^3+z^3", "alpha": "1/2"}], XYZ)
     assert certificate_for(classify(fermat)).source == "quasihomogeneous-formula"
@@ -516,11 +508,9 @@ def test_certificate_triple_lines_level_boundary():
 def test_triple_lines_chain_below_level_is_lower_bound():
     # the optimal-generation-level caveat: on a surface the filtration
     # need not be generated at level 0, and the chain must say so
-    from hodgeideals.divisor import HodgeIdealResult
     d = div([{"f": "x y (x + y)", "alpha": "1/4"}])
-    seed = HodgeIdealResult(k=0, ideal=Ideal.unit(XY), exact=True, method="recursion")
     r = classify(d)
-    chain = hodge_chain(r, 1, seed, certificate_for(r))
+    chain = hodge_chain(r, 1, Ideal.unit(XY), certificate_for(r))
     assert [res.exact for res in chain.results] == [True, False]
     assert not chain.results[1].exact
     g = d.support_equation
@@ -538,8 +528,7 @@ def _cusp_parametric_i2(alpha):
 
 
 def _seed_xy():
-    from hodgeideals.divisor import HodgeIdealResult
-    return HodgeIdealResult(k=0, ideal=ideal("x", "y"), exact=True, method="recursion")
+    return ideal("x", "y")
 
 
 def test_chain_cusp_golden_from_stated_seed():
@@ -569,7 +558,7 @@ def test_chain_cusp_below_threshold_has_trivial_i0():
     # 81/100 < 5/6: the pair is log canonical, so the true seed is (1)
     r = classify(cusp(F(81, 100)))
     seed = i0_seed(r)
-    assert is_unit(seed.ideal)
+    assert is_unit(seed)
     chain = hodge_chain(r, 1, seed, certificate_for(r))
     assert all(res.exact for res in chain.results)
     assert chain.results[1].ideal.equals(ideal("x", "y^2"))
@@ -606,8 +595,8 @@ def test_chain_cone_lower_bound_not_promoted():
 def test_the_first_step_decides_a_chains_exactness(k0, level):
     # Steps run at k0, k0 + 1, ...; a level above n - 1 = 2 is used as 2.
     r = classify(div([{"f": "x^2+y^2+z^2", "alpha": "1/4"}], XYZ))
-    seed = i0_seed(r) if k0 == 0 else HodgeIdealResult(k=1, ideal=ordinary_ideal(r, 1).ideal)
-    chain = hodge_chain(r, 3, seed, GenerationCertificate(level, "user-asserted"))
+    seed = i0_seed(r) if k0 == 0 else ordinary_ideal(r, 1).ideal
+    chain = hodge_chain(r, 3, seed, GenerationCertificate(level, "user-asserted"), k0)
     used = min(level, len(XYZ) - 1)
     assert [res.k for res in chain.results] == list(range(k0, 4))
     for res in chain.results:
@@ -618,21 +607,16 @@ def test_the_first_step_decides_a_chains_exactness(k0, level):
 
 
 def test_chain_applies_integral_twist():
+    # hodge_chain runs on B, and compute_chain multiplies the twist back in.
     d = div([{"f": "x y", "alpha": "3/2"}])
     b, twist = periodic_reduce(d)
     r, rb = classify(d), classify(b)
     chain = hodge_chain(r, 2, i0_seed(r), certificate_for(r))
     inner = hodge_chain(rb, 2, i0_seed(rb), certificate_for(rb))
+    lifted = compute_chain(d, 2, method="recursion")
     for k in range(3):
-        assert chain.results[k].ideal.equals(twist * inner.results[k].ideal)
-
-
-def test_chain_rejects_inexact_seed():
-    from hodgeideals.divisor import HodgeIdealResult
-    bad = HodgeIdealResult(k=0, ideal=Ideal.unit(XY), exact=False)
-    r = classify(cusp("9/10"))
-    with pytest.raises(ValueError):
-        hodge_chain(r, 1, bad, certificate_for(r))
+        assert chain.results[k].ideal.equals(inner.results[k].ideal)
+        assert lifted[k].ideal.equals(twist * inner.results[k].ideal)
 
 
 # -- SNC lower-bound soundness grid ---------------------------------------------------

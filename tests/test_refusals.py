@@ -12,25 +12,29 @@ import pytest
 from hodgeideals import (
     ExceptionalDivisor,
     GenerationCertificate,
-    HodgeIdealResult,
     Ideal,
     InputError,
     MultiplicityData,
+    ParseError,
     Polynomial,
     QDivisor,
     alpha_multiple_membership,
     classify,
     compute_chain,
     derivation_step,
+    graded_basis,
     groebner_basis,
     hodge_chain,
     nontriviality_symbolic_power,
     normal_form,
+    parse_divisor,
     parse_polynomial,
+    parse_rational,
     triviality_certificate,
 )
 from hodgeideals.compute import SeedContradictionError
 from hodgeideals.poly import AmbientMismatchError
+from hodgeideals.verify import check_periodicity, check_subadditivity
 
 X, XY, XYZ = ("x",), ("x", "y"), ("x", "y", "z")
 
@@ -43,10 +47,9 @@ def cusp(variables=XY):
     return QDivisor(variables, ((p("x^2 + y^3", variables), F(1, 2)),))
 
 
-def seed_above_k_max():
+def chain_from(seed, k0=0):
     regime = classify(cusp())
-    seed = HodgeIdealResult(k=2, ideal=Ideal.unit(XY))
-    return hodge_chain(regime, 1, seed, GenerationCertificate(0, "user-asserted"))
+    return hodge_chain(regime, 1, seed, GenerationCertificate(0, "user-asserted"), k0)
 
 
 MULTIPLICITY = dict(n=3, r=3, a=2, b=F(3, 2))
@@ -70,7 +73,12 @@ CASES = {
     "compute-chain-negative-k": (
         lambda: compute_chain(cusp(), -1), InputError, "k_max must be >= 0, got -1"),
     "hodge-chain-seed-above-k-max": (
-        seed_above_k_max, ValueError, "seed level 2 exceeds k_max = 1"),
+        lambda: chain_from(Ideal.unit(XY), 2), ValueError, "seed level 2 exceeds k_max = 1"),
+    "hodge-chain-negative-seed-level": (
+        lambda: chain_from(Ideal.unit(XY), -1), ValueError, "seed level must be >= 0, got -1"),
+    "hodge-chain-seed-wrong-ring": (
+        lambda: chain_from(Ideal.unit(XYZ)), ValueError,
+        "seed over ('x', 'y', 'z'), divisor over ('x', 'y')"),
     "derivation-step-wrong-ring": (
         lambda: derivation_step(Ideal.unit(XYZ), cusp(), 0), ValueError,
         "ideal over ('x', 'y', 'z'), divisor over ('x', 'y')"),
@@ -199,6 +207,30 @@ CASES = {
     "membership-negative-k": (
         lambda: alpha_multiple_membership(2, 3, F(1, 2), -1), InputError,
         "filtration level must be >= 0, got -1"),
+    "parse-rational-not-text": (
+        lambda: parse_rational(5), ParseError, "expected rational text, got int"),
+    "parse-divisor-not-an-object": (
+        lambda: parse_divisor([]), ParseError, "divisor document must be a JSON object"),
+    "parse-divisor-components-given-twice": (
+        lambda: parse_divisor({"vars": ["x"], "divisor": {"components": []},
+                               "components": []}), ParseError,
+        "divisor document has both 'divisor' and 'components'; give the components once"),
+    # (x) is weighted-homogeneous but not m-primary: the graded engine stops.
+    "graded-basis-not-m-primary": (
+        lambda: graded_basis([{(1, 0): 1}], XY, (1, 1)), ValueError,
+        "the ideal is not m-primary: its reduced basis has leads"),
+    "contains-ideal-across-ambients": (
+        lambda: Ideal.unit(XY).contains_ideal(Ideal.unit(XYZ)), AmbientMismatchError,
+        "ideals over ('x', 'y') vs ('x', 'y', 'z')"),
+    "subadditivity-across-ambients": (
+        lambda: check_subadditivity(cusp(), cusp(XYZ), 0), ValueError,
+        "subadditivity compares divisors on one space"),
+    "periodicity-multiplicity-count": (
+        lambda: check_periodicity(cusp(), (1, 1), 0), ValueError,
+        "one multiplicity per component required"),
+    "periodicity-negative-multiplicity": (
+        lambda: check_periodicity(cusp(), (-1,), 0), ValueError,
+        "integral twist multiplicities must be >= 0"),
 }
 
 

@@ -145,11 +145,11 @@ def test_restriction_draws_share_their_chains(chain_calls):
 
 
 def test_restriction_suite_computes_each_cusp_chain_once(chain_calls):
-    # The k = 1 check serves the generic draws and the z -> 0 plane: per
-    # restriction check, one ambient chain and one intrinsic chain, for the
-    # cusp at k = 1 and 2 and the SNC pair at k = 1.
+    # The k = 1 check serves the generic draws and the z -> 0 plane, and
+    # each restriction check reads both sides off one chain: the cusp at
+    # k = 1 and 2 and the SNC pair at k = 1.
     assert report_ok(SUITES["restriction"](7))
-    assert len(chain_calls) == 6
+    assert len(chain_calls) == 3
 
 
 def test_periodicity_checks():
