@@ -16,7 +16,6 @@ from .divisor import (
     QDivisor,
     periodic_reduce,
     twist_polynomial,
-    validate,
 )
 from .closed_forms import (
     Regime,
@@ -58,7 +57,6 @@ __all__ = [
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",
     "HodgeIdealResult", "QDivisor", "periodic_reduce", "twist_polynomial",
-    "validate",
     "Regime", "classify", "generation_level",
     "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
     "ChainResult", "GenerationCertificate", "MethodUnavailableError", "certificate_for",

@@ -19,7 +19,7 @@ import traceback
 from typing import Optional, Sequence
 
 from .compute import MethodUnavailableError, compute_chain
-from .divisor import QDivisor, reduced_alpha, validate
+from .divisor import QDivisor, reduced_alpha
 from .ideal import Ideal
 from .parser import ParseError, TaskSpec, parse_polynomial
 from .poly import _ORDERS, InputError, MonomialOrder, format_rational
@@ -87,7 +87,7 @@ def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder,
 def cmd_compute(args) -> int:
     spec = TaskSpec.from_document(_load_document(args.task), "compute", args.alpha_samples)
     order = MonomialOrder.from_name(args.order)
-    divisor_warnings = validate(spec.divisor)
+    divisor_warnings = spec.divisor.assumptions
 
     text_lines = ["task: compute", f"divisor: {spec.divisor.describe()}", f"method: {spec.method}"]
     text_lines += [f"warning: {warning}" for warning in divisor_warnings]

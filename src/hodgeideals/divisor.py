@@ -14,7 +14,19 @@ from fractions import Fraction
 from typing import Optional
 
 from .ideal import Ideal, groebner_basis
-from .poly import InputError, Monomial, Polynomial, infer_weights
+from .poly import InputError, Polynomial, infer_weights
+
+
+def _support_fact(decide):
+    """A fact of the support, decided on first use and kept in the record
+    ``_support``, which a divisor shares with those that ``with_alpha`` and
+    ``periodic_reduce`` build from it: a sweep or a twist decides it once."""
+    def get(divisor):
+        facts = divisor._support
+        if decide.__name__ not in facts:
+            facts[decide.__name__] = decide(divisor)
+        return facts[decide.__name__]
+    return property(get, doc=decide.__doc__)
 
 
 @dataclass(frozen=True)
@@ -27,8 +39,6 @@ class QDivisor:
     def __post_init__(self):
         if not self.components:
             raise InputError("a Q-divisor needs at least one component")
-        monomials: list[Monomial] = []
-        others: list[tuple[int, Polynomial]] = []
         for i, (f, alpha) in enumerate(self.components):
             if f.vars != self.vars:
                 raise ValueError(f"component over {f.vars}, divisor over {self.vars}")
@@ -38,24 +48,21 @@ class QDivisor:
                 raise TypeError("component coefficients must be exact rationals")
             if alpha <= 0:
                 raise InputError(f"component {i}: alpha must be positive, got {alpha}")
-            if len(f.terms) == 1:
-                monomials.append(next(iter(f.terms)))
-            else:
-                others.append((i, f))
         # The parts of reducedness decidable without a Groebner basis; the
-        # rest is assumed and listed by ``validate``.
-        if monomials:
-            product = tuple(map(sum, zip(*monomials)))
-            if max(product) > 1:
-                raise InputError(
-                    "the support is not reduced: the monomial components multiply to "
-                    f"{Polynomial._raw(self.vars, {product: Fraction(1)})}, "
-                    "which is not squarefree")
+        # rest is listed by ``assumptions``.
+        product = tuple(map(sum, zip(*(next(iter(f.terms)) for f in self.factors
+                                       if len(f.terms) == 1))))
+        if max(product, default=0) > 1:
+            raise InputError(
+                "the support is not reduced: the monomial components multiply to "
+                f"{Polynomial._raw(self.vars, {product: Fraction(1)})}, which is not squarefree")
+        others = [(i, f) for i, f in enumerate(self.factors) if len(f.terms) > 1]
         for a, (i, f) in enumerate(others):
             for j, g in others[a + 1:]:
                 if _proportional(f, g):
                     raise InputError(f"the support is not reduced: components {i} and {j} "
                                      f"are proportional ({f} ~ {g})")
+        object.__setattr__(self, "_support", {})
 
     @property
     def alphas(self) -> tuple[Fraction, ...]:
@@ -70,7 +77,7 @@ class QDivisor:
         return tuple(i for i in range(len(self.vars))
                      if any(f.uses_variable(i) for f in self.factors))
 
-    @functools.cached_property
+    @_support_fact
     def grading(self) -> Optional[tuple[int, ...]]:
         """Coprime positive integers u making the support g
         weighted-homogeneous, when its weights are unique
@@ -78,8 +85,8 @@ class QDivisor:
         ideal is zero-dimensional); None otherwise.  The weights of
         weighted degree 1 are u_i / deg_u(g).
 
-        Decided on first use and kept, so the generation-level certificate
-        and every derivation step of a chain read one Jacobian basis.
+        The generation-level certificate and every derivation step of a
+        chain read this one Jacobian basis.
         """
         g = self.support_equation
         weights = infer_weights(g)
@@ -91,13 +98,28 @@ class QDivisor:
         common = math.gcd(*integral)
         return tuple(w // common for w in integral)
 
-    @functools.cached_property
+    @_support_fact
     def support_equation(self) -> Polynomial:
         """The reduced support equation g = prod f_i (the component itself
-        when there is one), built on first use and kept."""
+        when there is one)."""
         if len(self.components) == 1:
             return self.components[0][0]
         return math.prod(self.factors, start=Polynomial.one(self.vars))
+
+    @_support_fact
+    def assumptions(self) -> tuple[str, ...]:
+        """The hypotheses on the support that are assumed, not decided: the
+        squarefreeness of each non-monomial component and the coprimality of
+        each pair with one, except where the components are linear (a linear
+        form is irreducible, and the constructor refuses proportional ones)."""
+        monomial = [len(f.terms) == 1 for f in self.factors]
+        linear = [f.total_degree() == 1 for f in self.factors]
+        n = len(monomial)
+        return tuple(f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
+                     for i in range(n) for j in range(i + 1, n)
+                     if not (monomial[i] and monomial[j] or linear[i] and linear[j])) + tuple(
+            f"squarefreeness of component {i} ({f}) is assumed (unverified)"
+            for i, f in enumerate(self.factors) if not (monomial[i] or linear[i]))
 
     @functools.cached_property
     def step_data(self):
@@ -112,7 +134,13 @@ class QDivisor:
 
     def with_alpha(self, alpha: Fraction) -> "QDivisor":
         """Same support with every coefficient replaced by ``alpha``."""
-        return QDivisor(self.vars, tuple((f, alpha) for f, _ in self.components))
+        return self._with_alphas([alpha] * len(self.components))
+
+    def _with_alphas(self, alphas) -> "QDivisor":
+        """Same support with new coefficients, sharing the support's facts."""
+        other = QDivisor(self.vars, tuple(zip(self.factors, alphas)))
+        object.__setattr__(other, "_support", self._support)
+        return other
 
     def describe(self) -> str:
         return " + ".join(f"({alpha})*div({f})" for f, alpha in self.components)
@@ -141,13 +169,12 @@ def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
     Contract (periodicity of Hodge ideals under integral twists):
     I_k(D) = twist * I_k(B) for every k.
 
-    When every alpha_i <= 1, B is D itself, so the two share every fact
-    ``QDivisor`` keeps, and the twist is 1.
+    B shares the facts of the support with D, and is D itself, with twist
+    1, when every alpha_i <= 1.
     """
     if divisor.is_reduced_regime():
         return divisor, Polynomial.one(divisor.vars)
-    reduced = tuple((f, reduced_alpha(alpha)) for f, alpha in divisor.components)
-    return QDivisor(divisor.vars, reduced), twist_polynomial(divisor)
+    return divisor._with_alphas(map(reduced_alpha, divisor.alphas)), twist_polynomial(divisor)
 
 
 def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult:
@@ -186,23 +213,3 @@ def _proportional(f: Polynomial, g: Polynomial) -> bool:
     mono = next(iter(f.terms))
     ratio = f.terms[mono] / g.terms[mono]
     return all(c == ratio * g.terms[m] for m, c in f.terms.items())
-
-
-def validate(divisor: QDivisor) -> list[str]:
-    """The hypotheses on the support that are assumed, not decided.
-
-    ``QDivisor`` already refuses the supports it can tell are not reduced
-    (monomial components whose product is not squarefree, proportional
-    components).  A linear component is irreducible, so squarefree, and two
-    are coprime, as they are not proportional.  The rest is recorded here as
-    unverified-assumption notes: coprimality of every other pair with a
-    non-monomial component, and squarefreeness of every other non-monomial one.
-    """
-    monomial = [len(f.terms) == 1 for f in divisor.factors]
-    linear = [f.total_degree() == 1 for f in divisor.factors]
-    n = len(monomial)
-    warnings = [f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
-                for i in range(n) for j in range(i + 1, n)
-                if not (monomial[i] and monomial[j] or linear[i] and linear[j])]
-    return warnings + [f"squarefreeness of component {i} ({f}) is assumed (unverified)"
-                       for i, f in enumerate(divisor.factors) if not (monomial[i] or linear[i])]

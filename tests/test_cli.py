@@ -106,6 +106,25 @@ def test_compute_alpha_samples(tmp_path, capsys):
         assert all(res["exact"] and res["method"] == "recursion" for res in results)
 
 
+@pytest.mark.parametrize("variables, f, alpha, samples", [
+    (["x", "y", "z"], "x^2+y^3+z^5", "1", ["--alpha-samples", "1/2,3/4,1/3"]),
+    (["x", "y"], "x^2+y^3", "19/10", []),
+], ids=["alpha-sweep", "twisted-recursion"])
+def test_the_divisors_of_one_support_decide_its_grading_once(tmp_path, capsys, monkeypatch,
+                                                              variables, f, alpha, samples):
+    # Each sample, and the reduced divisor B of a twisted D, shares the
+    # facts of its support, so one weight inference serves them all.
+    from hodgeideals import divisor
+    inferred = []
+    real = divisor.infer_weights
+    monkeypatch.setattr(divisor, "infer_weights", lambda g: inferred.append(g) or real(g))
+    task = {"vars": variables, "k": 1,
+            "divisor": {"components": [{"f": f, "alpha": alpha}]}}
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, task), *samples)
+    assert code == 0 and "method=recursion" in out
+    assert len(inferred) == 1
+
+
 @pytest.mark.parametrize("options", [{"i0": ["x", "y"]}, {"certificate": {"level": 0}}],
                          ids=["i0", "certificate"])
 def test_a_caller_seed_or_certificate_with_alpha_samples_exits_2(tmp_path, capsys, options):

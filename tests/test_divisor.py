@@ -15,7 +15,6 @@ from hodgeideals import (
     periodic_reduce,
     snc_hodge_ideal,
     twist_polynomial,
-    validate,
 )
 from hodgeideals.divisor import apply_twist
 
@@ -187,7 +186,7 @@ def test_twist_contains_every_unprimed_result():
 
 
 def test_validate_clean_snc():
-    assert validate(div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1"}])) == []
+    assert div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1"}]).assumptions == ()
 
 
 def test_divisor_refuses_proportional_components():
@@ -205,27 +204,27 @@ def test_divisor_refuses_monomial_powers():
 def test_validate_assumes_only_what_is_not_decided():
     mixed = div([{"f": "x", "alpha": "1"}, {"f": "y", "alpha": "1/2"},
                  {"f": "x+y+x*y", "alpha": "1/3"}])
-    assert validate(mixed) == [
+    assert mixed.assumptions == (
         "pairwise coprimality of components 0 and 2 is assumed (unverified)",
         "pairwise coprimality of components 1 and 2 is assumed (unverified)",
         "squarefreeness of component 2 (x*y + x + y) is assumed (unverified)",
-    ]
+    )
 
 
 def test_validate_decides_linear_components():
     # A linear form is irreducible, and QDivisor refuses two proportional
     # ones, so linear components are squarefree and pairwise coprime.
-    assert validate(div([{"f": "2*x+y", "alpha": "3/2"}])) == []
-    assert validate(div([{"f": "x-y", "alpha": "1/2"}, {"f": "x+y", "alpha": "1/2"},
-                         {"f": "x", "alpha": "1/3"}])) == []
-    assert validate(div([{"f": "x+y", "alpha": "1/2"}, {"f": "x*y+1", "alpha": "1/2"}])) == [
+    assert div([{"f": "2*x+y", "alpha": "3/2"}]).assumptions == ()
+    assert div([{"f": "x-y", "alpha": "1/2"}, {"f": "x+y", "alpha": "1/2"},
+                {"f": "x", "alpha": "1/3"}]).assumptions == ()
+    assert div([{"f": "x+y", "alpha": "1/2"}, {"f": "x*y+1", "alpha": "1/2"}]).assumptions == (
         "pairwise coprimality of components 0 and 1 is assumed (unverified)",
         "squarefreeness of component 1 (x*y + 1) is assumed (unverified)",
-    ]
+    )
 
 
 def test_validate_records_unverified_squarefreeness():
-    warnings = validate(CUSP)
+    warnings = CUSP.assumptions
     assert any("squarefree" in w.lower() for w in warnings)
 
 
