@@ -87,26 +87,26 @@ def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder,
 def cmd_compute(args) -> int:
     spec = TaskSpec.from_document(_load_document(args.task), "compute", args.alpha_samples)
     order = MonomialOrder.from_name(args.order)
-    divisor_warnings = spec.divisor.assumptions
-
-    text_lines = ["task: compute", f"divisor: {spec.divisor.describe()}", f"method: {spec.method}"]
-    text_lines += [f"warning: {warning}" for warning in divisor_warnings]
-    payload = {"task": "compute", "vars": list(spec.divisor.vars),
-               "divisor": [{"f": str(f), "alpha": format_rational(a)}
-                           for f, a in spec.divisor.components],
-               "method": spec.method, "order": order.name, "warnings": divisor_warnings}
+    divisor = spec.divisor
     lower_bound: list[str] = []
+    payload = {"task": "compute", "vars": list(divisor.vars),
+               "divisor": [{"f": str(f), "alpha": format_rational(a)}
+                           for f, a in divisor.components],
+               "method": spec.method, "order": order.name}
     if spec.samples is None:
-        payload["results"], lines = _run_compute_once(spec.divisor, spec, order, lower_bound)
-        text_lines += lines
+        payload["results"], lines = _run_compute_once(divisor, spec, order, lower_bound)
     else:
-        payload["samples"] = []
+        payload["samples"], lines = [], []
         for alpha in spec.samples:
-            results_json, lines = _run_compute_once(spec.divisor.with_alpha(alpha), spec, order,
-                                                    lower_bound)
+            results_json, sample_lines = _run_compute_once(divisor.with_alpha(alpha), spec,
+                                                           order, lower_bound)
             payload["samples"].append({"alpha": format_rational(alpha), "results": results_json})
-            text_lines.append(f"alpha = {format_rational(alpha)}")
-            text_lines += [f"  {line}" for line in lines]
+            lines.append(f"alpha = {format_rational(alpha)}")
+            lines += [f"  {line}" for line in sample_lines]
+    # Read once the chains are computed, so a refused task decides nothing more.
+    payload["warnings"] = divisor.assumptions
+    text_lines = ["task: compute", f"divisor: {divisor.describe()}", f"method: {spec.method}"]
+    text_lines += [f"warning: {warning}" for warning in divisor.assumptions] + lines
     text_lines += [f"warning: non-exact result: {note}" for note in dict.fromkeys(lower_bound)]
     _emit(payload, text_lines, args.format, args.output)
     return EXIT_OK

@@ -111,15 +111,23 @@ class QDivisor:
         """The hypotheses on the support that are assumed, not decided: the
         squarefreeness of each non-monomial component and the coprimality of
         each pair with one, except where the components are linear (a linear
-        form is irreducible, and the constructor refuses proportional ones)."""
+        form is irreducible, and the constructor refuses proportional ones).
+
+        A ``grading`` in n >= 2 variables decides them all: if h^2 divides
+        g, then V(h), of dimension n - 1 >= 1, lies in V(dg), which the
+        grading makes a point.
+        """
         monomial = [len(f.terms) == 1 for f in self.factors]
         linear = [f.total_degree() == 1 for f in self.factors]
         n = len(monomial)
-        return tuple(f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
-                     for i in range(n) for j in range(i + 1, n)
-                     if not (monomial[i] and monomial[j] or linear[i] and linear[j])) + tuple(
+        listed = tuple(f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
+                       for i in range(n) for j in range(i + 1, n)
+                       if not (monomial[i] and monomial[j] or linear[i] and linear[j])) + tuple(
             f"squarefreeness of component {i} ({f}) is assumed (unverified)"
             for i, f in enumerate(self.factors) if not (monomial[i] or linear[i]))
+        if listed and len(self.vars) >= 2 and self.grading is not None:
+            return ()
+        return listed
 
     @functools.cached_property
     def step_data(self):

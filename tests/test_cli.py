@@ -250,6 +250,14 @@ def test_linear_components_print_no_assumption(tmp_path, capsys):
     assert "assumed" not in out
 
 
+def test_a_graded_support_prints_no_assumption(tmp_path, capsys):
+    # The cusp's grading makes its singular locus a point, so x^2 + y^3 is
+    # squarefree.
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, CUSP_TASK))
+    assert code == 0
+    assert "warning" not in out and "squarefree" not in out
+
+
 def test_compute_caller_seed_is_noted_on_every_result(tmp_path, capsys):
     task = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x^2+x*y+y^2", "alpha": "1/2"}]},

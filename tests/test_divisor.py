@@ -224,8 +224,22 @@ def test_validate_decides_linear_components():
 
 
 def test_validate_records_unverified_squarefreeness():
-    warnings = CUSP.assumptions
+    # x*y + 1 has no grading, so nothing decides that it is squarefree.
+    warnings = div([{"f": "x*y+1", "alpha": "1/2"}]).assumptions
     assert any("squarefree" in w.lower() for w in warnings)
+
+
+def test_a_grading_decides_squarefreeness_and_coprimality():
+    # A zero-dimensional Jacobian ideal in n >= 2 variables leaves no room
+    # for a repeated factor h, whose V(h) would lie in V(dg).
+    assert CUSP.assumptions == ()
+    d = div([{"f": "x", "alpha": "1/2"}, {"f": "x^2+y^3", "alpha": "1/3"}])
+    assert d.grading is not None and d.assumptions == ()
+    # A free variable makes the Jacobian ideal positive-dimensional.
+    cylinder = div([{"f": "x^2+y^3", "alpha": "1/2"}], ("x", "y", "z"))
+    assert cylinder.grading is None
+    assert cylinder.assumptions == (
+        "squarefreeness of component 0 (y^3 + x^2) is assumed (unverified)",)
 
 
 def test_divisor_rejects_bad_components():
