@@ -20,6 +20,7 @@ literals are rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,7 @@ _RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 _FACTOR_START = frozenset(("int", "name", "("))
 _MAX_NESTING = 200  # three stack frames a level: well inside the recursion limit
 _MAX_DIGITS = 4300  # the default of sys.get_int_max_str_digits(): int() refuses more
+_MAX_POWER_TERMS = 1000  # terms a parenthesized power may expand to
 
 # A token is (kind, text, start, end): kind is 'int', 'name', one of the
 # symbol characters or 'end'.
@@ -217,7 +219,16 @@ class _Parser:
             raise ParseError("unbalanced parentheses", "')'", span=SourceSpan(tok[2], tok[3]))
         self.pos += 1
         e = self.exponent()
-        return base if e == 1 else base ** e
+        if e == 1:
+            return base
+        # A power of t >= 2 terms has at most C(t+e-1, e) terms and at least
+        # e + 1, so a large e is refused before comb sees it.
+        t = len(base.terms)
+        if t > 1 and (e >= _MAX_POWER_TERMS or math.comb(t + e - 1, e) > _MAX_POWER_TERMS):
+            tok = self.tokens[self.pos - 1]
+            raise ParseError(f"a power that may expand to more than {_MAX_POWER_TERMS} terms",
+                             span=SourceSpan(tok[2], tok[3]))
+        return base ** e
 
     def exponent(self) -> int:
         """The exponent after '^', or 1 when no '^' follows."""

@@ -206,6 +206,8 @@ def test_parse_matches_polynomial_arithmetic(case):
     ("1" * 4301, "integer literal longer than 4300 digits", "", (0, 4301)),
     ("x # y", "unexpected character '#'", "", (2, 3)),
     ("(" * 201 + "x" + ")" * 201, "parentheses nested deeper than 200", "", (200, 201)),
+    ("(x+y)^1000", "a power that may expand to more than 1000 terms", "", (6, 10)),
+    ("(x+y+1)^44", "a power that may expand to more than 1000 terms", "", (8, 10)),
 ])
 def test_malformed_input_errors(text, message, expected, span):
     with pytest.raises(ParseError) as err:
