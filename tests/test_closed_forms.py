@@ -378,6 +378,8 @@ CLASSIFY_TABLE = [
     ("two alphas", _components(("x", "1/2"), ("y", "1/3")), XY,
      dict(positions=(0, 1))),
     ("certify-parse exit 3", _components(("x^2*y+5*y^3", "1/2")), XY, dict(alpha=F(1, 2))),
+    # As many terms as variables, but both are powers of x: not diagonal.
+    ("one variable in two terms", _components(("x+x^3", "1/2")), XY, dict(alpha=F(1, 2))),
 ]
 
 

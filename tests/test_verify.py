@@ -158,6 +158,19 @@ def test_periodicity_checks():
     assert report_ok(check_periodicity(snc, (1, 1), 1))
 
 
+def test_restriction_and_periodicity_fail_when_a_side_is_a_lower_bound():
+    # The cusp at 1/10 has generation level 1, so I_1 from I_0 is only a
+    # lower bound: neither check may compare it.
+    cusp = div([{"f": "x^2+y^3", "alpha": "1/10"}])
+    assert not compute_chain(cusp, 1)[1].exact
+    assert [(v.status, v.detail) for v in check_periodicity(cusp, (1,), 1)] == [
+        (FAIL, "one side not computable exactly")]
+    cylinder = div([{"f": "x^2+y^3", "alpha": "1/10"}], ("x", "y", "z"))
+    verdicts = check_restriction(cylinder, 2, 1, [Polynomial.zero(("x", "y"))])
+    assert [(v.status, v.detail) for v in verdicts] == [
+        (FAIL, "ambient ideal not computable exactly")]
+
+
 def test_report_ok_ignores_observed():
     verdicts = SUITES["chains"](7)
     assert any(v.status == OBSERVED for v in verdicts)
