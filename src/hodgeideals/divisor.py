@@ -120,14 +120,15 @@ class QDivisor:
         monomial = [len(f.terms) == 1 for f in self.factors]
         linear = [f.total_degree() == 1 for f in self.factors]
         n = len(monomial)
-        listed = tuple(f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
-                       for i in range(n) for j in range(i + 1, n)
-                       if not (monomial[i] and monomial[j] or linear[i] and linear[j])) + tuple(
-            f"squarefreeness of component {i} ({f}) is assumed (unverified)"
-            for i, f in enumerate(self.factors) if not (monomial[i] or linear[i]))
-        if listed and len(self.vars) >= 2 and self.grading is not None:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if not (monomial[i] and monomial[j] or linear[i] and linear[j])]
+        single = [i for i in range(n) if not (monomial[i] or linear[i])]
+        if (pairs or single) and len(self.vars) >= 2 and self.grading is not None:
             return ()
-        return listed
+        return tuple(f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
+                     for i, j in pairs) + tuple(
+            f"squarefreeness of component {i} ({self.factors[i]}) is assumed (unverified)"
+            for i in single)
 
     @functools.cached_property
     def step_data(self):
