@@ -50,9 +50,47 @@ def _ideal_lines(ideal: Ideal, order: MonomialOrder) -> list[str]:
     return [g.to_str(order) for g in ideal.groebner(order)]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
+    report holds: dicts with string keys, lists and tuples, strings, ints,
+    booleans and ``None``.  Anything else raises ``TypeError``.
+    ``indent`` is the line break and indentation of ``value``'s own
+    line; a list of strings is joined in one call."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # A key that is not a string fails the sort or the quoting.
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json(value[key], inner) for key in sorted(value)]
+        ) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(isinstance(item, str) for item in value):
+            items = map(_quote, value)
+        else:
+            items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"a report cannot hold {type(value).__name__} values: {value!r}")
+
+
 def _emit(payload: dict, text_lines: list[str], fmt: str, output: Optional[str]) -> None:
     if fmt == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = _json(payload) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
     if output:

@@ -10,12 +10,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
 from .ideal import Ideal
-from .poly import GREVLEX, Monomial, Polynomial
+from .poly import Monomial, Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +47,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
+_reversed = itemgetter(slice(None, None, -1))
+
+
 def _monomial_ideal(variables: Sequence[str], exponents: Iterable[Monomial]) -> Ideal:
     """The monomial ideal spanned by x^e over the distinct exponent
     vectors ``exponents``, which share one total degree, presented by its
     reduced grevlex basis.
 
     Monomials of one total degree do not divide one another: they are
-    the reduced basis as they stand, once sorted descending."""
+    the reduced basis as they stand, once sorted descending.  At one total
+    degree grevlex descending is ascending order of the reversed tuples."""
     variables = tuple(variables)
-    monos = sorted(exponents, key=GREVLEX.key, reverse=True)
+    monos = sorted(exponents, key=_reversed)
     one = Fraction(1)
     return Ideal.from_basis(variables, tuple(Polynomial._raw(variables, {m: one})
                                              for m in monos))

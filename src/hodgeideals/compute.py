@@ -10,7 +10,6 @@ and extended back (smooth pullback along the projection).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
@@ -123,10 +122,12 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         if seed_ideal is not None:
             notes.append("I_0 supplied by caller (trusted)")
 
-    if divisor.vars != ambient:
+    extended = divisor.vars != ambient
+    if extended:
         notes.append(f"computed over the variables {', '.join(divisor.vars)} actually used "
                      f"and extended back (smooth pullback)")
-        results = [replace(res, ideal=res.ideal.extend(ambient)) for res in results]
     if notes:
-        results = [res.with_note("; ".join(notes)) for res in results]
+        note = "; ".join(notes)
+        results = [res.with_note(note, res.ideal.extend(ambient) if extended else None)
+                   for res in results]
     return results

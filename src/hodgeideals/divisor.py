@@ -44,10 +44,7 @@ class QDivisor:
                 raise ValueError(f"component over {f.vars}, divisor over {self.vars}")
             if not f or f.is_constant():
                 raise InputError(f"component equations must be nonconstant, got {f}")
-            if not isinstance(alpha, Fraction):
-                raise TypeError("component coefficients must be exact rationals")
-            if alpha <= 0:
-                raise InputError(f"component {i}: alpha must be positive, got {alpha}")
+            _check_coefficient(i, alpha)
         # The parts of reducedness decidable without a Groebner basis; the
         # rest is listed by ``assumptions``.
         product = tuple(map(sum, zip(*(next(iter(f.terms)) for f in self.factors
@@ -146,8 +143,15 @@ class QDivisor:
         return self._with_alphas([alpha] * len(self.components))
 
     def _with_alphas(self, alphas) -> "QDivisor":
-        """Same support with new coefficients, sharing the support's facts."""
-        other = QDivisor(self.vars, tuple(zip(self.factors, alphas)))
+        """Same support with new coefficients, sharing the support's facts.
+        Only the coefficients are checked: the support passed its checks
+        when this divisor was built."""
+        components = tuple(zip(self.factors, alphas))
+        for i, (_, alpha) in enumerate(components):
+            _check_coefficient(i, alpha)
+        other = object.__new__(QDivisor)
+        object.__setattr__(other, "vars", self.vars)
+        object.__setattr__(other, "components", components)
         object.__setattr__(other, "_support", self._support)
         return other
 
@@ -211,9 +215,18 @@ class HodgeIdealResult:
     exact: bool = True
     notes: str = ""
 
-    def with_note(self, note: str) -> "HodgeIdealResult":
+    def with_note(self, note: str, ideal: Optional[Ideal] = None) -> "HodgeIdealResult":
+        """This result with ``note`` appended to its notes, and holding
+        ``ideal`` instead of its own when one is given."""
         combined = f"{self.notes}; {note}" if self.notes else note
-        return replace(self, notes=combined)
+        return replace(self, notes=combined, ideal=self.ideal if ideal is None else ideal)
+
+
+def _check_coefficient(i: int, alpha) -> None:
+    if not isinstance(alpha, Fraction):
+        raise TypeError("component coefficients must be exact rationals")
+    if alpha <= 0:
+        raise InputError(f"component {i}: alpha must be positive, got {alpha}")
 
 
 def _proportional(f: Polynomial, g: Polynomial) -> bool:

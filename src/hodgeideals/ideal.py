@@ -23,6 +23,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    extension,
 )
 
 
@@ -263,9 +264,11 @@ def _has_pure_powers(leads: Iterable[Monomial], n: int) -> bool:
 
 
 def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[str],
-                 weights: Sequence[int]) -> tuple[Polynomial, ...]:
-    """The reduced grevlex basis of a weighted-homogeneous ideal that is
-    m-primary or (1), by row reduction one weighted degree at a time.
+                 weights: Sequence[int], order: MonomialOrder = GREVLEX
+                 ) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis for ``order`` (grevlex by default) of a
+    weighted-homogeneous ideal that is m-primary or (1), by row reduction
+    one weighted degree at a time.
 
     Each generator is an integer row over ``variables``: a term dict
     {exponent tuple: nonzero ``int``}, as ``derivation_step`` builds them
@@ -280,8 +283,8 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
-    order, is put in reduced row-echelon form with its columns in grevlex
-    order: single-monomial rows first (a monomial already a pivot is
+    order, is put in reduced row-echelon form with its columns sorted by
+    ``order``: single-monomial rows first (a monomial already a pivot is
     skipped), then every other row reduced against the pivots so far,
     with a new pivot cleared from the rows above.  A row is m - NF(m) for
     its pivot m, so the rows whose pivot m has no m/x_i among the pivots
@@ -289,8 +292,9 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     formed, and a reduction to zero is a rank drop (Faugère's F4,
     J. Pure Appl. Algebra 139, 1999, made exact by the grading).  The
     pivots x_i*m' with m' a pivot of degree D - W_i are the leads of the
-    shifted rows, collected while those rows are built; every other pivot
-    of the degree is output.  Once the last generator degree is passed
+    shifted rows, collected while those rows are built (x_i*LT(h) is
+    LT(x_i*h) in every monomial order); every other pivot of the degree
+    is output.  Once the last generator degree is passed
     and the last max W_i degrees hold no row with a tail, every later
     degree is spanned by shifts of monomial rows: it gets no row to
     reduce and outputs nothing, so the loop stops there.  Only that many
@@ -329,7 +333,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
         gens.setdefault(d, []).append(v)
     if not gens:
         return ()
-    key = GREVLEX.key
+    key = order.key
     one = Fraction(1)
     gcd = math.gcd
     top, last = max(weights), max(gens)
@@ -478,20 +482,31 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
         """The reduced Groebner basis for ``order``.  The grevlex basis is
-        kept.  Another order, which only printing asks for, re-sorts a
-        kept basis of monomials: a monomial ideal's reduced basis is its
-        minimal monomials in every order.  Any other basis for another
-        order is computed on each call."""
+        kept.  Another order, which only printing asks for, is read from a
+        kept basis where it can be: one element is a principal ideal's
+        generator, made monic for ``order``; monomials are a monomial
+        ideal's minimal monomials in every order, re-sorted; and a basis
+        that records weights (``graded_basis``) is row-reduced again from
+        its integer rows.  Any other basis for another order is computed
+        on each call."""
+        basis = self._basis
         if order is not GREVLEX:
-            basis = self._basis
-            if basis is not None and all(len(g.terms) == 1 for g in basis):
+            if basis is None:
+                return groebner_basis(self.generators, order)
+            if len(basis) == 1:
+                return (basis[0].monic(order),)
+            if all(len(g.terms) == 1 for g in basis):
                 key = order.key
                 return tuple(sorted(basis, key=lambda g: key(next(iter(g.terms))),
                                     reverse=True))
+            weights = getattr(basis, "weights", None)
+            if weights is not None:
+                return graded_basis(basis.rows, self.vars, weights, order)
             return groebner_basis(self.generators, order)
-        if self._basis is None:
-            object.__setattr__(self, "_basis", groebner_basis(self.generators))
-        return self._basis
+        if basis is None:
+            basis = groebner_basis(self.generators)
+            object.__setattr__(self, "_basis", basis)
+        return basis
 
     @classmethod
     def from_basis(cls, variables: Sequence[str], basis: tuple[Polynomial, ...]) -> "Ideal":
@@ -572,17 +587,18 @@ class Ideal:
         When the shared variables keep their relative order, a kept
         reduced basis carries over: both grevlex orders agree on its
         monomials, so it is still reduced and sorted, and it presents the
-        result (``from_basis``).  Otherwise the generators are viewed.  A
-        dropped variable must be unused (``Polynomial.extend`` raises
-        ``ValueError``); keep the basis (``groebner()``) before dropping
-        one, since an ideal extended from fewer variables has its reduced
-        basis there.
+        result (``from_basis``).  Otherwise the generators are viewed.
+        One map (``poly.extension``) views them all.  A dropped variable
+        must be unused (``ValueError`` otherwise); keep the basis
+        (``groebner()``) before dropping one, since an ideal extended from
+        fewer variables has its reduced basis there.
         """
         variables = tuple(variables)
+        extend = extension(self.vars, variables)
         shared = tuple(v for v in self.vars if v in variables)
         if self._basis is not None and tuple(v for v in variables if v in self.vars) == shared:
-            return Ideal.from_basis(variables, tuple(g.extend(variables) for g in self._basis))
-        return Ideal(variables, tuple(g.extend(variables) for g in self.generators))
+            return Ideal.from_basis(variables, tuple(map(extend, self._basis)))
+        return Ideal(variables, tuple(map(extend, self.generators)))
 
     # -- predicates and printing ------------------------------------------
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul, neg
-from typing import Mapping, Sequence
+from operator import add, itemgetter, mul, neg
+from typing import Callable, Mapping, Sequence
 
 #: Dense exponent vector; length equals the ambient variable count.
 Monomial = tuple[int, ...]
@@ -300,21 +300,7 @@ class Polynomial:
         """The same polynomial viewed over the ambient ``variables``, which
         must hold every variable a term uses; an old variable that no term
         uses may be dropped."""
-        variables = tuple(variables)
-        moves = []  # (old index, new index) of each kept variable
-        for i, name in enumerate(self.vars):
-            if name in variables:
-                moves.append((i, variables.index(name)))
-            elif self.uses_variable(i):
-                raise ValueError(f"new ambient {variables} must contain {name!r}")
-        n = len(variables)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            big = [0] * n
-            for i, pos in moves:
-                big[pos] = mono[i]
-            out[tuple(big)] = coeff
-        return Polynomial._raw(variables, out)
+        return extension(self.vars, tuple(variables))(self)
 
     # -- degrees and leading data ---------------------------------------
 
@@ -374,6 +360,11 @@ class Polynomial:
         if not terms:
             return "0"
         names = self.vars
+        if len(terms) == 1:
+            ((mono, coeff),) = terms.items()
+            if coeff == 1:  # a monic monomial: its factors, or 1
+                return "*".join([name if e == 1 else f"{name}^{e}"
+                                 for name, e in zip(names, mono) if e]) or "1"
         pieces = []
         for mono in sorted(terms, key=order.desc) if len(terms) > 1 else terms:
             coeff = terms[mono]
@@ -390,6 +381,26 @@ class Polynomial:
             else:
                 pieces.append(text if num > 0 else f"-{text}")
         return "".join(pieces)
+
+
+def extension(old: tuple[str, ...], new: tuple[str, ...]
+              ) -> Callable[[Polynomial], Polynomial]:
+    """The map viewing a polynomial over the ambient ``old`` over the
+    ambient ``new``, built once for any number of polynomials.  ``new``
+    must hold every variable a term uses (``ValueError`` otherwise); an
+    old variable that no term uses may be dropped."""
+    n = len(old)
+    # Each new position reads an old exponent, or the 0 padded after them.
+    picks = [old.index(name) if name in old else n for name in new]
+    pick = itemgetter(*picks) if len(picks) > 1 else lambda m: tuple(m[i] for i in picks)
+    dropped = [i for i, name in enumerate(old) if name not in new]
+
+    def extend(p: Polynomial) -> Polynomial:
+        for i in dropped:
+            if p.uses_variable(i):
+                raise ValueError(f"new ambient {new} must contain {old[i]!r}")
+        return Polynomial._raw(new, {pick(m + (0,)): c for m, c in p.terms.items()})
+    return extend
 
 
 def infer_weights(h: Polynomial) -> tuple[Fraction, ...] | None:

@@ -9,9 +9,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hodgeideals import GREVLEX, Ideal, InputError, Polynomial, compute_chain, parse_divisor
-from hodgeideals.cli import _ideal_lines, main
+from hodgeideals.cli import _ideal_lines, _json, main
 from hodgeideals.parser import TaskSpec
 
 CUSP_TASK = {
@@ -572,12 +574,14 @@ def test_compute_formats_each_generator_once(tmp_path, capsys, monkeypatch):
         assert Counter(t for t in formatted if t in gens) == Counter(gens)
 
 
-def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_calls):
+def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_calls,
+                                                    graded_calls):
     # Every level of the SNC chain keeps a monomial basis, which a lex
     # print re-sorts.  Of the cusp's levels only k = 2, whose basis holds
-    # y^4 - 14/5*x^2*y, is computed for lex, once per print.  A grevlex
+    # y^4 - 14/5*x^2*y, is computed for lex, once per print, by row
+    # reduction of the integer rows its grevlex basis records.  A grevlex
     # print computes no basis, so the calls beyond a grevlex run's are the
-    # lex print's.
+    # lex print's: (groebner_basis, graded_basis) calls per print.
     snc = {"vars": ["x", "y", "z"],
            "divisor": {"components": [{"f": "x", "alpha": "3/2"}, {"f": "y", "alpha": "1/2"},
                                       {"f": "z", "alpha": "1/3"}]},
@@ -585,16 +589,17 @@ def test_compute_lex_print_computes_each_basis_once(tmp_path, capsys, groebner_c
     cusp = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x^2+y^3", "alpha": "9/10"}]},
             "task": "compute", "k": 2}
-    for task, calls in ((snc, 0), (cusp, 1)):
+    for task, calls in ((snc, (0, 0)), (cusp, (0, 1))):
         path = write_task(tmp_path, task)
         for fmt in ("text", "json"):
             counts = []
             for order in ("grevlex", "lex"):
                 groebner_calls.clear()
+                graded_calls.clear()
                 code, _, _ = run_cli(capsys, "--order", order, "--format", fmt, "compute", path)
                 assert code == 0
-                counts.append(len(groebner_calls))
-            assert counts[1] - counts[0] == calls
+                counts.append((len(groebner_calls), len(graded_calls)))
+            assert (counts[1][0] - counts[0][0], counts[1][1] - counts[0][1]) == calls
 
 
 @pytest.mark.parametrize("variables,f,alpha,method", [
@@ -1060,6 +1065,59 @@ def test_unexpected_library_error_exits_4_as_internal(tmp_path, capsys, monkeypa
     assert (code, out) == (4, "")
     assert err.startswith("error: internal error: invariant broken\nTraceback")
     assert err.rstrip().endswith("ValueError: invariant broken")
+
+
+# -- the JSON writer ------------------------------------------------------------------
+
+def _reference_json(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# The values a report holds: None, booleans, ints and any text (control
+# and non-ASCII characters included), in lists, tuples and string-keyed
+# dicts, nested and empty.
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(deadline=None)
+@example({"a": [True, 1, False, 0, None], "b": [[], {}, ()], "é\x00": " \x7f\ud800",
+          "": {"k": ["x", "y"]}, "z": ["1", 1, "true", True]})
+@given(REPORT_VALUES)
+def test_json_writer_is_the_reference_dumps_on_report_values(value):
+    assert _json(value) == _reference_json(value)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+JSON_GOLDENS = sorted(case["golden"] for case in json.loads((GOLDEN / "cases.json").read_text())
+                      if "json" in case["args"])
+
+
+@pytest.mark.parametrize("golden", JSON_GOLDENS)
+def test_json_writer_is_the_reference_dumps_on_every_json_golden(golden):
+    text = (GOLDEN / golden).read_text()
+    payload = json.loads(text)
+    assert _json(payload) + "\n" == _reference_json(payload) + "\n" == text
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [float("nan")]}, {1: "x"}, {"a": {"b": b"x"}},
+                                   {"a": {"x"}}], ids=["float", "nan", "int-key", "bytes", "set"])
+def test_json_writer_refuses_values_outside_the_report_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+def test_a_report_outside_the_report_types_exits_4_as_internal(tmp_path, capsys, monkeypatch):
+    from hodgeideals import cli
+
+    monkeypatch.setattr(cli, "format_rational", float)
+    code, out, err = run_cli(capsys, "--format", "json", "compute", write_task(tmp_path, CUSP_TASK))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: a report cannot hold float values")
+    assert err.rstrip().endswith("TypeError: a report cannot hold float values: 0.9")
 
 
 # -- what each subcommand loads ----------------------------------------------------

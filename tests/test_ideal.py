@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hodgeideals.ideal
 from hodgeideals import (GREVLEX, GRLEX, LEX, Ideal, Polynomial, graded_basis, groebner_basis,
                          normal_form)
 from hodgeideals.parser import parse_polynomial
@@ -215,20 +216,28 @@ def test_extend_ambient():
     assert normal_form(parse_polynomial("z", xyz), ext.groebner())
 
 
-def test_extending_a_presented_basis_extends_it_once(monkeypatch):
+def test_extending_a_presented_basis_extends_it_once(monkeypatch, groebner_calls):
+    # Each kept basis element goes through the extension map once, and the
+    # extended basis is kept: it is not computed again.
     xyz = ("x", "y", "z")
     basis = ideal("x^2", "x y", "y^3").groebner()
-    calls = []
-    real = Polynomial.extend
+    extended = []
+    real = hodgeideals.ideal.extension
 
-    def counted(self, variables):
-        calls.append(self)
-        return real(self, variables)
+    def counted(old, new):
+        extend = real(old, new)
 
-    monkeypatch.setattr(Polynomial, "extend", counted)
+        def each(g):
+            extended.append(g)
+            return extend(g)
+        return each
+
+    monkeypatch.setattr(hodgeideals.ideal, "extension", counted)
+    groebner_calls.clear()
     ext = Ideal.from_basis(XY, basis).extend(xyz)
-    assert len(calls) == len(basis) == 3
-    assert ext.groebner() == tuple(real(g, xyz) for g in basis)
+    assert extended == list(basis) and len(basis) == 3
+    assert ext.groebner() == tuple(g.extend(xyz) for g in basis)
+    assert groebner_calls == []
     assert ext.equals(spanned_by(xyz, ["x^2", "x y", "y^3"]))
 
 
@@ -252,9 +261,13 @@ def test_extend_drops_a_variable_only_through_the_kept_basis():
 
 def test_another_order_computes_only_a_kept_basis_that_is_not_monomial(groebner_calls):
     # Minimal monomials of degrees 3, 4 and 5, which lex lists in another
-    # order than grevlex; the unit ideal; a basis with a binomial.
+    # order than grevlex; the unit ideal; a principal ideal, whose
+    # generator lex and grlex make monic by different terms; a basis with
+    # a binomial, kept as it is and as graded_basis keeps it, with its
+    # weights and rows, which a basis for another order is read from.
+    binomial = [p("x^2 + y^3"), p("x y")]
     for texts, calls in ((["x^3", "x^2 y^2", "x y^3", "y^5", "x^3 y"], 0), (["1"], 0),
-                         (["x^2 + y^3", "x y"], 1)):
+                         (["2 x^2 + 3 y^3"], 0), (["x^2 + y^3", "x y"], 1)):
         gens = [p(t) for t in texts]
         kept = Ideal.from_basis(XY, groebner_basis(gens))
         for order in (LEX, GRLEX):
@@ -262,6 +275,12 @@ def test_another_order_computes_only_a_kept_basis_that_is_not_monomial(groebner_
             groebner_calls.clear()
             assert kept.groebner(order) == want
             assert len(groebner_calls) == calls
+    kept = Ideal.from_basis(XY, graded_basis(rows(binomial), XY, (3, 2)))
+    for order in (LEX, GRLEX):
+        want = groebner_basis(binomial, order)
+        groebner_calls.clear()
+        assert kept.groebner(order) == want
+        assert groebner_calls == []
 
 
 # -- canonical text form ----------------------------------------------------------------
@@ -348,6 +367,23 @@ def test_graded_basis_is_groebner_basis_on_weighted_m_primary_inputs(case):
     assert graded == groebner_basis(gens)
     assert graded.weights == weights
     assert graded.rows == tuple(integer_terms((w,))[1][0] for w in graded)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX], ids=lambda order: order.name)
+@settings(deadline=None)
+@example((("x", "y"), (3, 2), [p("x^2 + y^3"), p("x y")]))
+# Grevlex leads with y^2, grlex and lex with x*z.
+@example((XYZ, (1, 1, 1), [p("x z - y^2", XYZ), p("x^3", XYZ), p("y^3", XYZ), p("z^3", XYZ)]))
+@example((XYZ, (3, 2, 4), [p("x y^5 + x y z^2", XYZ), p("x^3 y^2 - x^3 z", XYZ),
+                           p("x^4", XYZ), p("y^3", XYZ), p("z^3", XYZ)]))
+@given(weighted_m_primary())
+def test_graded_basis_in_lex_and_grlex_is_groebner_basis(order, case):
+    variables, weights, gens = case
+    graded = graded_basis(rows(gens), variables, weights, order)
+    assert graded == groebner_basis(gens, order)
+    # Rebuilt from the integer rows of the grevlex basis, as a print does.
+    kept = graded_basis(rows(gens), variables, weights)
+    assert graded_basis(kept.rows, variables, weights, order) == graded
 
 
 @pytest.mark.parametrize("gens,weights", [
