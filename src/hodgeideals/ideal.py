@@ -491,17 +491,16 @@ class Ideal:
         on each call."""
         basis = self._basis
         if order is not GREVLEX:
-            if basis is None:
-                return groebner_basis(self.generators, order)
-            if len(basis) == 1:
-                return (basis[0].monic(order),)
-            if all(len(g.terms) == 1 for g in basis):
-                key = order.key
-                return tuple(sorted(basis, key=lambda g: key(next(iter(g.terms))),
-                                    reverse=True))
-            weights = getattr(basis, "weights", None)
-            if weights is not None:
-                return graded_basis(basis.rows, self.vars, weights, order)
+            if basis is not None:
+                if len(basis) == 1:
+                    return (basis[0].monic(order),)
+                if all(len(g.terms) == 1 for g in basis):
+                    key = order.key
+                    return tuple(sorted(basis, key=lambda g: key(next(iter(g.terms))),
+                                        reverse=True))
+                weights = getattr(basis, "weights", None)
+                if weights is not None:
+                    return graded_basis(basis.rows, self.vars, weights, order)
             return groebner_basis(self.generators, order)
         if basis is None:
             basis = groebner_basis(self.generators)
