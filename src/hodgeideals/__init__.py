@@ -13,6 +13,7 @@ from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational,
     parse_resolution_data
 from .divisor import (
     HodgeIdealResult,
+    Provenance,
     QDivisor,
     periodic_reduce,
     twist_polynomial,
@@ -56,7 +57,7 @@ __all__ = [
     "Ideal", "graded_basis", "groebner_basis", "normal_form",
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",
-    "HodgeIdealResult", "QDivisor", "periodic_reduce", "twist_polynomial",
+    "HodgeIdealResult", "Provenance", "QDivisor", "periodic_reduce", "twist_polynomial",
     "Regime", "classify", "generation_level",
     "ordinary_ideal", "smooth_support_ideal", "snc_hodge_ideal",
     "ChainResult", "GenerationCertificate", "MethodUnavailableError", "certificate_for",

@@ -111,14 +111,15 @@ def _run_compute_once(divisor: QDivisor, spec: TaskSpec, order: MonomialOrder,
     lines: list[str] = []
     for res in results:
         gens = _ideal_lines(res.ideal, order)
-        payload.append({"k": res.k, "exact": res.exact, "primed": False,
-                        "method": res.method, "ideal": gens, "notes": res.notes})
-        flag = "exact" if res.exact else "lower-bound"
-        lines.append(f"k = {res.k} [{flag}] method={res.method}")
+        notes, exact = res.notes, res.exact
+        payload.append({"k": res.k, "exact": exact, "primed": False,
+                        "method": res.method, "ideal": gens, "notes": notes})
+        lines.append(f"k = {res.k} [{'exact' if exact else 'lower-bound'}] method={res.method}")
         lines += [f"  {gen}" for gen in gens]
-        if res.notes:
-            lines.append(f"  notes: {res.notes}")
-    lower_bound += [res.notes for res in results if not res.exact]
+        if notes:
+            lines.append(f"  notes: {notes}")
+        if not exact:
+            lower_bound.append(notes)
     return payload, lines
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .divisor import HodgeIdealResult, QDivisor, apply_twist, periodic_reduce
+from .divisor import HodgeIdealResult, Provenance, QDivisor, apply_twist, periodic_reduce
 from .ideal import Ideal
 from .poly import Monomial, Polynomial
 
@@ -31,8 +31,8 @@ def smooth_support_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
     # A principal ideal's reduced basis is its monic generator; the trivial
     # twist is 1.
     ideal = Ideal.from_basis(regime.reduced.vars, (regime.twist.monic(),))
-    return HodgeIdealResult(k=k, ideal=ideal, method="smooth", exact=True,
-                            notes="smooth support")
+    return HodgeIdealResult(k=k, ideal=ideal, method="smooth",
+                            provenance=Provenance(statement="smooth support"))
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +90,8 @@ def snc_hodge_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
             mono[pos] -= e
         exponents.append(tuple(mono))
     ideal = _monomial_ideal(regime.reduced.vars, exponents)
-    return HodgeIdealResult(k=k, ideal=ideal, method="snc", exact=True,
-                            notes="simple normal crossing closed form")
+    return HodgeIdealResult(k=k, ideal=ideal, method="snc",
+                            provenance=Provenance(statement="simple normal crossing closed form"))
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,8 @@ def ordinary_ideal(regime: Regime, k: int) -> Optional[HodgeIdealResult]:
         note += f"; maximal-ideal power exponent {e}"
     else:
         return None
-    return apply_twist(regime.twist, HodgeIdealResult(k=k, ideal=ideal, method="ordinary",
-                                                      exact=True, notes=note))
+    return apply_twist(regime.twist, HodgeIdealResult(
+        k=k, ideal=ideal, method="ordinary", provenance=Provenance(statement=note)))
 
 
 # ---------------------------------------------------------------------------

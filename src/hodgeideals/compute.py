@@ -5,11 +5,12 @@ snc -> ordinary), then the recursion with a generation-level
 certificate.  Each divisor is classified once and every entry reads that
 record.  Divisors whose equations omit some ambient variables are
 computed on the subring they actually use, a caller's seed included,
-and extended back (smooth pullback along the projection).
+and their results pulled back along the projection (a smooth pullback).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
@@ -50,7 +51,7 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     one pass.
 
     A cylinder, whose equations omit some ambient variables, is computed
-    on the variables it uses and its results are extended back at the end.
+    on the variables it uses and its results are pulled back at the end.
     ``seed_ideal`` is a caller's I_0 of the reduced divisor B, checked in
     one block before any method is tried or refused: on a cylinder it
     moves to the used variables through its reduced basis, which must not
@@ -59,7 +60,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     Otherwise ``SeedContradictionError`` is raised.  A closed form
     covering the chain does not use it; the recursion starts from it.
     The closed forms return I_k(D); the recursion returns I_k(B), which
-    is twisted here, before the notes and the extension.
+    is twisted here.  Each result's provenance records the caller's inputs
+    and the variables a pullback used.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -101,15 +103,11 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
             raise SeedContradictionError(
                 f"'options.i0' contradicts the computed I_0 of the reduced divisor: I_0 = "
                 f"{computed}, but the given I_0 is {seed_ideal}")
-    notes = []
+    given = {"I_0": seed_ideal, "certificate": certificate}
     for name, form, reason in CLOSED_FORMS:
         if method in ("auto", name):
             results = [form(regime, k) for k in range(k_max + 1)]
             if None not in results:
-                notes = [f"{what} supplied by caller not used: the {name} closed form is "
-                         f"exact at every level"
-                         for what, given in (("I_0", seed_ideal), ("certificate", certificate))
-                         if given is not None]
                 break
             if method == name:
                 raise MethodUnavailableError(reason)
@@ -119,15 +117,13 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
         cert = certificate if certificate is not None else certificate_for(regime)
         results = [apply_twist(regime.twist, res)
                    for res in hodge_chain(regime, k_max, seed, cert).results]
-        if seed_ideal is not None:
-            notes.append("I_0 supplied by caller (trusted)")
+        del given["certificate"]  # the chain records it as its certificate's source
 
-    extended = divisor.vars != ambient
-    if extended:
-        notes.append(f"computed over the variables {', '.join(divisor.vars)} actually used "
-                     f"and extended back (smooth pullback)")
-    if notes:
-        note = "; ".join(notes)
-        results = [res.with_note(note, res.ideal.extend(ambient) if extended else None)
+    caller = tuple(what for what, value in given.items() if value is not None)
+    used_vars = divisor.vars if divisor.vars != ambient else ()
+    if caller or used_vars:
+        results = [replace(res, ideal=res.ideal.extend(ambient) if used_vars else res.ideal,
+                           provenance=res.provenance._replace(caller=caller,
+                                                              used_vars=used_vars))
                    for res in results]
     return results

@@ -1,4 +1,4 @@
-"""The Q-divisor data model and Hodge-ideal result records.
+"""The Q-divisor data model, and Hodge-ideal results with their provenance.
 
 A divisor is always given in factored form D = sum alpha_i * div(f_i);
 the package never factors polynomials.  All ideals live in the global
@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ideal import Ideal, groebner_basis
 from .poly import InputError, Polynomial, infer_weights
@@ -112,7 +112,8 @@ class QDivisor:
 
         A ``grading`` in n >= 2 variables decides them all: if h^2 divides
         g, then V(h), of dimension n - 1 >= 1, lies in V(dg), which the
-        grading makes a point.
+        grading makes a point.  So does a ``nodal`` plane curve: there
+        V(h) would lie in V(g, dg) with a degenerate Hessian.
         """
         monomial = [len(f.terms) == 1 for f in self.factors]
         linear = [f.total_degree() == 1 for f in self.factors]
@@ -120,12 +121,28 @@ class QDivisor:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if not (monomial[i] and monomial[j] or linear[i] and linear[j])]
         single = [i for i in range(n) if not (monomial[i] or linear[i])]
-        if (pairs or single) and len(self.vars) >= 2 and self.grading is not None:
+        if (pairs or single) and len(self.vars) >= 2 \
+                and (self.grading is not None or self.nodal):
             return ()
         return tuple(f"pairwise coprimality of components {i} and {j} is assumed (unverified)"
                      for i, j in pairs) + tuple(
             f"squarefreeness of component {i} ({self.factors[i]}) is assumed (unverified)"
             for i in single)
+
+    @_support_fact
+    def nodal(self) -> bool:
+        """True for a plane curve {g = 0} whose every singular point is a
+        node, a smooth curve included: (g, dg/dx, dg/dy, det Hess g) = (1).
+        By the Morse lemma a singular point of a plane curve is a node iff
+        the Hessian is nondegenerate there, and by the Nullstellensatz no
+        point of V(g, dg) has a degenerate Hessian iff that ideal is (1).
+        False in any other number of variables."""
+        if len(self.vars) != 2:
+            return False
+        g = self.support_equation
+        gx, gy = g.diff(0), g.diff(1)
+        hessian = gx.diff(0) * gy.diff(1) - gx.diff(1) ** 2
+        return Ideal(self.vars, (g, gx, gy, hessian)).equals(Ideal.unit(self.vars))
 
     @functools.cached_property
     def step_data(self):
@@ -177,9 +194,9 @@ def reduced_alpha(alpha: Fraction) -> Fraction:
 
 def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
     """Split D into B = D + Z - ceil(D) with coefficients in (0, 1] and
-    the integral twist prod f_i^(ceil(alpha_i) - 1).
+    the twist prod f_i^(ceil(alpha_i) - 1).
 
-    Contract (periodicity of Hodge ideals under integral twists):
+    Contract (periodicity of Hodge ideals under adding integral divisors):
     I_k(D) = twist * I_k(B) for every k.
 
     B shares the facts of the support with D, and is D itself, with twist
@@ -192,34 +209,77 @@ def periodic_reduce(divisor: QDivisor) -> tuple[QDivisor, Polynomial]:
 
 def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult:
     """I_k(D) from a result for I_k(B): the ``periodic_reduce`` contract,
-    with the twist recorded in the notes when it is not trivial."""
+    with the twist recorded in the provenance when it is not trivial."""
     if twist.is_constant():
         return result
     # twist * G is a Groebner basis as it stands: LT(twist*w) = LT(twist)*LT(w).
     known = [twist * w for w in result.ideal.groebner()]
     ideal = Ideal.from_basis(twist.vars, groebner_basis((), known=known))
-    return replace(result, ideal=ideal).with_note(f"integral twist {twist} applied")
+    return replace(result, ideal=ideal, provenance=result.provenance._replace(twist=twist))
+
+
+class Provenance(NamedTuple):
+    """The facts a Hodge-ideal result rests on; ``HodgeIdealResult.notes``
+    is the one place that words them.
+
+    ``statement``: a closed form's own one-line statement.  ``source``,
+    ``level`` and ``k0``: for a chain of derivation steps, its
+    certificate's source, the generation level the chain used and the
+    level of its seed; a closed form has no source and level 0.
+    ``twist``: the twist applied, when it is not trivial.
+    ``caller``: the inputs the caller supplied ("I_0", "certificate"),
+    which a chain trusts and a closed form does not use.  ``used_vars``:
+    the variables a pullback was computed over, when there is one.
+    """
+
+    statement: str = ""
+    source: Optional[str] = None
+    level: int = 0
+    k0: int = 0
+    twist: Optional[Polynomial] = None
+    caller: tuple[str, ...] = ()
+    used_vars: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class HodgeIdealResult:
-    """A computed Hodge ideal I_k(D) with provenance.
-
-    ``exact=False`` means the ideal is a certified lower bound (sub-ideal)
-    of the true Hodge ideal.
-    """
+    """A computed Hodge ideal I_k(D) with its provenance."""
 
     k: int
     ideal: Ideal
     method: str = "recursion"  # snc | smooth | ordinary | recursion
-    exact: bool = True
-    notes: str = ""
+    provenance: Provenance = Provenance()
 
-    def with_note(self, note: str, ideal: Optional[Ideal] = None) -> "HodgeIdealResult":
-        """This result with ``note`` appended to its notes, and holding
-        ``ideal`` instead of its own when one is given."""
-        combined = f"{self.notes}; {note}" if self.notes else note
-        return replace(self, notes=combined, ideal=self.ideal if ideal is None else ideal)
+    @property
+    def exact(self) -> bool:
+        """False when the ideal is only a certified lower bound (sub-ideal)
+        of I_k(D).  A step at index k gives I_(k+1) from an exact I_k when
+        k >= level, and steps run from the seed at k0, so level k is exact
+        when k == k0 or k0 >= level.  A closed form, at level 0, is exact
+        at every k."""
+        p = self.provenance
+        return self.k == p.k0 or p.k0 >= p.level
+
+    @property
+    def notes(self) -> str:
+        """The provenance in words, its pieces joined by "; "."""
+        p = self.provenance
+        parts = [p.statement] if p.statement else []
+        if p.source is not None:
+            parts.append(
+                f"derivation-closure chain from k0={p.k0}; certificate {p.source} level {p.level}"
+                if self.exact else
+                f"lower bound only: the first step, at index {p.k0}, is below certificate "
+                f"level {p.level} ({p.source}); the true ideal contains this one")
+        if p.twist is not None:
+            parts.append(f"integral twist {p.twist} applied")
+        parts += [f"{what} supplied by caller (trusted)" if p.source is not None else
+                  f"{what} supplied by caller not used: the {self.method} closed form is "
+                  f"exact at every level" for what in p.caller]
+        if p.used_vars:
+            parts.append(f"computed over the variables {', '.join(p.used_vars)} actually used "
+                         f"and extended back (smooth pullback)")
+        return "; ".join(parts)
 
 
 def _check_coefficient(i: int, alpha) -> None:

@@ -61,7 +61,7 @@ _RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 _FACTOR_START = frozenset(("int", "name", "("))
 _MAX_NESTING = 200  # three stack frames a level: well inside the recursion limit
 _MAX_DIGITS = 4300  # the default of sys.get_int_max_str_digits(): int() refuses more
-_MAX_POWER_TERMS = 1000  # terms a parenthesized power may expand to
+_MAX_POWER_TERMS = 1000  # terms a parenthesized power or product may expand to
 
 # A token is (kind, text, start, end): kind is 'int', 'name', one of the
 # symbol characters or 'end'.
@@ -179,7 +179,7 @@ class _Parser:
         exps = [0] * len(self.vars)
         poly = None
         while True:
-            f = self.factor()
+            f = self.factor(0 if poly is None else len(poly.terms))
             if type(f) is tuple:
                 exps[f[0]] += f[1]
             elif type(f) is Polynomial:
@@ -192,9 +192,10 @@ class _Parser:
             elif kind not in _FACTOR_START:
                 return coeff, tuple(exps), poly
 
-    def factor(self) -> int | Fraction | tuple[int, int] | Polynomial:
+    def factor(self, times: int = 0) -> int | Fraction | tuple[int, int] | Polynomial:
         """A rational; a variable as (its index, its exponent); or a
-        parenthesized expression raised to its exponent."""
+        parenthesized expression raised to its exponent, which multiplies
+        a product of ``times`` terms when ``times`` is not 0."""
         tok = self.tokens[self.pos]
         kind = tok[0]
         if kind == "int":
@@ -219,16 +220,21 @@ class _Parser:
             raise ParseError("unbalanced parentheses", "')'", span=SourceSpan(tok[2], tok[3]))
         self.pos += 1
         e = self.exponent()
-        if e == 1:
-            return base
-        # A power of t >= 2 terms has at most C(t+e-1, e) terms and at least
-        # e + 1, so a large e is refused before comb sees it.
         t = len(base.terms)
-        if t > 1 and (e >= _MAX_POWER_TERMS or math.comb(t + e - 1, e) > _MAX_POWER_TERMS):
-            tok = self.tokens[self.pos - 1]
-            raise ParseError(f"a power that may expand to more than {_MAX_POWER_TERMS} terms",
-                             span=SourceSpan(tok[2], tok[3]))
-        return base ** e
+        if t > 1:
+            # A power of t >= 2 terms has at most C(t+e-1, e) terms and at
+            # least e + 1, so a large e is refused before comb sees it.  A
+            # product has at most the product of its factors' term counts,
+            # so it is refused before the power is expanded.
+            end = self.tokens[self.pos - 1]
+            if e != 1 and (e >= _MAX_POWER_TERMS or math.comb(t + e - 1, e) > _MAX_POWER_TERMS):
+                raise ParseError(f"a power that may expand to more than {_MAX_POWER_TERMS} terms",
+                                 span=SourceSpan(end[2], end[3]))
+            if times * math.comb(t + e - 1, e) > _MAX_POWER_TERMS:
+                raise ParseError(
+                    f"a product that may expand to more than {_MAX_POWER_TERMS} terms",
+                    span=SourceSpan(tok[2], end[3]))
+        return base if e == 1 else base ** e
 
     def exponent(self) -> int:
         """The exponent after '^', or 1 when no '^' follows."""

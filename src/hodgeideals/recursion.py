@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
-from .divisor import HodgeIdealResult, QDivisor
+from .divisor import HodgeIdealResult, Provenance, QDivisor
 from .ideal import Ideal, graded_basis, groebner_basis
 from .poly import InputError, Monomial, Polynomial, integer_terms
 
@@ -260,12 +260,10 @@ def hodge_chain(regime: Regime, k_max: int, seed: Ideal, cert: GenerationCertifi
     """Iterate the derivation step from I_(k0)(B) = ``seed`` up to k_max.
 
     The seed is taken as the exact I_(k0) of the reduced divisor B, as
-    ``cert`` is taken as given.  A step at index k gives I_(k+1) from an
-    exact I_k when k >= level, the level the notes name, min(cert.level,
-    n-1).  Steps run at k0, k0+1, ..., so every level above k0 is exact
-    when k0 >= level and is otherwise a lower bound whose note names the
-    first step.  The results are I_k(B); ``compute_chain`` multiplies the
-    integral twist back in.
+    ``cert`` is taken as given.  Every result records the certificate's
+    source, the level the chain uses, min(cert.level, n-1), and k0, from
+    which ``HodgeIdealResult.exact`` decides each level.  The results are
+    I_k(B); ``compute_chain`` multiplies the twist back in.
     """
     divisor = regime.reduced
     if seed.vars != divisor.vars:
@@ -274,18 +272,13 @@ def hodge_chain(regime: Regime, k_max: int, seed: Ideal, cert: GenerationCertifi
         raise ValueError(f"seed level must be >= 0, got {k0}")
     if k0 > k_max:
         raise ValueError(f"seed level {k0} exceeds k_max = {k_max}")
-    level = min(cert.level, len(divisor.vars) - 1)
-
-    exact_note = f"derivation-closure chain from k0={k0}; certificate {cert.source} " \
-                 f"level {level}"
-    bound_note = (f"lower bound only: the first step, at index {k0}, is below certificate "
-                  f"level {level} ({cert.source}); the true ideal contains this one")
+    provenance = Provenance(source=cert.source, level=min(cert.level, len(divisor.vars) - 1),
+                            k0=k0)
     ideal = seed
     results = []
     for k in range(k0, k_max + 1):
-        exact = k == k0 or k0 >= level
-        results.append(HodgeIdealResult(k=k, ideal=ideal, method="recursion", exact=exact,
-                                        notes=exact_note if exact else bound_note))
+        results.append(HodgeIdealResult(k=k, ideal=ideal, method="recursion",
+                                        provenance=provenance))
         if k < k_max:
             ideal = derivation_step(ideal, divisor, k)
     return ChainResult(results=tuple(results))
@@ -321,10 +314,9 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
     zero-dimensional, which for a weighted-homogeneous g is the same
     check globally as at the origin.  Then alpha_tilde = sum u_i / deg_u(g).
     Then, for a plane curve, level 0 (the node example) when every
-    singular point of {g = 0} is a node, decided by
-    (g, dg/dx, dg/dy, det Hess g) = (1): a node is locally a normal
-    crossing and Hodge ideals are local.  A smooth curve passes too.
-    Otherwise the universal n-1 bound.
+    singular point of {g = 0} is a node (``QDivisor.nodal``): a node is
+    locally a normal crossing and Hodge ideals are local.  Otherwise the
+    universal n-1 bound.
     """
     n = len(regime.reduced.vars)
     if regime.alpha is not None:
@@ -335,13 +327,6 @@ def certificate_for(regime: Regime) -> GenerationCertificate:
                 level=generation_level(n, Fraction(sum(grading), g.weighted_degree(grading)),
                                        regime.alpha),
                 source="quasihomogeneous-formula")
-        # Every singular point a node: by the Morse lemma a singular point
-        # of a plane curve is a node iff the Hessian is nondegenerate there,
-        # and by the Nullstellensatz no point of V(g, dg) has a degenerate
-        # Hessian iff (g, dg, det Hess g) = (1).
-        if n == 2:
-            gx, gy = g.diff(0), g.diff(1)
-            hessian = gx.diff(0) * gy.diff(1) - gx.diff(1) ** 2
-            if Ideal(g.vars, (g, gx, gy, hessian)).equals(Ideal.unit(g.vars)):
-                return GenerationCertificate(level=0, source="node-example")
+        if regime.reduced.nodal:
+            return GenerationCertificate(level=0, source="node-example")
     return GenerationCertificate(level=n - 1, source="universal-bound")

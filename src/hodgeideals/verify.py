@@ -205,7 +205,7 @@ def check_restriction(divisor: QDivisor, var_index: int, k: int,
     failure = None if ambient.exact else "ambient ideal not computable exactly"
     # compute_chain computed the cylinder's chain on the variables its
     # equations use, which do not include x_i: that chain is the intrinsic
-    # one of D|_Y, extended back, so dropping x_i again gives I_k(D|_Y).
+    # one of D|_Y, extended to the ambient ring, so dropping x_i again gives I_k(D|_Y).
     intrinsic = ambient.ideal.extend(sub_vars)
     verdicts: list[Verdict] = []
     for replacement in replacements:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import hodgeideals
 from hodgeideals import (
+    HodgeIdealResult,
     Ideal,
     MonomialOrder,
     Polynomial,
@@ -41,12 +42,13 @@ PACKAGE = Path(hodgeideals.__file__).resolve().parent
 ALLOWED_UNUSED: set[str] = set()
 
 
-CLASSES = (Polynomial, Ideal, QDivisor, MonomialOrder)
+CLASSES = (Polynomial, Ideal, QDivisor, MonomialOrder, HodgeIdealResult)
 
 # Members the scan must find: each class of CLASSES, and each kind of
 # member (method, classmethod, property, cached property).
 SCANNED_MEMBERS = {"Polynomial.diff", "Polynomial.one", "Ideal.groebner", "Ideal.from_basis",
-                   "QDivisor.alphas", "QDivisor.grading", "MonomialOrder.from_name"}
+                   "QDivisor.alphas", "QDivisor.grading", "MonomialOrder.from_name",
+                   "HodgeIdealResult.notes"}
 
 # "Class.member" entries that nothing in the package reads, each with the
 # reason it stays public.  Empty: every member is read.

@@ -260,6 +260,17 @@ def test_a_graded_support_prints_no_assumption(tmp_path, capsys):
     assert "warning" not in out and "squarefree" not in out
 
 
+def test_a_nodal_curve_prints_no_assumption(tmp_path, capsys):
+    # A line through a circle has no grading, but its node test passes,
+    # and that decides it squarefree.
+    task = {"vars": ["x", "y"], "task": "compute", "k": 1, "options": {"i0": ["1"]},
+            "divisor": {"components": [{"f": "x*(x^2+y^2-1)", "alpha": "1/2"}]}}
+    code, out, _ = run_cli(capsys, "compute", write_task(tmp_path, task))
+    assert code == 0
+    assert "certificate node-example level 0" in out
+    assert "warning" not in out
+
+
 def test_compute_caller_seed_is_noted_on_every_result(tmp_path, capsys):
     task = {"vars": ["x", "y"],
             "divisor": {"components": [{"f": "x^2+x*y+y^2", "alpha": "1/2"}]},

@@ -8,6 +8,7 @@ from hodgeideals import (
     HodgeIdealResult,
     Ideal,
     Polynomial,
+    Provenance,
     QDivisor,
     classify,
     parse_divisor,
@@ -155,13 +156,37 @@ def test_snc_periodicity_contract():
 
 
 def test_apply_twist_multiplies_and_notes_only_a_nontrivial_twist():
-    res = HodgeIdealResult(k=1, ideal=spanned_by(XY, ["x", "y"]), notes="seed")
+    res = HodgeIdealResult(k=1, ideal=spanned_by(XY, ["x", "y"]),
+                           provenance=Provenance(statement="seed"))
     b, twist = periodic_reduce(div([{"f": "x", "alpha": "1/2"}]))
     assert apply_twist(twist, res) is res
     b, twist = periodic_reduce(div([{"f": "x", "alpha": "5/2"}]))
     twisted = apply_twist(twist, res)
     assert twisted.ideal.equals(spanned_by(XY, ["x^3", "x^2 y"]))
+    assert twisted.provenance == Provenance(statement="seed", twist=twist)
     assert twisted.notes == "seed; integral twist x^2 applied"
+
+
+def test_notes_word_each_fact_of_the_provenance_in_one_order():
+    one = Ideal.unit(XY)
+    twist = parse_polynomial("x^2", XY)
+    closed = Provenance(statement="a formula", twist=twist, caller=("I_0", "certificate"),
+                        used_vars=("x",))
+    assert HodgeIdealResult(k=2, ideal=one, method="snc", provenance=closed).notes == (
+        "a formula; integral twist x^2 applied; "
+        "I_0 supplied by caller not used: the snc closed form is exact at every level; "
+        "certificate supplied by caller not used: the snc closed form is exact at every level; "
+        "computed over the variables x actually used and extended back (smooth pullback)")
+    chain = Provenance(source="user-asserted", level=1, k0=0, caller=("I_0",))
+    assert HodgeIdealResult(k=0, ideal=one, provenance=chain).notes == (
+        "derivation-closure chain from k0=0; certificate user-asserted level 1; "
+        "I_0 supplied by caller (trusted)")
+    assert HodgeIdealResult(k=1, ideal=one, provenance=chain).notes == (
+        "lower bound only: the first step, at index 0, is below certificate level 1 "
+        "(user-asserted); the true ideal contains this one; I_0 supplied by caller (trusted)")
+    # A result with no chain facts is exact and has no notes.
+    plain = HodgeIdealResult(k=1, ideal=one)
+    assert plain.exact and plain.notes == ""
 
 
 def test_apply_twist_multiplies_the_reduced_basis_without_new_generators(groebner_inputs):
@@ -217,15 +242,17 @@ def test_validate_decides_linear_components():
     assert div([{"f": "2*x+y", "alpha": "3/2"}]).assumptions == ()
     assert div([{"f": "x-y", "alpha": "1/2"}, {"f": "x+y", "alpha": "1/2"},
                 {"f": "x", "alpha": "1/3"}]).assumptions == ()
-    assert div([{"f": "x+y", "alpha": "1/2"}, {"f": "x*y+1", "alpha": "1/2"}]).assumptions == (
+    assert div([{"f": "x+y", "alpha": "1/2"},
+                {"f": "x^2+y^3+x*y^2", "alpha": "1/2"}]).assumptions == (
         "pairwise coprimality of components 0 and 1 is assumed (unverified)",
-        "squarefreeness of component 1 (x*y + 1) is assumed (unverified)",
+        "squarefreeness of component 1 (x*y^2 + y^3 + x^2) is assumed (unverified)",
     )
 
 
 def test_validate_records_unverified_squarefreeness():
-    # x*y + 1 has no grading, so nothing decides that it is squarefree.
-    warnings = div([{"f": "x*y+1", "alpha": "1/2"}]).assumptions
+    # x^2 + y^3 + x*y^2 has no grading, and its Hessian is degenerate at
+    # the origin, so nothing decides that it is squarefree.
+    warnings = div([{"f": "x^2+y^3+x*y^2", "alpha": "1/2"}]).assumptions
     assert any("squarefree" in w.lower() for w in warnings)
 
 
@@ -240,6 +267,17 @@ def test_a_grading_decides_squarefreeness_and_coprimality():
     assert cylinder.grading is None
     assert cylinder.assumptions == (
         "squarefreeness of component 0 (y^3 + x^2) is assumed (unverified)",)
+
+
+def test_a_nodal_curve_decides_squarefreeness_and_coprimality():
+    # A repeated factor h would put the curve V(h) in V(g, dg) with a
+    # degenerate Hessian, which the node test refutes.
+    line_and_circle = div([{"f": "x*(x^2+y^2-1)", "alpha": "1/2"}])
+    assert line_and_circle.grading is None and line_and_circle.nodal
+    assert line_and_circle.assumptions == ()
+    assert div([{"f": "x+y", "alpha": "1/2"}, {"f": "x*y+1", "alpha": "1/3"}]).assumptions == ()
+    assert not div([{"f": "x^2+y^3+x*y^2", "alpha": "1/2"}]).nodal
+    assert not div([{"f": "x*y*z+1", "alpha": "1/2"}], ("x", "y", "z")).nodal
 
 
 def test_divisor_rejects_bad_components():

@@ -208,11 +208,21 @@ def test_parse_matches_polynomial_arithmetic(case):
     ("(" * 201 + "x" + ")" * 201, "parentheses nested deeper than 200", "", (200, 201)),
     ("(x+y)^1000", "a power that may expand to more than 1000 terms", "", (6, 10)),
     ("(x+y+1)^44", "a power that may expand to more than 1000 terms", "", (8, 10)),
+    ("(x+y+1)^20*(x+y+1)^20", "a product that may expand to more than 1000 terms", "",
+     (11, 21)),
+    ("(x+y)^40*(x+y)^40", "a product that may expand to more than 1000 terms", "", (9, 17)),
+    ("2*(x+y)^40 x (x-y)^40", "a product that may expand to more than 1000 terms", "",
+     (13, 21)),
 ])
 def test_malformed_input_errors(text, message, expected, span):
     with pytest.raises(ParseError) as err:
         parse_polynomial(text, XY)
     assert (err.value.message, err.value.expected, err.value.span) == (message, expected, span)
+
+
+def test_a_product_within_the_term_bound_is_expanded():
+    # 31 * 31 = 961 term pairs, at most 1000.
+    assert parse_polynomial("(x+y)^30*(x+y)^30", XY) == parse_polynomial("(x+y)^60", XY)
 
 
 # -- rationals ----------------------------------------------------------------
