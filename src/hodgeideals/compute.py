@@ -10,7 +10,6 @@ and their results pulled back along the projection (a smooth pullback).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .closed_forms import classify, ordinary_ideal, smooth_support_ideal, snc_hodge_ideal
@@ -85,8 +84,7 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
                     f"'options.i0' contradicts the cylinder: the divisor uses only "
                     f"{', '.join(small)}, but the reduced basis of the given I_0 is "
                     f"{seed_ideal}") from None
-        divisor = QDivisor(small, tuple((f.extend(small), alpha)
-                                        for f, alpha in divisor.components))
+        divisor = divisor._over(small)
 
     regime = classify(divisor)
     if seed_ideal is not None:
@@ -122,8 +120,8 @@ def compute_chain(divisor: QDivisor, k_max: int, method: str = "auto",
     caller = tuple(what for what, value in given.items() if value is not None)
     used_vars = divisor.vars if divisor.vars != ambient else ()
     if caller or used_vars:
-        results = [replace(res, ideal=res.ideal.extend(ambient) if used_vars else res.ideal,
-                           provenance=res.provenance._replace(caller=caller,
-                                                              used_vars=used_vars))
+        results = [HodgeIdealResult(res.k, res.ideal.extend(ambient) if used_vars else res.ideal,
+                                    res.method, res.provenance._replace(caller=caller,
+                                                                        used_vars=used_vars))
                    for res in results]
     return results

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .ideal import Ideal, groebner_basis
-from .poly import InputError, Polynomial, infer_weights
+from .poly import InputError, Polynomial, extension, infer_weights
 
 
 def _support_fact(decide):
@@ -71,8 +71,8 @@ class QDivisor:
 
     def used_variables(self) -> tuple[int, ...]:
         """Indices of the ambient variables some component equation uses."""
-        return tuple(i for i in range(len(self.vars))
-                     if any(f.uses_variable(i) for f in self.factors))
+        columns = zip(*(m for f, _ in self.components for m in f.terms))
+        return tuple(i for i, column in enumerate(columns) if any(column))
 
     @_support_fact
     def grading(self) -> Optional[tuple[int, ...]]:
@@ -166,11 +166,16 @@ class QDivisor:
         components = tuple(zip(self.factors, alphas))
         for i, (_, alpha) in enumerate(components):
             _check_coefficient(i, alpha)
-        other = object.__new__(QDivisor)
-        object.__setattr__(other, "vars", self.vars)
-        object.__setattr__(other, "components", components)
-        object.__setattr__(other, "_support", self._support)
-        return other
+        return _derived(self.vars, components, self._support)
+
+    def _over(self, variables: tuple[str, ...]) -> "QDivisor":
+        """The same divisor over ``variables``, which hold every variable a
+        component uses.  Nothing is checked: viewing the components over
+        other variables keeps their terms, so the checks they passed pass
+        again.  The support record is fresh, because a fact decided over
+        one ambient need not hold over another."""
+        extend = extension(self.vars, variables)
+        return _derived(variables, tuple((extend(f), alpha) for f, alpha in self.components), {})
 
     def describe(self) -> str:
         return " + ".join(f"({alpha})*div({f})" for f, alpha in self.components)
@@ -215,7 +220,8 @@ def apply_twist(twist: Polynomial, result: HodgeIdealResult) -> HodgeIdealResult
     # twist * G is a Groebner basis as it stands: LT(twist*w) = LT(twist)*LT(w).
     known = [twist * w for w in result.ideal.groebner()]
     ideal = Ideal.from_basis(twist.vars, groebner_basis((), known=known))
-    return replace(result, ideal=ideal, provenance=result.provenance._replace(twist=twist))
+    return HodgeIdealResult(result.k, ideal, result.method,
+                            result.provenance._replace(twist=twist))
 
 
 class Provenance(NamedTuple):
@@ -280,6 +286,17 @@ class HodgeIdealResult:
             parts.append(f"computed over the variables {', '.join(p.used_vars)} actually used "
                          f"and extended back (smooth pullback)")
         return "; ".join(parts)
+
+
+def _derived(variables: tuple[str, ...], components: tuple, support: dict) -> QDivisor:
+    """A divisor built from one that passed its checks, without the checks
+    (see the callers for why they pass), with the support record
+    ``support``."""
+    divisor = object.__new__(QDivisor)
+    object.__setattr__(divisor, "vars", variables)
+    object.__setattr__(divisor, "components", components)
+    object.__setattr__(divisor, "_support", support)
+    return divisor
 
 
 def _check_coefficient(i: int, alpha) -> None:

@@ -22,6 +22,7 @@ from .poly import (
     AmbientMismatchError,
     Monomial,
     MonomialOrder,
+    _ONE,
     Polynomial,
     extension,
 )
@@ -177,7 +178,7 @@ def groebner_basis(generators: Iterable[Polynomial],
             # The comprehension reads ``minimal`` before this degree joins it.
             minimal += [m for m in same if not any(all(map(ge, m, d)) for d in minimal)]
         minimal.sort(key=key, reverse=True)
-        return tuple(Polynomial._raw(variables, {m: Fraction(1)}) for m in minimal)
+        return tuple(Polynomial._raw(variables, {m: _ONE}) for m in minimal)
 
     one = Polynomial.one(variables)
     seeds = _monic_sorted(seeds, order)
@@ -457,9 +458,9 @@ class Ideal:
                 raise AmbientMismatchError(f"generator over {g.vars}, ideal over {variables}")
             if g:
                 gens.append(g)
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_basis", None)
+        _set_vars(self, variables)
+        _set_generators(self, tuple(gens))
+        _set_basis(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -504,7 +505,7 @@ class Ideal:
             return groebner_basis(self.generators, order)
         if basis is None:
             basis = groebner_basis(self.generators)
-            object.__setattr__(self, "_basis", basis)
+            _set_basis(self, basis)
         return basis
 
     @classmethod
@@ -512,10 +513,19 @@ class Ideal:
         """The ideal presented by its reduced grevlex basis ``basis``, which
         it keeps as it is, so a graded basis keeps its weights.  The basis
         is the package's own, so its elements are not checked again."""
+        return cls._derived(tuple(variables), tuple(basis), basis)
+
+    @classmethod
+    def _derived(cls, variables: tuple[str, ...], generators: tuple[Polynomial, ...],
+                 basis: tuple[Polynomial, ...] | None = None) -> "Ideal":
+        """The ideal over ``variables`` generated by ``generators``, which
+        keeps ``basis`` as its reduced basis when one is given.  Nothing is
+        checked: the caller derived the generators, nonzero polynomials over
+        ``variables``, from checked values, and says why the checks pass."""
         ideal = object.__new__(cls)
-        object.__setattr__(ideal, "vars", tuple(variables))
-        object.__setattr__(ideal, "generators", tuple(basis))
-        object.__setattr__(ideal, "_basis", basis)
+        _set_vars(ideal, variables)
+        _set_generators(ideal, generators)
+        _set_basis(ideal, basis)
         return ideal
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -553,7 +563,8 @@ class Ideal:
             return NotImplemented
         if other.vars != self.vars:
             raise AmbientMismatchError(f"ideals over {self.vars} vs {other.vars}")
-        return Ideal(self.vars, self.generators + other.generators)
+        # Both generator lists were checked when their ideals were built.
+        return Ideal._derived(self.vars, self.generators + other.generators)
 
     def __mul__(self, other) -> "Ideal":
         if isinstance(other, Polynomial):
@@ -562,8 +573,9 @@ class Ideal:
             return NotImplemented
         if other.vars != self.vars:
             raise AmbientMismatchError(f"ideals over {self.vars} vs {other.vars}")
-        gens = tuple(a * b for a in self.generators for b in other.generators)
-        return Ideal(self.vars, gens)
+        # Over Q a product of nonzero polynomials is nonzero.
+        return Ideal._derived(self.vars, tuple(a * b for a in self.generators
+                                               for b in other.generators))
 
     def __rmul__(self, other) -> "Ideal":
         if isinstance(other, Polynomial):
@@ -597,7 +609,8 @@ class Ideal:
         shared = tuple(v for v in self.vars if v in variables)
         if self._basis is not None and tuple(v for v in variables if v in self.vars) == shared:
             return Ideal.from_basis(variables, tuple(map(extend, self._basis)))
-        return Ideal(variables, tuple(map(extend, self.generators)))
+        # Viewing a polynomial over other variables keeps its terms.
+        return Ideal._derived(variables, tuple(map(extend, self.generators)))
 
     # -- predicates and printing ------------------------------------------
 
@@ -623,3 +636,10 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"<ideal({', '.join(str(g) for g in self.generators)}) over {','.join(self.vars)}>"
+
+
+# The slots' own setters: ``Ideal.__setattr__`` refuses every assignment,
+# and these skip the generic ``object.__setattr__`` lookup.
+_set_vars = Ideal.__dict__["vars"].__set__
+_set_generators = Ideal.__dict__["generators"].__set__
+_set_basis = Ideal.__dict__["_basis"].__set__

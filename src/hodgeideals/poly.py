@@ -108,9 +108,9 @@ class Polynomial:
             c = _coerce_scalar(coeff)
             if c:
                 clean[mono] = c
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lead", None)
+        _set_vars(self, variables)
+        _set_terms(self, clean)
+        _set_lead(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -121,9 +121,9 @@ class Polynomial:
     def _raw(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "Polynomial":
         """Internal fast path: caller guarantees normalized inputs."""
         self = object.__new__(cls)
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_lead", None)
+        _set_vars(self, variables)
+        _set_terms(self, terms)
+        _set_lead(self, None)
         return self
 
     @classmethod
@@ -132,7 +132,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "Polynomial":
-        return cls.constant(variables, 1)
+        return cls.constant(variables, _ONE)
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Polynomial":
@@ -244,6 +244,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {n}")
+        if len(self.terms) == 1:  # (c*x^a)^n is the one term c^n*x^(n*a)
+            ((mono, coeff),) = self.terms.items()
+            return Polynomial._raw(self.vars, {tuple([e * n for e in mono]): coeff ** n})
         result = Polynomial.one(self.vars)
         base = self
         while n:
@@ -330,7 +333,7 @@ class Polynomial:
             raise ValueError("the zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
         lt = (m, self.terms[m])
-        object.__setattr__(self, "_lead", (order, lt))
+        _set_lead(self, (order, lt))
         return lt
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
@@ -381,6 +384,15 @@ class Polynomial:
             else:
                 pieces.append(text if num > 0 else f"-{text}")
         return "".join(pieces)
+
+
+# The slots' own setters: ``Polynomial.__setattr__`` refuses every
+# assignment, and these skip the generic ``object.__setattr__`` lookup.
+_set_vars = Polynomial.__dict__["vars"].__set__
+_set_terms = Polynomial.__dict__["terms"].__set__
+_set_lead = Polynomial.__dict__["_lead"].__set__
+#: The coefficient 1, shared by the polynomials built with it.
+_ONE = Fraction(1)
 
 
 def extension(old: tuple[str, ...], new: tuple[str, ...]

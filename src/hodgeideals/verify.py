@@ -285,15 +285,18 @@ def check_certificate_consistency() -> list[Verdict]:
     threshold = Fraction(5, 6)
     grid = [Fraction(1, 2), Fraction(3, 4), Fraction(4, 5), Fraction(5, 6),
             Fraction(9, 10), Fraction(1)]
+    # Each grid point is decided once; the checks below read this table.
+    decided = {(k, alpha): triviality_certificate(records, [alpha], k).status
+               for k, alpha in iproduct((0, 1, 2), grid)}
     for k in (0, 1):
         for alpha in grid:
-            decision = triviality_certificate(records, [alpha], k)
+            status = decided[k, alpha]
             expected = TRIVIAL if k + alpha <= threshold else INCONCLUSIVE
             verdicts.append(Verdict(
                 claim="certificate-cusp-threshold",
                 instance=f"cusp data, k={k}, alpha={format_rational(alpha)}",
-                status=PASS if decision.status == expected else FAIL,
-                detail=f"{decision.status}; boundary at k + alpha = 5/6"))
+                status=PASS if status == expected else FAIL,
+                detail=f"{status}; boundary at k + alpha = 5/6"))
     alph = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     for n, m, k, alpha in iproduct((2, 3, 4), (2, 3), (0, 1, 2), alph):
         trivial = ordinary_triviality(n, m, alpha, k)
@@ -305,16 +308,15 @@ def check_certificate_consistency() -> list[Verdict]:
             status=FAIL if clash else PASS,
             detail="the two criteria never assert triviality and membership together"))
     # Monotonicity of the resolution-data criterion.
-    for k, alpha in iproduct((0, 1, 2), grid):
-        if triviality_certificate(records, [alpha], k).status != TRIVIAL:
+    for (k, alpha), status in decided.items():
+        if status != TRIVIAL:
             continue
         for k2, alpha2 in iproduct(range(k + 1), [a for a in grid if a <= alpha]):
-            again = triviality_certificate(records, [alpha2], k2)
             verdicts.append(Verdict(
                 claim="certificate-monotone",
                 instance=f"cusp data, ({k},{format_rational(alpha)}) -> "
                          f"({k2},{format_rational(alpha2)})",
-                status=PASS if again.status == TRIVIAL else FAIL,
+                status=PASS if decided[k2, alpha2] == TRIVIAL else FAIL,
                 detail="TRIVIAL is downward closed in (k, alpha)"))
     return verdicts
 

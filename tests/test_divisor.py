@@ -280,6 +280,18 @@ def test_a_nodal_curve_decides_squarefreeness_and_coprimality():
     assert not div([{"f": "x*y*z+1", "alpha": "1/2"}], ("x", "y", "z")).nodal
 
 
+def test_a_cylinder_over_its_used_variables_keeps_no_fact_of_the_support():
+    cylinder = div([{"f": "x^2+y^3", "alpha": "9/10"}, {"f": "x", "alpha": "1/2"}],
+                   ("x", "y", "z"))
+    small = cylinder._over(XY)
+    built = QDivisor(XY, tuple((f.extend(XY), alpha) for f, alpha in cylinder.components))
+    assert small.vars == built.vars and small.components == built.components
+    assert small._support is not cylinder._support
+    # z is free in the ambient, so the support has a grading only over x, y.
+    assert cylinder.grading is None and "grading" not in small._support
+    assert small.grading == (3, 2) and cylinder.grading is None
+
+
 def test_divisor_rejects_bad_components():
     one = parse_polynomial("1", XY)
     x = parse_polynomial("x", XY)

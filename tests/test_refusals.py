@@ -231,6 +231,14 @@ CASES = {
     "periodicity-negative-multiplicity": (
         lambda: check_periodicity(cusp(), (-1,), 0), ValueError,
         "integral twist multiplicities must be >= 0"),
+    # Values are written only while they are built.
+    "polynomial-vars-immutable": (
+        lambda: setattr(p("x"), "vars", XYZ), AttributeError, "Polynomial is immutable"),
+    "polynomial-terms-immutable": (
+        lambda: setattr(p("x"), "terms", {}), AttributeError, "Polynomial is immutable"),
+    "ideal-generators-immutable": (
+        lambda: setattr(Ideal.principal(p("x")) * Ideal.unit(XY), "generators", ()),
+        AttributeError, "Ideal is immutable"),
 }
 
 
