@@ -24,6 +24,8 @@ from .poly import (
     MonomialOrder,
     _ONE,
     Polynomial,
+    _codec,
+    _PackedRows,
     extension,
 )
 
@@ -264,6 +266,34 @@ def _has_pure_powers(leads: Iterable[Monomial], n: int) -> bool:
     return [] in used or {u[0] for u in used if len(u) == 1} == set(range(n))
 
 
+def _packed_input(generators, variables: tuple[str, ...], weights: tuple[int, ...],
+                  order: MonomialOrder) -> _PackedRows:
+    """The caller's rows {exponent tuple: nonzero int} checked and packed,
+    empty rows dropped; ``ValueError`` names the first row refused."""
+    n = len(variables)
+    checked, top = [], 0
+    for index, row in enumerate(generators):
+        if not isinstance(row, dict):
+            raise ValueError(f"row {index} is not a term dict: {row!r}")
+        degrees = set()
+        for m, c in row.items():
+            if not (type(m) is tuple and len(m) == n
+                    and all(type(e) is int and e >= 0 for e in m)):
+                raise ValueError(f"row {index} {row!r}: {m!r} is not an exponent tuple of "
+                                 f"{n} non-negative integers")
+            if type(c) is not int or not c:
+                raise ValueError(f"row {index} {row!r}: the coefficient of {m} is not a "
+                                 f"nonzero int")
+            degrees.add(sum(map(mul, m, weights)))
+        if len(degrees) > 1:
+            raise ValueError(f"row {index} ({Polynomial(variables, row)}) is not "
+                             f"weighted-homogeneous for the weights {weights}")
+        if degrees:
+            checked.append(row)
+            top = max(top, *degrees)
+    return _codec(weights, order, top).pack(checked)
+
+
 def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[str],
                  weights: Sequence[int], order: MonomialOrder = GREVLEX
                  ) -> tuple[Polynomial, ...]:
@@ -272,15 +302,25 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     one weighted degree at a time.
 
     Each generator is an integer row over ``variables``: a term dict
-    {exponent tuple: nonzero ``int``}, as ``derivation_step`` builds them
-    (``integer_terms`` turns a polynomial into one).  ``weights`` are
-    positive integers W_i, one per variable, and every generator must be
-    weighted-homogeneous for them (``ValueError`` otherwise).  The ideal
-    must contain a power of the maximal ideal at the origin or be the
-    unit ideal.  When the loop below stops, the leads found must include
-    a pure power of every variable (``ValueError`` otherwise); on an
-    ideal that is not m-primary, and whose rows keep a tail in every
-    degree, the loop does not end.
+    {exponent tuple: nonzero ``int``} (``integer_terms`` turns a
+    polynomial into one), and an empty dict is the zero row.  ``weights``
+    are positive integers W_i, one per variable, and every generator must
+    be weighted-homogeneous for them.  A row or weight that breaks these
+    rules is refused with ``ValueError``, which names the row.
+    ``derivation_step`` hands over rows already packed (``_PackedRows``),
+    built from values the package checked, and they are taken as they
+    are.  The ideal must contain a power of the maximal ideal at the
+    origin or be the unit ideal.  When the loop below stops, the leads
+    found must include a pure power of every variable (``ValueError``
+    otherwise); on an ideal that is not m-primary, and whose rows keep a
+    tail in every degree, the loop does not end.
+
+    The rows are reduced on packed monomials: one ``int`` per monomial
+    (``_Codec``), so a shift by x_i adds one constant, a row's lead is its
+    largest key and the weighted degree is the key's top field.  The
+    fields are as narrow as the degrees allow and are widened, with every
+    kept row re-packed, when a degree crosses them.  Only the output is
+    unpacked.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
@@ -311,54 +351,68 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     leading monomial descending.  A nonempty basis records the weights in
     its ``weights`` attribute: the engine has then found every element
     weighted-homogeneous for them and the ideal m-primary or (1).  It
-    also keeps, in ``rows``, each element's integer row p*pivot + tail:
-    with content 1 and p > 0, that is what ``integer_terms`` makes of
-    the element, so a caller that wants integer rows reads them there.
+    keeps each element's integer row p*pivot + tail packed (``packed``),
+    which the next derivation step reads as it is; ``rows`` unpacks them
+    into term dicts, and with content 1 and p > 0 each is what
+    ``integer_terms`` makes of its element.
     """
     variables = tuple(variables)
     weights = tuple(weights)
     n = len(variables)
-    if len(weights) != n or any(not isinstance(w, int) or w <= 0 for w in weights):
+    if len(weights) != n or any(type(w) is not int or w <= 0 for w in weights):
         raise ValueError(f"want one positive integer weight per variable, got {weights}")
-    gens: dict[int, list[dict[Monomial, int]]] = {}
+    if not isinstance(generators, _PackedRows):
+        generators = _packed_input(generators, variables, weights, order)
+    codec = generators.codec
+    top = codec.top
+    gens: dict[int, list[dict[int, int]]] = {}
     for v in generators:
-        if not v:
-            continue
-        degrees = {sum(map(mul, m, weights)) for m in v}
-        if len(degrees) != 1:
-            raise ValueError(f"{Polynomial(variables, v)} is not weighted-homogeneous "
-                             f"for the weights {weights}")
-        d = degrees.pop()
-        if d == 0:  # a nonzero constant
-            return _GradedBasis((Polynomial.one(variables),), weights, ({(0,) * n: 1},))
-        gens.setdefault(d, []).append(v)
+        if v:
+            d = next(iter(v)) >> top
+            if d == 0:  # a nonzero constant
+                return _GradedBasis((Polynomial.one(variables),), weights,
+                                    _PackedRows(codec, ({next(iter(v)): 1},)))
+            gens.setdefault(d, []).append(v)
     if not gens:
         return ()
-    key = order.key
     one = Fraction(1)
     gcd = math.gcd
-    top, last = max(weights), max(gens)
-    # degree -> {pivot: (p, tail)}; the last `top` degrees.
-    window: dict[int, dict[Monomial, tuple[int, dict[Monomial, int]]]] = {}
-    found: list[tuple] = []
+    # A row x^m of its own; its tail is never written, so one is shared.
+    monomial_row = (1, {})
+    wmax, last = max(weights), max(gens)
+    # degree -> {pivot: (p, tail)}; the last `wmax` degrees.
+    window: dict[int, dict[int, tuple[int, dict[int, int]]]] = {}
+    found: list[tuple[int, int, dict[int, int]]] = []  # (pivot, p, tail)
     d, quiet = min(gens), 0
-    while d <= last or quiet < top:
-        rows: dict[Monomial, tuple[int, dict[Monomial, int]]] = {}
+    while d <= last or quiet < wmax:
+        if d >= codec.limit:
+            # Re-pack every row still read on fields wide enough for d.
+            old, codec = codec, _codec(weights, order, d)
+            key = codec.recode(old)
+
+            def move(row):
+                return {key(t): a for t, a in row.items()}
+
+            window = {e: {key(m): (p, move(tail)) for m, (p, tail) in rows.items()}
+                      for e, rows in window.items()}
+            gens = {e: [move(v) for v in vs] for e, vs in gens.items() if e >= d}
+            found = [(key(m), p, move(tail)) for m, p, tail in found]
+        rows: dict[int, tuple[int, dict[int, int]]] = {}
         pending = []
         shifted = set()  # the leads x_i*m' of the shifted rows
         for v in gens.get(d, ()):
             if len(v) == 1:
-                rows[next(iter(v))] = (1, {})
+                rows[next(iter(v))] = monomial_row
             else:
                 pending.append(dict(v))
-        for i, w in enumerate(weights):
+        for w, s in zip(weights, codec.steps):
             for m, (p, tail) in window.get(d - w, {}).items():
-                lead = m[:i] + (m[i] + 1,) + m[i + 1:]
+                lead = m + s
                 shifted.add(lead)
                 if not tail:
-                    rows[lead] = (1, {})
+                    rows[lead] = monomial_row
                 else:
-                    v = {t[:i] + (t[i] + 1,) + t[i + 1:]: a for t, a in tail.items()}
+                    v = {t + s: a for t, a in tail.items()}
                     v[lead] = p
                     pending.append(v)
         for v in pending:
@@ -379,7 +433,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
                         del v[t]
             if not v:
                 continue
-            lead = max(v, key=key)
+            lead = max(v)
             p = v.pop(lead)
             g = gcd(p, *v.values())
             if p < 0:
@@ -410,32 +464,45 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
         quiet = 0 if pending and any(tail for _, tail in rows.values()) else quiet + 1
         for m, (p, tail) in rows.items():
             if m not in shifted:
-                terms = {m: one}
-                for t, a in tail.items():
-                    terms[t] = Fraction(a, p)
-                found.append((key(m), m, Polynomial._raw(variables, terms), {m: p, **tail}))
+                found.append((m, p, tail))
         window[d] = rows
-        window.pop(d - top, None)
+        window.pop(d - wmax, None)
         d += 1
+    # Below the top field keys compare as ``order`` does in every degree.
+    low = codec.low
+    found.sort(key=lambda f: f[0] & low, reverse=True)
+    decode = codec.decode
+    leads = [decode(m) for m, _, _ in found]
     # Weighted-homogeneous and not (1): m-primary iff some lead is a pure
     # power x_i^e of each variable.
-    if not _has_pure_powers((m for _, m, _, _ in found), n):
+    if not _has_pure_powers(leads, n):
         raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
-                         f"{[Polynomial._raw(variables, {m: one}) for _, m, _, _ in found]}")
-    found.sort(key=lambda t: t[0], reverse=True)
-    return _GradedBasis((f[2] for f in found), weights, tuple(f[3] for f in found))
+                         f"{[Polynomial._raw(variables, {m: one}) for m in leads]}")
+    basis, packed = [], _PackedRows(codec)
+    for lead, (m, p, tail) in zip(leads, found):
+        terms = {lead: one}
+        for t, a in tail.items():
+            terms[decode(t)] = Fraction(a, p)
+        basis.append(Polynomial._raw(variables, terms))
+        packed.append({m: p, **tail})
+    return _GradedBasis(basis, weights, packed)
 
 
 class _GradedBasis(tuple):
     """A basis returned by ``graded_basis``, with the weights it is
-    weighted-homogeneous for and each element's integer row; it compares
-    and hashes as a plain tuple."""
+    weighted-homogeneous for and each element's integer row, packed
+    (``packed``, a ``_PackedRows``) and unpacked on demand (``rows``); it
+    compares and hashes as a plain tuple."""
 
-    def __new__(cls, basis, weights: tuple[int, ...], rows: tuple):
+    def __new__(cls, basis, weights: tuple[int, ...], packed: _PackedRows):
         self = super().__new__(cls, basis)
         self.weights = weights
-        self.rows = rows
+        self.packed = packed
         return self
+
+    @property
+    def rows(self) -> tuple[dict[Monomial, int], ...]:
+        return tuple(self.packed.decoded())
 
 
 class Ideal:

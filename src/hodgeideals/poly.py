@@ -2,7 +2,8 @@
 
 Coefficients are arbitrary-precision rationals (``fractions.Fraction``);
 monomials are dense exponent tuples whose length equals the ambient
-variable count.  No floating point is used anywhere in the package.
+variable count, and the graded engine packs them into one ``int`` each
+(``_Codec``).  No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, itemgetter, mul, neg
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 #: Dense exponent vector; length equals the ambient variable count.
 Monomial = tuple[int, ...]
@@ -462,6 +463,103 @@ def integer_terms(polys: Sequence[Polynomial]) -> tuple[int, list[dict[Monomial,
     scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
     return scale, [{m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
                    for p in polys]
+
+
+class _Codec:
+    """Monomials over n variables packed into one ``int`` each, for the
+    graded engine: one monomial order, integer weights W_j and fields of
+    ``width`` bits.
+
+    A key has n + 2 fields.  The weighted degree sum_j W_j*m_j is the top
+    field, from bit ``top`` up.  Below it sit the total degree and one
+    digit per exponent, laid out so that the part below the top field
+    compares as ``order.key`` does: for grevlex the total degree above
+    the digits 2^b - 1 - m_j, m_(n-1) highest; for grlex the total degree
+    above the digits m_j, m_0 highest; for lex the digits m_j, m_0
+    highest, above the total degree.  While the total degree is below
+    2^b every field holds its value, and then:
+
+    - K(m) = base + sum_j m_j*step_j, so K(a*b) = K(a) + K(b) - base and
+      K(x_j*m) = K(m) + step_j;
+    - within one weighted degree keys compare as their monomials do in
+      ``order``, so a homogeneous row's lead is ``max(row)``; the parts
+      below the top field (``key & low``) compare so in every degree;
+    - ``key >> top`` is the weighted degree.
+
+    A monomial of weighted degree d has total degree at most d // min W,
+    so every degree below ``limit`` fits.  ``encode`` refuses a monomial
+    that does not fit rather than carry into the next field; the engine
+    keeps the monomials it forms below ``limit``, widening the fields as
+    degrees grow (``_codec``).
+    """
+
+    __slots__ = ("weights", "order", "width", "mask", "top", "low", "limit", "places", "base",
+                 "steps")
+
+    def __init__(self, weights: tuple[int, ...], order: MonomialOrder, width: int):
+        n = len(weights)
+        mask = (1 << width) - 1
+        # (bit position, xor) per exponent: a digit is m_j ^ xor, and
+        # m_j ^ mask = 2^b - 1 - m_j.
+        if order is GREVLEX:
+            places, degree_at = tuple((width * j, mask) for j in range(n)), width * n
+        elif order is GRLEX:
+            places, degree_at = tuple((width * (n - 1 - j), 0) for j in range(n)), width * n
+        else:  # lex
+            places, degree_at = tuple((width * (n - j), 0) for j in range(n)), 0
+        self.weights, self.order, self.width, self.mask = weights, order, width, mask
+        self.top = top = width * (n + 1)
+        self.low = (1 << top) - 1
+        self.limit = min(weights) << width
+        self.places = places
+        self.base = sum(flip << at for at, flip in places)
+        self.steps = tuple((w << top) + (1 << degree_at) + (-(1 << at) if flip else 1 << at)
+                           for w, (at, flip) in zip(weights, places))
+
+    def encode(self, m: Monomial) -> int:
+        if sum(m) >> self.width:
+            raise OverflowError(f"{m} does not fit in {self.width}-bit fields")
+        return self.base + sum(map(mul, m, self.steps))
+
+    def decode(self, key: int) -> Monomial:
+        mask = self.mask
+        return tuple([key >> at & mask ^ flip for at, flip in self.places])
+
+    def pack(self, rows: Iterable[dict[Monomial, int]]) -> "_PackedRows":
+        """Term dicts {exponent tuple: int} as rows on this codec's keys."""
+        encode = self.encode
+        return _PackedRows(self, ({encode(m): c for m, c in row.items()} for row in rows))
+
+    def recode(self, source: "_Codec"):
+        """The map from a key of ``source`` to the key of the same monomial
+        here.  It is used to widen fields, and wider fields hold whatever
+        narrower ones held."""
+        decode, base, steps = source.decode, self.base, self.steps
+        return lambda key: base + sum(map(mul, decode(key), steps))
+
+
+def _codec(weights: tuple[int, ...], order: MonomialOrder, degree: int) -> _Codec:
+    """The codec of the narrowest width that holds every monomial of
+    weighted degree up to ``degree``."""
+    return _Codec(weights, order, max(1, (degree // min(weights)).bit_length()))
+
+
+class _PackedRows(list):
+    """Integer rows {key: int} on the keys of ``codec``.  ``graded_basis``
+    takes such a list on trust: its rows are weighted-homogeneous for the
+    codec's weights and fit its fields, because the package built them
+    from values it had checked."""
+
+    __slots__ = ("codec",)
+
+    def __init__(self, codec: _Codec, rows=()):
+        super().__init__(rows)
+        self.codec = codec
+
+    def decoded(self) -> list[dict[Monomial, int]]:
+        """The rows as term dicts {exponent tuple: int}."""
+        decode = self.codec.decode
+        return [{decode(t): c for t, c in row.items()} for row in self]
 
 
 def format_rational(value: Fraction) -> str:

@@ -11,15 +11,16 @@ accounting is explicit and never promotes a lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, Provenance, QDivisor
 from .ideal import Ideal, graded_basis, groebner_basis
-from .poly import InputError, Monomial, Polynomial, integer_terms
+from .poly import (GREVLEX, InputError, Monomial, Polynomial, _Codec, _codec, _PackedRows,
+                   integer_terms)
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
                        "user-asserted")
@@ -88,19 +89,6 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _mul_into(out: dict[Monomial, int], a: dict[Monomial, int],
-              b: dict[Monomial, int]) -> None:
-    """out += a*b, on integer term dicts."""
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            c = out.get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-
-
 @dataclass(frozen=True, eq=False)
 class StepData:
     """The k-independent integer data of the derivation steps of a divisor
@@ -114,6 +102,11 @@ class StepData:
     So with lambda = c_g*c_h > 0, gh = lambda*g and
     log_rows(k)[l] = -lambda*h_l for every l and k, where
     h_l = sum_i (k + alpha_i)*P_(i,l); only the scalars change with k.
+
+    These are term dicts {exponent tuple: int}.  ``packed(codec)`` gives
+    the same data on a codec's packed monomials, ready for the products
+    of ``_step_rows``; it is packed once per codec, and a chain keeps one
+    codec until its degrees outgrow it.
     """
 
     g_terms: dict[Monomial, int]
@@ -121,6 +114,7 @@ class StepData:
     den: int
     shifts: tuple[int, ...]
     rows: tuple[tuple[dict[Monomial, int], ...], ...]
+    _packed: list = field(default_factory=lambda: [None, None], repr=False)
 
     @classmethod
     def of(cls, divisor: QDivisor) -> "StepData":
@@ -139,31 +133,56 @@ class StepData:
                                 for alpha in divisor.alphas),
                    rows=tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(factors))))
 
-    def log_rows(self, k: int) -> list[dict[Monomial, int]]:
-        """-c_g*H_l(k) for each variable index l, as integer term dicts."""
+    def log_rows(self, k: int, rows=None) -> list[dict]:
+        """-c_g*H_l(k) for each variable index l, as integer rows: the
+        combinations of ``rows``, which are this data's term dicts unless
+        their packed form (``packed``) is given."""
         scalars = [k * self.den + a for a in self.shifts]
+        rows = self.rows if rows is None else rows
         out = []
-        for ell in range(len(self.rows[0])):
-            h: dict[Monomial, int] = {}
-            for s, rows in zip(scalars, self.rows):
-                for m, c in rows[ell].items():
+        for ell in range(len(rows[0])):
+            h: dict = {}
+            for s, rows_i in zip(scalars, rows):
+                for m, c in rows_i[ell].items():
                     h[m] = h.get(m, 0) + s * c
             out.append({m: c for m, c in h.items() if c})
         return out
 
+    def packed(self, codec: _Codec):
+        """(G, gh shifted down by each x_l, the rows) on ``codec``'s keys,
+        each key less the codec's ``base``: a packed monomial plus such a
+        key is the key of their product, and gh's l-th copy multiplies
+        d_l(w) term by term from the keys of w."""
+        kept, spec = self._packed, (codec.weights, codec.order, codec.width)
+        if kept[0] != spec:
+            encode, base = codec.encode, codec.base
+
+            def pack(row, offset=0):
+                return {encode(m) - base - offset: c for m, c in row.items()}
+
+            kept[:] = spec, (pack(self.g_terms), [pack(self.gh, s) for s in codec.steps],
+                              [[pack(row) for row in rows] for rows in self.rows])
+        return kept[1]
+
 
 def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
                grading: Optional[tuple[int, ...]] = None):
-    """The generators of step k as integer rows: a positive integer
-    multiple of each, which spans the same ideal.
+    """The generators of step k as packed integer rows (``_PackedRows``):
+    a positive integer multiple of each, which spans the same ideal, as
+    the pair (the g*w rows, the derivative rows).
 
     The divisor's ``StepData`` holds G = c_g*g, gh = lambda*g and the
     rows whose combinations ``log_rows(k)`` are -lambda*h_l, lambda > 0,
     all with integer coefficients.  With each w = W/c_w, W integral, the
     rows are G*W = c_g*c_w * g*w, then gh*d_l(W) + W*log_rows(k)[l] =
     lambda*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
-    of ``int``s.  W is read off ``basis.rows`` when ``graded_basis``
-    returned the basis, and built by ``integer_terms`` otherwise.
+    of ``int``s, on packed monomials: a product's key is a sum of keys,
+    and d_l(W) reads each exponent of x_l from its key.  W is read packed
+    off ``basis.packed`` when ``graded_basis`` returned the basis for
+    these weights, and built by ``integer_terms`` and packed otherwise.
+    The basis's own fields are kept while they hold the step's largest
+    product, g*w; new fields are picked to hold twice its degree.  The
+    weights are the ``grading``, or the basis's own or all 1 without one.
 
     With a ``grading`` u_l for which g and every w are weighted-homogeneous
     (the graded path), deg taken for it, the Euler identity
@@ -177,27 +196,67 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     den*deg w = sum_i (k*den + shift_i)*deg f_i.
     """
     data = divisor.step_data
-    big_g, gh = data.g_terms, data.gh
-    rows = getattr(basis, "rows", None)
-    if rows is None:
-        rows = [integer_terms((w,))[1][0] for w in basis]
+    rows = getattr(basis, "packed", None)
+    if rows is not None and grading in (None, rows.codec.weights):
+        codec = rows.codec
+        # A graded basis's rows are weighted-homogeneous: any key gives the degree.
+        degree = max(next(iter(row)) >> codec.top for row in rows)
+        weights = codec.weights
+    else:
+        rows = None
+        weights = grading or (1,) * len(divisor.vars)
+        terms = [integer_terms((w,))[1][0] for w in basis]
+        degree = max((sum(map(mul, m, weights)) for row in terms for m in row), default=0)
+    degree += max(sum(map(mul, m, weights)) for m in data.g_terms)
+    if rows is None or degree >= codec.limit:
+        # A chain's degrees grow by about deg g a step, and each widening
+        # re-packs the basis and the divisor's data: fields that hold twice
+        # the step's degree last until the degree has doubled.
+        codec = _codec(weights, GREVLEX, 2 * degree)
+        if rows is None:
+            rows = codec.pack(terms)
+        else:
+            key = codec.recode(rows.codec)
+            rows = [{key(t): c for t, c in row.items()} for row in rows]
+    big_g, gh, p_rows = data.packed(codec)
+    hg = data.log_rows(k, p_rows)
+    top, mask, places = codec.top, codec.mask, codec.places
     if grading is not None:
         resonant = sum((k * data.den + shift) * f.weighted_degree(grading)
                        for shift, f in zip(data.shifts, divisor.factors))
-    hg = data.log_rows(k)
-    known, derived = [], []
+    known, derived = _PackedRows(codec), _PackedRows(codec)
     for big_w in rows:
-        if grading is None or \
-                data.den * sum(map(mul, next(iter(big_w)), grading)) == resonant:
-            row: dict[Monomial, int] = {}
-            _mul_into(row, big_g, big_w)
+        if grading is None or data.den * (next(iter(big_w)) >> top) == resonant:
+            row: dict[int, int] = {}
+            for m1, c1 in big_w.items():
+                for m2, c2 in big_g.items():
+                    m = m1 + m2
+                    c = row.get(m, 0) + c1 * c2
+                    if c:
+                        row[m] = c
+                    else:
+                        del row[m]
             known.append(row)
-        for ell, hl in enumerate(hg):
-            dw = {m[:ell] + (m[ell] - 1,) + m[ell + 1:]: c * m[ell]
-                  for m, c in big_w.items() if m[ell]}
+        for (at, flip), ghl, hl in zip(places, gh, hg):
             row = {}
-            _mul_into(row, gh, dw)
-            _mul_into(row, big_w, hl)
+            for m1, c1 in big_w.items():
+                e = m1 >> at & mask ^ flip
+                if e:
+                    c1e = c1 * e
+                    for m2, c2 in ghl.items():
+                        m = m1 + m2
+                        c = row.get(m, 0) + c1e * c2
+                        if c:
+                            row[m] = c
+                        else:
+                            del row[m]
+                for m2, c2 in hl.items():
+                    m = m1 + m2
+                    c = row.get(m, 0) + c1 * c2
+                    if c:
+                        row[m] = c
+                    else:
+                        del row[m]
             derived.append(row)
     return known, derived
 
@@ -216,23 +275,23 @@ g * prod_i f_i^(k + alpha_i).
     The result is always contained in I_(k+1)(B) and equals it when the
     filtration is generated at level <= k.
 
-    The generators are built once, as integer rows (``_step_rows``), from
-    the divisor's ``StepData``: G, c_h*G and the rows of every h_l are
-    built on the divisor's first step and kept, so a step only scales by
-    k + alpha_i.  When g is weighted-homogeneous with an isolated
-    singularity (``QDivisor.grading``, decided once per divisor)
-    and the input is weighted-homogeneous and m-primary or (1), so is the
-    result, and ``graded_basis`` row-reduces those rows in integers to its
-    reduced basis.  There the rows g*w that the Euler identity already
-    places in the span of the derivative rows are left out, which leaves
-    the spanned ideal as it is.  That basis records its weights and its
-    integer rows, so the later steps of the chain are graded without
-    checking their input again (``_grading``) and without rebuilding
-    the rows.
+    The generators are built once, as packed integer rows
+    (``_step_rows``), from the divisor's ``StepData``: G, c_h*G and the
+    rows of every h_l are built on the divisor's first step and kept, so
+    a step only scales by k + alpha_i.  When g is weighted-homogeneous
+    with an isolated singularity (``QDivisor.grading``, decided once per
+    divisor) and the input is weighted-homogeneous and m-primary or (1),
+    so is the result, and ``graded_basis`` row-reduces those rows in
+    integers to its reduced basis.  There the rows g*w that the Euler
+    identity already places in the span of the derivative rows are left
+    out, which leaves the spanned ideal as it is.  That basis records its
+    weights and keeps its integer rows packed, so the later steps of the
+    chain are graded without checking their input again (``_grading``)
+    and without packing it again.
     Every other step goes to Buchberger (``groebner_basis``) with g*G as
-    its known Groebner basis, on the same rows as ``Fraction`` polynomials:
-    positive multiples of g*w and g*d_l(w) - w*h_l, which it makes monic.
-    Both give the same reduced basis.
+    its known Groebner basis, on the same rows unpacked into ``Fraction``
+    polynomials: positive multiples of g*w and g*d_l(w) - w*h_l, which it
+    makes monic.  Both give the same reduced basis.
     """
     if not divisor.is_reduced_regime():
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
@@ -247,9 +306,12 @@ g * prod_i f_i^(k + alpha_i).
     grading = _grading(ideal, divisor)
     known, derived = _step_rows(ideal.groebner(), divisor, k, grading)
     if grading is not None:
-        basis = graded_basis(known + derived, variables, grading)
+        known.extend(derived)
+        basis = graded_basis(known, variables, grading)
     else:
-        known, derived = ([Polynomial._raw(variables, {m: Fraction(a) for m, a in row.items()})
+        decode = known.codec.decode
+        known, derived = ([Polynomial._raw(variables, {decode(t): Fraction(a)
+                                                       for t, a in row.items()})
                            for row in rows] for rows in (known, derived))
         basis = groebner_basis(derived, known=known)
     return Ideal.from_basis(variables, basis)

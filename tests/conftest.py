@@ -1,8 +1,17 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the Hypothesis profile of CI runs."""
 
+import os
 import sys
 
 import pytest
+from hypothesis import settings
+
+# On CI (``CI`` set), a failing property prints the blob that replays it
+# locally (``@reproduce_failure``), and no example fails on a slow runner's
+# time.  The examples and their number are the default profile's.
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def _record_calls(monkeypatch, real, record):
@@ -40,13 +49,21 @@ def graded_calls(monkeypatch):
                          lambda *args, **kwargs: 1)
 
 
+def _term_dicts(rows):
+    """Integer rows as term dicts {exponent tuple: int}: packed rows (a
+    ``derivation_step``'s) unpacked through their codec, others as given."""
+    decoded = getattr(rows, "decoded", None)
+    return tuple(rows if decoded is None else decoded())
+
+
 @pytest.fixture
 def graded_inputs(monkeypatch):
     """A list that gets the generator rows of every ``graded_basis`` call,
-    as a tuple, recorded in every package module that holds it."""
+    as a tuple of term dicts, recorded in every package module that holds
+    it."""
     import hodgeideals.ideal
     return _record_calls(monkeypatch, hodgeideals.ideal.graded_basis,
-                         lambda generators, variables, weights: tuple(generators))
+                         lambda generators, variables, weights: _term_dicts(generators))
 
 
 @pytest.fixture

@@ -386,6 +386,17 @@ def test_graded_basis_in_lex_and_grlex_is_groebner_basis(order, case):
     assert graded_basis(kept.rows, variables, weights, order) == graded
 
 
+def test_graded_basis_widens_its_fields_when_a_degree_crosses_them():
+    # The generators have weighted degree at most 6 for (3, 2), so total
+    # degree at most 3: 2-bit fields.  x^3 and the rows that cancel
+    # against it lie in degree 9, where the fields must widen to 3 bits.
+    gens = [p("x^2 + y^3"), p("x y")]
+    graded = graded_basis(rows(gens), XY, (3, 2))
+    assert graded == groebner_basis(gens)
+    assert graded.packed.codec.width == 3
+    assert graded.rows == tuple(integer_terms((w,))[1][0] for w in graded)
+
+
 @pytest.mark.parametrize("gens,weights", [
     (["x^2 y", "x y^2", "y^3"], (3, 2)),  # no power of x; every row a monomial
     (["x^2 - x y", "x y"], (1, 1)),        # tails that vanish, leads x^2 and x y

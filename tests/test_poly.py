@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hodgeideals import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial
 from hodgeideals.parser import parse_polynomial
-from hodgeideals.poly import AmbientMismatchError
+from hodgeideals.poly import AmbientMismatchError, _Codec
 
 from oracles import polynomial_text, product_terms
 
@@ -302,3 +302,75 @@ def test_extend_refuses_to_drop_a_used_variable(f, index):
             f.extend(rest)
     else:
         assert f.extend(rest).extend(XYZ) == f
+
+
+# -- the packed monomials of the graded engine --------------------------------------------
+
+ORDERS = [GREVLEX, LEX, GRLEX]
+
+
+@st.composite
+def codec_monomials(draw, count):
+    """(codec, monomials): a codec of 1-4 variables with weights 1-5 and a
+    field width of 1-8 bits, and ``count`` monomials whose total degrees
+    sum to less than 2^width, so that their product fits too."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.tuples(*[st.integers(1, 5)] * n))
+    width = draw(st.integers(1, 8))
+    budget = (1 << width) - 1
+    monomials = []
+    for _ in range(count):
+        m = tuple(draw(st.lists(st.integers(0, budget), min_size=n, max_size=n)))
+        while sum(m) > budget:
+            m = tuple(e // 2 for e in m)
+        budget -= sum(m)
+        monomials.append(m)
+    order = draw(st.sampled_from(ORDERS))
+    return _Codec(weights, order, width), monomials
+
+
+@given(codec_monomials(2))
+def test_packed_monomials_are_additive_and_decode_back(case):
+    codec, (a, b) = case
+    ka, kb = codec.encode(a), codec.encode(b)
+    assert codec.decode(ka) == a and codec.decode(kb) == b
+    product = tuple(x + y for x, y in zip(a, b))
+    assert ka + kb - codec.base == codec.encode(product)
+    # The weighted degree is the top field.
+    assert ka >> codec.top == sum(e * w for e, w in zip(a, codec.weights))
+    # Wider fields take every key over as the key of the same monomial.
+    wider = _Codec(codec.weights, codec.order, codec.width + 3)
+    assert wider.recode(codec)(ka) == wider.encode(a)
+    for i, step in enumerate(codec.steps):
+        if sum(a) + 1 < 1 << codec.width:
+            shifted = a[:i] + (a[i] + 1,) + a[i + 1:]
+            assert ka + step == codec.encode(shifted)
+
+
+@given(codec_monomials(2))
+def test_packed_monomials_compare_as_the_order_within_a_weighted_degree(case):
+    codec, (a, b) = case
+    key = codec.order.key
+    ka, kb = codec.encode(a), codec.encode(b)
+    # The fields below the weighted degree compare as the order in every degree.
+    assert ((ka & codec.low) < (kb & codec.low)) == (key(a) < key(b))
+    if ka >> codec.top == kb >> codec.top:
+        assert (ka < kb) == (key(a) < key(b))
+        assert (ka == kb) == (a == b)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda order: order.name)
+@given(n=st.integers(1, 4), width=st.integers(1, 8), data=st.data())
+def test_a_monomial_too_wide_for_its_fields_is_refused(order, n, width, data):
+    codec = _Codec((1,) * n, order, width)
+    widest = (1 << width) - 1
+    i = data.draw(st.integers(0, n - 1))
+    # The largest exponent that fits decodes back; one more would carry into
+    # the next field, and is refused instead.
+    m = tuple(widest * (j == i) for j in range(n))
+    assert codec.decode(codec.encode(m)) == m
+    extra = data.draw(st.integers(1, 3))
+    for wide in (tuple(e + extra * (j == i) for j, e in enumerate(m)),
+                 tuple(e + extra * (j == (i + 1) % n) for j, e in enumerate(m))):
+        with pytest.raises(OverflowError, match=f"does not fit in {width}-bit fields"):
+            codec.encode(wide)

@@ -395,6 +395,35 @@ def test_a_chain_checks_its_input_only_until_a_step_is_graded(monkeypatch, grade
     assert len(checks) == 1 and checks[0].equals(ideal("x", "y"))
 
 
+def test_only_the_first_graded_step_packs_its_input(monkeypatch, graded_calls):
+    # The seed (x, y) is packed from term dicts; every later step reads the
+    # packed rows of the basis the step before returned, re-packing them
+    # from their keys only when the chain's degrees outgrow the fields.
+    import hodgeideals.recursion
+    from hodgeideals.poly import _Codec
+    r = classify(cusp("9/10"))
+    real_step, real_pack = hodgeideals.recursion.derivation_step, _Codec.pack
+    steps, packs, widths = [], [], []
+
+    def counted_pack(self, rows):
+        packs.append(steps[-1])
+        return real_pack(self, rows)
+
+    def recorded(ideal, divisor, k):
+        steps.append(k)
+        out = real_step(ideal, divisor, k)
+        widths.append(out.groebner().packed.codec.width)
+        return out
+
+    monkeypatch.setattr(_Codec, "pack", counted_pack)
+    monkeypatch.setattr(hodgeideals.recursion, "derivation_step", recorded)
+    hodge_chain(r, 8, i0_seed(r), certificate_for(r))
+    assert steps == list(range(8)) and len(graded_calls) == 8
+    assert packs == [0]
+    # The fields widened along the way, without packing anything again.
+    assert widths == sorted(widths) and widths[0] < widths[-1]
+
+
 # -- seeds -------------------------------------------------------------------------
 
 def test_seed_snc_twist():

@@ -219,6 +219,34 @@ CASES = {
     "graded-basis-not-m-primary": (
         lambda: graded_basis([{(1, 0): 1}], XY, (1, 1)), ValueError,
         "the ideal is not m-primary: its reduced basis has leads"),
+    # graded_basis checks the term dicts a caller hands it, and names the row.
+    "graded-basis-zero-coefficient": (
+        lambda: graded_basis([{(0, 1): 1}, {(2, 0): 0}], XY, (1, 1)), ValueError,
+        "row 1 {(2, 0): 0}: the coefficient of (2, 0) is not a nonzero int"),
+    "graded-basis-all-zero-row": (
+        lambda: graded_basis([{(1, 0): 0, (0, 1): 0}], XY, (1, 1)), ValueError,
+        "row 0 {(1, 0): 0, (0, 1): 0}: the coefficient of (1, 0) is not a nonzero int"),
+    "graded-basis-fraction-coefficient": (
+        lambda: graded_basis([{(1, 0): F(1, 2)}], XY, (1, 1)), ValueError,
+        "row 0 {(1, 0): Fraction(1, 2)}: the coefficient of (1, 0) is not a nonzero int"),
+    "graded-basis-short-exponent": (
+        lambda: graded_basis([{(1,): 1}], XY, (1, 1)), ValueError,
+        "row 0 {(1,): 1}: (1,) is not an exponent tuple of 2 non-negative integers"),
+    "graded-basis-long-exponent": (
+        lambda: graded_basis([{(1, 0, 0): 1}], XY, (1, 1)), ValueError,
+        "row 0 {(1, 0, 0): 1}: (1, 0, 0) is not an exponent tuple of 2 non-negative integers"),
+    "graded-basis-negative-exponent": (
+        lambda: graded_basis([{(1, -1): 1}], XY, (1, 1)), ValueError,
+        "row 0 {(1, -1): 1}: (1, -1) is not an exponent tuple of 2 non-negative integers"),
+    "graded-basis-row-not-a-dict": (
+        lambda: graded_basis([[((1, 0), 1)]], XY, (1, 1)), ValueError,
+        "row 0 is not a term dict: [((1, 0), 1)]"),
+    "graded-basis-not-homogeneous": (
+        lambda: graded_basis([{(2, 0): 1}, {(2, 0): 1, (0, 1): 1}], XY, (3, 2)), ValueError,
+        "row 1 (x^2 + y) is not weighted-homogeneous for the weights (3, 2)"),
+    "graded-basis-bool-weight": (
+        lambda: graded_basis([{(1, 0): 1}], XY, (True, 1)), ValueError,
+        "want one positive integer weight per variable, got (True, 1)"),
     "contains-ideal-across-ambients": (
         lambda: Ideal.unit(XY).contains_ideal(Ideal.unit(XYZ)), AmbientMismatchError,
         "ideals over ('x', 'y') vs ('x', 'y', 'z')"),
