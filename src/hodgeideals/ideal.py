@@ -317,10 +317,10 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
 
     The rows are reduced on packed monomials: one ``int`` per monomial
     (``_Codec``), so a shift by x_i adds one constant, a row's lead is its
-    largest key and the weighted degree is the key's top field.  The
-    fields are as narrow as the degrees allow and are widened, with every
-    kept row re-packed, when a degree crosses them.  Only the output is
-    unpacked.
+    largest key and the weighted degree is the key's top field.  A
+    caller's rows are packed on the narrowest fields that hold them, and
+    the fields are widened, with every row still in use re-packed, when a
+    degree of the loop crosses them.  Only the output is unpacked.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending

@@ -388,8 +388,8 @@ def test_graded_basis_in_lex_and_grlex_is_groebner_basis(order, case):
 
 def test_graded_basis_widens_its_fields_when_a_degree_crosses_them():
     # The generators have weighted degree at most 6 for (3, 2), so total
-    # degree at most 3: 2-bit fields.  x^3 and the rows that cancel
-    # against it lie in degree 9, where the fields must widen to 3 bits.
+    # degree at most 3: 2-bit fields.  The loop goes on to x^3 in degree 9,
+    # and from degree 8 on (y^4) the fields must widen to 3 bits.
     gens = [p("x^2 + y^3"), p("x y")]
     graded = graded_basis(rows(gens), XY, (3, 2))
     assert graded == groebner_basis(gens)
