@@ -24,6 +24,8 @@ from .poly import (
     MonomialOrder,
     _ONE,
     Polynomial,
+    _checked_variables,
+    _Codec,
     _codec,
     _PackedRows,
     extension,
@@ -306,21 +308,26 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     polynomial into one), and an empty dict is the zero row.  ``weights``
     are positive integers W_i, one per variable, and every generator must
     be weighted-homogeneous for them.  A row or weight that breaks these
-    rules is refused with ``ValueError``, which names the row.
-    ``derivation_step`` hands over rows already packed (``_PackedRows``),
-    built from values the package checked, and they are taken as they
-    are.  The ideal must contain a power of the maximal ideal at the
-    origin or be the unit ideal.  When the loop below stops, the leads
-    found must include a pure power of every variable (``ValueError``
-    otherwise); on an ideal that is not m-primary, and whose rows keep a
-    tail in every degree, the loop does not end.
+    rules is refused with ``ValueError``, which names the row, and so
+    are variables that ``Polynomial`` refuses and an order other than
+    grevlex, lex and grlex.  ``derivation_step`` and a print hand over
+    rows already packed (``_PackedRows``) for ``order``, built from
+    values the package checked, and they are taken as they are.  The
+    ideal must contain a power of the maximal ideal at the origin or be
+    the unit ideal.  When the loop below stops, the leads found must
+    include a pure power of every variable (``ValueError`` otherwise); on
+    an ideal that is not m-primary, and whose rows keep a tail in every
+    degree, the loop does not end.
 
     The rows are reduced on packed monomials: one ``int`` per monomial
     (``_Codec``), so a shift by x_i adds one constant, a row's lead is its
     largest key and the weighted degree is the key's top field.  A
-    caller's rows are packed on the narrowest fields that hold them, and
-    the fields are widened, with every row still in use re-packed, when a
-    degree of the loop crosses them.  Only the output is unpacked.
+    caller's rows are packed on the fields ``_codec`` picks for their top
+    degree.  When a degree of the loop reaches the fields' ``limit``, the
+    loop starts over on its input, re-packed on the fields ``_codec``
+    picks for that degree; within one degree keys compare as ``order``
+    does on any width, so the new pass repeats the same arithmetic.  Only
+    the output is unpacked.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
@@ -348,15 +355,15 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     and a row that changes has its content divided out again.  An output
     row becomes monic only at the end, its tail entries ``Fraction(a, p)``.
     The result is the same as ``groebner_basis``'s: monic, sorted by
-    leading monomial descending.  A nonempty basis records the weights in
-    its ``weights`` attribute: the engine has then found every element
-    weighted-homogeneous for them and the ideal m-primary or (1).  It
-    keeps each element's integer row p*pivot + tail packed (``packed``),
-    which the next derivation step reads as it is; ``rows`` unpacks them
-    into term dicts, and with content 1 and p > 0 each is what
-    ``integer_terms`` makes of its element.
+    leading monomial descending.  A nonempty basis keeps each element's
+    integer row p*pivot + tail packed (``packed``), and that is its only
+    record: the codec's weights are those the engine found every element
+    weighted-homogeneous for, with the ideal m-primary or (1).  The next
+    derivation step reads the rows as they are, and a print in lex or
+    grlex row-reduces them again; with content 1 and p > 0, each row
+    unpacked is what ``integer_terms`` makes of its element.
     """
-    variables = tuple(variables)
+    variables = _checked_variables(variables)
     weights = tuple(weights)
     n = len(variables)
     if len(weights) != n or any(type(w) is not int or w <= 0 for w in weights):
@@ -370,7 +377,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
         if v:
             d = next(iter(v)) >> top
             if d == 0:  # a nonzero constant
-                return _GradedBasis((Polynomial.one(variables),), weights,
+                return _GradedBasis((Polynomial.one(variables),),
                                     _PackedRows(codec, ({next(iter(v)): 1},)))
             gens.setdefault(d, []).append(v)
     if not gens:
@@ -386,17 +393,9 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     d, quiet = min(gens), 0
     while d <= last or quiet < wmax:
         if d >= codec.limit:
-            # Re-pack every row still read on fields wide enough for d.
-            old, codec = codec, _codec(weights, order, d)
-            key = codec.recode(old)
-
-            def move(row):
-                return {key(t): a for t, a in row.items()}
-
-            window = {e: {key(m): (p, move(tail)) for m, (p, tail) in rows.items()}
-                      for e, rows in window.items()}
-            gens = {e: [move(v) for v in vs] for e, vs in gens.items() if e >= d}
-            found = [(key(m), p, move(tail)) for m, p, tail in found]
+            # Degree d does not fit: start over on fields picked for it.
+            return graded_basis(generators.on(_codec(weights, order, d)), variables, weights,
+                                order)
         rows: dict[int, tuple[int, dict[int, int]]] = {}
         pending = []
         shifted = set()  # the leads x_i*m' of the shifted rows
@@ -485,24 +484,18 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
             terms[decode(t)] = Fraction(a, p)
         basis.append(Polynomial._raw(variables, terms))
         packed.append({m: p, **tail})
-    return _GradedBasis(basis, weights, packed)
+    return _GradedBasis(basis, packed)
 
 
 class _GradedBasis(tuple):
-    """A basis returned by ``graded_basis``, with the weights it is
-    weighted-homogeneous for and each element's integer row, packed
-    (``packed``, a ``_PackedRows``) and unpacked on demand (``rows``); it
-    compares and hashes as a plain tuple."""
+    """A basis returned by ``graded_basis``, with each element's integer
+    row packed (``packed``, a ``_PackedRows``) on a codec of the basis's
+    weights and order; it compares and hashes as a plain tuple."""
 
-    def __new__(cls, basis, weights: tuple[int, ...], packed: _PackedRows):
+    def __new__(cls, basis, packed: _PackedRows):
         self = super().__new__(cls, basis)
-        self.weights = weights
         self.packed = packed
         return self
-
-    @property
-    def rows(self) -> tuple[dict[Monomial, int], ...]:
-        return tuple(self.packed.decoded())
 
 
 class Ideal:
@@ -554,9 +547,9 @@ class Ideal:
         kept basis where it can be: one element is a principal ideal's
         generator, made monic for ``order``; monomials are a monomial
         ideal's minimal monomials in every order, re-sorted; and a basis
-        that records weights (``graded_basis``) is row-reduced again from
-        its integer rows.  Any other basis for another order is computed
-        on each call."""
+        from ``graded_basis`` is row-reduced again in lex or grlex from its
+        packed rows, laid out for that order on the same fields.  Any other
+        basis or order is computed on each call."""
         basis = self._basis
         if order is not GREVLEX:
             if basis is not None:
@@ -566,9 +559,15 @@ class Ideal:
                     key = order.key
                     return tuple(sorted(basis, key=lambda g: key(next(iter(g.terms))),
                                         reverse=True))
-                weights = getattr(basis, "weights", None)
-                if weights is not None:
-                    return graded_basis(basis.rows, self.vars, weights, order)
+                packed = getattr(basis, "packed", None)
+                if packed is not None:
+                    weights = packed.codec.weights
+                    try:
+                        codec = _Codec(weights, order, packed.codec.width)
+                    except ValueError:  # ``order`` has no packed layout
+                        pass
+                    else:
+                        return graded_basis(packed.on(codec), self.vars, weights, order)
             return groebner_basis(self.generators, order)
         if basis is None:
             basis = groebner_basis(self.generators)
@@ -578,7 +577,7 @@ class Ideal:
     @classmethod
     def from_basis(cls, variables: Sequence[str], basis: tuple[Polynomial, ...]) -> "Ideal":
         """The ideal presented by its reduced grevlex basis ``basis``, which
-        it keeps as it is, so a graded basis keeps its weights.  The basis
+        it keeps as it is, so a graded basis keeps its packed rows.  The basis
         is the package's own, so its elements are not checked again."""
         return cls._derived(tuple(variables), tuple(basis), basis)
 

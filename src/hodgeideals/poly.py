@@ -489,8 +489,10 @@ class _Codec:
     A monomial of weighted degree d has total degree at most d // min W,
     so every degree below ``limit`` fits.  ``encode`` refuses a monomial
     that does not fit rather than carry into the next field; the engine
-    keeps the monomials it forms below ``limit``, widening the fields as
-    degrees grow (``_codec``).
+    keeps the monomials it forms below ``limit``, and starts over on the
+    wider fields of ``_codec`` when a degree reaches it.  Only grevlex,
+    grlex and lex have a layout; another order is refused with
+    ``ValueError``.
     """
 
     __slots__ = ("weights", "order", "width", "mask", "top", "low", "limit", "places", "base",
@@ -505,8 +507,10 @@ class _Codec:
             places, degree_at = tuple((width * j, mask) for j in range(n)), width * n
         elif order is GRLEX:
             places, degree_at = tuple((width * (n - 1 - j), 0) for j in range(n)), width * n
-        else:  # lex
+        elif order is LEX:
             places, degree_at = tuple((width * (n - j), 0) for j in range(n)), 0
+        else:
+            raise ValueError(f"the monomial order {order.name!r} has no packed layout")
         self.weights, self.order, self.width, self.mask = weights, order, width, mask
         self.top = top = width * (n + 1)
         self.low = (1 << top) - 1
@@ -530,25 +534,21 @@ class _Codec:
         encode = self.encode
         return _PackedRows(self, ({encode(m): c for m, c in row.items()} for row in rows))
 
-    def recode(self, source: "_Codec"):
-        """The map from a key of ``source`` to the key of the same monomial
-        here.  It is used to widen fields, and wider fields hold whatever
-        narrower ones held."""
-        decode, base, steps = source.decode, self.base, self.steps
-        return lambda key: base + sum(map(mul, decode(key), steps))
-
 
 def _codec(weights: tuple[int, ...], order: MonomialOrder, degree: int) -> _Codec:
     """The codec of the narrowest width that holds every monomial of
-    weighted degree up to ``degree``."""
-    return _Codec(weights, order, max(1, (degree // min(weights)).bit_length()))
+    weighted degree up to twice ``degree``.  It is the one width rule: a
+    chain's degrees grow by about deg g a step, so fields picked for a
+    step last until its degree has doubled, and a row reduction that
+    outgrows them starts over on fields picked for the degree it reached."""
+    return _Codec(weights, order, max(1, (2 * degree // min(weights)).bit_length()))
 
 
 class _PackedRows(list):
     """Integer rows {key: int} on the keys of ``codec``.  ``graded_basis``
     takes such a list on trust: its rows are weighted-homogeneous for the
-    codec's weights and fit its fields, because the package built them
-    from values it had checked."""
+    codec's weights, fit its fields and are laid out for the order asked
+    for, because the package built them from values it had checked."""
 
     __slots__ = ("codec",)
 
@@ -556,10 +556,13 @@ class _PackedRows(list):
         super().__init__(rows)
         self.codec = codec
 
-    def decoded(self) -> list[dict[Monomial, int]]:
-        """The rows as term dicts {exponent tuple: int}."""
-        decode = self.codec.decode
-        return [{decode(t): c for t, c in row.items()} for row in self]
+    def on(self, codec: _Codec) -> "_PackedRows":
+        """The same rows on the keys of ``codec``, which may have other
+        fields or another order; ``encode`` refuses a monomial that does
+        not fit."""
+        decode, encode = self.codec.decode, codec.encode
+        return _PackedRows(codec, ({encode(decode(t)): c for t, c in row.items()}
+                                   for row in self))
 
 
 def format_rational(value: Fraction) -> str:

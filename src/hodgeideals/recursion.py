@@ -72,16 +72,17 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     So the output of a graded step qualifies again, and a chain decides
     its grading once: the divisor decides and keeps its integer weights
     (``QDivisor.grading``) on its first step, a basis that
-    ``graded_basis`` returned records the weights it was reduced for
-    (it raises ``ValueError`` on an output that is not m-primary or
-    (1)), and a basis recording these weights is taken as it stands,
-    with no degree or dimension check.
+    ``graded_basis`` returned keeps its rows packed on a codec of the
+    weights it was reduced for (it raises ``ValueError`` on an output
+    that is not m-primary or (1)), and a basis packed for these weights
+    is taken as it stands, with no degree or dimension check.
     """
     grading = divisor.grading
     if grading is None:
         return None
     basis = ideal.groebner()
-    if getattr(basis, "weights", None) == grading:
+    packed = getattr(basis, "packed", None)
+    if packed is not None and packed.codec.weights == grading:
         return grading
     if all(w.weighted_degree(grading) is not None for w in basis) \
             and ideal.is_zero_dimensional():
@@ -98,15 +99,15 @@ class StepData:
     P_(i,l) = d_l(f_i)*prod_(j != i) f_j integral, and ``rows[i][l]`` is
     -c_g*c_P*P_(i,l).  With den the least common denominator of the
     alpha_i, k + alpha_i = (k*den + shifts[i])/den and c_h = den*c_P,
-    ``gh`` is c_h*G and ``log_rows(k)[l]`` = sum_i (k*den + shifts[i])*rows[i][l].
+    ``gh`` is c_h*G and ``log_rows(k, rows)[l]`` = sum_i (k*den + shifts[i])*rows[i][l].
     So with lambda = c_g*c_h > 0, gh = lambda*g and
-    log_rows(k)[l] = -lambda*h_l for every l and k, where
+    log_rows(k, rows)[l] = -lambda*h_l for every l and k, where
     h_l = sum_i (k + alpha_i)*P_(i,l); only the scalars change with k.
 
     These are term dicts {exponent tuple: int}.  ``packed(codec)`` gives
     the same data on a codec's packed monomials, ready for the products
-    of ``_step_rows``; it is packed once per codec, and a chain keeps one
-    codec until its degrees outgrow it.
+    of ``_step_rows``.  One packed copy is kept, for the last codec
+    asked: a chain keeps one codec until its degrees outgrow it.
     """
 
     g_terms: dict[Monomial, int]
@@ -114,7 +115,7 @@ class StepData:
     den: int
     shifts: tuple[int, ...]
     rows: tuple[tuple[dict[Monomial, int], ...], ...]
-    _packed: list = field(default_factory=lambda: [None, None], repr=False)
+    _packed: list = field(default_factory=lambda: [None, None], repr=False)  # [codec, data]
 
     @classmethod
     def of(cls, divisor: QDivisor) -> "StepData":
@@ -133,12 +134,11 @@ class StepData:
                                 for alpha in divisor.alphas),
                    rows=tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(factors))))
 
-    def log_rows(self, k: int, rows=None) -> list[dict]:
+    def log_rows(self, k: int, rows) -> list[dict]:
         """-c_g*H_l(k) for each variable index l, as integer rows: the
-        combinations of ``rows``, which are this data's term dicts unless
-        their packed form (``packed``) is given."""
+        combinations of ``rows``, this data's ``rows`` as term dicts or
+        packed (``packed``)."""
         scalars = [k * self.den + a for a in self.shifts]
-        rows = self.rows if rows is None else rows
         out = []
         for ell in range(len(rows[0])):
             h: dict = {}
@@ -153,14 +153,14 @@ class StepData:
         each key less the codec's ``base``: a packed monomial plus such a
         key is the key of their product, and gh's l-th copy multiplies
         d_l(w) term by term from the keys of w."""
-        kept, spec = self._packed, (codec.weights, codec.order, codec.width)
-        if kept[0] != spec:
+        kept = self._packed
+        if kept[0] is not codec:
             encode, base = codec.encode, codec.base
 
             def pack(row, offset=0):
                 return {encode(m) - base - offset: c for m, c in row.items()}
 
-            kept[:] = spec, (pack(self.g_terms), [pack(self.gh, s) for s in codec.steps],
+            kept[:] = codec, (pack(self.g_terms), [pack(self.gh, s) for s in codec.steps],
                               [[pack(row) for row in rows] for rows in self.rows])
         return kept[1]
 
@@ -181,8 +181,9 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     off ``basis.packed`` when ``graded_basis`` returned the basis for
     these weights, and built by ``integer_terms`` and packed otherwise.
     The basis's own fields are kept while they hold the step's largest
-    product, g*w; new fields are picked to hold twice its degree.  The
-    weights are the ``grading``, or the basis's own or all 1 without one.
+    product, g*w; otherwise the rows go onto the fields ``_codec`` picks
+    for its degree.  The weights are the ``grading``, or the basis's own
+    or all 1 without one.
 
     With a ``grading`` u_l for which g and every w are weighted-homogeneous
     (the graded path), deg taken for it, the Euler identity
@@ -198,26 +199,20 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     data = divisor.step_data
     rows = getattr(basis, "packed", None)
     if rows is not None and grading in (None, rows.codec.weights):
-        codec = rows.codec
+        weights = rows.codec.weights
         # A graded basis's rows are weighted-homogeneous: any key gives the degree.
-        degree = max(next(iter(row)) >> codec.top for row in rows)
-        weights = codec.weights
+        degree = max(next(iter(row)) >> rows.codec.top for row in rows)
     else:
         rows = None
         weights = grading or (1,) * len(divisor.vars)
         terms = [integer_terms((w,))[1][0] for w in basis]
         degree = max((sum(map(mul, m, weights)) for row in terms for m in row), default=0)
     degree += max(sum(map(mul, m, weights)) for m in data.g_terms)
-    if rows is None or degree >= codec.limit:
-        # A chain's degrees grow by about deg g a step, and each widening
-        # re-packs the basis and the divisor's data: fields that hold twice
-        # the step's degree last until the degree has doubled.
-        codec = _codec(weights, GREVLEX, 2 * degree)
-        if rows is None:
-            rows = codec.pack(terms)
-        else:
-            key = codec.recode(rows.codec)
-            rows = [{key(t): c for t, c in row.items()} for row in rows]
+    if rows is None:
+        rows = _codec(weights, GREVLEX, degree).pack(terms)
+    elif degree >= rows.codec.limit:
+        rows = rows.on(_codec(weights, GREVLEX, degree))
+    codec = rows.codec
     big_g, gh, p_rows = data.packed(codec)
     hg = data.log_rows(k, p_rows)
     top, mask, places = codec.top, codec.mask, codec.places

@@ -6,6 +6,8 @@ import sys
 import pytest
 from hypothesis import settings
 
+from helpers import term_dicts
+
 # On CI (``CI`` set), a failing property prints the blob that replays it
 # locally (``@reproduce_failure``), and no example fails on a slow runner's
 # time.  The examples and their number are the default profile's.
@@ -49,13 +51,6 @@ def graded_calls(monkeypatch):
                          lambda *args, **kwargs: 1)
 
 
-def _term_dicts(rows):
-    """Integer rows as term dicts {exponent tuple: int}: packed rows (a
-    ``derivation_step``'s) unpacked through their codec, others as given."""
-    decoded = getattr(rows, "decoded", None)
-    return tuple(rows if decoded is None else decoded())
-
-
 @pytest.fixture
 def graded_inputs(monkeypatch):
     """A list that gets the generator rows of every ``graded_basis`` call,
@@ -63,7 +58,7 @@ def graded_inputs(monkeypatch):
     it."""
     import hodgeideals.ideal
     return _record_calls(monkeypatch, hodgeideals.ideal.graded_basis,
-                         lambda generators, variables, weights: _term_dicts(generators))
+                         lambda generators, *rest: term_dicts(generators))
 
 
 @pytest.fixture

@@ -3,8 +3,12 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from hodgeideals import Ideal, Polynomial, parse_divisor, parse_polynomial
+from hodgeideals import Ideal, MonomialOrder, Polynomial, parse_divisor, parse_polynomial
 from hodgeideals.poly import integer_terms
+
+#: Reverse lex, lex with the variables read last to first: a monomial order
+#: the package has no packed layout for.
+RLEX = MonomialOrder("rlex", lambda m: m[::-1], lambda m: tuple(-e for e in m[::-1]))
 
 
 def spanned_by(variables, texts) -> Ideal:
@@ -37,6 +41,16 @@ def rows(polys) -> list[dict]:
     """Each polynomial scaled to an integer row, the input ``graded_basis``
     takes."""
     return integer_terms(polys)[1]
+
+
+def term_dicts(rows) -> tuple[dict, ...]:
+    """Integer rows as term dicts {exponent tuple: int}: packed rows (a
+    graded basis's ``packed``, or a derivation step's rows) unpacked
+    through their codec, others as given."""
+    codec = getattr(rows, "codec", None)
+    if codec is None:
+        return tuple(rows)
+    return tuple({codec.decode(t): c for t, c in row.items()} for row in rows)
 
 
 def positive_multiple(p: Polynomial, q: Polynomial) -> bool:

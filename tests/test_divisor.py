@@ -71,10 +71,10 @@ def step_scale(divisor):
 
 def cached_log_terms(divisor, k):
     """The h_l of step k from the divisor's kept integer rows:
-    ``log_rows(k)[l]`` = -lambda*h_l, one lambda for every l and k."""
+    ``log_rows(k, rows)[l]`` = -lambda*h_l, one lambda for every l and k."""
     lam = step_scale(divisor)
     return [integer_polynomial(divisor.vars, row) * (-1 / lam)
-            for row in divisor.step_data.log_rows(k)]
+            for row in divisor.step_data.log_rows(k, divisor.step_data.rows)]
 
 
 @pytest.mark.parametrize("d", [

@@ -15,9 +15,9 @@ import hodgeideals.ideal
 from hodgeideals import (GREVLEX, GRLEX, LEX, Ideal, Polynomial, graded_basis, groebner_basis,
                          normal_form)
 from hodgeideals.parser import parse_polynomial
-from hodgeideals.poly import integer_terms
+from hodgeideals.poly import _Codec, integer_terms
 
-from helpers import rows, spanned_by
+from helpers import rows, spanned_by, term_dicts
 from oracles import linear_membership, log_terms
 
 XY = ("x", "y")
@@ -365,8 +365,8 @@ def test_graded_basis_is_groebner_basis_on_weighted_m_primary_inputs(case):
     variables, weights, gens = case
     graded = graded_basis(rows(gens), variables, weights)
     assert graded == groebner_basis(gens)
-    assert graded.weights == weights
-    assert graded.rows == tuple(integer_terms((w,))[1][0] for w in graded)
+    assert graded.packed.codec.weights == weights
+    assert term_dicts(graded.packed) == tuple(integer_terms((w,))[1][0] for w in graded)
 
 
 @pytest.mark.parametrize("order", [LEX, GRLEX], ids=lambda order: order.name)
@@ -383,18 +383,22 @@ def test_graded_basis_in_lex_and_grlex_is_groebner_basis(order, case):
     assert graded == groebner_basis(gens, order)
     # Rebuilt from the integer rows of the grevlex basis, as a print does.
     kept = graded_basis(rows(gens), variables, weights)
-    assert graded_basis(kept.rows, variables, weights, order) == graded
+    assert graded_basis(term_dicts(kept.packed), variables, weights, order) == graded
 
 
 def test_graded_basis_widens_its_fields_when_a_degree_crosses_them():
     # The generators have weighted degree at most 6 for (3, 2), so total
-    # degree at most 3: 2-bit fields.  The loop goes on to x^3 in degree 9,
-    # and from degree 8 on (y^4) the fields must widen to 3 bits.
+    # degree at most 3: 2-bit fields hold them, and every degree below 8.
+    # The loop goes on to x^3 in degree 9, so from degree 8 on (y^4) it
+    # starts over on wider fields.
     gens = [p("x^2 + y^3"), p("x y")]
-    graded = graded_basis(rows(gens), XY, (3, 2))
-    assert graded == groebner_basis(gens)
-    assert graded.packed.codec.width == 3
-    assert graded.rows == tuple(integer_terms((w,))[1][0] for w in graded)
+    for order in (GREVLEX, LEX, GRLEX):
+        packed = _Codec((3, 2), order, 2).pack(rows(gens))
+        assert packed.codec.limit == 8
+        graded = graded_basis(packed, XY, (3, 2), order)
+        assert graded == groebner_basis(gens, order)
+        assert graded.packed.codec.width > 2 and graded.packed.codec.order is order
+        assert term_dicts(graded.packed) == tuple(integer_terms((w,))[1][0] for w in graded)
 
 
 @pytest.mark.parametrize("gens,weights", [

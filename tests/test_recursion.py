@@ -30,7 +30,8 @@ from hodgeideals.compute import MethodUnavailableError
 from hodgeideals.poly import integer_terms
 from hodgeideals.recursion import _grading
 
-from helpers import integer_polynomial, is_unit, m_power, positive_multiple, rows, spanned_by
+from helpers import (RLEX, integer_polynomial, is_unit, m_power, positive_multiple, rows,
+                     spanned_by, term_dicts)
 from oracles import log_terms
 
 XY = ("x", "y")
@@ -313,7 +314,7 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
         graded, paired = graded_basis(rows(gens), variables, grading), groebner_basis(gens)
         assert graded == paired
         # The integer rows a graded basis carries are its elements' own.
-        assert graded.rows == tuple(integer_terms((w,))[1][0] for w in graded)
+        assert term_dicts(graded.packed) == tuple(integer_terms((w,))[1][0] for w in graded)
         # An int among the coefficients would make normal_form's gc / nlc
         # a float division.
         assert _all_fractions(graded)
@@ -322,7 +323,7 @@ def test_graded_basis_is_the_pair_engine_basis_along_chains(components, k_max):
             assert by_rows.groebner(order) == by_pairs.groebner(order)
         current = derivation_step(current, r.reduced, k)
         assert current.groebner() == graded
-        assert current.groebner().rows == graded.rows
+        assert term_dicts(current.groebner().packed) == term_dicts(graded.packed)
         assert _all_fractions(current.generators)
 
 
@@ -422,6 +423,38 @@ def test_only_the_first_graded_step_packs_its_input(monkeypatch, graded_calls):
     assert packs == [0]
     # The fields widened along the way, without packing anything again.
     assert widths == sorted(widths) and widths[0] < widths[-1]
+
+
+def graded_chain(f, alpha, k_max):
+    """The ideal k_max derivation steps up the chain of alpha*div(f) from
+    its I_0, whose kept basis a graded step returned."""
+    variables = tuple(v for v in XYZ if v in f)
+    r = classify(div([{"f": f, "alpha": alpha}], variables))
+    current = i0_seed(r)
+    for k in range(k_max):
+        current = derivation_step(current, r.reduced, k)
+    assert current.groebner().packed.codec.weights == r.reduced.grading
+    return current
+
+
+def test_a_print_in_an_order_without_a_packed_layout_goes_to_the_pair_engine():
+    current = graded_chain("x^2+y^2+z^3", "1", 3)
+    basis = current.groebner()
+    assert current.groebner(RLEX) == groebner_basis(basis, RLEX)
+    assert current.groebner(RLEX) != groebner_basis(basis, LEX)
+
+
+def test_a_print_in_lex_or_grlex_reads_the_packed_rows_as_they_are(monkeypatch):
+    import hodgeideals.ideal
+    current = graded_chain("x^2+y^3+z^5", "3/4", 2)
+    basis = current.groebner()
+
+    def refused(*args):
+        raise AssertionError("a print unpacked and checked the rows again")
+
+    monkeypatch.setattr(hodgeideals.ideal, "_packed_input", refused)
+    for order in (LEX, GRLEX):
+        assert current.groebner(order) == groebner_basis(basis, order)
 
 
 # -- seeds -------------------------------------------------------------------------

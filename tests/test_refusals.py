@@ -36,6 +36,8 @@ from hodgeideals.compute import SeedContradictionError
 from hodgeideals.poly import AmbientMismatchError
 from hodgeideals.verify import check_periodicity, check_subadditivity
 
+from helpers import RLEX
+
 X, XY, XYZ = ("x",), ("x", "y"), ("x", "y", "z")
 
 
@@ -244,6 +246,16 @@ CASES = {
     "graded-basis-not-homogeneous": (
         lambda: graded_basis([{(2, 0): 1}, {(2, 0): 1, (0, 1): 1}], XY, (3, 2)), ValueError,
         "row 1 (x^2 + y) is not weighted-homogeneous for the weights (3, 2)"),
+    # Only grevlex, lex and grlex have a packed layout; rlex is not read as lex.
+    "graded-basis-order-without-layout": (
+        lambda: graded_basis([{(1, 0): 1}, {(0, 1): 1}], XY, (1, 1), RLEX), ValueError,
+        "the monomial order 'rlex' has no packed layout"),
+    # The variables are checked as Polynomial checks them.
+    "graded-basis-repeated-variable": (
+        lambda: graded_basis([{(1, 0): 1}, {(0, 1): 1}], ("x", "x"), (1, 1)), ValueError,
+        "ambient variables must be distinct, got ('x', 'x')"),
+    "graded-basis-no-variables": (
+        lambda: graded_basis([], (), ()), ValueError, "ambient variable list must be nonempty"),
     "graded-basis-bool-weight": (
         lambda: graded_basis([{(1, 0): 1}], XY, (True, 1)), ValueError,
         "want one positive integer weight per variable, got (True, 1)"),
