@@ -11,10 +11,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple, Optional
 
-from .ideal import Ideal, groebner_basis
-from .poly import InputError, Polynomial, extension, infer_weights
+from .ideal import Ideal, _has_pure_powers, groebner_basis
+from .poly import InputError, Polynomial, extension, infer_weights, integer_terms
 
 
 def _support_fact(decide):
@@ -82,18 +83,40 @@ class QDivisor:
         ideal is zero-dimensional); None otherwise.  The weights of
         weighted degree 1 are u_i / deg_u(g).
 
-        The generation-level certificate and every derivation step of a
-        chain read this one Jacobian basis.
+        The terms of each d_l(g) are read off g's exponents.  When each is
+        one term, the Jacobian ideal is monomial, and zero-dimensional iff
+        they hold a pure power of every variable; otherwise its basis decides.
         """
-        g = self.support_equation
+        g, n = self.support_equation, len(self.vars)
         weights = infer_weights(g)
-        if weights is None or not Ideal(self.vars, [g.diff(i) for i in range(len(self.vars))]) \
-                .is_zero_dimensional():
+        jacobian = [[m[:l] + (m[l] - 1,) + m[l + 1:] for m in g.terms if m[l]] for l in range(n)]
+        if weights is None or not (
+                _has_pure_powers((terms[0] for terms in jacobian), n)
+                if all(len(terms) == 1 for terms in jacobian) else
+                Ideal(self.vars, [g.diff(i) for i in range(n)]).is_zero_dimensional()):
             return None
         scale = math.lcm(*(w.denominator for w in weights))
         integral = [w.numerator * (scale // w.denominator) for w in weights]
         common = math.gcd(*integral)
         return tuple(w // common for w in integral)
+
+    @_support_fact
+    def _derivatives(self) -> tuple[dict, int, tuple]:
+        """The support's derivatives in integer term dicts, for every
+        derivation step (``recursion.StepData``): (G, s, P).  With F_i = c*f_i
+        integral, c > 0 least, P[i][l] = d_l(F_i)*prod_(j != i) F_j is c^r*P_(i,l),
+        P_(i,l) = d_l(f_i)*prod_(j != i) f_j, and prod F_i = c^r*g = s*G, G = c_g*g
+        integral with c_g > 0 least."""
+        c, factors = integer_terms(self.factors)
+        one = {(0,) * len(self.vars): 1}
+        product = functools.reduce(_times, factors)
+        scale = math.gcd(c ** len(factors), *product.values())
+        rows = tuple(tuple(_times({m[:l] + (m[l] - 1,) + m[l + 1:]: a * m[l]
+                                   for m, a in f.items() if m[l]},
+                                  functools.reduce(_times, factors[:i] + factors[i + 1:], one))
+                           for l in range(len(self.vars)))
+                     for i, f in enumerate(factors))
+        return {m: a // scale for m, a in product.items()}, scale, rows
 
     @_support_fact
     def support_equation(self) -> Polynomial:
@@ -304,6 +327,16 @@ def _check_coefficient(i: int, alpha) -> None:
         raise TypeError("component coefficients must be exact rationals")
     if alpha <= 0:
         raise InputError(f"component {i}: alpha must be positive, got {alpha}")
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two term dicts."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _proportional(f: Polynomial, g: Polynomial) -> bool:

@@ -92,17 +92,16 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
 
 @dataclass(frozen=True, eq=False)
 class StepData:
-    """The k-independent integer data of the derivation steps of a divisor
-    (kept by ``QDivisor.step_data``).
+    """The integer data of the derivation steps of a divisor, decided once
+    per divisor (kept by ``QDivisor.step_data``).
 
-    ``g_terms`` is G = c_g*g, g the support equation; c_P makes every
-    P_(i,l) = d_l(f_i)*prod_(j != i) f_j integral, and ``rows[i][l]`` is
-    -c_g*c_P*P_(i,l).  With den the least common denominator of the
-    alpha_i, k + alpha_i = (k*den + shifts[i])/den and c_h = den*c_P,
-    ``gh`` is c_h*G and ``log_rows(k, rows)[l]`` = sum_i (k*den + shifts[i])*rows[i][l].
-    So with lambda = c_g*c_h > 0, gh = lambda*g and
-    log_rows(k, rows)[l] = -lambda*h_l for every l and k, where
-    h_l = sum_i (k + alpha_i)*P_(i,l); only the scalars change with k.
+    ``g_terms`` (G = c_g*g) and ``rows`` (c^r*P_(i,l)) are the support's
+    record ``QDivisor._derivatives``.  With den the least common
+    denominator of the alpha_i, k + alpha_i = (k*den + shifts[i])/den,
+    ``gh`` = lambda*g for lambda = den*c^r and ``log_rows(k, rows)[l]`` =
+    -sum_i (k*den + shifts[i])*rows[i][l] = -lambda*h_l, where h_l =
+    sum_i (k + alpha_i)*P_(i,l).  ``reduced`` is ``is_reduced_regime``;
+    with a grading, ``resonance`` = (den*deg g, sum_i shifts[i]*deg f_i).
 
     These are term dicts {exponent tuple: int}.  ``packed(codec)`` gives
     the same data on a codec's packed monomials, ready for the products
@@ -115,30 +114,27 @@ class StepData:
     den: int
     shifts: tuple[int, ...]
     rows: tuple[tuple[dict[Monomial, int], ...], ...]
+    reduced: bool
+    resonance: Optional[tuple[int, int]]
     _packed: list = field(default_factory=lambda: [None, None], repr=False)  # [codec, data]
 
     @classmethod
     def of(cls, divisor: QDivisor) -> "StepData":
-        c_g, (big_g,) = integer_terms((divisor.support_equation,))
-        factors = divisor.factors
-        one = Polynomial.one(divisor.vars)
-        n = len(divisor.vars)
-        cofactors = [math.prod(factors[:i] + factors[i + 1:], start=one)
-                     for i in range(len(factors))]
-        c_p, flat = integer_terms([f.diff(ell) * c for f, c in zip(factors, cofactors)
-                                   for ell in range(n)])
+        big_g, scale, rows = divisor._derivatives
         den = math.lcm(*(alpha.denominator for alpha in divisor.alphas))
-        flat = [{m: -c_g * c for m, c in row.items()} for row in flat]
-        return cls(g_terms=big_g, gh={m: den * c_p * c for m, c in big_g.items()}, den=den,
-                   shifts=tuple(alpha.numerator * (den // alpha.denominator)
-                                for alpha in divisor.alphas),
-                   rows=tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(factors))))
+        shifts = tuple(alpha.numerator * (den // alpha.denominator) for alpha in divisor.alphas)
+        degrees = divisor.grading and [f.weighted_degree(divisor.grading) for f in divisor.factors]
+        return cls(g_terms=big_g, gh={m: den * scale * c for m, c in big_g.items()}, den=den,
+                   shifts=shifts, rows=rows, reduced=divisor.is_reduced_regime(),
+                   resonance=degrees and (den * sum(degrees), sum(map(mul, shifts, degrees))))
 
     def log_rows(self, k: int, rows) -> list[dict]:
-        """-c_g*H_l(k) for each variable index l, as integer rows: the
+        """-lambda*h_l for each variable index l, as integer rows: the
         combinations of ``rows``, this data's ``rows`` as term dicts or
         packed (``packed``)."""
-        scalars = [k * self.den + a for a in self.shifts]
+        scalars = [-k * self.den - a for a in self.shifts]
+        if len(rows) == 1:  # one factor: its rows times one nonzero scalar
+            return [{m: scalars[0] * c for m, c in row.items()} for row in rows[0]]
         out = []
         for ell in range(len(rows[0])):
             h: dict = {}
@@ -171,9 +167,8 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     a positive integer multiple of each, which spans the same ideal, as
     the pair (the g*w rows, the derivative rows).
 
-    The divisor's ``StepData`` holds G = c_g*g, gh = lambda*g and the
-    rows whose combinations ``log_rows(k)`` are -lambda*h_l, lambda > 0,
-    all with integer coefficients.  With each w = W/c_w, W integral, the
+    With the integer ``StepData`` of the divisor, G = c_g*g, gh = lambda*g
+    and ``log_rows(k)`` = -lambda*h_l, and each w = W/c_w, W integral, the
     rows are G*W = c_g*c_w * g*w, then gh*d_l(W) + W*log_rows(k)[l] =
     lambda*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
     of ``int``s, on packed monomials: a product's key is a sum of keys,
@@ -192,9 +187,8 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
 
     puts g*w in the ideal of the derivative rows unless the factor
     vanishes, so the g*w row is left out then.  Each f_i is
-    weighted-homogeneous, because g is; with den and the shifts of
-    ``StepData``, the row is kept exactly when
-    den*deg w = sum_i (k*den + shift_i)*deg f_i.
+    weighted-homogeneous, because g is, so with ``StepData.resonance``
+    = (a, b) the row is kept exactly when den*deg w = k*a + b.
     """
     data = divisor.step_data
     rows = getattr(basis, "packed", None)
@@ -217,8 +211,7 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     hg = data.log_rows(k, p_rows)
     top, mask, places = codec.top, codec.mask, codec.places
     if grading is not None:
-        resonant = sum((k * data.den + shift) * f.weighted_degree(grading)
-                       for shift, f in zip(data.shifts, divisor.factors))
+        resonant = k * data.resonance[0] + data.resonance[1]
     known, derived = _PackedRows(codec), _PackedRows(codec)
     for big_w in rows:
         if grading is None or data.den * (next(iter(big_w)) >> top) == resonant:
@@ -271,11 +264,10 @@ g * prod_i f_i^(k + alpha_i).
     filtration is generated at level <= k.
 
     The generators are built once, as packed integer rows
-    (``_step_rows``), from the divisor's ``StepData``: G, c_h*G and the
-    rows of every h_l are built on the divisor's first step and kept, so
-    a step only scales by k + alpha_i.  When g is weighted-homogeneous
+    (``_step_rows``), from the divisor's ``StepData``, kept from its first
+    step, so a step only scales by k + alpha_i.  When g is weighted-homogeneous
     with an isolated singularity (``QDivisor.grading``, decided once per
-    divisor) and the input is weighted-homogeneous and m-primary or (1),
+    support) and the input is weighted-homogeneous and m-primary or (1),
     so is the result, and ``graded_basis`` row-reduces those rows in
     integers to its reduced basis.  There the rows g*w that the Euler
     identity already places in the span of the derivative rows are left
@@ -288,7 +280,7 @@ g * prod_i f_i^(k + alpha_i).
     polynomials: positive multiples of g*w and g*d_l(w) - w*h_l, which it
     makes monic.  Both give the same reduced basis.
     """
-    if not divisor.is_reduced_regime():
+    if not divisor.step_data.reduced:
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
     if ideal.vars != divisor.vars:
         raise ValueError(f"ideal over {ideal.vars}, divisor over {divisor.vars}")

@@ -630,6 +630,24 @@ def test_printing_a_computed_chain_in_grevlex_runs_no_groebner_basis(
     assert all(lines)
 
 
+@pytest.mark.parametrize("variables,f,alpha,k", [
+    (["x", "y"], "x^2+3*y^2", "1/2", 3),             # the plane node
+    (["x", "y", "z"], "x^2+y^2+z^2", "3/4", 1),
+    (["x", "y", "z", "w"], "x^3+y^3+z^3+2*w^3", "5/6", 1),
+])
+def test_an_ordinary_cone_decides_its_assumptions_without_groebner_basis(
+        tmp_path, capsys, groebner_calls, variables, f, alpha, k):
+    # A closed form reads ``assumptions``, which the cone's grading decides;
+    # its Jacobian (x_i^(m-1)) is read off the support's exponents.
+    path = write_task(tmp_path, {"vars": variables, "task": "compute", "k": k,
+                                 "method": "ordinary",
+                                 "divisor": {"components": [{"f": f, "alpha": alpha}]}})
+    groebner_calls.clear()
+    code, out, _ = run_cli(capsys, "compute", path)
+    assert code == 0 and "method=ordinary" in out and "warning" not in out
+    assert groebner_calls == []
+
+
 def test_extend_that_reorders_the_variables_computes_a_new_basis(groebner_calls):
     d = parse_divisor({"vars": ["x", "y"],
                        "components": [{"f": "x^2+y^3", "alpha": "9/10"}]})

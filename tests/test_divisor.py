@@ -18,11 +18,13 @@ from hodgeideals import (
     twist_polynomial,
 )
 from hodgeideals.divisor import apply_twist
+from hodgeideals.poly import infer_weights
 
 from helpers import integer_polynomial, positive_multiple, spanned_by
 from oracles import log_terms
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def div(components, variables=XY):
@@ -55,6 +57,26 @@ def test_grading_is_the_isolated_weights_in_coprime_integers():
     assert SNC.grading is None  # x*y: the weights are not unique
 
 
+@pytest.mark.parametrize("f,variables,grading", [
+    ("x^2+y^3", XY, (3, 2)),
+    ("x^2+y^3+z^5", XYZ, (15, 10, 6)),
+    ("x*y*(x+y)", XY, (1, 1)),
+    ("x^2*y+y^4", XY, (3, 2)),  # D5
+    ("x^3+x*y^3", XY, (3, 2)),  # E7
+    ("x^2+y^2+z^3", XYZ, (3, 3, 2)),
+    # Weights (1/3, 1/3, 1/3), but the Jacobian ideal
+    # (3x^2 + yz, 3y^2 + xz, xy) vanishes on the z-axis.
+    ("x^3+y^3+x*y*z", XYZ, None),
+], ids=["cusp", "e8", "three-lines", "d5", "e7", "a2-surface", "z-axis-singular"])
+def test_grading_decides_the_jacobian_as_its_groebner_basis_does(f, variables, grading):
+    d = div([{"f": f, "alpha": "1/2"}], variables)
+    g = d.support_equation
+    assert infer_weights(g) is not None
+    jacobian = Ideal(variables, [g.diff(i) for i in range(len(variables))])
+    assert d.grading == grading
+    assert (d.grading is not None) == jacobian.is_zero_dimensional()
+
+
 # -- the step data each divisor keeps --------------------------------------------------
 
 def step_scale(divisor):
@@ -81,7 +103,8 @@ def cached_log_terms(divisor, k):
     CUSP,
     div([{"f": "1/2*x^2 + 3/7*y^3", "alpha": "5/6"}]),
     div([{"f": "x", "alpha": "1/3"}, {"f": "y^2+x^3", "alpha": "2/5"}]),
-], ids=["cusp", "scaled-cusp", "line-and-cusp"])
+    div([{"f": "1/2*x", "alpha": "1/3"}, {"f": "y^2 + 3/7*x^3", "alpha": "2/5"}]),
+], ids=["cusp", "scaled-cusp", "line-and-cusp", "scaled-line-and-cusp"])
 def test_kept_integer_rows_give_the_textbook_h(d):
     g = parse_polynomial("1", XY)
     for f in d.factors:
@@ -99,6 +122,17 @@ def test_derived_divisors_build_their_own_step_data():
         for k in range(3):
             assert cached_log_terms(other, k) == log_terms(other, k)
             assert cached_log_terms(other, k) != cached_log_terms(d, k)
+
+
+def test_derived_divisors_share_the_support_derivatives_not_the_step_data():
+    d = div([{"f": "x", "alpha": "7/4"}, {"f": "y^2+x^3", "alpha": "1/2"}])
+    for other in (d.with_alpha(F(2, 3)), periodic_reduce(d)[0]):
+        assert other._derivatives is d._derivatives
+        assert other.step_data is not d.step_data
+        assert other.step_data.rows is d.step_data.rows
+        assert other.step_data.g_terms is d.step_data.g_terms
+    # Over other variables the support's facts start again.
+    assert d._over(("x", "y", "z"))._derivatives is not d._derivatives
 
 
 def test_kept_data_leaves_equality_and_hashing_alone():
