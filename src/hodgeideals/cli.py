@@ -182,9 +182,9 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import DEFAULT_SEED, SUITES, report_ok, run_suites
 
-    names = list(args.suites)
-    if "all" in names:
-        names = sorted(SUITES)
+    # 'all' stands for every suite; each suite runs once, where first named.
+    names = list(dict.fromkeys(suite for name in args.suites
+                               for suite in (sorted(SUITES) if name == "all" else (name,))))
     seed = DEFAULT_SEED if args.seed is None else args.seed
     verdicts = run_suites(names, seed)
     ok = report_ok(verdicts)

@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .ideal import Ideal, _has_pure_powers, groebner_basis
@@ -101,12 +101,14 @@ class QDivisor:
         return tuple(w // common for w in integral)
 
     @_support_fact
-    def _derivatives(self) -> tuple[dict, int, tuple]:
-        """The support's derivatives in integer term dicts, for every
-        derivation step (``recursion.StepData``): (G, s, P).  With F_i = c*f_i
-        integral, c > 0 least, P[i][l] = d_l(F_i)*prod_(j != i) F_j is c^r*P_(i,l),
-        P_(i,l) = d_l(f_i)*prod_(j != i) f_j, and prod F_i = c^r*g = s*G, G = c_g*g
-        integral with c_g > 0 least."""
+    def _derivatives(self) -> tuple[dict, int, tuple, list]:
+        """The support's derivatives in integer term dicts, which every
+        derivation step reads (``recursion._step_rows``): (G, s, P, packed).
+        With F_i = c*f_i integral, c > 0 least, P[i][l] = d_l(F_i)*prod_(j != i) F_j
+        is c^r*P_(i,l), P_(i,l) = d_l(f_i)*prod_(j != i) f_j, and
+        prod F_i = c^r*g = s*G, G = c_g*g integral with c_g > 0 least.
+        ``packed`` is a slot, empty at first, where the steps keep one
+        packed copy of G and P for the last packing they asked for."""
         c, factors = integer_terms(self.factors)
         one = {(0,) * len(self.vars): 1}
         product = functools.reduce(_times, factors)
@@ -116,7 +118,7 @@ class QDivisor:
                                   functools.reduce(_times, factors[:i] + factors[i + 1:], one))
                            for l in range(len(self.vars)))
                      for i, f in enumerate(factors))
-        return {m: a // scale for m, a in product.items()}, scale, rows
+        return {m: a // scale for m, a in product.items()}, scale, rows, [None, None]
 
     @_support_fact
     def support_equation(self) -> Polynomial:
@@ -168,11 +170,18 @@ class QDivisor:
         return Ideal(self.vars, (g, gx, gy, hessian)).equals(Ideal.unit(self.vars))
 
     @functools.cached_property
-    def step_data(self):
-        """The integer data that every derivation step of this divisor
-        reads, built on first use and kept (see ``recursion.StepData``)."""
-        from .recursion import StepData
-        return StepData.of(self)
+    def _scalars(self) -> tuple[int, int, tuple[int, ...], Optional[tuple[int, int]]]:
+        """The coefficients as the integers a derivation step reads, kept
+        per divisor: (den, lambda, shifts, resonance).  With den the least
+        common denominator of the alpha_i, k + alpha_i = (k*den + shifts[i])/den,
+        and lambda = den*s for the s of ``_derivatives``.  With a
+        ``grading``, ``resonance`` = (den*deg g, sum_i shifts[i]*deg f_i);
+        None without one."""
+        den = math.lcm(*(alpha.denominator for alpha in self.alphas))
+        shifts = tuple(alpha.numerator * (den // alpha.denominator) for alpha in self.alphas)
+        degrees = self.grading and [f.weighted_degree(self.grading) for f in self.factors]
+        resonance = degrees and (den * sum(degrees), sum(map(mul, shifts, degrees)))
+        return den, den * self._derivatives[1], shifts, resonance
 
     def is_reduced_regime(self) -> bool:
         """True when every coefficient lies in (0, 1], i.e. ceil(D) = Z."""

@@ -14,7 +14,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import add, ge, mul, sub
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -29,6 +29,7 @@ from .poly import (
     _codec,
     _PackedRows,
     extension,
+    integer_terms,
 )
 
 
@@ -268,56 +269,39 @@ def _has_pure_powers(leads: Iterable[Monomial], n: int) -> bool:
     return [] in used or {u[0] for u in used if len(u) == 1} == set(range(n))
 
 
-def _packed_input(generators, variables: tuple[str, ...], weights: tuple[int, ...],
-                  order: MonomialOrder) -> _PackedRows:
-    """The caller's rows {exponent tuple: nonzero int} checked and packed,
-    empty rows dropped; ``ValueError`` names the first row refused."""
-    n = len(variables)
-    checked, top = [], 0
-    for index, row in enumerate(generators):
-        if not isinstance(row, dict):
-            raise ValueError(f"row {index} is not a term dict: {row!r}")
-        degrees = set()
-        for m, c in row.items():
-            if not (type(m) is tuple and len(m) == n
-                    and all(type(e) is int and e >= 0 for e in m)):
-                raise ValueError(f"row {index} {row!r}: {m!r} is not an exponent tuple of "
-                                 f"{n} non-negative integers")
-            if type(c) is not int or not c:
-                raise ValueError(f"row {index} {row!r}: the coefficient of {m} is not a "
-                                 f"nonzero int")
-            degrees.add(sum(map(mul, m, weights)))
-        if len(degrees) > 1:
-            raise ValueError(f"row {index} ({Polynomial(variables, row)}) is not "
-                             f"weighted-homogeneous for the weights {weights}")
-        if degrees:
-            checked.append(row)
-            top = max(top, *degrees)
-    return _codec(weights, order, top).pack(checked)
+def _require_m_primary(leads: list[Monomial], variables: tuple[str, ...]) -> None:
+    """Refuse, with ``ValueError``, a weighted-homogeneous ideal whose
+    reduced basis has the leads ``leads``, unless it is m-primary or (1):
+    unless some lead is a pure power x_i^e of each variable."""
+    if not _has_pure_powers(leads, len(variables)):
+        raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
+                         f"{[Polynomial._raw(variables, {m: Fraction(1)}) for m in leads]}")
 
 
-def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[str],
+def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
                  weights: Sequence[int], order: MonomialOrder = GREVLEX
                  ) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis for ``order`` (grevlex by default) of a
     weighted-homogeneous ideal that is m-primary or (1), by row reduction
     one weighted degree at a time.
 
-    Each generator is an integer row over ``variables``: a term dict
-    {exponent tuple: nonzero ``int``} (``integer_terms`` turns a
-    polynomial into one), and an empty dict is the zero row.  ``weights``
-    are positive integers W_i, one per variable, and every generator must
-    be weighted-homogeneous for them.  A row or weight that breaks these
-    rules is refused with ``ValueError``, which names the row, and so
-    are variables that ``Polynomial`` refuses and an order other than
-    grevlex, lex and grlex.  ``derivation_step`` and a print hand over
-    rows already packed (``_PackedRows``) for ``order``, built from
-    values the package checked, and they are taken as they are.  The
-    ideal must contain a power of the maximal ideal at the origin or be
-    the unit ideal.  When the loop below stops, the leads found must
-    include a pure power of every variable (``ValueError`` otherwise); on
-    an ideal that is not m-primary, and whose rows keep a tail in every
-    degree, the loop does not end.
+    The generators are polynomials over ``variables``, as ``Ideal``
+    takes them; ``weights`` are positive integers W_i, one per variable,
+    and every generator must be weighted-homogeneous for them.  The ideal
+    must contain a power of the maximal ideal at the origin or be the
+    unit ideal; for a weighted-homogeneous ideal that is the same as
+    being zero-dimensional (``Ideal.is_zero_dimensional``), which is
+    checked before the loop below, since on an ideal that is not
+    m-primary, and whose rows keep a tail in every degree, the loop does
+    not end.  Each check refuses with ``ValueError`` (``TypeError`` for a
+    generator that is not a ``Polynomial``), and so does an order other
+    than grevlex, lex and grlex.  The generators are then scaled to
+    integer rows (``integer_terms``) and packed.  ``derivation_step`` and
+    a print hand over rows already packed (``_PackedRows``) for
+    ``order``, built from values the package checked, and they are taken
+    as they are, with no check before the loop: when it stops, the leads
+    found must include a pure power of every variable (``ValueError``
+    otherwise).
 
     The rows are reduced on packed monomials: one ``int`` per monomial
     (``_Codec``), so a shift by x_i adds one constant, a row's lead is its
@@ -365,11 +349,19 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     """
     variables = _checked_variables(variables)
     weights = tuple(weights)
-    n = len(variables)
-    if len(weights) != n or any(type(w) is not int or w <= 0 for w in weights):
+    if len(weights) != len(variables) or any(type(w) is not int or w <= 0 for w in weights):
         raise ValueError(f"want one positive integer weight per variable, got {weights}")
     if not isinstance(generators, _PackedRows):
-        generators = _packed_input(generators, variables, weights, order)
+        ideal = Ideal(variables, generators)  # polynomials over ``variables``, zeros dropped
+        degrees = [f.weighted_degree(weights) for f in ideal.generators]
+        for f, d in zip(ideal.generators, degrees):
+            if d is None:
+                raise ValueError(f"generator {f} is not weighted-homogeneous for the weights "
+                                 f"{weights}")
+        if degrees:
+            _require_m_primary([f.leading_monomial() for f in ideal.groebner()], variables)
+        generators = _codec(weights, order, max(degrees, default=0)).pack(
+            integer_terms(ideal.generators)[1])
     codec = generators.codec
     top = codec.top
     gens: dict[int, list[dict[int, int]]] = {}
@@ -472,11 +464,7 @@ def graded_basis(generators: Iterable[dict[Monomial, int]], variables: Sequence[
     found.sort(key=lambda f: f[0] & low, reverse=True)
     decode = codec.decode
     leads = [decode(m) for m, _, _ in found]
-    # Weighted-homogeneous and not (1): m-primary iff some lead is a pure
-    # power x_i^e of each variable.
-    if not _has_pure_powers(leads, n):
-        raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
-                         f"{[Polynomial._raw(variables, {m: one}) for m in leads]}")
+    _require_m_primary(leads, variables)
     basis, packed = [], _PackedRows(codec)
     for lead, (m, p, tail) in zip(leads, found):
         terms = {lead: one}

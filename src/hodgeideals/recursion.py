@@ -10,8 +10,7 @@ accounting is explicit and never promotes a lower bound.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -19,8 +18,7 @@ from typing import Optional, Sequence
 from .closed_forms import Regime, diagonal_multiplier_i0, generation_level
 from .divisor import HodgeIdealResult, Provenance, QDivisor
 from .ideal import Ideal, graded_basis, groebner_basis
-from .poly import (GREVLEX, InputError, Monomial, Polynomial, _Codec, _codec, _PackedRows,
-                   integer_terms)
+from .poly import GREVLEX, InputError, Polynomial, _Codec, _codec, _PackedRows, integer_terms
 
 CERTIFICATE_SOURCES = ("node-example", "quasihomogeneous-formula", "universal-bound",
                        "user-asserted")
@@ -90,75 +88,25 @@ def _grading(ideal: Ideal, divisor: QDivisor) -> Optional[tuple[int, ...]]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class StepData:
-    """The integer data of the derivation steps of a divisor, decided once
-    per divisor (kept by ``QDivisor.step_data``).
+def _packed_derivatives(divisor: QDivisor, codec: _Codec):
+    """The support's record ``QDivisor._derivatives`` on ``codec``'s keys:
+    (G, G shifted down by each x_l, the rows P), each key less the codec's
+    ``base``.  A packed monomial plus such a key is the key of their
+    product, and the l-th shifted G multiplies d_l(w) term by term from the
+    keys of w.  The record keeps one packed copy, for the last weights,
+    order and width asked: a chain keeps its fields until its degrees
+    outgrow them, and the divisors of one support share the copy."""
+    big_g, _, rows, kept = divisor._derivatives
+    fields = codec.weights, codec.order, codec.width
+    if kept[0] != fields:
+        encode, base = codec.encode, codec.base
 
-    ``g_terms`` (G = c_g*g) and ``rows`` (c^r*P_(i,l)) are the support's
-    record ``QDivisor._derivatives``.  With den the least common
-    denominator of the alpha_i, k + alpha_i = (k*den + shifts[i])/den,
-    ``gh`` = lambda*g for lambda = den*c^r and ``log_rows(k, rows)[l]`` =
-    -sum_i (k*den + shifts[i])*rows[i][l] = -lambda*h_l, where h_l =
-    sum_i (k + alpha_i)*P_(i,l).  ``reduced`` is ``is_reduced_regime``;
-    with a grading, ``resonance`` = (den*deg g, sum_i shifts[i]*deg f_i).
+        def pack(row, offset=0):
+            return {encode(m) - base - offset: c for m, c in row.items()}
 
-    These are term dicts {exponent tuple: int}.  ``packed(codec)`` gives
-    the same data on a codec's packed monomials, ready for the products
-    of ``_step_rows``.  One packed copy is kept, for the last codec
-    asked: a chain keeps one codec until its degrees outgrow it.
-    """
-
-    g_terms: dict[Monomial, int]
-    gh: dict[Monomial, int]
-    den: int
-    shifts: tuple[int, ...]
-    rows: tuple[tuple[dict[Monomial, int], ...], ...]
-    reduced: bool
-    resonance: Optional[tuple[int, int]]
-    _packed: list = field(default_factory=lambda: [None, None], repr=False)  # [codec, data]
-
-    @classmethod
-    def of(cls, divisor: QDivisor) -> "StepData":
-        big_g, scale, rows = divisor._derivatives
-        den = math.lcm(*(alpha.denominator for alpha in divisor.alphas))
-        shifts = tuple(alpha.numerator * (den // alpha.denominator) for alpha in divisor.alphas)
-        degrees = divisor.grading and [f.weighted_degree(divisor.grading) for f in divisor.factors]
-        return cls(g_terms=big_g, gh={m: den * scale * c for m, c in big_g.items()}, den=den,
-                   shifts=shifts, rows=rows, reduced=divisor.is_reduced_regime(),
-                   resonance=degrees and (den * sum(degrees), sum(map(mul, shifts, degrees))))
-
-    def log_rows(self, k: int, rows) -> list[dict]:
-        """-lambda*h_l for each variable index l, as integer rows: the
-        combinations of ``rows``, this data's ``rows`` as term dicts or
-        packed (``packed``)."""
-        scalars = [-k * self.den - a for a in self.shifts]
-        if len(rows) == 1:  # one factor: its rows times one nonzero scalar
-            return [{m: scalars[0] * c for m, c in row.items()} for row in rows[0]]
-        out = []
-        for ell in range(len(rows[0])):
-            h: dict = {}
-            for s, rows_i in zip(scalars, rows):
-                for m, c in rows_i[ell].items():
-                    h[m] = h.get(m, 0) + s * c
-            out.append({m: c for m, c in h.items() if c})
-        return out
-
-    def packed(self, codec: _Codec):
-        """(G, gh shifted down by each x_l, the rows) on ``codec``'s keys,
-        each key less the codec's ``base``: a packed monomial plus such a
-        key is the key of their product, and gh's l-th copy multiplies
-        d_l(w) term by term from the keys of w."""
-        kept = self._packed
-        if kept[0] is not codec:
-            encode, base = codec.encode, codec.base
-
-            def pack(row, offset=0):
-                return {encode(m) - base - offset: c for m, c in row.items()}
-
-            kept[:] = codec, (pack(self.g_terms), [pack(self.gh, s) for s in codec.steps],
-                              [[pack(row) for row in rows] for rows in self.rows])
-        return kept[1]
+        kept[:] = fields, (pack(big_g), [pack(big_g, s) for s in codec.steps],
+                           [[pack(row) for row in rows_i] for rows_i in rows])
+    return kept[1]
 
 
 def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
@@ -167,18 +115,22 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
     a positive integer multiple of each, which spans the same ideal, as
     the pair (the g*w rows, the derivative rows).
 
-    With the integer ``StepData`` of the divisor, G = c_g*g, gh = lambda*g
-    and ``log_rows(k)`` = -lambda*h_l, and each w = W/c_w, W integral, the
-    rows are G*W = c_g*c_w * g*w, then gh*d_l(W) + W*log_rows(k)[l] =
-    lambda*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
-    of ``int``s, on packed monomials: a product's key is a sum of keys,
-    and d_l(W) reads each exponent of x_l from its key.  W is read packed
-    off ``basis.packed`` when ``graded_basis`` returned the basis for
-    these weights, and built by ``integer_terms`` and packed otherwise.
-    The basis's own fields are kept while they hold the step's largest
-    product, g*w; otherwise the rows go onto the fields ``_codec`` picks
-    for its degree.  The weights are the ``grading``, or the basis's own
-    or all 1 without one.
+    The support's record (``QDivisor._derivatives``) holds G = c_g*g,
+    s*G = c^r*g and the rows P[i][l] = c^r*P_(i,l); the divisor's
+    (``QDivisor._scalars``) holds den, lambda = den*s and the shifts, with
+    k + alpha_i = (k*den + shifts[i])/den.  So lambda*G = den*c^r*g and
+    the combinations H_l = -sum_i (k*den + shifts[i])*P[i][l] are
+    -den*c^r*h_l.  With each w = W/c_w, W integral, the rows are
+    G*W = c_g*c_w * g*w, then lambda*G*d_l(W) + W*H_l =
+    den*c^r*c_w * (g*d_l(w) - w*h_l) for each w and l.  Every product is
+    of ``int``s, on packed monomials (``_packed_derivatives``): a
+    product's key is a sum of keys, and d_l(W) reads each exponent of x_l
+    from its key.  W is read packed off ``basis.packed`` when
+    ``graded_basis`` returned the basis for these weights, and built by
+    ``integer_terms`` and packed otherwise.  The basis's own fields are
+    kept while they hold the step's largest product, g*w; otherwise the
+    rows go onto the fields ``_codec`` picks for its degree.  The weights
+    are the ``grading``, or the basis's own or all 1 without one.
 
     With a ``grading`` u_l for which g and every w are weighted-homogeneous
     (the graded path), deg taken for it, the Euler identity
@@ -187,10 +139,10 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
 
     puts g*w in the ideal of the derivative rows unless the factor
     vanishes, so the g*w row is left out then.  Each f_i is
-    weighted-homogeneous, because g is, so with ``StepData.resonance``
-    = (a, b) the row is kept exactly when den*deg w = k*a + b.
+    weighted-homogeneous, because g is, so with the divisor's
+    ``resonance`` = (a, b) the row is kept exactly when den*deg w = k*a + b.
     """
-    data = divisor.step_data
+    den, lam, shifts, resonance = divisor._scalars
     rows = getattr(basis, "packed", None)
     if rows is not None and grading in (None, rows.codec.weights):
         weights = rows.codec.weights
@@ -201,20 +153,30 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
         weights = grading or (1,) * len(divisor.vars)
         terms = [integer_terms((w,))[1][0] for w in basis]
         degree = max((sum(map(mul, m, weights)) for row in terms for m in row), default=0)
-    degree += max(sum(map(mul, m, weights)) for m in data.g_terms)
+    degree += max(sum(map(mul, m, weights)) for m in divisor._derivatives[0])
     if rows is None:
         rows = _codec(weights, GREVLEX, degree).pack(terms)
     elif degree >= rows.codec.limit:
         rows = rows.on(_codec(weights, GREVLEX, degree))
     codec = rows.codec
-    big_g, gh, p_rows = data.packed(codec)
-    hg = data.log_rows(k, p_rows)
+    big_g, g_shifts, p_rows = _packed_derivatives(divisor, codec)
+    scalars = [-k * den - a for a in shifts]
+    if len(p_rows) == 1:  # one factor: its rows times one nonzero scalar
+        hg = [{m: scalars[0] * c for m, c in row.items()} for row in p_rows[0]]
+    else:
+        hg = []  # H_l for each l
+        for rows_l in zip(*p_rows):
+            h: dict[int, int] = {}
+            for s, row in zip(scalars, rows_l):
+                for m, c in row.items():
+                    h[m] = h.get(m, 0) + s * c
+            hg.append({m: c for m, c in h.items() if c})
     top, mask, places = codec.top, codec.mask, codec.places
     if grading is not None:
-        resonant = k * data.resonance[0] + data.resonance[1]
+        resonant = k * resonance[0] + resonance[1]
     known, derived = _PackedRows(codec), _PackedRows(codec)
     for big_w in rows:
-        if grading is None or data.den * (next(iter(big_w)) >> top) == resonant:
+        if grading is None or den * (next(iter(big_w)) >> top) == resonant:
             row: dict[int, int] = {}
             for m1, c1 in big_w.items():
                 for m2, c2 in big_g.items():
@@ -225,13 +187,13 @@ def _step_rows(basis: Sequence[Polynomial], divisor: QDivisor, k: int,
                     else:
                         del row[m]
             known.append(row)
-        for (at, flip), ghl, hl in zip(places, gh, hg):
+        for (at, flip), g_l, hl in zip(places, g_shifts, hg):
             row = {}
             for m1, c1 in big_w.items():
                 e = m1 >> at & mask ^ flip
                 if e:
-                    c1e = c1 * e
-                    for m2, c2 in ghl.items():
+                    c1e = c1 * e * lam
+                    for m2, c2 in g_l.items():
                         m = m1 + m2
                         c = row.get(m, 0) + c1e * c2
                         if c:
@@ -264,8 +226,10 @@ g * prod_i f_i^(k + alpha_i).
     filtration is generated at level <= k.
 
     The generators are built once, as packed integer rows
-    (``_step_rows``), from the divisor's ``StepData``, kept from its first
-    step, so a step only scales by k + alpha_i.  When g is weighted-homogeneous
+    (``_step_rows``), from two kept records: the support's derivatives
+    (``QDivisor._derivatives``), shared by every divisor on the support,
+    and the divisor's alpha_i as integers (``QDivisor._scalars``), so a
+    step only scales by k + alpha_i.  When g is weighted-homogeneous
     with an isolated singularity (``QDivisor.grading``, decided once per
     support) and the input is weighted-homogeneous and m-primary or (1),
     so is the result, and ``graded_basis`` row-reduces those rows in
@@ -280,7 +244,7 @@ g * prod_i f_i^(k + alpha_i).
     polynomials: positive multiples of g*w and g*d_l(w) - w*h_l, which it
     makes monic.  Both give the same reduced basis.
     """
-    if not divisor.step_data.reduced:
+    if not divisor.is_reduced_regime():
         raise ValueError("derivation step wants ceil(D) = Z; apply periodic_reduce first")
     if ideal.vars != divisor.vars:
         raise ValueError(f"ideal over {ideal.vars}, divisor over {divisor.vars}")

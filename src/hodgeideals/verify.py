@@ -447,10 +447,10 @@ SUITES: dict[str, Callable[[int], list[Verdict]]] = {
 
 
 def run_suites(names: Sequence[str], seed: int = DEFAULT_SEED) -> list[Verdict]:
-    verdicts: list[Verdict] = []
+    """The verdicts of the named suites, in order; an unknown name is
+    refused before any suite runs."""
     for name in names:
         if name not in SUITES:
             raise ParseError(f"unknown suite {name!r}; expected one of "
                              f"{', '.join(sorted(SUITES))} or 'all'")
-        verdicts.extend(SUITES[name](seed))
-    return verdicts
+    return [verdict for name in names for verdict in SUITES[name](seed)]

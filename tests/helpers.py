@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from hodgeideals import Ideal, MonomialOrder, Polynomial, parse_divisor, parse_polynomial
-from hodgeideals.poly import integer_terms
+
+from oracles import log_terms
 
 #: Reverse lex, lex with the variables read last to first: a monomial order
 #: the package has no packed layout for.
@@ -37,10 +38,13 @@ def cone(n, m, alpha):
         {"f": " + ".join(f"{v}^{m}" for v in variables), "alpha": str(alpha)}]})
 
 
-def rows(polys) -> list[dict]:
-    """Each polynomial scaled to an integer row, the input ``graded_basis``
-    takes."""
-    return integer_terms(polys)[1]
+def step_generators(ideal, d, k):
+    """g*w for each w in the reduced basis, then g*d_l(w) - w*h_l for each
+    w and l, with the textbook h_l: the inputs of one derivation step."""
+    g, h = d.support_equation, log_terms(d, k)
+    basis = ideal.groebner()
+    return [g * w for w in basis] + \
+        [g * w.diff(ell) - w * h[ell] for w in basis for ell in range(len(d.vars))]
 
 
 def term_dicts(rows) -> tuple[dict, ...]:

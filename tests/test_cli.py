@@ -1252,6 +1252,30 @@ def test_verify_has_no_suite_aliases(capsys):
     assert "unknown suite 'certificates-consistency'" in err
 
 
+def test_verify_refuses_an_unknown_suite_next_to_all(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "nope")
+    assert (code, out) == (2, "")
+    assert "unknown suite 'nope'" in err
+
+
+def test_verify_runs_each_named_suite_once_in_the_order_given(capsys, monkeypatch):
+    from hodgeideals import verify as verify_module
+    from hodgeideals.verify import Verdict
+
+    for name in verify_module.SUITES:
+        monkeypatch.setitem(verify_module.SUITES, name,
+                            lambda seed, name=name: [Verdict(claim=name, instance="ran",
+                                                             status="PASS")])
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "restriction", "chains",
+                           "restriction", "all", "chains")
+    assert code == 0
+    payload = json.loads(out)
+    order = ["restriction", "chains"] + [s for s in sorted(verify_module.SUITES)
+                                         if s not in ("restriction", "chains")]
+    assert payload["suites"] == order
+    assert [v["claim"] for v in payload["verdicts"]] == order
+
+
 def test_verify_claim_failure_exits_1(capsys, monkeypatch):
     from hodgeideals import verify as verify_module
     from hodgeideals.verify import Verdict

@@ -5,12 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from hodgeideals import (
+    GREVLEX,
     HodgeIdealResult,
     Ideal,
     Polynomial,
     Provenance,
     QDivisor,
     classify,
+    derivation_step,
+    groebner_basis,
     parse_divisor,
     parse_polynomial,
     periodic_reduce,
@@ -18,10 +21,10 @@ from hodgeideals import (
     twist_polynomial,
 )
 from hodgeideals.divisor import apply_twist
-from hodgeideals.poly import infer_weights
+from hodgeideals.poly import _codec, infer_weights
+from hodgeideals.recursion import _packed_derivatives
 
-from helpers import integer_polynomial, positive_multiple, spanned_by
-from oracles import log_terms
+from helpers import spanned_by, step_generators
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -77,68 +80,43 @@ def test_grading_decides_the_jacobian_as_its_groebner_basis_does(f, variables, g
     assert (d.grading is not None) == jacobian.is_zero_dimensional()
 
 
-# -- the step data each divisor keeps --------------------------------------------------
+# -- the records a derivation step reads ------------------------------------------------
 
-def step_scale(divisor):
-    """The lambda > 0 of the divisor's kept integer rows, checked against
-    the support equation g: ``gh`` = lambda*g, and ``g_terms`` is a
-    positive multiple of g."""
-    data, g = divisor.step_data, divisor.support_equation
-    m = next(iter(g.terms))
-    lam = data.gh[m] / g.terms[m]
-    assert lam > 0 and integer_polynomial(divisor.vars, data.gh) == lam * g
-    assert positive_multiple(integer_polynomial(divisor.vars, data.g_terms), g)
-    return lam
-
-
-def cached_log_terms(divisor, k):
-    """The h_l of step k from the divisor's kept integer rows:
-    ``log_rows(k, rows)[l]`` = -lambda*h_l, one lambda for every l and k."""
-    lam = step_scale(divisor)
-    return [integer_polynomial(divisor.vars, row) * (-1 / lam)
-            for row in divisor.step_data.log_rows(k, divisor.step_data.rows)]
-
-
-@pytest.mark.parametrize("d", [
-    CUSP,
-    div([{"f": "1/2*x^2 + 3/7*y^3", "alpha": "5/6"}]),
-    div([{"f": "x", "alpha": "1/3"}, {"f": "y^2+x^3", "alpha": "2/5"}]),
-    div([{"f": "1/2*x", "alpha": "1/3"}, {"f": "y^2 + 3/7*x^3", "alpha": "2/5"}]),
-], ids=["cusp", "scaled-cusp", "line-and-cusp", "scaled-line-and-cusp"])
-def test_kept_integer_rows_give_the_textbook_h(d):
-    g = parse_polynomial("1", XY)
-    for f in d.factors:
-        g = g * f
-    assert d.support_equation == g
-    for k in range(5):
-        assert cached_log_terms(d, k) == log_terms(d, k)
-
-
-def test_derived_divisors_build_their_own_step_data():
+def test_derived_divisors_step_with_their_own_alphas():
+    # Both derived divisors read one support record; each step scales it
+    # by the k + alpha_i of the divisor it is for, in either order.
     d = div([{"f": "x", "alpha": "7/4"}, {"f": "y^2+x^3", "alpha": "1/2"}])
-    assert cached_log_terms(d, 1) == log_terms(d, 1)
-    for other in (d.with_alpha(F(2, 3)), periodic_reduce(d)[0]):
-        assert other.step_data is not d.step_data
+    given = spanned_by(XY, ["x", "y"])
+    for others in ((d.with_alpha(F(2, 3)), periodic_reduce(d)[0]),
+                   (periodic_reduce(d)[0], d.with_alpha(F(2, 3)))):
         for k in range(3):
-            assert cached_log_terms(other, k) == log_terms(other, k)
-            assert cached_log_terms(other, k) != cached_log_terms(d, k)
+            for other in others:
+                assert derivation_step(given, other, k).groebner() == \
+                    groebner_basis(step_generators(given, other, k))
 
 
-def test_derived_divisors_share_the_support_derivatives_not_the_step_data():
+def test_divisors_of_one_support_share_one_packed_copy_per_codec():
     d = div([{"f": "x", "alpha": "7/4"}, {"f": "y^2+x^3", "alpha": "1/2"}])
-    for other in (d.with_alpha(F(2, 3)), periodic_reduce(d)[0]):
+    packed = _packed_derivatives(d, _codec(d.grading, GREVLEX, 12))
+    for other in (d, d.with_alpha(F(2, 3)), periodic_reduce(d)[0]):
         assert other._derivatives is d._derivatives
-        assert other.step_data is not d.step_data
-        assert other.step_data.rows is d.step_data.rows
-        assert other.step_data.g_terms is d.step_data.g_terms
-    # Over other variables the support's facts start again.
-    assert d._over(("x", "y", "z"))._derivatives is not d._derivatives
+        # A codec built again for the same fields finds the copy.
+        assert _packed_derivatives(other, _codec(d.grading, GREVLEX, 12)) is packed
+    # Other fields replace the copy, for every divisor of the support.
+    wider = _packed_derivatives(d.with_alpha(F(1, 3)), _codec(d.grading, GREVLEX, 100))
+    assert wider is not packed
+    assert _packed_derivatives(d, _codec(d.grading, GREVLEX, 100)) is wider
+    # Over other variables the support's facts, its packed copy among them,
+    # start again.
+    over = d._over(XYZ)
+    assert over._derivatives is not d._derivatives
+    assert over._derivatives[3] is not d._derivatives[3]
 
 
 def test_kept_data_leaves_equality_and_hashing_alone():
     spec = [{"f": "x^2+y^3", "alpha": "9/10"}]
     used, fresh = div(spec), div(spec)
-    used.step_data, used.grading, used.support_equation
+    used._scalars, used._derivatives, used.grading, used.support_equation
     assert used == fresh and hash(used) == hash(fresh)
     assert {used: 1}[fresh] == 1
     assert used != used.with_alpha(F(1, 2))

@@ -217,47 +217,32 @@ CASES = {
         lambda: parse_divisor({"vars": ["x"], "divisor": {"components": []},
                                "components": []}), ParseError,
         "divisor document has both 'divisor' and 'components'; give the components once"),
-    # (x) is weighted-homogeneous but not m-primary: the graded engine stops.
+    # (x) is weighted-homogeneous but not m-primary: refused before the loop.
     "graded-basis-not-m-primary": (
-        lambda: graded_basis([{(1, 0): 1}], XY, (1, 1)), ValueError,
+        lambda: graded_basis([p("x")], XY, (1, 1)), ValueError,
         "the ideal is not m-primary: its reduced basis has leads"),
-    # graded_basis checks the term dicts a caller hands it, and names the row.
-    "graded-basis-zero-coefficient": (
-        lambda: graded_basis([{(0, 1): 1}, {(2, 0): 0}], XY, (1, 1)), ValueError,
-        "row 1 {(2, 0): 0}: the coefficient of (2, 0) is not a nonzero int"),
-    "graded-basis-all-zero-row": (
-        lambda: graded_basis([{(1, 0): 0, (0, 1): 0}], XY, (1, 1)), ValueError,
-        "row 0 {(1, 0): 0, (0, 1): 0}: the coefficient of (1, 0) is not a nonzero int"),
-    "graded-basis-fraction-coefficient": (
-        lambda: graded_basis([{(1, 0): F(1, 2)}], XY, (1, 1)), ValueError,
-        "row 0 {(1, 0): Fraction(1, 2)}: the coefficient of (1, 0) is not a nonzero int"),
-    "graded-basis-short-exponent": (
-        lambda: graded_basis([{(1,): 1}], XY, (1, 1)), ValueError,
-        "row 0 {(1,): 1}: (1,) is not an exponent tuple of 2 non-negative integers"),
-    "graded-basis-long-exponent": (
-        lambda: graded_basis([{(1, 0, 0): 1}], XY, (1, 1)), ValueError,
-        "row 0 {(1, 0, 0): 1}: (1, 0, 0) is not an exponent tuple of 2 non-negative integers"),
-    "graded-basis-negative-exponent": (
-        lambda: graded_basis([{(1, -1): 1}], XY, (1, 1)), ValueError,
-        "row 0 {(1, -1): 1}: (1, -1) is not an exponent tuple of 2 non-negative integers"),
-    "graded-basis-row-not-a-dict": (
-        lambda: graded_basis([[((1, 0), 1)]], XY, (1, 1)), ValueError,
-        "row 0 is not a term dict: [((1, 0), 1)]"),
+    # graded_basis takes polynomials over its variables, as Ideal does.
+    "graded-basis-not-a-polynomial": (
+        lambda: graded_basis([{(1, 0): 1}], XY, (1, 1)), TypeError,
+        "generators must be polynomials, got dict"),
+    "graded-basis-other-ambient": (
+        lambda: graded_basis([p("x", XYZ)], XY, (1, 1)), AmbientMismatchError,
+        "generator over ('x', 'y', 'z'), ideal over ('x', 'y')"),
     "graded-basis-not-homogeneous": (
-        lambda: graded_basis([{(2, 0): 1}, {(2, 0): 1, (0, 1): 1}], XY, (3, 2)), ValueError,
-        "row 1 (x^2 + y) is not weighted-homogeneous for the weights (3, 2)"),
+        lambda: graded_basis([p("x^2"), p("x^2 + y")], XY, (3, 2)), ValueError,
+        "generator x^2 + y is not weighted-homogeneous for the weights (3, 2)"),
     # Only grevlex, lex and grlex have a packed layout; rlex is not read as lex.
     "graded-basis-order-without-layout": (
-        lambda: graded_basis([{(1, 0): 1}, {(0, 1): 1}], XY, (1, 1), RLEX), ValueError,
+        lambda: graded_basis([p("x"), p("y")], XY, (1, 1), RLEX), ValueError,
         "the monomial order 'rlex' has no packed layout"),
     # The variables are checked as Polynomial checks them.
     "graded-basis-repeated-variable": (
-        lambda: graded_basis([{(1, 0): 1}, {(0, 1): 1}], ("x", "x"), (1, 1)), ValueError,
+        lambda: graded_basis([p("x"), p("y")], ("x", "x"), (1, 1)), ValueError,
         "ambient variables must be distinct, got ('x', 'x')"),
     "graded-basis-no-variables": (
         lambda: graded_basis([], (), ()), ValueError, "ambient variable list must be nonempty"),
     "graded-basis-bool-weight": (
-        lambda: graded_basis([{(1, 0): 1}], XY, (True, 1)), ValueError,
+        lambda: graded_basis([p("x")], XY, (True, 1)), ValueError,
         "want one positive integer weight per variable, got (True, 1)"),
     "contains-ideal-across-ambients": (
         lambda: Ideal.unit(XY).contains_ideal(Ideal.unit(XYZ)), AmbientMismatchError,
