@@ -24,7 +24,8 @@ from hodgeideals.divisor import apply_twist
 from hodgeideals.poly import _codec, infer_weights
 from hodgeideals.recursion import _packed_derivatives
 
-from helpers import spanned_by, step_generators
+from helpers import integer_polynomial, positive_multiple, spanned_by, step_generators
+from oracles import log_terms
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -81,6 +82,44 @@ def test_grading_decides_the_jacobian_as_its_groebner_basis_does(f, variables, g
 
 
 # -- the records a derivation step reads ------------------------------------------------
+
+def kept_log_terms(divisor, k):
+    """The h_l of step k from the integer records a step reads: the
+    support's G and rows P (``_derivatives``) and the divisor's den,
+    lambda and shifts (``_scalars``).  lambda*G = r*g for one r > 0, and
+    H_l = -sum_i (k*den + shifts[i])*P[i][l] is -r*h_l for every l and k."""
+    big_g, _, p_rows, _ = divisor._derivatives
+    den, lam, shifts, _ = divisor._scalars
+    g = divisor.support_equation
+    for shift, alpha in zip(shifts, divisor.alphas):
+        assert F(k * den + shift, den) == k + alpha
+    lam_g = integer_polynomial(divisor.vars, big_g) * lam
+    assert positive_multiple(lam_g, g)
+    m = next(iter(g.terms))
+    r = lam_g.terms[m] / g.terms[m]
+    out = []
+    for rows_l in zip(*p_rows):
+        h = Polynomial.zero(divisor.vars)
+        for shift, row in zip(shifts, rows_l):
+            h = h - (k * den + shift) * integer_polynomial(divisor.vars, row)
+        out.append(h * (-1 / r))
+    return out
+
+
+@pytest.mark.parametrize("d", [
+    CUSP,
+    div([{"f": "1/2*x^2 + 3/7*y^3", "alpha": "5/6"}]),
+    div([{"f": "x", "alpha": "1/3"}, {"f": "y^2+x^3", "alpha": "2/5"}]),
+    div([{"f": "1/2*x", "alpha": "1/3"}, {"f": "y^2 + 3/7*x^3", "alpha": "2/5"}]),
+], ids=["cusp", "scaled-cusp", "line-and-cusp", "scaled-line-and-cusp"])
+def test_kept_integer_rows_give_the_textbook_h(d):
+    g = parse_polynomial("1", XY)
+    for f in d.factors:
+        g = g * f
+    assert d.support_equation == g
+    for k in range(5):
+        assert kept_log_terms(d, k) == log_terms(d, k)
+
 
 def test_derived_divisors_step_with_their_own_alphas():
     # Both derived divisors read one support record; each step scales it

@@ -225,6 +225,23 @@ CASES = {
     "graded-basis-not-a-polynomial": (
         lambda: graded_basis([{(1, 0): 1}], XY, (1, 1)), TypeError,
         "generators must be polynomials, got dict"),
+    # The term dicts it took before are refused by type, whatever their
+    # defect, and at any position: none is read as a polynomial.
+    "graded-basis-zero-coefficient": (
+        lambda: graded_basis([p("y"), {(2, 0): 0}], XY, (1, 1)), TypeError,
+        "generators must be polynomials, got dict"),
+    "graded-basis-all-zero-row": (
+        lambda: graded_basis([{(1, 0): 0, (0, 1): 0}], XY, (1, 1)), TypeError,
+        "generators must be polynomials, got dict"),
+    "graded-basis-fraction-coefficient": (
+        lambda: graded_basis([{(1, 0): F(1, 2)}], XY, (1, 1)), TypeError,
+        "generators must be polynomials, got dict"),
+    "graded-basis-short-exponent": (
+        lambda: graded_basis([{(1,): 1}], XY, (1, 1)), TypeError,
+        "generators must be polynomials, got dict"),
+    "graded-basis-negative-exponent": (
+        lambda: graded_basis([{(1, -1): 1}], XY, (1, 1)), TypeError,
+        "generators must be polynomials, got dict"),
     "graded-basis-other-ambient": (
         lambda: graded_basis([p("x", XYZ)], XY, (1, 1)), AmbientMismatchError,
         "generator over ('x', 'y', 'z'), ideal over ('x', 'y')"),
