@@ -8,7 +8,7 @@ property suites for the structural theorems.
 """
 
 from .poly import GREVLEX, GRLEX, LEX, InputError, MonomialOrder, Polynomial
-from .ideal import Ideal, graded_basis, groebner_basis, normal_form
+from .ideal import Ideal, groebner_basis, normal_form
 from .parser import ParseError, parse_divisor, parse_polynomial, parse_rational, \
     parse_resolution_data
 from .divisor import (
@@ -54,7 +54,7 @@ def __getattr__(name: str):
 
 __all__ = [
     "GREVLEX", "GRLEX", "LEX", "InputError", "MonomialOrder", "Polynomial",
-    "Ideal", "graded_basis", "groebner_basis", "normal_form",
+    "Ideal", "groebner_basis", "normal_form",
     "ParseError", "parse_divisor", "parse_polynomial", "parse_rational",
     "parse_resolution_data",
     "HodgeIdealResult", "Provenance", "QDivisor", "periodic_reduce", "twist_polynomial",

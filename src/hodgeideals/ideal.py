@@ -29,7 +29,6 @@ from .poly import (
     _codec,
     _PackedRows,
     extension,
-    integer_terms,
 )
 
 
@@ -269,57 +268,39 @@ def _has_pure_powers(leads: Iterable[Monomial], n: int) -> bool:
     return [] in used or {u[0] for u in used if len(u) == 1} == set(range(n))
 
 
-def _require_m_primary(leads: list[Monomial], variables: tuple[str, ...]) -> None:
-    """Refuse, with ``ValueError``, a weighted-homogeneous ideal whose
-    reduced basis has the leads ``leads``, unless it is m-primary or (1):
-    unless some lead is a pure power x_i^e of each variable."""
-    if not _has_pure_powers(leads, len(variables)):
-        raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
-                         f"{[Polynomial._raw(variables, {m: Fraction(1)}) for m in leads]}")
+def graded_basis(generators: _PackedRows, variables: tuple[str, ...]) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis over ``variables`` of the
+    weighted-homogeneous ideal spanned by the integer rows ``generators``,
+    for the weights and order of their codec (``generators.codec``), when
+    the ideal is m-primary or (1): by row reduction one weighted degree at
+    a time.
 
-
-def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
-                 weights: Sequence[int], order: MonomialOrder = GREVLEX
-                 ) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis for ``order`` (grevlex by default) of a
-    weighted-homogeneous ideal that is m-primary or (1), by row reduction
-    one weighted degree at a time.
-
-    The generators are polynomials over ``variables``, as ``Ideal``
-    takes them; ``weights`` are positive integers W_i, one per variable,
-    and every generator must be weighted-homogeneous for them.  The ideal
-    must contain a power of the maximal ideal at the origin or be the
-    unit ideal; for a weighted-homogeneous ideal that is the same as
-    being zero-dimensional (``Ideal.is_zero_dimensional``), which is
-    checked before the loop below, since on an ideal that is not
-    m-primary, and whose rows keep a tail in every degree, the loop does
-    not end.  Each check refuses with ``ValueError`` (``TypeError`` for a
-    generator that is not a ``Polynomial``), and so does an order other
-    than grevlex, lex and grlex.  The generators are then scaled to
-    integer rows (``integer_terms``) and packed.  ``derivation_step`` and
-    a print hand over rows already packed (``_PackedRows``) for
-    ``order``, built from values the package checked, and they are taken
-    as they are, with no check before the loop: when it stops, the leads
-    found must include a pure power of every variable (``ValueError``
-    otherwise).
+    ``derivation_step`` and a lex or grlex print hand over the rows, built
+    by the package from values it checked, and they are taken on trust
+    (``_PackedRows``): weighted-homogeneous, on fields that hold them and
+    laid out for the order (``_Codec`` refuses an order with no layout).
+    The ideal must contain a power of the maximal ideal at the origin or
+    be the unit ideal, since on rows that keep a tail in every degree the
+    loop below does not end; ``derivation_step`` grades only such steps
+    (``recursion._grading``).  When the loop stops, the leads found must
+    include a pure power of every variable (``ValueError`` otherwise).
 
     The rows are reduced on packed monomials: one ``int`` per monomial
     (``_Codec``), so a shift by x_i adds one constant, a row's lead is its
-    largest key and the weighted degree is the key's top field.  A
-    caller's rows are packed on the fields ``_codec`` picks for their top
-    degree.  When a degree of the loop reaches the fields' ``limit``, the
-    loop starts over on its input, re-packed on the fields ``_codec``
-    picks for that degree; within one degree keys compare as ``order``
-    does on any width, so the new pass repeats the same arithmetic.  Only
-    the output is unpacked.
+    largest key and the weighted degree is the key's top field.  When a
+    degree of the loop reaches the fields' ``limit``, the loop starts over
+    on its input, re-packed on the fields ``_codec`` picks for that
+    degree; within one degree keys compare as the order does on any
+    width, so the new pass repeats the same arithmetic.  Only the output
+    is unpacked.
 
     The degree-D part of the ideal is spanned by the generators of degree
     D and x_i times the degree-(D - W_i) part.  Each degree, in ascending
     order, is put in reduced row-echelon form with its columns sorted by
-    ``order``: single-monomial rows first (a monomial already a pivot is
+    the order: single-monomial rows first (a monomial already a pivot is
     skipped), then every other row reduced against the pivots so far,
     with a new pivot cleared from the rows above.  A row is m - NF(m) for
-    its pivot m, so the rows whose pivot m has no m/x_i among the pivots
+    its pivot m, so the rows whose pivot m has no m/x_i among the rows
     of degree D - W_i are the reduced Groebner basis: no S-pairs are
     formed, and a reduction to zero is a rank drop (Faugère's F4,
     J. Pure Appl. Algebra 139, 1999, made exact by the grading).  The
@@ -347,23 +328,8 @@ def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
     grlex row-reduces them again; with content 1 and p > 0, each row
     unpacked is what ``integer_terms`` makes of its element.
     """
-    variables = _checked_variables(variables)
-    weights = tuple(weights)
-    if len(weights) != len(variables) or any(type(w) is not int or w <= 0 for w in weights):
-        raise ValueError(f"want one positive integer weight per variable, got {weights}")
-    if not isinstance(generators, _PackedRows):
-        ideal = Ideal(variables, generators)  # polynomials over ``variables``, zeros dropped
-        degrees = [f.weighted_degree(weights) for f in ideal.generators]
-        for f, d in zip(ideal.generators, degrees):
-            if d is None:
-                raise ValueError(f"generator {f} is not weighted-homogeneous for the weights "
-                                 f"{weights}")
-        if degrees:
-            _require_m_primary([f.leading_monomial() for f in ideal.groebner()], variables)
-        generators = _codec(weights, order, max(degrees, default=0)).pack(
-            integer_terms(ideal.generators)[1])
     codec = generators.codec
-    top = codec.top
+    weights, top = codec.weights, codec.top
     gens: dict[int, list[dict[int, int]]] = {}
     for v in generators:
         if v:
@@ -386,8 +352,7 @@ def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
     while d <= last or quiet < wmax:
         if d >= codec.limit:
             # Degree d does not fit: start over on fields picked for it.
-            return graded_basis(generators.on(_codec(weights, order, d)), variables, weights,
-                                order)
+            return graded_basis(generators.on(_codec(weights, codec.order, d)), variables)
         rows: dict[int, tuple[int, dict[int, int]]] = {}
         pending = []
         shifted = set()  # the leads x_i*m' of the shifted rows
@@ -464,7 +429,9 @@ def graded_basis(generators: Iterable[Polynomial], variables: Sequence[str],
     found.sort(key=lambda f: f[0] & low, reverse=True)
     decode = codec.decode
     leads = [decode(m) for m, _, _ in found]
-    _require_m_primary(leads, variables)
+    if not _has_pure_powers(leads, len(variables)):
+        raise ValueError(f"the ideal is not m-primary: its reduced basis has leads "
+                         f"{[Polynomial._raw(variables, {m: one}) for m in leads]}")
     basis, packed = [], _PackedRows(codec)
     for lead, (m, p, tail) in zip(leads, found):
         terms = {lead: one}
@@ -497,7 +464,7 @@ class Ideal:
     __slots__ = ("vars", "generators", "_basis")
 
     def __init__(self, variables: Sequence[str], generators: Iterable[Polynomial]):
-        variables = tuple(variables)
+        variables = _checked_variables(variables)
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -549,13 +516,12 @@ class Ideal:
                                         reverse=True))
                 packed = getattr(basis, "packed", None)
                 if packed is not None:
-                    weights = packed.codec.weights
                     try:
-                        codec = _Codec(weights, order, packed.codec.width)
+                        codec = _Codec(packed.codec.weights, order, packed.codec.width)
                     except ValueError:  # ``order`` has no packed layout
                         pass
                     else:
-                        return graded_basis(packed.on(codec), self.vars, weights, order)
+                        return graded_basis(packed.on(codec), self.vars)
             return groebner_basis(self.generators, order)
         if basis is None:
             basis = groebner_basis(self.generators)

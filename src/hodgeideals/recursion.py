@@ -258,7 +258,7 @@ g * prod_i f_i^(k + alpha_i).
     known, derived = _step_rows(ideal.groebner(), divisor, k, grading)
     if grading is not None:
         known.extend(derived)
-        basis = graded_basis(known, variables, grading)
+        basis = graded_basis(known, variables)
     else:
         decode = known.codec.decode
         known, derived = ([Polynomial._raw(variables, {decode(t): Fraction(a)

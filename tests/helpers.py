@@ -1,9 +1,11 @@
-"""Shorthands the tests share, built on the package's public API."""
+"""Shorthands the tests share, built on the package's public API and, for
+the graded engine, on its packed rows."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from hodgeideals import Ideal, MonomialOrder, Polynomial, parse_divisor, parse_polynomial
+from hodgeideals import GREVLEX, Ideal, MonomialOrder, Polynomial, parse_divisor, parse_polynomial
+from hodgeideals.poly import _codec, integer_terms
 
 from oracles import log_terms
 
@@ -55,6 +57,15 @@ def term_dicts(rows) -> tuple[dict, ...]:
     if codec is None:
         return tuple(rows)
     return tuple({codec.decode(t): c for t, c in row.items()} for row in rows)
+
+
+def packed_rows(polys, weights, order=GREVLEX):
+    """Weighted-homogeneous polynomials as the packed integer rows a
+    derivation step hands ``graded_basis``: each scaled to integers
+    (``integer_terms``), on the fields ``_codec`` picks for their top
+    weighted degree and laid out for ``order``.  A zero is an empty row."""
+    degree = max((f.weighted_degree(weights) for f in polys if f), default=0)
+    return _codec(weights, order, degree).pack(integer_terms((f,))[1][0] for f in polys)
 
 
 def positive_multiple(p: Polynomial, q: Polynomial) -> bool:
